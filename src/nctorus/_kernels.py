@@ -1,51 +1,24 @@
-"""Hot numeric kernels with a numba lane and a pure-numpy fallback.
+"""The lattice field-strength kernel: plaquette fluxes of occupied frames.
 
-The one custom inner loop in this package is the lattice field-strength
-accumulation (plaquette fluxes of occupied-frame overlap determinants).
-Both implementations compute
+The one hot inner loop of the package, vectorized in numpy:
 
     flux_sum = sum_plaquettes arg( Ly(i,j) Lx(i,j+1) conj(Ly(i+1,j)) conj(Lx(i,j)) )
 
-over the periodically closed grid, where Lx/Ly are link overlap
-determinants; the loop orientation is the package-wide Chern sign
-convention, pinned by the full-field anchor test.  Backend selection:
-
-    NCTORUS_KERNELS=numba   force the @njit kernels (error if numba missing)
-    NCTORUS_KERNELS=numpy   force the vectorized numpy path
-    unset                   numba when importable, else numpy
+over the periodically closed grid, where Lx/Ly are the link overlap
+determinants det(F(k)^dagger F(k')) between neighbouring frames.  Each
+plaquette product is invariant under a unitary change of frame at any
+grid point, so the frames may be any orthonormal bases of the occupied
+spaces (Fukui-Hatsugai-Suzuki, JPSJ 74, 1674 (2005)).  The loop
+orientation is the package-wide Chern sign convention, pinned by the
+full-field anchor test.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-ENV_VAR = "NCTORUS_KERNELS"
-_BACKENDS = ("numba", "numpy")
-
-
-def active_backend() -> str:
-    """Resolve the kernel backend from the environment."""
-    choice = os.environ.get(ENV_VAR, "").strip().lower()
-    if not choice:
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice not in _BACKENDS:
-        raise ValueError(f"{ENV_VAR} must be one of {_BACKENDS}, got {choice!r}")
-    if choice == "numba" and not HAVE_NUMBA:
-        raise RuntimeError(f"{ENV_VAR}=numba requested but numba is not importable")
-    return choice
-
-
-def plaquette_flux_numpy(frames: np.ndarray):
+def plaquette_flux_sum(frames: np.ndarray):
     """(flux_sum, min_abs_link) on the periodic grid; frames (G1, G2, N, R)."""
     F = frames
     Fx = np.roll(F, -1, axis=0)
@@ -55,76 +28,3 @@ def plaquette_flux_numpy(frames: np.ndarray):
     min_abs = float(min(np.abs(Lx).min(), np.abs(Ly).min()))
     pl = Ly * np.roll(Lx, -1, axis=1) * np.conj(np.roll(Ly, -1, axis=0)) * np.conj(Lx)
     return float(np.angle(pl).sum()), min_abs
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _overlap_det(F1, F2):  # pragma: no cover - numba-compiled
-        # det(F1^dagger F2) with the overlap fused and small ranks unrolled
-        N, R = F1.shape
-        A = np.empty((R, R), dtype=np.complex128)
-        for a in range(R):
-            for b in range(R):
-                acc = 0.0 + 0.0j
-                for c in range(N):
-                    acc += np.conj(F1[c, a]) * F2[c, b]
-                A[a, b] = acc
-        if R == 1:
-            return A[0, 0]
-        if R == 2:
-            return A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-        if R == 3:
-            return (
-                A[0, 0] * (A[1, 1] * A[2, 2] - A[1, 2] * A[2, 1])
-                - A[0, 1] * (A[1, 0] * A[2, 2] - A[1, 2] * A[2, 0])
-                + A[0, 2] * (A[1, 0] * A[2, 1] - A[1, 1] * A[2, 0])
-            )
-        return np.linalg.det(A)
-
-    @njit(cache=True)
-    def _flux_numba(F):  # pragma: no cover - numba-compiled
-        G1, G2 = F.shape[0], F.shape[1]
-        Lx = np.empty((G1, G2), dtype=np.complex128)
-        Ly = np.empty((G1, G2), dtype=np.complex128)
-        min_abs = 1e300
-        for i in range(G1):
-            for j in range(G2):
-                lx = _overlap_det(F[i, j], F[(i + 1) % G1, j])
-                ly = _overlap_det(F[i, j], F[i, (j + 1) % G2])
-                Lx[i, j] = lx
-                Ly[i, j] = ly
-                if abs(lx) < min_abs:
-                    min_abs = abs(lx)
-                if abs(ly) < min_abs:
-                    min_abs = abs(ly)
-        total = 0.0
-        for i in range(G1):
-            for j in range(G2):
-                pl = (
-                    Ly[i, j]
-                    * Lx[i, (j + 1) % G2]
-                    * np.conj(Ly[(i + 1) % G1, j])
-                    * np.conj(Lx[i, j])
-                )
-                total += math.atan2(pl.imag, pl.real)
-        return total, min_abs
-
-    def plaquette_flux_numba(frames: np.ndarray):
-        total, min_abs = _flux_numba(np.ascontiguousarray(frames))
-        return float(total), float(min_abs)
-
-else:  # pragma: no cover
-
-    def plaquette_flux_numba(frames: np.ndarray):
-        raise RuntimeError("numba is not available")
-
-
-def plaquette_flux_sum(frames: np.ndarray, backend: str | None = None):
-    """Dispatch to the selected backend: returns (flux_sum, min_abs_link)."""
-    be = backend or active_backend()
-    if be == "numba":
-        return plaquette_flux_numba(frames)
-    if be == "numpy":
-        return plaquette_flux_numpy(frames)
-    raise ValueError(f"unknown backend {be!r}")

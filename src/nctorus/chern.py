@@ -93,7 +93,7 @@ def _rounded(raw: float, grid: int, what: str) -> ChernResult:
     return ChernResult(value, raw, residual, grid)
 
 
-def fhs_chern(field: ProjectorField, backend: Optional[str] = None) -> ChernResult:
+def fhs_chern(field: ProjectorField) -> ChernResult:
     """Plaquette-flux Chern number of a periodic projector field."""
     if not field.rep.periodic:
         raise ValueError("fhs_chern requires a periodic field; "
@@ -101,7 +101,7 @@ def fhs_chern(field: ProjectorField, backend: Optional[str] = None) -> ChernResu
     G = field.shape[0]
     if field.rank == 0:
         return ChernResult(0, 0.0, 0.0, G)
-    total, min_abs = _kernels.plaquette_flux_sum(field.occupied_frames(), backend)
+    total, min_abs = _kernels.plaquette_flux_sum(field.frames)
     if min_abs < MIN_LINK_DET:
         raise GridTooCoarseError(f"link determinant magnitude {min_abs:.3g} < {MIN_LINK_DET}")
     return _rounded(total / TWO_PI, G, "fhs_chern")
@@ -109,7 +109,7 @@ def fhs_chern(field: ProjectorField, backend: Optional[str] = None) -> ChernResu
 
 def _extended_frames(field: ProjectorField, ctx: WeylContext) -> np.ndarray:
     """Unroll the twisted field to the exactly periodic k2-in-[0,N) torus."""
-    F = field.occupied_frames()
+    F = field.frames
     G1, G2, N, R = F.shape
     lam = np.exp(1j * TWO_PI * ctx.q * field.k1s)
     out = np.empty((G1, ctx.N * G2, N, R), dtype=complex)
@@ -120,8 +120,7 @@ def _extended_frames(field: ProjectorField, ctx: WeylContext) -> np.ndarray:
     return out
 
 
-def fhs_chern_twisted(field: ProjectorField, ctx: Optional[WeylContext] = None,
-                      backend: Optional[str] = None) -> ChernResult:
+def fhs_chern_twisted(field: ProjectorField, ctx: Optional[WeylContext] = None) -> ChernResult:
     """Chern number of a twisted (weyl-kind) projector subbundle.
 
     On the full-rank field this returns the ambient twist winding q.
@@ -133,7 +132,7 @@ def fhs_chern_twisted(field: ProjectorField, ctx: Optional[WeylContext] = None,
     R = field.rank
     if R == 0:
         return ChernResult(0, 0.0, 0.0, G)
-    total, min_abs = _kernels.plaquette_flux_sum(_extended_frames(field, ctx), backend)
+    total, min_abs = _kernels.plaquette_flux_sum(_extended_frames(field, ctx))
     if min_abs < MIN_LINK_DET:
         raise GridTooCoarseError(f"link determinant magnitude {min_abs:.3g} < {MIN_LINK_DET}")
     raw = (total / TWO_PI + ctx.q * R) / ctx.N
@@ -151,14 +150,12 @@ def nc_integral_numeric(field: ProjectorField) -> float:
     """Torus average of trace/N over a periodic field; equals rank/N."""
     if not field.rep.periodic:
         raise ValueError("nc_integral_numeric requires a reference-kind field")
-    tr = np.trace(field.P, axis1=-2, axis2=-1)
-    val = tr.mean()
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"trace average has imaginary part {val.imag}")
-    return float(val.real) / field.dim
+    G1, G2 = field.shape
+    trace_sum = np.vdot(field.frames, field.frames).real     # sum of tr P = |F|^2
+    return float(trace_sum) / (G1 * G2) / field.dim
 
 
-def connes_chern_numeric(field: ProjectorField, backend: Optional[str] = None) -> ChernResult:
+def connes_chern_numeric(field: ProjectorField) -> ChernResult:
     """Character of the projector through its periodic reference realization.
 
     A conjugated-form field carries the (N,1)-pullback bundle, so its
@@ -166,7 +163,7 @@ def connes_chern_numeric(field: ProjectorField, backend: Optional[str] = None) -
     """
     if not field.rep.periodic:
         raise ValueError("connes_chern_numeric requires a reference-kind field")
-    res = fhs_chern(field, backend)
+    res = fhs_chern(field)
     if not field.rep.conjugated:
         return res
     N = field.rep.ctx.N
@@ -212,15 +209,14 @@ def pullback_field(field: ProjectorField, n1: int, n2: int) -> ProjectorField:
     G1, G2 = field.shape
     i = (n1 * np.arange(G1)) % G1
     j = (n2 * np.arange(G2)) % G2
-    P = field.P[np.ix_(i, j)]
-    return ProjectorField(field.rep, field.k1s, field.k2s, P, field.rank)
+    return ProjectorField(field.rep, field.k1s, field.k2s, field.frames[np.ix_(i, j)])
 
 
 # -- conductance verification --------------------------------------------------
 
 
 def _verify_at_fermi(ctx: WeylContext, bd_w: Optional[BandData], bd_r: BandData,
-                     fermi: float, g: int, backend: Optional[str] = None) -> dict:
+                     fermi: float, g: int) -> dict:
     """All three conductance identities at one Fermi level; raises on failure."""
     f_r = fermi_projector_field(bd_r, fermi)
     d = f_r.rank
@@ -233,8 +229,8 @@ def _verify_at_fermi(ctx: WeylContext, bd_w: Optional[BandData], bd_r: BandData,
         if f_w.rank != f_r.rank:
             raise VerificationError(
                 f"{ctx.label()}: rank mismatch weyl={f_w.rank} reference={f_r.rank}")
-        t_res = fhs_chern_twisted(f_w, ctx, backend)
-    cc_res = connes_chern_numeric(f_r, backend)
+        t_res = fhs_chern_twisted(f_w, ctx)
+    cc_res = connes_chern_numeric(f_r)
     t, cc = t_res.value, cc_res.value
     s = -cc
     ncint = nc_integral_numeric(f_r)
@@ -274,8 +270,7 @@ def _verify_at_fermi(ctx: WeylContext, bd_w: Optional[BandData], bd_r: BandData,
     }
 
 
-def verify_generalized_tknn(ctx: WeylContext, fermi: float, G: int = 64,
-                            backend: Optional[str] = None) -> TKNNRecord:
+def verify_generalized_tknn(ctx: WeylContext, fermi: float, G: int = 64) -> TKNNRecord:
     """Verified TKNNRecord for the flux-operator gap containing `fermi`."""
     h = hofstadter_element(ctx.theta)
     bd_w = None if ctx.M0 == 0 else bands_on_grid(weyl_fibered_rep(ctx), h, G)
@@ -285,28 +280,30 @@ def verify_generalized_tknn(ctx: WeylContext, fermi: float, G: int = 64,
         if gap.lower < fermi < gap.upper:
             g = gap.g
             break
-    return _verify_at_fermi(ctx, bd_w, bd_r, fermi, g, backend)["record"]
+    return _verify_at_fermi(ctx, bd_w, bd_r, fermi, g)["record"]
 
 
-def gap_certificates(ctx: WeylContext, G: int = 64, tol: float = 1e-8,
-                     backend: Optional[str] = None) -> List[dict]:
-    """One verified certificate per detected gap, inf- and sup-gap included."""
+def gap_certificates(ctx: WeylContext, G: int = 64, tol: float = 1e-8) -> List[dict]:
+    """One verified certificate per detected gap, inf- and sup-gap included.
+
+    Each family is diagonalized once at G; the reference bands also serve
+    as the coarse grid of gap refinement, which adds the one pass at 2G.
+    """
     h = hofstadter_element(ctx.theta)
     rep_r = reference_fibered_rep(ctx)
-    report, _ = detect_gaps_refined(rep_r, h, G, tol)
-    bd_w = None if ctx.M0 == 0 else bands_on_grid(weyl_fibered_rep(ctx), h, G)
     bd_r = bands_on_grid(rep_r, h, G)
+    report, _ = detect_gaps_refined(rep_r, h, G, tol, coarse=bd_r)
+    bd_w = None if ctx.M0 == 0 else bands_on_grid(weyl_fibered_rep(ctx), h, G)
     out = []
     for gap in report.gaps:
-        cert = _verify_at_fermi(ctx, bd_w, bd_r, gap.fermi, gap.g, backend)
+        cert = _verify_at_fermi(ctx, bd_w, bd_r, gap.fermi, gap.g)
         cert["gap"] = gap
         out.append(cert)
     return out
 
 
-def tknn_gap_records(ctx: WeylContext, G: int = 64, tol: float = 1e-8,
-                     backend: Optional[str] = None) -> List[TKNNRecord]:
-    return [c["record"] for c in gap_certificates(ctx, G, tol, backend)]
+def tknn_gap_records(ctx: WeylContext, G: int = 64, tol: float = 1e-8) -> List[TKNNRecord]:
+    return [c["record"] for c in gap_certificates(ctx, G, tol)]
 
 
 # -- symbolic/numeric consistency ----------------------------------------------

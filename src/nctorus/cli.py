@@ -31,10 +31,11 @@ from .algebra import RationalTheta, hofstadter_element
 from .arithmetic import (
     DegenerateRepresentationError,
     InvalidTwistError,
+    WeylContext,
     make_weyl_context,
 )
 from .chern import ChernResidualError, GridTooCoarseError, VerificationError, gap_certificates
-from .representations import reference_fibered_rep, weyl_fibered_rep
+from .representations import FiberedRep, reference_fibered_rep, weyl_fibered_rep
 from .spectral import bands_on_grid, detect_gaps_refined
 from .suite import run_invariant_suite
 
@@ -196,20 +197,29 @@ def farey_fractions(bound: int) -> List[RationalTheta]:
 # -- butterfly -----------------------------------------------------------------
 
 
+def _spectral_rep(ctx: WeylContext) -> FiberedRep:
+    """The weyl family, or its isospectral reference stand-in at theta = r/q."""
+    try:
+        return weyl_fibered_rep(ctx)
+    except DegenerateRepresentationError:
+        return reference_fibered_rep(ctx)
+
+
 def _butterfly_job(theta: RationalTheta, q: int, r: int, cfg: RunConfig):
     ctx = make_weyl_context(theta, q, r)
     h = hofstadter_element(theta)
-    try:
-        rep = weyl_fibered_rep(ctx)
-    except DegenerateRepresentationError:
-        rep = reference_fibered_rep(ctx)    # theta = r/q: isospectral stand-in
-    bd = bands_on_grid(rep, h, cfg.grid)
+    rep = _spectral_rep(ctx)
+    bd = None
     report = None
     certs = None
     if "svg" in cfg.formats:
-        report, _ = detect_gaps_refined(rep, h, max(8, cfg.grid // 2), cfg.tol)
+        report, fine = detect_gaps_refined(rep, h, max(8, cfg.grid // 2), cfg.tol)
+        if fine.shape == (cfg.grid, cfg.grid):
+            bd = fine       # refinement's fine grid is the CSV grid
         if cfg.color_gaps:
             certs = gap_certificates(ctx, cfg.grid, cfg.tol)
+    if bd is None:
+        bd = bands_on_grid(rep, h, cfg.grid)
     return theta, bd, report, certs
 
 
@@ -338,7 +348,7 @@ def cmd_gaps(cfg: RunConfig) -> int:
     formats = cfg.formats or ["json"]
     for ctx in _iter_contexts(cfg):
         h = hofstadter_element(ctx.theta)
-        report, _ = detect_gaps_refined(weyl_fibered_rep(ctx), h, cfg.grid, cfg.tol)
+        report, _ = detect_gaps_refined(_spectral_rep(ctx), h, cfg.grid, cfg.tol)
         d = report.to_json_dict()
         for gap in d["gaps"]:
             for key in ("lower", "upper", "fermi"):

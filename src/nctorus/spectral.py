@@ -1,11 +1,13 @@
 """Band structure over a k-grid, gap detection, and Fermi projector fields.
 
-The spectral projector below a Fermi level in a gap is assembled from
-the fiberwise Hermitian eigendecomposition (the finite-dimensional
-stand-in for the resolvent contour integral).  Gap detection works on
-band-edge intervals sampled on the grid; an optional one-step grid
-refinement rejects fake gaps that only exist because a band touching
-fell between grid points.
+One fiberwise Hermitian eigendecomposition per (rep, element, grid)
+feeds everything downstream.  The spectral projector below a Fermi
+level in a gap (the finite-dimensional stand-in for the resolvent
+contour integral) is carried as the occupied eigenvector columns it
+came from, a view into the band frames; the dense N x N projector is
+built only on demand.  Gap detection works on band-edge intervals
+sampled on the grid; a one-step grid refinement rejects fake gaps that
+only exist because a band touching fell between grid points.
 """
 
 from __future__ import annotations
@@ -120,15 +122,16 @@ def detect_gaps(bd: BandData, tol: float = 1e-8) -> GapReport:
 
 
 def detect_gaps_refined(rep: FiberedRep, a: AlgebraElement, G: int,
-                        tol: float = 1e-8):
+                        tol: float = 1e-8, coarse: Optional[BandData] = None):
     """One-step refinement: recheck candidate gaps at 2G.
 
     A genuine gap keeps (nearly) its width under refinement while a fake
     gap from undersampling a band touching shrinks by ~2x (conical) or
     ~4x (quadratic); the 0.7 ratio separates the two regimes.  Returns
-    (GapReport, BandData) with edges taken from the finer grid.
+    (GapReport, BandData) with edges taken from the finer grid.  Pass the
+    caller's `bands_on_grid(rep, a, G)` as `coarse` to skip recomputing it.
     """
-    bd1 = bands_on_grid(rep, a, G)
+    bd1 = bands_on_grid(rep, a, G) if coarse is None else coarse
     bd2 = bands_on_grid(rep, a, 2 * G)
     w1 = _slot_widths(bd1)
     w2 = _slot_widths(bd2)
@@ -138,39 +141,46 @@ def detect_gaps_refined(rep: FiberedRep, a: AlgebraElement, G: int,
 
 @dataclass(frozen=True)
 class ProjectorField:
-    """Hermitian idempotent N x N matrix per grid point, constant rank."""
+    """Orthogonal projector of constant rank per grid point, held as its frames.
+
+    `frames[i, j]` has orthonormal columns spanning the range of
+    P(k1s[i], k2s[j]).  Plaquette link variables are gauge-invariant, so
+    any such basis serves: a Fermi field keeps the occupied eigenvector
+    columns of its BandData as they are.
+    """
 
     rep: FiberedRep
     k1s: np.ndarray
     k2s: np.ndarray
-    P: np.ndarray          # (G1, G2, N, N)
-    rank: int
+    frames: np.ndarray     # (G1, G2, N, rank)
 
     @property
     def shape(self):
-        return self.P.shape[:2]
+        return self.frames.shape[:2]
 
     @property
     def dim(self) -> int:
-        return self.P.shape[-1]
+        return self.frames.shape[-2]
 
-    def occupied_frames(self) -> np.ndarray:
-        """Orthonormal frames spanning ran P at every grid point: (G1,G2,N,rank)."""
-        if self.rank == 0:
-            return np.zeros(self.P.shape[:2] + (self.dim, 0), dtype=complex)
-        w, v = np.linalg.eigh(self.P)
-        if w[..., -self.rank].min() < 0.5 or (self.rank < self.dim and w[..., -self.rank - 1].max() > 0.5):
-            raise ValueError("projector eigenvalues do not split at rank")
-        return v[..., -self.rank:]
+    @property
+    def rank(self) -> int:
+        return self.frames.shape[-1]
+
+    @property
+    def P(self) -> np.ndarray:
+        """Dense projector F F^dagger, built on each access: (G1, G2, N, N)."""
+        F = self.frames
+        return np.einsum("ijar,ijbr->ijab", F, F.conj())
 
     def defects(self) -> dict:
         """Worst-case residuals of the projector-field invariants."""
-        PH = np.conj(np.swapaxes(self.P, -1, -2))
-        P2 = np.einsum("ijab,ijbc->ijac", self.P, self.P)
-        tr = np.trace(self.P, axis1=-2, axis2=-1)
+        P = self.P
+        PH = np.conj(np.swapaxes(P, -1, -2))
+        P2 = np.einsum("ijab,ijbc->ijac", P, P)
+        tr = np.trace(P, axis1=-2, axis2=-1)
         return {
-            "idempotency": float(np.linalg.norm(P2 - self.P, axis=(-2, -1)).max()),
-            "hermiticity": float(np.linalg.norm(PH - self.P, axis=(-2, -1)).max()),
+            "idempotency": float(np.linalg.norm(P2 - P, axis=(-2, -1)).max()),
+            "hermiticity": float(np.linalg.norm(PH - P, axis=(-2, -1)).max()),
             "trace": float(np.abs(tr - self.rank).max()),
         }
 
@@ -183,9 +193,7 @@ def fermi_projector_field(bd: BandData, fermi: float, tol: float = 1e-8) -> Proj
     rank = int(occ.flat[0])
     if not (occ == rank).all():
         raise GapViolationError(f"fermi level {fermi} crosses a band")
-    F = bd.frames[..., :rank]
-    P = np.einsum("ijar,ijbr->ijab", F, F.conj())
-    return ProjectorField(bd.rep, bd.k1s, bd.k2s, P, rank)
+    return ProjectorField(bd.rep, bd.k1s, bd.k2s, bd.frames[..., :rank])
 
 
 def constant_projector_field(rep: FiberedRep, G: int, P0: np.ndarray) -> ProjectorField:
@@ -194,9 +202,10 @@ def constant_projector_field(rep: FiberedRep, G: int, P0: np.ndarray) -> Project
     if np.linalg.norm(P0 @ P0 - P0) > 1e-10 or np.linalg.norm(P0 - P0.conj().T) > 1e-12:
         raise ValueError("P0 is not an orthogonal projection")
     rank = int(round(np.trace(P0).real))
+    _, v = np.linalg.eigh(P0)
+    F0 = v[:, len(v) - rank:]     # eigenvalue-1 columns: last in ascending order
     k = np.arange(G) / G
-    P = np.broadcast_to(P0, (G, G) + P0.shape).copy()
-    return ProjectorField(rep, k, k, P, rank)
+    return ProjectorField(rep, k, k, np.broadcast_to(F0, (G, G) + F0.shape))
 
 
 def identity_field(rep: FiberedRep, G: int) -> ProjectorField:

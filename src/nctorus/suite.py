@@ -189,13 +189,14 @@ def run_invariant_suite(ctx: WeylContext, G: int = 32, tol: float = 1e-8) -> Lis
         f_w = fermi_projector_field(bd_w, gap.fermi, tol)
         dft = f_w.defects()
         field_defect = max(dft["idempotency"], dft["hermiticity"], dft["trace"])
+        P = f_w.P
         for i in range(0, G, max(1, G // 8)):
             k1 = bd_w.k1s[i]
             T = twist_transport(ctx, k1, 1)
             w, v = np.linalg.eigh(evaluate_at_k(reps["weyl"], h, (k1, 1.0)))
             occ = v[:, : f_w.rank]
             P1 = occ @ occ.conj().T
-            seam = max(seam, _frob(P1 - T @ f_w.P[i, 0] @ T.conj().T))
+            seam = max(seam, _frob(P1 - T @ P[i, 0] @ T.conj().T))
         detail = f"gap d={gap.d}"
     check("projector-field", field_defect, 1e-8, detail)
     check("projector-seam-transport", seam, 1e-10, detail)

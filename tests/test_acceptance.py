@@ -8,11 +8,9 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from conftest import bands_of, certs_of, ctx_of, report_of
 
-from nctorus import _kernels
 from nctorus.algebra import hofstadter_element, random_element
 from nctorus.arithmetic import tknn_rhs_value, tknn_solve
 from nctorus.chern import (
@@ -54,15 +52,6 @@ def _report(num, desc, ok, detail=""):
     suffix = f"  ({detail})" if detail else ""
     print(f"[{tag}] criterion {num:02d}: {desc}{suffix}")
     assert ok, f"criterion {num:02d} failed: {desc}{suffix}"
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # JIT compilation happens once here so the timed criteria measure steady state
-    rng = np.random.default_rng(0)
-    raw = rng.normal(size=(4, 4, 3, 2)) + 1j * rng.normal(size=(4, 4, 3, 2))
-    F, _ = np.linalg.qr(raw)
-    _kernels.plaquette_flux_sum(np.ascontiguousarray(F))
 
 
 def test_criterion_01_ambient_anchor():

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import bands_of, certs_of, ctx_of, report_of
 
+from nctorus import chern, spectral
 from nctorus.algebra import monomial, random_element, unit
 from nctorus.arithmetic import tknn_rhs_value, tknn_solve
 from nctorus.chern import (
@@ -13,6 +14,7 @@ from nctorus.chern import (
     connes_chern_via_derivatives,
     fhs_chern,
     fhs_chern_twisted,
+    gap_certificates,
     nc_integral_numeric,
     pullback_field,
     symbolic_numeric_crosscheck,
@@ -228,3 +230,19 @@ def test_grid_stability_24_vs_48():
         r24 = [(c["record"].t, c["record"].s) for c in certs_of(*spec, 24)]
         r48 = [(c["record"].t, c["record"].s) for c in certs_of(*spec, 48)]
         assert r24 == r48
+
+
+@pytest.mark.parametrize("spec,passes", [((1, 3, 2, 1), 3), ((0, 1, 1, 0), 2)])
+def test_gap_certificates_one_spectral_pass_per_rep_and_grid(monkeypatch, spec, passes):
+    # reference at G and 2G, plus weyl at G unless theta = r/q collapses it
+    calls = []
+
+    def counted(rep, a, G, G2=None):
+        calls.append((rep.kind, G))
+        return bands_on_grid(rep, a, G, G2)
+
+    monkeypatch.setattr(chern, "bands_on_grid", counted)
+    monkeypatch.setattr(spectral, "bands_on_grid", counted)
+    gap_certificates(ctx_of(*spec), 12)
+    assert len(calls) == passes
+    assert len(set(calls)) == passes

@@ -1,6 +1,9 @@
 """Command-line contract: subcommands, exit codes, deterministic output."""
 
 import json
+from collections import Counter
+
+import pytest
 
 from nctorus.cli import (
     EXIT_CONFIG,
@@ -92,6 +95,18 @@ def test_butterfly_svg(tmp_path):
     assert "<path" in svg
 
 
+@pytest.mark.parametrize("grid", [5, 12, 16])
+def test_butterfly_csv_rows_per_theta(tmp_path, grid):
+    # at G = 16 the CSV bands come from the gap refinement's fine grid
+    out = tmp_path / "o"
+    assert run("butterfly", "--farey", "3", "--grid", str(grid), "--format", "csv",
+               "--format", "svg", "--out", str(out)) == EXIT_OK
+    lines = (out / "spectrum_q1r0.csv").read_text().strip().splitlines()
+    rows = Counter(tuple(map(int, ln.split(",")[:2])) for ln in lines[1:])
+    assert rows == {(M, N): grid * grid * N for (M, N) in
+                    [(0, 1), (1, 3), (1, 2), (2, 3), (1, 1)]}
+
+
 def test_butterfly_svg_gap_colors(tmp_path):
     out = tmp_path / "o"
     assert run("butterfly", "--farey", "3", "--grid", "12", "--format", "svg",
@@ -141,6 +156,10 @@ def test_integer_theta_flows(tmp_path):
     rows = json.loads((out / "labels_0_1_q1r0.json").read_text())
     assert [(r["d"], r["t"], r["s"]) for r in rows] == [(0, 0, 0), (1, 1, 0)]
     assert run("verify", "--theta", "0/1", "--grid", "12", "--out", str(out)) == EXIT_OK
+    assert run("gaps", "--theta", "0/1", "--grid", "12", "--out", str(out)) == EXIT_OK
+    assert json.loads((out / "gaps_0_1_q1r0.json").read_text())["bands"] == 1
+    assert run("gaps", "--farey", "3", "--grid", "12", "--out", str(out)) == EXIT_OK
+    assert (out / "gaps_2_3_q1r0.json").exists()
 
 
 def test_verify_rejects_degenerate_context(tmp_path):

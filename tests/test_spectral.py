@@ -94,6 +94,15 @@ def test_fermi_projector_ranks():
     assert fermi_projector_field(bd, report.gaps[-1].fermi).rank == 3
 
 
+def test_fermi_projector_is_a_view_of_the_band_frames():
+    bd = bands_of(1, 3, 2, 1, "weyl", 16)
+    gap = report_of(1, 3, 2, 1, 16).internal()[0]
+    f = fermi_projector_field(bd, gap.fermi)
+    assert np.shares_memory(f.frames, bd.frames)
+    F = bd.frames[..., : f.rank]
+    assert np.allclose(f.P, F @ np.conj(np.swapaxes(F, -1, -2)), atol=1e-14)
+
+
 def test_fermi_projector_gap_independence():
     bd = bands_of(1, 3, 1, 0, "weyl", 16)
     gap = report_of(1, 3, 1, 0, 16).internal()[0]
