@@ -60,21 +60,6 @@ class WeylContext:
         return f"theta={self.M}/{self.N} rep=({self.q},{self.r})"
 
 
-def _egcd(a: int, b: int):
-    """Iterative extended Euclid: returns (g, x, y) with x*a + y*b = g >= 0."""
-    r0, r1 = a, b
-    x0, x1 = 1, 0
-    y0, y1 = 0, 1
-    while r1 != 0:
-        qq = r0 // r1
-        r0, r1 = r1, r0 - qq * r1
-        x0, x1 = x1, x0 - qq * x1
-        y0, y1 = y1, y0 - qq * y1
-    if r0 < 0:
-        r0, x0, y0 = -r0, -x0, -y0
-    return r0, x0, y0
-
-
 def make_weyl_context(theta: RationalTheta, q: int, r: int) -> WeylContext:
     """Validate (theta, q, r) and populate every derived constant.
 
@@ -99,14 +84,9 @@ def make_weyl_context(theta: RationalTheta, q: int, r: int) -> WeylContext:
         alpha, beta = 0, 1
         mu, nu = 0, 0
     else:
-        g, x, y = _egcd(q, r)
-        assert g == 1
-        beta, alpha = x, -y             # beta*q - alpha*r = 1
-        alpha %= q
+        alpha = -pow(r, -1, q) % q      # beta*q - alpha*r = 1
         beta = (1 + alpha * r) // q
-        g2, x2, y2 = _egcd(q, r * N)
-        assert g2 == 1                  # gcd(q, rN) = 1 follows from the two gcds above
-        mu = (r * y2) % q               # nu*q + mu*(rN) = r
+        mu = pow(N, -1, q)              # nu*q + mu*(rN) = r, as mu*N = 1 mod q
         nu = (r - mu * r * N) // q
 
     assert beta * q - alpha * r == 1 and 0 <= alpha < q

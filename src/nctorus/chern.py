@@ -46,9 +46,10 @@ from .representations import (
 )
 from .spectral import (
     BandData,
+    GapReport,
+    NumericalFailure,
     ProjectorField,
     bands_on_grid,
-    detect_gaps,
     detect_gaps_refined,
     fermi_projector_field,
 )
@@ -59,15 +60,15 @@ ROUND_TOL = 1e-2
 RHS_TOL = 1e-3
 
 
-class GridTooCoarseError(RuntimeError):
+class GridTooCoarseError(NumericalFailure):
     """A link overlap determinant fell below the admissibility threshold."""
 
 
-class ChernResidualError(RuntimeError):
+class ChernResidualError(NumericalFailure):
     """The lattice sum is not close enough to an integer to be trusted."""
 
 
-class VerificationError(RuntimeError):
+class VerificationError(NumericalFailure):
     """A conductance identity failed."""
 
 
@@ -270,30 +271,26 @@ def _verify_at_fermi(ctx: WeylContext, bd_w: Optional[BandData], bd_r: BandData,
     }
 
 
-def verify_generalized_tknn(ctx: WeylContext, fermi: float, G: int = 64) -> TKNNRecord:
-    """Verified TKNNRecord for the flux-operator gap containing `fermi`."""
-    h = hofstadter_element(ctx.theta)
-    bd_w = None if ctx.M0 == 0 else bands_on_grid(weyl_fibered_rep(ctx), h, G)
-    bd_r = bands_on_grid(reference_fibered_rep(ctx), h, G)
-    g = 0
-    for gap in detect_gaps(bd_r).gaps:
-        if gap.lower < fermi < gap.upper:
-            g = gap.g
-            break
-    return _verify_at_fermi(ctx, bd_w, bd_r, fermi, g)["record"]
+def gap_bands(ctx: WeylContext, G: int = 64, tol: float = 1e-8):
+    """The gap report of `ctx` at G and the bands its certificates are read from.
 
-
-def gap_certificates(ctx: WeylContext, G: int = 64, tol: float = 1e-8) -> List[dict]:
-    """One verified certificate per detected gap, inf- and sup-gap included.
-
-    Each family is diagonalized once at G; the reference bands also serve
-    as the coarse grid of gap refinement, which adds the one pass at 2G.
+    Returns (report, bd_r, bd_fine, bd_w): the refined gap report of the
+    reference family, its bands at G, the refinement's reference bands
+    at 2G, and the weyl bands at G (None at theta = r/q).  Each (rep, G)
+    is diagonalized once; the bands at G also serve as the coarse grid
+    of the refinement.
     """
     h = hofstadter_element(ctx.theta)
     rep_r = reference_fibered_rep(ctx)
     bd_r = bands_on_grid(rep_r, h, G)
-    report, _ = detect_gaps_refined(rep_r, h, G, tol, coarse=bd_r)
+    report, bd_fine = detect_gaps_refined(rep_r, h, G, tol, coarse=bd_r)
     bd_w = None if ctx.M0 == 0 else bands_on_grid(weyl_fibered_rep(ctx), h, G)
+    return report, bd_r, bd_fine, bd_w
+
+
+def certify_gaps(ctx: WeylContext, report: GapReport, bd_r: BandData,
+                 bd_w: Optional[BandData]) -> List[dict]:
+    """One verified certificate per gap of `report`, inf- and sup-gap included."""
     out = []
     for gap in report.gaps:
         cert = _verify_at_fermi(ctx, bd_w, bd_r, gap.fermi, gap.g)
@@ -302,8 +299,10 @@ def gap_certificates(ctx: WeylContext, G: int = 64, tol: float = 1e-8) -> List[d
     return out
 
 
-def tknn_gap_records(ctx: WeylContext, G: int = 64, tol: float = 1e-8) -> List[TKNNRecord]:
-    return [c["record"] for c in gap_certificates(ctx, G, tol)]
+def gap_certificates(ctx: WeylContext, G: int = 64, tol: float = 1e-8) -> List[dict]:
+    """One verified certificate per detected gap, from the bands of `gap_bands`."""
+    report, bd_r, _, bd_w = gap_bands(ctx, G, tol)
+    return certify_gaps(ctx, report, bd_r, bd_w)
 
 
 # -- symbolic/numeric consistency ----------------------------------------------

@@ -7,9 +7,11 @@ Subcommands
     chern       full per-gap Chern certificates
     verify      the whole invariant suite; exit 0 iff everything passes
 
-Exit codes: 0 success, 1 verification failure, 2 configuration or
-validation error, 3 I/O error.  All emitted CSV/JSON is byte-stable for
-a fixed configuration: fixed ordering, floats at 12 significant digits.
+Exit codes: 0 success, 1 numerical failure (a check or certificate that
+does not hold on the grid; verify still writes its report), 2
+configuration or validation error, 3 I/O error.  All emitted CSV/JSON is
+byte-stable for a fixed configuration: fixed ordering, floats at 12
+significant digits.
 Worker threads for parameter sweeps come from NCTORUS_THREADS (positive
 integer; default: available parallelism).
 """
@@ -34,9 +36,9 @@ from .arithmetic import (
     WeylContext,
     make_weyl_context,
 )
-from .chern import ChernResidualError, GridTooCoarseError, VerificationError, gap_certificates
+from .chern import certify_gaps, gap_bands, gap_certificates
 from .representations import FiberedRep, reference_fibered_rep, weyl_fibered_rep
-from .spectral import bands_on_grid, detect_gaps_refined
+from .spectral import NumericalFailure, bands_on_grid, detect_gaps_refined
 from .suite import run_invariant_suite
 
 THREADS_ENV = "NCTORUS_THREADS"
@@ -207,20 +209,22 @@ def _spectral_rep(ctx: WeylContext) -> FiberedRep:
 
 def _butterfly_job(theta: RationalTheta, q: int, r: int, cfg: RunConfig):
     ctx = make_weyl_context(theta, q, r)
+    if "svg" in cfg.formats and cfg.color_gaps:
+        # band segments, gap rectangles and CSV bands all come from the certified bands
+        report, bd_r, _, bd_w = gap_bands(ctx, cfg.grid, cfg.tol)
+        certs = certify_gaps(ctx, report, bd_r, bd_w)
+        return theta, bd_r if bd_w is None else bd_w, report, certs
     h = hofstadter_element(theta)
     rep = _spectral_rep(ctx)
     bd = None
     report = None
-    certs = None
     if "svg" in cfg.formats:
         report, fine = detect_gaps_refined(rep, h, max(8, cfg.grid // 2), cfg.tol)
         if fine.shape == (cfg.grid, cfg.grid):
             bd = fine       # refinement's fine grid is the CSV grid
-        if cfg.color_gaps:
-            certs = gap_certificates(ctx, cfg.grid, cfg.tol)
     if bd is None:
         bd = bands_on_grid(rep, h, cfg.grid)
-    return theta, bd, report, certs
+    return theta, bd, report, None
 
 
 def cmd_butterfly(cfg: RunConfig) -> int:
@@ -290,8 +294,6 @@ def _butterfly_svg(results, q: int, r: int) -> str:
         '<rect x="0" y="0" width="1000" height="800" fill="white"/>',
     ]
     for th, bd, report, certs in results:
-        if report is None:
-            continue
         x = _svg_x(th.M / th.N)
         if certs is not None:
             for cert in certs:
@@ -308,15 +310,10 @@ def _butterfly_svg(results, q: int, r: int) -> str:
                 )
     for th, bd, report, certs in results:
         x = _svg_x(th.M / th.N)
-        lo, hi = bd.band_intervals()
-        if report is not None:
-            segs = [(gap.upper, nxt.lower)
-                    for gap, nxt in zip(report.gaps[:-1], report.gaps[1:])]
-        else:
-            segs = [(float(lo[b]), float(hi[b])) for b in range(len(lo))]
-        for (a, b) in segs:
+        for gap, nxt in zip(report.gaps[:-1], report.gaps[1:]):
             parts.append(
-                f'<path d="M {fmt(x)} {fmt(_svg_y(a))} L {fmt(x)} {fmt(_svg_y(b))}" '
+                f'<path d="M {fmt(x)} {fmt(_svg_y(gap.upper))} '
+                f'L {fmt(x)} {fmt(_svg_y(nxt.lower))}" '
                 'stroke="black" stroke-width="2" fill="none"/>'
             )
     parts.append("</svg>")
@@ -379,7 +376,7 @@ def cmd_labels(cfg: RunConfig) -> int:
         tag = _tag(ctx.theta, ctx.q, ctx.r)
         try:
             certs = gap_certificates(ctx, cfg.grid, cfg.tol)
-        except (VerificationError, ChernResidualError, GridTooCoarseError) as exc:
+        except NumericalFailure as exc:
             print(f"FAIL {ctx.label()}: {exc}")
             status = EXIT_VERIFICATION
             continue
@@ -403,7 +400,7 @@ def cmd_chern(cfg: RunConfig) -> int:
         tag = _tag(ctx.theta, ctx.q, ctx.r)
         try:
             certs = gap_certificates(ctx, cfg.grid, cfg.tol)
-        except (VerificationError, ChernResidualError, GridTooCoarseError) as exc:
+        except NumericalFailure as exc:
             print(f"FAIL {ctx.label()}: {exc}")
             status = EXIT_VERIFICATION
             continue
@@ -506,12 +503,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             "verify": cmd_verify,
         }[args.command]
         return handler(cfg)
+    except NumericalFailure as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
     except (ConfigError, InvalidTwistError, DegenerateRepresentationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (VerificationError, ChernResidualError, GridTooCoarseError) as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

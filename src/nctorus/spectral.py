@@ -29,7 +29,11 @@ class SelfAdjointnessError(ValueError):
     """The element is not a fixed point of the involution."""
 
 
-class GapViolationError(ValueError):
+class NumericalFailure(RuntimeError):
+    """A computed quantity could not be certified on the chosen grid."""
+
+
+class GapViolationError(NumericalFailure):
     """The Fermi level touches the sampled spectrum."""
 
 
@@ -83,18 +87,15 @@ class GapReport:
         return {"bands": self.bands, "gaps": rows}
 
 
-def bands_on_grid(rep: FiberedRep, a: AlgebraElement, G: int,
-                  G2: Optional[int] = None) -> BandData:
-    """Full fiberwise eigendecomposition on a G x G2 grid (G2 defaults to G)."""
+def bands_on_grid(rep: FiberedRep, a: AlgebraElement, G: int) -> BandData:
+    """Full fiberwise eigendecomposition on a G x G grid."""
     if not a.approx_equal(element_star(a), SELFADJOINT_TOL):
         raise SelfAdjointnessError("element is not self-adjoint within 1e-12")
-    G2 = G if G2 is None else G2
-    k1s = np.arange(G) / G
-    k2s = np.arange(G2) / G2
-    H = evaluate_on_grid(rep, a, k1s, k2s)
+    k = np.arange(G) / G
+    H = evaluate_on_grid(rep, a, k, k)
     H = 0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))   # scrub fp asymmetry
     energies, frames = np.linalg.eigh(H)
-    return BandData(rep, k1s, k2s, energies, frames)
+    return BandData(rep, k, k, energies, frames)
 
 
 def _slot_widths(bd: BandData) -> np.ndarray:

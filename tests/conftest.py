@@ -7,6 +7,7 @@ module tests and the acceptance suite can share the expensive spectra.
 import numpy as np
 import pytest
 
+from nctorus import chern, cli, spectral, suite
 from nctorus.algebra import RationalTheta, hofstadter_element
 from nctorus.arithmetic import make_weyl_context
 from nctorus.chern import gap_certificates
@@ -46,6 +47,20 @@ def certs_of(M, N, q, r, G):
     if key not in _CERTS:
         _CERTS[key] = gap_certificates(ctx_of(M, N, q, r), G)
     return _CERTS[key]
+
+
+@pytest.fixture
+def band_passes(monkeypatch):
+    """Records (M, N, kind, G) for every `bands_on_grid` call the package makes."""
+    calls = []
+
+    def counted(rep, a, G):
+        calls.append((rep.ctx.M, rep.ctx.N, rep.kind, G))
+        return bands_on_grid(rep, a, G)
+
+    for mod in (chern, cli, spectral, suite):
+        monkeypatch.setattr(mod, "bands_on_grid", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import bands_of, certs_of, ctx_of, report_of
 
-from nctorus import chern, spectral
 from nctorus.algebra import monomial, random_element, unit
 from nctorus.arithmetic import tknn_rhs_value, tknn_solve
 from nctorus.chern import (
@@ -18,7 +17,6 @@ from nctorus.chern import (
     nc_integral_numeric,
     pullback_field,
     symbolic_numeric_crosscheck,
-    verify_generalized_tknn,
 )
 from nctorus.representations import reference_fibered_rep, weyl_fibered_rep
 from nctorus.spectral import (
@@ -143,20 +141,9 @@ def test_pullback_scaling():
         pullback_field(base, 0, 1)
 
 
-def test_verify_generalized_tknn_gap_one():
-    ctx = ctx_of(1, 3, 1, 0)
-    gap = report_of(1, 3, 1, 0, 24).internal()[0]
-    rec = verify_generalized_tknn(ctx, gap.fermi, 24)
-    assert (rec.t, rec.s, rec.d) == (0, 1, 1)
-    ctx21 = ctx_of(1, 3, 2, 1)
-    rec21 = verify_generalized_tknn(ctx21, gap.fermi, 24)
-    assert (rec21.t, rec21.s, rec21.d) == (1, 1, 1)
-    assert 3 * rec21.t + ctx21.M0 * rec21.s == 2 * rec21.d
-
-
 def test_verify_full_projector_anchor():
-    ctx = ctx_of(2, 5, 3, 1)
-    rec = verify_generalized_tknn(ctx, 10.0, 16)
+    # the sup-gap certificate carries the whole field: t = q, s = 0, d = N
+    rec = gap_certificates(ctx_of(2, 5, 3, 1), 16)[-1]["record"]
     assert (rec.t, rec.s, rec.d) == (3, 0, 5)
 
 
@@ -233,16 +220,7 @@ def test_grid_stability_24_vs_48():
 
 
 @pytest.mark.parametrize("spec,passes", [((1, 3, 2, 1), 3), ((0, 1, 1, 0), 2)])
-def test_gap_certificates_one_spectral_pass_per_rep_and_grid(monkeypatch, spec, passes):
+def test_gap_certificates_one_spectral_pass_per_rep_and_grid(band_passes, spec, passes):
     # reference at G and 2G, plus weyl at G unless theta = r/q collapses it
-    calls = []
-
-    def counted(rep, a, G, G2=None):
-        calls.append((rep.kind, G))
-        return bands_on_grid(rep, a, G, G2)
-
-    monkeypatch.setattr(chern, "bands_on_grid", counted)
-    monkeypatch.setattr(spectral, "bands_on_grid", counted)
     gap_certificates(ctx_of(*spec), 12)
-    assert len(calls) == passes
-    assert len(set(calls)) == passes
+    assert len(band_passes) == len(set(band_passes)) == passes

@@ -1,14 +1,20 @@
 """Command-line contract: subcommands, exit codes, deterministic output."""
 
 import json
+import math
+import re
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nctorus.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
+    EXIT_VERIFICATION,
     farey_fractions,
     main,
 )
@@ -221,3 +227,73 @@ def test_labels_deterministic_json(tmp_path):
     assert run(*args, "--out", str(out2)) == EXIT_OK
     name = "labels_1_3_q2r1.json"
     assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("theta,rep,grid,failing", [
+    ("3/7", "3,2", "6", "tknn-gaps"),        # lattice sum 1.857 is not an integer
+    ("1/3", "1,0", "3", "pullback-lemma"),   # a link determinant vanishes
+])
+def test_verify_numerical_failure_still_writes_report(tmp_path, theta, rep, grid, failing):
+    # grids too coarse to certify: exit 1 with a FAIL row, never an abort
+    out = tmp_path / "o"
+    assert run("verify", "--theta", theta, "--rep", rep, "--grid", grid,
+               "--out", str(out)) == EXIT_VERIFICATION
+    M, N = theta.split("/")
+    q, r = rep.split(",")
+    rows = json.loads((out / f"verify_{M}_{N}_q{q}r{r}.json").read_text())
+    assert [row["ok"] for row in rows if row["name"] == failing] == [False]
+
+
+def _svg_columns(svg):
+    """Per column x: black band segments and gap rectangles, as (low, high) in y."""
+    segs, rects = {}, {}
+    for x, y0, y1 in re.findall(r'<path d="M (\S+) (\S+) L \S+ (\S+)" stroke="black"', svg):
+        segs.setdefault(float(x), []).append(tuple(sorted((float(y0), float(y1)))))
+    for x, y, h in re.findall(r'<rect x="(\S+)" y="(\S+)" width="4" height="(\S+)" [^>]*data-t=',
+                              svg):
+        rects.setdefault(float(x) + 2, []).append((float(y), float(y) + float(h)))
+    return segs, rects
+
+
+def test_butterfly_colored_bands_do_not_cross_certified_gaps(tmp_path):
+    # at 8/9 the weyl G/2 -> G refinement merges the d=4 gap that the
+    # certificates' reference G -> 2G refinement keeps open
+    out = tmp_path / "o"
+    assert run("butterfly", "--theta", "8/9", "--grid", "48", "--format", "svg",
+               "--color-gaps", "--out", str(out)) == EXIT_OK
+    segs, rects = _svg_columns((out / "butterfly_q1r0.svg").read_text())
+    assert rects and segs.keys() == rects.keys()
+    for x, boxes in rects.items():
+        for (a0, a1) in segs[x]:
+            for (b0, b1) in boxes:
+                assert min(a1, b1) - max(a0, b0) < 1e-6, (x, (a0, a1), (b0, b1))
+
+
+def test_butterfly_color_gaps_three_spectral_passes_per_theta(tmp_path, band_passes):
+    # reference at G and 2G and weyl at G; the CSV reuses the weyl bands
+    out = tmp_path / "o"
+    assert run("butterfly", "--theta", "1/3", "--theta", "2/5", "--grid", "8", "--format", "csv",
+               "--format", "svg", "--color-gaps", "--out", str(out)) == EXIT_OK
+    assert len(band_passes) == len(set(band_passes)) == 6
+    assert Counter((M, N) for M, N, _, _ in band_passes) == {(1, 3): 3, (2, 5): 3}
+
+
+@st.composite
+def _verify_args(draw):
+    N = draw(st.integers(1, 9))
+    M = draw(st.sampled_from([M for M in range(N + 1) if math.gcd(M, N) == 1]))
+    q, r = draw(st.sampled_from([(q, r) for q in (1, 2, 3) for r in range(1 - q, q)
+                                 if math.gcd(q, abs(r)) == 1 and math.gcd(N, q) == 1]))
+    return M, N, q, r, draw(st.integers(2, 12))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_verify_args())
+def test_verify_exits_0_or_1_and_always_writes_its_report(args):
+    M, N, q, r, G = args
+    with tempfile.TemporaryDirectory() as out:
+        code = run("verify", "--theta", f"{M}/{N}", "--rep", f"{q},{r}", "--grid", str(G),
+                   "--out", out)
+        assert code in (EXIT_OK, EXIT_VERIFICATION)
+        rows = json.loads((Path(out) / f"verify_{M}_{N}_q{q}r{r}.json").read_text())
+        assert (code == EXIT_OK) == all(row["ok"] for row in rows)
