@@ -2,18 +2,15 @@
 
 Periodic projector fields (reference kind) get the standard
 gauge-invariant plaquette discretization (`fhs_chern`).  Twisted fields
-(weyl kind) are handled by exact unrolling: the transport unitary to the
-n-th vertical neighbour cell is scalar after N steps, so the field is
-honestly periodic over k2 in [0, N); the plaquette sum there computes
-the Chern number of the (1,N)-pullback, which differs from N times the
-wanted subbundle Chern number by the rank times the full-field twist
-winding q.  Hence
+(weyl kind) run the same kernel on their own G x G grid, closed in k2
+by one seam link: the field at k2 + 1 is the field at k2 transported by
+`twist_transport`, so the last k2-link of each column ends at
+T(k1) F(k1, 0) (`fhs_chern_twisted`).  Both lattices are closed, so
+both sums are integers by construction.
 
-    t = ( flux_sum_on_extended_torus / 2pi + q * rank ) / N .
-
-Orientation of the plaquette loop and the sign of the rank correction
-are pinned jointly by the full-field anchor t(identity) = q and by the
-derivative-formula character oracle; both are enforced in the tests.
+Orientation of the plaquette loop is pinned by the full-field anchor
+t(identity) = q and by the derivative-formula character oracle; both
+are enforced in the tests.
 """
 
 from __future__ import annotations
@@ -84,14 +81,21 @@ class ChernResult:
                 "residual": self.residual, "grid": self.grid}
 
 
-def _rounded(raw: float, grid: int, what: str) -> ChernResult:
+def _lattice_chern(field: ProjectorField, what: str,
+                   seam: Optional[np.ndarray] = None) -> ChernResult:
+    """Plaquette-flux Chern number of `field`, its k2 seam closed by `seam`."""
+    G = field.shape[0]
+    if field.rank == 0:
+        return ChernResult(0, 0.0, 0.0, G)
+    total, min_abs = _kernels.plaquette_flux_sum(field.frames, seam)
+    if min_abs < MIN_LINK_DET:
+        raise GridTooCoarseError(f"link determinant magnitude {min_abs:.3g} < {MIN_LINK_DET}")
+    raw = total / TWO_PI
     value = int(round(raw))
     residual = abs(raw - value)
     if residual >= ROUND_TOL:
-        raise ChernResidualError(
-            f"{what}: lattice sum {raw} is {residual:.3g} from an integer"
-        )
-    return ChernResult(value, raw, residual, grid)
+        raise ChernResidualError(f"{what}: lattice sum {raw} is {residual:.3g} from an integer")
+    return ChernResult(value, raw, residual, G)
 
 
 def fhs_chern(field: ProjectorField) -> ChernResult:
@@ -99,45 +103,20 @@ def fhs_chern(field: ProjectorField) -> ChernResult:
     if not field.rep.periodic:
         raise ValueError("fhs_chern requires a periodic field; "
                          "use fhs_chern_twisted for weyl-kind fields")
-    G = field.shape[0]
-    if field.rank == 0:
-        return ChernResult(0, 0.0, 0.0, G)
-    total, min_abs = _kernels.plaquette_flux_sum(field.frames)
-    if min_abs < MIN_LINK_DET:
-        raise GridTooCoarseError(f"link determinant magnitude {min_abs:.3g} < {MIN_LINK_DET}")
-    return _rounded(total / TWO_PI, G, "fhs_chern")
+    return _lattice_chern(field, "fhs_chern")
 
 
-def _extended_frames(field: ProjectorField, ctx: WeylContext) -> np.ndarray:
-    """Unroll the twisted field to the exactly periodic k2-in-[0,N) torus."""
-    F = field.frames
-    G1, G2, N, R = F.shape
-    lam = np.exp(1j * TWO_PI * ctx.q * field.k1s)
-    out = np.empty((G1, ctx.N * G2, N, R), dtype=complex)
-    out[:, :G2] = F
-    for m in range(1, ctx.N):
-        T = _shift_power_grid(ctx.N, lam, -m)       # twist_transport, batched over k1
-        out[:, m * G2:(m + 1) * G2] = np.einsum("gab,gjbr->gjar", T, F)
-    return out
-
-
-def fhs_chern_twisted(field: ProjectorField, ctx: Optional[WeylContext] = None) -> ChernResult:
+def fhs_chern_twisted(field: ProjectorField) -> ChernResult:
     """Chern number of a twisted (weyl-kind) projector subbundle.
 
     On the full-rank field this returns the ambient twist winding q.
     """
     if field.rep.kind != "weyl":
         raise ValueError("fhs_chern_twisted requires a weyl-kind field")
-    ctx = ctx if ctx is not None else field.rep.ctx
-    G = field.shape[0]
-    R = field.rank
-    if R == 0:
-        return ChernResult(0, 0.0, 0.0, G)
-    total, min_abs = _kernels.plaquette_flux_sum(_extended_frames(field, ctx))
-    if min_abs < MIN_LINK_DET:
-        raise GridTooCoarseError(f"link determinant magnitude {min_abs:.3g} < {MIN_LINK_DET}")
-    raw = (total / TWO_PI + ctx.q * R) / ctx.N
-    return _rounded(raw, G, "fhs_chern_twisted")
+    ctx = field.rep.ctx
+    lam = np.exp(1j * TWO_PI * ctx.q * field.k1s)
+    seam = _shift_power_grid(ctx.N, lam, -1)        # twist_transport(k1, 1), batched over k1
+    return _lattice_chern(field, "fhs_chern_twisted", seam)
 
 
 def ambient_chern_analytic(N: int, q: int) -> int:
@@ -230,7 +209,7 @@ def _verify_at_fermi(ctx: WeylContext, bd_w: Optional[BandData], bd_r: BandData,
         if f_w.rank != f_r.rank:
             raise VerificationError(
                 f"{ctx.label()}: rank mismatch weyl={f_w.rank} reference={f_r.rank}")
-        t_res = fhs_chern_twisted(f_w, ctx)
+        t_res = fhs_chern_twisted(f_w)
     cc_res = connes_chern_numeric(f_r)
     t, cc = t_res.value, cc_res.value
     s = -cc

@@ -205,7 +205,7 @@ def run_invariant_suite(ctx: WeylContext, G: int = 32, tol: float = 1e-8) -> Lis
     if collapsed:
         check("ambient-anchor", 0.0, 1e-3, "not applicable: theta = r/q")
     else:
-        anchor = fhs_chern_twisted(identity_field(reps["weyl"], max(16, G // 2)), ctx)
+        anchor = fhs_chern_twisted(identity_field(reps["weyl"], max(16, G // 2)))
         ok = anchor.value == ambient_chern_analytic(ctx.N, ctx.q)
         check("ambient-anchor", anchor.residual if ok else 1.0, 1e-3,
               f"t(identity) = {anchor.value}, expected {ctx.q}")

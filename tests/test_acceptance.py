@@ -60,7 +60,7 @@ def test_criterion_01_ambient_anchor():
         ctx = ctx_of(1, N, q, 0 if q == 1 else 1)
         field = identity_field(weyl_fibered_rep(ctx), 32)
         t0 = time.perf_counter()
-        res = fhs_chern_twisted(field, ctx)
+        res = fhs_chern_twisted(field)
         dt = time.perf_counter() - t0
         ok = ok and res.value == ambient_chern_analytic(N, q) and res.residual < 1e-3 and dt < 1.0
         worst_res = max(worst_res, res.residual)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import bands_of, certs_of, ctx_of, report_of
 
+from nctorus import chern
 from nctorus.algebra import monomial, random_element, unit
 from nctorus.arithmetic import tknn_rhs_value, tknn_solve
 from nctorus.chern import (
@@ -111,9 +112,23 @@ def test_nc_integral_numeric():
 def test_twisted_identity_anchor(spec):
     M, N, q, r = spec
     ctx = ctx_of(M, N, q, r)
-    res = fhs_chern_twisted(identity_field(weyl_fibered_rep(ctx), 24), ctx)
+    res = fhs_chern_twisted(identity_field(weyl_fibered_rep(ctx), 24))
     assert res.value == ambient_chern_analytic(N, q) == q
     assert res.residual < 1e-10
+
+
+def test_twisted_chern_kernel_input_is_the_field(monkeypatch):
+    # the seam closes the base lattice: no copies of the frames along k2
+    shapes = []
+    kernel = chern._kernels.plaquette_flux_sum
+
+    def recorded(frames, *seam):
+        shapes.append(frames.shape)
+        return kernel(frames, *seam)
+
+    monkeypatch.setattr(chern._kernels, "plaquette_flux_sum", recorded)
+    assert fhs_chern_twisted(weyl_gap_field(2, 5, 3, 1, 1, G=24)).value == 1
+    assert shapes == [(24, 24, 5, 2)]
 
 
 def test_twisted_gap_one_values():

@@ -230,7 +230,7 @@ def test_labels_deterministic_json(tmp_path):
 
 
 @pytest.mark.parametrize("theta,rep,grid,failing", [
-    ("3/7", "3,2", "6", "tknn-gaps"),        # lattice sum 1.857 is not an integer
+    ("3/7", "3,2", "6", "tknn-gaps"),        # N*t + M0*s = 16 != q*d = 6
     ("1/3", "1,0", "3", "pullback-lemma"),   # a link determinant vanishes
 ])
 def test_verify_numerical_failure_still_writes_report(tmp_path, theta, rep, grid, failing):

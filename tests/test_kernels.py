@@ -1,14 +1,17 @@
 """The plaquette flux kernel on hand-built frames."""
 
+import math
+
 import numpy as np
 import pytest
 
 from nctorus import _kernels
+from nctorus.representations import _shift_power_grid
 
 
-def random_frames(G1, G2, N, R, seed=0):
+def random_frames(*shape, seed=0):
     rng = np.random.default_rng(seed)
-    raw = rng.normal(size=(G1, G2, N, R)) + 1j * rng.normal(size=(G1, G2, N, R))
+    raw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     q, _ = np.linalg.qr(raw)
     return q
 
@@ -26,10 +29,21 @@ def test_flux_is_gauge_invariant():
     # any orthonormal basis of each occupied space gives the same flux,
     # which is why projector fields keep their eigenvector frames as they are
     F = random_frames(6, 7, 4, 2, seed=1)
-    rng = np.random.default_rng(2)
-    raw = rng.normal(size=(6, 7, 2, 2)) + 1j * rng.normal(size=(6, 7, 2, 2))
-    U, _ = np.linalg.qr(raw)
-    total, min_abs = _kernels.plaquette_flux_sum(F)
-    total_u, min_abs_u = _kernels.plaquette_flux_sum(F @ U)
-    assert total_u == pytest.approx(total, abs=1e-12)
-    assert min_abs_u == pytest.approx(min_abs, abs=1e-12)
+    U = random_frames(6, 7, 2, 2, seed=2)
+    for seam in (None, random_frames(6, 4, 4, seed=3)):
+        total, min_abs = _kernels.plaquette_flux_sum(F, seam)
+        total_u, min_abs_u = _kernels.plaquette_flux_sum(F @ U, seam)
+        assert total_u == pytest.approx(total, abs=1e-12)
+        assert min_abs_u == pytest.approx(min_abs, abs=1e-12)
+
+
+@pytest.mark.parametrize("N,q", [(1, 1), (3, 2), (5, 3)])
+def test_identity_frames_through_the_weyl_seam_carry_flux_2pi_q(N, q):
+    # the whole twisted field: every bulk link is 1, and det of the seam
+    # transport winds q times around k1
+    G = 8
+    F = np.broadcast_to(np.eye(N, dtype=complex), (G, G, N, N))
+    seam = _shift_power_grid(N, np.exp(2j * math.pi * q * np.arange(G) / G), -1)
+    total, min_abs = _kernels.plaquette_flux_sum(F, seam)
+    assert total == pytest.approx(2 * math.pi * q, abs=1e-12)
+    assert min_abs == pytest.approx(1.0, abs=1e-14)
