@@ -197,7 +197,7 @@ def pullback_field(field: ProjectorField, n1: int, n2: int) -> ProjectorField:
 
 def _verify_at_fermi(ctx: WeylContext, bd_w: Optional[BandData], bd_r: BandData,
                      fermi: float, g: int) -> dict:
-    """All three conductance identities at one Fermi level; raises on failure."""
+    """The three conductance identities and `tknn_solve` at one Fermi level; raises on failure."""
     f_r = fermi_projector_field(bd_r, fermi)
     d = f_r.rank
     if bd_w is None:
@@ -232,9 +232,12 @@ def _verify_at_fermi(ctx: WeylContext, bd_w: Optional[BandData], bd_r: BandData,
             f"{ctx.label()} gap d={d}: N*t = {N * t} != M0*cc + d*q = {M0 * cc + d * q}")
 
     try:
-        solver_match = (tknn_solve(ctx, d) == (t, s))
+        solved = tknn_solve(ctx, d)
     except NoConstrainedSolutionError:
-        solver_match = None     # residue class outside the open window
+        solved = None           # residue class outside the open window
+    if solved is not None and solved != (t, s):
+        raise VerificationError(
+            f"{ctx.label()} gap d={d}: tknn_solve gives (t, s) = {solved}, measured {(t, s)}")
     residual = max(t_res.residual, cc_res.residual, rhs_residual)
     record = TKNNRecord(g=g, d=d, t=t, s=s, fermi=fermi, residual=residual)
     return {
@@ -246,7 +249,7 @@ def _verify_at_fermi(ctx: WeylContext, bd_w: Optional[BandData], bd_r: BandData,
         "rhs_residual": rhs_residual,
         "diophantine_ok": diophantine_ok,
         "duality_ok": duality_ok,
-        "solver_match": solver_match,
+        "solver_match": None if solved is None else True,
     }
 
 

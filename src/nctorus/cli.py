@@ -11,7 +11,9 @@ Exit codes: 0 success, 1 numerical failure (a check or certificate that
 does not hold on the grid; verify still writes its report), 2
 configuration or validation error, 3 I/O error.  All emitted CSV/JSON is
 byte-stable for a fixed configuration: fixed ordering, floats at 12
-significant digits.
+significant digits.  The butterfly CSV is formatted theta by theta as
+the worker jobs finish and written in one pass after the last job, so a
+failing job leaves no partial file.
 Worker threads for parameter sweeps come from NCTORUS_THREADS (positive
 integer; default: available parallelism).
 """
@@ -38,7 +40,7 @@ from .arithmetic import (
 )
 from .chern import certify_gaps, gap_bands, gap_certificates
 from .representations import FiberedRep, reference_fibered_rep, weyl_fibered_rep
-from .spectral import NumericalFailure, bands_on_grid, detect_gaps_refined
+from .spectral import NumericalFailure, band_rows, bands_on_grid, detect_gaps_refined
 from .suite import run_invariant_suite
 
 THREADS_ENV = "NCTORUS_THREADS"
@@ -173,9 +175,10 @@ def worker_count() -> int:
 # -- output helpers ------------------------------------------------------------
 
 
-def _write_text(path: Path, text: str):
+def _write_text(path: Path, *chunks: str):
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with open(path, "w") as fh:
+        fh.writelines(chunks)
 
 
 def _write_json(path: Path, obj):
@@ -251,22 +254,15 @@ def cmd_butterfly(cfg: RunConfig) -> int:
                 continue
             jobs.append(th)
         results = []
+        chunks = ["theta_num,theta_den,k1,k2,band,energy\n"]
         with concurrent.futures.ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            for res in pool.map(lambda t: _butterfly_job(t, q, r, cfg), jobs):
-                results.append(res)
+            for th, bd, report, certs in pool.map(lambda t: _butterfly_job(t, q, r, cfg), jobs):
+                if "csv" in formats:
+                    chunks.append(band_rows(bd, f"{th.M},{th.N},"))
+                results.append((th, report, certs))
 
         if "csv" in formats:
-            rows = ["theta_num,theta_den,k1,k2,band,energy"]
-            for th, bd, _, _ in results:
-                G1, G2 = bd.shape
-                for i in range(G1):
-                    for j in range(G2):
-                        for b in range(bd.energies.shape[-1]):
-                            rows.append(
-                                f"{th.M},{th.N},{fmt(bd.k1s[i])},{fmt(bd.k2s[j])},{b},"
-                                f"{fmt(bd.energies[i, j, b])}"
-                            )
-            _write_text(cfg.out / f"spectrum_q{q}r{r}.csv", "\n".join(rows) + "\n")
+            _write_text(cfg.out / f"spectrum_q{q}r{r}.csv", *chunks)
 
         if "svg" in formats:
             _write_text(cfg.out / f"butterfly_q{q}r{r}.svg",
@@ -293,7 +289,7 @@ def _butterfly_svg(results, q: int, r: int) -> str:
         f'<!-- flux butterfly, rep q={q} r={r}; x = 60 + 880*theta, y = 400 - 80*E -->',
         '<rect x="0" y="0" width="1000" height="800" fill="white"/>',
     ]
-    for th, bd, report, certs in results:
+    for th, report, certs in results:
         x = _svg_x(th.M / th.N)
         if certs is not None:
             for cert in certs:
@@ -308,7 +304,7 @@ def _butterfly_svg(results, q: int, r: int) -> str:
                     f'height="{fmt(y1 - y0)}" fill="{color}" data-t="{t_int}">'
                     f'<title>t={t_int}</title></rect>'
                 )
-    for th, bd, report, certs in results:
+    for th, report, certs in results:
         x = _svg_x(th.M / th.N)
         for gap, nxt in zip(report.gaps[:-1], report.gaps[1:]):
             parts.append(

@@ -12,8 +12,8 @@ only exist because a band touching fell between grid points.
 
 from __future__ import annotations
 
-import csv
 import math
+import operator
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -225,18 +225,21 @@ def spectral_hausdorff(bd1: BandData, bd2: BandData) -> float:
     return float(max(directed(a, b), directed(b, a)))
 
 
+def band_rows(bd: BandData, prefix: str = "") -> str:
+    """One `{prefix}k1,k2,band,energy` line per eigenvalue, at 12 significant digits.
+
+    Rows run over k1, k2, band; each k value and grid-point head is formatted once.
+    """
+    k1 = [format(k, ".12g") for k in bd.k1s.tolist()]
+    k2 = [format(k, ".12g") for k in bd.k2s.tolist()]
+    bands = [f"{b}," for b in range(bd.energies.shape[-1])]
+    points = [f"{prefix}{a},{c}," for a in k1 for c in k2]
+    heads = [p + b for p in points for b in bands]
+    energies = map("{:.12g}".format, bd.energies.ravel().tolist())
+    return "\n".join(map(operator.add, heads, energies)) + "\n"
+
+
 def export_bands_csv(bd: BandData, path) -> None:
-    """Spectrum samples, one eigenvalue per row: k1,k2,band_index,energy."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k1", "k2", "band_index", "energy"])
-        G1, G2 = bd.shape
-        for i in range(G1):
-            for j in range(G2):
-                for b in range(bd.energies.shape[-1]):
-                    w.writerow([
-                        format(bd.k1s[i], ".12g"),
-                        format(bd.k2s[j], ".12g"),
-                        b,
-                        format(bd.energies[i, j, b], ".12g"),
-                    ])
+    """Spectrum samples, one eigenvalue per row: k1,k2,band_index,energy (CRLF)."""
+    with open(path, "w", newline="\r\n") as fh:
+        fh.write("k1,k2,band_index,energy\n" + band_rows(bd))

@@ -63,6 +63,18 @@ def band_passes(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def shifted_solver(monkeypatch):
+    """Makes `chern.tknn_solve` return (t + 1, s - 1), a solver that disagrees."""
+    solve = chern.tknn_solve
+
+    def shifted(ctx, d):
+        t, s = solve(ctx, d)
+        return t + 1, s - 1
+
+    monkeypatch.setattr(chern, "tknn_solve", shifted)
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(12345)

@@ -9,6 +9,7 @@ from nctorus import chern
 from nctorus.algebra import monomial, random_element, unit
 from nctorus.arithmetic import tknn_rhs_value, tknn_solve
 from nctorus.chern import (
+    VerificationError,
     ambient_chern_analytic,
     connes_chern_numeric,
     connes_chern_via_derivatives,
@@ -197,6 +198,11 @@ def test_duality_and_solver_consistency():
             assert ctx.N * rec.t == ctx.M0 * cc + rec.d * ctx.q
             assert cert["solver_match"] is True
             assert tknn_solve(ctx, rec.d) == (rec.t, rec.s)
+
+
+def test_solver_mismatch_is_a_verification_failure(shifted_solver):
+    with pytest.raises(VerificationError, match="tknn_solve gives"):
+        gap_certificates(ctx_of(1, 3, 1, 0), 16)
 
 
 def test_window_constraint_for_untwisted_contexts():

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -113,6 +116,23 @@ def test_butterfly_csv_rows_per_theta(tmp_path, grid):
                     [(0, 1), (1, 3), (1, 2), (2, 3), (1, 1)]}
 
 
+@pytest.mark.parametrize("fmt, written", [("csv", "spectrum_q1r0.csv"),
+                                         ("svg", "butterfly_q1r0.svg")])
+def test_butterfly_writes_only_the_requested_format(tmp_path, fmt, written):
+    out = tmp_path / "o"
+    assert run("butterfly", "--farey", "3", "--grid", "8", "--format", fmt,
+               "--out", str(out)) == EXIT_OK
+    assert [p.name for p in out.iterdir()] == [written]
+
+
+def test_butterfly_failing_job_writes_no_file(tmp_path):
+    # 2/5 at G = 4 fails its certificate: N*t + M0*s = 5 != q*d = 1
+    out = tmp_path / "o"
+    assert run("butterfly", "--farey", "5", "--grid", "4", "--format", "csv", "--format", "svg",
+               "--color-gaps", "--out", str(out)) == EXIT_VERIFICATION
+    assert list(out.glob("*")) == []
+
+
 def test_butterfly_svg_gap_colors(tmp_path):
     out = tmp_path / "o"
     assert run("butterfly", "--farey", "3", "--grid", "12", "--format", "svg",
@@ -143,6 +163,22 @@ def test_chern_certificates(tmp_path):
     assert gap1["t"]["value"] == 1
     assert gap1["cc"]["value"] == -1
     assert gap1["diophantine_ok"] and gap1["duality_ok"] and gap1["solver_match"]
+
+
+@pytest.mark.parametrize("command", ["chern", "labels"])
+def test_solver_mismatch_exits_1(tmp_path, shifted_solver, command):
+    code = run(command, "--theta", "1/3", "--grid", "16", "--out", str(tmp_path))
+    assert code == EXIT_VERIFICATION
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-m", "nctorus", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: nctorus")
 
 
 def test_verify_passes(tmp_path):

@@ -1,5 +1,7 @@
 """Spectral layer: band data, gap detection, Fermi projector fields."""
 
+import csv
+import dataclasses
 import json
 import math
 
@@ -18,6 +20,7 @@ from nctorus.representations import (
 from nctorus.spectral import (
     GapViolationError,
     SelfAdjointnessError,
+    band_rows,
     bands_on_grid,
     constant_projector_field,
     export_bands_csv,
@@ -187,3 +190,56 @@ def test_bands_csv_export(tmp_path):
     # at k = (0,0) the three-band matrix is [[2,1,1],[1,-1,1],[1,1,-1]];
     # H + 2I has two equal rows, so -2 is an exact eigenvalue (the lowest)
     assert float(e) == pytest.approx(-2.0, abs=1e-12)
+
+
+def _odd_value_bands():
+    """G = 12 bands (k = j/12 repeats) whose energies stress 12-digit formatting."""
+    bd = bands_of(1, 3, 1, 0, "weyl", 12)
+    rng = np.random.default_rng(7)
+    e = rng.standard_normal(bd.energies.size) * 10.0 ** rng.integers(-20, 6, bd.energies.size)
+    e[:8] = [-0.0, 1e-17, -3.5e-05, 4.000000000001, 1.0 / 3.0, -2.0 / 7.0,
+             123456.789012345, 0.1 + 0.2]
+    return dataclasses.replace(bd, energies=e.reshape(bd.energies.shape))
+
+
+def _rows_reference(bd, prefix):
+    """The per-row f-string loop that `band_rows` replaces, kept as its reference."""
+    def fmt(x):
+        return format(float(x), ".12g")
+    rows = []
+    G1, G2 = bd.shape
+    for i in range(G1):
+        for j in range(G2):
+            for b in range(bd.energies.shape[-1]):
+                rows.append(f"{prefix}{fmt(bd.k1s[i])},{fmt(bd.k2s[j])},{b},"
+                            f"{fmt(bd.energies[i, j, b])}")
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("prefix", ["", "2,7,"])
+def test_band_rows_match_the_per_row_loop(prefix):
+    for bd in (_odd_value_bands(), bands_of(1, 3, 1, 0, "weyl", 12)):
+        assert band_rows(bd, prefix) == _rows_reference(bd, prefix)
+    lines = band_rows(_odd_value_bands(), prefix).splitlines()
+    assert lines[:8] == [prefix + row for row in (
+        "0,0,0,-0", "0,0,1,1e-17", "0,0,2,-3.5e-05",
+        "0,0.0833333333333,0,4", "0,0.0833333333333,1,0.333333333333",
+        "0,0.0833333333333,2,-0.285714285714",
+        "0,0.166666666667,0,123456.789012", "0,0.166666666667,1,0.3")]
+
+
+def test_bands_csv_export_bytes_match_csv_writer(tmp_path):
+    """`export_bands_csv` keeps the bytes of its `csv.writer` loop, CRLF line ends included."""
+    for bd in (_odd_value_bands(), bands_of(1, 3, 1, 0, "weyl", 12)):
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["k1", "k2", "band_index", "energy"])
+            G1, G2 = bd.shape
+            for i in range(G1):
+                for j in range(G2):
+                    for b in range(bd.energies.shape[-1]):
+                        w.writerow([format(bd.k1s[i], ".12g"), format(bd.k2s[j], ".12g"), b,
+                                    format(bd.energies[i, j, b], ".12g")])
+        export_bands_csv(bd, tmp_path / "got.csv")
+        assert (tmp_path / "got.csv").read_bytes() == ref.read_bytes()
