@@ -47,8 +47,8 @@ from .spectral import (
     NumericalFailure,
     ProjectorField,
     bands_on_grid,
-    detect_gaps_refined,
     fermi_projector_field,
+    hofstadter_gap_report,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -254,20 +254,21 @@ def _verify_at_fermi(ctx: WeylContext, bd_w: Optional[BandData], bd_r: BandData,
 
 
 def gap_bands(ctx: WeylContext, G: int = 64, tol: float = 1e-8):
-    """The gap report of `ctx` at G and the bands its certificates are read from.
+    """The gap report of `ctx` and the bands at G its certificates are read from.
 
-    Returns (report, bd_r, bd_fine, bd_w): the refined gap report of the
-    reference family, its bands at G, the refinement's reference bands
-    at 2G, and the weyl bands at G (None at theta = r/q).  Each (rep, G)
-    is diagonalized once; the bands at G also serve as the coarse grid
-    of the refinement.
+    Returns (report, bd_r, bd_w): the exact gap report of the flux
+    operator, read off the four corner characters (`hofstadter_gap_report`:
+    every band edge of h = u + u* + v + v* is an eigenvalue at a character
+    (+-1, +-1), so no grid sampling or refinement is involved), the
+    reference bands at G, and the weyl bands at G (None at theta = r/q).
+    Each (rep, G) is diagonalized once.  The Fermi levels are the
+    midpoints of the true gaps, so they lie in the sampled gaps of any grid.
     """
+    report = hofstadter_gap_report(ctx, tol)
     h = hofstadter_element(ctx.theta)
-    rep_r = reference_fibered_rep(ctx)
-    bd_r = bands_on_grid(rep_r, h, G)
-    report, bd_fine = detect_gaps_refined(rep_r, h, G, tol, coarse=bd_r)
+    bd_r = bands_on_grid(reference_fibered_rep(ctx), h, G)
     bd_w = None if ctx.M0 == 0 else bands_on_grid(weyl_fibered_rep(ctx), h, G)
-    return report, bd_r, bd_fine, bd_w
+    return report, bd_r, bd_w
 
 
 def certify_gaps(ctx: WeylContext, report: GapReport, bd_r: BandData,
@@ -283,7 +284,7 @@ def certify_gaps(ctx: WeylContext, report: GapReport, bd_r: BandData,
 
 def gap_certificates(ctx: WeylContext, G: int = 64, tol: float = 1e-8) -> List[dict]:
     """One verified certificate per detected gap, from the bands of `gap_bands`."""
-    report, bd_r, _, bd_w = gap_bands(ctx, G, tol)
+    report, bd_r, bd_w = gap_bands(ctx, G, tol)
     return certify_gaps(ctx, report, bd_r, bd_w)
 
 

@@ -40,7 +40,13 @@ from .arithmetic import (
 )
 from .chern import certify_gaps, gap_bands, gap_certificates
 from .representations import FiberedRep, reference_fibered_rep, weyl_fibered_rep
-from .spectral import NumericalFailure, band_rows, bands_on_grid, detect_gaps_refined
+from .spectral import (
+    NumericalFailure,
+    band_rows,
+    bands_on_grid,
+    detect_gaps_refined,
+    hofstadter_gap_report,
+)
 from .suite import run_invariant_suite
 
 THREADS_ENV = "NCTORUS_THREADS"
@@ -213,10 +219,13 @@ def _spectral_rep(ctx: WeylContext) -> FiberedRep:
 def _butterfly_job(theta: RationalTheta, q: int, r: int, cfg: RunConfig):
     ctx = make_weyl_context(theta, q, r)
     if "svg" in cfg.formats and cfg.color_gaps:
-        # band segments, gap rectangles and CSV bands all come from the certified bands
-        report, bd_r, _, bd_w = gap_bands(ctx, cfg.grid, cfg.tol)
+        # band segments and gap rectangles come from the exact gap report the
+        # certificates are read from, the CSV bands from their weyl bands at G
+        report, bd_r, bd_w = gap_bands(ctx, cfg.grid, cfg.tol)
         certs = certify_gaps(ctx, report, bd_r, bd_w)
         return theta, bd_r if bd_w is None else bd_w, report, certs
+    # the uncolored SVG keeps sampled grid detection; the CSV grid is
+    # diagonalized only when a CSV is written
     h = hofstadter_element(theta)
     rep = _spectral_rep(ctx)
     bd = None
@@ -225,7 +234,7 @@ def _butterfly_job(theta: RationalTheta, q: int, r: int, cfg: RunConfig):
         report, fine = detect_gaps_refined(rep, h, max(8, cfg.grid // 2), cfg.tol)
         if fine.shape == (cfg.grid, cfg.grid):
             bd = fine       # refinement's fine grid is the CSV grid
-    if bd is None:
+    if bd is None and "csv" in cfg.formats:
         bd = bands_on_grid(rep, h, cfg.grid)
     return theta, bd, report, None
 
@@ -340,8 +349,7 @@ def _iter_contexts(cfg: RunConfig):
 def cmd_gaps(cfg: RunConfig) -> int:
     formats = cfg.formats or ["json"]
     for ctx in _iter_contexts(cfg):
-        h = hofstadter_element(ctx.theta)
-        report, _ = detect_gaps_refined(_spectral_rep(ctx), h, cfg.grid, cfg.tol)
+        report = hofstadter_gap_report(ctx, cfg.tol)     # exact edges: no grid
         d = report.to_json_dict()
         for gap in d["gaps"]:
             for key in ("lower", "upper", "fermi"):

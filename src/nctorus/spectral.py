@@ -1,13 +1,26 @@
-"""Band structure over a k-grid, gap detection, and Fermi projector fields.
+"""Band structure over a k-grid, gap reports, and Fermi projector fields.
 
 One fiberwise Hermitian eigendecomposition per (rep, element, grid)
 feeds everything downstream.  The spectral projector below a Fermi
 level in a gap (the finite-dimensional stand-in for the resolvent
 contour integral) is carried as the occupied eigenvector columns it
 came from, a view into the band frames; the dense N x N projector is
-built only on demand.  Gap detection works on band-edge intervals
-sampled on the grid; a one-step grid refinement rejects fake gaps that
-only exist because a band touching fell between grid points.
+built only on demand.
+
+Gap reports of the flux operator h = u + u* + v + v* are exact and need
+no grid.  Every irreducible representation of the rational rotation
+algebra is N-dimensional and fixed up to unitary equivalence by its
+central character (U^N, V^N) on the unit torus, so the spectrum of
+pi_k(h) depends on k only through that character.  For h it enters the
+characteristic polynomial only through Re U^N + Re V^N (Chambers, Phys.
+Rev. 140, A135 (1965); Hofstadter, PRB 14, 2239 (1976)), so each
+eigenvalue branch is monotone in that sum and runs between its values
+at the characters (1, 1) and (-1, -1): every band edge is an eigenvalue
+at one of the four characters (+-1, +-1).  `hofstadter_gap_report`
+reads them off four N x N matrices.  For a general self-adjoint element
+gap detection works on band-edge intervals sampled on the grid, and a
+one-step grid refinement rejects fake gaps that only exist because a
+band touching fell between grid points (`detect_gaps_refined`).
 """
 
 from __future__ import annotations
@@ -15,12 +28,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from .algebra import AlgebraElement, element_star
-from .representations import FiberedRep, evaluate_on_grid
+from .algebra import AlgebraElement, element_star, hofstadter_element
+from .arithmetic import WeylContext
+from .representations import FiberedRep, evaluate_on_grid, reference_fibered_rep
 
 SELFADJOINT_TOL = 1e-12
 
@@ -98,13 +112,8 @@ def bands_on_grid(rep: FiberedRep, a: AlgebraElement, G: int) -> BandData:
     return BandData(rep, k, k, energies, frames)
 
 
-def _slot_widths(bd: BandData) -> np.ndarray:
-    lo, hi = bd.band_intervals()
-    return lo[1:] - hi[:-1]
-
-
-def _build_report(bd: BandData, open_slots: np.ndarray) -> GapReport:
-    lo, hi = bd.band_intervals()
+def _build_report(lo: np.ndarray, hi: np.ndarray, open_slots: np.ndarray) -> GapReport:
+    """Gap report from per-band [lo, hi] intervals and the open slots between them."""
     N = len(lo)
     gaps = [GapInfo(0, float("-inf"), float(lo[0]), 0, float(lo[0]) - 1.0)]
     groups = 1
@@ -117,27 +126,45 @@ def _build_report(bd: BandData, open_slots: np.ndarray) -> GapReport:
     return GapReport(bands=groups, n_curves=N, gaps=gaps)
 
 
+def hofstadter_gap_report(ctx: WeylContext, tol: float = 1e-8) -> GapReport:
+    """Exact gap report of the flux operator h = u + u* + v + v* in `ctx`.
+
+    On the reference family U(k)^N = e^{i2pi N k2} and V(k)^N = e^{i2pi k1},
+    so k1 in {0, 1/2} and k2 in {0, 1/(2N)} sweep the four characters
+    (+-1, +-1), where every band edge sits (see the module docstring).
+    A slot between consecutive bands is open when its width > tol; for
+    even N the two central bands touch at E = 0 and count once.
+    """
+    k1s = np.array([0.0, 0.5])
+    k2s = np.array([0.0, 0.5 / ctx.N])
+    H = evaluate_on_grid(reference_fibered_rep(ctx), hofstadter_element(ctx.theta), k1s, k2s)
+    E = np.linalg.eigvalsh(H)       # (2, 2, N); reads one triangle of each matrix
+    lo, hi = E.min(axis=(0, 1)), E.max(axis=(0, 1))
+    return _build_report(lo, hi, lo[1:] - hi[:-1] > tol)
+
+
 def detect_gaps(bd: BandData, tol: float = 1e-8) -> GapReport:
     """Gap report from a single grid: a slot is open when its width > tol."""
-    return _build_report(bd, _slot_widths(bd) > tol)
+    lo, hi = bd.band_intervals()
+    return _build_report(lo, hi, lo[1:] - hi[:-1] > tol)
 
 
-def detect_gaps_refined(rep: FiberedRep, a: AlgebraElement, G: int,
-                        tol: float = 1e-8, coarse: Optional[BandData] = None):
-    """One-step refinement: recheck candidate gaps at 2G.
+def detect_gaps_refined(rep: FiberedRep, a: AlgebraElement, G: int, tol: float = 1e-8):
+    """One-step refinement for a general self-adjoint element: recheck candidate gaps at 2G.
 
     A genuine gap keeps (nearly) its width under refinement while a fake
     gap from undersampling a band touching shrinks by ~2x (conical) or
-    ~4x (quadratic); the 0.7 ratio separates the two regimes.  Returns
-    (GapReport, BandData) with edges taken from the finer grid.  Pass the
-    caller's `bands_on_grid(rep, a, G)` as `coarse` to skip recomputing it.
+    ~4x (quadratic); the 0.7 ratio separates the two regimes, and can
+    also close a genuine gap whose sampled width is still converging.
+    Returns (GapReport, BandData) with edges taken from the finer grid.
     """
-    bd1 = bands_on_grid(rep, a, G) if coarse is None else coarse
+    lo1, hi1 = bands_on_grid(rep, a, G).band_intervals()
     bd2 = bands_on_grid(rep, a, 2 * G)
-    w1 = _slot_widths(bd1)
-    w2 = _slot_widths(bd2)
+    lo2, hi2 = bd2.band_intervals()
+    w1 = lo1[1:] - hi1[:-1]
+    w2 = lo2[1:] - hi2[:-1]
     open_slots = (w2 > tol) & (w2 >= 0.7 * w1)
-    return _build_report(bd2, open_slots), bd2
+    return _build_report(lo2, hi2, open_slots), bd2
 
 
 @dataclass(frozen=True)

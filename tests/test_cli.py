@@ -154,6 +154,17 @@ def test_gaps_json(tmp_path):
     assert len(csv_lines) == 5
 
 
+def test_gaps_reports_every_band_of_eight_ninths(tmp_path):
+    # the d = 4 gap of 8/9 is 0.204 wide but 0.313 on a 24^2 grid; the exact
+    # corner edges keep it open whatever --grid is
+    out = tmp_path / "o"
+    assert run("gaps", "--theta", "8/9", "--grid", "24", "--out", str(out)) == EXIT_OK
+    d = json.loads((out / "gaps_8_9_q1r0.json").read_text())
+    assert d["bands"] == 9
+    internal = [g["d"] for g in d["gaps"] if g["lower"] is not None and g["upper"] is not None]
+    assert internal == list(range(1, 9))
+
+
 def test_chern_certificates(tmp_path):
     out = tmp_path / "o"
     assert run("chern", "--theta", "1/3", "--rep", "2,1", "--grid", "24",
@@ -189,6 +200,17 @@ def test_verify_passes(tmp_path):
     names = {r["name"] for r in rows}
     assert {"commutation", "pseudo-periodicity", "ambient-anchor",
             "tknn-gaps", "pullback-lemma", "symbolic-numeric"} <= names
+
+
+def test_verify_counts_the_bands_of_an_even_denominator(tmp_path):
+    # N = 8 has 7 bands; grid detection at 24 -> 48 closed two edge slots and counted 5
+    out = tmp_path / "o"
+    assert run("verify", "--theta", "5/8", "--rep", "3,1", "--grid", "24",
+               "--out", str(out)) == EXIT_OK
+    rows = {r["name"]: r for r in json.loads((out / "verify_5_8_q3r1.json").read_text())}
+    assert rows["band-count"]["ok"]
+    assert rows["band-count"]["detail"] == "7 merged bands (expected 7)"
+    assert rows["tknn-gaps"]["detail"] == "8 gaps verified"
 
 
 def test_integer_theta_flows(tmp_path):
@@ -292,8 +314,8 @@ def _svg_columns(svg):
 
 
 def test_butterfly_colored_bands_do_not_cross_certified_gaps(tmp_path):
-    # at 8/9 the weyl G/2 -> G refinement merges the d=4 gap that the
-    # certificates' reference G -> 2G refinement keeps open
+    # at 8/9 the weyl G/2 -> G refinement of the uncolored path merges the
+    # d=4 gap; the colored path draws bands and gaps from one exact report
     out = tmp_path / "o"
     assert run("butterfly", "--theta", "8/9", "--grid", "48", "--format", "svg",
                "--color-gaps", "--out", str(out)) == EXIT_OK
@@ -305,13 +327,21 @@ def test_butterfly_colored_bands_do_not_cross_certified_gaps(tmp_path):
                 assert min(a1, b1) - max(a0, b0) < 1e-6, (x, (a0, a1), (b0, b1))
 
 
-def test_butterfly_color_gaps_three_spectral_passes_per_theta(tmp_path, band_passes):
-    # reference at G and 2G and weyl at G; the CSV reuses the weyl bands
+def test_butterfly_color_gaps_two_spectral_passes_per_theta(tmp_path, band_passes):
+    # reference and weyl at G; the CSV reuses the weyl bands
     out = tmp_path / "o"
     assert run("butterfly", "--theta", "1/3", "--theta", "2/5", "--grid", "8", "--format", "csv",
                "--format", "svg", "--color-gaps", "--out", str(out)) == EXIT_OK
-    assert len(band_passes) == len(set(band_passes)) == 6
-    assert Counter((M, N) for M, N, _, _ in band_passes) == {(1, 3): 3, (2, 5): 3}
+    assert len(band_passes) == len(set(band_passes)) == 4
+    assert Counter((M, N) for M, N, _, _ in band_passes) == {(1, 3): 2, (2, 5): 2}
+
+
+def test_butterfly_svg_only_diagonalizes_no_csv_grid(tmp_path, band_passes):
+    # 7 thetas, each refined at 8 -> 16; the CSV grid 15 is never diagonalized
+    assert run("butterfly", "--farey", "4", "--grid", "15", "--format", "svg",
+               "--out", str(tmp_path / "o")) == EXIT_OK
+    assert len(band_passes) == 14
+    assert Counter(G for *_, G in band_passes) == {8: 7, 16: 7}
 
 
 @st.composite

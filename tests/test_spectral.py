@@ -13,6 +13,7 @@ from conftest import bands_of, ctx_of, report_of
 from nctorus.algebra import hofstadter_element, monomial, unit
 from nctorus.representations import (
     evaluate_at_k,
+    evaluate_on_grid,
     reference_fibered_rep,
     twist_transport,
     weyl_fibered_rep,
@@ -25,6 +26,7 @@ from nctorus.spectral import (
     constant_projector_field,
     export_bands_csv,
     fermi_projector_field,
+    hofstadter_gap_report,
     identity_field,
     spectral_hausdorff,
 )
@@ -87,6 +89,34 @@ def test_gap_report_json_schema():
     assert d["gaps"][-1]["upper"] is None         # sup-gap
     assert list(d["gaps"][1].keys()) == ["g", "lower", "upper", "d", "fermi"]
     json.dumps(d)
+
+
+CORNER_CONTEXTS = [(M, N, q, r)
+                   for (M, N) in [(1, 3), (2, 5), (3, 7), (1, 4), (3, 8), (5, 8),
+                                  (8, 9), (1, 6), (5, 12), (8, 13)]
+                   for (q, r) in [(1, 0), (2, 1), (3, 2)] if math.gcd(N, q) == 1]
+
+
+@pytest.mark.parametrize("M,N,q,r", CORNER_CONTEXTS)
+def test_corner_edges_match_the_grid(M, N, q, r):
+    # 96 = 2^5 * 3 holds a k2 with N k2 = 1/2 mod 1 for each N here, so the
+    # reference grid samples all four corner characters and its band
+    # intervals are exact; the weyl family must stay inside the corner bands
+    ctx = ctx_of(M, N, q, r)
+    h = hofstadter_element(ctx.theta)
+    report = hofstadter_gap_report(ctx)
+    assert report.bands == (N if N % 2 else N - 1)
+    ds = np.array([g.d for g in report.gaps])          # band j spans ds[j] .. ds[j+1] - 1
+    lo = np.array([g.upper for g in report.gaps[:-1]])
+    hi = np.array([g.lower for g in report.gaps[1:]])
+    grid_lo, grid_hi = bands_on_grid(reference_fibered_rep(ctx), h, 96).band_intervals()
+    assert np.array_equal(np.flatnonzero(grid_lo[1:] - grid_hi[:-1] > 1e-8) + 1, ds[1:-1])
+    assert np.abs(lo - grid_lo[ds[:-1]]).max() <= 1e-12
+    assert np.abs(hi - grid_hi[ds[1:] - 1]).max() <= 1e-12
+    k = np.arange(96) / 96
+    E = np.linalg.eigvalsh(evaluate_on_grid(weyl_fibered_rep(ctx), h, k, k))
+    assert (E >= np.repeat(lo, np.diff(ds)) - 1e-12).all()
+    assert (E <= np.repeat(hi, np.diff(ds)) + 1e-12).all()
 
 
 def test_fermi_projector_ranks():

@@ -6,7 +6,8 @@ from nctorus.suite import run_invariant_suite
 
 
 def test_suite_one_spectral_pass_per_rep_and_grid(band_passes):
-    # isospectral_grid(1/3 (2,1), 32) == 32, so the certificates' bands serve every check
+    # isospectral_grid(1/3 (2,1), 32) == 32, so the certificates' bands serve every
+    # check; the reference pass at 2G is the pullback lemma's own
     rows = run_invariant_suite(ctx_of(1, 3, 2, 1), 32)
     assert all(r.ok for r in rows)
     assert sorted(band_passes) == [(1, 3, "reference", 32), (1, 3, "reference", 64),
