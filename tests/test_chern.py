@@ -9,6 +9,7 @@ from nctorus import chern
 from nctorus.algebra import monomial, random_element, unit
 from nctorus.arithmetic import tknn_rhs_value, tknn_solve
 from nctorus.chern import (
+    GridTooCoarseError,
     VerificationError,
     ambient_chern_analytic,
     connes_chern_numeric,
@@ -22,6 +23,7 @@ from nctorus.chern import (
 )
 from nctorus.representations import reference_fibered_rep, weyl_fibered_rep
 from nctorus.spectral import (
+    ProjectorField,
     bands_on_grid,
     constant_projector_field,
     fermi_projector_field,
@@ -123,13 +125,51 @@ def test_twisted_chern_kernel_input_is_the_field(monkeypatch):
     shapes = []
     kernel = chern._kernels.plaquette_flux_sum
 
-    def recorded(frames, *seam):
+    def recorded(frames, ranks, seam=None):
         shapes.append(frames.shape)
-        return kernel(frames, *seam)
+        return kernel(frames, ranks, seam)
 
     monkeypatch.setattr(chern._kernels, "plaquette_flux_sum", recorded)
     assert fhs_chern_twisted(weyl_gap_field(2, 5, 3, 1, 1, G=24)).value == 1
     assert shapes == [(24, 24, 5, 2)]
+
+
+def test_certificates_make_one_kernel_call_per_family(monkeypatch):
+    # every gap's rank reads blocks of one family's shared link overlaps
+    calls = []
+    kernel = chern._kernels.plaquette_flux_sum
+
+    def recorded(frames, ranks, seam=None):
+        calls.append((frames.shape, list(ranks), None if seam is None else seam.shape))
+        return kernel(frames, ranks, seam)
+
+    monkeypatch.setattr(chern._kernels, "plaquette_flux_sum", recorded)
+    certs = gap_certificates(ctx_of(2, 5, 3, 1), 16)
+    ranks = [c["record"].d for c in certs[1:]]
+    assert ranks == [1, 2, 3, 4, 5]
+    assert calls == [((16, 16, 5, 5), ranks, (16, 5, 5)),     # weyl, through its seam
+                     ((16, 16, 5, 5), ranks, None)]           # reference
+    calls.clear()
+    gap_certificates(ctx_of(0, 1, 1, 0), 12)      # theta = r/q: no twisted family
+    assert calls == [((12, 12, 1, 1), [1], None)]
+
+
+def test_orthogonal_neighbour_frames_are_too_coarse():
+    # the frame turns from e0 to e1 between k1 = 2/8 and 3/8: those links vanish
+    rep = reference_fibered_rep(ctx_of(1, 3, 1, 0))
+    k = np.arange(8) / 8
+    frames = np.zeros((8, 8, 3, 1), complex)
+    frames[:3, :, 0, 0] = 1.0
+    frames[3:, :, 1, 0] = 1.0
+    with pytest.raises(GridTooCoarseError, match="magnitude 0 < 1e-06"):
+        fhs_chern(ProjectorField(rep, k, k, frames))
+
+
+def test_link_guard_on_the_certificate_path(monkeypatch):
+    # |det| <= 1 for every link, so no grid clears this threshold
+    monkeypatch.setattr(chern, "MIN_LINK_DET", 1.5)
+    with pytest.raises(GridTooCoarseError, match="< 1.5"):
+        gap_certificates(ctx_of(1, 3, 2, 1), 16)
 
 
 def test_twisted_gap_one_values():

@@ -176,6 +176,18 @@ def test_chern_certificates(tmp_path):
     assert gap1["diophantine_ok"] and gap1["duality_ok"] and gap1["solver_match"]
 
 
+def test_chern_too_coarse_grid_is_caught_by_the_identity(tmp_path, capsys):
+    # at G = 24 the d = 1 lattice sums give wrong integers, which N t + M0 s = q d rejects
+    out = tmp_path / "o"
+    args = ("chern", "--theta", "5/8", "--rep", "3,-2", "--out", str(out))
+    assert run(*args, "--grid", "24") == EXIT_VERIFICATION
+    assert "gap d=1: N*t + M0*s = -61 != q*d = 3" in capsys.readouterr().out
+    assert not (out / "chern_5_8_q3r-2.json").exists()
+    assert run(*args, "--grid", "32") == EXIT_OK
+    d = json.loads((out / "chern_5_8_q3r-2.json").read_text())
+    assert [c["d"] for c in d["certificates"]] == [0, 1, 2, 3, 5, 6, 7, 8]
+
+
 @pytest.mark.parametrize("command", ["chern", "labels"])
 def test_solver_mismatch_exits_1(tmp_path, shifted_solver, command):
     code = run(command, "--theta", "1/3", "--grid", "16", "--out", str(tmp_path))
