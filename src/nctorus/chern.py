@@ -144,12 +144,17 @@ def ambient_chern_analytic(N: int, q: int) -> int:
     return q
 
 
+def _column_traces(frames: np.ndarray) -> np.ndarray:
+    """Grid sums of |F|^2 per frame column, (R,): column r's share of sum tr P."""
+    return (frames.real ** 2 + frames.imag ** 2).sum(axis=(0, 1, 2))
+
+
 def nc_integral_numeric(field: ProjectorField) -> float:
     """Torus average of trace/N over a periodic field; equals rank/N."""
     if not field.rep.periodic:
         raise ValueError("nc_integral_numeric requires a reference-kind field")
     G1, G2 = field.shape
-    trace_sum = np.vdot(field.frames, field.frames).real     # sum of tr P = |F|^2
+    trace_sum = _column_traces(field.frames).sum()     # sum of tr P = |F|^2
     return float(trace_sum) / (G1 * G2) / field.dim
 
 
@@ -226,11 +231,12 @@ def _family_cherns(bd: BandData, fermis: List[float], what: str,
 
 def _verify_at_fermi(ctx: WeylContext, bd_w: Optional[BandData], bd_r: BandData,
                      fermi: float, g: int, t_cherns: Optional[Iterator[ChernResult]],
-                     cc_cherns: Iterator[ChernResult]) -> dict:
+                     cc_cherns: Iterator[ChernResult], ncints: np.ndarray) -> dict:
     """The three conductance identities and `tknn_solve` at one Fermi level; raises on failure.
 
     Draws this level's weyl and reference Chern numbers from `t_cherns`
-    (None when bd_w is None) and `cc_cherns`.
+    (None when bd_w is None) and `cc_cherns`; `ncints[d]` is the numeric
+    trace of the rank-d reference Fermi field.
     """
     f_r = fermi_projector_field(bd_r, fermi)
     d = f_r.rank
@@ -247,7 +253,7 @@ def _verify_at_fermi(ctx: WeylContext, bd_w: Optional[BandData], bd_r: BandData,
     cc_res = _character(next(cc_cherns), bd_r.rep)
     t, cc = t_res.value, cc_res.value
     s = -cc
-    ncint = nc_integral_numeric(f_r)
+    ncint = float(ncints[d])
 
     N, M0, q = ctx.N, ctx.M0, ctx.q
     diophantine_ok = (N * t + M0 * s == q * d)
@@ -312,15 +318,21 @@ def certify_gaps(ctx: WeylContext, report: GapReport, bd_r: BandData,
     Each family's Chern numbers come from one kernel call over the full
     band frames and every gap's rank (the weyl call closed by its seam);
     the weyl overlaps are freed before the reference ones are formed.
+    Every gap's numeric trace is a cumulative sum of the reference
+    frames' column traces, as in `nc_integral_numeric`.
     Gaps are checked in order, so the first failing gap raises.
     """
     fermis = [gap.fermi for gap in report.gaps]
     t_cherns = None if bd_w is None else _family_cherns(
         bd_w, fermis, "fhs_chern_twisted", _weyl_seam(ctx, bd_w.k1s))
     cc_cherns = _family_cherns(bd_r, fermis, "fhs_chern")
+    G1, G2 = bd_r.shape
+    traces = np.concatenate(([0.0], np.cumsum(_column_traces(bd_r.frames))))
+    ncints = traces / (G1 * G2) / bd_r.rep.dim
     out = []
     for gap in report.gaps:
-        cert = _verify_at_fermi(ctx, bd_w, bd_r, gap.fermi, gap.g, t_cherns, cc_cherns)
+        cert = _verify_at_fermi(ctx, bd_w, bd_r, gap.fermi, gap.g, t_cherns, cc_cherns,
+                                ncints)
         cert["gap"] = gap
         out.append(cert)
     return out

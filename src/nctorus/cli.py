@@ -103,6 +103,19 @@ def parse_rep(text: str) -> Tuple[int, int]:
         raise ConfigError(f"bad rep {text!r}: expected 'q,r'") from None
 
 
+_BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
+               "false": False, "no": False, "off": False, "0": False}
+
+
+def parse_bool(key: str, text: str) -> bool:
+    """A config-file switch: true/false, yes/no, on/off or 1/0, in any case."""
+    try:
+        return _BOOL_WORDS[text.lower()]
+    except KeyError:
+        raise ConfigError(
+            f"bad {key} {text!r}: expected true/false, yes/no, on/off or 1/0") from None
+
+
 _CONFIG_KEYS = ("theta", "farey", "rep", "grid", "tol", "out", "format", "color_gaps")
 
 
@@ -151,7 +164,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     fmts = pick(args.format, "format", None)
     cfg.formats = list(fmts) if fmts else []
     raw_cg = pick(getattr(args, "color_gaps", None) or None, "color_gaps", False)
-    cfg.color_gaps = raw_cg in (True, "1", "true", "yes", "on")
+    cfg.color_gaps = raw_cg if isinstance(raw_cg, bool) else parse_bool("color_gaps", raw_cg)
 
     if cfg.grid < 2:
         raise ConfigError(f"grid must be >= 2, got {cfg.grid}")

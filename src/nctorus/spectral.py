@@ -21,6 +21,18 @@ reads them off four N x N matrices.  For a general self-adjoint element
 gap detection works on band-edge intervals sampled on the grid, and a
 one-step grid refinement rejects fake gaps that only exist because a
 band touching fell between grid points (`detect_gaps_refined`).
+
+Half of the k1 rows need no diagonalization.  In every family U(k) is
+diagonal unitary and independent of k1, so conj U = U^{-1}; the shift
+matrix is real apart from its corner phase e^{i2pi q k1}, so
+conj V(k1, k2) = V(-k1, k2); and every family is 1-periodic in k1.  Hence
+
+    conj pi_k(a) = sum conj(a(n, m)) U^{-n} V(-k1, k2)^m = pi_(-k1, k2)(a)
+
+for every element with a(n, m) = conj(a(-n, m)), such as h.
+`bands_on_grid` checks that condition on the coefficients to the
+self-adjointness tolerance and fills row k1 = (G - i)/G from row i/G:
+same energies, complex-conjugate frames.
 """
 
 from __future__ import annotations
@@ -102,14 +114,40 @@ class GapReport:
 
 
 def bands_on_grid(rep: FiberedRep, a: AlgebraElement, G: int) -> BandData:
-    """Full fiberwise eigendecomposition on a G x G grid."""
+    """Fiberwise eigendecomposition on a G x G grid.
+
+    When a(n, m) = conj(a(-n, m)) within 1e-12 (the flux operator h
+    qualifies), only the rows k1 = i/G, i = 0 .. G//2, are diagonalized:
+    conj(pi_k(a)) = pi_(-k1, k2)(a) (see the module docstring), so row
+    i > G//2 is row G - i with the same energies and conjugated frames,
+    another orthonormal eigenbasis of the same eigenspaces.  Any other
+    self-adjoint element is diagonalized on the full grid.
+    """
     if not a.approx_equal(element_star(a), SELFADJOINT_TOL):
         raise SelfAdjointnessError("element is not self-adjoint within 1e-12")
     k = np.arange(G) / G
-    H = evaluate_on_grid(rep, a, k, k)
-    H = 0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))   # scrub fp asymmetry
-    energies, frames = np.linalg.eigh(H)
+    if not a.approx_equal(_k1_mirror(a), SELFADJOINT_TOL):
+        return BandData(rep, k, k, *_eigh_on_grid(rep, a, k, k))
+    rows = G // 2 + 1
+    # full outputs first: copying the half in afterwards measured a higher peak RSS
+    energies = np.empty((G, G, rep.dim))
+    frames = np.empty((G, G, rep.dim, rep.dim), complex)
+    energies[:rows], frames[:rows] = _eigh_on_grid(rep, a, k[:rows], k)
+    energies[rows:] = energies[G - rows:0:-1]        # row i from row G - i
+    np.conjugate(frames[G - rows:0:-1], out=frames[rows:])
     return BandData(rep, k, k, energies, frames)
+
+
+def _eigh_on_grid(rep: FiberedRep, a: AlgebraElement, k1s: np.ndarray, k2s: np.ndarray):
+    """(energies, frames) of pi_k(a) over the k1s x k2s grid."""
+    H = evaluate_on_grid(rep, a, k1s, k2s)
+    H = 0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))   # scrub fp asymmetry
+    return np.linalg.eigh(H)
+
+
+def _k1_mirror(a: AlgebraElement) -> AlgebraElement:
+    """b with b(n, m) = conj(a(-n, m)), so that conj(pi_k(a)) = pi_(-k1, k2)(b)."""
+    return AlgebraElement(a.theta, {(-n, m): c.conjugate() for (n, m), c in a.coeffs.items()})
 
 
 def _build_report(lo: np.ndarray, hi: np.ndarray, open_slots: np.ndarray) -> GapReport:

@@ -269,6 +269,27 @@ def test_config_file_and_flag_override(tmp_path):
     assert (tmp_path / "flag" / "labels_1_3_q1r0.json").exists()
 
 
+@pytest.mark.parametrize("word, colored", [
+    ("true", True), ("True", True), ("YES", True), ("On", True), ("1", True),
+    ("false", False), ("FALSE", False), ("No", False), ("off", False), ("0", False),
+])
+def test_config_file_color_gaps_switch(tmp_path, word, colored):
+    cfgfile = tmp_path / "run.cfg"
+    out = tmp_path / "o"
+    cfgfile.write_text(f"theta = 1/3\ngrid = 12\nformat = svg\ncolor_gaps = {word}\n"
+                       f"out = {out}\n")
+    assert run("butterfly", "--config", str(cfgfile)) == EXIT_OK
+    assert ("data-t=" in (out / "butterfly_q1r0.svg").read_text()) == colored
+
+
+@pytest.mark.parametrize("word", ["maybe", "truee", "2", ""])
+def test_config_file_color_gaps_rejects_other_words(tmp_path, word):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"theta = 1/3\nformat = svg\ncolor_gaps = {word}\n"
+                       f"out = {tmp_path / 'o'}\n")
+    assert run("butterfly", "--config", str(cfgfile)) == EXIT_CONFIG
+
+
 def test_unwritable_output_is_io_error(tmp_path):
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("occupied")

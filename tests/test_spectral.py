@@ -10,7 +10,7 @@ import pytest
 
 from conftest import bands_of, ctx_of, report_of
 
-from nctorus.algebra import hofstadter_element, monomial, unit
+from nctorus.algebra import AlgebraElement, hofstadter_element, monomial, unit
 from nctorus.representations import (
     evaluate_at_k,
     evaluate_on_grid,
@@ -57,6 +57,80 @@ def test_frames_are_orthonormal():
     bd = bands_of(1, 3, 1, 0, "weyl", 16)
     G = np.einsum("ijab,ijac->ijbc", bd.frames.conj(), bd.frames)
     assert np.abs(G - np.eye(3)).max() < 1e-12
+
+
+MIRROR_FAMILIES = [
+    pytest.param(weyl_fibered_rep, id="weyl"),
+    pytest.param(reference_fibered_rep, id="reference"),
+    pytest.param(lambda ctx: reference_fibered_rep(ctx, conjugated=True), id="conjugated"),
+]
+
+
+def _direct_bands(rep, a, G):
+    """eigh of pi_k(a) at every point of the G x G grid, no mirror."""
+    k = np.arange(G) / G
+    H = evaluate_on_grid(rep, a, k, k)
+    return np.linalg.eigh(0.5 * (H + np.conj(np.swapaxes(H, -1, -2))))
+
+
+def _gap_ranks(energies):
+    """Ranks R whose band R-1 stays strictly below band R over the whole grid."""
+    N = energies.shape[-1]
+    return [R for R in range(1, N) if energies[..., R].min() - energies[..., R - 1].max() > 1e-6]
+
+
+def _projector(F, R):
+    return F[..., :R] @ np.conj(np.swapaxes(F[..., :R], -1, -2))
+
+
+@pytest.fixture
+def eigh_matrices(monkeypatch):
+    """Counts the matrices handed to numpy.linalg.eigh."""
+    counted = []
+    eigh = np.linalg.eigh
+
+    def counting(H, *args, **kwargs):
+        counted.append(int(np.prod(H.shape[:-2])))
+        return eigh(H, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return counted
+
+
+@pytest.mark.parametrize("family", MIRROR_FAMILIES)
+@pytest.mark.parametrize("M, N, q, r", [(8, 13, 2, 1), (3, 7, 3, 2)])
+@pytest.mark.parametrize("G", [7, 16])
+def test_k1_mirror_matches_full_grid(family, M, N, q, r, G, eigh_matrices):
+    ctx = ctx_of(M, N, q, r)
+    rep, h = family(ctx), hofstadter_element(ctx.theta)
+    bd = bands_on_grid(rep, h, G)
+    assert eigh_matrices == [(G // 2 + 1) * G]
+    E, F = _direct_bands(rep, h, G)
+    assert np.abs(bd.energies - E).max() < 1e-12
+    ranks = [g.d for g in hofstadter_gap_report(ctx).internal()]
+    assert ranks and set(ranks) <= set(_gap_ranks(E))
+    for R in ranks:
+        assert np.abs(_projector(bd.frames, R) - _projector(F, R)).max() < 1e-10
+
+
+@pytest.mark.parametrize("family", MIRROR_FAMILIES)
+@pytest.mark.parametrize("M, N, q, r", [(8, 13, 2, 1), (3, 7, 3, 2)])
+@pytest.mark.parametrize("G", [7, 16])
+def test_element_without_k1_mirror_takes_full_grid(family, M, N, q, r, G, eigh_matrices):
+    # h + i(v - v*) is self-adjoint, but its v-coefficient 1 + i is not real,
+    # so conj(pi_k) is not pi_(-k1, k2) and no row may be mirrored
+    ctx = ctx_of(M, N, q, r)
+    a = AlgebraElement(ctx.theta, {(1, 0): 1, (-1, 0): 1, (0, 1): 1 + 1j, (0, -1): 1 - 1j})
+    rep = family(ctx)
+    bd = bands_on_grid(rep, a, G)
+    assert eigh_matrices == [G * G]
+    E, F = _direct_bands(rep, a, G)
+    assert np.abs(bd.energies - E).max() < 1e-12
+    for R in _gap_ranks(E):
+        assert np.abs(_projector(bd.frames, R) - _projector(F, R)).max() < 1e-10
+    k = np.arange(G) / G
+    mirrored = np.conj(evaluate_on_grid(rep, a, (-k) % 1.0, k))
+    assert np.abs(mirrored - evaluate_on_grid(rep, a, k, k)).max() > 0.1
 
 
 def test_gap_structure_theta_third():
