@@ -105,9 +105,6 @@ class AlgebraElement:
             return 0
         return max(abs(n) + abs(m) for (n, m) in self.coeffs)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self.coeffs.values())
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, AlgebraElement)

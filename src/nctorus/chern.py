@@ -11,7 +11,8 @@ both sums are integers by construction.
 A certificate run needs one Chern number per gap and family.  The Fermi
 frames of the gaps are leading column blocks of the family's band
 frames, so `certify_gaps` makes one kernel call per family with every
-gap's rank, and the kernel forms the link overlaps once (see `_kernels`).
+gap's rank (the kernel forms the link overlaps once, see `_kernels`),
+then checks the gaps in one loop.
 
 Orientation of the plaquette loop is pinned by the full-field anchor
 t(identity) = q and by the derivative-formula character oracle; both
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -41,7 +42,6 @@ from .arithmetic import (
     tknn_solve,
 )
 from .representations import (
-    FiberedRep,
     _shift_power_grid,
     evaluate_on_grid,
     reference_fibered_rep,
@@ -82,35 +82,17 @@ class ChernResult:
     residual: float
     grid: int
 
-    def to_json_dict(self) -> dict:
-        return {"value": self.value, "raw": self.raw,
-                "residual": self.residual, "grid": self.grid}
 
-
-def _lattice_chern(frames: np.ndarray, ranks: List[int], what: str,
-                   seam: Optional[np.ndarray] = None) -> Iterator[ChernResult]:
-    """Plaquette-flux Chern numbers of the leading `ranks` columns of `frames`, in order.
-
-    One kernel call, on the first draw, serves every nonzero rank; the
-    k2 seam is closed by `seam`.  Each rank's link guard and rounding run
-    when it is drawn, so a caller that checks more per rank meets the
-    first failure in the same order as one rank at a time.
-    """
-    G = frames.shape[0]
-    sums = iter(_kernels.plaquette_flux_sum(frames, [R for R in ranks if R], seam))
-    for R in ranks:
-        if R == 0:
-            yield ChernResult(0, 0.0, 0.0, G)
-            continue
-        total, min_abs = next(sums)
-        if min_abs < MIN_LINK_DET:
-            raise GridTooCoarseError(f"link determinant magnitude {min_abs:.3g} < {MIN_LINK_DET}")
-        raw = total / TWO_PI
-        value = int(round(raw))
-        residual = abs(raw - value)
-        if residual >= ROUND_TOL:
-            raise ChernResidualError(f"{what}: lattice sum {raw} is {residual:.3g} from an integer")
-        yield ChernResult(value, raw, residual, G)
+def _rounded(total: float, min_abs: float, G: int, what: str) -> ChernResult:
+    """The Chern number of one kernel sum on a G-row grid, after the link guard."""
+    if min_abs < MIN_LINK_DET:
+        raise GridTooCoarseError(f"link determinant magnitude {min_abs:.3g} < {MIN_LINK_DET}")
+    raw = total / TWO_PI
+    value = int(round(raw))
+    residual = abs(raw - value)
+    if residual >= ROUND_TOL:
+        raise ChernResidualError(f"{what}: lattice sum {raw} is {residual:.3g} from an integer")
+    return ChernResult(value, raw, residual, G)
 
 
 def fhs_chern(field: ProjectorField) -> ChernResult:
@@ -118,7 +100,8 @@ def fhs_chern(field: ProjectorField) -> ChernResult:
     if not field.rep.periodic:
         raise ValueError("fhs_chern requires a periodic field; "
                          "use fhs_chern_twisted for weyl-kind fields")
-    return next(_lattice_chern(field.frames, [field.rank], "fhs_chern"))
+    [(total, min_abs)] = _kernels.plaquette_flux_sum(field.frames, [field.rank])
+    return _rounded(total, min_abs, field.shape[0], "fhs_chern")
 
 
 def _weyl_seam(ctx: WeylContext, k1s: np.ndarray) -> np.ndarray:
@@ -134,7 +117,8 @@ def fhs_chern_twisted(field: ProjectorField) -> ChernResult:
     if field.rep.kind != "weyl":
         raise ValueError("fhs_chern_twisted requires a weyl-kind field")
     seam = _weyl_seam(field.rep.ctx, field.k1s)
-    return next(_lattice_chern(field.frames, [field.rank], "fhs_chern_twisted", seam))
+    [(total, min_abs)] = _kernels.plaquette_flux_sum(field.frames, [field.rank], seam)
+    return _rounded(total, min_abs, field.shape[0], "fhs_chern_twisted")
 
 
 def ambient_chern_analytic(N: int, q: int) -> int:
@@ -166,14 +150,10 @@ def connes_chern_numeric(field: ProjectorField) -> ChernResult:
     """
     if not field.rep.periodic:
         raise ValueError("connes_chern_numeric requires a reference-kind field")
-    return _character(fhs_chern(field), field.rep)
-
-
-def _character(res: ChernResult, rep: FiberedRep) -> ChernResult:
-    """The character from the plaquette Chern number `res` of a field of `rep`."""
-    if not rep.conjugated:
+    res = fhs_chern(field)
+    if not field.rep.conjugated:
         return res
-    N = rep.ctx.N
+    N = field.rep.ctx.N
     if res.value % N != 0:
         raise ChernResidualError(
             f"conjugated-field Chern {res.value} is not divisible by N={N}")
@@ -222,77 +202,6 @@ def pullback_field(field: ProjectorField, n1: int, n2: int) -> ProjectorField:
 # -- conductance verification --------------------------------------------------
 
 
-def _family_cherns(bd: BandData, fermis: List[float], what: str,
-                   seam: Optional[np.ndarray] = None) -> Iterator[ChernResult]:
-    """Chern numbers of the Fermi fields of `bd` at `fermis`, drawn in order."""
-    ranks = [int((bd.energies[0, 0] < fermi).sum()) for fermi in fermis]
-    return _lattice_chern(bd.frames, ranks, what, seam)
-
-
-def _verify_at_fermi(ctx: WeylContext, bd_w: Optional[BandData], bd_r: BandData,
-                     fermi: float, g: int, t_cherns: Optional[Iterator[ChernResult]],
-                     cc_cherns: Iterator[ChernResult], ncints: np.ndarray) -> dict:
-    """The three conductance identities and `tknn_solve` at one Fermi level; raises on failure.
-
-    Draws this level's weyl and reference Chern numbers from `t_cherns`
-    (None when bd_w is None) and `cc_cherns`; `ncints[d]` is the numeric
-    trace of the rank-d reference Fermi field.
-    """
-    f_r = fermi_projector_field(bd_r, fermi)
-    d = f_r.rank
-    if bd_w is None:
-        # collapsed twist (theta = r/q, so N = 1): the only subfields of the
-        # rank-1 twisted family are 0 and the whole field, of Chern number q*d
-        t_res = ChernResult(ctx.q * d, float(ctx.q * d), 0.0, bd_r.shape[0])
-    else:
-        f_w = fermi_projector_field(bd_w, fermi)
-        if f_w.rank != f_r.rank:
-            raise VerificationError(
-                f"{ctx.label()}: rank mismatch weyl={f_w.rank} reference={f_r.rank}")
-        t_res = next(t_cherns)
-    cc_res = _character(next(cc_cherns), bd_r.rep)
-    t, cc = t_res.value, cc_res.value
-    s = -cc
-    ncint = float(ncints[d])
-
-    N, M0, q = ctx.N, ctx.M0, ctx.q
-    diophantine_ok = (N * t + M0 * s == q * d)
-    duality_ok = (N * t == M0 * cc + d * q)
-    rhs = tknn_rhs_value(ncint, cc, ctx.M / ctx.N, q, ctx.r)
-    rhs_residual = abs(t_res.raw - rhs)
-
-    if not diophantine_ok:
-        raise VerificationError(
-            f"{ctx.label()} gap d={d}: N*t + M0*s = {N * t + M0 * s} != q*d = {q * d}")
-    if rhs_residual >= RHS_TOL:
-        raise VerificationError(
-            f"{ctx.label()} gap d={d}: |t_raw - q[integral + eps*cc]| = {rhs_residual:.3g}")
-    if not duality_ok:
-        raise VerificationError(
-            f"{ctx.label()} gap d={d}: N*t = {N * t} != M0*cc + d*q = {M0 * cc + d * q}")
-
-    try:
-        solved = tknn_solve(ctx, d)
-    except NoConstrainedSolutionError:
-        solved = None           # residue class outside the open window
-    if solved is not None and solved != (t, s):
-        raise VerificationError(
-            f"{ctx.label()} gap d={d}: tknn_solve gives (t, s) = {solved}, measured {(t, s)}")
-    residual = max(t_res.residual, cc_res.residual, rhs_residual)
-    record = TKNNRecord(g=g, d=d, t=t, s=s, fermi=fermi, residual=residual)
-    return {
-        "record": record,
-        "t": t_res,
-        "cc": cc_res,
-        "ncint": ncint,
-        "rhs": rhs,
-        "rhs_residual": rhs_residual,
-        "diophantine_ok": diophantine_ok,
-        "duality_ok": duality_ok,
-        "solver_match": None if solved is None else True,
-    }
-
-
 def gap_bands(ctx: WeylContext, G: int = 64, tol: float = 1e-8):
     """The gap report of `ctx` and the bands at G its certificates are read from.
 
@@ -315,26 +224,75 @@ def certify_gaps(ctx: WeylContext, report: GapReport, bd_r: BandData,
                  bd_w: Optional[BandData]) -> List[dict]:
     """One verified certificate per gap of `report`, inf- and sup-gap included.
 
-    Each family's Chern numbers come from one kernel call over the full
-    band frames and every gap's rank (the weyl call closed by its seam);
-    the weyl overlaps are freed before the reference ones are formed.
-    Every gap's numeric trace is a cumulative sum of the reference
-    frames' column traces, as in `nc_integral_numeric`.
-    Gaps are checked in order, so the first failing gap raises.
+    `bd_r` must be plain reference bands, as `gap_bands` returns them:
+    conjugated-form bands carry N times the character, so they fail the
+    identities rather than certify.  Each family's Chern numbers come from
+    one kernel call with every gap's rank (weyl first, closed by its seam),
+    and the numeric traces from cumulative column traces of `bd_r`.
+    Gaps are then checked in order, so the first failing gap raises: the
+    reference and weyl Fermi fields and their ranks, the weyl and then the
+    reference link guard and rounding, the diophantine, rhs and duality
+    identities, and `tknn_solve`.
     """
-    fermis = [gap.fermi for gap in report.gaps]
-    t_cherns = None if bd_w is None else _family_cherns(
-        bd_w, fermis, "fhs_chern_twisted", _weyl_seam(ctx, bd_w.k1s))
-    cc_cherns = _family_cherns(bd_r, fermis, "fhs_chern")
+    ranks = [int((bd_r.energies[0, 0] < gap.fermi).sum()) for gap in report.gaps]
+    t_sums = None if bd_w is None else _kernels.plaquette_flux_sum(
+        bd_w.frames, ranks, _weyl_seam(ctx, bd_w.k1s))
+    cc_sums = _kernels.plaquette_flux_sum(bd_r.frames, ranks)
     G1, G2 = bd_r.shape
     traces = np.concatenate(([0.0], np.cumsum(_column_traces(bd_r.frames))))
     ncints = traces / (G1 * G2) / bd_r.rep.dim
+    N, M0, q = ctx.N, ctx.M0, ctx.q
     out = []
-    for gap in report.gaps:
-        cert = _verify_at_fermi(ctx, bd_w, bd_r, gap.fermi, gap.g, t_cherns, cc_cherns,
-                                ncints)
-        cert["gap"] = gap
-        out.append(cert)
+    for i, gap in enumerate(report.gaps):
+        d = fermi_projector_field(bd_r, gap.fermi).rank
+        if bd_w is None:
+            # collapsed twist (theta = r/q, so N = 1): the only subfields of the
+            # rank-1 twisted family are 0 and the whole field, of Chern number q*d
+            t_res = ChernResult(q * d, float(q * d), 0.0, G1)
+        else:
+            rank_w = fermi_projector_field(bd_w, gap.fermi).rank
+            if rank_w != d:
+                raise VerificationError(
+                    f"{ctx.label()}: rank mismatch weyl={rank_w} reference={d}")
+            t_res = _rounded(*t_sums[i], G1, "fhs_chern_twisted")
+        cc_res = _rounded(*cc_sums[i], G1, "fhs_chern")
+        t, cc = t_res.value, cc_res.value
+        s = -cc
+        ncint = float(ncints[d])
+        diophantine_ok = (N * t + M0 * s == q * d)
+        duality_ok = (N * t == M0 * cc + d * q)
+        rhs = tknn_rhs_value(ncint, cc, ctx.M / ctx.N, q, ctx.r)
+        rhs_residual = abs(t_res.raw - rhs)
+
+        if not diophantine_ok:
+            raise VerificationError(
+                f"{ctx.label()} gap d={d}: N*t + M0*s = {N * t + M0 * s} != q*d = {q * d}")
+        if rhs_residual >= RHS_TOL:
+            raise VerificationError(
+                f"{ctx.label()} gap d={d}: |t_raw - q[integral + eps*cc]| = {rhs_residual:.3g}")
+        if not duality_ok:
+            raise VerificationError(
+                f"{ctx.label()} gap d={d}: N*t = {N * t} != M0*cc + d*q = {M0 * cc + d * q}")
+        try:
+            solved = tknn_solve(ctx, d)
+        except NoConstrainedSolutionError:
+            solved = None           # residue class outside the open window
+        if solved is not None and solved != (t, s):
+            raise VerificationError(
+                f"{ctx.label()} gap d={d}: tknn_solve gives (t, s) = {solved}, measured {(t, s)}")
+        residual = max(t_res.residual, cc_res.residual, rhs_residual)
+        out.append({
+            "record": TKNNRecord(g=gap.g, d=d, t=t, s=s, fermi=gap.fermi, residual=residual),
+            "t": t_res,
+            "cc": cc_res,
+            "ncint": ncint,
+            "rhs": rhs,
+            "rhs_residual": rhs_residual,
+            "diophantine_ok": diophantine_ok,
+            "duality_ok": duality_ok,
+            "solver_match": None if solved is None else True,
+            "gap": gap,
+        })
     return out
 
 

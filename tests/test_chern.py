@@ -1,5 +1,7 @@
 """Topological layer: lattice Chern numbers, duality, conductance triples."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,16 @@ from nctorus import chern
 from nctorus.algebra import monomial, random_element, unit
 from nctorus.arithmetic import tknn_rhs_value, tknn_solve
 from nctorus.chern import (
+    ChernResidualError,
     GridTooCoarseError,
     VerificationError,
     ambient_chern_analytic,
+    certify_gaps,
     connes_chern_numeric,
     connes_chern_via_derivatives,
     fhs_chern,
     fhs_chern_twisted,
+    gap_bands,
     gap_certificates,
     nc_integral_numeric,
     pullback_field,
@@ -23,6 +28,7 @@ from nctorus.chern import (
 )
 from nctorus.representations import reference_fibered_rep, weyl_fibered_rep
 from nctorus.spectral import (
+    GapViolationError,
     ProjectorField,
     bands_on_grid,
     constant_projector_field,
@@ -147,11 +153,11 @@ def test_certificates_make_one_kernel_call_per_family(monkeypatch):
     certs = gap_certificates(ctx_of(2, 5, 3, 1), 16)
     ranks = [c["record"].d for c in certs[1:]]
     assert ranks == [1, 2, 3, 4, 5]
-    assert calls == [((16, 16, 5, 5), ranks, (16, 5, 5)),     # weyl, through its seam
-                     ((16, 16, 5, 5), ranks, None)]           # reference
+    assert calls == [((16, 16, 5, 5), [0] + ranks, (16, 5, 5)),     # weyl, through its seam
+                     ((16, 16, 5, 5), [0] + ranks, None)]           # reference
     calls.clear()
     gap_certificates(ctx_of(0, 1, 1, 0), 12)      # theta = r/q: no twisted family
-    assert calls == [((12, 12, 1, 1), [1], None)]
+    assert calls == [((12, 12, 1, 1), [0, 1], None)]
 
 
 def test_orthogonal_neighbour_frames_are_too_coarse():
@@ -170,6 +176,37 @@ def test_link_guard_on_the_certificate_path(monkeypatch):
     monkeypatch.setattr(chern, "MIN_LINK_DET", 1.5)
     with pytest.raises(GridTooCoarseError, match="< 1.5"):
         gap_certificates(ctx_of(1, 3, 2, 1), 16)
+
+
+def _fermi_in_a_band(report, bd_r, bd_w, monkeypatch):
+    gaps = list(report.gaps)
+    gaps[1] = dataclasses.replace(gaps[1], fermi=0.0)
+    return dataclasses.replace(report, gaps=gaps), bd_r, bd_w
+
+
+def _weyl_bands_shifted(report, bd_r, bd_w, monkeypatch):
+    return report, bd_r, dataclasses.replace(bd_w, energies=bd_w.energies + 2.0)
+
+
+def _no_rounding_slack(report, bd_r, bd_w, monkeypatch):
+    # rank 0's sum is exactly 0, so only the weyl rank-1 sum of gap 1 fails
+    monkeypatch.setattr(chern, "ROUND_TOL", 1e-300)
+    return report, bd_r, bd_w
+
+
+@pytest.mark.parametrize("spoil,error,match", [
+    pytest.param(_fermi_in_a_band, GapViolationError,
+                 "fermi level 0.0 is within 1e-08 of the spectrum", id="fermi-in-a-band"),
+    pytest.param(_weyl_bands_shifted, VerificationError,
+                 "rank mismatch weyl=0 reference=1", id="weyl-bands-shifted"),
+    pytest.param(_no_rounding_slack, ChernResidualError,
+                 "fhs_chern_twisted: lattice sum", id="no-rounding-slack"),
+])
+def test_certify_gaps_raises_typed_failures(spoil, error, match, monkeypatch):
+    ctx = ctx_of(1, 3, 2, 1)
+    args = spoil(*gap_bands(ctx, 16), monkeypatch)
+    with pytest.raises(error, match=match):
+        certify_gaps(ctx, *args)
 
 
 def test_twisted_gap_one_values():

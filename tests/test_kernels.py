@@ -58,13 +58,15 @@ def test_identity_frames_through_the_weyl_seam_carry_flux_2pi_q(N, q):
 @pytest.mark.parametrize("with_seam", [False, True])
 def test_multi_rank_call_matches_one_rank_at_a_time(frames, with_seam):
     # ranks up to N/2 read leading blocks of the shared overlaps, ranks
-    # above it det(O) conj(det(trailing block)); R = N is det(O) alone
+    # above it det(O) conj(det(trailing block)); R = N is det(O) alone.
+    # R = 0 takes 0 x 0 determinants, exactly 1: no flux, no small link
     F = frames()
     G1, _, N, _ = F.shape
     seam = random_frames(G1, N, N, seed=5) if with_seam else None
-    ranks = list(range(1, N + 1))
+    ranks = list(range(0, N + 1))
     multi = _kernels.plaquette_flux_sum(F, ranks, seam)
-    assert len(multi) == N
+    assert len(multi) == N + 1
+    assert multi[0] == (0.0, 1.0)
     for R, (total, min_abs) in zip(ranks, multi):
         [(total_1, min_abs_1)] = _kernels.plaquette_flux_sum(F[..., :R], [R], seam)
         assert total == pytest.approx(total_1, abs=1e-10), R
