@@ -17,17 +17,17 @@ Chern sign convention, pinned by the full-field anchor test.
 
 One call serves every rank of a family.  The rank-R frames of the gaps
 are the leading R columns of one frame array, so the link overlaps
-O = F(k)^dagger F(k') are formed once, and rank R reads the determinant
-of their leading R x R block.  When the frames hold all N columns, O is
-unitary: F(k) and F(k') are both orthonormal bases of C^N, and the seam
-T(k1) is unitary too.  For unitary O, Jacobi's complementary-minor
-identity det((O^-1)[R:, R:]) = det(O[:R, :R]) / det(O) with O^-1 = O^dagger
-gives
-
-    det(O[:R, :R]) = det(O) conj(det(O[R:, R:])),
-
-so above half filling (2R > N) a rank costs an (N-R) x (N-R) determinant
-plus the one shared det(O).
+O = F(k)^dagger F(k') are formed once, and rank R reads the leading minor
+det(O[:R, :R]).  Subtracting a multiple of row j from a later row changes
+no leading minor, so after Gaussian elimination of O the rank-R minor is
+the product of the first R pivots.  Rows are swapped only inside a band
+group, the rows [r_i, r_(i+1)) between consecutive requested ranks: that
+permutes rows within every later requested block, flipping the sign of
+its minor (which is carried along), and leaves the earlier blocks alone.
+So the unrequested ranks inside a group, such as the touching central
+bands at even N, need no pivot of their own.  An exactly vanishing pivot
+is divided as 1: that link reads exactly 0 from its rank on, and the
+first such rank already fails the link guard.
 """
 
 from __future__ import annotations
@@ -35,42 +35,64 @@ from __future__ import annotations
 import numpy as np
 
 
-def _link_overlaps(F: np.ndarray, seam: np.ndarray | None):
-    """(Ox, Oy): F(k)^dagger F(k + e1) and F(k)^dagger F(k + e2), each (G1, G2, R, R)."""
+def _leading_minors(A: np.ndarray, ranks: list[int]) -> np.ndarray:
+    """det(O[:R, :R]) for each R of ranks, (len(ranks), B), from A = O batch-last (N, N, B).
+
+    Eliminates A in place, pivoting only inside the groups between ranks.
+    """
+    N, B = A.shape[1:]
+    batch = np.arange(B)
+    out = np.empty((len(ranks), B), complex)
+    minor = np.ones(B, complex)
+    lo = 0
+    for k, hi in enumerate(ranks):
+        for j in range(lo, hi):
+            if hi - j > 1:
+                p = j + np.abs(A[j:hi, j]).argmax(axis=0)
+                row = A[j, j:].copy()
+                A[j, j:] = A[p, j:, batch].T
+                A[p, j:, batch] = row.T
+                minor[p != j] *= -1
+            pivot = A[j, j]
+            minor *= pivot
+            multipliers = A[j + 1:, j] / np.where(pivot == 0, 1, pivot)
+            for i, m in enumerate(multipliers, j + 1):
+                A[i, j + 1:] -= m * A[j, j + 1:]
+        lo = hi
+        out[k] = minor
+    return out
+
+
+def _link_minors(F: np.ndarray, ranks: list[int], seam: np.ndarray | None):
+    """Lx then Ly, each (len(ranks), G1, G2): leading minors of F(k)^dagger F(k + e1), F(k + e2).
+
+    Both directions fill one batch-last buffer (R, R, G1, G2) a row of links
+    at a time, so no full-size overlap or adjoint array is ever formed, and
+    each direction is eliminated before the next one fills the buffer.
+    """
     G1, G2, _, R = F.shape
-    Fh = F.conj().swapaxes(-1, -2)
-    Ox = np.empty((G1, G2, R, R), complex)
-    np.matmul(Fh[:-1], F[1:], out=Ox[:-1])
-    np.matmul(Fh[-1], F[0], out=Ox[-1])
-    Oy = np.empty_like(Ox)
-    np.matmul(Fh[:, :-1], F[:, 1:], out=Oy[:, :-1])
-    np.matmul(Fh[:, -1], F[:, 0] if seam is None else seam @ F[:, 0], out=Oy[:, -1])
-    return Ox, Oy
-
-
-def _rank_links(O: np.ndarray, ranks: list[int], complementary: bool):
-    """The rank-R link determinants of overlaps O, one (G1, G2) array per rank."""
-    N = O.shape[-1]
-    det_full = None
-    for R in ranks:
-        if not (complementary and 2 * R > N):
-            yield np.linalg.det(O[..., :R, :R])
-            continue
-        if det_full is None:
-            det_full = np.linalg.det(O)
-        yield det_full if R == N else det_full * np.conj(np.linalg.det(O[..., R:, R:]))
+    A = np.empty((R, R, G1, G2), complex)
+    for axis, end in ((0, F[0]), (1, F[:, 0] if seam is None else seam @ F[:, 0])):
+        Fa, Aa = F.swapaxes(0, axis), A.swapaxes(2, 2 + axis)
+        for i, Fi in enumerate(Fa):
+            Fj = Fa[i + 1] if i + 1 < len(Fa) else end
+            Aa[:, :, i] = np.moveaxis(Fi.conj().swapaxes(-1, -2) @ Fj, 0, -1)
+        yield _leading_minors(A.reshape(R, R, G1 * G2), ranks).reshape(len(ranks), G1, G2)
 
 
 def plaquette_flux_sum(frames: np.ndarray, ranks: list[int], seam: np.ndarray | None = None):
     """[(flux_sum, min_abs_link)] of the leading `ranks` columns of frames (G1, G2, N, R).
 
+    ranks must be non-decreasing and at most R.
     seam: (G1, N, N) transport closing k2, or None for a periodic field.
     """
-    Ox, Oy = _link_overlaps(frames, seam)
-    complementary = frames.shape[-1] == frames.shape[-2]
+    ranks = list(ranks)
+    if not ranks:
+        return []
+    if ranks != sorted(ranks) or ranks[0] < 0 or ranks[-1] > frames.shape[-1]:
+        raise ValueError(f"ranks must be non-decreasing in [0, {frames.shape[-1]}], got {ranks}")
     out = []
-    for Lx, Ly in zip(_rank_links(Ox, ranks, complementary),
-                      _rank_links(Oy, ranks, complementary)):
+    for Lx, Ly in zip(*_link_minors(frames[..., :ranks[-1]], ranks, seam)):
         min_abs = float(min(np.abs(Lx).min(), np.abs(Ly).min()))
         pl = Ly * np.roll(Lx, -1, axis=1) * np.conj(np.roll(Ly, -1, axis=0)) * np.conj(Lx)
         out.append((float(np.angle(pl).sum()), min_abs))

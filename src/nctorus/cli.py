@@ -181,6 +181,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 def worker_count() -> int:
     raw = os.environ.get(THREADS_ENV, "").strip()
     if not raw:
+        # the CPUs this process may run on (taskset, cpusets), not the host's
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         n = int(raw)

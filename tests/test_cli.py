@@ -20,6 +20,7 @@ from nctorus.cli import (
     EXIT_VERIFICATION,
     farey_fractions,
     main,
+    worker_count,
 )
 
 
@@ -309,6 +310,18 @@ def test_threads_env(tmp_path, monkeypatch):
     assert run("butterfly", "--farey", "2", "--grid", "4", "--out", str(out)) == EXIT_OK
     monkeypatch.setenv("NCTORUS_THREADS", "zero")
     assert run("butterfly", "--farey", "2", "--grid", "4", "--out", str(out)) == EXIT_CONFIG
+
+
+def test_default_worker_count_follows_the_affinity_mask(monkeypatch):
+    # taskset or a cpuset narrows the CPUs this process may use below the host count
+    monkeypatch.delenv("NCTORUS_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5, 7}, raising=False)
+    assert worker_count() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")          # platforms without it
+    assert worker_count() == 64
+    monkeypatch.setenv("NCTORUS_THREADS", "2")
+    assert worker_count() == 2
 
 
 def test_labels_deterministic_json(tmp_path):

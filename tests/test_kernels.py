@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bands_of
+from conftest import bands_of, ctx_of
 
-from nctorus import _kernels
+from nctorus import _kernels, chern
 from nctorus.representations import _shift_power_grid
 
 
@@ -57,9 +57,9 @@ def test_identity_frames_through_the_weyl_seam_carry_flux_2pi_q(N, q):
 ])
 @pytest.mark.parametrize("with_seam", [False, True])
 def test_multi_rank_call_matches_one_rank_at_a_time(frames, with_seam):
-    # ranks up to N/2 read leading blocks of the shared overlaps, ranks
-    # above it det(O) conj(det(trailing block)); R = N is det(O) alone.
-    # R = 0 takes 0 x 0 determinants, exactly 1: no flux, no small link
+    # every rank reads its leading minor of the shared overlaps as a product
+    # of pivots of one elimination; the one-rank call pivots over all R rows.
+    # R = 0 takes the empty product, exactly 1: no flux, no small link
     F = frames()
     G1, _, N, _ = F.shape
     seam = random_frames(G1, N, N, seed=5) if with_seam else None
@@ -69,5 +69,88 @@ def test_multi_rank_call_matches_one_rank_at_a_time(frames, with_seam):
     assert multi[0] == (0.0, 1.0)
     for R, (total, min_abs) in zip(ranks, multi):
         [(total_1, min_abs_1)] = _kernels.plaquette_flux_sum(F[..., :R], [R], seam)
+        assert total == pytest.approx(total_1, abs=1e-10), R
+        assert min_abs == pytest.approx(min_abs_1, abs=1e-12), R
+        assert (total, min_abs) == pytest.approx(lapack_flux(F, R, seam), abs=1e-10), R
+
+
+def one_rank_at_a_time(F, ranks, seam=None):
+    return [_kernels.plaquette_flux_sum(F[..., :R], [R], seam)[0] for R in ranks]
+
+
+def lapack_flux(F, R, seam=None):
+    """(flux_sum, min_abs_link) of rank R from LAPACK determinants of the link overlaps."""
+    F = F[..., :R]
+    Fy = np.roll(F, -1, axis=1)
+    if seam is not None:
+        Fy[:, -1] = seam @ F[:, 0]
+    Fh = F.conj().swapaxes(-1, -2)
+    Lx, Ly = np.linalg.det(Fh @ np.roll(F, -1, axis=0)), np.linalg.det(Fh @ Fy)
+    pl = Ly * np.roll(Lx, -1, axis=1) * np.conj(np.roll(Ly, -1, axis=0)) * np.conj(Lx)
+    return float(np.angle(pl).sum()), float(min(np.abs(Lx).min(), np.abs(Ly).min()))
+
+
+def swapped_frames(G, N, odd, seed):
+    """Unit vectors with random phases; on odd k1 rows the columns `odd` are permuted."""
+    rng = np.random.default_rng(seed)
+    F = np.zeros((G, G, N, N), complex)
+    F[..., range(N), range(N)] = np.exp(2j * math.pi * rng.random((G, G, N)))
+    F[1::2] = F[1::2][..., odd]
+    return F
+
+
+@pytest.mark.parametrize("columns,ranks", [(3, [2, 1]), (3, [1, 3, 2]), (3, [4]), (2, [1, 3]),
+                                           (3, [-1, 2])])
+def test_ranks_must_be_non_decreasing_within_the_columns(columns, ranks):
+    # one elimination reads the ranks in order: a descending list would not fail by itself
+    F = random_frames(4, 4, 3, 3, seed=6)[..., :columns]
+    with pytest.raises(ValueError, match="non-decreasing"):
+        _kernels.plaquette_flux_sum(F, ranks)
+
+
+def test_pivoting_within_a_band_group():
+    # on every k1-link the overlap swaps columns 0 and 1 (up to phases): its
+    # leading 1 x 1 minor is exactly 0 and its 2 x 2 minor has modulus 1.  Rank 1
+    # is not requested, so rows 0 and 1 form one group and the swap is allowed
+    F = swapped_frames(6, 3, [1, 0, 2], seed=7)
+    seam = random_frames(6, 3, 3, seed=8)
+    ranks = [0, 2, 3]
+    multi = _kernels.plaquette_flux_sum(F, ranks, seam)
+    for R, (total, min_abs), (total_1, min_abs_1) in zip(
+            ranks, multi, one_rank_at_a_time(F, ranks, seam)):
+        assert total == pytest.approx(total_1, abs=1e-12), R
+        assert min_abs == pytest.approx(min_abs_1, abs=1e-14), R
+        assert (total, min_abs) == pytest.approx(lapack_flux(F, R, seam), abs=1e-12), R
+    [(_, min_abs_2), (_, min_abs_3)] = _kernels.plaquette_flux_sum(F, [2, 3])
+    assert min_abs_2 == pytest.approx(1.0, abs=1e-14)
+    assert min_abs_3 == pytest.approx(1.0, abs=1e-14)
+
+
+def test_a_vanishing_minor_reads_zero_and_leaves_earlier_ranks():
+    # the k1-links swap columns 1 and 2: minors 1, 0, -1.  The requested rank 2
+    # reads exactly 0 (the pivot is divided as 1, no warning); rank 1 is unchanged
+    F = swapped_frames(6, 3, [0, 2, 1], seed=9)
+    [first, second] = _kernels.plaquette_flux_sum(F, [1, 2])
+    [(total_1, min_abs_1)] = one_rank_at_a_time(F, [1])
+    assert first[0] == pytest.approx(total_1, abs=1e-12)
+    assert first[1] == pytest.approx(min_abs_1, abs=1e-14)
+    assert second[1] == 0.0
+    assert math.isfinite(second[0])
+    assert one_rank_at_a_time(F, [2])[0][1] == 0.0
+
+
+@pytest.mark.parametrize("kind", ["reference", "weyl"])
+def test_gap_ranks_of_touching_central_bands(kind):
+    # N = 8: the central bands touch, so the gap ranks skip 4 and rows 3 and 4
+    # share a group.  Its pivot at rank 4 is never read on its own
+    ctx = ctx_of(3, 8, 1, 0)
+    report, bd_r, bd_w = chern.gap_bands(ctx, 16)
+    ranks = [int((bd_r.energies[0, 0] < gap.fermi).sum()) for gap in report.gaps]
+    assert ranks == [0, 1, 2, 3, 5, 6, 7, 8]
+    bd = bd_r if kind == "reference" else bd_w
+    seam = None if kind == "reference" else chern._weyl_seam(ctx, bd.k1s)
+    multi = _kernels.plaquette_flux_sum(bd.frames, ranks, seam)
+    for R, (total, min_abs), (total_1, min_abs_1) in zip(
+            ranks, multi, one_rank_at_a_time(bd.frames, ranks, seam)):
         assert total == pytest.approx(total_1, abs=1e-10), R
         assert min_abs == pytest.approx(min_abs_1, abs=1e-12), R
