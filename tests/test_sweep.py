@@ -1,0 +1,32 @@
+"""The golden certificate sweep: every certified integer and failure type stays put.
+
+`data/sweep.json` holds, for 560 (theta, rep, G) runs of
+`gap_certificates`, the certified (g, d, t, s, cc) of every gap or the
+type of the `NumericalFailure` raised (`record_sweep.py` writes it).
+A certified integer that changes, a certificate that turns into a
+failure, or a failure of another type fails this test.  A failure that
+turns into a certificate fails it too, so that the re-recorded file
+shows it in its diff.
+"""
+
+import json
+
+import pytest
+
+from record_sweep import DATA, GRIDS, sweep
+
+EXPECTED = json.loads(DATA.read_text())
+
+
+def test_the_file_keeps_every_run():
+    assert len(EXPECTED) == 560
+    assert {key.rsplit(" G=", 1)[1] for key in EXPECTED} == {str(G) for G in GRIDS}
+
+
+@pytest.mark.parametrize("G", GRIDS)
+def test_sweep_matches_the_recorded_certificates(G):
+    runs = sweep(grids=(G,))
+    assert set(runs) == {k for k in EXPECTED if k.endswith(f" G={G}")}
+    changed = [f"{key}: recorded {EXPECTED[key]}, now {value}"
+               for key, value in runs.items() if value != EXPECTED[key]]
+    assert not changed, "\n".join(changed)
