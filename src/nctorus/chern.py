@@ -53,6 +53,7 @@ from .spectral import (
     NumericalFailure,
     ProjectorField,
     bands_on_grid,
+    expand_k1_mirror,
     fermi_projector_field,
     hofstadter_gap_report,
 )
@@ -100,8 +101,9 @@ def fhs_chern(field: ProjectorField) -> ChernResult:
     if not field.rep.periodic:
         raise ValueError("fhs_chern requires a periodic field; "
                          "use fhs_chern_twisted for weyl-kind fields")
-    [(total, min_abs)] = _kernels.plaquette_flux_sum(field.frames, [field.rank])
-    return _rounded(total, min_abs, field.shape[0], "fhs_chern")
+    G1 = len(field.k1s)
+    [(total, min_abs)] = _kernels.plaquette_flux_sum(field.frames, [field.rank], rows=G1)
+    return _rounded(total, min_abs, G1, "fhs_chern")
 
 
 def _weyl_seam(ctx: WeylContext, k1s: np.ndarray) -> np.ndarray:
@@ -116,9 +118,10 @@ def fhs_chern_twisted(field: ProjectorField) -> ChernResult:
     """
     if field.rep.kind != "weyl":
         raise ValueError("fhs_chern_twisted requires a weyl-kind field")
-    seam = _weyl_seam(field.rep.ctx, field.k1s)
-    [(total, min_abs)] = _kernels.plaquette_flux_sum(field.frames, [field.rank], seam)
-    return _rounded(total, min_abs, field.shape[0], "fhs_chern_twisted")
+    G1 = len(field.k1s)
+    seam = _weyl_seam(field.rep.ctx, field.k1s[:len(field.frames)])
+    [(total, min_abs)] = _kernels.plaquette_flux_sum(field.frames, [field.rank], seam, G1)
+    return _rounded(total, min_abs, G1, "fhs_chern_twisted")
 
 
 def ambient_chern_analytic(N: int, q: int) -> int:
@@ -128,9 +131,15 @@ def ambient_chern_analytic(N: int, q: int) -> int:
     return q
 
 
-def _column_traces(frames: np.ndarray) -> np.ndarray:
-    """Grid sums of |F|^2 per frame column, (R,): column r's share of sum tr P."""
-    return (frames.real ** 2 + frames.imag ** 2).sum(axis=(0, 1, 2))
+def _column_traces(frames: np.ndarray, G1: int) -> np.ndarray:
+    """Grid sums of |F|^2 per frame column, (R,): column r's share of sum tr P.
+
+    On a k1-mirrored grid (len(frames) < G1) row i > 0 also stands for row
+    G1 - i, unless that is row i itself (i = G1/2), and counts twice.
+    """
+    i = np.arange(len(frames))
+    weights = 1.0 + ((i > 0) & (G1 - i >= len(frames)))
+    return weights @ (frames.real ** 2 + frames.imag ** 2).sum(axis=(1, 2))
 
 
 def nc_integral_numeric(field: ProjectorField) -> float:
@@ -138,7 +147,7 @@ def nc_integral_numeric(field: ProjectorField) -> float:
     if not field.rep.periodic:
         raise ValueError("nc_integral_numeric requires a reference-kind field")
     G1, G2 = field.shape
-    trace_sum = _column_traces(field.frames).sum()     # sum of tr P = |F|^2
+    trace_sum = _column_traces(field.frames, G1).sum()     # sum of tr P = |F|^2
     return float(trace_sum) / (G1 * G2) / field.dim
 
 
@@ -196,7 +205,8 @@ def pullback_field(field: ProjectorField, n1: int, n2: int) -> ProjectorField:
     G1, G2 = field.shape
     i = (n1 * np.arange(G1)) % G1
     j = (n2 * np.arange(G2)) % G2
-    return ProjectorField(field.rep, field.k1s, field.k2s, field.frames[np.ix_(i, j)])
+    frames = expand_k1_mirror(field.frames, G1)
+    return ProjectorField(field.rep, field.k1s, field.k2s, frames[np.ix_(i, j)])
 
 
 # -- conductance verification --------------------------------------------------
@@ -236,10 +246,10 @@ def certify_gaps(ctx: WeylContext, report: GapReport, bd_r: BandData,
     """
     ranks = [int((bd_r.energies[0, 0] < gap.fermi).sum()) for gap in report.gaps]
     t_sums = None if bd_w is None else _kernels.plaquette_flux_sum(
-        bd_w.frames, ranks, _weyl_seam(ctx, bd_w.k1s))
-    cc_sums = _kernels.plaquette_flux_sum(bd_r.frames, ranks)
+        bd_w.frames, ranks, _weyl_seam(ctx, bd_w.k1s[:len(bd_w.frames)]), len(bd_w.k1s))
+    cc_sums = _kernels.plaquette_flux_sum(bd_r.frames, ranks, rows=len(bd_r.k1s))
     G1, G2 = bd_r.shape
-    traces = np.concatenate(([0.0], np.cumsum(_column_traces(bd_r.frames))))
+    traces = np.concatenate(([0.0], np.cumsum(_column_traces(bd_r.frames, G1))))
     ncints = traces / (G1 * G2) / bd_r.rep.dim
     N, M0, q = ctx.N, ctx.M0, ctx.q
     out = []

@@ -31,8 +31,13 @@ conj V(k1, k2) = V(-k1, k2); and every family is 1-periodic in k1.  Hence
 
 for every element with a(n, m) = conj(a(-n, m)), such as h.
 `bands_on_grid` checks that condition on the coefficients to the
-self-adjointness tolerance and fills row k1 = (G - i)/G from row i/G:
-same energies, complex-conjugate frames.
+self-adjointness tolerance.  Row k1 = (G - i)/G then has the energies of
+row i/G, and the complex conjugates of its frames are an eigenbasis of
+the same eigenspaces.  So a mirrored `BandData` keeps full energies but
+only the frames of the diagonalized rows i = 0 .. G//2, and its consumers
+read the mirror off `len(frames) < len(k1s)`: the Chern kernel and the
+numeric traces weight those rows (see `_kernels`), and the dense
+projector and the pullback expand them with `expand_k1_mirror`.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ class BandData:
     k1s: np.ndarray
     k2s: np.ndarray
     energies: np.ndarray   # (G1, G2, N), ascending in the last axis
-    frames: np.ndarray     # (G1, G2, N, N), orthonormal eigenvector columns
+    frames: np.ndarray     # (G1 or G1//2 + 1 when k1-mirrored, G2, N, N), orthonormal columns
 
     @property
     def shape(self):
@@ -119,29 +124,39 @@ def bands_on_grid(rep: FiberedRep, a: AlgebraElement, G: int) -> BandData:
     When a(n, m) = conj(a(-n, m)) within 1e-12 (the flux operator h
     qualifies), only the rows k1 = i/G, i = 0 .. G//2, are diagonalized:
     conj(pi_k(a)) = pi_(-k1, k2)(a) (see the module docstring), so row
-    i > G//2 is row G - i with the same energies and conjugated frames,
-    another orthonormal eigenbasis of the same eigenspaces.  Any other
-    self-adjoint element is diagonalized on the full grid.
+    i > G//2 has the energies of row G - i, filled in, and its conjugated
+    frames, which are not stored: `frames` keeps the G//2 + 1 diagonalized
+    rows.  Any other self-adjoint element is diagonalized on the full grid.
     """
     if not a.approx_equal(element_star(a), SELFADJOINT_TOL):
         raise SelfAdjointnessError("element is not self-adjoint within 1e-12")
     k = np.arange(G) / G
     if not a.approx_equal(_k1_mirror(a), SELFADJOINT_TOL):
         return BandData(rep, k, k, *_eigh_on_grid(rep, a, k, k))
-    rows = G // 2 + 1
-    # full outputs first: copying the half in afterwards measured a higher peak RSS
-    energies = np.empty((G, G, rep.dim))
-    frames = np.empty((G, G, rep.dim, rep.dim), complex)
-    energies[:rows], frames[:rows] = _eigh_on_grid(rep, a, k[:rows], k)
-    energies[rows:] = energies[G - rows:0:-1]        # row i from row G - i
-    np.conjugate(frames[G - rows:0:-1], out=frames[rows:])
-    return BandData(rep, k, k, energies, frames)
+    energies, frames = _eigh_on_grid(rep, a, k[:G // 2 + 1], k)
+    return BandData(rep, k, k, expand_k1_mirror(energies, G), frames)
+
+
+def expand_k1_mirror(rows: np.ndarray, G1: int) -> np.ndarray:
+    """The (G1, ...) array of a k1-mirrored one: row G1 - i is the conjugate of row i.
+
+    `rows` holds rows 0 .. G1//2; an array that already has G1 rows is
+    returned as it is.
+    """
+    H = len(rows)
+    if H == G1:
+        return rows
+    out = np.empty((G1,) + rows.shape[1:], rows.dtype)
+    out[:H] = rows
+    np.conjugate(rows[G1 - H:0:-1], out=out[H:])
+    return out
 
 
 def _eigh_on_grid(rep: FiberedRep, a: AlgebraElement, k1s: np.ndarray, k2s: np.ndarray):
     """(energies, frames) of pi_k(a) over the k1s x k2s grid."""
     H = evaluate_on_grid(rep, a, k1s, k2s)
-    H = 0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))   # scrub fp asymmetry
+    H += H.conj().swapaxes(-1, -2)      # scrub fp asymmetry, one temporary
+    H *= 0.5
     return np.linalg.eigh(H)
 
 
@@ -212,17 +227,18 @@ class ProjectorField:
     `frames[i, j]` has orthonormal columns spanning the range of
     P(k1s[i], k2s[j]).  Plaquette link variables are gauge-invariant, so
     any such basis serves: a Fermi field keeps the occupied eigenvector
-    columns of its BandData as they are.
+    columns of its BandData as they are, k1-mirrored ones included, whose
+    frames hold rows i = 0 .. G1//2 only (`expand_k1_mirror`).
     """
 
     rep: FiberedRep
     k1s: np.ndarray
     k2s: np.ndarray
-    frames: np.ndarray     # (G1, G2, N, rank)
+    frames: np.ndarray     # (G1 or G1//2 + 1 when k1-mirrored, G2, N, rank)
 
     @property
     def shape(self):
-        return self.frames.shape[:2]
+        return len(self.k1s), len(self.k2s)
 
     @property
     def dim(self) -> int:
@@ -236,7 +252,7 @@ class ProjectorField:
     def P(self) -> np.ndarray:
         """Dense projector F F^dagger, built on each access: (G1, G2, N, N)."""
         F = self.frames
-        return np.einsum("ijar,ijbr->ijab", F, F.conj())
+        return expand_k1_mirror(np.einsum("ijar,ijbr->ijab", F, F.conj()), len(self.k1s))
 
     def defects(self) -> dict:
         """Worst-case residuals of the projector-field invariants."""

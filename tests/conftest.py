@@ -11,8 +11,8 @@ from nctorus import chern, cli, spectral, suite
 from nctorus.algebra import RationalTheta, hofstadter_element
 from nctorus.arithmetic import make_weyl_context
 from nctorus.chern import gap_certificates
-from nctorus.representations import reference_fibered_rep, weyl_fibered_rep
-from nctorus.spectral import bands_on_grid, detect_gaps_refined
+from nctorus.representations import evaluate_on_grid, reference_fibered_rep, weyl_fibered_rep
+from nctorus.spectral import BandData, bands_on_grid, detect_gaps_refined
 
 _BANDS = {}
 _CERTS = {}
@@ -30,6 +30,13 @@ def bands_of(M, N, q, r, kind, G):
         rep = weyl_fibered_rep(ctx) if kind == "weyl" else reference_fibered_rep(ctx)
         _BANDS[key] = bands_on_grid(rep, hofstadter_element(ctx.theta), G)
     return _BANDS[key]
+
+
+def full_grid_bands(rep, a, G):
+    """eigh of pi_k(a) at every point of the G x G grid, no k1 mirror."""
+    k = np.arange(G) / G
+    H = evaluate_on_grid(rep, a, k, k)
+    return BandData(rep, k, k, *np.linalg.eigh(0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))))
 
 
 def report_of(M, N, q, r, G, tol=1e-8):

@@ -5,10 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import bands_of, certs_of, ctx_of, report_of
+from conftest import bands_of, certs_of, ctx_of, full_grid_bands, report_of
 
 from nctorus import chern
-from nctorus.algebra import monomial, random_element, unit
+from nctorus.algebra import hofstadter_element, monomial, random_element, unit
 from nctorus.arithmetic import tknn_rhs_value, tknn_solve
 from nctorus.chern import (
     ChernResidualError,
@@ -33,6 +33,7 @@ from nctorus.spectral import (
     bands_on_grid,
     constant_projector_field,
     fermi_projector_field,
+    hofstadter_gap_report,
     identity_field,
 )
 
@@ -127,17 +128,19 @@ def test_twisted_identity_anchor(spec):
 
 
 def test_twisted_chern_kernel_input_is_the_field(monkeypatch):
-    # the seam closes the base lattice: no copies of the frames along k2
+    # the seam closes the base lattice: no copies of the frames along k2, and
+    # the k1-mirrored field hands over its diagonalized rows 0 .. G/2 only
     shapes = []
     kernel = chern._kernels.plaquette_flux_sum
 
-    def recorded(frames, ranks, seam=None):
-        shapes.append(frames.shape)
-        return kernel(frames, ranks, seam)
+    def recorded(frames, ranks, seam=None, rows=None):
+        shapes.append((frames.shape, seam.shape, rows))
+        return kernel(frames, ranks, seam, rows)
 
     monkeypatch.setattr(chern._kernels, "plaquette_flux_sum", recorded)
-    assert fhs_chern_twisted(weyl_gap_field(2, 5, 3, 1, 1, G=24)).value == 1
-    assert shapes == [(24, 24, 5, 2)]
+    res = fhs_chern_twisted(weyl_gap_field(2, 5, 3, 1, 1, G=24))
+    assert (res.value, res.grid) == (1, 24)
+    assert shapes == [((13, 24, 5, 2), (13, 5, 5), 24)]
 
 
 def test_certificates_make_one_kernel_call_per_family(monkeypatch):
@@ -145,19 +148,21 @@ def test_certificates_make_one_kernel_call_per_family(monkeypatch):
     calls = []
     kernel = chern._kernels.plaquette_flux_sum
 
-    def recorded(frames, ranks, seam=None):
-        calls.append((frames.shape, list(ranks), None if seam is None else seam.shape))
-        return kernel(frames, ranks, seam)
+    def recorded(frames, ranks, seam=None, rows=None):
+        calls.append((frames.shape, list(ranks), None if seam is None else seam.shape, rows))
+        return kernel(frames, ranks, seam, rows)
 
     monkeypatch.setattr(chern._kernels, "plaquette_flux_sum", recorded)
     certs = gap_certificates(ctx_of(2, 5, 3, 1), 16)
     ranks = [c["record"].d for c in certs[1:]]
     assert ranks == [1, 2, 3, 4, 5]
-    assert calls == [((16, 16, 5, 5), [0] + ranks, (16, 5, 5)),     # weyl, through its seam
-                     ((16, 16, 5, 5), [0] + ranks, None)]           # reference
+    # the k1-mirrored bands hand over their diagonalized rows 0 .. G/2
+    assert calls == [((9, 16, 5, 5), [0] + ranks, (9, 5, 5), 16),    # weyl, through its seam
+                     ((9, 16, 5, 5), [0] + ranks, None, 16)]         # reference
+    assert {c["cc"].grid for c in certs} == {c["t"].grid for c in certs} == {16}
     calls.clear()
     gap_certificates(ctx_of(0, 1, 1, 0), 12)      # theta = r/q: no twisted family
-    assert calls == [((12, 12, 1, 1), [0, 1], None)]
+    assert calls == [((7, 12, 1, 1), [0, 1], None, 12)]
 
 
 def test_orthogonal_neighbour_frames_are_too_coarse():
@@ -232,6 +237,79 @@ def test_pullback_scaling():
     assert fhs_chern(pullback_field(base, -1, 1)).value == -c0
     with pytest.raises(ValueError):
         pullback_field(base, 0, 1)
+
+
+def _mirrored_and_full(rep, G):
+    """(k1-mirrored bands, directly diagonalized bands) of h on the G x G grid."""
+    h = hofstadter_element(rep.ctx.theta)
+    bd, full = bands_on_grid(rep, h, G), full_grid_bands(rep, h, G)
+    assert (len(bd.frames), len(full.frames)) == (G // 2 + 1, G)
+    return bd, full
+
+
+@pytest.mark.parametrize("kind", ["reference", "weyl"])
+@pytest.mark.parametrize("G", [15, 16])
+def test_mirrored_fields_match_the_full_grid(kind, G):
+    # dense projectors, their defects and the Chern numbers read off the half
+    # rows equal those of eigh at every grid point
+    ctx = ctx_of(2, 5, 3, 1)
+    rep = reference_fibered_rep(ctx) if kind == "reference" else weyl_fibered_rep(ctx)
+    lattice_chern = fhs_chern if kind == "reference" else fhs_chern_twisted
+    bd, full = _mirrored_and_full(rep, G)
+    for gap in hofstadter_gap_report(ctx).internal():
+        f, g = fermi_projector_field(bd, gap.fermi), fermi_projector_field(full, gap.fermi)
+        assert f.shape == g.shape == (G, G)
+        assert np.abs(f.P - g.P).max() < 1e-10
+        defects = g.defects()
+        for key, value in f.defects().items():
+            assert value == pytest.approx(defects[key], abs=1e-12), key
+        res, res_full = lattice_chern(f), lattice_chern(g)
+        assert (res.value, res.grid) == (res_full.value, res_full.grid)
+        assert res.grid == G
+        assert res.raw == pytest.approx(res_full.raw, abs=1e-10)
+
+
+@pytest.mark.parametrize("n1, n2", [(2, 1), (1, 3), (-1, 1)])
+def test_pullback_of_a_mirrored_field(n1, n2):
+    rep = reference_fibered_rep(ctx_of(1, 3, 1, 0))
+    bd, full = _mirrored_and_full(rep, 32)
+    gap = report_of(1, 3, 1, 0, 32).internal()[0]
+    f = pullback_field(fermi_projector_field(bd, gap.fermi), n1, n2)
+    g = pullback_field(fermi_projector_field(full, gap.fermi), n1, n2)
+    assert f.frames.shape == g.frames.shape == (32, 32, 3, 1)
+    assert np.abs(f.P - g.P).max() < 1e-10
+    res, res_full = fhs_chern(f), fhs_chern(g)
+    assert res.value == res_full.value == -n1 * n2
+    assert res.raw == pytest.approx(res_full.raw, abs=1e-10)
+
+
+@pytest.mark.parametrize("G", [47, 48])
+def test_numeric_trace_and_character_of_a_mirrored_field(G):
+    # row 0 (and row G/2 at even G) counts once, every other stored row twice
+    rep = reference_fibered_rep(ctx_of(1, 3, 1, 0), conjugated=True)
+    bd, full = _mirrored_and_full(rep, G)
+    gap = report_of(1, 3, 1, 0, 32).internal()[0]
+    f, g = fermi_projector_field(bd, gap.fermi), fermi_projector_field(full, gap.fermi)
+    assert nc_integral_numeric(f) == pytest.approx(nc_integral_numeric(g), abs=1e-12)
+    assert nc_integral_numeric(f) == pytest.approx(1 / 3, abs=1e-12)
+    assert connes_chern_via_derivatives(f) == pytest.approx(
+        connes_chern_via_derivatives(g), abs=1e-10)
+    res, res_full = connes_chern_numeric(f), connes_chern_numeric(g)
+    assert (res.value, res.grid) == (res_full.value, res_full.grid) == (-1, G)
+
+
+def test_certificates_from_mirrored_bands_match_the_full_grid():
+    ctx = ctx_of(3, 7, 3, 2)
+    report = hofstadter_gap_report(ctx)
+    bd_r, full_r = _mirrored_and_full(reference_fibered_rep(ctx), 16)
+    bd_w, full_w = _mirrored_and_full(weyl_fibered_rep(ctx), 16)
+    certs = certify_gaps(ctx, report, bd_r, bd_w)
+    for c, c_full in zip(certs, certify_gaps(ctx, report, full_r, full_w), strict=True):
+        assert c["record"] == dataclasses.replace(c_full["record"], residual=c["record"].residual)
+        assert c["ncint"] == pytest.approx(c_full["ncint"], abs=1e-12)
+        for key in ("t", "cc"):
+            assert (c[key].value, c[key].grid) == (c_full[key].value, 16)
+            assert c[key].raw == pytest.approx(c_full[key].raw, abs=1e-10)
 
 
 def test_verify_full_projector_anchor():

@@ -9,6 +9,7 @@ from conftest import bands_of, ctx_of
 
 from nctorus import _kernels, chern
 from nctorus.representations import _shift_power_grid
+from nctorus.spectral import expand_k1_mirror
 
 
 def random_frames(*shape, seed=0):
@@ -53,7 +54,8 @@ def test_identity_frames_through_the_weyl_seam_carry_flux_2pi_q(N, q):
 
 @pytest.mark.parametrize("frames", [
     pytest.param(lambda: random_frames(6, 7, 5, 5, seed=4), id="random-unitary"),
-    pytest.param(lambda: bands_of(8, 13, 2, 1, "weyl", 16).frames, id="bands-8/13-(2,1)-G16"),
+    pytest.param(lambda: expand_k1_mirror(bands_of(8, 13, 2, 1, "weyl", 16).frames, 16),
+                 id="bands-8/13-(2,1)-G16"),
 ])
 @pytest.mark.parametrize("with_seam", [False, True])
 def test_multi_rank_call_matches_one_rank_at_a_time(frames, with_seam):
@@ -74,8 +76,8 @@ def test_multi_rank_call_matches_one_rank_at_a_time(frames, with_seam):
         assert (total, min_abs) == pytest.approx(lapack_flux(F, R, seam), abs=1e-10), R
 
 
-def one_rank_at_a_time(F, ranks, seam=None):
-    return [_kernels.plaquette_flux_sum(F[..., :R], [R], seam)[0] for R in ranks]
+def one_rank_at_a_time(F, ranks, seam=None, rows=None):
+    return [_kernels.plaquette_flux_sum(F[..., :R], [R], seam, rows)[0] for R in ranks]
 
 
 def lapack_flux(F, R, seam=None):
@@ -148,9 +150,44 @@ def test_gap_ranks_of_touching_central_bands(kind):
     ranks = [int((bd_r.energies[0, 0] < gap.fermi).sum()) for gap in report.gaps]
     assert ranks == [0, 1, 2, 3, 5, 6, 7, 8]
     bd = bd_r if kind == "reference" else bd_w
-    seam = None if kind == "reference" else chern._weyl_seam(ctx, bd.k1s)
-    multi = _kernels.plaquette_flux_sum(bd.frames, ranks, seam)
+    seam = None if kind == "reference" else chern._weyl_seam(ctx, bd.k1s[:len(bd.frames)])
+    multi = _kernels.plaquette_flux_sum(bd.frames, ranks, seam, 16)
     for R, (total, min_abs), (total_1, min_abs_1) in zip(
-            ranks, multi, one_rank_at_a_time(bd.frames, ranks, seam)):
+            ranks, multi, one_rank_at_a_time(bd.frames, ranks, seam, 16)):
         assert total == pytest.approx(total_1, abs=1e-10), R
         assert min_abs == pytest.approx(min_abs_1, abs=1e-12), R
+
+
+@pytest.mark.parametrize("kind", ["reference", "weyl"])
+@pytest.mark.parametrize("M, N, q, r", [(8, 13, 2, 1), (3, 8, 1, 0)])
+@pytest.mark.parametrize("G", [2, 3, 7, 15, 16])
+def test_k1_mirrored_half_grid_matches_the_full_grid(kind, M, N, q, r, G):
+    # frames of rows 0 .. G//2 (G = 2: both rows diagonalized, nothing mirrored)
+    # give every rank the flux and smallest link of the expanded full grid
+    ctx = ctx_of(M, N, q, r)
+    bd = bands_of(M, N, q, r, kind, G)
+    assert bd.frames.shape[:2] == (G // 2 + 1, G)
+    F = expand_k1_mirror(bd.frames, G)
+    seam = None if kind == "reference" else chern._weyl_seam(ctx, bd.k1s)
+    half_seam = None if seam is None else seam[:G // 2 + 1]
+    ranks = list(range(N + 1))
+    half = _kernels.plaquette_flux_sum(bd.frames, ranks, half_seam, G)
+    full = _kernels.plaquette_flux_sum(F, ranks, seam)
+    for R, (total, min_abs), (total_f, min_abs_f) in zip(ranks, half, full):
+        assert total == pytest.approx(total_f, abs=1e-12), R
+        assert min_abs == pytest.approx(min_abs_f, abs=1e-12), R
+
+
+def test_frames_with_every_row_take_the_full_grid():
+    # a random frame field has no k1 mirror: rows=G1 is the default, and a row
+    # count that fits neither the grid nor its mirror is refused
+    F = random_frames(7, 6, 4, 4, seed=10)
+    seam = random_frames(7, 4, 4, seed=11)
+    ranks = [0, 1, 3, 4]
+    full = _kernels.plaquette_flux_sum(F, ranks, seam, 7)
+    assert full == _kernels.plaquette_flux_sum(F, ranks, seam)
+    for R, (total, min_abs) in zip(ranks, full):
+        assert (total, min_abs) == pytest.approx(lapack_flux(F, R, seam), abs=1e-10), R
+    for rows in (8, 14, 15):
+        with pytest.raises(ValueError, match="frame rows"):
+            _kernels.plaquette_flux_sum(F, ranks, seam, rows)

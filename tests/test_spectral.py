@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bands_of, ctx_of, report_of
+from conftest import bands_of, ctx_of, full_grid_bands, report_of
 
 from nctorus.algebra import AlgebraElement, hofstadter_element, monomial, unit
 from nctorus.representations import (
@@ -24,6 +24,7 @@ from nctorus.spectral import (
     band_rows,
     bands_on_grid,
     constant_projector_field,
+    expand_k1_mirror,
     export_bands_csv,
     fermi_projector_field,
     hofstadter_gap_report,
@@ -55,7 +56,9 @@ def test_rejects_non_selfadjoint():
 
 def test_frames_are_orthonormal():
     bd = bands_of(1, 3, 1, 0, "weyl", 16)
-    G = np.einsum("ijab,ijac->ijbc", bd.frames.conj(), bd.frames)
+    assert bd.frames.shape == (9, 16, 3, 3)     # k1-mirrored: rows 0 .. G/2 stored
+    F = expand_k1_mirror(bd.frames, 16)
+    G = np.einsum("ijab,ijac->ijbc", F.conj(), F)
     assert np.abs(G - np.eye(3)).max() < 1e-12
 
 
@@ -64,13 +67,6 @@ MIRROR_FAMILIES = [
     pytest.param(reference_fibered_rep, id="reference"),
     pytest.param(lambda ctx: reference_fibered_rep(ctx, conjugated=True), id="conjugated"),
 ]
-
-
-def _direct_bands(rep, a, G):
-    """eigh of pi_k(a) at every point of the G x G grid, no mirror."""
-    k = np.arange(G) / G
-    H = evaluate_on_grid(rep, a, k, k)
-    return np.linalg.eigh(0.5 * (H + np.conj(np.swapaxes(H, -1, -2))))
 
 
 def _gap_ranks(energies):
@@ -105,12 +101,15 @@ def test_k1_mirror_matches_full_grid(family, M, N, q, r, G, eigh_matrices):
     rep, h = family(ctx), hofstadter_element(ctx.theta)
     bd = bands_on_grid(rep, h, G)
     assert eigh_matrices == [(G // 2 + 1) * G]
-    E, F = _direct_bands(rep, h, G)
+    assert bd.frames.shape[0] == G // 2 + 1
+    direct = full_grid_bands(rep, h, G)
+    E, F = direct.energies, direct.frames
     assert np.abs(bd.energies - E).max() < 1e-12
     ranks = [g.d for g in hofstadter_gap_report(ctx).internal()]
     assert ranks and set(ranks) <= set(_gap_ranks(E))
     for R in ranks:
-        assert np.abs(_projector(bd.frames, R) - _projector(F, R)).max() < 1e-10
+        assert np.abs(_projector(expand_k1_mirror(bd.frames, G), R)
+                      - _projector(F, R)).max() < 1e-10
 
 
 @pytest.mark.parametrize("family", MIRROR_FAMILIES)
@@ -124,7 +123,9 @@ def test_element_without_k1_mirror_takes_full_grid(family, M, N, q, r, G, eigh_m
     rep = family(ctx)
     bd = bands_on_grid(rep, a, G)
     assert eigh_matrices == [G * G]
-    E, F = _direct_bands(rep, a, G)
+    assert bd.frames.shape[0] == G
+    direct = full_grid_bands(rep, a, G)
+    E, F = direct.energies, direct.frames
     assert np.abs(bd.energies - E).max() < 1e-12
     for R in _gap_ranks(E):
         assert np.abs(_projector(bd.frames, R) - _projector(F, R)).max() < 1e-10
@@ -206,7 +207,7 @@ def test_fermi_projector_is_a_view_of_the_band_frames():
     gap = report_of(1, 3, 2, 1, 16).internal()[0]
     f = fermi_projector_field(bd, gap.fermi)
     assert np.shares_memory(f.frames, bd.frames)
-    F = bd.frames[..., : f.rank]
+    F = expand_k1_mirror(bd.frames[..., : f.rank], 16)
     assert np.allclose(f.P, F @ np.conj(np.swapaxes(F, -1, -2)), atol=1e-14)
 
 

@@ -1,7 +1,10 @@
 """Invariant suite: one spectral pass per context, failures as FAIL rows."""
 
-from conftest import ctx_of
+import pytest
 
+from conftest import ctx_of, full_grid_bands
+
+from nctorus import chern, suite
 from nctorus.suite import run_invariant_suite
 
 
@@ -21,3 +24,17 @@ def test_suite_records_numerical_failures_as_rows():
     assert not rows["tknn-gaps"].ok
     assert rows["tknn-gaps"].value == float("inf")
     assert "N*t + M0*s" in rows["tknn-gaps"].detail
+
+
+def test_projector_rows_on_mirrored_bands_match_the_full_grid(monkeypatch):
+    # the dense projectors of the k1-mirrored weyl bands serve the field and
+    # seam-transport checks as the directly diagonalized grid does
+    ctx = ctx_of(2, 5, 3, 1)
+    mirrored = {r.name: r for r in run_invariant_suite(ctx, 16)}
+    for mod in (chern, suite):
+        monkeypatch.setattr(mod, "bands_on_grid", full_grid_bands)
+    full = {r.name: r for r in run_invariant_suite(ctx, 16)}
+    assert {n: r.ok for n, r in mirrored.items()} == {n: r.ok for n, r in full.items()}
+    assert all(r.ok for r in mirrored.values())
+    for name in ("projector-field", "projector-seam-transport"):
+        assert mirrored[name].value == pytest.approx(full[name].value, abs=1e-12), name
