@@ -120,15 +120,13 @@ def plaquette_flux_sum(frames: np.ndarray, ranks: list[int], seam: np.ndarray | 
     G1 = H if rows is None else rows
     if H not in (G1, G1 // 2 + 1):
         raise ValueError(f"{H} frame rows fit neither a {G1}-row grid nor its k1 mirror")
+    mirrored = H < G1
     out = []
     for Lx, Ly in zip(*_link_minors(frames[..., :ranks[-1]], ranks, seam, G1)):
         min_abs = float(min(np.abs(Lx).min(), np.abs(Ly).min()))
-        if H == G1:
-            pl = Ly * np.roll(Lx, -1, axis=1) * np.conj(np.roll(Ly, -1, axis=0)) * np.conj(Lx)
-            out.append((float(np.angle(pl).sum()), min_abs))
-            continue
-        Ly_next = np.concatenate((Ly[1:], Ly[-1:].conj()))[:len(Lx)]
+        Ly_next = np.concatenate((Ly[1:], Ly[-1:].conj() if mirrored else Ly[:1]))[:len(Lx)]
         pl = Ly[:len(Lx)] * np.roll(Lx, -1, axis=1) * np.conj(Ly_next) * np.conj(Lx)
         angles = np.angle(pl)
-        out.append((float(2 * angles[:G1 // 2].sum() + angles[G1 // 2:].sum()), min_abs))
+        total = 2 * angles[:G1 // 2].sum() + angles[G1 // 2:].sum() if mirrored else angles.sum()
+        out.append((float(total), min_abs))
     return out
