@@ -150,9 +150,6 @@ class AlgebraElement:
     def __rmul__(self, scalar) -> "AlgebraElement":
         return AlgebraElement(self.theta, {k: scalar * v for k, v in self.coeffs.items()})
 
-    def star(self) -> "AlgebraElement":
-        return element_star(self)
-
     def __repr__(self) -> str:
         terms = ", ".join(f"({n},{m}): {c:.4g}" for (n, m), c in sorted(self.coeffs.items()))
         return f"AlgebraElement(theta={self.theta}, {{{terms}}})"

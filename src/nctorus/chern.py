@@ -12,7 +12,8 @@ A certificate run needs one Chern number per gap and family.  The Fermi
 frames of the gaps are leading column blocks of the family's band
 frames, so `certify_gaps` makes one kernel call per family with every
 gap's rank (the kernel forms the link overlaps once, see `_kernels`),
-then checks the gaps in one loop.
+then checks the gaps in one loop.  Every kernel call, of a certificate
+run or of a single field, goes through `_flux_sums`.
 
 Orientation of the plaquette loop is pinned by the full-field anchor
 t(identity) = q and by the derivative-formula character oracle; both
@@ -42,9 +43,9 @@ from .arithmetic import (
     tknn_solve,
 )
 from .representations import (
-    _shift_power_grid,
     evaluate_on_grid,
     reference_fibered_rep,
+    twist_transport,
     weyl_fibered_rep,
 )
 from .spectral import (
@@ -96,19 +97,25 @@ def _rounded(total: float, min_abs: float, G: int, what: str) -> ChernResult:
     return ChernResult(value, raw, residual, G)
 
 
+def _flux_sums(field: ProjectorField | BandData, ranks: List[int]):
+    """[(flux_sum, min_abs_link)] of the leading `ranks` columns of a field's frames.
+
+    `field` is a ProjectorField or a BandData.  A weyl-kind field closes
+    k2 through `twist_transport` stacked over its stored k1 rows, a
+    reference one is periodic; a k1-mirrored field is summed over its half.
+    """
+    k1s = field.k1s[:len(field.frames)]
+    seam = twist_transport(field.rep.ctx, k1s) if field.rep.kind == "weyl" else None
+    return _kernels.plaquette_flux_sum(field.frames, ranks, seam, len(field.k1s))
+
+
 def fhs_chern(field: ProjectorField) -> ChernResult:
     """Plaquette-flux Chern number of a periodic projector field."""
     if not field.rep.periodic:
         raise ValueError("fhs_chern requires a periodic field; "
                          "use fhs_chern_twisted for weyl-kind fields")
-    G1 = len(field.k1s)
-    [(total, min_abs)] = _kernels.plaquette_flux_sum(field.frames, [field.rank], rows=G1)
-    return _rounded(total, min_abs, G1, "fhs_chern")
-
-
-def _weyl_seam(ctx: WeylContext, k1s: np.ndarray) -> np.ndarray:
-    """twist_transport(k1, 1) of the weyl family, batched over k1: (G1, N, N)."""
-    return _shift_power_grid(ctx.N, np.exp(1j * TWO_PI * ctx.q * k1s), -1)
+    [(total, min_abs)] = _flux_sums(field, [field.rank])
+    return _rounded(total, min_abs, len(field.k1s), "fhs_chern")
 
 
 def fhs_chern_twisted(field: ProjectorField) -> ChernResult:
@@ -118,10 +125,8 @@ def fhs_chern_twisted(field: ProjectorField) -> ChernResult:
     """
     if field.rep.kind != "weyl":
         raise ValueError("fhs_chern_twisted requires a weyl-kind field")
-    G1 = len(field.k1s)
-    seam = _weyl_seam(field.rep.ctx, field.k1s[:len(field.frames)])
-    [(total, min_abs)] = _kernels.plaquette_flux_sum(field.frames, [field.rank], seam, G1)
-    return _rounded(total, min_abs, G1, "fhs_chern_twisted")
+    [(total, min_abs)] = _flux_sums(field, [field.rank])
+    return _rounded(total, min_abs, len(field.k1s), "fhs_chern_twisted")
 
 
 def ambient_chern_analytic(N: int, q: int) -> int:
@@ -178,6 +183,20 @@ def _fft_derivative(A: np.ndarray, axis: int) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(A, axis=axis) * (2j * np.pi * freqs).reshape(shape), axis=axis)
 
 
+def _fft_character(A: np.ndarray) -> complex:
+    """Grid mean of tr(A (d2A d1A - d1A d2A)) / (2 pi i N) over (G1, G2, N, N) samples.
+
+    On the conjugated reference realization d/dk1 and d/dk2 are the
+    algebra derivations of axes 2 and 1, so this is the character of A;
+    the derivatives are spectral (FFT) along the periodic grid axes.
+    """
+    A1 = _fft_derivative(A, 0)   # d/dk1  <->  derivation axis 2
+    A2 = _fft_derivative(A, 1)   # d/dk2  <->  derivation axis 1
+    X = np.einsum("ijab,ijbc,ijcd->ijad", A, A2, A1) \
+        - np.einsum("ijab,ijbc,ijcd->ijad", A, A1, A2)
+    return complex(np.trace(X, axis1=-2, axis2=-1).mean()) / (A.shape[-1] * 2j * np.pi)
+
+
 def connes_chern_via_derivatives(field: ProjectorField) -> float:
     """Character via the derivative formula; independent of the plaquette path.
 
@@ -187,13 +206,7 @@ def connes_chern_via_derivatives(field: ProjectorField) -> float:
     """
     if not (field.rep.periodic and field.rep.conjugated):
         raise ValueError("derivative-formula character needs a conjugated reference field")
-    P = field.P
-    P1 = _fft_derivative(P, 0)   # d/dk1
-    P2 = _fft_derivative(P, 1)   # d/dk2
-    X = np.einsum("ijab,ijbc,ijcd->ijad", P, P2, P1) \
-        - np.einsum("ijab,ijbc,ijcd->ijad", P, P1, P2)
-    val = np.trace(X, axis1=-2, axis2=-1).mean() / (field.dim * 2j * np.pi)
-    return float(val.real)
+    return _fft_character(field.P).real
 
 
 def pullback_field(field: ProjectorField, n1: int, n2: int) -> ProjectorField:
@@ -245,9 +258,8 @@ def certify_gaps(ctx: WeylContext, report: GapReport, bd_r: BandData,
     identities, and `tknn_solve`.
     """
     ranks = [int((bd_r.energies[0, 0] < gap.fermi).sum()) for gap in report.gaps]
-    t_sums = None if bd_w is None else _kernels.plaquette_flux_sum(
-        bd_w.frames, ranks, _weyl_seam(ctx, bd_w.k1s[:len(bd_w.frames)]), len(bd_w.k1s))
-    cc_sums = _kernels.plaquette_flux_sum(bd_r.frames, ranks, rows=len(bd_r.k1s))
+    t_sums = None if bd_w is None else _flux_sums(bd_w, ranks)
+    cc_sums = _flux_sums(bd_r, ranks)
     G1, G2 = bd_r.shape
     traces = np.concatenate(([0.0], np.cumsum(_column_traces(bd_r.frames, G1))))
     ncints = traces / (G1 * G2) / bd_r.rep.dim
@@ -333,12 +345,7 @@ def symbolic_numeric_crosscheck(a: AlgebraElement, ctx: WeylContext, G: int = 32
 
     i_sym = nc_integral_symbolic(a)
     i_num = complex(np.trace(A, axis1=-2, axis2=-1).mean()) / N
-
-    A1 = _fft_derivative(A, 0)   # d/dk1  <->  derivation axis 2
-    A2 = _fft_derivative(A, 1)   # d/dk2  <->  derivation axis 1
-    X = np.einsum("ijab,ijbc,ijcd->ijad", A, A2, A1) \
-        - np.einsum("ijab,ijbc,ijcd->ijad", A, A1, A2)
-    c_num = complex(np.trace(X, axis1=-2, axis2=-1).mean()) / (N * 2j * np.pi)
+    c_num = _fft_character(A)
     c_sym = connes_chern_symbolic(a)
 
     return float(max(abs(i_sym - i_num), abs(c_sym - c_num)))

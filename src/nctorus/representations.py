@@ -49,35 +49,21 @@ def shift_matrix(q: int, lam: complex = 1.0 + 0j) -> np.ndarray:
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    S = np.zeros((q, q), dtype=complex)
-    for j in range(q - 1):
-        S[j + 1, j] = 1.0
-    S[0, q - 1] = lam
-    return S
+    return shift_matrix_power(q, lam, 1)
 
 
-def shift_matrix_power(q: int, lam: complex, p: int) -> np.ndarray:
-    """S(q, lam)^p for any integer p, via the reduction S^q = lam I."""
+def shift_matrix_power(q: int, lam, p: int) -> np.ndarray:
+    """S(q, lam)^p for any integer p, via the reduction S^q = lam I.
+
+    An array of corner phases gives the stacked powers, lam.shape + (q, q).
+    """
     wraps, p0 = divmod(p, q)
-    out = np.zeros((q, q), dtype=complex)
+    out = np.zeros(np.shape(lam) + (q, q), dtype=complex)
     for j in range(q):
         i = j + p0
-        out[i % q, j] = lam if i >= q else 1.0
+        out[..., i % q, j] = lam if i >= q else 1.0
     if wraps:
-        out *= lam ** wraps
-    return out
-
-
-def _shift_power_grid(q: int, lam: np.ndarray, p: int) -> np.ndarray:
-    """Batched S(q, lam_g)^p over a vector of corner phases: (G, q, q)."""
-    wraps, p0 = divmod(p, q)
-    G = lam.shape[0]
-    out = np.zeros((G, q, q), dtype=complex)
-    for j in range(q):
-        i = j + p0
-        out[:, i % q, j] = lam if i >= q else 1.0
-    if wraps:
-        out *= (lam ** wraps)[:, None, None]
+        out *= np.asarray(lam ** wraps)[..., None, None]
     return out
 
 
@@ -91,12 +77,13 @@ def twist_matrix(ctx: WeylContext, k1: float) -> np.ndarray:
     return shift_matrix(ctx.N, np.exp(1j * TWO_PI * ctx.q * k1)).T.copy()
 
 
-def twist_transport(ctx: WeylContext, k1: float, m: int = 1) -> np.ndarray:
+def twist_transport(ctx: WeylContext, k1, m: int = 1) -> np.ndarray:
     """Unitary T with pi_{(k1, k2+m)}(a) = T pi_{(k1, k2)}(a) T^dagger.
 
     T = conj(G(k1))^m = S(e^{i2pi q k1})^{-m}; T^N is the scalar
     e^{-i2pi q k1 m} I, which is why weyl projector fields are exactly
-    periodic over k2 in [0, N).
+    periodic over k2 in [0, N).  An array of k1 gives the stacked
+    transports, k1.shape + (N, N): the seam of a twisted Chern lattice.
     """
     lam = np.exp(1j * TWO_PI * ctx.q * k1)
     return shift_matrix_power(ctx.N, lam, -m)
@@ -241,7 +228,7 @@ def evaluate_on_grid(rep: FiberedRep, a: AlgebraElement,
                 base = shift_matrix_power(N, 1.0 + 0j, ctx.d_r * m)
                 vm = np.exp(1j * TWO_PI * m * k1s)[:, None, None] * base[None, :, :]
             else:
-                vm = _shift_power_grid(N, lam, ctx.d_r * m)
+                vm = shift_matrix_power(N, lam, ctx.d_r * m)
                 vm *= np.exp(1j * TWO_PI * ctx.n_r * m * k1s)[:, None, None]
             vcache[m] = vm
         term = rep._u_const_diag(n)[None, :, None] * vcache[m]   # diag(C^{qMn}) @ V^m

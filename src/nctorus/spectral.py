@@ -54,6 +54,7 @@ from .arithmetic import WeylContext
 from .representations import FiberedRep, evaluate_on_grid, reference_fibered_rep
 
 SELFADJOINT_TOL = 1e-12
+FERMI_TOL = 1e-8          # least distance of a Fermi level from the sampled spectrum
 
 
 class SelfAdjointnessError(ValueError):
@@ -99,7 +100,6 @@ class GapInfo:
 @dataclass(frozen=True)
 class GapReport:
     bands: int            # merged band count (touching bands count once)
-    n_curves: int         # eigenvalue branches = N
     gaps: List[GapInfo]   # ordered, includes inf- and sup-gap
 
     def internal(self) -> List[GapInfo]:
@@ -176,7 +176,7 @@ def _build_report(lo: np.ndarray, hi: np.ndarray, open_slots: np.ndarray) -> Gap
             gaps.append(GapInfo(len(gaps), lower, upper, c + 1, 0.5 * (lower + upper)))
             groups += 1
     gaps.append(GapInfo(len(gaps), float(hi[-1]), float("inf"), N, float(hi[-1]) + 1.0))
-    return GapReport(bands=groups, n_curves=N, gaps=gaps)
+    return GapReport(bands=groups, gaps=gaps)
 
 
 def hofstadter_gap_report(ctx: WeylContext, tol: float = 1e-8) -> GapReport:
@@ -267,10 +267,10 @@ class ProjectorField:
         }
 
 
-def fermi_projector_field(bd: BandData, fermi: float, tol: float = 1e-8) -> ProjectorField:
-    """Sum of eigenprojections below `fermi`, which must sit in a gap."""
-    if np.abs(bd.energies - fermi).min() <= tol:
-        raise GapViolationError(f"fermi level {fermi} is within {tol} of the spectrum")
+def fermi_projector_field(bd: BandData, fermi: float) -> ProjectorField:
+    """Sum of eigenprojections below `fermi`, which must sit in a gap, FERMI_TOL clear."""
+    if np.abs(bd.energies - fermi).min() <= FERMI_TOL:
+        raise GapViolationError(f"fermi level {fermi} is within {FERMI_TOL} of the spectrum")
     occ = (bd.energies < fermi).sum(axis=-1)
     rank = int(occ.flat[0])
     if not (occ == rank).all():

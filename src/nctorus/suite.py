@@ -187,7 +187,7 @@ def run_invariant_suite(ctx: WeylContext, G: int = 32, tol: float = 1e-8) -> Lis
     seam = 0.0
     detail = "no internal gap"
     if widest and not collapsed:
-        f_w = fermi_projector_field(bd_w, widest.fermi, tol)
+        f_w = fermi_projector_field(bd_w, widest.fermi)
         dft = f_w.defects()
         field_defect = max(dft["idempotency"], dft["hermiticity"], dft["trace"])
         P = f_w.P
@@ -235,7 +235,7 @@ def run_invariant_suite(ctx: WeylContext, G: int = 32, tol: float = 1e-8) -> Lis
     if widest:
         try:
             f_r = fermi_projector_field(bands_on_grid(reps["reference"], h, 2 * G),
-                                        widest.fermi, tol)
+                                        widest.fermi)
             base = fhs_chern(f_r).value
             for (n1, n2) in ((2, 1), (1, 3)):
                 scaled = fhs_chern(pullback_field(f_r, n1, n2)).value

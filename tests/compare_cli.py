@@ -1,0 +1,77 @@
+"""Run nine fixed CLI commands under two source trees and diff what they emit.
+
+    python3 tests/compare_cli.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories that hold the `nctorus` package,
+such as `src` of two checkouts.  Each command runs as `python -m nctorus`
+with that tree first on PYTHONPATH and NCTORUS_THREADS=2, in a fresh
+working directory, writing its files under `out/`.  The script compares
+the exit code, stdout, stderr and the bytes of every written file, prints
+one line per command, and exits 1 when any of them differs, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+COMMANDS = (
+    ("chern", "--theta", "8/13", "--rep", "2,1", "--grid", "64"),
+    ("chern", "--theta", "1/3", "--rep", "2,1", "--grid", "16"),
+    ("chern", "--theta", "5/8", "--rep", "3,-2", "--grid", "24"),
+    ("labels", "--theta", "3/7", "--rep", "3,2", "--grid", "32"),
+    ("verify", "--theta", "1/3", "--rep", "2,1", "--grid", "32"),
+    ("verify", "--theta", "3/7", "--rep", "3,2", "--grid", "6"),
+    ("verify", "--theta", "0/1", "--grid", "12"),
+    ("butterfly", "--farey", "6", "--grid", "32",
+     "--format", "csv", "--format", "svg", "--color-gaps"),
+    ("butterfly", "--farey", "10", "--grid", "48", "--format", "csv", "--format", "svg"),
+)
+
+
+def run(src: Path, argv) -> dict:
+    """{"exit", "stdout", "stderr", "files"} of one command under the package tree `src`."""
+    env = dict(os.environ, PYTHONPATH=str(src), NCTORUS_THREADS="2")
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run([sys.executable, "-m", "nctorus", *argv, "--out", "out"],
+                              cwd=cwd, env=env, capture_output=True)
+        out = Path(cwd) / "out"
+        files = {str(p.relative_to(out)): p.read_bytes()
+                 for p in sorted(out.rglob("*")) if p.is_file()}
+    return {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,
+            "files": files}
+
+
+def differences(old: dict, new: dict) -> list:
+    """What differs between two runs, as short descriptions."""
+    diffs = [key for key in ("exit", "stdout", "stderr") if old[key] != new[key]]
+    for name in sorted(set(old["files"]) | set(new["files"])):
+        if name not in old["files"] or name not in new["files"]:
+            diffs.append(f"{name} written by one tree only")
+        elif old["files"][name] != new["files"][name]:
+            diffs.append(f"{name} differs")
+    return diffs
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print("usage: python3 tests/compare_cli.py OLD_SRC NEW_SRC", file=sys.stderr)
+        return 2
+    old_src, new_src = (Path(a).resolve() for a in argv)
+    failed = 0
+    for command in COMMANDS:
+        old, new = run(old_src, command), run(new_src, command)
+        diffs = differences(old, new)
+        failed += bool(diffs)
+        status = "DIFFERS: " + "; ".join(diffs) if diffs else (
+            f"identical (exit {new['exit']}, {len(new['files'])} files)")
+        print(f"{' '.join(command)}: {status}", flush=True)
+    print(f"{len(COMMANDS) - failed} of {len(COMMANDS)} runs byte-identical")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

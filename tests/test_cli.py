@@ -348,6 +348,17 @@ def test_verify_numerical_failure_still_writes_report(tmp_path, theta, rep, grid
     assert [row["ok"] for row in rows if row["name"] == failing] == [False]
 
 
+def test_verify_with_a_wide_gap_tolerance_writes_its_report(tmp_path, capsys):
+    # --tol is the gap-width threshold of the report, not the Fermi levels'
+    # distance from the spectrum: at 1.0 the projector checks still run
+    out = tmp_path / "o"
+    assert run("verify", "--theta", "1/3", "--rep", "2,1", "--grid", "32", "--tol", "1.0",
+               "--out", str(out)) == EXIT_OK
+    rows = json.loads((out / "verify_1_3_q2r1.json").read_text())
+    assert len(rows) == 17 and all(row["ok"] for row in rows)
+    assert capsys.readouterr().err == ""
+
+
 def _svg_columns(svg):
     """Per column x: black band segments and gap rectangles, as (low, high) in y."""
     segs, rects = {}, {}

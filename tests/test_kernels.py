@@ -8,7 +8,7 @@ import pytest
 from conftest import bands_of, ctx_of
 
 from nctorus import _kernels, chern
-from nctorus.representations import _shift_power_grid
+from nctorus.representations import twist_transport
 from nctorus.spectral import expand_k1_mirror
 
 
@@ -43,10 +43,10 @@ def test_flux_is_gauge_invariant():
 @pytest.mark.parametrize("N,q", [(1, 1), (3, 2), (5, 3)])
 def test_identity_frames_through_the_weyl_seam_carry_flux_2pi_q(N, q):
     # the whole twisted field: every bulk link is 1, and det of the seam
-    # transport winds q times around k1
+    # transport winds q times around k1 (theta = 1/N, or 0/1, and r = q - 1)
     G = 8
     F = np.broadcast_to(np.eye(N, dtype=complex), (G, G, N, N))
-    seam = _shift_power_grid(N, np.exp(2j * math.pi * q * np.arange(G) / G), -1)
+    seam = twist_transport(ctx_of(1 % N, N, q, q - 1), np.arange(G) / G)
     [(total, min_abs)] = _kernels.plaquette_flux_sum(F, [N], seam)
     assert total == pytest.approx(2 * math.pi * q, abs=1e-12)
     assert min_abs == pytest.approx(1.0, abs=1e-14)
@@ -150,7 +150,7 @@ def test_gap_ranks_of_touching_central_bands(kind):
     ranks = [int((bd_r.energies[0, 0] < gap.fermi).sum()) for gap in report.gaps]
     assert ranks == [0, 1, 2, 3, 5, 6, 7, 8]
     bd = bd_r if kind == "reference" else bd_w
-    seam = None if kind == "reference" else chern._weyl_seam(ctx, bd.k1s[:len(bd.frames)])
+    seam = None if kind == "reference" else twist_transport(ctx, bd.k1s[:len(bd.frames)])
     multi = _kernels.plaquette_flux_sum(bd.frames, ranks, seam, 16)
     for R, (total, min_abs), (total_1, min_abs_1) in zip(
             ranks, multi, one_rank_at_a_time(bd.frames, ranks, seam, 16)):
@@ -168,7 +168,7 @@ def test_k1_mirrored_half_grid_matches_the_full_grid(kind, M, N, q, r, G):
     bd = bands_of(M, N, q, r, kind, G)
     assert bd.frames.shape[:2] == (G // 2 + 1, G)
     F = expand_k1_mirror(bd.frames, G)
-    seam = None if kind == "reference" else chern._weyl_seam(ctx, bd.k1s)
+    seam = None if kind == "reference" else twist_transport(ctx, bd.k1s)
     half_seam = None if seam is None else seam[:G // 2 + 1]
     ranks = list(range(N + 1))
     half = _kernels.plaquette_flux_sum(bd.frames, ranks, half_seam, G)

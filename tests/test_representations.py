@@ -71,6 +71,25 @@ def test_shift_matrix_power_closed_form(p, rng):
     assert frob(got - want) < 1e-13
 
 
+@pytest.mark.parametrize("p", [-6, -1, 0, 1, 7])
+def test_stacked_powers_and_transports_equal_the_scalar_calls(p, rng):
+    # the weyl seam is twist_transport over an array of k1.  The stacked call
+    # repeats the scalar arithmetic bit for bit, except where S^q = lam I is
+    # applied -1 or 2 times: numpy raises an array to those powers through
+    # reciprocal and square, which can round the last bit unlike its scalar power
+    ctx = ctx_of(2, 5, 3, 1)
+    lams = np.exp(2j * np.pi * rng.random(6))
+    k1s = rng.random(6)
+    for stacked, scalar, power in (
+            (shift_matrix_power(5, lams, p), [shift_matrix_power(5, lam, p) for lam in lams], p),
+            (twist_transport(ctx, k1s, p), [twist_transport(ctx, k1, p) for k1 in k1s], -p)):
+        assert stacked.shape == (6, 5, 5)
+        if power // 5 in (-1, 2):
+            assert np.abs(stacked - scalar).max() <= 2 ** -52
+        else:
+            assert np.array_equal(stacked, scalar)
+
+
 def test_twist_matrix_layout():
     ctx = ctx_of(1, 2, 1, 0)
     assert np.allclose(twist_matrix(ctx, 0.0), [[0, 1], [1, 0]])
