@@ -42,18 +42,13 @@ from .arithmetic import (
     tknn_rhs_value,
     tknn_solve,
 )
-from .representations import (
-    evaluate_on_grid,
-    reference_fibered_rep,
-    twist_transport,
-    weyl_fibered_rep,
-)
+from .representations import evaluate_on_grid, reference_fibered_rep, twist_transport
 from .spectral import (
     BandData,
     GapReport,
     NumericalFailure,
     ProjectorField,
-    bands_on_grid,
+    dual_bands,
     expand_k1_mirror,
     fermi_projector_field,
     hofstadter_gap_report,
@@ -233,13 +228,15 @@ def gap_bands(ctx: WeylContext, G: int = 64, tol: float = 1e-8):
     every band edge of h = u + u* + v + v* is an eigenvalue at a character
     (+-1, +-1), so no grid sampling or refinement is involved), the
     reference bands at G, and the weyl bands at G (None at theta = r/q).
-    Each (rep, G) is diagonalized once.  The Fermi levels are the
-    midpoints of the true gaps, so they lie in the sampled gaps of any grid.
+    One spectral pass serves both families (`dual_bands`): the weyl bands
+    are diagonalized, and the reference bands are read off them by
+    magnetic translation, except for the columns k2 = j/G with
+    gcd(M0, G) not dividing j, which are diagonalized on their own.  The
+    Fermi levels are the midpoints of the true gaps, so they lie in the
+    sampled gaps of any grid.
     """
     report = hofstadter_gap_report(ctx, tol)
-    h = hofstadter_element(ctx.theta)
-    bd_r = bands_on_grid(reference_fibered_rep(ctx), h, G)
-    bd_w = None if ctx.M0 == 0 else bands_on_grid(weyl_fibered_rep(ctx), h, G)
+    bd_r, bd_w = dual_bands(ctx, hofstadter_element(ctx.theta), G)
     return report, bd_r, bd_w
 
 

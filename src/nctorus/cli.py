@@ -145,6 +145,10 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
+# the formats a subcommand writes; the others write their JSON whatever --format says
+_WRITES = {"butterfly": ("csv", "svg"), "gaps": ("json", "csv")}
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     filed = parse_config_file(args.config) if args.config else {}
 
@@ -172,9 +176,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"tol must be positive, got {cfg.tol}")
     if cfg.farey is not None and cfg.farey < 1:
         raise ConfigError(f"farey bound must be >= 1, got {cfg.farey}")
+    accepted = _WRITES.get(args.command)
     for f in cfg.formats:
         if f not in ("csv", "json", "svg"):
             raise ConfigError(f"unknown format {f!r}")
+        if accepted and f not in accepted:
+            raise ConfigError(f"{args.command} cannot write {f!r}: it writes "
+                              f"{' or '.join(accepted)}")
     return cfg
 
 

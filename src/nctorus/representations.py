@@ -17,6 +17,16 @@ every operator by the transport unitary conj(G(k1)) = S(e^{i2pi q k1})^{-1}
 (see `twist_transport`; `twist_matrix` returns G itself, whose N-th power
 is e^{i2pi q k1} I).  Both reference forms are fully periodic; only the
 conjugated form intertwines the algebra derivations with d/dk2, d/dk1.
+
+The weyl and the (plain) reference family share V(k), and their U(k)
+differ only in the rate of the scalar phase in k2, so
+pi^w_(k1, k2) = pi^r_(k1, M0 k2 / N) exactly.  The reference family is
+invariant under the magnetic translation k2 -> k2 + 1/N:
+pi^r_(k1, k2 + m/N) = W^m pi^r_k W^-m with W = S(e^{i2pi q k1})^a and
+a = -(qM)^{-1} mod N, because S^a C^{qM} S^-a = e^{i2pi/N} C^{qM} and W
+commutes with V(k); W^p is twist_transport(ctx, k1, -a p).  Together
+they let `spectral.dual_bands` read the reference bands off the weyl
+ones.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
 """Band structure over a k-grid, gap reports, and Fermi projector fields.
 
 One fiberwise Hermitian eigendecomposition per (rep, element, grid)
-feeds everything downstream.  The spectral projector below a Fermi
-level in a gap (the finite-dimensional stand-in for the resolvent
-contour integral) is carried as the occupied eigenvector columns it
-came from, a view into the band frames; the dense N x N projector is
-built only on demand.
+feeds everything downstream, and one per (context, element, grid) when
+both families are needed: `dual_bands` diagonalizes the weyl family and
+reads the reference bands off it by magnetic translation.  The spectral
+projector below a Fermi level in a gap (the finite-dimensional stand-in
+for the resolvent contour integral) is carried as the occupied
+eigenvector columns it came from, a view into the band frames; the
+dense N x N projector is built only on demand.
 
 Gap reports of the flux operator h = u + u* + v + v* are exact and need
 no grid.  Every irreducible representation of the rational rotation
@@ -51,7 +53,13 @@ import numpy as np
 
 from .algebra import AlgebraElement, element_star, hofstadter_element
 from .arithmetic import WeylContext
-from .representations import FiberedRep, evaluate_on_grid, reference_fibered_rep
+from .representations import (
+    TWO_PI,
+    FiberedRep,
+    evaluate_on_grid,
+    reference_fibered_rep,
+    weyl_fibered_rep,
+)
 
 SELFADJOINT_TOL = 1e-12
 FERMI_TOL = 1e-8          # least distance of a Fermi level from the sampled spectrum
@@ -135,6 +143,49 @@ def bands_on_grid(rep: FiberedRep, a: AlgebraElement, G: int) -> BandData:
         return BandData(rep, k, k, *_eigh_on_grid(rep, a, k, k))
     energies, frames = _eigh_on_grid(rep, a, k[:G // 2 + 1], k)
     return BandData(rep, k, k, expand_k1_mirror(energies, G), frames)
+
+
+def dual_bands(ctx: WeylContext, a: AlgebraElement, G: int):
+    """(bd_r, bd_w): reference and weyl bands of `a` at G from one weyl pass.
+
+    The weyl family is the reference family read at a scaled k2,
+    pi^w_(k1, k2) = pi^r_(k1, M0 k2 / N), and the reference family is
+    invariant under the magnetic translation
+    pi^r_(k1, k2 + m/N) = W^m pi^r_k W^-m, W = S(e^{i2pi q k1})^a,
+    a = -(qM)^-1 mod N.  So reference column j (k2 = j/G) is weyl column
+    j_w conjugated by W^-m whenever M0 j_w = N j + m G: energies
+    E_r(i, j) = E_w(i, j_w) and frames F_r(i, j) = W^-m F_w(i, j_w), a row
+    permutation with phases e^{i2pi q k1} (W^-m = S^p, p = -a m mod N, up to
+    a scalar phase, which no frame consumer sees).  That needs
+    g = gcd(M0, G) to divide j; only the other columns are diagonalized,
+    on the weyl pass's rows.  conj W(k1) = W(-k1), so k1-mirrored weyl
+    bands give k1-mirrored reference bands.  bd_w is None at M0 = 0.
+    """
+    rep_r = reference_fibered_rep(ctx)
+    if ctx.M0 == 0:
+        return bands_on_grid(rep_r, a, G), None
+    bd_w = bands_on_grid(weyl_fibered_rep(ctx), a, G)
+    N, M0 = ctx.N, ctx.M0
+    k, rows = bd_w.k1s, len(bd_w.frames)
+    energies = np.empty_like(bd_w.energies)
+    frames = np.empty_like(bd_w.frames)
+    g = math.gcd(M0, G)
+    own = np.flatnonzero(np.arange(G) % g)        # columns no weyl column reaches
+    if len(own):
+        e, f = _eigh_on_grid(rep_r, a, k[:rows], k[own])
+        energies[:, own] = expand_k1_mirror(e, G)
+        frames[:, own] = f
+    inv_qm = pow(ctx.q * ctx.M, -1, N)            # -a
+    inv_m0 = pow(M0 // g, -1, G // g)
+    lam = np.exp(1j * TWO_PI * ctx.q * k[:rows])[:, None, None]
+    for j in range(0, G, g):
+        jw = N * (j // g) * inv_m0 % (G // g)
+        p = inv_qm * ((M0 * jw - N * j) // G) % N
+        energies[:, j] = bd_w.energies[:, jw]
+        src, dst = bd_w.frames[:, jw], frames[:, j]
+        dst[:, p:] = src[:, :N - p]                               # (S^p F)[i] = F[i - p]
+        np.multiply(lam, src[:, N - p:], out=dst[:, :p])          # wrapped rows: lam F[i - p + N]
+    return BandData(rep_r, k, k, energies, frames), bd_w
 
 
 def expand_k1_mirror(rows: np.ndarray, G1: int) -> np.ndarray:

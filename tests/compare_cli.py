@@ -8,10 +8,14 @@ with that tree first on PYTHONPATH and NCTORUS_THREADS=2, in a fresh
 working directory, writing its files under `out/`.  The script compares
 the exit code, stdout, stderr and the bytes of every written file, prints
 one line per command, and exits 1 when any of them differs, 0 otherwise.
+A JSON file that differs is also parsed on both sides: the line says
+whether every non-float value (integer, bool, string, null, key and list
+length) matches, and gives the largest difference between two floats.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -52,8 +56,31 @@ def differences(old: dict, new: dict) -> list:
         if name not in old["files"] or name not in new["files"]:
             diffs.append(f"{name} written by one tree only")
         elif old["files"][name] != new["files"][name]:
-            diffs.append(f"{name} differs")
+            diffs.append(f"{name} differs" + json_summary(old["files"][name], new["files"][name]))
     return diffs
+
+
+def json_summary(old: bytes, new: bytes) -> str:
+    """How two JSON documents differ: in floats only or not, and the largest float change."""
+    try:
+        a, b = json.loads(old), json.loads(new)
+    except ValueError:
+        return ""
+    floats = []
+
+    # lists, not generators, inside all(): every float is visited after a mismatch too
+    def same(x, y) -> bool:
+        if isinstance(x, float) and isinstance(y, float):
+            floats.append(abs(x - y))
+            return True
+        if isinstance(x, dict) and isinstance(y, dict):
+            return x.keys() == y.keys() and all([same(x[k], y[k]) for k in x])
+        if isinstance(x, list) and isinstance(y, list):
+            return len(x) == len(y) and all([same(u, v) for u, v in zip(x, y)])
+        return type(x) is type(y) and x == y
+
+    verdict = "every non-float value matches" if same(a, b) else "non-float values differ"
+    return f" ({verdict}, largest float difference {max(floats, default=0.0):.3g})"
 
 
 def main(argv) -> int:

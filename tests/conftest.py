@@ -65,9 +65,23 @@ def band_passes(monkeypatch):
         calls.append((rep.ctx.M, rep.ctx.N, rep.kind, G))
         return bands_on_grid(rep, a, G)
 
-    for mod in (chern, cli, spectral, suite):
+    for mod in (cli, spectral, suite):
         monkeypatch.setattr(mod, "bands_on_grid", counted)
     return calls
+
+
+@pytest.fixture
+def eigh_matrices(monkeypatch):
+    """Counts the matrices handed to numpy.linalg.eigh."""
+    counted = []
+    eigh = np.linalg.eigh
+
+    def counting(H, *args, **kwargs):
+        counted.append(int(np.prod(H.shape[:-2])))
+        return eigh(H, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return counted
 
 
 @pytest.fixture

@@ -395,8 +395,16 @@ def test_grid_stability_24_vs_48():
         assert r24 == r48
 
 
-@pytest.mark.parametrize("spec,passes", [((1, 3, 2, 1), 2), ((0, 1, 1, 0), 1)])
-def test_gap_certificates_one_spectral_pass_per_rep_and_grid(band_passes, spec, passes):
-    # reference and weyl at G (no weyl pass when theta = r/q collapses it)
-    gap_certificates(ctx_of(*spec), 12)
-    assert len(band_passes) == len(set(band_passes)) == passes
+@pytest.mark.parametrize("spec,passes", [((1, 3, 2, 1), 1), ((0, 1, 1, 0), 1),
+                                         ((2, 5, 3, 2), 1)])
+def test_gap_certificates_one_spectral_pass_per_rep_and_grid(band_passes, eigh_matrices,
+                                                             spec, passes):
+    # the weyl pass at G, and reference eigh only on the columns k2 = j/12 that
+    # no weyl column reaches: none at M0 = -1, the 9 with 4 not dividing j at
+    # M0 = -4; theta = r/q has no weyl family and takes the reference pass
+    ctx = ctx_of(*spec)
+    gap_certificates(ctx, 12)
+    kind = "reference" if ctx.M0 == 0 else "weyl"
+    assert band_passes == [(ctx.M, ctx.N, kind, 12)] * passes
+    own = {0: 0, -1: 0, -4: 9}[ctx.M0]
+    assert eigh_matrices == [7 * 12] + ([7 * own] if own else [])

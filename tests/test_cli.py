@@ -142,6 +142,24 @@ def test_butterfly_svg_gap_colors(tmp_path):
     assert "data-t=" in svg
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, fmt, accepted", [("butterfly", "json", "csv or svg"),
+                                                    ("gaps", "svg", "json or csv")])
+def test_a_format_the_command_cannot_write_is_a_config_error(tmp_path, capsys, band_passes,
+                                                             source, command, fmt, accepted):
+    out = tmp_path / "o"
+    if source == "flag":
+        argv = ("--theta", "1/3", "--format", "csv", "--format", fmt, "--out", str(out))
+    else:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"theta = 1/3\nformat = csv, {fmt}\nout = {out}\n")
+        argv = ("--config", str(cfgfile))
+    assert run(command, *argv) == EXIT_CONFIG
+    assert f"{command} cannot write {fmt!r}: it writes {accepted}" in capsys.readouterr().err
+    assert not out.exists()
+    assert band_passes == []
+
+
 def test_gaps_json(tmp_path):
     out = tmp_path / "o"
     assert run("gaps", "--theta", "1/3", "--grid", "16", "--format", "json",
@@ -384,13 +402,16 @@ def test_butterfly_colored_bands_do_not_cross_certified_gaps(tmp_path):
                 assert min(a1, b1) - max(a0, b0) < 1e-6, (x, (a0, a1), (b0, b1))
 
 
-def test_butterfly_color_gaps_two_spectral_passes_per_theta(tmp_path, band_passes):
-    # reference and weyl at G; the CSV reuses the weyl bands
+def test_butterfly_color_gaps_one_spectral_pass_per_theta(tmp_path, band_passes,
+                                                         eigh_matrices):
+    # the weyl bands at G, which the CSV reuses; the reference bands are read off
+    # them, all columns at 1/3 (M0 = 1), the even ones at 2/5 (M0 = 2), whose four
+    # odd columns are diagonalized on the 5 stored k1 rows
     out = tmp_path / "o"
     assert run("butterfly", "--theta", "1/3", "--theta", "2/5", "--grid", "8", "--format", "csv",
                "--format", "svg", "--color-gaps", "--out", str(out)) == EXIT_OK
-    assert len(band_passes) == len(set(band_passes)) == 4
-    assert Counter((M, N) for M, N, _, _ in band_passes) == {(1, 3): 2, (2, 5): 2}
+    assert sorted(band_passes) == [(1, 3, "weyl", 8), (2, 5, "weyl", 8)]
+    assert sorted(eigh_matrices) == [5 * 4, 5 * 8, 5 * 8]
 
 
 def test_butterfly_svg_only_diagonalizes_no_csv_grid(tmp_path, band_passes):

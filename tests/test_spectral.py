@@ -24,6 +24,7 @@ from nctorus.spectral import (
     band_rows,
     bands_on_grid,
     constant_projector_field,
+    dual_bands,
     expand_k1_mirror,
     export_bands_csv,
     fermi_projector_field,
@@ -79,20 +80,6 @@ def _projector(F, R):
     return F[..., :R] @ np.conj(np.swapaxes(F[..., :R], -1, -2))
 
 
-@pytest.fixture
-def eigh_matrices(monkeypatch):
-    """Counts the matrices handed to numpy.linalg.eigh."""
-    counted = []
-    eigh = np.linalg.eigh
-
-    def counting(H, *args, **kwargs):
-        counted.append(int(np.prod(H.shape[:-2])))
-        return eigh(H, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    return counted
-
-
 @pytest.mark.parametrize("family", MIRROR_FAMILIES)
 @pytest.mark.parametrize("M, N, q, r", [(8, 13, 2, 1), (3, 7, 3, 2)])
 @pytest.mark.parametrize("G", [7, 16])
@@ -132,6 +119,30 @@ def test_element_without_k1_mirror_takes_full_grid(family, M, N, q, r, G, eigh_m
     k = np.arange(G) / G
     mirrored = np.conj(evaluate_on_grid(rep, a, (-k) % 1.0, k))
     assert np.abs(mirrored - evaluate_on_grid(rep, a, k, k)).max() > 0.1
+
+
+@pytest.mark.parametrize("mirrored", [True, False], ids=["h", "no-mirror"])
+@pytest.mark.parametrize("M, N, q, r", [(8, 13, 2, 1), (1, 5, 3, 1), (2, 5, 3, 2)])
+@pytest.mark.parametrize("G", [15, 16])
+def test_dual_bands_read_the_reference_off_the_weyl_pass(M, N, q, r, G, mirrored,
+                                                         eigh_matrices):
+    # M0 = 3, -2, -4: g = gcd(M0, G) is 1, 2, 4 at G = 16 and 3, 1, 1 at G = 15
+    ctx = ctx_of(M, N, q, r)
+    a = hofstadter_element(ctx.theta) if mirrored else AlgebraElement(
+        ctx.theta, {(1, 0): 1, (-1, 0): 1, (0, 1): 1 + 1j, (0, -1): 1 - 1j})
+    bd_r, bd_w = dual_bands(ctx, a, G)
+    g = math.gcd(ctx.M0, G)
+    rows = G // 2 + 1 if mirrored else G
+    assert sum(eigh_matrices) == rows * (2 * G - G // g)
+    assert len(bd_r.frames) == len(bd_w.frames) == rows
+    assert bd_r.rep == reference_fibered_rep(ctx) and bd_w.rep == weyl_fibered_rep(ctx)
+    direct = full_grid_bands(reference_fibered_rep(ctx), a, G)
+    assert np.abs(bd_r.energies - direct.energies).max() < 1e-12
+    ranks = _gap_ranks(direct.energies)
+    assert ranks
+    F = expand_k1_mirror(bd_r.frames, G)
+    for R in ranks:
+        assert np.abs(_projector(F, R) - _projector(direct.frames, R)).max() < 1e-10
 
 
 def test_gap_structure_theta_third():

@@ -4,17 +4,21 @@ import pytest
 
 from conftest import ctx_of, full_grid_bands
 
-from nctorus import chern, suite
+from nctorus import spectral, suite
 from nctorus.suite import run_invariant_suite
 
 
 def test_suite_one_spectral_pass_per_rep_and_grid(band_passes):
-    # isospectral_grid(1/3 (2,1), 32) == 32, so the certificates' bands serve every
-    # check; the reference pass at 2G is the pullback lemma's own
+    # isospectral_grid(1/3 (2,1), 32) == 32, so the certificates' weyl bands serve
+    # every check; their reference bands are read off them, so isospectrality
+    # compares the weyl bands with a reference pass of its own at 32; the
+    # reference pass at 2G is the pullback lemma's own
     rows = run_invariant_suite(ctx_of(1, 3, 2, 1), 32)
     assert all(r.ok for r in rows)
-    assert sorted(band_passes) == [(1, 3, "reference", 32), (1, 3, "reference", 64),
-                                   (1, 3, "weyl", 32)]
+    assert band_passes == [(1, 3, "weyl", 32), (1, 3, "reference", 32),
+                           (1, 3, "reference", 64)]
+    iso = next(r for r in rows if r.name == "isospectrality")
+    assert 0.0 < iso.value < 1e-12
 
 
 def test_suite_records_numerical_failures_as_rows():
@@ -31,7 +35,7 @@ def test_projector_rows_on_mirrored_bands_match_the_full_grid(monkeypatch):
     # seam-transport checks as the directly diagonalized grid does
     ctx = ctx_of(2, 5, 3, 1)
     mirrored = {r.name: r for r in run_invariant_suite(ctx, 16)}
-    for mod in (chern, suite):
+    for mod in (spectral, suite):
         monkeypatch.setattr(mod, "bands_on_grid", full_grid_bands)
     full = {r.name: r for r in run_invariant_suite(ctx, 16)}
     assert {n: r.ok for n, r in mirrored.items()} == {n: r.ok for n, r in full.items()}
