@@ -42,8 +42,8 @@ from .chern import certify_gaps, gap_bands, gap_certificates
 from .representations import FiberedRep, reference_fibered_rep, weyl_fibered_rep
 from .spectral import (
     NumericalFailure,
+    band_energies,
     band_rows,
-    bands_on_grid,
     detect_gaps_refined,
     hofstadter_gap_report,
 )
@@ -145,8 +145,9 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-# the formats a subcommand writes; the others write their JSON whatever --format says
-_WRITES = {"butterfly": ("csv", "svg"), "gaps": ("json", "csv")}
+# the formats each subcommand writes; any other --format is a configuration error
+_WRITES = {"butterfly": ("csv", "svg"), "gaps": ("json", "csv"),
+           "labels": ("json",), "chern": ("json",), "verify": ("json",)}
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -176,11 +177,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"tol must be positive, got {cfg.tol}")
     if cfg.farey is not None and cfg.farey < 1:
         raise ConfigError(f"farey bound must be >= 1, got {cfg.farey}")
-    accepted = _WRITES.get(args.command)
+    accepted = _WRITES[args.command]
     for f in cfg.formats:
         if f not in ("csv", "json", "svg"):
             raise ConfigError(f"unknown format {f!r}")
-        if accepted and f not in accepted:
+        if f not in accepted:
             raise ConfigError(f"{args.command} cannot write {f!r}: it writes "
                               f"{' or '.join(accepted)}")
     return cfg
@@ -244,23 +245,23 @@ def _butterfly_job(theta: RationalTheta, q: int, r: int, cfg: RunConfig):
     ctx = make_weyl_context(theta, q, r)
     if "svg" in cfg.formats and cfg.color_gaps:
         # band segments and gap rectangles come from the exact gap report the
-        # certificates are read from, the CSV bands from their weyl bands at G
+        # certificates are read from, the CSV energies from their weyl bands at G
         report, bd_r, bd_w = gap_bands(ctx, cfg.grid, cfg.tol)
         certs = certify_gaps(ctx, report, bd_r, bd_w)
-        return theta, bd_r if bd_w is None else bd_w, report, certs
-    # the uncolored SVG keeps sampled grid detection; the CSV grid is
-    # diagonalized only when a CSV is written
+        return theta, (bd_r if bd_w is None else bd_w).energies, report, certs
+    # the uncolored SVG keeps sampled grid detection; nothing here reads an
+    # eigenvector, and the CSV grid is diagonalized only when a CSV is written
     h = hofstadter_element(theta)
     rep = _spectral_rep(ctx)
-    bd = None
+    energies = None
     report = None
     if "svg" in cfg.formats:
         report, fine = detect_gaps_refined(rep, h, max(8, cfg.grid // 2), cfg.tol)
-        if fine.shape == (cfg.grid, cfg.grid):
-            bd = fine       # refinement's fine grid is the CSV grid
-    if bd is None and "csv" in cfg.formats:
-        bd = bands_on_grid(rep, h, cfg.grid)
-    return theta, bd, report, None
+        if len(fine) == cfg.grid:
+            energies = fine       # refinement's fine grid is the CSV grid
+    if energies is None and "csv" in cfg.formats:
+        energies = band_energies(rep, h, cfg.grid)
+    return theta, energies, report, None
 
 
 def cmd_butterfly(cfg: RunConfig) -> int:
@@ -289,9 +290,10 @@ def cmd_butterfly(cfg: RunConfig) -> int:
         results = []
         chunks = ["theta_num,theta_den,k1,k2,band,energy\n"]
         with concurrent.futures.ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            for th, bd, report, certs in pool.map(lambda t: _butterfly_job(t, q, r, cfg), jobs):
+            for th, energies, report, certs in pool.map(lambda t: _butterfly_job(t, q, r, cfg),
+                                                        jobs):
                 if "csv" in formats:
-                    chunks.append(band_rows(bd, f"{th.M},{th.N},"))
+                    chunks.append(band_rows(energies, f"{th.M},{th.N},"))
                 results.append((th, report, certs))
 
         if "csv" in formats:

@@ -1,13 +1,16 @@
 """Band structure over a k-grid, gap reports, and Fermi projector fields.
 
-One fiberwise Hermitian eigendecomposition per (rep, element, grid)
-feeds everything downstream, and one per (context, element, grid) when
-both families are needed: `dual_bands` diagonalizes the weyl family and
-reads the reference bands off it by magnetic translation.  The spectral
-projector below a Fermi level in a gap (the finite-dimensional stand-in
-for the resolvent contour integral) is carried as the occupied
-eigenvector columns it came from, a view into the band frames; the
-dense N x N projector is built only on demand.
+Eigenvectors are computed only where frames are read.  One fiberwise
+Hermitian eigendecomposition per (rep, element, grid), `bands_on_grid`,
+feeds the projectors and Chern numbers, and one per (context, element,
+grid) when both families are needed: `dual_bands` diagonalizes the weyl
+family and reads the reference bands off it by magnetic translation.
+Consumers of energies alone (the sampled gap refinement, the uncolored
+butterfly CSV, isospectrality) take `band_energies`, the same matrices
+through `eigvalsh`.  The spectral projector below a Fermi level in a gap
+(the finite-dimensional stand-in for the resolvent contour integral) is
+carried as the occupied eigenvector columns it came from, a view into
+the band frames; the dense N x N projector is built only on demand.
 
 Gap reports of the flux operator h = u + u* + v + v* are exact and need
 no grid.  Every irreducible representation of the rational rotation
@@ -32,20 +35,20 @@ conj V(k1, k2) = V(-k1, k2); and every family is 1-periodic in k1.  Hence
     conj pi_k(a) = sum conj(a(n, m)) U^{-n} V(-k1, k2)^m = pi_(-k1, k2)(a)
 
 for every element with a(n, m) = conj(a(-n, m)), such as h.
-`bands_on_grid` checks that condition on the coefficients to the
-self-adjointness tolerance.  Row k1 = (G - i)/G then has the energies of
-row i/G, and the complex conjugates of its frames are an eigenbasis of
-the same eigenspaces.  So a mirrored `BandData` keeps full energies but
-only the frames of the diagonalized rows i = 0 .. G//2, and its consumers
-read the mirror off `len(frames) < len(k1s)`: the Chern kernel and the
-numeric traces weight those rows (see `_kernels`), and the dense
-projector and the pullback expand them with `expand_k1_mirror`.
+`bands_on_grid` and `band_energies` check that condition on the
+coefficients to the self-adjointness tolerance.  Row k1 = (G - i)/G then
+has the energies of row i/G, and the complex conjugates of its frames
+are an eigenbasis of the same eigenspaces.  So a mirrored `BandData`
+keeps full energies but only the frames of the diagonalized rows
+i = 0 .. G//2, and its consumers read the mirror off
+`len(frames) < len(k1s)`: the Chern kernel and the numeric traces weight
+those rows (see `_kernels`), and the dense projector and the pullback
+expand them with `expand_k1_mirror`.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import List
 
@@ -136,13 +139,18 @@ def bands_on_grid(rep: FiberedRep, a: AlgebraElement, G: int) -> BandData:
     frames, which are not stored: `frames` keeps the G//2 + 1 diagonalized
     rows.  Any other self-adjoint element is diagonalized on the full grid.
     """
-    if not a.approx_equal(element_star(a), SELFADJOINT_TOL):
-        raise SelfAdjointnessError("element is not self-adjoint within 1e-12")
+    energies, frames = np.linalg.eigh(_grid_stack(rep, a, G))
     k = np.arange(G) / G
-    if not a.approx_equal(_k1_mirror(a), SELFADJOINT_TOL):
-        return BandData(rep, k, k, *_eigh_on_grid(rep, a, k, k))
-    energies, frames = _eigh_on_grid(rep, a, k[:G // 2 + 1], k)
     return BandData(rep, k, k, expand_k1_mirror(energies, G), frames)
+
+
+def band_energies(rep: FiberedRep, a: AlgebraElement, G: int) -> np.ndarray:
+    """The (G, G, N) energies of `bands_on_grid(rep, a, G)`, without eigenvectors.
+
+    Same checks and the same diagonalized rows (half the grid when `a` is
+    k1-mirrored), through `eigvalsh`; for consumers that read no frames.
+    """
+    return expand_k1_mirror(np.linalg.eigvalsh(_grid_stack(rep, a, G)), G)
 
 
 def dual_bands(ctx: WeylContext, a: AlgebraElement, G: int):
@@ -172,7 +180,7 @@ def dual_bands(ctx: WeylContext, a: AlgebraElement, G: int):
     g = math.gcd(M0, G)
     own = np.flatnonzero(np.arange(G) % g)        # columns no weyl column reaches
     if len(own):
-        e, f = _eigh_on_grid(rep_r, a, k[:rows], k[own])
+        e, f = np.linalg.eigh(_hermitian_stack(rep_r, a, k[:rows], k[own]))
         energies[:, own] = expand_k1_mirror(e, G)
         frames[:, own] = f
     inv_qm = pow(ctx.q * ctx.M, -1, N)            # -a
@@ -203,12 +211,24 @@ def expand_k1_mirror(rows: np.ndarray, G1: int) -> np.ndarray:
     return out
 
 
-def _eigh_on_grid(rep: FiberedRep, a: AlgebraElement, k1s: np.ndarray, k2s: np.ndarray):
-    """(energies, frames) of pi_k(a) over the k1s x k2s grid."""
+def _grid_stack(rep: FiberedRep, a: AlgebraElement, G: int) -> np.ndarray:
+    """The matrices `bands_on_grid` diagonalizes: rows 0 .. G//2 when `a` is k1-mirrored.
+
+    Raises SelfAdjointnessError unless a = a* within 1e-12.
+    """
+    if not a.approx_equal(element_star(a), SELFADJOINT_TOL):
+        raise SelfAdjointnessError("element is not self-adjoint within 1e-12")
+    k = np.arange(G) / G
+    rows = G // 2 + 1 if a.approx_equal(_k1_mirror(a), SELFADJOINT_TOL) else G
+    return _hermitian_stack(rep, a, k[:rows], k)
+
+
+def _hermitian_stack(rep: FiberedRep, a: AlgebraElement, k1s: np.ndarray, k2s: np.ndarray):
+    """pi_k(a) over the k1s x k2s grid, made exactly Hermitian."""
     H = evaluate_on_grid(rep, a, k1s, k2s)
     H += H.conj().swapaxes(-1, -2)      # scrub fp asymmetry, one temporary
     H *= 0.5
-    return np.linalg.eigh(H)
+    return H
 
 
 def _k1_mirror(a: AlgebraElement) -> AlgebraElement:
@@ -260,15 +280,17 @@ def detect_gaps_refined(rep: FiberedRep, a: AlgebraElement, G: int, tol: float =
     gap from undersampling a band touching shrinks by ~2x (conical) or
     ~4x (quadratic); the 0.7 ratio separates the two regimes, and can
     also close a genuine gap whose sampled width is still converging.
-    Returns (GapReport, BandData) with edges taken from the finer grid.
+    Returns (GapReport, the (2G, 2G, N) energies) with edges taken from
+    the finer grid.
     """
-    lo1, hi1 = bands_on_grid(rep, a, G).band_intervals()
-    bd2 = bands_on_grid(rep, a, 2 * G)
-    lo2, hi2 = bd2.band_intervals()
+    E1 = band_energies(rep, a, G)
+    E2 = band_energies(rep, a, 2 * G)
+    lo1, hi1 = E1.min(axis=(0, 1)), E1.max(axis=(0, 1))
+    lo2, hi2 = E2.min(axis=(0, 1)), E2.max(axis=(0, 1))
     w1 = lo1[1:] - hi1[:-1]
     w2 = lo2[1:] - hi2[:-1]
     open_slots = (w2 > tol) & (w2 >= 0.7 * w1)
-    return _build_report(lo2, hi2, open_slots), bd2
+    return _build_report(lo2, hi2, open_slots), E2
 
 
 @dataclass(frozen=True)
@@ -345,10 +367,10 @@ def identity_field(rep: FiberedRep, G: int) -> ProjectorField:
     return constant_projector_field(rep, G, np.eye(rep.dim))
 
 
-def spectral_hausdorff(bd1: BandData, bd2: BandData) -> float:
-    """Hausdorff distance between the two sampled eigenvalue sets."""
-    a = np.sort(bd1.energies.ravel())
-    b = np.sort(bd2.energies.ravel())
+def spectral_hausdorff(e1: np.ndarray, e2: np.ndarray) -> float:
+    """Hausdorff distance between two sampled eigenvalue sets (energy arrays)."""
+    a = np.sort(e1, axis=None)
+    b = np.sort(e2, axis=None)
 
     def directed(x, y):
         idx = np.clip(np.searchsorted(y, x), 1, len(y) - 1)
@@ -357,21 +379,26 @@ def spectral_hausdorff(bd1: BandData, bd2: BandData) -> float:
     return float(max(directed(a, b), directed(b, a)))
 
 
-def band_rows(bd: BandData, prefix: str = "") -> str:
-    """One `{prefix}k1,k2,band,energy` line per eigenvalue, at 12 significant digits.
+def band_rows(energies: np.ndarray, prefix: str = "") -> str:
+    """One `{prefix}k1,k2,band,energy` line per eigenvalue of a (G1, G2, N) array.
 
-    Rows run over k1, k2, band; each k value and grid-point head is formatted once.
+    k1 = i/G1 and k2 = j/G2; rows run over k1, k2, band.  Every number is
+    printed at 12 significant digits: the k values and row heads are
+    formatted once into one `%.12g` template, which a single `%` fills
+    with the energies.
     """
-    k1 = [format(k, ".12g") for k in bd.k1s.tolist()]
-    k2 = [format(k, ".12g") for k in bd.k2s.tolist()]
-    bands = [f"{b}," for b in range(bd.energies.shape[-1])]
-    points = [f"{prefix}{a},{c}," for a in k1 for c in k2]
-    heads = [p + b for p in points for b in bands]
-    energies = map("{:.12g}".format, bd.energies.ravel().tolist())
-    return "\n".join(map(operator.add, heads, energies)) + "\n"
+    G1, G2, N = energies.shape
+    head = prefix.replace("%", "%%")
+    k1 = [format(i / G1, ".12g") for i in range(G1)]
+    k2 = [format(j / G2, ".12g") for j in range(G2)]
+    bands = [f"{b},%.12g\n" for b in range(N)]
+    points = (f"{head}{a},{c}," for a in k1 for c in k2)
+    # p + p.join(bands) is p + bands[0] + p + bands[1] + ...: one row per band
+    template = "".join(p + p.join(bands) for p in points)
+    return template % tuple(energies.ravel().tolist())
 
 
 def export_bands_csv(bd: BandData, path) -> None:
     """Spectrum samples, one eigenvalue per row: k1,k2,band_index,energy (CRLF)."""
     with open(path, "w", newline="\r\n") as fh:
-        fh.write("k1,k2,band_index,energy\n" + band_rows(bd))
+        fh.write("k1,k2,band_index,energy\n" + band_rows(bd.energies))

@@ -45,6 +45,7 @@ from .representations import (
 )
 from .spectral import (
     NumericalFailure,
+    band_energies,
     bands_on_grid,
     expand_k1_mirror,
     fermi_projector_field,
@@ -168,11 +169,11 @@ def run_invariant_suite(ctx: WeylContext, G: int = 32, tol: float = 1e-8) -> Lis
     # bd_r is read off bd_w, so the weyl bands meet a directly diagonalized reference
     if collapsed:
         Gi = G
-        pair = (bands_on_grid(reps["reference-conjugated"], h, G), bd_r)
+        pair = (band_energies(reps["reference-conjugated"], h, G), bd_r.energies)
     else:
         Gi = isospectral_grid(ctx, G)
-        pair = (bd_w if Gi == G else bands_on_grid(reps["weyl"], h, Gi),
-                bands_on_grid(reps["reference"], h, Gi))
+        pair = (bd_w.energies if Gi == G else band_energies(reps["weyl"], h, Gi),
+                band_energies(reps["reference"], h, Gi))
     check("isospectrality", spectral_hausdorff(*pair), 1e-6, f"Hausdorff at grid {Gi}^2")
 
     # gap structure

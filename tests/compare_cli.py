@@ -11,6 +11,9 @@ one line per command, and exits 1 when any of them differs, 0 otherwise.
 A JSON file that differs is also parsed on both sides: the line says
 whether every non-float value (integer, bool, string, null, key and list
 length) matches, and gives the largest difference between two floats.
+A CSV file that differs is compared row by row: the line says whether
+the row count and every non-float field match, how many rows differ, and
+the largest difference between two float fields.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ def differences(old: dict, new: dict) -> list:
         if name not in old["files"] or name not in new["files"]:
             diffs.append(f"{name} written by one tree only")
         elif old["files"][name] != new["files"][name]:
-            diffs.append(f"{name} differs" + json_summary(old["files"][name], new["files"][name]))
+            summary = SUMMARIES.get(Path(name).suffix, lambda a, b: "")
+            diffs.append(f"{name} differs" + summary(old["files"][name], new["files"][name]))
     return diffs
 
 
@@ -81,6 +85,44 @@ def json_summary(old: bytes, new: bytes) -> str:
 
     verdict = "every non-float value matches" if same(a, b) else "non-float values differ"
     return f" ({verdict}, largest float difference {max(floats, default=0.0):.3g})"
+
+
+def csv_summary(old: bytes, new: bytes) -> str:
+    """How two CSV files differ: in float fields only or not, rows that differ, largest change.
+
+    Two differing fields differ as floats when both parse as floats and
+    they are not both integer literals (a band index or a theta is one).
+    """
+    a, b = old.decode().splitlines(), new.decode().splitlines()
+    same = len(a) == len(b)
+    floats = []
+    rows = abs(len(a) - len(b))
+    for x, y in zip(a, b):
+        if x == y:
+            continue
+        rows += 1
+        fx, fy = x.split(","), y.split(",")
+        same = same and len(fx) == len(fy)
+        for u, v in zip(fx, fy):
+            if u == v:
+                continue
+            try:
+                floats.append(abs(float(u) - float(v)))
+            except ValueError:
+                same = False
+                continue
+            same = same and not (_is_int(u) and _is_int(v))
+    verdict = ("row count and every non-float field match" if same
+               else "row count or non-float fields differ")
+    return (f" ({verdict}, {rows} of {max(len(a), len(b))} rows differ, "
+            f"largest float difference {max(floats, default=0.0):.3g})")
+
+
+def _is_int(text: str) -> bool:
+    return text.lstrip("-").isdigit()
+
+
+SUMMARIES = {".json": json_summary, ".csv": csv_summary}
 
 
 def main(argv) -> int:

@@ -58,30 +58,48 @@ def certs_of(M, N, q, r, G):
 
 @pytest.fixture
 def band_passes(monkeypatch):
-    """Records (M, N, kind, G) for every `bands_on_grid` call the package makes."""
+    """Records (M, N, kind, G) for every `bands_on_grid` or `band_energies` call the package makes.
+
+    Both are spectral passes over the same matrices, with and without eigenvectors.
+    """
     calls = []
 
-    def counted(rep, a, G):
-        calls.append((rep.ctx.M, rep.ctx.N, rep.kind, G))
-        return bands_on_grid(rep, a, G)
+    def counting(fn):
+        def counted(rep, a, G):
+            calls.append((rep.ctx.M, rep.ctx.N, rep.kind, G))
+            return fn(rep, a, G)
+        return counted
 
-    for mod in (cli, spectral, suite):
-        monkeypatch.setattr(mod, "bands_on_grid", counted)
+    for name in ("bands_on_grid", "band_energies"):
+        counted = counting(getattr(spectral, name))
+        for mod in (cli, spectral, suite):
+            if name in vars(mod):
+                monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+def _count_matrices(monkeypatch, name):
+    counted = []
+    solver = getattr(np.linalg, name)
+
+    def counting(H, *args, **kwargs):
+        counted.append(int(np.prod(H.shape[:-2])))
+        return solver(H, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return counted
 
 
 @pytest.fixture
 def eigh_matrices(monkeypatch):
     """Counts the matrices handed to numpy.linalg.eigh."""
-    counted = []
-    eigh = np.linalg.eigh
+    return _count_matrices(monkeypatch, "eigh")
 
-    def counting(H, *args, **kwargs):
-        counted.append(int(np.prod(H.shape[:-2])))
-        return eigh(H, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    return counted
+@pytest.fixture
+def eigvalsh_matrices(monkeypatch):
+    """Counts the matrices handed to numpy.linalg.eigvalsh."""
+    return _count_matrices(monkeypatch, "eigvalsh")
 
 
 @pytest.fixture

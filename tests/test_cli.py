@@ -106,11 +106,13 @@ def test_butterfly_svg(tmp_path):
 
 
 @pytest.mark.parametrize("grid", [5, 12, 16])
-def test_butterfly_csv_rows_per_theta(tmp_path, grid):
-    # at G = 16 the CSV bands come from the gap refinement's fine grid
+def test_butterfly_csv_rows_per_theta(tmp_path, grid, eigh_matrices):
+    # at G = 16 the CSV bands come from the gap refinement's fine grid; the
+    # uncolored butterfly reads energies only, so it computes no eigenvectors
     out = tmp_path / "o"
     assert run("butterfly", "--farey", "3", "--grid", str(grid), "--format", "csv",
                "--format", "svg", "--out", str(out)) == EXIT_OK
+    assert eigh_matrices == []
     lines = (out / "spectrum_q1r0.csv").read_text().strip().splitlines()
     rows = Counter(tuple(map(int, ln.split(",")[:2])) for ln in lines[1:])
     assert rows == {(M, N): grid * grid * N for (M, N) in
@@ -144,15 +146,19 @@ def test_butterfly_svg_gap_colors(tmp_path):
 
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("command, fmt, accepted", [("butterfly", "json", "csv or svg"),
-                                                    ("gaps", "svg", "json or csv")])
+                                                    ("gaps", "svg", "json or csv"),
+                                                    ("labels", "csv", "json"),
+                                                    ("chern", "svg", "json"),
+                                                    ("verify", "csv", "json")])
 def test_a_format_the_command_cannot_write_is_a_config_error(tmp_path, capsys, band_passes,
                                                              source, command, fmt, accepted):
     out = tmp_path / "o"
+    ok = accepted.split()[0]        # a format the command writes, requested alongside
     if source == "flag":
-        argv = ("--theta", "1/3", "--format", "csv", "--format", fmt, "--out", str(out))
+        argv = ("--theta", "1/3", "--format", ok, "--format", fmt, "--out", str(out))
     else:
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(f"theta = 1/3\nformat = csv, {fmt}\nout = {out}\n")
+        cfgfile.write_text(f"theta = 1/3\nformat = {ok}, {fmt}\nout = {out}\n")
         argv = ("--config", str(cfgfile))
     assert run(command, *argv) == EXIT_CONFIG
     assert f"{command} cannot write {fmt!r}: it writes {accepted}" in capsys.readouterr().err

@@ -241,6 +241,6 @@ def test_matrix_debug_json():
 
 
 def test_isospectrality_weyl_vs_reference():
-    haus = spectral_hausdorff(bands_of(1, 3, 2, 1, "weyl", 64),
-                              bands_of(1, 3, 2, 1, "reference", 64))
+    haus = spectral_hausdorff(bands_of(1, 3, 2, 1, "weyl", 64).energies,
+                              bands_of(1, 3, 2, 1, "reference", 64).energies)
     assert haus < 1e-6

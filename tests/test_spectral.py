@@ -21,6 +21,7 @@ from nctorus.representations import (
 from nctorus.spectral import (
     GapViolationError,
     SelfAdjointnessError,
+    band_energies,
     band_rows,
     bands_on_grid,
     constant_projector_field,
@@ -51,8 +52,9 @@ def test_unit_element_is_flat():
 
 def test_rejects_non_selfadjoint():
     ctx = ctx_of(1, 3, 1, 0)
-    with pytest.raises(SelfAdjointnessError):
-        bands_on_grid(weyl_fibered_rep(ctx), monomial(ctx.theta, 1, 0), 4)
+    for entry in (bands_on_grid, band_energies):
+        with pytest.raises(SelfAdjointnessError):
+            entry(weyl_fibered_rep(ctx), monomial(ctx.theta, 1, 0), 4)
 
 
 def test_frames_are_orthonormal():
@@ -83,12 +85,14 @@ def _projector(F, R):
 @pytest.mark.parametrize("family", MIRROR_FAMILIES)
 @pytest.mark.parametrize("M, N, q, r", [(8, 13, 2, 1), (3, 7, 3, 2)])
 @pytest.mark.parametrize("G", [7, 16])
-def test_k1_mirror_matches_full_grid(family, M, N, q, r, G, eigh_matrices):
+def test_k1_mirror_matches_full_grid(family, M, N, q, r, G, eigh_matrices, eigvalsh_matrices):
     ctx = ctx_of(M, N, q, r)
     rep, h = family(ctx), hofstadter_element(ctx.theta)
     bd = bands_on_grid(rep, h, G)
     assert eigh_matrices == [(G // 2 + 1) * G]
     assert bd.frames.shape[0] == G // 2 + 1
+    assert np.abs(band_energies(rep, h, G) - bd.energies).max() < 1e-12
+    assert eigvalsh_matrices == [(G // 2 + 1) * G]
     direct = full_grid_bands(rep, h, G)
     E, F = direct.energies, direct.frames
     assert np.abs(bd.energies - E).max() < 1e-12
@@ -102,7 +106,8 @@ def test_k1_mirror_matches_full_grid(family, M, N, q, r, G, eigh_matrices):
 @pytest.mark.parametrize("family", MIRROR_FAMILIES)
 @pytest.mark.parametrize("M, N, q, r", [(8, 13, 2, 1), (3, 7, 3, 2)])
 @pytest.mark.parametrize("G", [7, 16])
-def test_element_without_k1_mirror_takes_full_grid(family, M, N, q, r, G, eigh_matrices):
+def test_element_without_k1_mirror_takes_full_grid(family, M, N, q, r, G, eigh_matrices,
+                                                   eigvalsh_matrices):
     # h + i(v - v*) is self-adjoint, but its v-coefficient 1 + i is not real,
     # so conj(pi_k) is not pi_(-k1, k2) and no row may be mirrored
     ctx = ctx_of(M, N, q, r)
@@ -111,6 +116,8 @@ def test_element_without_k1_mirror_takes_full_grid(family, M, N, q, r, G, eigh_m
     bd = bands_on_grid(rep, a, G)
     assert eigh_matrices == [G * G]
     assert bd.frames.shape[0] == G
+    assert np.abs(band_energies(rep, a, G) - bd.energies).max() < 1e-12
+    assert eigvalsh_matrices == [G * G]
     direct = full_grid_bands(rep, a, G)
     E, F = direct.energies, direct.frames
     assert np.abs(bd.energies - E).max() < 1e-12
@@ -278,10 +285,10 @@ def test_constant_fields():
 
 
 def test_hausdorff_basics():
-    bd = bands_of(1, 3, 1, 0, "weyl", 16)
-    assert spectral_hausdorff(bd, bd) == 0.0
-    other = bands_of(1, 5, 1, 0, "weyl", 16)
-    assert spectral_hausdorff(bd, other) > 0.05
+    e = bands_of(1, 3, 1, 0, "weyl", 16).energies
+    assert spectral_hausdorff(e, e) == 0.0
+    other = bands_of(1, 5, 1, 0, "weyl", 16).energies
+    assert spectral_hausdorff(e, other) > 0.05
 
 
 def test_eigenvalue_continuity_under_refinement():
@@ -332,11 +339,11 @@ def _rows_reference(bd, prefix):
     return "\n".join(rows) + "\n"
 
 
-@pytest.mark.parametrize("prefix", ["", "2,7,"])
+@pytest.mark.parametrize("prefix", ["", "2,7,", "%d,"])
 def test_band_rows_match_the_per_row_loop(prefix):
     for bd in (_odd_value_bands(), bands_of(1, 3, 1, 0, "weyl", 12)):
-        assert band_rows(bd, prefix) == _rows_reference(bd, prefix)
-    lines = band_rows(_odd_value_bands(), prefix).splitlines()
+        assert band_rows(bd.energies, prefix) == _rows_reference(bd, prefix)
+    lines = band_rows(_odd_value_bands().energies, prefix).splitlines()
     assert lines[:8] == [prefix + row for row in (
         "0,0,0,-0", "0,0,1,1e-17", "0,0,2,-3.5e-05",
         "0,0.0833333333333,0,4", "0,0.0833333333333,1,0.333333333333",
