@@ -159,13 +159,3 @@ class TKNNRecord:
     s: int
     fermi: float
     residual: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "g": self.g,
-            "d": self.d,
-            "t": self.t,
-            "s": self.s,
-            "fermi": self.fermi,
-            "residual": self.residual,
-        }

@@ -251,8 +251,9 @@ def certify_gaps(ctx: WeylContext, report: GapReport, bd_r: BandData,
     and the numeric traces from cumulative column traces of `bd_r`.
     Gaps are then checked in order, so the first failing gap raises: the
     reference and weyl Fermi fields and their ranks, the weyl and then the
-    reference link guard and rounding, the diophantine, rhs and duality
-    identities, and `tknn_solve`.
+    reference link guard and rounding, the diophantine and rhs identities,
+    and `tknn_solve`.  With s = -cc the duality N t = M0 cc + q d is the
+    diophantine identity itself, so `duality_ok` is recorded, not checked.
     """
     ranks = [int((bd_r.energies[0, 0] < gap.fermi).sum()) for gap in report.gaps]
     t_sums = None if bd_w is None else _flux_sums(bd_w, ranks)
@@ -289,9 +290,6 @@ def certify_gaps(ctx: WeylContext, report: GapReport, bd_r: BandData,
         if rhs_residual >= RHS_TOL:
             raise VerificationError(
                 f"{ctx.label()} gap d={d}: |t_raw - q[integral + eps*cc]| = {rhs_residual:.3g}")
-        if not duality_ok:
-            raise VerificationError(
-                f"{ctx.label()} gap d={d}: N*t = {N * t} != M0*cc + d*q = {M0 * cc + d * q}")
         try:
             solved = tknn_solve(ctx, d)
         except NoConstrainedSolutionError:

@@ -9,11 +9,16 @@ Subcommands
 
 Exit codes: 0 success, 1 numerical failure (a check or certificate that
 does not hold on the grid; verify still writes its report), 2
-configuration or validation error, 3 I/O error.  All emitted CSV/JSON is
-byte-stable for a fixed configuration: fixed ordering, floats at 12
-significant digits.  The butterfly CSV is formatted theta by theta as
-the worker jobs finish and written in one pass after the last job, so a
-failing job leaves no partial file.
+configuration or validation error, 3 I/O error.  Every explicit --theta
+is validated against every --rep before any context is computed.  All
+emitted CSV/JSON is byte-stable for a fixed configuration: fixed
+ordering, floats at 12 significant digits (`fmt`).  The JSON records are
+the fields of the result dataclasses (`GapReport`, `TKNNRecord`,
+`ChernResult`, `CheckResult`); `_write_json` alone applies the number
+policy, writing every non-finite float as null.  The first format in
+`_WRITES` is each command's default.  The butterfly CSV is formatted
+theta by theta as the worker jobs finish and written in one pass after
+the last job, so a failing job leaves no partial file.
 Worker threads for parameter sweeps come from NCTORUS_THREADS (positive
 integer; default: available parallelism).
 """
@@ -26,20 +31,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .algebra import RationalTheta, hofstadter_element
-from .arithmetic import (
-    DegenerateRepresentationError,
-    InvalidTwistError,
-    WeylContext,
-    make_weyl_context,
-)
+from .arithmetic import DegenerateRepresentationError, InvalidTwistError, make_weyl_context
 from .chern import certify_gaps, gap_bands, gap_certificates
-from .representations import FiberedRep, reference_fibered_rep, weyl_fibered_rep
+from .representations import reference_fibered_rep, weyl_fibered_rep
 from .spectral import (
     NumericalFailure,
     band_energies,
@@ -67,10 +67,6 @@ class ConfigError(ValueError):
 def fmt(x) -> str:
     """12-significant-digit float formatting used for every emitted number."""
     return format(float(x), ".12g")
-
-
-def jfloat(x) -> float:
-    return float(fmt(x))
 
 
 # -- configuration ------------------------------------------------------------
@@ -145,7 +141,8 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-# the formats each subcommand writes; any other --format is a configuration error
+# the formats each subcommand writes, its default first; any other --format is a
+# configuration error
 _WRITES = {"butterfly": ("csv", "svg"), "gaps": ("json", "csv"),
            "labels": ("json",), "chern": ("json",), "verify": ("json",)}
 
@@ -159,15 +156,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     thetas = pick(args.theta, "theta", [])
     cfg.thetas = [parse_theta(t) for t in thetas]
-    farey = pick(getattr(args, "farey", None), "farey", None)
+    farey = pick(args.farey, "farey", None)
     cfg.farey = int(farey) if farey is not None else None
     reps = pick(args.rep, "rep", None)
     cfg.reps = [parse_rep(r) for r in reps] if reps else [(1, 0)]
     cfg.grid = int(pick(args.grid, "grid", 64))
     cfg.tol = float(pick(args.tol, "tol", 1e-8))
     cfg.out = Path(pick(args.out, "out", "."))
-    fmts = pick(args.format, "format", None)
-    cfg.formats = list(fmts) if fmts else []
+    accepted = _WRITES[args.command]
+    cfg.formats = list(pick(args.format, "format", None) or accepted[:1])
     raw_cg = pick(getattr(args, "color_gaps", None) or None, "color_gaps", False)
     cfg.color_gaps = raw_cg if isinstance(raw_cg, bool) else parse_bool("color_gaps", raw_cg)
 
@@ -177,7 +174,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"tol must be positive, got {cfg.tol}")
     if cfg.farey is not None and cfg.farey < 1:
         raise ConfigError(f"farey bound must be >= 1, got {cfg.farey}")
-    accepted = _WRITES[args.command]
     for f in cfg.formats:
         if f not in ("csv", "json", "svg"):
             raise ConfigError(f"unknown format {f!r}")
@@ -213,11 +209,20 @@ def _write_text(path: Path, *chunks: str):
 
 
 def _write_json(path: Path, obj):
-    _write_text(path, json.dumps(obj, indent=2) + "\n")
+    """`obj` as indented JSON: finite floats at 12 significant digits, non-finite as null."""
+    def policed(x):
+        if isinstance(x, float):
+            return float(fmt(x)) if math.isfinite(x) else None
+        if isinstance(x, dict):
+            return {key: policed(v) for key, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [policed(v) for v in x]
+        return x
+    _write_text(path, json.dumps(policed(obj), indent=2) + "\n")
 
 
-def _tag(theta: RationalTheta, q: int, r: int) -> str:
-    return f"{theta.M}_{theta.N}_q{q}r{r}"
+def _tag(ctx) -> str:
+    return f"{ctx.M}_{ctx.N}_q{ctx.q}r{ctx.r}"
 
 
 def farey_fractions(bound: int) -> List[RationalTheta]:
@@ -233,14 +238,6 @@ def farey_fractions(bound: int) -> List[RationalTheta]:
 # -- butterfly -----------------------------------------------------------------
 
 
-def _spectral_rep(ctx: WeylContext) -> FiberedRep:
-    """The weyl family, or its isospectral reference stand-in at theta = r/q."""
-    try:
-        return weyl_fibered_rep(ctx)
-    except DegenerateRepresentationError:
-        return reference_fibered_rep(ctx)
-
-
 def _butterfly_job(theta: RationalTheta, q: int, r: int, cfg: RunConfig):
     ctx = make_weyl_context(theta, q, r)
     if "svg" in cfg.formats and cfg.color_gaps:
@@ -252,7 +249,8 @@ def _butterfly_job(theta: RationalTheta, q: int, r: int, cfg: RunConfig):
     # the uncolored SVG keeps sampled grid detection; nothing here reads an
     # eigenvector, and the CSV grid is diagonalized only when a CSV is written
     h = hofstadter_element(theta)
-    rep = _spectral_rep(ctx)
+    # the weyl family, or its isospectral reference stand-in at theta = r/q
+    rep = weyl_fibered_rep(ctx) if ctx.M0 else reference_fibered_rep(ctx)
     energies = None
     report = None
     if "svg" in cfg.formats:
@@ -267,8 +265,6 @@ def _butterfly_job(theta: RationalTheta, q: int, r: int, cfg: RunConfig):
 def cmd_butterfly(cfg: RunConfig) -> int:
     if cfg.farey is None and not cfg.thetas:
         raise ConfigError("butterfly needs --farey or at least one --theta")
-    formats = cfg.formats or ["csv"]
-    cfg.formats = formats
     base = farey_fractions(cfg.farey) if cfg.farey is not None else []
     for th in cfg.thetas:
         if th not in base:
@@ -292,14 +288,14 @@ def cmd_butterfly(cfg: RunConfig) -> int:
         with concurrent.futures.ThreadPoolExecutor(max_workers=worker_count()) as pool:
             for th, energies, report, certs in pool.map(lambda t: _butterfly_job(t, q, r, cfg),
                                                         jobs):
-                if "csv" in formats:
+                if "csv" in cfg.formats:
                     chunks.append(band_rows(energies, f"{th.M},{th.N},"))
                 results.append((th, report, certs))
 
-        if "csv" in formats:
+        if "csv" in cfg.formats:
             _write_text(cfg.out / f"spectrum_q{q}r{r}.csv", *chunks)
 
-        if "svg" in formats:
+        if "svg" in cfg.formats:
             _write_text(cfg.out / f"butterfly_q{q}r{r}.svg",
                         _butterfly_svg(results, q, r))
     return EXIT_OK
@@ -357,9 +353,8 @@ def _butterfly_svg(results, q: int, r: int) -> str:
 def _iter_contexts(cfg: RunConfig):
     if not cfg.thetas and cfg.farey is None:
         raise ConfigError("need at least one --theta (or --farey)")
-    for th in cfg.thetas:
-        for (q, r) in cfg.reps:
-            yield make_weyl_context(th, q, r)
+    # every explicit pair is validated before the first context does any work
+    yield from [make_weyl_context(th, q, r) for th in cfg.thetas for (q, r) in cfg.reps]
     if cfg.farey is not None:
         for th in farey_fractions(cfg.farey):
             if th in cfg.thetas:
@@ -373,107 +368,69 @@ def _iter_contexts(cfg: RunConfig):
 
 
 def cmd_gaps(cfg: RunConfig) -> int:
-    formats = cfg.formats or ["json"]
     for ctx in _iter_contexts(cfg):
         report = hofstadter_gap_report(ctx, cfg.tol)     # exact edges: no grid
-        d = report.to_json_dict()
-        for gap in d["gaps"]:
-            for key in ("lower", "upper", "fermi"):
-                if gap[key] is not None:
-                    gap[key] = jfloat(gap[key])
-        tag = _tag(ctx.theta, ctx.q, ctx.r)
-        if "json" in formats:
-            _write_json(cfg.out / f"gaps_{tag}.json", d)
-        if "csv" in formats:
-            rows = ["g,lower,upper,d,fermi"]
-            for gap in d["gaps"]:
-                rows.append(",".join([
-                    str(gap["g"]),
-                    "" if gap["lower"] is None else fmt(gap["lower"]),
-                    "" if gap["upper"] is None else fmt(gap["upper"]),
-                    str(gap["d"]),
-                    fmt(gap["fermi"]),
-                ]))
-            _write_text(cfg.out / f"gaps_{tag}.csv", "\n".join(rows) + "\n")
+        if "json" in cfg.formats:
+            _write_json(cfg.out / f"gaps_{_tag(ctx)}.json", asdict(report))
+        if "csv" in cfg.formats:
+            rows = ["g,lower,upper,d,fermi\n"]
+            for gap in report.gaps:
+                lower, upper = (fmt(x) if math.isfinite(x) else "" for x in (gap.lower, gap.upper))
+                rows.append(f"{gap.g},{lower},{upper},{gap.d},{fmt(gap.fermi)}\n")
+            _write_text(cfg.out / f"gaps_{_tag(ctx)}.csv", *rows)
         print(f"{ctx.label()}: {report.bands} bands, "
               f"{len(report.internal())} internal gaps")
     return EXIT_OK
 
 
-def cmd_labels(cfg: RunConfig) -> int:
+def _each_certified(cfg: RunConfig, write) -> int:
+    """`write(ctx, certs)` for each context whose certificates hold, a FAIL line for the rest."""
     status = EXIT_OK
     for ctx in _iter_contexts(cfg):
-        tag = _tag(ctx.theta, ctx.q, ctx.r)
         try:
             certs = gap_certificates(ctx, cfg.grid, cfg.tol)
         except NumericalFailure as exc:
             print(f"FAIL {ctx.label()}: {exc}")
             status = EXIT_VERIFICATION
             continue
-        rows = []
-        for cert in certs:
-            rec = cert["record"].to_json_dict()
-            rec["fermi"] = jfloat(rec["fermi"])
-            rec["residual"] = jfloat(rec["residual"])
-            rows.append(rec)
-        _write_json(cfg.out / f"labels_{tag}.json", rows)
-        print(f"{ctx.label()}  (g, d, t, s):")
-        for rec in rows:
-            print(f"  g={rec['g']} d={rec['d']} t={rec['t']} s={rec['s']} "
-                  f"fermi={fmt(rec['fermi'])} residual={fmt(rec['residual'])}")
+        write(ctx, certs)
     return status
+
+
+def cmd_labels(cfg: RunConfig) -> int:
+    def write(ctx, certs):
+        records = [cert["record"] for cert in certs]
+        _write_json(cfg.out / f"labels_{_tag(ctx)}.json", [asdict(rec) for rec in records])
+        print(f"{ctx.label()}  (g, d, t, s):")
+        for rec in records:
+            print(f"  g={rec.g} d={rec.d} t={rec.t} s={rec.s} "
+                  f"fermi={fmt(rec.fermi)} residual={fmt(rec.residual)}")
+    return _each_certified(cfg, write)
 
 
 def cmd_chern(cfg: RunConfig) -> int:
-    status = EXIT_OK
-    for ctx in _iter_contexts(cfg):
-        tag = _tag(ctx.theta, ctx.q, ctx.r)
-        try:
-            certs = gap_certificates(ctx, cfg.grid, cfg.tol)
-        except NumericalFailure as exc:
-            print(f"FAIL {ctx.label()}: {exc}")
-            status = EXIT_VERIFICATION
-            continue
-        payload = {
-            "theta": {"M": ctx.M, "N": ctx.N},
-            "q": ctx.q,
-            "r": ctx.r,
-            "grid": cfg.grid,
-            "certificates": [],
-        }
+    def write(ctx, certs):
+        rows = []
         for cert in certs:
             t, cc, rec = cert["t"], cert["cc"], cert["record"]
-            payload["certificates"].append({
-                "g": rec.g,
-                "d": rec.d,
-                "fermi": jfloat(rec.fermi),
-                "t": {"value": t.value, "raw": jfloat(t.raw),
-                      "residual": jfloat(t.residual), "grid": t.grid},
-                "cc": {"value": cc.value, "raw": jfloat(cc.raw),
-                       "residual": jfloat(cc.residual), "grid": cc.grid},
-                "ncint": jfloat(cert["ncint"]),
-                "rhs": jfloat(cert["rhs"]),
-                "rhs_residual": jfloat(cert["rhs_residual"]),
-                "diophantine_ok": cert["diophantine_ok"],
-                "duality_ok": cert["duality_ok"],
-                "solver_match": cert["solver_match"],
-            })
+            rows.append({"g": rec.g, "d": rec.d, "fermi": rec.fermi,
+                         "t": asdict(t), "cc": asdict(cc),
+                         **{key: cert[key] for key in ("ncint", "rhs", "rhs_residual",
+                                                       "diophantine_ok", "duality_ok",
+                                                       "solver_match")}})
             print(f"{ctx.label()} g={rec.g}: t={t.value} cc={cc.value} d={rec.d} "
                   f"(residuals {fmt(t.residual)}, {fmt(cc.residual)})")
-        _write_json(cfg.out / f"chern_{tag}.json", payload)
-    return status
+        _write_json(cfg.out / f"chern_{_tag(ctx)}.json",
+                    {"theta": {"M": ctx.M, "N": ctx.N}, "q": ctx.q, "r": ctx.r,
+                     "grid": cfg.grid, "certificates": rows})
+    return _each_certified(cfg, write)
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     status = EXIT_OK
     for ctx in _iter_contexts(cfg):
-        tag = _tag(ctx.theta, ctx.q, ctx.r)
         results = run_invariant_suite(ctx, cfg.grid, cfg.tol)
-        payload = [r.to_json_dict() for r in results]
-        for row in payload:
-            row["value"] = jfloat(row["value"]) if math.isfinite(row["value"]) else None
-            row["threshold"] = jfloat(row["threshold"])
-        _write_json(cfg.out / f"verify_{tag}.json", payload)
+        _write_json(cfg.out / f"verify_{_tag(ctx)}.json", [asdict(r) for r in results])
         print(f"== {ctx.label()} (grid {cfg.grid}, tol {fmt(cfg.tol)})")
         for r in results:
             mark = "ok  " if r.ok else "FAIL"

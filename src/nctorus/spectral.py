@@ -116,18 +116,6 @@ class GapReport:
     def internal(self) -> List[GapInfo]:
         return [g for g in self.gaps if math.isfinite(g.lower) and math.isfinite(g.upper)]
 
-    def to_json_dict(self) -> dict:
-        rows = []
-        for g in self.gaps:
-            rows.append({
-                "g": g.g,
-                "lower": g.lower if math.isfinite(g.lower) else None,
-                "upper": g.upper if math.isfinite(g.upper) else None,
-                "d": g.d,
-                "fermi": g.fermi,
-            })
-        return {"bands": self.bands, "gaps": rows}
-
 
 def bands_on_grid(rep: FiberedRep, a: AlgebraElement, G: int) -> BandData:
     """Fiberwise eigendecomposition on a G x G grid.

@@ -64,10 +64,6 @@ class CheckResult:
     threshold: float
     detail: str
 
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "value": self.value,
-                "threshold": self.threshold, "detail": self.detail}
-
 
 def _frob(A) -> float:
     return float(np.linalg.norm(A))

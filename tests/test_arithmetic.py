@@ -1,10 +1,13 @@
 """Integer layer: twist constants, gap labels, conductance equation solver."""
 
+import dataclasses
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from nctorus import cli
 from nctorus.algebra import RationalTheta
 from nctorus.arithmetic import (
     DegenerateRepresentationError,
@@ -173,8 +176,11 @@ def test_tknn_rhs_value_examples():
         tknn_rhs_value(1.0, 0, 0.5, 0, 0)
 
 
-def test_record_json_schema():
-    rec = TKNNRecord(g=1, d=1, t=0, s=1, fermi=-1.366, residual=1e-15)
-    d = rec.to_json_dict()
+def test_record_json_schema(tmp_path):
+    # the labels JSON is the TKNNRecord fields, in field order
+    assert cli.main(["labels", "--theta", "1/3", "--grid", "16", "--out", str(tmp_path)]) == 0
+    d = json.loads((tmp_path / "labels_1_3_q1r0.json").read_text())[1]
+    assert list(d.keys()) == [f.name for f in dataclasses.fields(TKNNRecord)]
     assert list(d.keys()) == ["g", "d", "t", "s", "fermi", "residual"]
-    assert d["t"] == 0 and d["s"] == 1
+    assert (d["g"], d["d"], d["t"], d["s"]) == (1, 1, 0, 1)
+    assert isinstance(d["fermi"], float) and isinstance(d["residual"], float)

@@ -268,6 +268,47 @@ def test_verify_rejects_degenerate_context(tmp_path):
                "--out", str(tmp_path)) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["chern", "verify"])
+def test_an_invalid_explicit_context_stops_before_any_work(tmp_path, capsys, command):
+    # 1/2 with rep (2,1) has gcd(N, q) = 2: the valid 1/3 listed first is not computed
+    out = tmp_path / "o"
+    assert run(command, "--theta", "1/3", "--theta", "1/2", "--rep", "2,1", "--grid", "8",
+               "--out", str(out)) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "gcd(N,q) must be 1" in captured.err
+    assert not out.exists()
+
+
+def _float_literals(path):
+    """Every float of a JSON file as written, and the parsed document."""
+    literals = []
+    doc = json.loads(path.read_text(), parse_float=lambda text: literals.append(text) or 0.0)
+    return literals, doc
+
+
+def test_report_json_floats_have_at_most_12_significant_digits(tmp_path):
+    out = tmp_path / "o"
+    for command in ("gaps", "labels", "chern"):
+        assert run(command, "--theta", "1/3", "--rep", "2,1", "--grid", "16",
+                   "--out", str(out)) == EXIT_OK
+    assert run("verify", "--theta", "3/7", "--rep", "3,2", "--grid", "6",
+               "--out", str(out)) == EXIT_VERIFICATION
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["chern_1_3_q2r1.json", "gaps_1_3_q2r1.json", "labels_1_3_q2r1.json",
+                     "verify_3_7_q3r2.json"]
+    for name in names:
+        literals, _ = _float_literals(out / name)
+        assert literals, name
+        for text in literals:
+            mantissa = text.lower().split("e")[0].lstrip("-").replace(".", "")
+            assert len(mantissa.strip("0")) <= 12, (name, text)
+    # the failing tknn-gaps check measured an infinite value: JSON has no inf
+    rows = {r["name"]: r for r in json.loads((out / "verify_3_7_q3r2.json").read_text())}
+    assert rows["tknn-gaps"]["ok"] is False
+    assert rows["tknn-gaps"]["value"] is None
+
+
 def test_bad_configuration_values(tmp_path):
     assert run("verify", "--theta", "1/3", "--tol", "0",
                "--out", str(tmp_path)) == EXIT_CONFIG

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import bands_of, ctx_of, full_grid_bands, report_of
 
+from nctorus import cli
 from nctorus.algebra import AlgebraElement, hofstadter_element, monomial, unit
 from nctorus.representations import (
     evaluate_at_k,
@@ -175,13 +176,15 @@ def test_gap_structure_even_denominators():
     assert [g.d for g in rep4.internal()] == [1, 3]
 
 
-def test_gap_report_json_schema():
-    d = report_of(1, 3, 1, 0, 32).to_json_dict()
-    assert set(d.keys()) == {"bands", "gaps"}
+def test_gap_report_json_schema(tmp_path):
+    # the gaps JSON is the GapReport fields, with null for the unbounded edges
+    assert cli.main(["gaps", "--theta", "1/3", "--out", str(tmp_path)]) == 0
+    d = json.loads((tmp_path / "gaps_1_3_q1r0.json").read_text())
+    assert list(d.keys()) == ["bands", "gaps"]
     assert d["gaps"][0]["lower"] is None          # inf-gap
     assert d["gaps"][-1]["upper"] is None         # sup-gap
     assert list(d["gaps"][1].keys()) == ["g", "lower", "upper", "d", "fermi"]
-    json.dumps(d)
+    assert all(isinstance(d["gaps"][1][key], float) for key in ("lower", "upper", "fermi"))
 
 
 CORNER_CONTEXTS = [(M, N, q, r)
