@@ -252,40 +252,3 @@ def connes_chern_symbolic(p: AlgebraElement) -> complex:
     d2 = derivation(p, 2)
     comm = element_mul(d1, d2) - element_mul(d2, d1)
     return nc_integral_symbolic(element_mul(p, comm)) / (1j * TWO_PI)
-
-
-def projection_defect(p: AlgebraElement) -> float:
-    """max|coeff(p*p - p)| + max|coeff(p^* - p)|; zero iff p is a projection."""
-    idem = element_mul(p, p) - p
-    herm = element_star(p) - p
-    return idem.max_coeff() + herm.max_coeff()
-
-
-# -- serialization -----------------------------------------------------------
-
-
-def element_to_json_dict(a: AlgebraElement) -> dict:
-    """Schema: {"theta": {"M","N"} | {"value"}, "coeffs": rows sorted by (n,m)}."""
-    if isinstance(a.theta, RationalTheta):
-        th = {"M": a.theta.M, "N": a.theta.N}
-    else:
-        th = {"value": a.theta.value}
-    rows = [
-        {"n": n, "m": m, "re": a.coeffs[(n, m)].real, "im": a.coeffs[(n, m)].imag}
-        for (n, m) in sorted(a.coeffs)
-    ]
-    return {"theta": th, "coeffs": rows}
-
-
-def element_from_json_dict(d: dict) -> AlgebraElement:
-    th = d["theta"]
-    theta: Theta
-    if "value" in th:
-        theta = IrrationalTheta(float(th["value"]))
-    else:
-        theta = RationalTheta(int(th["M"]), int(th["N"]))
-    coeffs = {
-        (int(r["n"]), int(r["m"])): complex(float(r["re"]), float(r["im"]))
-        for r in d["coeffs"]
-    }
-    return AlgebraElement(theta, coeffs)

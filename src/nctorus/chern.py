@@ -1,4 +1,4 @@
-"""Lattice Chern numbers, the numeric trace/character pair, and verifiers.
+"""Lattice Chern numbers, the derivative-formula character, and verifiers.
 
 Periodic projector fields (reference kind) get the standard
 gauge-invariant plaquette discretization (`fhs_chern`).  Twisted fields
@@ -131,44 +131,6 @@ def ambient_chern_analytic(N: int, q: int) -> int:
     return q
 
 
-def _column_traces(frames: np.ndarray, G1: int) -> np.ndarray:
-    """Grid sums of |F|^2 per frame column, (R,): column r's share of sum tr P.
-
-    On a k1-mirrored grid (len(frames) < G1) row i > 0 also stands for row
-    G1 - i, unless that is row i itself (i = G1/2), and counts twice.
-    """
-    i = np.arange(len(frames))
-    weights = 1.0 + ((i > 0) & (G1 - i >= len(frames)))
-    return weights @ (frames.real ** 2 + frames.imag ** 2).sum(axis=(1, 2))
-
-
-def nc_integral_numeric(field: ProjectorField) -> float:
-    """Torus average of trace/N over a periodic field; equals rank/N."""
-    if not field.rep.periodic:
-        raise ValueError("nc_integral_numeric requires a reference-kind field")
-    G1, G2 = field.shape
-    trace_sum = _column_traces(field.frames, G1).sum()     # sum of tr P = |F|^2
-    return float(trace_sum) / (G1 * G2) / field.dim
-
-
-def connes_chern_numeric(field: ProjectorField) -> ChernResult:
-    """Character of the projector through its periodic reference realization.
-
-    A conjugated-form field carries the (N,1)-pullback bundle, so its
-    plaquette Chern number is N times the character and is divided out.
-    """
-    if not field.rep.periodic:
-        raise ValueError("connes_chern_numeric requires a reference-kind field")
-    res = fhs_chern(field)
-    if not field.rep.conjugated:
-        return res
-    N = field.rep.ctx.N
-    if res.value % N != 0:
-        raise ChernResidualError(
-            f"conjugated-field Chern {res.value} is not divisible by N={N}")
-    return ChernResult(res.value // N, res.raw / N, res.residual / N, res.grid)
-
-
 def _fft_derivative(A: np.ndarray, axis: int) -> np.ndarray:
     """Spectral d/dk along a periodic axis sampled at j/G."""
     G = A.shape[axis]
@@ -247,20 +209,24 @@ def certify_gaps(ctx: WeylContext, report: GapReport, bd_r: BandData,
     `bd_r` must be plain reference bands, as `gap_bands` returns them:
     conjugated-form bands carry N times the character, so they fail the
     identities rather than certify.  Each family's Chern numbers come from
-    one kernel call with every gap's rank (weyl first, closed by its seam),
-    and the numeric traces from cumulative column traces of `bd_r`.
+    one kernel call with every gap's rank (weyl first, closed by its seam).
     Gaps are then checked in order, so the first failing gap raises: the
     reference and weyl Fermi fields and their ranks, the weyl and then the
     reference link guard and rounding, the diophantine and rhs identities,
     and `tknn_solve`.  With s = -cc the duality N t = M0 cc + q d is the
     diophantine identity itself, so `duality_ok` is recorded, not checked.
+
+    `ncint` is exact: the normalized trace of a rank-d projector is d/N.
+    At rational theta the rhs q (d/N + eps cc) then equals
+    (q d + M0 cc)/N = t once the diophantine identity holds, so the rhs
+    check is the rounding bound |t_raw - t| < RHS_TOL, which tightens
+    ROUND_TOL for t; at irrational theta, where the trace is m - theta cc,
+    it is an identity of its own.
     """
     ranks = [int((bd_r.energies[0, 0] < gap.fermi).sum()) for gap in report.gaps]
     t_sums = None if bd_w is None else _flux_sums(bd_w, ranks)
     cc_sums = _flux_sums(bd_r, ranks)
-    G1, G2 = bd_r.shape
-    traces = np.concatenate(([0.0], np.cumsum(_column_traces(bd_r.frames, G1))))
-    ncints = traces / (G1 * G2) / bd_r.rep.dim
+    G1 = len(bd_r.k1s)
     N, M0, q = ctx.N, ctx.M0, ctx.q
     out = []
     for i, gap in enumerate(report.gaps):
@@ -278,7 +244,7 @@ def certify_gaps(ctx: WeylContext, report: GapReport, bd_r: BandData,
         cc_res = _rounded(*cc_sums[i], G1, "fhs_chern")
         t, cc = t_res.value, cc_res.value
         s = -cc
-        ncint = float(ncints[d])
+        ncint = d / N
         diophantine_ok = (N * t + M0 * s == q * d)
         duality_ok = (N * t == M0 * cc + d * q)
         rhs = tknn_rhs_value(ncint, cc, ctx.M / ctx.N, q, ctx.r)

@@ -44,13 +44,6 @@ TWO_PI = 2.0 * np.pi
 # -- elementary matrices -----------------------------------------------------
 
 
-def clock_matrix(q: int, lam: complex = 1.0 + 0j) -> np.ndarray:
-    """lam * diag(1, w, ..., w^{q-1}) with w = e^{i2pi/q}; (C)^q = lam^q I."""
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    return lam * np.diag(np.exp(1j * TWO_PI * np.arange(q) / q))
-
-
 def shift_matrix(q: int, lam: complex = 1.0 + 0j) -> np.ndarray:
     """Cyclic shift: ones on the subdiagonal, lam in the top-right corner.
 
@@ -245,11 +238,6 @@ def evaluate_on_grid(rep: FiberedRep, a: AlgebraElement,
         uphase = c * np.exp(1j * TWO_PI * urate * n * k2s)
         out += term[:, None, :, :] * uphase[None, :, None, None]
     return out
-
-
-def matrix_to_json(m: np.ndarray) -> list:
-    """Row-major debug serialization: nested lists of [re, im] pairs."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
 
 
 def check_pseudoperiodicity(rep: FiberedRep, a: AlgebraElement, k) -> float:

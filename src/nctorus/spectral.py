@@ -41,9 +41,9 @@ has the energies of row i/G, and the complex conjugates of its frames
 are an eigenbasis of the same eigenspaces.  So a mirrored `BandData`
 keeps full energies but only the frames of the diagonalized rows
 i = 0 .. G//2, and its consumers read the mirror off
-`len(frames) < len(k1s)`: the Chern kernel and the numeric traces weight
-those rows (see `_kernels`), and the dense projector and the pullback
-expand them with `expand_k1_mirror`.
+`len(frames) < len(k1s)`: the Chern kernel weights those rows (see
+`_kernels`), and the dense projector and the pullback expand them with
+`expand_k1_mirror`.
 """
 
 from __future__ import annotations
@@ -244,15 +244,20 @@ def hofstadter_gap_report(ctx: WeylContext, tol: float = 1e-8) -> GapReport:
     On the reference family U(k)^N = e^{i2pi N k2} and V(k)^N = e^{i2pi k1},
     so k1 in {0, 1/2} and k2 in {0, 1/(2N)} sweep the four characters
     (+-1, +-1), where every band edge sits (see the module docstring).
-    A slot between consecutive bands is open when its width > tol; for
-    even N the two central bands touch at E = 0 and count once.
+    A slot between consecutive bands is open when its width > tol.  For
+    even N the two central bands touch at E = 0 (Choi, Elliott and Yui,
+    Invent. Math. 99, 225 (1990)), so slot N/2 - 1 is closed whatever tol
+    is, and they count once.
     """
     k1s = np.array([0.0, 0.5])
     k2s = np.array([0.0, 0.5 / ctx.N])
     H = evaluate_on_grid(reference_fibered_rep(ctx), hofstadter_element(ctx.theta), k1s, k2s)
     E = np.linalg.eigvalsh(H)       # (2, 2, N); reads one triangle of each matrix
     lo, hi = E.min(axis=(0, 1)), E.max(axis=(0, 1))
-    return _build_report(lo, hi, lo[1:] - hi[:-1] > tol)
+    open_slots = lo[1:] - hi[:-1] > tol
+    if ctx.N % 2 == 0:
+        open_slots[ctx.N // 2 - 1] = False
+    return _build_report(lo, hi, open_slots)
 
 
 def detect_gaps(bd: BandData, tol: float = 1e-8) -> GapReport:
@@ -367,7 +372,7 @@ def spectral_hausdorff(e1: np.ndarray, e2: np.ndarray) -> float:
     return float(max(directed(a, b), directed(b, a)))
 
 
-def band_rows(energies: np.ndarray, prefix: str = "") -> str:
+def band_rows(energies: np.ndarray, prefix: str) -> str:
     """One `{prefix}k1,k2,band,energy` line per eigenvalue of a (G1, G2, N) array.
 
     k1 = i/G1 and k2 = j/G2; rows run over k1, k2, band.  Every number is
@@ -384,9 +389,3 @@ def band_rows(energies: np.ndarray, prefix: str = "") -> str:
     # p + p.join(bands) is p + bands[0] + p + bands[1] + ...: one row per band
     template = "".join(p + p.join(bands) for p in points)
     return template % tuple(energies.ravel().tolist())
-
-
-def export_bands_csv(bd: BandData, path) -> None:
-    """Spectrum samples, one eigenvalue per row: k1,k2,band_index,energy (CRLF)."""
-    with open(path, "w", newline="\r\n") as fh:
-        fh.write("k1,k2,band_index,energy\n" + band_rows(bd.energies))

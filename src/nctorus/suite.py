@@ -22,7 +22,7 @@ from .algebra import (
     random_element,
     random_selfadjoint_element,
 )
-from .arithmetic import WeylContext
+from .arithmetic import WeylContext, gap_label_d
 from .chern import (
     ambient_chern_analytic,
     certify_gaps,
@@ -176,8 +176,10 @@ def run_invariant_suite(ctx: WeylContext, G: int = 32, tol: float = 1e-8) -> Lis
     expected_bands = ctx.N if ctx.N % 2 == 1 else ctx.N - 1
     check("band-count", abs(report.bands - expected_bands), 0.5,
           f"{report.bands} merged bands (expected {expected_bands})")
+    # gap_label_d is strictly increasing, so a report that matches it is too
     dd = [g.d for g in report.gaps]
-    check("gap-labels-increasing", 0.0 if dd == sorted(set(dd)) else 1.0, 0.5, str(dd))
+    labels = [gap_label_d(ctx.N, g) for g in range(expected_bands + 1)]
+    check("gap-labels-increasing", 0.0 if dd == labels else 1.0, 0.5, str(dd))
 
     # projector-field health on the widest internal gap (when one exists)
     internal = report.internal()

@@ -7,7 +7,8 @@ such as `src` of two checkouts.  Each command runs as `python -m nctorus`
 with that tree first on PYTHONPATH and NCTORUS_THREADS=2, in a fresh
 working directory, writing its files under `out/`.  The script compares
 the exit code, stdout, stderr and the bytes of every written file, prints
-one line per command, and exits 1 when any of them differs, 0 otherwise.
+one line per command and then the line count of each tree's
+`nctorus/*.py`, and exits 1 when any command's output differs, 0 otherwise.
 A JSON file that differs is also parsed on both sides: the line says
 whether every non-float value (integer, bool, string, null, key and list
 length) matches, and gives the largest difference between two floats.
@@ -129,6 +130,11 @@ def _is_int(text: str) -> bool:
 SUMMARIES = {".json": json_summary, ".csv": csv_summary}
 
 
+def line_count(src: Path) -> int:
+    """Lines in the package modules `nctorus/*.py` of the tree `src`."""
+    return sum(len(p.read_bytes().splitlines()) for p in (src / "nctorus").glob("*.py"))
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print("usage: python3 tests/compare_cli.py OLD_SRC NEW_SRC", file=sys.stderr)
@@ -143,6 +149,7 @@ def main(argv) -> int:
             f"identical (exit {new['exit']}, {len(new['files'])} files)")
         print(f"{' '.join(command)}: {status}", flush=True)
     print(f"{len(COMMANDS) - failed} of {len(COMMANDS)} runs byte-identical")
+    print(f"nctorus/*.py: {line_count(old_src)} lines -> {line_count(new_src)} lines")
     return 1 if failed else 0
 
 

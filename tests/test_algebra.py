@@ -1,7 +1,6 @@
 """Algebra layer: twisted products, involution, trace, derivations."""
 
 import cmath
-import json
 import math
 
 import pytest
@@ -12,14 +11,11 @@ from nctorus.algebra import (
     ThetaMismatchError,
     connes_chern_symbolic,
     derivation,
-    element_from_json_dict,
     element_mul,
     element_star,
-    element_to_json_dict,
     hofstadter_element,
     monomial,
     nc_integral_symbolic,
-    projection_defect,
     random_element,
     unit,
     zero,
@@ -219,37 +215,10 @@ def test_hofstadter_element():
     assert element_star(h) == h
 
 
-def test_projection_defect_trivial():
-    assert projection_defect(unit(TH13)) == 0.0
-    assert projection_defect(monomial(TH13, 1, 0)) > 0.5
-
-
-def test_projection_defect_commutative_example():
-    # p = (1 + u + u^-1)/2 involves only u-powers: plain convolution oracle
-    p = 0.5 * (unit(TH13) + monomial(TH13, 1, 0) + monomial(TH13, -1, 0))
-    poly = {0: 0.5, 1: 0.5, -1: 0.5}
-    sq = {}
-    for i, ci in poly.items():
-        for j, cj in poly.items():
-            sq[i + j] = sq.get(i + j, 0.0) + ci * cj
-    defect_oracle = max(abs(sq.get(k, 0.0) - poly.get(k, 0.0)) for k in set(sq) | set(poly))
-    assert projection_defect(p) == pytest.approx(defect_oracle, abs=1e-15)
-    assert projection_defect(p) == pytest.approx(0.25, abs=1e-15)
-
-
 def test_degree():
     assert zero(TH13).degree() == 0
     assert hofstadter_element(TH13).degree() == 1
     assert monomial(TH13, 2, -3).degree() == 5
-
-
-def test_json_roundtrip():
-    a = monomial(TH13, 1, 0, 0.5 + 0.25j) + monomial(TH13, -2, 3, -1.5j)
-    d = element_to_json_dict(a)
-    assert d["theta"] == {"M": 1, "N": 3}
-    assert [(r["n"], r["m"]) for r in d["coeffs"]] == [(-2, 3), (1, 0)]
-    b = element_from_json_dict(json.loads(json.dumps(d)))
-    assert b == a
 
 
 def test_irrational_mode(rng):
@@ -260,5 +229,3 @@ def test_irrational_mode(rng):
     lhs = element_mul(element_mul(a, b), a)
     rhs = element_mul(a, element_mul(b, a))
     assert lhs.approx_equal(rhs, 1e-11)
-    d = element_to_json_dict(a)
-    assert element_from_json_dict(d).approx_equal(a, 0.0)

@@ -16,13 +16,11 @@ from nctorus.chern import (
     VerificationError,
     ambient_chern_analytic,
     certify_gaps,
-    connes_chern_numeric,
     connes_chern_via_derivatives,
     fhs_chern,
     fhs_chern_twisted,
     gap_bands,
     gap_certificates,
-    nc_integral_numeric,
     pullback_field,
     symbolic_numeric_crosscheck,
 )
@@ -97,24 +95,7 @@ def test_derivative_formula_orientation_oracle():
 
 def test_conjugated_field_carries_n_times_character():
     f = ref_gap_field(1, 3, 1, 0, 0, conjugated=True)
-    assert fhs_chern(f).value == -3
-    assert connes_chern_numeric(f).value == -1
-
-
-def test_connes_chern_numeric_values():
-    rep = reference_fibered_rep(ctx_of(1, 3, 1, 0))
-    assert connes_chern_numeric(identity_field(rep, 16)).value == 0
-    zero_field = constant_projector_field(rep, 16, np.zeros((3, 3), complex))
-    assert connes_chern_numeric(zero_field).value == 0
-    assert connes_chern_numeric(ref_gap_field(1, 3, 1, 0, 0)).value == -1
-
-
-def test_nc_integral_numeric():
-    rep = reference_fibered_rep(ctx_of(1, 3, 1, 0))
-    assert nc_integral_numeric(identity_field(rep, 16)) == pytest.approx(1.0, abs=1e-12)
-    zero_field = constant_projector_field(rep, 16, np.zeros((3, 3), complex))
-    assert nc_integral_numeric(zero_field) == 0.0
-    assert nc_integral_numeric(ref_gap_field(1, 3, 1, 0, 0)) == pytest.approx(1 / 3, abs=1e-10)
+    assert fhs_chern(f).value == -3 == 3 * round(connes_chern_via_derivatives(f))
 
 
 @pytest.mark.parametrize("spec", [(1, 3, 1, 0), (1, 3, 2, 1), (1, 5, 2, 1),
@@ -290,12 +271,12 @@ def test_numeric_trace_and_character_of_a_mirrored_field(G):
     bd, full = _mirrored_and_full(rep, G)
     gap = report_of(1, 3, 1, 0, 32).internal()[0]
     f, g = fermi_projector_field(bd, gap.fermi), fermi_projector_field(full, gap.fermi)
-    assert nc_integral_numeric(f) == pytest.approx(nc_integral_numeric(g), abs=1e-12)
-    assert nc_integral_numeric(f) == pytest.approx(1 / 3, abs=1e-12)
+    assert np.trace(f.P, axis1=-2, axis2=-1).real.mean() == pytest.approx(1.0, abs=1e-12)
     assert connes_chern_via_derivatives(f) == pytest.approx(
         connes_chern_via_derivatives(g), abs=1e-10)
-    res, res_full = connes_chern_numeric(f), connes_chern_numeric(g)
-    assert (res.value, res.grid) == (res_full.value, res_full.grid) == (-1, G)
+    assert round(connes_chern_via_derivatives(f)) == -1
+    res, res_full = fhs_chern(f), fhs_chern(g)
+    assert (res.value, res.grid) == (res_full.value, res_full.grid) == (-3, G)
 
 
 def test_certificates_from_mirrored_bands_match_the_full_grid():
@@ -352,6 +333,10 @@ def test_duality_and_solver_consistency():
             cc = cert["cc"].value
             assert ctx.N * rec.t == ctx.M0 * cc + rec.d * ctx.q
             assert cert["solver_match"] is True
+            # exact trace d/N: the rhs is t, and its residual is t's rounding
+            assert cert["ncint"] == rec.d / ctx.N
+            assert abs(cert["rhs"] - rec.t) <= 1e-12
+            assert cert["rhs_residual"] == pytest.approx(abs(cert["t"].raw - rec.t), abs=1e-12)
             assert tknn_solve(ctx, rec.d) == (rec.t, rec.s)
 
 

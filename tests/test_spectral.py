@@ -1,6 +1,5 @@
 """Spectral layer: band data, gap detection, Fermi projector fields."""
 
-import csv
 import dataclasses
 import json
 import math
@@ -12,6 +11,7 @@ from conftest import bands_of, ctx_of, full_grid_bands, report_of
 
 from nctorus import cli
 from nctorus.algebra import AlgebraElement, hofstadter_element, monomial, unit
+from nctorus.arithmetic import gap_label_d
 from nctorus.representations import (
     evaluate_at_k,
     evaluate_on_grid,
@@ -28,7 +28,6 @@ from nctorus.spectral import (
     constant_projector_field,
     dual_bands,
     expand_k1_mirror,
-    export_bands_csv,
     fermi_projector_field,
     hofstadter_gap_report,
     identity_field,
@@ -193,6 +192,15 @@ CORNER_CONTEXTS = [(M, N, q, r)
                    for (q, r) in [(1, 0), (2, 1), (3, 2)] if math.gcd(N, q) == 1]
 
 
+@pytest.mark.parametrize("M,N", [(1, 2), (1, 4), (3, 8)])
+def test_central_bands_of_even_n_touch_at_any_tol(M, N):
+    # the corner edges of the two central bands meet at E = 0 only to rounding,
+    # which a tol below it would read as a gap
+    report = hofstadter_gap_report(ctx_of(M, N, 1, 0), tol=1e-20)
+    assert report.bands == N - 1
+    assert [g.d for g in report.gaps] == [gap_label_d(N, g) for g in range(N)]
+
+
 @pytest.mark.parametrize("M,N,q,r", CORNER_CONTEXTS)
 def test_corner_edges_match_the_grid(M, N, q, r):
     # 96 = 2^5 * 3 holds a k2 with N k2 = 1/2 mod 1 for each N here, so the
@@ -304,20 +312,6 @@ def test_eigenvalue_continuity_under_refinement():
     assert jumps[2] < jumps[1] < jumps[0]
 
 
-def test_bands_csv_export(tmp_path):
-    bd = bands_of(1, 3, 1, 0, "weyl", 4)
-    path = tmp_path / "bands.csv"
-    export_bands_csv(bd, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k1,k2,band_index,energy"
-    assert len(lines) == 1 + 4 * 4 * 3
-    k1, k2, b, e = lines[1].split(",")
-    assert (k1, k2, b) == ("0", "0", "0")
-    # at k = (0,0) the three-band matrix is [[2,1,1],[1,-1,1],[1,1,-1]];
-    # H + 2I has two equal rows, so -2 is an exact eigenvalue (the lowest)
-    assert float(e) == pytest.approx(-2.0, abs=1e-12)
-
-
 def _odd_value_bands():
     """G = 12 bands (k = j/12 repeats) whose energies stress 12-digit formatting."""
     bd = bands_of(1, 3, 1, 0, "weyl", 12)
@@ -352,20 +346,3 @@ def test_band_rows_match_the_per_row_loop(prefix):
         "0,0.0833333333333,0,4", "0,0.0833333333333,1,0.333333333333",
         "0,0.0833333333333,2,-0.285714285714",
         "0,0.166666666667,0,123456.789012", "0,0.166666666667,1,0.3")]
-
-
-def test_bands_csv_export_bytes_match_csv_writer(tmp_path):
-    """`export_bands_csv` keeps the bytes of its `csv.writer` loop, CRLF line ends included."""
-    for bd in (_odd_value_bands(), bands_of(1, 3, 1, 0, "weyl", 12)):
-        ref = tmp_path / "ref.csv"
-        with open(ref, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["k1", "k2", "band_index", "energy"])
-            G1, G2 = bd.shape
-            for i in range(G1):
-                for j in range(G2):
-                    for b in range(bd.energies.shape[-1]):
-                        w.writerow([format(bd.k1s[i], ".12g"), format(bd.k2s[j], ".12g"), b,
-                                    format(bd.energies[i, j, b], ".12g")])
-        export_bands_csv(bd, tmp_path / "got.csv")
-        assert (tmp_path / "got.csv").read_bytes() == ref.read_bytes()

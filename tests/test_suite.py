@@ -1,10 +1,13 @@
 """Invariant suite: one spectral pass per context, failures as FAIL rows."""
 
+import dataclasses
+
 import pytest
 
 from conftest import ctx_of, full_grid_bands
 
 from nctorus import spectral, suite
+from nctorus.spectral import GapInfo
 from nctorus.suite import run_invariant_suite
 
 
@@ -42,3 +45,24 @@ def test_projector_rows_on_mirrored_bands_match_the_full_grid(monkeypatch):
     assert all(r.ok for r in mirrored.values())
     for name in ("projector-field", "projector-seam-transport"):
         assert mirrored[name].value == pytest.approx(full[name].value, abs=1e-12), name
+
+
+@pytest.mark.parametrize("spec,labels", [((1, 3, 1, 0), [0, 2, 3]),         # a gap missing
+                                         ((1, 4, 1, 0), [0, 1, 2, 3, 4])])  # a centre gap
+def test_gap_label_row_fails_on_a_wrong_report(spec, labels, monkeypatch):
+    # both label lists increase, but neither is gap_label_d's; the band count
+    # is left as it is, so only the label row can see it
+    exact = suite.gap_bands
+
+    def relabeled(ctx, G, tol):
+        report, bd_r, bd_w = exact(ctx, G, tol)
+        by_d = {gap.d: gap for gap in report.gaps}
+        gaps = [dataclasses.replace(by_d.get(d, GapInfo(0, 0.0, 0.0, d, 0.0)), g=g)
+                for g, d in enumerate(labels)]
+        return dataclasses.replace(report, gaps=gaps), bd_r, bd_w
+
+    monkeypatch.setattr(suite, "gap_bands", relabeled)
+    rows = {r.name: r for r in run_invariant_suite(ctx_of(*spec), 16)}
+    assert rows["band-count"].ok
+    assert not rows["gap-labels-increasing"].ok
+    assert rows["gap-labels-increasing"].detail == str(labels)
