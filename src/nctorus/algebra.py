@@ -118,9 +118,6 @@ class AlgebraElement:
         keys = set(self.coeffs) | set(other.coeffs)
         return all(abs(self.coeff(*k) - other.coeff(*k)) <= tol for k in keys)
 
-    def max_coeff(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
     # -- arithmetic -------------------------------------------------------
 
     def _check_theta(self, other: "AlgebraElement"):

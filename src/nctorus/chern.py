@@ -149,9 +149,9 @@ def _fft_character(A: np.ndarray) -> complex:
     """
     A1 = _fft_derivative(A, 0)   # d/dk1  <->  derivation axis 2
     A2 = _fft_derivative(A, 1)   # d/dk2  <->  derivation axis 1
-    X = np.einsum("ijab,ijbc,ijcd->ijad", A, A2, A1) \
-        - np.einsum("ijab,ijbc,ijcd->ijad", A, A1, A2)
-    return complex(np.trace(X, axis1=-2, axis2=-1).mean()) / (A.shape[-1] * 2j * np.pi)
+    C = A2 @ A1 - A1 @ A2
+    G1, G2, N = A.shape[:3]
+    return complex(np.einsum("ijab,ijba->", A, C)) / (G1 * G2 * N * 2j * np.pi)
 
 
 def connes_chern_via_derivatives(field: ProjectorField) -> float:

@@ -36,15 +36,14 @@ from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from .algebra import RationalTheta, hofstadter_element
+from .algebra import RationalTheta
 from .arithmetic import DegenerateRepresentationError, InvalidTwistError, make_weyl_context
 from .chern import certify_gaps, gap_bands, gap_certificates
-from .representations import reference_fibered_rep, weyl_fibered_rep
 from .spectral import (
     NumericalFailure,
-    band_energies,
     band_rows,
     detect_gaps_refined,
+    hofstadter_energies,
     hofstadter_gap_report,
 )
 from .suite import run_invariant_suite
@@ -246,19 +245,17 @@ def _butterfly_job(theta: RationalTheta, q: int, r: int, cfg: RunConfig):
         report, bd_r, bd_w = gap_bands(ctx, cfg.grid, cfg.tol)
         certs = certify_gaps(ctx, report, bd_r, bd_w)
         return theta, (bd_r if bd_w is None else bd_w).energies, report, certs
-    # the uncolored SVG keeps sampled grid detection; nothing here reads an
-    # eigenvector, and the CSV grid is diagonalized only when a CSV is written
-    h = hofstadter_element(theta)
-    # the weyl family, or its isospectral reference stand-in at theta = r/q
-    rep = weyl_fibered_rep(ctx) if ctx.M0 else reference_fibered_rep(ctx)
+    # the uncolored SVG keeps sampled grid detection on the weyl energies, read
+    # off the central character; the CSV grid is computed only when a CSV is written
     energies = None
     report = None
     if "svg" in cfg.formats:
-        report, fine = detect_gaps_refined(rep, h, max(8, cfg.grid // 2), cfg.tol)
+        fine = hofstadter_energies(ctx, 2 * max(8, cfg.grid // 2))
+        report = detect_gaps_refined(fine, cfg.tol)
         if len(fine) == cfg.grid:
             energies = fine       # refinement's fine grid is the CSV grid
     if energies is None and "csv" in cfg.formats:
-        energies = band_energies(rep, h, cfg.grid)
+        energies = hofstadter_energies(ctx, cfg.grid)
     return theta, energies, report, None
 
 

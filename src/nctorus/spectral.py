@@ -5,12 +5,16 @@ Hermitian eigendecomposition per (rep, element, grid), `bands_on_grid`,
 feeds the projectors and Chern numbers, and one per (context, element,
 grid) when both families are needed: `dual_bands` diagonalizes the weyl
 family and reads the reference bands off it by magnetic translation.
-Consumers of energies alone (the sampled gap refinement, the uncolored
-butterfly CSV, isospectrality) take `band_energies`, the same matrices
-through `eigvalsh`.  The spectral projector below a Fermi level in a gap
-(the finite-dimensional stand-in for the resolvent contour integral) is
-carried as the occupied eigenvector columns it came from, a view into
-the band frames; the dense N x N projector is built only on demand.
+Consumers of energies alone take `band_energies`, the same matrices
+through `eigvalsh`; for the flux operator h, whose spectrum depends on k
+only through its central character (below), the uncolored butterfly
+takes `hofstadter_energies`, one `eigvalsh` per character pair.
+Isospectrality keeps its direct `band_energies` passes: read off the
+character, it would hold by construction.  The spectral projector below
+a Fermi level in a gap (the finite-dimensional stand-in for the
+resolvent contour integral) is carried as the occupied eigenvector
+columns it came from, a view into the band frames; the dense N x N
+projector is built only on demand.
 
 Gap reports of the flux operator h = u + u* + v + v* are exact and need
 no grid.  Every irreducible representation of the rational rotation
@@ -22,10 +26,12 @@ Rev. 140, A135 (1965); Hofstadter, PRB 14, 2239 (1976)), so each
 eigenvalue branch is monotone in that sum and runs between its values
 at the characters (1, 1) and (-1, -1): every band edge is an eigenvalue
 at one of the four characters (+-1, +-1).  `hofstadter_gap_report`
-reads them off four N x N matrices.  For a general self-adjoint element
-gap detection works on band-edge intervals sampled on the grid, and a
-one-step grid refinement rejects fake gaps that only exist because a
-band touching fell between grid points (`detect_gaps_refined`).
+reads them off four N x N matrices, and `hofstadter_energies` reads a
+whole grid's energies off its distinct values of that sum.  For a
+general self-adjoint element gap detection works on band-edge intervals
+sampled on the grid, and a one-step grid refinement rejects fake gaps
+that only exist because a band touching fell between grid points
+(`detect_gaps_refined`).
 
 Half of the k1 rows need no diagonalization.  In every family U(k) is
 diagonal unitary and independent of k1, so conj U = U^{-1}; the shift
@@ -141,6 +147,33 @@ def band_energies(rep: FiberedRep, a: AlgebraElement, G: int) -> np.ndarray:
     return expand_k1_mirror(np.linalg.eigvalsh(_grid_stack(rep, a, G)), G)
 
 
+def hofstadter_energies(ctx: WeylContext, G: int) -> np.ndarray:
+    """The (G, G, N) energies of h = u + u* + v + v* on the weyl family's G x G grid.
+
+    The reference family's grid at M0 = 0, like `band_energies(rep, h, G)`.
+    The spectrum of pi_k(h) depends on k only through Re U^N + Re V^N (see
+    the module docstring).  At the grid point k = (i/G, j/G), V^N = e^{i2pi k1}
+    and U^N = e^{i2pi c k2}, with c = M0 on the weyl family and c = N on
+    the reference one, so the point has the spectrum of the folded character
+    indices x = min(i, G - i) and y = min(cj mod G, G - cj mod G), in either
+    order.  Each unordered pair is diagonalized once, as the reference
+    family at (k1, k2) = (x/G, y/(N G)), whose characters are e^{i2pi x/G}
+    and e^{i2pi y/G}, and an index map expands the results to the grid.
+    """
+    h = hofstadter_element(ctx.theta)
+    _check_self_adjoint(h)
+    i = np.arange(G)
+    x = np.minimum(i, G - i)
+    cj = (ctx.M0 or ctx.N) * i % G
+    y = np.minimum(cj, G - cj)
+    lo, hi = np.minimum.outer(x, y), np.maximum.outer(x, y)
+    pairs, index = np.unique(lo * G + hi, return_inverse=True)
+    px, py = np.divmod(pairs, G)
+    k = np.arange(G // 2 + 1)
+    H = _hermitian_stack(reference_fibered_rep(ctx), h, k / G, k / (ctx.N * G))
+    return np.linalg.eigvalsh(H[px, py])[index.reshape(G, G)]
+
+
 def dual_bands(ctx: WeylContext, a: AlgebraElement, G: int):
     """(bd_r, bd_w): reference and weyl bands of `a` at G from one weyl pass.
 
@@ -204,11 +237,15 @@ def _grid_stack(rep: FiberedRep, a: AlgebraElement, G: int) -> np.ndarray:
 
     Raises SelfAdjointnessError unless a = a* within 1e-12.
     """
-    if not a.approx_equal(element_star(a), SELFADJOINT_TOL):
-        raise SelfAdjointnessError("element is not self-adjoint within 1e-12")
+    _check_self_adjoint(a)
     k = np.arange(G) / G
     rows = G // 2 + 1 if a.approx_equal(_k1_mirror(a), SELFADJOINT_TOL) else G
     return _hermitian_stack(rep, a, k[:rows], k)
+
+
+def _check_self_adjoint(a: AlgebraElement):
+    if not a.approx_equal(element_star(a), SELFADJOINT_TOL):
+        raise SelfAdjointnessError("element is not self-adjoint within 1e-12")
 
 
 def _hermitian_stack(rep: FiberedRep, a: AlgebraElement, k1s: np.ndarray, k2s: np.ndarray):
@@ -266,24 +303,24 @@ def detect_gaps(bd: BandData, tol: float = 1e-8) -> GapReport:
     return _build_report(lo, hi, lo[1:] - hi[:-1] > tol)
 
 
-def detect_gaps_refined(rep: FiberedRep, a: AlgebraElement, G: int, tol: float = 1e-8):
-    """One-step refinement for a general self-adjoint element: recheck candidate gaps at 2G.
+def detect_gaps_refined(E2: np.ndarray, tol: float = 1e-8) -> GapReport:
+    """One-step refinement for a general self-adjoint element, from its (2G, 2G, N) energies.
 
-    A genuine gap keeps (nearly) its width under refinement while a fake
-    gap from undersampling a band touching shrinks by ~2x (conical) or
-    ~4x (quadratic); the 0.7 ratio separates the two regimes, and can
-    also close a genuine gap whose sampled width is still converging.
-    Returns (GapReport, the (2G, 2G, N) energies) with edges taken from
-    the finer grid.
+    The candidate gaps of the G grid, read as E2[::2, ::2] (the point i/G
+    is exactly 2i/(2G)), are rechecked on the 2G grid.  A genuine gap
+    keeps (nearly) its width under refinement while a fake gap from
+    undersampling a band touching shrinks by ~2x (conical) or ~4x
+    (quadratic); the 0.7 ratio separates the two regimes, and can also
+    close a genuine gap whose sampled width is still converging.  Edges
+    are taken from the finer grid.
     """
-    E1 = band_energies(rep, a, G)
-    E2 = band_energies(rep, a, 2 * G)
+    E1 = E2[::2, ::2]
     lo1, hi1 = E1.min(axis=(0, 1)), E1.max(axis=(0, 1))
     lo2, hi2 = E2.min(axis=(0, 1)), E2.max(axis=(0, 1))
     w1 = lo1[1:] - hi1[:-1]
     w2 = lo2[1:] - hi2[:-1]
     open_slots = (w2 > tol) & (w2 >= 0.7 * w1)
-    return _build_report(lo2, hi2, open_slots), E2
+    return _build_report(lo2, hi2, open_slots)
 
 
 @dataclass(frozen=True)
@@ -377,15 +414,18 @@ def band_rows(energies: np.ndarray, prefix: str) -> str:
 
     k1 = i/G1 and k2 = j/G2; rows run over k1, k2, band.  Every number is
     printed at 12 significant digits: the k values and row heads are
-    formatted once into one `%.12g` template, which a single `%` fills
-    with the energies.
+    formatted once into one `%s` template, and so is each distinct energy
+    (distinct bit pattern, so -0.0 keeps its sign), which a single `%`
+    fills in.
     """
     G1, G2, N = energies.shape
     head = prefix.replace("%", "%%")
     k1 = [format(i / G1, ".12g") for i in range(G1)]
     k2 = [format(j / G2, ".12g") for j in range(G2)]
-    bands = [f"{b},%.12g\n" for b in range(N)]
+    bands = [f"{b},%s\n" for b in range(N)]
     points = (f"{head}{a},{c}," for a in k1 for c in k2)
     # p + p.join(bands) is p + bands[0] + p + bands[1] + ...: one row per band
     template = "".join(p + p.join(bands) for p in points)
-    return template % tuple(energies.ravel().tolist())
+    bits, index = np.unique(energies.ravel().view(np.int64), return_inverse=True)
+    texts = np.array([format(e, ".12g") for e in bits.view(float).tolist()], dtype=object)
+    return template % tuple(texts[index].tolist())

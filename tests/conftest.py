@@ -12,7 +12,7 @@ from nctorus.algebra import RationalTheta, hofstadter_element
 from nctorus.arithmetic import make_weyl_context
 from nctorus.chern import gap_certificates
 from nctorus.representations import evaluate_on_grid, reference_fibered_rep, weyl_fibered_rep
-from nctorus.spectral import BandData, bands_on_grid, detect_gaps_refined
+from nctorus.spectral import BandData, band_energies, bands_on_grid, detect_gaps_refined
 
 _BANDS = {}
 _CERTS = {}
@@ -44,8 +44,8 @@ def report_of(M, N, q, r, G, tol=1e-8):
     if key not in _REPORTS:
         ctx = ctx_of(M, N, q, r)
         rep = weyl_fibered_rep(ctx)
-        report, _ = detect_gaps_refined(rep, hofstadter_element(ctx.theta), G, tol)
-        _REPORTS[key] = report
+        E2 = band_energies(rep, hofstadter_element(ctx.theta), 2 * G)
+        _REPORTS[key] = detect_gaps_refined(E2, tol)
     return _REPORTS[key]
 
 
@@ -58,9 +58,12 @@ def certs_of(M, N, q, r, G):
 
 @pytest.fixture
 def band_passes(monkeypatch):
-    """Records (M, N, kind, G) for every `bands_on_grid` or `band_energies` call the package makes.
+    """Records (M, N, kind, G) for every spectral pass the package makes.
 
-    Both are spectral passes over the same matrices, with and without eigenvectors.
+    `bands_on_grid` and `band_energies` are passes over the same matrices,
+    with and without eigenvectors, and record their family's kind;
+    `hofstadter_energies`, which reads the energies of h off its central
+    characters, records the kind "character".
     """
     calls = []
 
@@ -70,8 +73,15 @@ def band_passes(monkeypatch):
             return fn(rep, a, G)
         return counted
 
-    for name in ("bands_on_grid", "band_energies"):
-        counted = counting(getattr(spectral, name))
+    def counting_characters(fn):
+        def counted(ctx, G):
+            calls.append((ctx.M, ctx.N, "character", G))
+            return fn(ctx, G)
+        return counted
+
+    for name, wrap in (("bands_on_grid", counting), ("band_energies", counting),
+                       ("hofstadter_energies", counting_characters)):
+        counted = wrap(getattr(spectral, name))
         for mod in (cli, spectral, suite):
             if name in vars(mod):
                 monkeypatch.setattr(mod, name, counted)

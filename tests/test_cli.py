@@ -462,11 +462,12 @@ def test_butterfly_color_gaps_one_spectral_pass_per_theta(tmp_path, band_passes,
 
 
 def test_butterfly_svg_only_diagonalizes_no_csv_grid(tmp_path, band_passes):
-    # 7 thetas, each refined at 8 -> 16; the CSV grid 15 is never diagonalized
+    # 7 thetas, each refined at 8 -> 16 from one pass at 16; the CSV grid 15 is
+    # never computed
     assert run("butterfly", "--farey", "4", "--grid", "15", "--format", "svg",
                "--out", str(tmp_path / "o")) == EXIT_OK
-    assert len(band_passes) == 14
-    assert Counter(G for *_, G in band_passes) == {8: 7, 16: 7}
+    assert len(band_passes) == 7
+    assert Counter((kind, G) for *_, kind, G in band_passes) == {("character", 16): 7}
 
 
 @st.composite

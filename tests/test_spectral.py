@@ -29,6 +29,7 @@ from nctorus.spectral import (
     dual_bands,
     expand_k1_mirror,
     fermi_projector_field,
+    hofstadter_energies,
     hofstadter_gap_report,
     identity_field,
     spectral_hausdorff,
@@ -221,6 +222,46 @@ def test_corner_edges_match_the_grid(M, N, q, r):
     E = np.linalg.eigvalsh(evaluate_on_grid(weyl_fibered_rep(ctx), h, k, k))
     assert (E >= np.repeat(lo, np.diff(ds)) - 1e-12).all()
     assert (E <= np.repeat(hi, np.diff(ds)) + 1e-12).all()
+
+
+FAREY10_REPS = [(1, 0), (2, 1), (3, 1), (3, 2)]
+
+
+def _farey10_contexts(q, r):
+    return [ctx_of(th.M, th.N, q, r) for th in cli.farey_fractions(10) if math.gcd(th.N, q) == 1]
+
+
+def _grid_family(ctx):
+    return weyl_fibered_rep(ctx) if ctx.M0 else reference_fibered_rep(ctx)
+
+
+@pytest.mark.parametrize("q,r", FAREY10_REPS)
+def test_character_energies_match_the_grid(q, r):
+    # h's spectrum depends on k only through Re U^N + Re V^N, so one eigvalsh
+    # per unordered pair of folded character indices reproduces the grid pass
+    for ctx in _farey10_contexts(q, r):
+        h = hofstadter_element(ctx.theta)
+        for G in (7, 8, 15, 24, 48):
+            E = hofstadter_energies(ctx, G)
+            assert E.shape == (G, G, ctx.N)
+            assert np.abs(E - band_energies(_grid_family(ctx), h, G)).max() <= 1e-12
+
+
+def test_character_energies_diagonalize_each_pair_once(eigvalsh_matrices):
+    # at 1/3 (M0 = 1) the folded indices take all 25 values 0 .. 24 at G = 48
+    hofstadter_energies(ctx_of(1, 3, 1, 0), 48)
+    assert eigvalsh_matrices == [25 * 26 // 2]
+
+
+@pytest.mark.parametrize("q,r", FAREY10_REPS)
+def test_refinement_coarse_grid_is_the_grid_pass(q, r):
+    # detect_gaps_refined reads the G grid as E2[::2, ::2]: i/G is exactly 2i/(2G)
+    for ctx in _farey10_contexts(q, r):
+        rep, h = _grid_family(ctx), hofstadter_element(ctx.theta)
+        for G in (8, 12, 24):
+            assert np.array_equal(band_energies(rep, h, 2 * G)[::2, ::2], band_energies(rep, h, G))
+            assert np.array_equal(hofstadter_energies(ctx, 2 * G)[::2, ::2],
+                                  hofstadter_energies(ctx, G))
 
 
 def test_fermi_projector_ranks():
