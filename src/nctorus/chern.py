@@ -191,9 +191,10 @@ def gap_bands(ctx: WeylContext, G: int = 64, tol: float = 1e-8):
     (+-1, +-1), so no grid sampling or refinement is involved), the
     reference bands at G, and the weyl bands at G (None at theta = r/q).
     One spectral pass serves both families (`dual_bands`): the weyl bands
-    are diagonalized, and the reference bands are read off them by
-    magnetic translation, except for the columns k2 = j/G with
-    gcd(M0, G) not dividing j, which are diagonalized on their own.  The
+    are diagonalized on a quarter of the grid and filled by the k1 mirror
+    and the flip, and the reference bands are read off them by magnetic
+    translation, except for the columns k2 = j/G with gcd(M0, G) not
+    dividing j, which are diagonalized on their own.  The
     Fermi levels are the midpoints of the true gaps, so they lie in the
     sampled gaps of any grid.
     """

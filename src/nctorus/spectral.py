@@ -33,10 +33,11 @@ sampled on the grid, and a one-step grid refinement rejects fake gaps
 that only exist because a band touching fell between grid points
 (`detect_gaps_refined`).
 
-Half of the k1 rows need no diagonalization.  In every family U(k) is
-diagonal unitary and independent of k1, so conj U = U^{-1}; the shift
-matrix is real apart from its corner phase e^{i2pi q k1}, so
-conj V(k1, k2) = V(-k1, k2); and every family is 1-periodic in k1.  Hence
+For h a band pass diagonalizes a quarter of the grid.  Half of the k1
+rows need no diagonalization.  In every family U(k) is diagonal unitary
+and independent of k1, so conj U = U^{-1}; the shift matrix is real
+apart from its corner phase e^{i2pi q k1}, so conj V(k1, k2) =
+V(-k1, k2); and every family is 1-periodic in k1.  Hence
 
     conj pi_k(a) = sum conj(a(n, m)) U^{-n} V(-k1, k2)^m = pi_(-k1, k2)(a)
 
@@ -50,6 +51,19 @@ i = 0 .. G//2, and its consumers read the mirror off
 `len(frames) < len(k1s)`: the Chern kernel weights those rows (see
 `_kernels`), and the dense projector and the pullback expand them with
 `expand_k1_mirror`.
+
+Half of the stored k2 columns need none either when `a` is also
+invariant under the flip u -> u*, v -> v*, i.e. a(n, m) = a(-n, -m), as
+h is.  Let Q(k1) be the monomial unitary sending row j to row -j mod N,
+times the shift's corner phase lam(k1) = e^{i2pi q k1} for j != 0
+(lam = 1 on the conjugated form).  Then Q C^{-1} Q^dagger = C and
+Q S(lam)^{-1} Q^dagger = S(conj lam), so pi_(-k)(a) = Q pi_k(a) Q^dagger
+in every family.  With the k1 mirror, column k2 = (G - j)/G of a stored
+row has the energies of column j/G and the frames R conj F, R = Q(-k1),
+transported by `twist_transport` on the weyl family, where that column
+is k2 = -j/G + 1.  So `bands_on_grid` diagonalizes (G//2 + 1)^2 points,
+a quarter of the grid, and fills the other stored columns in place;
+`frames` keeps every k2 column, and no consumer sees the difference.
 """
 
 from __future__ import annotations
@@ -126,25 +140,34 @@ class GapReport:
 def bands_on_grid(rep: FiberedRep, a: AlgebraElement, G: int) -> BandData:
     """Fiberwise eigendecomposition on a G x G grid.
 
-    When a(n, m) = conj(a(-n, m)) within 1e-12 (the flux operator h
-    qualifies), only the rows k1 = i/G, i = 0 .. G//2, are diagonalized:
-    conj(pi_k(a)) = pi_(-k1, k2)(a) (see the module docstring), so row
-    i > G//2 has the energies of row G - i, filled in, and its conjugated
-    frames, which are not stored: `frames` keeps the G//2 + 1 diagonalized
-    rows.  Any other self-adjoint element is diagonalized on the full grid.
+    When a(n, m) = conj(a(-n, m)) within 1e-12, only the rows k1 = i/G,
+    i = 0 .. G//2, are diagonalized: conj(pi_k(a)) = pi_(-k1, k2)(a) (see
+    the module docstring), so row i > G//2 has the energies of row G - i,
+    filled in, and its conjugated frames, which are not stored: `frames`
+    keeps the G//2 + 1 diagonalized rows.  When also a(n, m) = a(-n, -m)
+    (the flux operator h qualifies), only their columns k2 = j/G,
+    j = 0 .. G//2, are diagonalized and column G - j is filled by the flip
+    intertwiner (`_fill_flipped_columns`).  Any other self-adjoint element
+    is diagonalized on the full grid.
     """
     energies, frames = np.linalg.eigh(_grid_stack(rep, a, G))
+    rows, cols = frames.shape[:2]
+    if cols < G:
+        full = np.empty((rows, G) + frames.shape[2:], frames.dtype)
+        full[:, :cols] = frames
+        frames = full
+        _fill_flipped_columns(rep, frames, cols)
     k = np.arange(G) / G
-    return BandData(rep, k, k, expand_k1_mirror(energies, G), frames)
+    return BandData(rep, k, k, _expand_energies(energies, G), frames)
 
 
 def band_energies(rep: FiberedRep, a: AlgebraElement, G: int) -> np.ndarray:
     """The (G, G, N) energies of `bands_on_grid(rep, a, G)`, without eigenvectors.
 
-    Same checks and the same diagonalized rows (half the grid when `a` is
-    k1-mirrored), through `eigvalsh`; for consumers that read no frames.
+    Same checks and the same diagonalized points (a quarter of the grid
+    for h), through `eigvalsh`; for consumers that read no frames.
     """
-    return expand_k1_mirror(np.linalg.eigvalsh(_grid_stack(rep, a, G)), G)
+    return _expand_energies(np.linalg.eigvalsh(_grid_stack(rep, a, G)), G)
 
 
 def hofstadter_energies(ctx: WeylContext, G: int) -> np.ndarray:
@@ -188,7 +211,10 @@ def dual_bands(ctx: WeylContext, a: AlgebraElement, G: int):
     a scalar phase, which no frame consumer sees).  That needs
     g = gcd(M0, G) to divide j; only the other columns are diagonalized,
     on the weyl pass's rows.  conj W(k1) = W(-k1), so k1-mirrored weyl
-    bands give k1-mirrored reference bands.  bd_w is None at M0 = 0.
+    bands give k1-mirrored reference bands, and when the weyl pass also
+    fills its columns by the flip (`bands_on_grid`), so does this one: it
+    builds the reference columns j = 0 .. G//2 and fills the rest.  bd_w
+    is None at M0 = 0.
     """
     rep_r = reference_fibered_rep(ctx)
     if ctx.M0 == 0:
@@ -196,25 +222,27 @@ def dual_bands(ctx: WeylContext, a: AlgebraElement, G: int):
     bd_w = bands_on_grid(weyl_fibered_rep(ctx), a, G)
     N, M0 = ctx.N, ctx.M0
     k, rows = bd_w.k1s, len(bd_w.frames)
-    energies = np.empty_like(bd_w.energies)
+    cols = _diagonalized(a, G)[1]
+    energies = np.empty((rows, cols, N))
     frames = np.empty_like(bd_w.frames)
     g = math.gcd(M0, G)
-    own = np.flatnonzero(np.arange(G) % g)        # columns no weyl column reaches
+    own = np.flatnonzero(np.arange(cols) % g)     # columns no weyl column reaches
     if len(own):
-        e, f = np.linalg.eigh(_hermitian_stack(rep_r, a, k[:rows], k[own]))
-        energies[:, own] = expand_k1_mirror(e, G)
-        frames[:, own] = f
+        energies[:, own], frames[:, own] = np.linalg.eigh(
+            _hermitian_stack(rep_r, a, k[:rows], k[own]))
     inv_qm = pow(ctx.q * ctx.M, -1, N)            # -a
     inv_m0 = pow(M0 // g, -1, G // g)
     lam = np.exp(1j * TWO_PI * ctx.q * k[:rows])[:, None, None]
-    for j in range(0, G, g):
+    for j in range(0, cols, g):
         jw = N * (j // g) * inv_m0 % (G // g)
         p = inv_qm * ((M0 * jw - N * j) // G) % N
-        energies[:, j] = bd_w.energies[:, jw]
+        energies[:, j] = bd_w.energies[:rows, jw]
         src, dst = bd_w.frames[:, jw], frames[:, j]
         dst[:, p:] = src[:, :N - p]                               # (S^p F)[i] = F[i - p]
         np.multiply(lam, src[:, N - p:], out=dst[:, :p])          # wrapped rows: lam F[i - p + N]
-    return BandData(rep_r, k, k, energies, frames), bd_w
+    if cols < G:
+        _fill_flipped_columns(rep_r, frames, cols)
+    return BandData(rep_r, k, k, _expand_energies(energies, G), frames), bd_w
 
 
 def expand_k1_mirror(rows: np.ndarray, G1: int) -> np.ndarray:
@@ -232,15 +260,65 @@ def expand_k1_mirror(rows: np.ndarray, G1: int) -> np.ndarray:
     return out
 
 
-def _grid_stack(rep: FiberedRep, a: AlgebraElement, G: int) -> np.ndarray:
-    """The matrices `bands_on_grid` diagonalizes: rows 0 .. G//2 when `a` is k1-mirrored.
+def _diagonalized(a: AlgebraElement, G: int):
+    """(rows, cols): the k1 rows and k2 columns of the G x G grid a pass diagonalizes.
 
-    Raises SelfAdjointnessError unless a = a* within 1e-12.
+    Rows 0 .. G//2 when a(n, m) = conj(a(-n, m)) (the k1 mirror), and then
+    columns 0 .. G//2 when also a(n, m) = a(-n, -m) (the flip), each within
+    1e-12; the full grid otherwise.  Raises SelfAdjointnessError unless
+    a = a* within 1e-12.
     """
     _check_self_adjoint(a)
+    if not a.approx_equal(_k1_mirror(a), SELFADJOINT_TOL):
+        return G, G
+    if not a.approx_equal(_flip(a), SELFADJOINT_TOL):
+        return G // 2 + 1, G
+    return G // 2 + 1, G // 2 + 1
+
+
+def _grid_stack(rep: FiberedRep, a: AlgebraElement, G: int) -> np.ndarray:
+    """The matrices a pass diagonalizes, (rows, cols, N, N) from `_diagonalized`."""
+    rows, cols = _diagonalized(a, G)
     k = np.arange(G) / G
-    rows = G // 2 + 1 if a.approx_equal(_k1_mirror(a), SELFADJOINT_TOL) else G
-    return _hermitian_stack(rep, a, k[:rows], k)
+    return _hermitian_stack(rep, a, k[:rows], k[:cols])
+
+
+def _expand_energies(e: np.ndarray, G: int) -> np.ndarray:
+    """The (G, G, N) energies of the diagonalized (rows, cols, N) ones.
+
+    Column G - j of a stored row has the energies of column j, and row
+    G - i those of row i.
+    """
+    rows, cols = e.shape[:2]
+    if (rows, cols) == (G, G):
+        return e
+    out = np.empty((G, G) + e.shape[2:], e.dtype)
+    out[:rows, :cols] = e
+    out[:rows, cols:] = e[:, G - cols:0:-1]
+    out[rows:] = out[G - rows:0:-1]
+    return out
+
+
+def _fill_flipped_columns(rep: FiberedRep, frames: np.ndarray, cols: int):
+    """Writes the frames of columns cols .. G-1 from those of columns G - j, in place.
+
+    `frames` holds the stored k1 rows i = 0 .. G//2.  F(i, G - j) is
+    R conj F(i, j), R = Q(-k1), transported by T = twist_transport(ctx, k1, 1)
+    on the weyl family (see the module docstring).  R sends row j to row
+    -j mod N times conj(lam(k1)) for j != 0, and T R is the row reversal
+    j -> N - 1 - j times conj(lam(k1)): one conjugating copy per row, then
+    one phase multiply.
+    """
+    G, N = frames.shape[1], frames.shape[-2]
+    src, dst = frames[:, G - cols:0:-1], frames[:, cols:]
+    weyl = rep.kind == "weyl"
+    j = np.arange(N)
+    to = N - 1 - j if weyl else -j % N
+    for row in range(N):
+        np.conjugate(src[..., row, :], out=dst[..., to[row], :])
+    if not rep.conjugated:
+        lam = np.exp(-1j * TWO_PI * rep.ctx.q * np.arange(len(frames)) / G)
+        dst[..., 0 if weyl else 1:, :] *= lam[:, None, None, None]     # T R: every row; R: j != 0
 
 
 def _check_self_adjoint(a: AlgebraElement):
@@ -259,6 +337,11 @@ def _hermitian_stack(rep: FiberedRep, a: AlgebraElement, k1s: np.ndarray, k2s: n
 def _k1_mirror(a: AlgebraElement) -> AlgebraElement:
     """b with b(n, m) = conj(a(-n, m)), so that conj(pi_k(a)) = pi_(-k1, k2)(b)."""
     return AlgebraElement(a.theta, {(-n, m): c.conjugate() for (n, m), c in a.coeffs.items()})
+
+
+def _flip(a: AlgebraElement) -> AlgebraElement:
+    """b with b(n, m) = a(-n, -m): the image of a under u -> u*, v -> v*."""
+    return AlgebraElement(a.theta, {(-n, -m): c for (n, m), c in a.coeffs.items()})
 
 
 def _build_report(lo: np.ndarray, hi: np.ndarray, open_slots: np.ndarray) -> GapReport:

@@ -175,8 +175,9 @@ def _weyl_bands_shifted(report, bd_r, bd_w, monkeypatch):
 
 
 def _no_rounding_slack(report, bd_r, bd_w, monkeypatch):
-    # rank 0's sum is exactly 0, so only the weyl rank-1 sum of gap 1 fails
-    monkeypatch.setattr(chern, "ROUND_TOL", 1e-300)
+    # with no slack even an exact integer fails, so the first number rounded,
+    # the weyl rank-0 sum of the inf-gap, raises (both rank-1 sums may be exact)
+    monkeypatch.setattr(chern, "ROUND_TOL", 0.0)
     return report, bd_r, bd_w
 
 
@@ -384,12 +385,13 @@ def test_grid_stability_24_vs_48():
                                          ((2, 5, 3, 2), 1)])
 def test_gap_certificates_one_spectral_pass_per_rep_and_grid(band_passes, eigh_matrices,
                                                              spec, passes):
-    # the weyl pass at G, and reference eigh only on the columns k2 = j/12 that
-    # no weyl column reaches: none at M0 = -1, the 9 with 4 not dividing j at
-    # M0 = -4; theta = r/q has no weyl family and takes the reference pass
+    # the weyl pass on the quarter grid (k1 rows and k2 columns 0 .. 6), and
+    # reference eigh only on the columns k2 = j/12, j <= 6, that no weyl column
+    # reaches: none at M0 = -1, the 5 with 4 not dividing j at M0 = -4; theta =
+    # r/q has no weyl family and takes the reference pass
     ctx = ctx_of(*spec)
     gap_certificates(ctx, 12)
     kind = "reference" if ctx.M0 == 0 else "weyl"
     assert band_passes == [(ctx.M, ctx.N, kind, 12)] * passes
-    own = {0: 0, -1: 0, -4: 9}[ctx.M0]
-    assert eigh_matrices == [7 * 12] + ([7 * own] if own else [])
+    own = {0: 0, -1: 0, -4: 5}[ctx.M0]
+    assert eigh_matrices == [7 * 7] + ([7 * own] if own else [])

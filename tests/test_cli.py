@@ -451,14 +451,15 @@ def test_butterfly_colored_bands_do_not_cross_certified_gaps(tmp_path):
 
 def test_butterfly_color_gaps_one_spectral_pass_per_theta(tmp_path, band_passes,
                                                          eigh_matrices):
-    # the weyl bands at G, which the CSV reuses; the reference bands are read off
-    # them, all columns at 1/3 (M0 = 1), the even ones at 2/5 (M0 = 2), whose four
-    # odd columns are diagonalized on the 5 stored k1 rows
+    # the weyl bands at G, which the CSV reuses, diagonalized on the quarter grid
+    # (k1 rows and k2 columns 0 .. 4); the reference bands are read off them, all
+    # columns at 1/3 (M0 = 1), the even ones at 2/5 (M0 = 2), whose odd columns
+    # 1 and 3 are diagonalized on the 5 stored k1 rows; columns 5 .. 7 are filled
     out = tmp_path / "o"
     assert run("butterfly", "--theta", "1/3", "--theta", "2/5", "--grid", "8", "--format", "csv",
                "--format", "svg", "--color-gaps", "--out", str(out)) == EXIT_OK
     assert sorted(band_passes) == [(1, 3, "weyl", 8), (2, 5, "weyl", 8)]
-    assert sorted(eigh_matrices) == [5 * 4, 5 * 8, 5 * 8]
+    assert sorted(eigh_matrices) == [5 * 2, 5 * 5, 5 * 5]
 
 
 def test_butterfly_svg_only_diagonalizes_no_csv_grid(tmp_path, band_passes):

@@ -90,10 +90,10 @@ def test_k1_mirror_matches_full_grid(family, M, N, q, r, G, eigh_matrices, eigva
     ctx = ctx_of(M, N, q, r)
     rep, h = family(ctx), hofstadter_element(ctx.theta)
     bd = bands_on_grid(rep, h, G)
-    assert eigh_matrices == [(G // 2 + 1) * G]
-    assert bd.frames.shape[0] == G // 2 + 1
+    assert eigh_matrices == [(G // 2 + 1) ** 2]      # the k2 flip halves the stored rows
+    assert bd.frames.shape[:2] == (G // 2 + 1, G)
     assert np.abs(band_energies(rep, h, G) - bd.energies).max() < 1e-12
-    assert eigvalsh_matrices == [(G // 2 + 1) * G]
+    assert eigvalsh_matrices == [(G // 2 + 1) ** 2]
     direct = full_grid_bands(rep, h, G)
     E, F = direct.energies, direct.frames
     assert np.abs(bd.energies - E).max() < 1e-12
@@ -129,6 +129,55 @@ def test_element_without_k1_mirror_takes_full_grid(family, M, N, q, r, G, eigh_m
     assert np.abs(mirrored - evaluate_on_grid(rep, a, k, k)).max() > 0.1
 
 
+@pytest.mark.parametrize("family", MIRROR_FAMILIES)
+@pytest.mark.parametrize("M, N, q, r", [(1, 2, 1, 0), (3, 7, 3, 2), (3, 8, 3, 1), (8, 13, 2, 1)])
+@pytest.mark.parametrize("G", [6, 7, 15, 16])
+def test_flipped_columns_are_eigenbases(family, M, N, q, r, G):
+    # columns G//2 + 1 .. G - 1 of the stored rows are filled by the flip
+    # intertwiner, not diagonalized; each must still solve pi_k(h) F = F diag(E)
+    # at its own k, the weyl seam k2 = -j/G + 1 included
+    ctx = ctx_of(M, N, q, r)
+    rep, h = family(ctx), hofstadter_element(ctx.theta)
+    bd = bands_on_grid(rep, h, G)
+    rows = G // 2 + 1
+    assert bd.frames.shape == (rows, G, N, N)
+    F, E = bd.frames, bd.energies[:rows]
+    H = evaluate_on_grid(rep, h, bd.k1s[:rows], bd.k2s)
+    assert np.abs(H @ F - F * E[..., None, :]).max() < 1e-12
+    assert np.abs(np.conj(np.swapaxes(F, -1, -2)) @ F - np.eye(N)).max() < 1e-12
+    direct = full_grid_bands(rep, h, G)
+    assert np.abs(bd.energies - direct.energies).max() < 1e-12
+    F = expand_k1_mirror(F, G)
+    for R in [g.d for g in hofstadter_gap_report(ctx).internal()]:
+        assert np.abs(_projector(F, R) - _projector(direct.frames, R)).max() < 1e-10
+
+
+@pytest.mark.parametrize("family", MIRROR_FAMILIES)
+@pytest.mark.parametrize("G", [7, 16])
+def test_element_without_the_flip_keeps_the_row_half(family, G, eigh_matrices,
+                                                     eigvalsh_matrices):
+    # h + i(u - u*) has the k1 mirror, a(1, 0) = 1 + i = conj a(-1, 0), but not
+    # the flip, a(1, 0) != a(-1, 0): its stored rows keep every k2 column
+    ctx = ctx_of(8, 13, 2, 1)
+    a = AlgebraElement(ctx.theta, {(1, 0): 1 + 1j, (-1, 0): 1 - 1j, (0, 1): 1, (0, -1): 1})
+    rep = family(ctx)
+    bd = bands_on_grid(rep, a, G)
+    assert eigh_matrices == [(G // 2 + 1) * G]
+    assert bd.frames.shape == (G // 2 + 1, G, 13, 13)
+    assert np.abs(band_energies(rep, a, G) - bd.energies).max() < 1e-12
+    assert eigvalsh_matrices == [(G // 2 + 1) * G]
+    direct = full_grid_bands(rep, a, G)
+    assert np.abs(bd.energies - direct.energies).max() < 1e-12
+    ranks = _gap_ranks(direct.energies)
+    assert ranks
+    F = expand_k1_mirror(bd.frames, G)
+    for R in ranks:
+        assert np.abs(_projector(F, R) - _projector(direct.frames, R)).max() < 1e-10
+    k = np.arange(G) / G
+    flipped = evaluate_on_grid(rep, a, (-k) % 1.0, (-k) % 1.0)
+    assert np.abs(np.linalg.eigvalsh(flipped) - direct.energies).max() > 0.1
+
+
 @pytest.mark.parametrize("mirrored", [True, False], ids=["h", "no-mirror"])
 @pytest.mark.parametrize("M, N, q, r", [(8, 13, 2, 1), (1, 5, 3, 1), (2, 5, 3, 2)])
 @pytest.mark.parametrize("G", [15, 16])
@@ -140,8 +189,9 @@ def test_dual_bands_read_the_reference_off_the_weyl_pass(M, N, q, r, G, mirrored
         ctx.theta, {(1, 0): 1, (-1, 0): 1, (0, 1): 1 + 1j, (0, -1): 1 - 1j})
     bd_r, bd_w = dual_bands(ctx, a, G)
     g = math.gcd(ctx.M0, G)
-    rows = G // 2 + 1 if mirrored else G
-    assert sum(eigh_matrices) == rows * (2 * G - G // g)
+    rows = cols = G // 2 + 1 if mirrored else G        # h: the quarter grid, then filled
+    own = sum(j % g != 0 for j in range(cols))
+    assert sum(eigh_matrices) == rows * (cols + own)
     assert len(bd_r.frames) == len(bd_w.frames) == rows
     assert bd_r.rep == reference_fibered_rep(ctx) and bd_w.rep == weyl_fibered_rep(ctx)
     direct = full_grid_bands(reference_fibered_rep(ctx), a, G)
