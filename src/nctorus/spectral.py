@@ -41,27 +41,27 @@ V(-k1, k2); and every family is 1-periodic in k1.  Hence
 
     conj pi_k(a) = sum conj(a(n, m)) U^{-n} V(-k1, k2)^m = pi_(-k1, k2)(a)
 
-for every element with a(n, m) = conj(a(-n, m)), such as h.
-`bands_on_grid` and `band_energies` check that condition on the
-coefficients to the self-adjointness tolerance.  Row k1 = (G - i)/G then
-has the energies of row i/G, and the complex conjugates of its frames
-are an eigenbasis of the same eigenspaces.  So a mirrored `BandData`
-keeps full energies but only the frames of the diagonalized rows
-i = 0 .. G//2, and its consumers read the mirror off
+for every element with a(n, m) = conj(a(-n, m)), such as h.  Row
+k1 = (G - i)/G then has the energies of row i/G, and the complex
+conjugates of its frames are an eigenbasis of the same eigenspaces.  So
+a mirrored `BandData` keeps full energies but only the frames of the
+diagonalized rows i = 0 .. G//2, and its consumers read the mirror off
 `len(frames) < len(k1s)`: the Chern kernel weights those rows (see
 `_kernels`), and the dense projector and the pullback expand them with
 `expand_k1_mirror`.
 
 Half of the stored k2 columns need none either when `a` is also
 invariant under the flip u -> u*, v -> v*, i.e. a(n, m) = a(-n, -m), as
-h is.  Let Q(k1) be the monomial unitary sending row j to row -j mod N,
-times the shift's corner phase lam(k1) = e^{i2pi q k1} for j != 0
-(lam = 1 on the conjugated form).  Then Q C^{-1} Q^dagger = C and
-Q S(lam)^{-1} Q^dagger = S(conj lam), so pi_(-k)(a) = Q pi_k(a) Q^dagger
-in every family.  With the k1 mirror, column k2 = (G - j)/G of a stored
-row has the energies of column j/G and the frames R conj F, R = Q(-k1),
-transported by `twist_transport` on the weyl family, where that column
-is k2 = -j/G + 1.  So `bands_on_grid` diagonalizes (G//2 + 1)^2 points,
+h is.  `bands_on_grid` and `band_energies` check both conditions on the
+coefficients to the self-adjointness tolerance (`_diagonalized`) and
+take the quarter grid only when both hold.  Let Q(k1) be the monomial
+unitary sending row j to row -j mod N, times the shift's corner phase
+lam(k1) = e^{i2pi q k1} for j != 0 (lam = 1 on the conjugated form).
+Then Q C^{-1} Q^dagger = C and Q S(lam)^{-1} Q^dagger = S(conj lam), so
+pi_(-k)(a) = Q pi_k(a) Q^dagger in every family.  With the k1 mirror,
+column k2 = (G - j)/G of a stored row has the energies of column j/G
+and the frames R conj F, R = Q(-k1), transported by `twist_transport`
+on the weyl family, where that column is k2 = -j/G + 1.  So `bands_on_grid` diagonalizes (G//2 + 1)^2 points,
 a quarter of the grid, and fills the other stored columns in place;
 `frames` keeps every k2 column, and no consumer sees the difference.
 """
@@ -140,25 +140,16 @@ class GapReport:
 def bands_on_grid(rep: FiberedRep, a: AlgebraElement, G: int) -> BandData:
     """Fiberwise eigendecomposition on a G x G grid.
 
-    When a(n, m) = conj(a(-n, m)) within 1e-12, only the rows k1 = i/G,
-    i = 0 .. G//2, are diagonalized: conj(pi_k(a)) = pi_(-k1, k2)(a) (see
-    the module docstring), so row i > G//2 has the energies of row G - i,
-    filled in, and its conjugated frames, which are not stored: `frames`
-    keeps the G//2 + 1 diagonalized rows.  When also a(n, m) = a(-n, -m)
-    (the flux operator h qualifies), only their columns k2 = j/G,
-    j = 0 .. G//2, are diagonalized and column G - j is filled by the flip
-    intertwiner (`_fill_flipped_columns`).  Any other self-adjoint element
-    is diagonalized on the full grid.
+    When a(n, m) = conj(a(-n, m)) and a(n, m) = a(-n, -m) within 1e-12
+    (the k1 mirror and the flip; the flux operator h qualifies), only the
+    points k = (i/G, j/G), i, j = 0 .. G//2, are diagonalized (see the
+    module docstring).  Column G - j of a stored row is filled by the flip
+    intertwiner (`_fill_flipped_columns`), and row i > G//2 has the
+    energies of row G - i, filled in, and its conjugated frames, which are
+    not stored: `frames` keeps the G//2 + 1 stored rows, every k2 column.
+    Any other self-adjoint element is diagonalized on the full grid.
     """
-    energies, frames = np.linalg.eigh(_grid_stack(rep, a, G))
-    rows, cols = frames.shape[:2]
-    if cols < G:
-        full = np.empty((rows, G) + frames.shape[2:], frames.dtype)
-        full[:, :cols] = frames
-        frames = full
-        _fill_flipped_columns(rep, frames, cols)
-    k = np.arange(G) / G
-    return BandData(rep, k, k, _expand_energies(energies, G), frames)
+    return _bands(rep, a, G, _diagonalized(a, G))
 
 
 def band_energies(rep: FiberedRep, a: AlgebraElement, G: int) -> np.ndarray:
@@ -167,7 +158,8 @@ def band_energies(rep: FiberedRep, a: AlgebraElement, G: int) -> np.ndarray:
     Same checks and the same diagonalized points (a quarter of the grid
     for h), through `eigvalsh`; for consumers that read no frames.
     """
-    return _expand_energies(np.linalg.eigvalsh(_grid_stack(rep, a, G)), G)
+    n = _diagonalized(a, G)
+    return _expand_energies(np.linalg.eigvalsh(_grid_stack(rep, a, G, n)), G)
 
 
 def hofstadter_energies(ctx: WeylContext, G: int) -> np.ndarray:
@@ -211,37 +203,37 @@ def dual_bands(ctx: WeylContext, a: AlgebraElement, G: int):
     a scalar phase, which no frame consumer sees).  That needs
     g = gcd(M0, G) to divide j; only the other columns are diagonalized,
     on the weyl pass's rows.  conj W(k1) = W(-k1), so k1-mirrored weyl
-    bands give k1-mirrored reference bands, and when the weyl pass also
-    fills its columns by the flip (`bands_on_grid`), so does this one: it
+    bands give k1-mirrored reference bands, and when the weyl pass fills
+    its columns by the flip (`bands_on_grid`), so does this one: it
     builds the reference columns j = 0 .. G//2 and fills the rest.  bd_w
     is None at M0 = 0.
     """
     rep_r = reference_fibered_rep(ctx)
+    n = _diagonalized(a, G)
     if ctx.M0 == 0:
-        return bands_on_grid(rep_r, a, G), None
-    bd_w = bands_on_grid(weyl_fibered_rep(ctx), a, G)
+        return _bands(rep_r, a, G, n), None
+    bd_w = _bands(weyl_fibered_rep(ctx), a, G, n)
     N, M0 = ctx.N, ctx.M0
-    k, rows = bd_w.k1s, len(bd_w.frames)
-    cols = _diagonalized(a, G)[1]
-    energies = np.empty((rows, cols, N))
+    k = bd_w.k1s
+    energies = np.empty((n, n, N))
     frames = np.empty_like(bd_w.frames)
     g = math.gcd(M0, G)
-    own = np.flatnonzero(np.arange(cols) % g)     # columns no weyl column reaches
+    own = np.flatnonzero(np.arange(n) % g)        # columns no weyl column reaches
     if len(own):
         energies[:, own], frames[:, own] = np.linalg.eigh(
-            _hermitian_stack(rep_r, a, k[:rows], k[own]))
+            _hermitian_stack(rep_r, a, k[:n], k[own]))
     inv_qm = pow(ctx.q * ctx.M, -1, N)            # -a
     inv_m0 = pow(M0 // g, -1, G // g)
-    lam = np.exp(1j * TWO_PI * ctx.q * k[:rows])[:, None, None]
-    for j in range(0, cols, g):
+    lam = np.exp(1j * TWO_PI * ctx.q * k[:n])[:, None, None]
+    for j in range(0, n, g):
         jw = N * (j // g) * inv_m0 % (G // g)
         p = inv_qm * ((M0 * jw - N * j) // G) % N
-        energies[:, j] = bd_w.energies[:rows, jw]
+        energies[:, j] = bd_w.energies[:n, jw]
         src, dst = bd_w.frames[:, jw], frames[:, j]
         dst[:, p:] = src[:, :N - p]                               # (S^p F)[i] = F[i - p]
         np.multiply(lam, src[:, N - p:], out=dst[:, :p])          # wrapped rows: lam F[i - p + N]
-    if cols < G:
-        _fill_flipped_columns(rep_r, frames, cols)
+    if n < G:
+        _fill_flipped_columns(rep_r, frames, n)
     return BandData(rep_r, k, k, _expand_energies(energies, G), frames), bd_w
 
 
@@ -260,43 +252,51 @@ def expand_k1_mirror(rows: np.ndarray, G1: int) -> np.ndarray:
     return out
 
 
-def _diagonalized(a: AlgebraElement, G: int):
-    """(rows, cols): the k1 rows and k2 columns of the G x G grid a pass diagonalizes.
+def _diagonalized(a: AlgebraElement, G: int) -> int:
+    """n: a pass diagonalizes the k1 rows and the k2 columns 0 .. n-1 of the G x G grid.
 
-    Rows 0 .. G//2 when a(n, m) = conj(a(-n, m)) (the k1 mirror), and then
-    columns 0 .. G//2 when also a(n, m) = a(-n, -m) (the flip), each within
-    1e-12; the full grid otherwise.  Raises SelfAdjointnessError unless
-    a = a* within 1e-12.
+    n = G//2 + 1 when a(n, m) = conj(a(-n, m)) (the k1 mirror) and
+    a(n, m) = a(-n, -m) (the flip), both within 1e-12; n = G otherwise.
+    Raises SelfAdjointnessError unless a = a* within 1e-12.
     """
     _check_self_adjoint(a)
-    if not a.approx_equal(_k1_mirror(a), SELFADJOINT_TOL):
-        return G, G
-    if not a.approx_equal(_flip(a), SELFADJOINT_TOL):
-        return G // 2 + 1, G
-    return G // 2 + 1, G // 2 + 1
+    if (a.approx_equal(_k1_mirror(a), SELFADJOINT_TOL)
+            and a.approx_equal(_flip(a), SELFADJOINT_TOL)):
+        return G // 2 + 1
+    return G
 
 
-def _grid_stack(rep: FiberedRep, a: AlgebraElement, G: int) -> np.ndarray:
-    """The matrices a pass diagonalizes, (rows, cols, N, N) from `_diagonalized`."""
-    rows, cols = _diagonalized(a, G)
+def _grid_stack(rep: FiberedRep, a: AlgebraElement, G: int, n: int) -> np.ndarray:
+    """The (n, n, N, N) matrices a pass diagonalizes, n from `_diagonalized`."""
+    k = np.arange(n) / G
+    return _hermitian_stack(rep, a, k, k)
+
+
+def _bands(rep: FiberedRep, a: AlgebraElement, G: int, n: int) -> BandData:
+    """`bands_on_grid(rep, a, G)`, given n = `_diagonalized(a, G)`."""
+    energies, frames = np.linalg.eigh(_grid_stack(rep, a, G, n))
+    if n < G:
+        full = np.empty((n, G) + frames.shape[2:], frames.dtype)
+        full[:, :n] = frames
+        frames = full                   # frees eigh's quarter before the fill
+        _fill_flipped_columns(rep, frames, n)
     k = np.arange(G) / G
-    return _hermitian_stack(rep, a, k[:rows], k[:cols])
+    return BandData(rep, k, k, _expand_energies(energies, G), frames)
 
 
 def _expand_energies(e: np.ndarray, G: int) -> np.ndarray:
-    """The (G, G, N) energies of the diagonalized (rows, cols, N) ones.
+    """The (G, G, N) energies of the diagonalized (n, n, N) ones.
 
     Column G - j of a stored row has the energies of column j, and row
-    G - i those of row i.
+    G - i those of row i (`expand_k1_mirror`).
     """
-    rows, cols = e.shape[:2]
-    if (rows, cols) == (G, G):
+    n = e.shape[1]
+    if n == G:
         return e
-    out = np.empty((G, G) + e.shape[2:], e.dtype)
-    out[:rows, :cols] = e
-    out[:rows, cols:] = e[:, G - cols:0:-1]
-    out[rows:] = out[G - rows:0:-1]
-    return out
+    rows = np.empty((n, G) + e.shape[2:], e.dtype)
+    rows[:, :n] = e
+    rows[:, n:] = e[:, G - n:0:-1]
+    return expand_k1_mirror(rows, G)
 
 
 def _fill_flipped_columns(rep: FiberedRep, frames: np.ndarray, cols: int):

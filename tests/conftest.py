@@ -61,16 +61,18 @@ def band_passes(monkeypatch):
     """Records (M, N, kind, G) for every spectral pass the package makes.
 
     `bands_on_grid` and `band_energies` are passes over the same matrices,
-    with and without eigenvectors, and record their family's kind;
+    with and without eigenvectors, and record their family's kind; the
+    eigenvector passes are counted in `spectral._bands`, which
+    `bands_on_grid` and `dual_bands` share;
     `hofstadter_energies`, which reads the energies of h off its central
     characters, records the kind "character".
     """
     calls = []
 
     def counting(fn):
-        def counted(rep, a, G):
+        def counted(rep, a, G, *n):
             calls.append((rep.ctx.M, rep.ctx.N, rep.kind, G))
-            return fn(rep, a, G)
+            return fn(rep, a, G, *n)
         return counted
 
     def counting_characters(fn):
@@ -79,7 +81,7 @@ def band_passes(monkeypatch):
             return fn(ctx, G)
         return counted
 
-    for name, wrap in (("bands_on_grid", counting), ("band_energies", counting),
+    for name, wrap in (("_bands", counting), ("band_energies", counting),
                        ("hofstadter_energies", counting_characters)):
         counted = wrap(getattr(spectral, name))
         for mod in (cli, spectral, suite):

@@ -175,22 +175,22 @@ def _weyl_bands_shifted(report, bd_r, bd_w, monkeypatch):
 
 
 def _no_rounding_slack(report, bd_r, bd_w, monkeypatch):
-    # with no slack even an exact integer fails, so the first number rounded,
-    # the weyl rank-0 sum of the inf-gap, raises (both rank-1 sums may be exact)
-    monkeypatch.setattr(chern, "ROUND_TOL", 0.0)
+    # on 1/4 (3,1) rank 0's sums are exactly 0 and both rank-1 sums of gap 1
+    # are off an integer, so the weyl one, rounded first, fails
+    monkeypatch.setattr(chern, "ROUND_TOL", 1e-300)
     return report, bd_r, bd_w
 
 
-@pytest.mark.parametrize("spoil,error,match", [
-    pytest.param(_fermi_in_a_band, GapViolationError,
+@pytest.mark.parametrize("spec,spoil,error,match", [
+    pytest.param((1, 3, 2, 1), _fermi_in_a_band, GapViolationError,
                  "fermi level 0.0 is within 1e-08 of the spectrum", id="fermi-in-a-band"),
-    pytest.param(_weyl_bands_shifted, VerificationError,
+    pytest.param((1, 3, 2, 1), _weyl_bands_shifted, VerificationError,
                  "rank mismatch weyl=0 reference=1", id="weyl-bands-shifted"),
-    pytest.param(_no_rounding_slack, ChernResidualError,
+    pytest.param((1, 4, 3, 1), _no_rounding_slack, ChernResidualError,
                  "fhs_chern_twisted: lattice sum", id="no-rounding-slack"),
 ])
-def test_certify_gaps_raises_typed_failures(spoil, error, match, monkeypatch):
-    ctx = ctx_of(1, 3, 2, 1)
+def test_certify_gaps_raises_typed_failures(spec, spoil, error, match, monkeypatch):
+    ctx = ctx_of(*spec)
     args = spoil(*gap_bands(ctx, 16), monkeypatch)
     with pytest.raises(error, match=match):
         certify_gaps(ctx, *args)

@@ -90,7 +90,7 @@ def test_k1_mirror_matches_full_grid(family, M, N, q, r, G, eigh_matrices, eigva
     ctx = ctx_of(M, N, q, r)
     rep, h = family(ctx), hofstadter_element(ctx.theta)
     bd = bands_on_grid(rep, h, G)
-    assert eigh_matrices == [(G // 2 + 1) ** 2]      # the k2 flip halves the stored rows
+    assert eigh_matrices == [(G // 2 + 1) ** 2]      # the flip halves the diagonalized k2 columns
     assert bd.frames.shape[:2] == (G // 2 + 1, G)
     assert np.abs(band_energies(rep, h, G) - bd.energies).max() < 1e-12
     assert eigvalsh_matrices == [(G // 2 + 1) ** 2]
@@ -154,25 +154,24 @@ def test_flipped_columns_are_eigenbases(family, M, N, q, r, G):
 
 @pytest.mark.parametrize("family", MIRROR_FAMILIES)
 @pytest.mark.parametrize("G", [7, 16])
-def test_element_without_the_flip_keeps_the_row_half(family, G, eigh_matrices,
-                                                     eigvalsh_matrices):
+def test_element_without_the_flip_takes_full_grid(family, G, eigh_matrices,
+                                                   eigvalsh_matrices):
     # h + i(u - u*) has the k1 mirror, a(1, 0) = 1 + i = conj a(-1, 0), but not
-    # the flip, a(1, 0) != a(-1, 0): its stored rows keep every k2 column
+    # the flip, a(1, 0) != a(-1, 0): no row or column may be skipped
     ctx = ctx_of(8, 13, 2, 1)
     a = AlgebraElement(ctx.theta, {(1, 0): 1 + 1j, (-1, 0): 1 - 1j, (0, 1): 1, (0, -1): 1})
     rep = family(ctx)
     bd = bands_on_grid(rep, a, G)
-    assert eigh_matrices == [(G // 2 + 1) * G]
-    assert bd.frames.shape == (G // 2 + 1, G, 13, 13)
+    assert eigh_matrices == [G * G]
+    assert bd.frames.shape == (G, G, 13, 13)
     assert np.abs(band_energies(rep, a, G) - bd.energies).max() < 1e-12
-    assert eigvalsh_matrices == [(G // 2 + 1) * G]
+    assert eigvalsh_matrices == [G * G]
     direct = full_grid_bands(rep, a, G)
     assert np.abs(bd.energies - direct.energies).max() < 1e-12
     ranks = _gap_ranks(direct.energies)
     assert ranks
-    F = expand_k1_mirror(bd.frames, G)
     for R in ranks:
-        assert np.abs(_projector(F, R) - _projector(direct.frames, R)).max() < 1e-10
+        assert np.abs(_projector(bd.frames, R) - _projector(direct.frames, R)).max() < 1e-10
     k = np.arange(G) / G
     flipped = evaluate_on_grid(rep, a, (-k) % 1.0, (-k) % 1.0)
     assert np.abs(np.linalg.eigvalsh(flipped) - direct.energies).max() > 0.1
