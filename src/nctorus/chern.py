@@ -1,12 +1,13 @@
 """Lattice Chern numbers, the derivative-formula character, and verifiers.
 
-Periodic projector fields (reference kind) get the standard
-gauge-invariant plaquette discretization (`fhs_chern`).  Twisted fields
-(weyl kind) run the same kernel on their own G x G grid, closed in k2
-by one seam link: the field at k2 + 1 is the field at k2 transported by
-`twist_transport`, so the last k2-link of each column ends at
-T(k1) F(k1, 0) (`fhs_chern_twisted`).  Both lattices are closed, so
-both sums are integers by construction.
+`fhs_chern` is the gauge-invariant plaquette discretization of any
+projector field's Chern number, and the field's kind picks the closure
+in k2.  Periodic fields (reference kind) close on their own.  Twisted
+fields (weyl kind) run the same kernel on their own G x G grid, closed
+in k2 by one seam link: the field at k2 + 1 is the field at k2
+transported by `twist_transport`, so the last k2-link of each column
+ends at T(k1) F(k1, 0).  Both lattices are closed, so both sums are
+integers by construction.
 
 A certificate run needs one Chern number per gap and family.  The Fermi
 frames of the gaps are leading column blocks of the family's band
@@ -80,15 +81,15 @@ class ChernResult:
     grid: int
 
 
-def _rounded(total: float, min_abs: float, G: int, what: str) -> ChernResult:
-    """The Chern number of one kernel sum on a G-row grid, after the link guard."""
+def _rounded(total: float, min_abs: float, G: int, kind: str) -> ChernResult:
+    """The Chern number of a `kind` family's kernel sum on a G-row grid, after the link guard."""
     if min_abs < MIN_LINK_DET:
         raise GridTooCoarseError(f"link determinant magnitude {min_abs:.3g} < {MIN_LINK_DET}")
     raw = total / TWO_PI
     value = int(round(raw))
     residual = abs(raw - value)
     if residual >= ROUND_TOL:
-        raise ChernResidualError(f"{what}: lattice sum {raw} is {residual:.3g} from an integer")
+        raise ChernResidualError(f"{kind}: lattice sum {raw} is {residual:.3g} from an integer")
     return ChernResult(value, raw, residual, G)
 
 
@@ -105,23 +106,13 @@ def _flux_sums(field: ProjectorField | BandData, ranks: List[int]):
 
 
 def fhs_chern(field: ProjectorField) -> ChernResult:
-    """Plaquette-flux Chern number of a periodic projector field."""
-    if not field.rep.periodic:
-        raise ValueError("fhs_chern requires a periodic field; "
-                         "use fhs_chern_twisted for weyl-kind fields")
-    [(total, min_abs)] = _flux_sums(field, [field.rank])
-    return _rounded(total, min_abs, len(field.k1s), "fhs_chern")
+    """Plaquette-flux Chern number of a projector field, periodic or twisted.
 
-
-def fhs_chern_twisted(field: ProjectorField) -> ChernResult:
-    """Chern number of a twisted (weyl-kind) projector subbundle.
-
-    On the full-rank field this returns the ambient twist winding q.
+    A weyl-kind field is closed by its seam (`_flux_sums`); on the
+    full-rank one this returns the ambient twist winding q.
     """
-    if field.rep.kind != "weyl":
-        raise ValueError("fhs_chern_twisted requires a weyl-kind field")
     [(total, min_abs)] = _flux_sums(field, [field.rank])
-    return _rounded(total, min_abs, len(field.k1s), "fhs_chern_twisted")
+    return _rounded(total, min_abs, len(field.k1s), field.rep.kind)
 
 
 def ambient_chern_analytic(N: int, q: int) -> int:
@@ -182,7 +173,7 @@ def pullback_field(field: ProjectorField, n1: int, n2: int) -> ProjectorField:
 # -- conductance verification --------------------------------------------------
 
 
-def gap_bands(ctx: WeylContext, G: int = 64, tol: float = 1e-8):
+def gap_bands(ctx: WeylContext, G: int = 64):
     """The gap report of `ctx` and the bands at G its certificates are read from.
 
     Returns (report, bd_r, bd_w): the exact gap report of the flux
@@ -198,7 +189,7 @@ def gap_bands(ctx: WeylContext, G: int = 64, tol: float = 1e-8):
     Fermi levels are the midpoints of the true gaps, so they lie in the
     sampled gaps of any grid.
     """
-    report = hofstadter_gap_report(ctx, tol)
+    report = hofstadter_gap_report(ctx)
     bd_r, bd_w = dual_bands(ctx, hofstadter_element(ctx.theta), G)
     return report, bd_r, bd_w
 
@@ -241,8 +232,8 @@ def certify_gaps(ctx: WeylContext, report: GapReport, bd_r: BandData,
             if rank_w != d:
                 raise VerificationError(
                     f"{ctx.label()}: rank mismatch weyl={rank_w} reference={d}")
-            t_res = _rounded(*t_sums[i], G1, "fhs_chern_twisted")
-        cc_res = _rounded(*cc_sums[i], G1, "fhs_chern")
+            t_res = _rounded(*t_sums[i], G1, "weyl")
+        cc_res = _rounded(*cc_sums[i], G1, "reference")
         t, cc = t_res.value, cc_res.value
         s = -cc
         ncint = d / N
@@ -280,9 +271,9 @@ def certify_gaps(ctx: WeylContext, report: GapReport, bd_r: BandData,
     return out
 
 
-def gap_certificates(ctx: WeylContext, G: int = 64, tol: float = 1e-8) -> List[dict]:
-    """One verified certificate per detected gap, from the bands of `gap_bands`."""
-    report, bd_r, bd_w = gap_bands(ctx, G, tol)
+def gap_certificates(ctx: WeylContext, G: int = 64) -> List[dict]:
+    """One verified certificate per gap of the exact report, from the bands of `gap_bands`."""
+    report, bd_r, bd_w = gap_bands(ctx, G)
     return certify_gaps(ctx, report, bd_r, bd_w)
 
 

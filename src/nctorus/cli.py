@@ -40,6 +40,7 @@ from .algebra import RationalTheta
 from .arithmetic import DegenerateRepresentationError, InvalidTwistError, make_weyl_context
 from .chern import certify_gaps, gap_bands, gap_certificates
 from .spectral import (
+    GAP_TOL,
     NumericalFailure,
     band_rows,
     detect_gaps_refined,
@@ -77,7 +78,6 @@ class RunConfig:
     farey: Optional[int] = None
     reps: List[Tuple[int, int]] = field(default_factory=lambda: [(1, 0)])
     grid: int = 64
-    tol: float = 1e-8
     out: Path = Path(".")
     formats: List[str] = field(default_factory=list)
     color_gaps: bool = False
@@ -111,7 +111,7 @@ def parse_bool(key: str, text: str) -> bool:
             f"bad {key} {text!r}: expected true/false, yes/no, on/off or 1/0") from None
 
 
-_CONFIG_KEYS = ("theta", "farey", "rep", "grid", "tol", "out", "format", "color_gaps")
+_CONFIG_KEYS = ("theta", "farey", "rep", "grid", "out", "format", "color_gaps")
 
 
 def parse_config_file(path: str) -> dict:
@@ -160,7 +160,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     reps = pick(args.rep, "rep", None)
     cfg.reps = [parse_rep(r) for r in reps] if reps else [(1, 0)]
     cfg.grid = int(pick(args.grid, "grid", 64))
-    cfg.tol = float(pick(args.tol, "tol", 1e-8))
     cfg.out = Path(pick(args.out, "out", "."))
     accepted = _WRITES[args.command]
     cfg.formats = list(pick(args.format, "format", None) or accepted[:1])
@@ -169,8 +168,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
     if cfg.grid < 2:
         raise ConfigError(f"grid must be >= 2, got {cfg.grid}")
-    if not cfg.tol > 0:
-        raise ConfigError(f"tol must be positive, got {cfg.tol}")
     if cfg.farey is not None and cfg.farey < 1:
         raise ConfigError(f"farey bound must be >= 1, got {cfg.farey}")
     for f in cfg.formats:
@@ -242,7 +239,7 @@ def _butterfly_job(theta: RationalTheta, q: int, r: int, cfg: RunConfig):
     if "svg" in cfg.formats and cfg.color_gaps:
         # band segments and gap rectangles come from the exact gap report the
         # certificates are read from, the CSV energies from their weyl bands at G
-        report, bd_r, bd_w = gap_bands(ctx, cfg.grid, cfg.tol)
+        report, bd_r, bd_w = gap_bands(ctx, cfg.grid)
         certs = certify_gaps(ctx, report, bd_r, bd_w)
         return theta, (bd_r if bd_w is None else bd_w).energies, report, certs
     # the uncolored SVG keeps sampled grid detection on the weyl energies, read
@@ -251,7 +248,7 @@ def _butterfly_job(theta: RationalTheta, q: int, r: int, cfg: RunConfig):
     report = None
     if "svg" in cfg.formats:
         fine = hofstadter_energies(ctx, 2 * max(8, cfg.grid // 2))
-        report = detect_gaps_refined(fine, cfg.tol)
+        report = detect_gaps_refined(fine)
         if len(fine) == cfg.grid:
             energies = fine       # refinement's fine grid is the CSV grid
     if energies is None and "csv" in cfg.formats:
@@ -366,7 +363,7 @@ def _iter_contexts(cfg: RunConfig):
 
 def cmd_gaps(cfg: RunConfig) -> int:
     for ctx in _iter_contexts(cfg):
-        report = hofstadter_gap_report(ctx, cfg.tol)     # exact edges: no grid
+        report = hofstadter_gap_report(ctx)     # exact edges: no grid
         if "json" in cfg.formats:
             _write_json(cfg.out / f"gaps_{_tag(ctx)}.json", asdict(report))
         if "csv" in cfg.formats:
@@ -385,7 +382,7 @@ def _each_certified(cfg: RunConfig, write) -> int:
     status = EXIT_OK
     for ctx in _iter_contexts(cfg):
         try:
-            certs = gap_certificates(ctx, cfg.grid, cfg.tol)
+            certs = gap_certificates(ctx, cfg.grid)
         except NumericalFailure as exc:
             print(f"FAIL {ctx.label()}: {exc}")
             status = EXIT_VERIFICATION
@@ -426,9 +423,9 @@ def cmd_chern(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     status = EXIT_OK
     for ctx in _iter_contexts(cfg):
-        results = run_invariant_suite(ctx, cfg.grid, cfg.tol)
+        results = run_invariant_suite(ctx, cfg.grid)
         _write_json(cfg.out / f"verify_{_tag(ctx)}.json", [asdict(r) for r in results])
-        print(f"== {ctx.label()} (grid {cfg.grid}, tol {fmt(cfg.tol)})")
+        print(f"== {ctx.label()} (grid {cfg.grid}, tol {fmt(GAP_TOL)})")
         for r in results:
             mark = "ok  " if r.ok else "FAIL"
             extra = f" [{r.detail}]" if r.detail else ""
@@ -449,7 +446,6 @@ def _add_common(p: argparse.ArgumentParser, color: bool = False):
     p.add_argument("--rep", action="append", metavar="q,r",
                    help="representation twist pair, repeatable (default 1,0)")
     p.add_argument("--grid", type=int, metavar="G", help="k-grid size per axis (default 64)")
-    p.add_argument("--tol", type=float, metavar="X", help="gap tolerance (default 1e-8)")
     p.add_argument("--out", metavar="DIR", help="output directory (default .)")
     p.add_argument("--format", action="append", choices=("csv", "json", "svg"),
                    help="output format, repeatable")

@@ -27,11 +27,11 @@ eigenvalue branch is monotone in that sum and runs between its values
 at the characters (1, 1) and (-1, -1): every band edge is an eigenvalue
 at one of the four characters (+-1, +-1).  `hofstadter_gap_report`
 reads them off four N x N matrices, and `hofstadter_energies` reads a
-whole grid's energies off its distinct values of that sum.  For a
-general self-adjoint element gap detection works on band-edge intervals
-sampled on the grid, and a one-step grid refinement rejects fake gaps
-that only exist because a band touching fell between grid points
-(`detect_gaps_refined`).
+whole grid's energies off its distinct values of that sum.  A slot
+between consecutive bands is open when it is wider than GAP_TOL.  The
+uncolored butterfly SVG alone still detects gaps on sampled energies:
+a one-step grid refinement rejects fake gaps that only exist because a
+band touching fell between grid points (`detect_gaps_refined`).
 
 For h a band pass diagonalizes a quarter of the grid.  Half of the k1
 rows need no diagonalization.  In every family U(k) is diagonal unitary
@@ -85,6 +85,7 @@ from .representations import (
 )
 
 SELFADJOINT_TOL = 1e-12
+GAP_TOL = 1e-8            # least width of an open slot between consecutive bands
 FERMI_TOL = 1e-8          # least distance of a Fermi level from the sampled spectrum
 
 
@@ -113,10 +114,6 @@ class BandData:
     @property
     def shape(self):
         return self.energies.shape[:2]
-
-    def band_intervals(self):
-        """Per-band sampled [min, max] over the grid: arrays (N,), (N,)."""
-        return self.energies.min(axis=(0, 1)), self.energies.max(axis=(0, 1))
 
 
 @dataclass(frozen=True)
@@ -358,36 +355,32 @@ def _build_report(lo: np.ndarray, hi: np.ndarray, open_slots: np.ndarray) -> Gap
     return GapReport(bands=groups, gaps=gaps)
 
 
-def hofstadter_gap_report(ctx: WeylContext, tol: float = 1e-8) -> GapReport:
+def hofstadter_gap_report(ctx: WeylContext) -> GapReport:
     """Exact gap report of the flux operator h = u + u* + v + v* in `ctx`.
 
     On the reference family U(k)^N = e^{i2pi N k2} and V(k)^N = e^{i2pi k1},
     so k1 in {0, 1/2} and k2 in {0, 1/(2N)} sweep the four characters
     (+-1, +-1), where every band edge sits (see the module docstring).
-    A slot between consecutive bands is open when its width > tol.  For
-    even N the two central bands touch at E = 0 (Choi, Elliott and Yui,
-    Invent. Math. 99, 225 (1990)), so slot N/2 - 1 is closed whatever tol
-    is, and they count once.
+    A slot between consecutive bands is open when its width > GAP_TOL, so
+    a genuine gap narrower than that merges its bands (two slots of 2/21
+    are 2.5e-9 wide).  For even N the two central bands touch at E = 0
+    (Choi, Elliott and Yui, Invent. Math. 99, 225 (1990)), so slot
+    N/2 - 1 is closed, however close to 0 its rounded width is, and they
+    count once.
     """
     k1s = np.array([0.0, 0.5])
     k2s = np.array([0.0, 0.5 / ctx.N])
     H = evaluate_on_grid(reference_fibered_rep(ctx), hofstadter_element(ctx.theta), k1s, k2s)
     E = np.linalg.eigvalsh(H)       # (2, 2, N); reads one triangle of each matrix
     lo, hi = E.min(axis=(0, 1)), E.max(axis=(0, 1))
-    open_slots = lo[1:] - hi[:-1] > tol
+    open_slots = lo[1:] - hi[:-1] > GAP_TOL
     if ctx.N % 2 == 0:
         open_slots[ctx.N // 2 - 1] = False
     return _build_report(lo, hi, open_slots)
 
 
-def detect_gaps(bd: BandData, tol: float = 1e-8) -> GapReport:
-    """Gap report from a single grid: a slot is open when its width > tol."""
-    lo, hi = bd.band_intervals()
-    return _build_report(lo, hi, lo[1:] - hi[:-1] > tol)
-
-
-def detect_gaps_refined(E2: np.ndarray, tol: float = 1e-8) -> GapReport:
-    """One-step refinement for a general self-adjoint element, from its (2G, 2G, N) energies.
+def detect_gaps_refined(E2: np.ndarray) -> GapReport:
+    """Sampled gap report of the uncolored butterfly SVG, from (2G, 2G, N) energies.
 
     The candidate gaps of the G grid, read as E2[::2, ::2] (the point i/G
     is exactly 2i/(2G)), are rechecked on the 2G grid.  A genuine gap
@@ -402,7 +395,7 @@ def detect_gaps_refined(E2: np.ndarray, tol: float = 1e-8) -> GapReport:
     lo2, hi2 = E2.min(axis=(0, 1)), E2.max(axis=(0, 1))
     w1 = lo1[1:] - hi1[:-1]
     w2 = lo2[1:] - hi2[:-1]
-    open_slots = (w2 > tol) & (w2 >= 0.7 * w1)
+    open_slots = (w2 > GAP_TOL) & (w2 >= 0.7 * w1)
     return _build_report(lo2, hi2, open_slots)
 
 

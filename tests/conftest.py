@@ -12,11 +12,10 @@ from nctorus.algebra import RationalTheta, hofstadter_element
 from nctorus.arithmetic import make_weyl_context
 from nctorus.chern import gap_certificates
 from nctorus.representations import evaluate_on_grid, reference_fibered_rep, weyl_fibered_rep
-from nctorus.spectral import BandData, band_energies, bands_on_grid, detect_gaps_refined
+from nctorus.spectral import BandData, bands_on_grid, hofstadter_gap_report
 
 _BANDS = {}
 _CERTS = {}
-_REPORTS = {}
 
 
 def ctx_of(M, N, q, r):
@@ -39,14 +38,9 @@ def full_grid_bands(rep, a, G):
     return BandData(rep, k, k, *np.linalg.eigh(0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))))
 
 
-def report_of(M, N, q, r, G, tol=1e-8):
-    key = (M, N, q, r, G, tol)
-    if key not in _REPORTS:
-        ctx = ctx_of(M, N, q, r)
-        rep = weyl_fibered_rep(ctx)
-        E2 = band_energies(rep, hofstadter_element(ctx.theta), 2 * G)
-        _REPORTS[key] = detect_gaps_refined(E2, tol)
-    return _REPORTS[key]
+def report_of(M, N, q, r):
+    """The exact gap report of h, from its four corner characters: no grid."""
+    return hofstadter_gap_report(ctx_of(M, N, q, r))
 
 
 def certs_of(M, N, q, r, G):

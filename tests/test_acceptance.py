@@ -16,7 +16,6 @@ from nctorus.arithmetic import tknn_rhs_value, tknn_solve
 from nctorus.chern import (
     ambient_chern_analytic,
     fhs_chern,
-    fhs_chern_twisted,
     pullback_field,
     symbolic_numeric_crosscheck,
 )
@@ -26,7 +25,6 @@ from nctorus.representations import (
     weyl_fibered_rep,
 )
 from nctorus.spectral import (
-    detect_gaps,
     fermi_projector_field,
     identity_field,
     spectral_hausdorff,
@@ -60,7 +58,7 @@ def test_criterion_01_ambient_anchor():
         ctx = ctx_of(1, N, q, 0 if q == 1 else 1)
         field = identity_field(weyl_fibered_rep(ctx), 32)
         t0 = time.perf_counter()
-        res = fhs_chern_twisted(field)
+        res = fhs_chern(field)
         dt = time.perf_counter() - t0
         ok = ok and res.value == ambient_chern_analytic(N, q) and res.residual < 1e-3 and dt < 1.0
         worst_res = max(worst_res, res.residual)
@@ -104,11 +102,12 @@ def test_criterion_04_band_counting():
     ok = True
     counts = {}
     for N in (2, 3, 4, 5, 6, 7):
-        report = report_of(1, N, 1, 0, 64)
+        report = report_of(1, N, 1, 0)
         expected = N if N % 2 == 1 else N - 1
         counts[N] = report.bands
         ok = ok and report.bands == expected
-    _report(4, "band counts N (odd) / N-1 (even) at 64^2, tol 1e-8", ok, str(counts))
+    _report(4, "band counts N (odd) / N-1 (even) from the exact corners, tol 1e-8", ok,
+            str(counts))
 
 
 def test_criterion_05_isospectrality():
@@ -131,7 +130,7 @@ def test_criterion_06_symbolic_numeric():
 
 
 def test_criterion_07_pullback_lemma():
-    gap = report_of(1, 3, 1, 0, 32).internal()[0]
+    gap = report_of(1, 3, 1, 0).internal()[0]
     field = fermi_projector_field(bands_of(1, 3, 1, 0, "reference", 32), gap.fermi)
     base = fhs_chern(field).value
     ok = base == -1
@@ -193,8 +192,7 @@ def test_criterion_11_irrational_stability():
     data = {}
     intervals = {}
     for (M, N) in [(13, 21), (21, 34)]:
-        bd = bands_of(M, N, 1, 0, "reference", G)
-        intervals[(M, N)] = [(g.lower, g.upper) for g in detect_gaps(bd).internal()]
+        intervals[(M, N)] = [(g.lower, g.upper) for g in report_of(M, N, 1, 0).internal()]
     # widest gap interval common to both approximants
     best = None
     for (a1, b1) in intervals[(13, 21)]:

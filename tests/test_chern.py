@@ -18,7 +18,6 @@ from nctorus.chern import (
     certify_gaps,
     connes_chern_via_derivatives,
     fhs_chern,
-    fhs_chern_twisted,
     gap_bands,
     gap_certificates,
     pullback_field,
@@ -37,7 +36,7 @@ from nctorus.spectral import (
 
 
 def ref_gap_field(M, N, q, r, gap_index, G=32, conjugated=False):
-    gap = report_of(M, N, q, r, G).internal()[gap_index]
+    gap = report_of(M, N, q, r).internal()[gap_index]
     if conjugated:
         ctx = ctx_of(M, N, q, r)
         from nctorus.algebra import hofstadter_element
@@ -49,7 +48,7 @@ def ref_gap_field(M, N, q, r, gap_index, G=32, conjugated=False):
 
 
 def weyl_gap_field(M, N, q, r, gap_index, G=32):
-    gap = report_of(M, N, q, r, G).internal()[gap_index]
+    gap = report_of(M, N, q, r).internal()[gap_index]
     return fermi_projector_field(bands_of(M, N, q, r, "weyl", G), gap.fermi)
 
 
@@ -70,15 +69,6 @@ def test_fhs_chern_trivial_fields():
     assert fhs_chern(identity_field(rep, 16)).value == 0
     zero_field = constant_projector_field(rep, 16, np.zeros((3, 3), complex))
     assert fhs_chern(zero_field).value == 0
-
-
-def test_fhs_chern_requires_periodic_field():
-    f = weyl_gap_field(1, 3, 1, 0, 0)
-    with pytest.raises(ValueError):
-        fhs_chern(f)
-    g = ref_gap_field(1, 3, 1, 0, 0)
-    with pytest.raises(ValueError):
-        fhs_chern_twisted(g)
 
 
 def test_reference_gap_one_chern_is_minus_one():
@@ -103,7 +93,7 @@ def test_conjugated_field_carries_n_times_character():
 def test_twisted_identity_anchor(spec):
     M, N, q, r = spec
     ctx = ctx_of(M, N, q, r)
-    res = fhs_chern_twisted(identity_field(weyl_fibered_rep(ctx), 24))
+    res = fhs_chern(identity_field(weyl_fibered_rep(ctx), 24))
     assert res.value == ambient_chern_analytic(N, q) == q
     assert res.residual < 1e-10
 
@@ -119,7 +109,7 @@ def test_twisted_chern_kernel_input_is_the_field(monkeypatch):
         return kernel(frames, ranks, seam, rows)
 
     monkeypatch.setattr(chern._kernels, "plaquette_flux_sum", recorded)
-    res = fhs_chern_twisted(weyl_gap_field(2, 5, 3, 1, 1, G=24))
+    res = fhs_chern(weyl_gap_field(2, 5, 3, 1, 1, G=24))
     assert (res.value, res.grid) == (1, 24)
     assert shapes == [((13, 24, 5, 2), (13, 5, 5), 24)]
 
@@ -187,7 +177,7 @@ def _no_rounding_slack(report, bd_r, bd_w, monkeypatch):
     pytest.param((1, 3, 2, 1), _weyl_bands_shifted, VerificationError,
                  "rank mismatch weyl=0 reference=1", id="weyl-bands-shifted"),
     pytest.param((1, 4, 3, 1), _no_rounding_slack, ChernResidualError,
-                 "fhs_chern_twisted: lattice sum", id="no-rounding-slack"),
+                 "weyl: lattice sum", id="no-rounding-slack"),
 ])
 def test_certify_gaps_raises_typed_failures(spec, spoil, error, match, monkeypatch):
     ctx = ctx_of(*spec)
@@ -196,14 +186,24 @@ def test_certify_gaps_raises_typed_failures(spec, spoil, error, match, monkeypat
         certify_gaps(ctx, *args)
 
 
+@pytest.mark.parametrize("kind", ["reference", "weyl"])
+def test_fhs_chern_names_the_family_in_a_residual_error(kind, monkeypatch):
+    # one function for both kinds; its rounding failure says which family failed
+    # (on 1/4 (3,1) at G = 16 both rank-1 sums are off an integer)
+    monkeypatch.setattr(chern, "ROUND_TOL", 1e-300)
+    field = (ref_gap_field if kind == "reference" else weyl_gap_field)(1, 4, 3, 1, 0, G=16)
+    with pytest.raises(ChernResidualError, match=f"^{kind}: lattice sum"):
+        fhs_chern(field)
+
+
 def test_twisted_gap_one_values():
-    assert fhs_chern_twisted(weyl_gap_field(1, 3, 1, 0, 0)).value == 0
-    assert fhs_chern_twisted(weyl_gap_field(1, 3, 2, 1, 0)).value == 1
+    assert fhs_chern(weyl_gap_field(1, 3, 1, 0, 0)).value == 0
+    assert fhs_chern(weyl_gap_field(1, 3, 2, 1, 0)).value == 1
 
 
 def test_twisted_matches_rhs_formula():
     # 2*(1/3 + (1/3 - 1/2)*(-1)) = 1, cross-checked against the lattice value
-    res = fhs_chern_twisted(weyl_gap_field(1, 3, 2, 1, 0))
+    res = fhs_chern(weyl_gap_field(1, 3, 2, 1, 0))
     rhs = tknn_rhs_value(1 / 3, -1, 1 / 3, 2, 1)
     assert res.raw == pytest.approx(rhs, abs=1e-3)
 
@@ -236,7 +236,6 @@ def test_mirrored_fields_match_the_full_grid(kind, G):
     # rows equal those of eigh at every grid point
     ctx = ctx_of(2, 5, 3, 1)
     rep = reference_fibered_rep(ctx) if kind == "reference" else weyl_fibered_rep(ctx)
-    lattice_chern = fhs_chern if kind == "reference" else fhs_chern_twisted
     bd, full = _mirrored_and_full(rep, G)
     for gap in hofstadter_gap_report(ctx).internal():
         f, g = fermi_projector_field(bd, gap.fermi), fermi_projector_field(full, gap.fermi)
@@ -245,7 +244,7 @@ def test_mirrored_fields_match_the_full_grid(kind, G):
         defects = g.defects()
         for key, value in f.defects().items():
             assert value == pytest.approx(defects[key], abs=1e-12), key
-        res, res_full = lattice_chern(f), lattice_chern(g)
+        res, res_full = fhs_chern(f), fhs_chern(g)
         assert (res.value, res.grid) == (res_full.value, res_full.grid)
         assert res.grid == G
         assert res.raw == pytest.approx(res_full.raw, abs=1e-10)
@@ -255,7 +254,7 @@ def test_mirrored_fields_match_the_full_grid(kind, G):
 def test_pullback_of_a_mirrored_field(n1, n2):
     rep = reference_fibered_rep(ctx_of(1, 3, 1, 0))
     bd, full = _mirrored_and_full(rep, 32)
-    gap = report_of(1, 3, 1, 0, 32).internal()[0]
+    gap = report_of(1, 3, 1, 0).internal()[0]
     f = pullback_field(fermi_projector_field(bd, gap.fermi), n1, n2)
     g = pullback_field(fermi_projector_field(full, gap.fermi), n1, n2)
     assert f.frames.shape == g.frames.shape == (32, 32, 3, 1)
@@ -270,7 +269,7 @@ def test_numeric_trace_and_character_of_a_mirrored_field(G):
     # row 0 (and row G/2 at even G) counts once, every other stored row twice
     rep = reference_fibered_rep(ctx_of(1, 3, 1, 0), conjugated=True)
     bd, full = _mirrored_and_full(rep, G)
-    gap = report_of(1, 3, 1, 0, 32).internal()[0]
+    gap = report_of(1, 3, 1, 0).internal()[0]
     f, g = fermi_projector_field(bd, gap.fermi), fermi_projector_field(full, gap.fermi)
     assert np.trace(f.P, axis1=-2, axis2=-1).real.mean() == pytest.approx(1.0, abs=1e-12)
     assert connes_chern_via_derivatives(f) == pytest.approx(

@@ -310,7 +310,7 @@ def test_report_json_floats_have_at_most_12_significant_digits(tmp_path):
 
 
 def test_bad_configuration_values(tmp_path):
-    assert run("verify", "--theta", "1/3", "--tol", "0",
+    assert run("verify", "--theta", "1/3", "--grid", "1",
                "--out", str(tmp_path)) == EXIT_CONFIG
     assert run("labels", "--theta", "nonsense", "--out", str(tmp_path)) == EXIT_CONFIG
     assert run("labels", "--out", str(tmp_path)) == EXIT_CONFIG
@@ -369,6 +369,19 @@ def test_config_file_unknown_key(tmp_path):
     assert run("labels", "--config", str(cfgfile)) == EXIT_CONFIG
 
 
+def test_the_gap_tolerance_is_not_an_option(tmp_path, capsys):
+    # the gap tolerance is the constant spectral.GAP_TOL: argparse rejects the
+    # flag with exit 2, and the config file rejects the key as unknown
+    with pytest.raises(SystemExit) as exc:
+        run("gaps", "--theta", "1/3", "--tol", "1e-8", "--out", str(tmp_path))
+    assert exc.value.code == EXIT_CONFIG
+    cfgfile = tmp_path / "tol.cfg"
+    cfgfile.write_text("theta = 1/3\ntol = 1e-8\n")
+    assert run("gaps", "--config", str(cfgfile), "--out", str(tmp_path)) == EXIT_CONFIG
+    assert "unknown key 'tol'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("gaps_*"))
+
+
 def test_threads_env(tmp_path, monkeypatch):
     monkeypatch.setenv("NCTORUS_THREADS", "2")
     out = tmp_path / "o"
@@ -414,10 +427,10 @@ def test_verify_numerical_failure_still_writes_report(tmp_path, theta, rep, grid
 
 
 def test_verify_with_a_wide_gap_tolerance_writes_its_report(tmp_path, capsys):
-    # --tol is the gap-width threshold of the report, not the Fermi levels'
-    # distance from the spectrum: at 1.0 the projector checks still run
+    # the gap tolerance is the width threshold of the report, not the Fermi
+    # levels' distance from the spectrum: every projector check runs and passes
     out = tmp_path / "o"
-    assert run("verify", "--theta", "1/3", "--rep", "2,1", "--grid", "32", "--tol", "1.0",
+    assert run("verify", "--theta", "1/3", "--rep", "2,1", "--grid", "32",
                "--out", str(out)) == EXIT_OK
     rows = json.loads((out / "verify_1_3_q2r1.json").read_text())
     assert len(rows) == 17 and all(row["ok"] for row in rows)

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import bands_of, ctx_of, full_grid_bands, report_of
 
-from nctorus import cli
+from nctorus import cli, spectral
 from nctorus.algebra import AlgebraElement, hofstadter_element, monomial, unit
 from nctorus.arithmetic import gap_label_d
 from nctorus.representations import (
@@ -203,7 +203,7 @@ def test_dual_bands_read_the_reference_off_the_weyl_pass(M, N, q, r, G, mirrored
 
 
 def test_gap_structure_theta_third():
-    report = report_of(1, 3, 1, 0, 32)
+    report = report_of(1, 3, 1, 0)
     assert report.bands == 3
     assert len(report.gaps) == 4          # inf, two internal, sup
     assert [g.d for g in report.gaps] == [0, 1, 2, 3]
@@ -218,9 +218,9 @@ def test_gap_structure_theta_third():
 
 
 def test_gap_structure_even_denominators():
-    assert report_of(1, 2, 1, 0, 32).bands == 1
-    assert len(report_of(1, 2, 1, 0, 32).internal()) == 0
-    rep4 = report_of(1, 4, 1, 0, 32)
+    assert report_of(1, 2, 1, 0).bands == 1
+    assert len(report_of(1, 2, 1, 0).internal()) == 0
+    rep4 = report_of(1, 4, 1, 0)
     assert rep4.bands == 3
     assert [g.d for g in rep4.internal()] == [1, 3]
 
@@ -243,12 +243,20 @@ CORNER_CONTEXTS = [(M, N, q, r)
 
 
 @pytest.mark.parametrize("M,N", [(1, 2), (1, 4), (3, 8)])
-def test_central_bands_of_even_n_touch_at_any_tol(M, N):
+def test_central_bands_of_even_n_touch_at_any_tol(M, N, monkeypatch):
     # the corner edges of the two central bands meet at E = 0 only to rounding,
     # which a tol below it would read as a gap
-    report = hofstadter_gap_report(ctx_of(M, N, 1, 0), tol=1e-20)
+    monkeypatch.setattr(spectral, "GAP_TOL", 1e-20)
+    report = hofstadter_gap_report(ctx_of(M, N, 1, 0))
     assert report.bands == N - 1
     assert [g.d for g in report.gaps] == [gap_label_d(N, g) for g in range(N)]
+
+
+@pytest.mark.xfail(strict=True, reason="two slots of 2/21 are 2.5e-9 wide, below GAP_TOL")
+def test_every_slot_of_odd_n_is_open_in_the_exact_report():
+    # Choi-Elliott-Yui: for odd N all N - 1 slots are open, but the report
+    # merges the bands across the two outer ones
+    assert hofstadter_gap_report(ctx_of(2, 21, 1, 0)).bands == 21
 
 
 @pytest.mark.parametrize("M,N,q,r", CORNER_CONTEXTS)
@@ -263,7 +271,8 @@ def test_corner_edges_match_the_grid(M, N, q, r):
     ds = np.array([g.d for g in report.gaps])          # band j spans ds[j] .. ds[j+1] - 1
     lo = np.array([g.upper for g in report.gaps[:-1]])
     hi = np.array([g.lower for g in report.gaps[1:]])
-    grid_lo, grid_hi = bands_on_grid(reference_fibered_rep(ctx), h, 96).band_intervals()
+    E = band_energies(reference_fibered_rep(ctx), h, 96)
+    grid_lo, grid_hi = E.min(axis=(0, 1)), E.max(axis=(0, 1))
     assert np.array_equal(np.flatnonzero(grid_lo[1:] - grid_hi[:-1] > 1e-8) + 1, ds[1:-1])
     assert np.abs(lo - grid_lo[ds[:-1]]).max() <= 1e-12
     assert np.abs(hi - grid_hi[ds[1:] - 1]).max() <= 1e-12
@@ -315,7 +324,7 @@ def test_refinement_coarse_grid_is_the_grid_pass(q, r):
 
 def test_fermi_projector_ranks():
     bd = bands_of(1, 3, 1, 0, "weyl", 16)
-    report = report_of(1, 3, 1, 0, 16)
+    report = report_of(1, 3, 1, 0)
     assert fermi_projector_field(bd, report.gaps[0].fermi).rank == 0
     assert fermi_projector_field(bd, report.gaps[1].fermi).rank == 1
     assert fermi_projector_field(bd, report.gaps[-1].fermi).rank == 3
@@ -323,7 +332,7 @@ def test_fermi_projector_ranks():
 
 def test_fermi_projector_is_a_view_of_the_band_frames():
     bd = bands_of(1, 3, 2, 1, "weyl", 16)
-    gap = report_of(1, 3, 2, 1, 16).internal()[0]
+    gap = report_of(1, 3, 2, 1).internal()[0]
     f = fermi_projector_field(bd, gap.fermi)
     assert np.shares_memory(f.frames, bd.frames)
     F = expand_k1_mirror(bd.frames[..., : f.rank], 16)
@@ -332,7 +341,7 @@ def test_fermi_projector_is_a_view_of_the_band_frames():
 
 def test_fermi_projector_gap_independence():
     bd = bands_of(1, 3, 1, 0, "weyl", 16)
-    gap = report_of(1, 3, 1, 0, 16).internal()[0]
+    gap = report_of(1, 3, 1, 0).internal()[0]
     f1 = fermi_projector_field(bd, gap.fermi)
     f2 = fermi_projector_field(bd, gap.fermi + 0.25 * (gap.upper - gap.lower))
     assert np.abs(f1.P - f2.P).max() < 1e-10
@@ -348,7 +357,7 @@ def test_fermi_projector_errors():
 
 def test_projector_field_invariants():
     bd = bands_of(1, 3, 2, 1, "weyl", 16)
-    gap = report_of(1, 3, 2, 1, 16).internal()[0]
+    gap = report_of(1, 3, 2, 1).internal()[0]
     f = fermi_projector_field(bd, gap.fermi)
     d = f.defects()
     assert d["idempotency"] < 1e-10
@@ -360,7 +369,7 @@ def test_projector_seam_transport():
     # weyl projector fields glue across k2 -> k2+1 by the transport unitary
     ctx = ctx_of(1, 3, 2, 1)
     bd = bands_of(1, 3, 2, 1, "weyl", 16)
-    gap = report_of(1, 3, 2, 1, 16).internal()[0]
+    gap = report_of(1, 3, 2, 1).internal()[0]
     f = fermi_projector_field(bd, gap.fermi)
     h = hofstadter_element(ctx.theta)
     rep = weyl_fibered_rep(ctx)

@@ -54,8 +54,8 @@ def test_gap_label_row_fails_on_a_wrong_report(spec, labels, monkeypatch):
     # is left as it is, so only the label row can see it
     exact = suite.gap_bands
 
-    def relabeled(ctx, G, tol):
-        report, bd_r, bd_w = exact(ctx, G, tol)
+    def relabeled(ctx, G):
+        report, bd_r, bd_w = exact(ctx, G)
         by_d = {gap.d: gap for gap in report.gaps}
         gaps = [dataclasses.replace(by_d.get(d, GapInfo(0, 0.0, 0.0, d, 0.0)), g=g)
                 for g, d in enumerate(labels)]
@@ -66,3 +66,11 @@ def test_gap_label_row_fails_on_a_wrong_report(spec, labels, monkeypatch):
     assert rows["band-count"].ok
     assert not rows["gap-labels-increasing"].ok
     assert rows["gap-labels-increasing"].detail == str(labels)
+
+
+def test_symbolic_numeric_row_samples_a_fixed_grid():
+    # the crosscheck is exact once the grid exceeds 6 * deg = 24, so G = 32
+    # serves every suite grid, coarser or finer
+    rows = {r.name: r for r in run_invariant_suite(ctx_of(1, 3, 1, 0), 40)}
+    assert rows["symbolic-numeric"].ok
+    assert rows["symbolic-numeric"].detail == "5 random degree-4 elements at G=32"
