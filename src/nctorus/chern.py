@@ -50,7 +50,6 @@ from .spectral import (
     NumericalFailure,
     ProjectorField,
     dual_bands,
-    expand_k1_mirror,
     fermi_projector_field,
     hofstadter_gap_report,
 )
@@ -96,13 +95,16 @@ def _rounded(total: float, min_abs: float, G: int, kind: str) -> ChernResult:
 def _flux_sums(field: ProjectorField | BandData, ranks: List[int]):
     """[(flux_sum, min_abs_link)] of the leading `ranks` columns of a field's frames.
 
-    `field` is a ProjectorField or a BandData.  A weyl-kind field closes
-    k2 through `twist_transport` stacked over its stored k1 rows, a
-    reference one is periodic; a k1-mirrored field is summed over its half.
+    `field` is a ProjectorField or a BandData, G = frames.shape[1].  A
+    weyl-kind field closes k2 through `twist_transport` stacked over its
+    stored k1 rows i/G, a reference one is periodic; a k1-mirrored field
+    is summed over its half.
     """
-    k1s = field.k1s[:len(field.frames)]
-    seam = twist_transport(field.rep.ctx, k1s) if field.rep.kind == "weyl" else None
-    return _kernels.plaquette_flux_sum(field.frames, ranks, seam, len(field.k1s))
+    F = field.frames
+    G = F.shape[1]
+    weyl = field.rep.kind == "weyl"
+    seam = twist_transport(field.rep.ctx, np.arange(len(F)) / G) if weyl else None
+    return _kernels.plaquette_flux_sum(F, ranks, seam, G)
 
 
 def fhs_chern(field: ProjectorField) -> ChernResult:
@@ -112,7 +114,7 @@ def fhs_chern(field: ProjectorField) -> ChernResult:
     full-rank one this returns the ambient twist winding q.
     """
     [(total, min_abs)] = _flux_sums(field, [field.rank])
-    return _rounded(total, min_abs, len(field.k1s), field.rep.kind)
+    return _rounded(total, min_abs, field.frames.shape[1], field.rep.kind)
 
 
 def ambient_chern_analytic(N: int, q: int) -> int:
@@ -158,16 +160,22 @@ def connes_chern_via_derivatives(field: ProjectorField) -> float:
 
 
 def pullback_field(field: ProjectorField, n1: int, n2: int) -> ProjectorField:
-    """Sample P(n1 k1 mod 1, n2 k2 mod 1); Chern number scales by n1*n2."""
+    """Sample P(n1 k1 mod 1, n2 k2 mod 1); Chern number scales by n1*n2.
+
+    A k1-mirrored field's pullback is mirrored too (row G - i samples the
+    mirror of row i's source), so it keeps the stored rows and reads a
+    source row past G/2 as the conjugate of its stored mirror.
+    """
     if n1 == 0 or n2 == 0:
         raise ValueError("pullback multipliers must be nonzero")
     if not field.rep.periodic:
         raise ValueError("pullback_field requires a periodic field")
-    G1, G2 = field.shape
-    i = (n1 * np.arange(G1)) % G1
-    j = (n2 * np.arange(G2)) % G2
-    frames = expand_k1_mirror(field.frames, G1)
-    return ProjectorField(field.rep, field.k1s, field.k2s, frames[np.ix_(i, j)])
+    H, G = field.frames.shape[:2]
+    i = n1 * np.arange(H) % G
+    mirrored = i >= H                   # never on a full grid
+    frames = field.frames[np.ix_(np.where(mirrored, G - i, i), n2 * np.arange(G) % G)]
+    frames[mirrored] = frames[mirrored].conj()
+    return ProjectorField(field.rep, frames)
 
 
 # -- conductance verification --------------------------------------------------
@@ -218,7 +226,7 @@ def certify_gaps(ctx: WeylContext, report: GapReport, bd_r: BandData,
     ranks = [int((bd_r.energies[0, 0] < gap.fermi).sum()) for gap in report.gaps]
     t_sums = None if bd_w is None else _flux_sums(bd_w, ranks)
     cc_sums = _flux_sums(bd_r, ranks)
-    G1 = len(bd_r.k1s)
+    G = bd_r.frames.shape[1]
     N, M0, q = ctx.N, ctx.M0, ctx.q
     out = []
     for i, gap in enumerate(report.gaps):
@@ -226,14 +234,14 @@ def certify_gaps(ctx: WeylContext, report: GapReport, bd_r: BandData,
         if bd_w is None:
             # collapsed twist (theta = r/q, so N = 1): the only subfields of the
             # rank-1 twisted family are 0 and the whole field, of Chern number q*d
-            t_res = ChernResult(q * d, float(q * d), 0.0, G1)
+            t_res = ChernResult(q * d, float(q * d), 0.0, G)
         else:
             rank_w = fermi_projector_field(bd_w, gap.fermi).rank
             if rank_w != d:
                 raise VerificationError(
                     f"{ctx.label()}: rank mismatch weyl={rank_w} reference={d}")
-            t_res = _rounded(*t_sums[i], G1, "weyl")
-        cc_res = _rounded(*cc_sums[i], G1, "reference")
+            t_res = _rounded(*t_sums[i], G, "weyl")
+        cc_res = _rounded(*cc_sums[i], G, "reference")
         t, cc = t_res.value, cc_res.value
         s = -cc
         ncint = d / N

@@ -45,10 +45,11 @@ for every element with a(n, m) = conj(a(-n, m)), such as h.  Row
 k1 = (G - i)/G then has the energies of row i/G, and the complex
 conjugates of its frames are an eigenbasis of the same eigenspaces.  So
 a mirrored `BandData` keeps full energies but only the frames of the
-diagonalized rows i = 0 .. G//2, and its consumers read the mirror off
-`len(frames) < len(k1s)`: the Chern kernel weights those rows (see
-`_kernels`), and the dense projector and the pullback expand them with
-`expand_k1_mirror`.
+diagonalized rows i = 0 .. G//2.  A field's grid is square, G =
+frames.shape[1], and mirrored iff it stores G//2 + 1 < G rows.  Its
+consumers keep those rows: the Chern kernel weights them (`_kernels`),
+pullbacks read theirs off them, and `defects` checks them alone; only
+the dense `ProjectorField.P` expands them (`expand_k1_mirror`).
 
 Half of the stored k2 columns need none either when `a` is also
 invariant under the flip u -> u*, v -> v*, i.e. a(n, m) = a(-n, -m), as
@@ -103,17 +104,11 @@ class GapViolationError(NumericalFailure):
 
 @dataclass(frozen=True)
 class BandData:
-    """Eigendecomposition of pi_k(a) over a regular grid on [0,1)^2."""
+    """Eigendecomposition of pi_k(a) on the square grid k = (i/G, j/G), G = frames.shape[1]."""
 
     rep: FiberedRep
-    k1s: np.ndarray
-    k2s: np.ndarray
-    energies: np.ndarray   # (G1, G2, N), ascending in the last axis
-    frames: np.ndarray     # (G1 or G1//2 + 1 when k1-mirrored, G2, N, N), orthonormal columns
-
-    @property
-    def shape(self):
-        return self.energies.shape[:2]
+    energies: np.ndarray   # (G, G, N), ascending in the last axis
+    frames: np.ndarray     # (G or G//2 + 1 when k1-mirrored, G, N, N), orthonormal columns
 
 
 @dataclass(frozen=True)
@@ -173,7 +168,6 @@ def hofstadter_energies(ctx: WeylContext, G: int) -> np.ndarray:
     and e^{i2pi y/G}, and an index map expands the results to the grid.
     """
     h = hofstadter_element(ctx.theta)
-    _check_self_adjoint(h)
     i = np.arange(G)
     x = np.minimum(i, G - i)
     cj = (ctx.M0 or ctx.N) * i % G
@@ -211,17 +205,17 @@ def dual_bands(ctx: WeylContext, a: AlgebraElement, G: int):
         return _bands(rep_r, a, G, n), None
     bd_w = _bands(weyl_fibered_rep(ctx), a, G, n)
     N, M0 = ctx.N, ctx.M0
-    k = bd_w.k1s
+    k = np.arange(n) / G
     energies = np.empty((n, n, N))
     frames = np.empty_like(bd_w.frames)
     g = math.gcd(M0, G)
     own = np.flatnonzero(np.arange(n) % g)        # columns no weyl column reaches
     if len(own):
         energies[:, own], frames[:, own] = np.linalg.eigh(
-            _hermitian_stack(rep_r, a, k[:n], k[own]))
+            _hermitian_stack(rep_r, a, k, k[own]))
     inv_qm = pow(ctx.q * ctx.M, -1, N)            # -a
     inv_m0 = pow(M0 // g, -1, G // g)
-    lam = np.exp(1j * TWO_PI * ctx.q * k[:n])[:, None, None]
+    lam = np.exp(1j * TWO_PI * ctx.q * k)[:, None, None]
     for j in range(0, n, g):
         jw = N * (j // g) * inv_m0 % (G // g)
         p = inv_qm * ((M0 * jw - N * j) // G) % N
@@ -231,7 +225,7 @@ def dual_bands(ctx: WeylContext, a: AlgebraElement, G: int):
         np.multiply(lam, src[:, N - p:], out=dst[:, :p])          # wrapped rows: lam F[i - p + N]
     if n < G:
         _fill_flipped_columns(rep_r, frames, n)
-    return BandData(rep_r, k, k, _expand_energies(energies, G), frames), bd_w
+    return BandData(rep_r, _expand_energies(energies, G), frames), bd_w
 
 
 def expand_k1_mirror(rows: np.ndarray, G1: int) -> np.ndarray:
@@ -256,7 +250,8 @@ def _diagonalized(a: AlgebraElement, G: int) -> int:
     a(n, m) = a(-n, -m) (the flip), both within 1e-12; n = G otherwise.
     Raises SelfAdjointnessError unless a = a* within 1e-12.
     """
-    _check_self_adjoint(a)
+    if not a.approx_equal(element_star(a), SELFADJOINT_TOL):
+        raise SelfAdjointnessError("element is not self-adjoint within 1e-12")
     if (a.approx_equal(_k1_mirror(a), SELFADJOINT_TOL)
             and a.approx_equal(_flip(a), SELFADJOINT_TOL)):
         return G // 2 + 1
@@ -277,8 +272,7 @@ def _bands(rep: FiberedRep, a: AlgebraElement, G: int, n: int) -> BandData:
         full[:, :n] = frames
         frames = full                   # frees eigh's quarter before the fill
         _fill_flipped_columns(rep, frames, n)
-    k = np.arange(G) / G
-    return BandData(rep, k, k, _expand_energies(energies, G), frames)
+    return BandData(rep, _expand_energies(energies, G), frames)
 
 
 def _expand_energies(e: np.ndarray, G: int) -> np.ndarray:
@@ -316,11 +310,6 @@ def _fill_flipped_columns(rep: FiberedRep, frames: np.ndarray, cols: int):
     if not rep.conjugated:
         lam = np.exp(-1j * TWO_PI * rep.ctx.q * np.arange(len(frames)) / G)
         dst[..., 0 if weyl else 1:, :] *= lam[:, None, None, None]     # T R: every row; R: j != 0
-
-
-def _check_self_adjoint(a: AlgebraElement):
-    if not a.approx_equal(element_star(a), SELFADJOINT_TOL):
-        raise SelfAdjointnessError("element is not self-adjoint within 1e-12")
 
 
 def _hermitian_stack(rep: FiberedRep, a: AlgebraElement, k1s: np.ndarray, k2s: np.ndarray):
@@ -401,27 +390,22 @@ def detect_gaps_refined(E2: np.ndarray) -> GapReport:
 
 @dataclass(frozen=True)
 class ProjectorField:
-    """Orthogonal projector of constant rank per grid point, held as its frames.
+    """Orthogonal projector of constant rank on the square grid k = (i/G, j/G), held as its frames.
 
     `frames[i, j]` has orthonormal columns spanning the range of
-    P(k1s[i], k2s[j]).  Plaquette link variables are gauge-invariant, so
-    any such basis serves: a Fermi field keeps the occupied eigenvector
-    columns of its BandData as they are, k1-mirrored ones included, whose
-    frames hold rows i = 0 .. G1//2 only (`expand_k1_mirror`).
+    P(i/G, j/G), G = frames.shape[1].  Plaquette link variables are
+    gauge-invariant, so any such basis serves: a Fermi field keeps the
+    occupied eigenvector columns of its BandData as they are, k1-mirrored
+    ones included, with row G - i the unstored conjugate of row i.
     """
 
     rep: FiberedRep
-    k1s: np.ndarray
-    k2s: np.ndarray
-    frames: np.ndarray     # (G1 or G1//2 + 1 when k1-mirrored, G2, N, rank)
+    frames: np.ndarray     # (G or G//2 + 1 when k1-mirrored, G, N, rank)
 
-    @property
-    def shape(self):
-        return len(self.k1s), len(self.k2s)
-
-    @property
-    def dim(self) -> int:
-        return self.frames.shape[-2]
+    def __post_init__(self):
+        H, G = self.frames.shape[:2]
+        if H not in (G, G // 2 + 1):
+            raise ValueError(f"{H} frame rows fit neither a {G}-row grid nor its k1 mirror")
 
     @property
     def rank(self) -> int:
@@ -429,13 +413,19 @@ class ProjectorField:
 
     @property
     def P(self) -> np.ndarray:
-        """Dense projector F F^dagger, built on each access: (G1, G2, N, N)."""
+        """Dense projector F F^dagger on every grid point, built on each access: (G, G, N, N)."""
+        return expand_k1_mirror(self._stored_P(), self.frames.shape[1])
+
+    def _stored_P(self) -> np.ndarray:
         F = self.frames
-        return expand_k1_mirror(np.einsum("ijar,ijbr->ijab", F, F.conj()), len(self.k1s))
+        return np.einsum("ijar,ijbr->ijab", F, F.conj())
 
     def defects(self) -> dict:
-        """Worst-case residuals of the projector-field invariants."""
-        P = self.P
+        """Worst-case residuals of the projector-field invariants, on the stored rows.
+
+        A mirrored row's projector is the exact conjugate of a stored one.
+        """
+        P = self._stored_P()
         PH = np.conj(np.swapaxes(P, -1, -2))
         P2 = np.einsum("ijab,ijbc->ijac", P, P)
         tr = np.trace(P, axis1=-2, axis2=-1)
@@ -454,7 +444,7 @@ def fermi_projector_field(bd: BandData, fermi: float) -> ProjectorField:
     rank = int(occ.flat[0])
     if not (occ == rank).all():
         raise GapViolationError(f"fermi level {fermi} crosses a band")
-    return ProjectorField(bd.rep, bd.k1s, bd.k2s, bd.frames[..., :rank])
+    return ProjectorField(bd.rep, bd.frames[..., :rank])
 
 
 def constant_projector_field(rep: FiberedRep, G: int, P0: np.ndarray) -> ProjectorField:
@@ -465,8 +455,7 @@ def constant_projector_field(rep: FiberedRep, G: int, P0: np.ndarray) -> Project
     rank = int(round(np.trace(P0).real))
     _, v = np.linalg.eigh(P0)
     F0 = v[:, len(v) - rank:]     # eigenvalue-1 columns: last in ascending order
-    k = np.arange(G) / G
-    return ProjectorField(rep, k, k, np.broadcast_to(F0, (G, G) + F0.shape))
+    return ProjectorField(rep, np.broadcast_to(F0, (G, G) + F0.shape))
 
 
 def identity_field(rep: FiberedRep, G: int) -> ProjectorField:

@@ -190,16 +190,17 @@ def run_invariant_suite(ctx: WeylContext, G: int = 32) -> List[CheckResult]:
         f_w = fermi_projector_field(bd_w, widest.fermi)
         dft = f_w.defects()
         field_defect = max(dft["idempotency"], dft["hermiticity"], dft["trace"])
-        P = f_w.P
-        # the stacked seam the kernel closes the field with (`chern._flux_sums`),
-        # on every row as the kernel reads it
-        seam_T = expand_k1_mirror(twist_transport(ctx, f_w.k1s[:len(f_w.frames)]), G)
+        # P(k1, 0) from the column-0 frames, and the stacked seam the kernel
+        # closes the field with (`chern._flux_sums`), on every row as the kernel reads it
+        F0 = f_w.frames[:, 0]
+        P0 = expand_k1_mirror(np.einsum("iar,ibr->iab", F0, F0.conj()), G)
+        seam_T = expand_k1_mirror(twist_transport(ctx, np.arange(len(F0)) / G), G)
         for i in range(0, G, max(1, G // 8)):
-            k1, T = f_w.k1s[i], seam_T[i]
-            w, v = np.linalg.eigh(evaluate_at_k(reps["weyl"], h, (k1, 1.0)))
+            T = seam_T[i]
+            w, v = np.linalg.eigh(evaluate_at_k(reps["weyl"], h, (i / G, 1.0)))
             occ = v[:, : f_w.rank]
             P1 = occ @ occ.conj().T
-            seam = max(seam, _frob(P1 - T @ P[i, 0] @ T.conj().T))
+            seam = max(seam, _frob(P1 - T @ P0[i] @ T.conj().T))
         detail = f"gap d={widest.d}"
     check("projector-field", field_defect, 1e-8, detail)
     check("projector-seam-transport", seam, 1e-10, detail)

@@ -35,7 +35,7 @@ def full_grid_bands(rep, a, G):
     """eigh of pi_k(a) at every point of the G x G grid, no k1 mirror."""
     k = np.arange(G) / G
     H = evaluate_on_grid(rep, a, k, k)
-    return BandData(rep, k, k, *np.linalg.eigh(0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))))
+    return BandData(rep, *np.linalg.eigh(0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))))
 
 
 def report_of(M, N, q, r):

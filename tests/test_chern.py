@@ -139,12 +139,11 @@ def test_certificates_make_one_kernel_call_per_family(monkeypatch):
 def test_orthogonal_neighbour_frames_are_too_coarse():
     # the frame turns from e0 to e1 between k1 = 2/8 and 3/8: those links vanish
     rep = reference_fibered_rep(ctx_of(1, 3, 1, 0))
-    k = np.arange(8) / 8
     frames = np.zeros((8, 8, 3, 1), complex)
     frames[:3, :, 0, 0] = 1.0
     frames[3:, :, 1, 0] = 1.0
     with pytest.raises(GridTooCoarseError, match="magnitude 0 < 1e-06"):
-        fhs_chern(ProjectorField(rep, k, k, frames))
+        fhs_chern(ProjectorField(rep, frames))
 
 
 def test_link_guard_on_the_certificate_path(monkeypatch):
@@ -239,7 +238,7 @@ def test_mirrored_fields_match_the_full_grid(kind, G):
     bd, full = _mirrored_and_full(rep, G)
     for gap in hofstadter_gap_report(ctx).internal():
         f, g = fermi_projector_field(bd, gap.fermi), fermi_projector_field(full, gap.fermi)
-        assert f.shape == g.shape == (G, G)
+        assert f.frames.shape[:2] == (G // 2 + 1, G) and g.frames.shape[:2] == (G, G)
         assert np.abs(f.P - g.P).max() < 1e-10
         defects = g.defects()
         for key, value in f.defects().items():
@@ -250,18 +249,22 @@ def test_mirrored_fields_match_the_full_grid(kind, G):
         assert res.raw == pytest.approx(res_full.raw, abs=1e-10)
 
 
-@pytest.mark.parametrize("n1, n2", [(2, 1), (1, 3), (-1, 1)])
+@pytest.mark.parametrize("n1, n2", [(2, 1), (1, 3), (-1, 1), (3, 1)])
 def test_pullback_of_a_mirrored_field(n1, n2):
+    # the pullback keeps the stored rows; source rows n1 i mod G past G/2
+    # (n1 = -1, 3) are read off the mirror
     rep = reference_fibered_rep(ctx_of(1, 3, 1, 0))
-    bd, full = _mirrored_and_full(rep, 32)
     gap = report_of(1, 3, 1, 0).internal()[0]
-    f = pullback_field(fermi_projector_field(bd, gap.fermi), n1, n2)
-    g = pullback_field(fermi_projector_field(full, gap.fermi), n1, n2)
-    assert f.frames.shape == g.frames.shape == (32, 32, 3, 1)
-    assert np.abs(f.P - g.P).max() < 1e-10
-    res, res_full = fhs_chern(f), fhs_chern(g)
-    assert res.value == res_full.value == -n1 * n2
-    assert res.raw == pytest.approx(res_full.raw, abs=1e-10)
+    for G in (31, 32):
+        bd, full = _mirrored_and_full(rep, G)
+        f = pullback_field(fermi_projector_field(bd, gap.fermi), n1, n2)
+        g = pullback_field(fermi_projector_field(full, gap.fermi), n1, n2)
+        assert f.frames.shape == (G // 2 + 1, G, 3, 1)
+        assert g.frames.shape == (G, G, 3, 1)
+        assert np.abs(f.P - g.P).max() < 1e-10
+        res, res_full = fhs_chern(f), fhs_chern(g)
+        assert res.value == res_full.value == -n1 * n2
+        assert res.raw == pytest.approx(res_full.raw, abs=1e-10)
 
 
 @pytest.mark.parametrize("G", [47, 48])

@@ -150,7 +150,7 @@ def test_gap_ranks_of_touching_central_bands(kind):
     ranks = [int((bd_r.energies[0, 0] < gap.fermi).sum()) for gap in report.gaps]
     assert ranks == [0, 1, 2, 3, 5, 6, 7, 8]
     bd = bd_r if kind == "reference" else bd_w
-    seam = None if kind == "reference" else twist_transport(ctx, bd.k1s[:len(bd.frames)])
+    seam = None if kind == "reference" else twist_transport(ctx, np.arange(len(bd.frames)) / 16)
     multi = _kernels.plaquette_flux_sum(bd.frames, ranks, seam, 16)
     for R, (total, min_abs), (total_1, min_abs_1) in zip(
             ranks, multi, one_rank_at_a_time(bd.frames, ranks, seam, 16)):
@@ -168,7 +168,7 @@ def test_k1_mirrored_half_grid_matches_the_full_grid(kind, M, N, q, r, G):
     bd = bands_of(M, N, q, r, kind, G)
     assert bd.frames.shape[:2] == (G // 2 + 1, G)
     F = expand_k1_mirror(bd.frames, G)
-    seam = None if kind == "reference" else twist_transport(ctx, bd.k1s)
+    seam = None if kind == "reference" else twist_transport(ctx, np.arange(G) / G)
     half_seam = None if seam is None else seam[:G // 2 + 1]
     ranks = list(range(N + 1))
     half = _kernels.plaquette_flux_sum(bd.frames, ranks, half_seam, G)

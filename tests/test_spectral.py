@@ -21,6 +21,7 @@ from nctorus.representations import (
 )
 from nctorus.spectral import (
     GapViolationError,
+    ProjectorField,
     SelfAdjointnessError,
     band_energies,
     band_rows,
@@ -142,7 +143,8 @@ def test_flipped_columns_are_eigenbases(family, M, N, q, r, G):
     rows = G // 2 + 1
     assert bd.frames.shape == (rows, G, N, N)
     F, E = bd.frames, bd.energies[:rows]
-    H = evaluate_on_grid(rep, h, bd.k1s[:rows], bd.k2s)
+    k = np.arange(G) / G
+    H = evaluate_on_grid(rep, h, k[:rows], k)
     assert np.abs(H @ F - F * E[..., None, :]).max() < 1e-12
     assert np.abs(np.conj(np.swapaxes(F, -1, -2)) @ F - np.eye(N)).max() < 1e-12
     direct = full_grid_bands(rep, h, G)
@@ -365,6 +367,29 @@ def test_projector_field_invariants():
     assert d["trace"] < 1e-8
 
 
+@pytest.mark.parametrize("H, G", [(8, 16), (10, 16), (15, 16), (7, 15), (9, 15), (14, 15)])
+def test_projector_field_rejects_frames_of_no_grid(H, G):
+    # G columns fit G rows or the G//2 + 1 stored rows of a k1 mirror, no other count
+    rep = reference_fibered_rep(ctx_of(1, 3, 1, 0))
+    for rows in (G, G // 2 + 1):
+        assert ProjectorField(rep, np.zeros((rows, G, 3, 1), complex)).rank == 1
+    with pytest.raises(ValueError, match=f"{H} frame rows fit neither a {G}-row grid"):
+        ProjectorField(rep, np.zeros((H, G, 3, 1), complex))
+
+
+@pytest.mark.parametrize("kind", ["reference", "weyl"])
+@pytest.mark.parametrize("G", [15, 16])
+def test_mirrored_defects_equal_the_expanded_ones(kind, G):
+    # defects() reads the stored rows alone: the projector of a mirrored row is
+    # the exact conjugate of a stored one, so nothing moves by a single bit
+    bd = bands_of(2, 5, 3, 1, kind, G)
+    for gap in report_of(2, 5, 3, 1).internal():
+        f = fermi_projector_field(bd, gap.fermi)
+        assert len(f.frames) == G // 2 + 1
+        expanded = ProjectorField(f.rep, expand_k1_mirror(f.frames, G))
+        assert f.defects() == expanded.defects()
+
+
 def test_projector_seam_transport():
     # weyl projector fields glue across k2 -> k2+1 by the transport unitary
     ctx = ctx_of(1, 3, 2, 1)
@@ -374,7 +399,7 @@ def test_projector_seam_transport():
     h = hofstadter_element(ctx.theta)
     rep = weyl_fibered_rep(ctx)
     for i in (0, 3, 7, 11):
-        k1 = bd.k1s[i]
+        k1 = i / 16
         w, v = np.linalg.eigh(evaluate_at_k(rep, h, (k1, 1.0)))
         occ = v[:, : f.rank]
         P_top = occ @ occ.conj().T
@@ -426,11 +451,11 @@ def _rows_reference(bd, prefix):
     def fmt(x):
         return format(float(x), ".12g")
     rows = []
-    G1, G2 = bd.shape
+    G1, G2 = bd.energies.shape[:2]
     for i in range(G1):
         for j in range(G2):
             for b in range(bd.energies.shape[-1]):
-                rows.append(f"{prefix}{fmt(bd.k1s[i])},{fmt(bd.k2s[j])},{b},"
+                rows.append(f"{prefix}{fmt(i / G1)},{fmt(j / G2)},{b},"
                             f"{fmt(bd.energies[i, j, b])}")
     return "\n".join(rows) + "\n"
 
