@@ -16,9 +16,10 @@ ordering, floats at 12 significant digits (`fmt`).  The JSON records are
 the fields of the result dataclasses (`GapReport`, `TKNNRecord`,
 `ChernResult`, `CheckResult`); `_write_json` alone applies the number
 policy, writing every non-finite float as null.  The first format in
-`_WRITES` is each command's default.  The butterfly CSV is formatted
-theta by theta as the worker jobs finish and written in one pass after
-the last job, so a failing job leaves no partial file.
+`_WRITES` is each command's default.  Each butterfly worker job formats
+its own theta's CSV rows; the main thread streams them in theta order to
+a `.part` file that is renamed onto the CSV after the last job, so a
+failing job leaves no partial file.
 Worker threads for parameter sweeps come from NCTORUS_THREADS (positive
 integer; default: available parallelism).
 """
@@ -235,28 +236,43 @@ def farey_fractions(bound: int) -> List[RationalTheta]:
 
 
 def _butterfly_job(theta: RationalTheta, q: int, r: int, cfg: RunConfig):
+    """(theta, CSV rows, gap report, certificates) of one theta of the sweep.
+
+    The rows are this theta's `band_rows` text, formatted here in the worker
+    so the main thread only writes it; None when no CSV is written.  The
+    report is None when no SVG is drawn, and the certificates are None unless
+    the SVG is colored.
+    """
     ctx = make_weyl_context(theta, q, r)
+    energies = report = certs = None
     if "svg" in cfg.formats and cfg.color_gaps:
         # band segments and gap rectangles come from the exact gap report the
         # certificates are read from, the CSV energies from their weyl bands at G
         report, bd_r, bd_w = gap_bands(ctx, cfg.grid)
         certs = certify_gaps(ctx, report, bd_r, bd_w)
-        return theta, (bd_r if bd_w is None else bd_w).energies, report, certs
-    # the uncolored SVG keeps sampled grid detection on the weyl energies, read
-    # off the central character; the CSV grid is computed only when a CSV is written
-    energies = None
-    report = None
-    if "svg" in cfg.formats:
+        energies = (bd_r if bd_w is None else bd_w).energies
+    elif "svg" in cfg.formats:
+        # the uncolored SVG keeps sampled grid detection on the weyl energies,
+        # read off the central character
         fine = hofstadter_energies(ctx, 2 * max(8, cfg.grid // 2))
         report = detect_gaps_refined(fine)
         if len(fine) == cfg.grid:
             energies = fine       # refinement's fine grid is the CSV grid
-    if energies is None and "csv" in cfg.formats:
+    if "csv" not in cfg.formats:
+        return theta, None, report, certs
+    if energies is None:
         energies = hofstadter_energies(ctx, cfg.grid)
-    return theta, energies, report, None
+    return theta, band_rows(energies, f"{theta.M},{theta.N},"), report, certs
 
 
 def cmd_butterfly(cfg: RunConfig) -> int:
+    """Per rep: the spectrum CSV streamed theta by theta, then the SVG in one write.
+
+    Each job's rows are written in theta order as the pool yields them, to
+    `spectrum_q{q}r{r}.csv.part`, which is moved onto the CSV after the last
+    job.  If anything raises, the `.part` file is removed, so a failing run
+    leaves no CSV of its own and keeps the one an earlier run wrote.
+    """
     if cfg.farey is None and not cfg.thetas:
         raise ConfigError("butterfly needs --farey or at least one --theta")
     base = farey_fractions(cfg.farey) if cfg.farey is not None else []
@@ -278,16 +294,29 @@ def cmd_butterfly(cfg: RunConfig) -> int:
                 continue
             jobs.append(th)
         results = []
-        chunks = ["theta_num,theta_den,k1,k2,band,energy\n"]
-        with concurrent.futures.ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            for th, energies, report, certs in pool.map(lambda t: _butterfly_job(t, q, r, cfg),
-                                                        jobs):
-                if "csv" in cfg.formats:
-                    chunks.append(band_rows(energies, f"{th.M},{th.N},"))
-                results.append((th, report, certs))
-
-        if "csv" in cfg.formats:
-            _write_text(cfg.out / f"spectrum_q{q}r{r}.csv", *chunks)
+        csv_path = cfg.out / f"spectrum_q{q}r{r}.csv"
+        part = csv_path.with_name(csv_path.name + ".part")
+        csv = None
+        try:
+            if "csv" in cfg.formats:
+                cfg.out.mkdir(parents=True, exist_ok=True)
+                csv = open(part, "w")
+                csv.write("theta_num,theta_den,k1,k2,band,energy\n")
+            with concurrent.futures.ThreadPoolExecutor(max_workers=worker_count()) as pool:
+                for th, rows, report, certs in pool.map(lambda t: _butterfly_job(t, q, r, cfg),
+                                                         jobs):
+                    if csv is not None:
+                        csv.write(rows)
+                    results.append((th, report, certs))
+            if csv is not None:
+                csv.close()
+                os.replace(part, csv_path)
+        finally:
+            if csv is not None:
+                try:
+                    csv.close()       # flushes, so it can raise too
+                finally:
+                    part.unlink(missing_ok=True)
 
         if "svg" in cfg.formats:
             _write_text(cfg.out / f"butterfly_q{q}r{r}.svg",

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -134,6 +135,53 @@ def test_butterfly_failing_job_writes_no_file(tmp_path):
     assert run("butterfly", "--farey", "5", "--grid", "4", "--format", "csv", "--format", "svg",
                "--color-gaps", "--out", str(out)) == EXIT_VERIFICATION
     assert list(out.glob("*")) == []
+
+
+def test_butterfly_failure_keeps_an_earlier_csv(tmp_path):
+    # 2/5 fails after the four thetas before it were streamed to the .part file
+    out = tmp_path / "o"
+    out.mkdir()
+    earlier = out / "spectrum_q1r0.csv"
+    earlier.write_bytes(b"theta_num,theta_den,k1,k2,band,energy\n0,1,0,0,0,4\n")
+    assert run("butterfly", "--farey", "5", "--grid", "4", "--format", "csv", "--format", "svg",
+               "--color-gaps", "--out", str(out)) == EXIT_VERIFICATION
+    assert earlier.read_bytes() == b"theta_num,theta_den,k1,k2,band,energy\n0,1,0,0,0,4\n"
+    assert [p.name for p in out.iterdir()] == ["spectrum_q1r0.csv"]
+
+
+def test_butterfly_into_a_regular_file_is_io_error_before_any_job(tmp_path, band_passes):
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("occupied")
+    assert run("butterfly", "--farey", "2", "--grid", "4", "--out", str(blocker)) == EXIT_IO
+    assert band_passes == []
+
+
+def test_butterfly_streams_its_csv(tmp_path, monkeypatch):
+    # the main thread holds one theta's rows at a time, not the file: the traced
+    # peak was 1.13x the CSV size when the whole text was kept until the last job
+    monkeypatch.setenv("NCTORUS_THREADS", "2")
+    out = tmp_path / "o"
+    tracemalloc.start()
+    try:
+        assert run("butterfly", "--farey", "10", "--grid", "24", "--format", "csv",
+                   "--out", str(out)) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (out / "spectrum_q1r0.csv").stat().st_size / 2
+
+
+@pytest.mark.parametrize("colored", [(), ("--color-gaps",)], ids=["plain", "color-gaps"])
+def test_butterfly_bytes_do_not_depend_on_the_thread_count(tmp_path, monkeypatch, colored):
+    written = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("NCTORUS_THREADS", threads)
+        out = tmp_path / threads
+        assert run("butterfly", "--farey", "4", "--grid", "12", "--format", "csv",
+                   "--format", "svg", *colored, "--out", str(out)) == EXIT_OK
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(written[0]) == ["butterfly_q1r0.svg", "spectrum_q1r0.csv"]
+    assert written[0] == written[1]
 
 
 def test_butterfly_svg_gap_colors(tmp_path):
