@@ -43,11 +43,31 @@ odd; that middle row ends at the one row not stored, conj F(G1//2),
 with Ly((G1+1)/2) = conj Ly(G1//2).  |link| is gauge-invariant as well,
 so the half grid has the full grid's smallest link.  Only the link rows
 0 .. ceil(G1/2) - 1 (k1) and 0 .. G1//2 (k2) are formed.
+
+The frames stream through in blocks of consecutive k1 rows (`LinkMinors`),
+so neither a family's whole frames nor a full-size overlap array need be
+held.  Every link but the k1-links leaving a block's last row is local to
+the block; that row's adjoint is carried to the next block, and the
+grid's last k1-link, to row 0 or to conj F(G1//2), closes after the last
+block.  A block's links are eliminated together, and only their minors,
+(len(ranks), rows, G2) per direction, are kept for the whole grid.  The
+elimination works on each link alone and the angle sums run over the
+whole minors as one array, so the sums do not depend on the blocking,
+bit for bit.  A block holds at most BLOCK_BYTES of one family's frames,
+and at least one row; `plaquette_flux_sum` feeds an array's rows through
+the same blocks.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+BLOCK_BYTES = 1 << 19      # one family's block of frames, at least one k1 row
+
+
+def block_rows(row_bytes: int) -> int:
+    """Stored k1 rows per block of frames whose rows take row_bytes each: at least one."""
+    return max(1, BLOCK_BYTES // max(row_bytes, 1))
 
 
 def _leading_minors(A: np.ndarray, ranks: list[int]) -> np.ndarray:
@@ -78,28 +98,90 @@ def _leading_minors(A: np.ndarray, ranks: list[int]) -> np.ndarray:
     return out
 
 
-def _link_minors(F: np.ndarray, ranks: list[int], seam: np.ndarray | None, G1: int):
-    """Lx then Ly, each (len(ranks), rows, G2): leading minors of F(k)^dagger F(k + e1), F(k + e2).
+class LinkMinors:
+    """The link minors of one frame field, fed in blocks of consecutive stored k1 rows.
 
-    F holds G1 rows, or rows 0 .. G1//2 of a k1-mirrored grid, for which
-    Lx has the ceil(G1/2) rows of the summed plaquettes and Ly one per row
-    of F.  Both directions fill one batch-last buffer (R, R, rows, G2) a
-    row of links at a time, so no full-size overlap or adjoint array is
-    ever formed, and each direction is eliminated before the next one
-    fills the buffer.
+    `add` takes the blocks in row order, each with the seam rows that close
+    it in k2 (or None for a periodic field); `flux_sums` closes the grid and
+    returns what `plaquette_flux_sum` returns.  ranks as there; rows is the
+    grid's row count G1.  Only the minors (len(ranks), rows, G2) of each
+    direction are kept, plus row 0 (the end of a full grid's last k1-link)
+    and the adjoint of the last row fed (the start of the next k1-link).
     """
-    H, G2, _, R = F.shape
-    buffer = np.empty(R * R * H * G2, complex)
-    # the last k1-link ends at row 0 of the torus, or at conj F(G1//2) on a mirrored grid
-    x_end = F[0] if H == G1 else F[-1].conj()
-    y_end = F[:, 0] if seam is None else seam @ F[:, 0]
-    for axis, rows, end in ((0, H if H == G1 else G1 - G1 // 2, x_end), (1, H, y_end)):
-        A = buffer[:R * R * rows * G2].reshape(R, R, rows, G2)
-        Fa, Aa = F.swapaxes(0, axis), A.swapaxes(2, 2 + axis)
-        for i in range(Aa.shape[2]):
-            Fj = Fa[i + 1] if i + 1 < len(Fa) else end
-            Aa[:, :, i] = np.moveaxis(Fa[i].conj().swapaxes(-1, -2) @ Fj, 0, -1)
-        yield _leading_minors(A.reshape(R, R, rows * G2), ranks).reshape(len(ranks), rows, G2)
+
+    def __init__(self, ranks: list[int], rows: int):
+        self.ranks = list(ranks)
+        self.G1 = rows
+        self.first = self.last = None
+        self.stored = 0
+        self.x_minors, self.y_minors = [], []
+
+    def add(self, F: np.ndarray, seam: np.ndarray | None = None):
+        """Feeds the next stored rows, F (b, G2, N, >= ranks[-1]) and seam (b, N, N) or None.
+
+        Each row's links fill one batch-last buffer (R, R, links, G2) a row
+        at a time, from one conjugate copy of the row, so no full-size
+        overlap or adjoint array is formed, and one elimination serves the
+        block.
+        """
+        ranks = self.ranks
+        if self.first is None:
+            if ranks != sorted(ranks) or ranks[0] < 0 or ranks[-1] > F.shape[-1]:
+                raise ValueError(f"ranks must be non-decreasing in [0, {F.shape[-1]}], got {ranks}")
+            self.first = F[0].copy()
+        F = F[..., :ranks[-1]]
+        b, G2, _, R = F.shape
+        y_end = F[:, 0] if seam is None else seam @ F[:, 0]
+        nx = b - (self.last is None)                # the k1-links that start at a fed row
+        A = np.empty((R, R, nx + b, G2), complex)
+        for i in range(b):
+            if self.last is not None:
+                A[:, :, nx - b + i] = _overlaps(self.last, F[i])
+            self.last = F[i].conj()
+            A[:, :, nx + i, :-1] = _overlaps(self.last[:-1], F[i, 1:])
+            A[:, :, nx + i, -1] = self.last[-1].T @ y_end[i]
+        L = self._eliminate(A)
+        self.x_minors.append(L[:, :nx])
+        self.y_minors.append(L[:, nx:])
+        self.stored += b
+
+    def flux_sums(self):
+        """[(flux_sum, min_abs_link)] per rank of the grid fed so far (module docstring)."""
+        H, G1 = self.stored, self.G1
+        if H not in (G1, G1 // 2 + 1):
+            raise ValueError(f"{H} frame rows fit neither a {G1}-row grid nor its k1 mirror")
+        mirrored = H < G1
+        x_minors = self.x_minors
+        if not mirrored or G1 % 2:
+            # the last k1-link ends at row 0 of the torus, or at conj F(G1//2) on a mirrored
+            # grid: a copy, as numpy takes a product of an array with its own transpose by syrk
+            end = self.last.copy() if mirrored else self.first[..., :self.ranks[-1]]
+            R, G2 = self.last.shape[-1], len(self.last)
+            A = np.empty((R, R, 1, G2), complex)
+            A[:, :, 0] = _overlaps(self.last, end)
+            x_minors = x_minors + [self._eliminate(A)]
+        out = []
+        for Lx, Ly in zip(np.concatenate(x_minors, axis=1), np.concatenate(self.y_minors, axis=1)):
+            min_abs = float(min(np.abs(Lx).min(), np.abs(Ly).min()))
+            Ly_next = np.concatenate((Ly[1:], Ly[-1:].conj() if mirrored else Ly[:1]))[:len(Lx)]
+            pl = Ly[:len(Lx)] * np.roll(Lx, -1, axis=1) * np.conj(Ly_next) * np.conj(Lx)
+            angles = np.angle(pl)
+            if mirrored:
+                total = 2 * angles[:G1 // 2].sum() + angles[G1 // 2:].sum()
+            else:
+                total = angles.sum()
+            out.append((float(total), min_abs))
+        return out
+
+    def _eliminate(self, A: np.ndarray) -> np.ndarray:
+        """The minors (len(ranks), links, G2) of a filled buffer A (R, R, links, G2)."""
+        R, _, links, G2 = A.shape
+        return _leading_minors(A.reshape(R, R, links * G2), self.ranks).reshape(-1, links, G2)
+
+
+def _overlaps(Fh: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """F_i(k)^dagger F_j(k) of a row of links, batch-last (R, R, G2), from Fh = conj F_i."""
+    return (Fh.swapaxes(-1, -2) @ F).transpose(1, 2, 0)
 
 
 def plaquette_flux_sum(frames: np.ndarray, ranks: list[int], seam: np.ndarray | None = None,
@@ -110,23 +192,12 @@ def plaquette_flux_sum(frames: np.ndarray, ranks: list[int], seam: np.ndarray | 
     seam: (H, N, N) transport closing k2, or None for a periodic field.
     rows: the grid's row count G1 (default H); H = G1//2 + 1 < G1 marks
     frames of a k1-mirrored grid, summed over its half (module docstring).
+    The frames are fed to `LinkMinors` in blocks of `block_rows` rows.
     """
-    ranks = list(ranks)
     if not ranks:
         return []
-    if ranks != sorted(ranks) or ranks[0] < 0 or ranks[-1] > frames.shape[-1]:
-        raise ValueError(f"ranks must be non-decreasing in [0, {frames.shape[-1]}], got {ranks}")
-    H = len(frames)
-    G1 = H if rows is None else rows
-    if H not in (G1, G1 // 2 + 1):
-        raise ValueError(f"{H} frame rows fit neither a {G1}-row grid nor its k1 mirror")
-    mirrored = H < G1
-    out = []
-    for Lx, Ly in zip(*_link_minors(frames[..., :ranks[-1]], ranks, seam, G1)):
-        min_abs = float(min(np.abs(Lx).min(), np.abs(Ly).min()))
-        Ly_next = np.concatenate((Ly[1:], Ly[-1:].conj() if mirrored else Ly[:1]))[:len(Lx)]
-        pl = Ly[:len(Lx)] * np.roll(Lx, -1, axis=1) * np.conj(Ly_next) * np.conj(Lx)
-        angles = np.angle(pl)
-        total = 2 * angles[:G1 // 2].sum() + angles[G1 // 2:].sum() if mirrored else angles.sum()
-        out.append((float(total), min_abs))
-    return out
+    minors = LinkMinors(ranks, len(frames) if rows is None else rows)
+    step = block_rows(frames[0].nbytes)
+    for i in range(0, len(frames), step):
+        minors.add(frames[i:i + step], None if seam is None else seam[i:i + step])
+    return minors.flux_sums()

@@ -11,10 +11,15 @@ integers by construction.
 
 A certificate run needs one Chern number per gap and family.  The Fermi
 frames of the gaps are leading column blocks of the family's band
-frames, so `certify_gaps` makes one kernel call per family with every
-gap's rank (the kernel forms the link overlaps once, see `_kernels`),
-then checks the gaps in one loop.  Every kernel call, of a certificate
-run or of a single field, goes through `_flux_sums`.
+frames, so one kernel pass per family serves every gap's rank (the
+kernel forms the link overlaps once, see `_kernels`), and the gaps are
+then checked in one loop (`_certificates`).  `gap_certificates` streams:
+one band pass in blocks of k1 rows (`spectral.dual_band_blocks`) hands
+each block of both families' frames to their kernels and drops it, so
+it holds the energies and the link minors of the grid, never a family's
+whole frames.  `certify_gaps` reads the same certificates off whole
+BandData, for `verify`, whose other checks read the frames; its kernel
+calls, like those of a single field, go through `_flux_sums`.
 
 Orientation of the plaquette loop is pinned by the full-field anchor
 t(identity) = q and by the derivative-formula character oracle; both
@@ -49,8 +54,11 @@ from .spectral import (
     GapReport,
     NumericalFailure,
     ProjectorField,
+    band_edges,
+    dual_band_blocks,
     dual_bands,
-    fermi_projector_field,
+    expand_k1_mirror,
+    fermi_rank,
     hofstadter_gap_report,
 )
 
@@ -209,12 +217,73 @@ def certify_gaps(ctx: WeylContext, report: GapReport, bd_r: BandData,
     `bd_r` must be plain reference bands, as `gap_bands` returns them:
     conjugated-form bands carry N times the character, so they fail the
     identities rather than certify.  Each family's Chern numbers come from
-    one kernel call with every gap's rank (weyl first, closed by its seam).
-    Gaps are then checked in order, so the first failing gap raises: the
-    reference and weyl Fermi fields and their ranks, the weyl and then the
-    reference link guard and rounding, the diophantine and rhs identities,
-    and `tknn_solve`.  With s = -cc the duality N t = M0 cc + q d is the
-    diophantine identity itself, so `duality_ok` is recorded, not checked.
+    one kernel call with every gap's rank (weyl first, closed by its seam);
+    the gaps are then checked in one loop (`_certificates`).
+    """
+    ranks = _kernel_ranks(report, bd_r.energies)
+    t_sums = None if bd_w is None else _flux_sums(bd_w, ranks)
+    cc_sums = _flux_sums(bd_r, ranks)
+    return _certificates(ctx, report, bd_r.frames.shape[1], bd_r.energies, cc_sums,
+                         None if bd_w is None else bd_w.energies, t_sums)
+
+
+def certified_spectrum(ctx: WeylContext, G: int = 64):
+    """(report, energies, certificates) of `ctx` at G from one streamed band pass.
+
+    The exact gap report, the weyl energies at G (the reference ones at
+    theta = r/q, where there is no weyl family) and `gap_certificates`.
+    `dual_band_blocks` yields both families' bands a block of stored k1 rows
+    at a time, and each block's frames go to that family's
+    `_kernels.LinkMinors` (the weyl one closed by the seam of the block's
+    rows) before the next block is diagonalized.  So only the energies and
+    the link minors of the whole grid are kept, never a family's frames.
+    """
+    report = hofstadter_gap_report(ctx)
+    E_r, E_w = [], []
+    cc = t = None
+    for start, (energies, frames), weyl in dual_band_blocks(ctx, hofstadter_element(ctx.theta), G):
+        if cc is None:
+            ranks = _kernel_ranks(report, energies)
+            cc = _kernels.LinkMinors(ranks, G)
+            t = None if weyl is None else _kernels.LinkMinors(ranks, G)
+        E_r.append(energies)
+        cc.add(frames)
+        if weyl is not None:
+            E_w.append(weyl[0])
+            t.add(weyl[1], twist_transport(ctx, np.arange(start, start + len(weyl[1])) / G))
+        del frames, weyl                # before the next block is diagonalized
+    E_r = expand_k1_mirror(np.concatenate(E_r), G)
+    E_w = expand_k1_mirror(np.concatenate(E_w), G) if E_w else None
+    certs = _certificates(ctx, report, G, E_r, cc.flux_sums(), E_w,
+                          None if t is None else t.flux_sums())
+    return report, E_r if E_w is None else E_w, certs
+
+
+def gap_certificates(ctx: WeylContext, G: int = 64) -> List[dict]:
+    """One verified certificate per gap of the exact report, inf- and sup-gap included.
+
+    Read off one streamed band pass (`certified_spectrum`); the same
+    certificates as `certify_gaps(ctx, *gap_bands(ctx, G))`, field for field.
+    """
+    return certified_spectrum(ctx, G)[2]
+
+
+def _kernel_ranks(report: GapReport, energies: np.ndarray) -> List[int]:
+    """Every gap's rank at the grid point k = 0 of the reference energies."""
+    return [int((energies[0, 0] < gap.fermi).sum()) for gap in report.gaps]
+
+
+def _certificates(ctx: WeylContext, report: GapReport, G: int, E_r: np.ndarray, cc_sums,
+                  E_w: Optional[np.ndarray], t_sums) -> List[dict]:
+    """The certificates of the gaps of `report`, from both families' energies and kernel sums.
+
+    Gaps are checked in order, so the first failing gap raises: the
+    reference and weyl Fermi ranks (`fermi_rank`, on each family's band
+    edges, taken once), the weyl and then the reference link guard and
+    rounding, the diophantine and rhs identities, and `tknn_solve`.  With
+    s = -cc the duality N t = M0 cc + q d is the diophantine identity
+    itself, so `duality_ok` is recorded, not checked.  E_w and t_sums are
+    None at theta = r/q.
 
     `ncint` is exact: the normalized trace of a rank-d projector is d/N.
     At rational theta the rhs q (d/N + eps cc) then equals
@@ -223,20 +292,18 @@ def certify_gaps(ctx: WeylContext, report: GapReport, bd_r: BandData,
     ROUND_TOL for t; at irrational theta, where the trace is m - theta cc,
     it is an identity of its own.
     """
-    ranks = [int((bd_r.energies[0, 0] < gap.fermi).sum()) for gap in report.gaps]
-    t_sums = None if bd_w is None else _flux_sums(bd_w, ranks)
-    cc_sums = _flux_sums(bd_r, ranks)
-    G = bd_r.frames.shape[1]
     N, M0, q = ctx.N, ctx.M0, ctx.q
+    edges_r = band_edges(E_r)
+    edges_w = None if E_w is None else band_edges(E_w)
     out = []
     for i, gap in enumerate(report.gaps):
-        d = fermi_projector_field(bd_r, gap.fermi).rank
-        if bd_w is None:
+        d = fermi_rank(E_r, edges_r, gap.fermi)
+        if E_w is None:
             # collapsed twist (theta = r/q, so N = 1): the only subfields of the
             # rank-1 twisted family are 0 and the whole field, of Chern number q*d
             t_res = ChernResult(q * d, float(q * d), 0.0, G)
         else:
-            rank_w = fermi_projector_field(bd_w, gap.fermi).rank
+            rank_w = fermi_rank(E_w, edges_w, gap.fermi)
             if rank_w != d:
                 raise VerificationError(
                     f"{ctx.label()}: rank mismatch weyl={rank_w} reference={d}")
@@ -277,12 +344,6 @@ def certify_gaps(ctx: WeylContext, report: GapReport, bd_r: BandData,
             "gap": gap,
         })
     return out
-
-
-def gap_certificates(ctx: WeylContext, G: int = 64) -> List[dict]:
-    """One verified certificate per gap of the exact report, from the bands of `gap_bands`."""
-    report, bd_r, bd_w = gap_bands(ctx, G)
-    return certify_gaps(ctx, report, bd_r, bd_w)
 
 
 # -- symbolic/numeric consistency ----------------------------------------------

@@ -39,7 +39,7 @@ from typing import List, Optional, Tuple
 
 from .algebra import RationalTheta
 from .arithmetic import DegenerateRepresentationError, InvalidTwistError, make_weyl_context
-from .chern import certify_gaps, gap_bands, gap_certificates
+from .chern import certified_spectrum, gap_certificates
 from .spectral import (
     GAP_TOL,
     NumericalFailure,
@@ -248,9 +248,7 @@ def _butterfly_job(theta: RationalTheta, q: int, r: int, cfg: RunConfig):
     if "svg" in cfg.formats and cfg.color_gaps:
         # band segments and gap rectangles come from the exact gap report the
         # certificates are read from, the CSV energies from their weyl bands at G
-        report, bd_r, bd_w = gap_bands(ctx, cfg.grid)
-        certs = certify_gaps(ctx, report, bd_r, bd_w)
-        energies = (bd_r if bd_w is None else bd_w).energies
+        report, energies, certs = certified_spectrum(ctx, cfg.grid)
     elif "svg" in cfg.formats:
         # the uncolored SVG keeps sampled grid detection on the weyl energies,
         # read off the central character

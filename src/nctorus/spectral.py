@@ -3,8 +3,13 @@
 Eigenvectors are computed only where frames are read.  One fiberwise
 Hermitian eigendecomposition per (rep, element, grid), `bands_on_grid`,
 feeds the projectors and Chern numbers, and one per (context, element,
-grid) when both families are needed: `dual_bands` diagonalizes the weyl
-family and reads the reference bands off it by magnetic translation.
+grid) when both families are needed: `dual_band_blocks` diagonalizes the
+weyl family and reads the reference bands off it by magnetic
+translation, a block of stored k1 rows at a time, so that a certificate
+run holds only one block of each family's frames (`chern`);
+`dual_bands` assembles the blocks into both families' BandData.  A
+Fermi level is checked against a family's per-band [lo, hi], taken once
+(`band_edges`, `fermi_rank`).
 Consumers of energies alone take `band_energies`, the same matrices
 through `eigvalsh`; for the flux operator h, whose spectrum depends on k
 only through its central character (below), the uncolored butterfly
@@ -75,6 +80,7 @@ from typing import List
 
 import numpy as np
 
+from . import _kernels
 from .algebra import AlgebraElement, element_star, hofstadter_element
 from .arithmetic import WeylContext
 from .representations import (
@@ -150,8 +156,9 @@ def band_energies(rep: FiberedRep, a: AlgebraElement, G: int) -> np.ndarray:
     Same checks and the same diagonalized points (a quarter of the grid
     for h), through `eigvalsh`; for consumers that read no frames.
     """
-    n = _diagonalized(a, G)
-    return _expand_energies(np.linalg.eigvalsh(_grid_stack(rep, a, G, n)), G)
+    k = np.arange(_diagonalized(a, G)) / G
+    energies = np.linalg.eigvalsh(_hermitian_stack(rep, a, k, k))
+    return expand_k1_mirror(_expand_columns(energies, G), G)
 
 
 def hofstadter_energies(ctx: WeylContext, G: int) -> np.ndarray:
@@ -181,7 +188,38 @@ def hofstadter_energies(ctx: WeylContext, G: int) -> np.ndarray:
 
 
 def dual_bands(ctx: WeylContext, a: AlgebraElement, G: int):
-    """(bd_r, bd_w): reference and weyl bands of `a` at G from one weyl pass.
+    """(bd_r, bd_w): reference and weyl bands of `a` at G, `dual_band_blocks` assembled.
+
+    bd_w is None at M0 = 0.
+    """
+    E_r, F_r, E_w, F_w = [], [], [], []
+    for _, (energies, frames), weyl in dual_band_blocks(ctx, a, G):
+        E_r.append(energies)
+        F_r.append(frames)
+        if weyl is not None:
+            E_w.append(weyl[0])
+            F_w.append(weyl[1])
+    bd_r = _assembled(reference_fibered_rep(ctx), E_r, F_r, G)
+    return bd_r, _assembled(weyl_fibered_rep(ctx), E_w, F_w, G) if F_w else None
+
+
+def _assembled(rep: FiberedRep, energies: list, frames: list, G: int) -> BandData:
+    """The BandData of consecutive row blocks; empties both lists as it goes."""
+    E = expand_k1_mirror(np.concatenate(energies), G)
+    energies.clear()
+    F = np.concatenate(frames)
+    frames.clear()
+    return BandData(rep, E, F)
+
+
+def dual_band_blocks(ctx: WeylContext, a: AlgebraElement, G: int):
+    """`dual_bands(ctx, a, G)` in blocks of stored k1 rows, one weyl pass.
+
+    Yields (start, (E_r, F_r), (E_w, F_w)) for the stored rows start ..
+    start + b - 1: energies (b, G, N) and frames (b, G, N, N) of each
+    family, every k2 column; the weyl pair is None at M0 = 0, where the
+    reference family is diagonalized itself.  b comes from
+    `_kernels.block_rows` on the rows of one family's frames.
 
     The weyl family is the reference family read at a scaled k2,
     pi^w_(k1, k2) = pi^r_(k1, M0 k2 / N), and the reference family is
@@ -193,39 +231,47 @@ def dual_bands(ctx: WeylContext, a: AlgebraElement, G: int):
     permutation with phases e^{i2pi q k1} (W^-m = S^p, p = -a m mod N, up to
     a scalar phase, which no frame consumer sees).  That needs
     g = gcd(M0, G) to divide j; only the other columns are diagonalized,
-    on the weyl pass's rows.  conj W(k1) = W(-k1), so k1-mirrored weyl
+    on the block's rows.  conj W(k1) = W(-k1), so k1-mirrored weyl
     bands give k1-mirrored reference bands, and when the weyl pass fills
     its columns by the flip (`bands_on_grid`), so does this one: it
-    builds the reference columns j = 0 .. G//2 and fills the rest.  bd_w
-    is None at M0 = 0.
+    builds the reference columns j = 0 .. G//2 and fills the rest.
     """
     rep_r = reference_fibered_rep(ctx)
     n = _diagonalized(a, G)
-    if ctx.M0 == 0:
-        return _bands(rep_r, a, G, n), None
-    bd_w = _bands(weyl_fibered_rep(ctx), a, G, n)
     N, M0 = ctx.N, ctx.M0
     k = np.arange(n) / G
-    energies = np.empty((n, n, N))
-    frames = np.empty_like(bd_w.frames)
+    step = _kernels.block_rows(G * N * N * np.dtype(complex).itemsize)
+    if M0 == 0:
+        for i in range(0, n, step):
+            yield i, _band_rows(rep_r, a, G, k, i, i + step), None
+        return
+    rep_w = weyl_fibered_rep(ctx)
     g = math.gcd(M0, G)
     own = np.flatnonzero(np.arange(n) % g)        # columns no weyl column reaches
-    if len(own):
-        energies[:, own], frames[:, own] = np.linalg.eigh(
-            _hermitian_stack(rep_r, a, k, k[own]))
     inv_qm = pow(ctx.q * ctx.M, -1, N)            # -a
     inv_m0 = pow(M0 // g, -1, G // g)
-    lam = np.exp(1j * TWO_PI * ctx.q * k)[:, None, None]
+    read = []                                     # (j, j_w, p): F_r(j) = S^p F_w(j_w)
     for j in range(0, n, g):
         jw = N * (j // g) * inv_m0 % (G // g)
-        p = inv_qm * ((M0 * jw - N * j) // G) % N
-        energies[:, j] = bd_w.energies[:n, jw]
-        src, dst = bd_w.frames[:, jw], frames[:, j]
-        dst[:, p:] = src[:, :N - p]                               # (S^p F)[i] = F[i - p]
-        np.multiply(lam, src[:, N - p:], out=dst[:, :p])          # wrapped rows: lam F[i - p + N]
-    if n < G:
-        _fill_flipped_columns(rep_r, frames, n)
-    return BandData(rep_r, _expand_energies(energies, G), frames), bd_w
+        read.append((j, jw, inv_qm * ((M0 * jw - N * j) // G) % N))
+    for i in range(0, n, step):
+        E_w, F_w = _band_rows(rep_w, a, G, k, i, i + step)
+        rows = k[i:i + step]
+        energies = np.empty((len(rows), n, N))
+        frames = np.empty_like(F_w)
+        if len(own):
+            energies[:, own], frames[:, own] = np.linalg.eigh(
+                _hermitian_stack(rep_r, a, rows, k[own]))
+        lam = np.exp(1j * TWO_PI * ctx.q * rows)[:, None, None]
+        for j, jw, p in read:
+            energies[:, j] = E_w[:, jw]
+            src, dst = F_w[:, jw], frames[:, j]
+            dst[:, p:] = src[:, :N - p]                           # (S^p F)[i] = F[i - p]
+            np.multiply(lam, src[:, N - p:], out=dst[:, :p])      # wrapped: lam F[i - p + N]
+        if n < G:
+            _fill_flipped_columns(rep_r, frames, n, i)
+        yield i, (_expand_columns(energies, G), frames), (E_w, F_w)
+        del E_w, F_w, frames            # before the next block is diagonalized
 
 
 def expand_k1_mirror(rows: np.ndarray, G1: int) -> np.ndarray:
@@ -258,42 +304,48 @@ def _diagonalized(a: AlgebraElement, G: int) -> int:
     return G
 
 
-def _grid_stack(rep: FiberedRep, a: AlgebraElement, G: int, n: int) -> np.ndarray:
-    """The (n, n, N, N) matrices a pass diagonalizes, n from `_diagonalized`."""
-    k = np.arange(n) / G
-    return _hermitian_stack(rep, a, k, k)
-
-
 def _bands(rep: FiberedRep, a: AlgebraElement, G: int, n: int) -> BandData:
     """`bands_on_grid(rep, a, G)`, given n = `_diagonalized(a, G)`."""
-    energies, frames = np.linalg.eigh(_grid_stack(rep, a, G, n))
+    energies, frames = _band_rows(rep, a, G, np.arange(n) / G, 0, n)
+    return BandData(rep, expand_k1_mirror(energies, G), frames)
+
+
+def _band_rows(rep: FiberedRep, a: AlgebraElement, G: int, k: np.ndarray,
+               start: int, stop: int):
+    """Energies (b, G, N) and frames (b, G, N, N) of the stored rows start .. stop - 1.
+
+    k = arange(n)/G holds the diagonalized k values, n = `_diagonalized(a, G)`:
+    the points (k[i], k[j]) of these rows are diagonalized, and the columns
+    j >= n are filled by the flip.
+    """
+    n = len(k)
+    energies, frames = np.linalg.eigh(_hermitian_stack(rep, a, k[start:stop], k))
     if n < G:
-        full = np.empty((n, G) + frames.shape[2:], frames.dtype)
+        full = np.empty((len(frames), G) + frames.shape[2:], frames.dtype)
         full[:, :n] = frames
-        frames = full                   # frees eigh's quarter before the fill
-        _fill_flipped_columns(rep, frames, n)
-    return BandData(rep, _expand_energies(energies, G), frames)
+        frames = full                   # frees eigh's block before the fill
+        _fill_flipped_columns(rep, frames, n, start)
+    return _expand_columns(energies, G), frames
 
 
-def _expand_energies(e: np.ndarray, G: int) -> np.ndarray:
-    """The (G, G, N) energies of the diagonalized (n, n, N) ones.
+def _expand_columns(e: np.ndarray, G: int) -> np.ndarray:
+    """The (rows, G, N) energies of diagonalized (rows, n, N) ones: column G - j has column j's.
 
-    Column G - j of a stored row has the energies of column j, and row
-    G - i those of row i (`expand_k1_mirror`).
+    Row G - i of the grid has the energies of row i (`expand_k1_mirror`).
     """
     n = e.shape[1]
     if n == G:
         return e
-    rows = np.empty((n, G) + e.shape[2:], e.dtype)
+    rows = np.empty((len(e), G) + e.shape[2:], e.dtype)
     rows[:, :n] = e
     rows[:, n:] = e[:, G - n:0:-1]
-    return expand_k1_mirror(rows, G)
+    return rows
 
 
-def _fill_flipped_columns(rep: FiberedRep, frames: np.ndarray, cols: int):
+def _fill_flipped_columns(rep: FiberedRep, frames: np.ndarray, cols: int, start: int):
     """Writes the frames of columns cols .. G-1 from those of columns G - j, in place.
 
-    `frames` holds the stored k1 rows i = 0 .. G//2.  F(i, G - j) is
+    `frames` holds the stored k1 rows i = start, start + 1, ...  F(i, G - j) is
     R conj F(i, j), R = Q(-k1), transported by T = twist_transport(ctx, k1, 1)
     on the weyl family (see the module docstring).  R sends row j to row
     -j mod N times conj(lam(k1)) for j != 0, and T R is the row reversal
@@ -308,7 +360,7 @@ def _fill_flipped_columns(rep: FiberedRep, frames: np.ndarray, cols: int):
     for row in range(N):
         np.conjugate(src[..., row, :], out=dst[..., to[row], :])
     if not rep.conjugated:
-        lam = np.exp(-1j * TWO_PI * rep.ctx.q * np.arange(len(frames)) / G)
+        lam = np.exp(-1j * TWO_PI * rep.ctx.q * np.arange(start, start + len(frames)) / G)
         dst[..., 0 if weyl else 1:, :] *= lam[:, None, None, None]     # T R: every row; R: j != 0
 
 
@@ -436,14 +488,34 @@ class ProjectorField:
         }
 
 
+def band_edges(energies: np.ndarray):
+    """(lo, hi): each band's least and greatest energy over a (G1, G2, N) grid."""
+    return energies.min(axis=(0, 1)), energies.max(axis=(0, 1))
+
+
+def fermi_rank(energies: np.ndarray, edges, fermi: float) -> int:
+    """The number of bands below `fermi`, which must sit in a gap, FERMI_TOL clear.
+
+    edges = band_edges(energies), taken once per family.  Floating-point
+    subtraction is monotone, so the energy of a band nearest to a fermi
+    level outside its [lo, hi] is lo or hi, and only a band whose [lo, hi]
+    holds it is scanned: the distance and the crossing test are those of a
+    scan of every energy, bit for bit.  Raises GapViolationError.
+    """
+    lo, hi = edges
+    held = (lo <= fermi) & (fermi <= hi)
+    near = np.where(fermi < lo, lo - fermi, fermi - hi)
+    near[held] = np.abs(energies[..., held] - fermi).min(axis=(0, 1))
+    if near.min() <= FERMI_TOL:
+        raise GapViolationError(f"fermi level {fermi} is within {FERMI_TOL} of the spectrum")
+    if held.any():
+        raise GapViolationError(f"fermi level {fermi} crosses a band")
+    return int((hi < fermi).sum())
+
+
 def fermi_projector_field(bd: BandData, fermi: float) -> ProjectorField:
     """Sum of eigenprojections below `fermi`, which must sit in a gap, FERMI_TOL clear."""
-    if np.abs(bd.energies - fermi).min() <= FERMI_TOL:
-        raise GapViolationError(f"fermi level {fermi} is within {FERMI_TOL} of the spectrum")
-    occ = (bd.energies < fermi).sum(axis=-1)
-    rank = int(occ.flat[0])
-    if not (occ == rank).all():
-        raise GapViolationError(f"fermi level {fermi} crosses a band")
+    rank = fermi_rank(bd.energies, band_edges(bd.energies), fermi)
     return ProjectorField(bd.rep, bd.frames[..., :rank])
 
 

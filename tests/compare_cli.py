@@ -1,4 +1,4 @@
-"""Run fourteen fixed CLI commands under two source trees and diff what they emit.
+"""Run fifteen fixed CLI commands under two source trees and diff what they emit.
 
     python3 tests/compare_cli.py OLD_SRC NEW_SRC
 
@@ -30,6 +30,7 @@ COMMANDS = (
     ("gaps", "--theta", "1/4", "--theta", "8/9", "--format", "json", "--format", "csv"),
     ("gaps", "--farey", "5", "--rep", "2,1", "--format", "json", "--format", "csv"),
     ("chern", "--theta", "8/13", "--rep", "2,1", "--grid", "64"),
+    ("chern", "--theta", "13/21", "--grid", "64"),
     ("chern", "--theta", "1/3", "--rep", "2,1", "--grid", "16"),
     ("chern", "--theta", "5/8", "--rep", "3,-2", "--grid", "24"),
     ("chern", "--theta", "0/1", "--grid", "8"),

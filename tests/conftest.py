@@ -56,8 +56,10 @@ def band_passes(monkeypatch):
 
     `bands_on_grid` and `band_energies` are passes over the same matrices,
     with and without eigenvectors, and record their family's kind; the
-    eigenvector passes are counted in `spectral._bands`, which
-    `bands_on_grid` and `dual_bands` share;
+    eigenvector passes of one family are counted in `spectral._bands`,
+    which `bands_on_grid` calls, and `dual_band_blocks`, the row-block
+    pass of both families (`dual_bands`, `certified_spectrum`), records the
+    family it diagonalizes: weyl, or reference at M0 = 0;
     `hofstadter_energies`, which reads the energies of h off its central
     characters, records the kind "character".
     """
@@ -69,6 +71,12 @@ def band_passes(monkeypatch):
             return fn(rep, a, G, *n)
         return counted
 
+    def counting_dual(fn):
+        def counted(ctx, a, G):
+            calls.append((ctx.M, ctx.N, "weyl" if ctx.M0 else "reference", G))
+            return fn(ctx, a, G)
+        return counted
+
     def counting_characters(fn):
         def counted(ctx, G):
             calls.append((ctx.M, ctx.N, "character", G))
@@ -76,9 +84,10 @@ def band_passes(monkeypatch):
         return counted
 
     for name, wrap in (("_bands", counting), ("band_energies", counting),
+                       ("dual_band_blocks", counting_dual),
                        ("hofstadter_energies", counting_characters)):
         counted = wrap(getattr(spectral, name))
-        for mod in (cli, spectral, suite):
+        for mod in (chern, cli, spectral, suite):
             if name in vars(mod):
                 monkeypatch.setattr(mod, name, counted)
     return calls

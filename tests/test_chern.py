@@ -1,6 +1,7 @@
 """Topological layer: lattice Chern numbers, duality, conductance triples."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from nctorus.chern import (
     GridTooCoarseError,
     VerificationError,
     ambient_chern_analytic,
+    certified_spectrum,
     certify_gaps,
     connes_chern_via_derivatives,
     fhs_chern,
@@ -26,6 +28,7 @@ from nctorus.chern import (
 from nctorus.representations import reference_fibered_rep, weyl_fibered_rep
 from nctorus.spectral import (
     GapViolationError,
+    NumericalFailure,
     ProjectorField,
     bands_on_grid,
     constant_projector_field,
@@ -115,25 +118,46 @@ def test_twisted_chern_kernel_input_is_the_field(monkeypatch):
 
 
 def test_certificates_make_one_kernel_call_per_family(monkeypatch):
-    # every gap's rank reads blocks of one family's shared link overlaps
-    calls = []
-    kernel = chern._kernels.plaquette_flux_sum
+    # every gap's rank reads blocks of one family's shared link overlaps: the
+    # streamed pass feeds each family's LinkMinors every stored row once, in
+    # blocks of 3 rows here, and certify_gaps calls the kernel once per family
+    made, fed, calls = [], [], []
+    minors, kernel = chern._kernels.LinkMinors, chern._kernels.plaquette_flux_sum
+
+    class Recorded(minors):
+        def __init__(self, ranks, rows):
+            made.append((list(ranks), rows))
+            self.family = len(made) - 1
+            super().__init__(ranks, rows)
+
+        def add(self, F, seam=None):
+            fed.append((self.family, F.shape, None if seam is None else seam.shape))
+            super().add(F, seam)
 
     def recorded(frames, ranks, seam=None, rows=None):
         calls.append((frames.shape, list(ranks), None if seam is None else seam.shape, rows))
         return kernel(frames, ranks, seam, rows)
 
+    monkeypatch.setattr(chern._kernels, "LinkMinors", Recorded)
     monkeypatch.setattr(chern._kernels, "plaquette_flux_sum", recorded)
-    certs = gap_certificates(ctx_of(2, 5, 3, 1), 16)
+    monkeypatch.setattr(chern._kernels, "BLOCK_BYTES", 3 * 16 * 5 * 5 * 16)
+    ctx = ctx_of(2, 5, 3, 1)
+    certs = gap_certificates(ctx, 16)
     ranks = [c["record"].d for c in certs[1:]]
     assert ranks == [1, 2, 3, 4, 5]
-    # the k1-mirrored bands hand over their diagonalized rows 0 .. G/2
+    # the k1-mirrored bands hand over their diagonalized rows 0 .. G/2 in blocks
+    assert made == [([0] + ranks, 16)] * 2                      # reference, weyl
+    assert fed == [(0, (3, 16, 5, 5), None), (1, (3, 16, 5, 5), (3, 5, 5))] * 3
+    assert calls == []
+    assert {c["cc"].grid for c in certs} == {c["t"].grid for c in certs} == {16}
+    fed.clear()
+    assert certify_gaps(ctx, *gap_bands(ctx, 16)) == certs
     assert calls == [((9, 16, 5, 5), [0] + ranks, (9, 5, 5), 16),    # weyl, through its seam
                      ((9, 16, 5, 5), [0] + ranks, None, 16)]         # reference
-    assert {c["cc"].grid for c in certs} == {c["t"].grid for c in certs} == {16}
-    calls.clear()
+    assert fed == [(2, (3, 16, 5, 5), (3, 5, 5))] * 3 + [(3, (3, 16, 5, 5), None)] * 3
+    made.clear()
     gap_certificates(ctx_of(0, 1, 1, 0), 12)      # theta = r/q: no twisted family
-    assert calls == [((7, 12, 1, 1), [0, 1], None, 12)]
+    assert made == [([0, 1], 12)]
 
 
 def test_orthogonal_neighbour_frames_are_too_coarse():
@@ -397,3 +421,70 @@ def test_gap_certificates_one_spectral_pass_per_rep_and_grid(band_passes, eigh_m
     assert band_passes == [(ctx.M, ctx.N, kind, 12)] * passes
     own = {0: 0, -1: 0, -4: 5}[ctx.M0]
     assert eigh_matrices == [7 * 7] + ([7 * own] if own else [])
+
+
+def _outcome(certify):
+    """The certificates, or the type and message of the failure that ends them."""
+    try:
+        return certify()
+    except NumericalFailure as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("spec, G", [
+    pytest.param((0, 1, 1, 0), 9, id="M0=0"),
+    pytest.param((2, 5, 3, 2), 12, id="gcd(M0,G)=4"),
+    pytest.param((8, 13, 2, 1), 15, id="odd-G"),
+    pytest.param((1, 3, 2, 1), 16, id="1/3"),
+    pytest.param((3, 7, 3, 2), 6, id="failing"),
+])
+@pytest.mark.parametrize("one_row", [False, True])
+def test_streamed_certificates_equal_the_band_data_ones(spec, G, one_row, monkeypatch):
+    # one band pass in row blocks feeds both kernels; certify_gaps reads the
+    # assembled bands: the same certificates field for field, exact raw and
+    # residual included, or the same failure
+    if one_row:
+        monkeypatch.setattr(chern._kernels, "BLOCK_BYTES", 1)
+    ctx = ctx_of(*spec)
+    streamed = _outcome(lambda: gap_certificates(ctx, G))
+    assert streamed == _outcome(lambda: certify_gaps(ctx, *gap_bands(ctx, G)))
+    if spec == (3, 7, 3, 2):
+        assert streamed[0] is VerificationError
+    else:
+        assert len(streamed) == len(report_of(*spec).gaps)
+
+
+def test_band_edges_are_taken_once_per_family(monkeypatch):
+    # every gap's Fermi rank reads its family's [lo, hi] per band, not the grid
+    calls = []
+    edges = chern.band_edges
+    monkeypatch.setattr(chern, "band_edges", lambda E: calls.append(E.shape) or edges(E))
+    assert len(gap_certificates(ctx_of(2, 5, 3, 1), 16)) == 6
+    assert calls == [(16, 16, 5)] * 2
+    calls.clear()
+    gap_certificates(ctx_of(0, 1, 1, 0), 8)
+    assert calls == [(8, 8, 1)]
+
+
+def test_streamed_spectrum_is_the_weyl_energies():
+    # the butterfly's CSV energies: the weyl bands, or the reference ones at M0 = 0
+    for spec, kind in (((2, 5, 3, 2), "weyl"), ((0, 1, 1, 0), "reference")):
+        report, energies, certs = certified_spectrum(ctx_of(*spec), 12)
+        assert report == report_of(*spec)
+        assert np.array_equal(energies, bands_of(*spec, kind, 12).energies)
+        assert certs == gap_certificates(ctx_of(*spec), 12)
+
+
+def test_streamed_certificates_hold_no_whole_frames():
+    # the traced peak stays below both families' stored frames of 8/13 at G = 64
+    # (2 x 33 x 64 x 13 x 13 complex: 11.4 MB); holding them peaked at 20.4 MB
+    ctx = ctx_of(8, 13, 2, 1)
+    frames = 2 * (64 // 2 + 1) * 64 * 13 * 13 * 16
+    tracemalloc.start()
+    try:
+        certs = gap_certificates(ctx, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(certs) == 14
+    assert peak < frames

@@ -191,3 +191,45 @@ def test_frames_with_every_row_take_the_full_grid():
     for rows in (8, 14, 15):
         with pytest.raises(ValueError, match="frame rows"):
             _kernels.plaquette_flux_sum(F, ranks, seam, rows)
+
+
+def mirrored_weyl(G):
+    """The stored rows of 8/13 (2,1)'s weyl bands at G, with their seam."""
+    ctx = ctx_of(8, 13, 2, 1)
+    frames = bands_of(8, 13, 2, 1, "weyl", G).frames
+    return frames, twist_transport(ctx, np.arange(len(frames)) / G), G
+
+
+@pytest.mark.parametrize("field", [
+    pytest.param(lambda: (random_frames(9, 7, 4, 4, seed=12), None, 9), id="full"),
+    pytest.param(lambda: (random_frames(9, 7, 4, 4, seed=12), random_frames(9, 4, 4, seed=13), 9),
+                 id="full-seam"),
+    pytest.param(lambda: mirrored_weyl(16), id="mirrored-even"),
+    pytest.param(lambda: mirrored_weyl(15), id="mirrored-odd"),
+    pytest.param(lambda: (bands_of(8, 13, 2, 1, "reference", 15).frames, None, 15),
+                 id="mirrored-odd-periodic"),
+])
+@pytest.mark.parametrize("rows_per_block", [1, 4])
+def test_block_fed_kernel_equals_one_block(field, rows_per_block, monkeypatch):
+    # the k1-links that cross a block boundary start at the carried row, and the
+    # grid's last one is closed after the last block: one block or many, every
+    # minor and every angle sum is the same, bit for bit (4 divides neither
+    # the 9 full rows nor the 8 stored rows of G = 15)
+    F, seam, G1 = field()
+    ranks = list(range(F.shape[-1] + 1))
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", len(F) * F[0].nbytes)
+    whole = _kernels.plaquette_flux_sum(F, ranks, seam, G1)
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", rows_per_block * F[0].nbytes)
+    assert _kernels.block_rows(F[0].nbytes) == rows_per_block
+    assert _kernels.plaquette_flux_sum(F, ranks, seam, G1) == whole
+    minors = _kernels.LinkMinors(ranks, G1)
+    for i in range(len(F)):
+        minors.add(F[i:i + 1], None if seam is None else seam[i:i + 1])
+    assert minors.flux_sums() == whole
+
+
+def test_link_minors_refuse_rows_of_no_grid():
+    minors = _kernels.LinkMinors([0, 1], 16)
+    minors.add(random_frames(8, 16, 3, 3, seed=14))
+    with pytest.raises(ValueError, match="frame rows"):
+        minors.flux_sums()

@@ -20,9 +20,11 @@ from nctorus.representations import (
     weyl_fibered_rep,
 )
 from nctorus.spectral import (
+    FERMI_TOL,
     GapViolationError,
     ProjectorField,
     SelfAdjointnessError,
+    band_edges,
     band_energies,
     band_rows,
     bands_on_grid,
@@ -30,6 +32,7 @@ from nctorus.spectral import (
     dual_bands,
     expand_k1_mirror,
     fermi_projector_field,
+    fermi_rank,
     hofstadter_energies,
     hofstadter_gap_report,
     identity_field,
@@ -355,6 +358,43 @@ def test_fermi_projector_errors():
         fermi_projector_field(bd, float(bd.energies[0, 0, 0]))
     with pytest.raises(GapViolationError):
         fermi_projector_field(bd, 0.0)     # inside the central band
+
+
+def _rank_or_failure(rank):
+    try:
+        return rank()
+    except GapViolationError as exc:
+        return str(exc)
+
+
+def _scanned_rank(E, fermi):
+    """The rank below fermi from a scan of every energy, the checks in the same order."""
+    if np.abs(E - fermi).min() <= FERMI_TOL:
+        raise GapViolationError(f"fermi level {fermi} is within {FERMI_TOL} of the spectrum")
+    occ = (E < fermi).sum(axis=-1)
+    if not (occ == occ.flat[0]).all():
+        raise GapViolationError(f"fermi level {fermi} crosses a band")
+    return int(occ.flat[0])
+
+
+def test_fermi_rank_equals_a_scan_of_every_energy():
+    # a band that does not hold the fermi level is nearest at one of its edges,
+    # bit for bit, so only the bands that hold it are scanned: on, next to and
+    # between the sampled energies, and FERMI_TOL away, the rank or the failure
+    # is the full scan's
+    E = bands_of(1, 3, 2, 1, "weyl", 8).energies
+    edges = band_edges(E)
+    levels = sorted(set(E.ravel().tolist()))
+    probes = levels + [(a + b) / 2 for a, b in zip(levels, levels[1:])]
+    probes += [x + d for x in levels for d in (-2 * FERMI_TOL, -FERMI_TOL, FERMI_TOL,
+                                               2 * FERMI_TOL, np.nextafter(FERMI_TOL, 1))]
+    probes += [levels[0] - 1.0, levels[-1] + 1.0]
+    seen = set()
+    for fermi in probes:
+        got = _rank_or_failure(lambda: fermi_rank(E, edges, fermi))
+        assert got == _rank_or_failure(lambda: _scanned_rank(E, fermi)), fermi
+        seen.add("rank" if isinstance(got, int) else "within" if "within" in got else "crosses")
+    assert seen == {"rank", "within", "crosses"}
 
 
 def test_projector_field_invariants():
