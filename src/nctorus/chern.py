@@ -17,9 +17,8 @@ then checked in one loop (`_certificates`).  `gap_certificates` streams:
 one band pass in blocks of k1 rows (`spectral.dual_band_blocks`) hands
 each block of both families' frames to their kernels and drops it, so
 it holds the energies and the link minors of the grid, never a family's
-whole frames.  `certify_gaps` reads the same certificates off whole
-BandData, for `verify`, whose other checks read the frames; its kernel
-calls, like those of a single field, go through `_flux_sums`.
+whole frames.  It is the one certificate path: `chern`, `labels`, the
+colored butterfly and `verify` all run it.
 
 Orientation of the plaquette loop is pinned by the full-field anchor
 t(identity) = q and by the derivative-formula character oracle; both
@@ -50,13 +49,11 @@ from .arithmetic import (
 )
 from .representations import evaluate_on_grid, reference_fibered_rep, twist_transport
 from .spectral import (
-    BandData,
     GapReport,
     NumericalFailure,
     ProjectorField,
     band_edges,
     dual_band_blocks,
-    dual_bands,
     expand_k1_mirror,
     fermi_rank,
     hofstadter_gap_report,
@@ -100,29 +97,20 @@ def _rounded(total: float, min_abs: float, G: int, kind: str) -> ChernResult:
     return ChernResult(value, raw, residual, G)
 
 
-def _flux_sums(field: ProjectorField | BandData, ranks: List[int]):
-    """[(flux_sum, min_abs_link)] of the leading `ranks` columns of a field's frames.
+def fhs_chern(field: ProjectorField) -> ChernResult:
+    """Plaquette-flux Chern number of a projector field, periodic or twisted.
 
-    `field` is a ProjectorField or a BandData, G = frames.shape[1].  A
-    weyl-kind field closes k2 through `twist_transport` stacked over its
+    A weyl-kind field closes k2 through `twist_transport` stacked over its
     stored k1 rows i/G, a reference one is periodic; a k1-mirrored field
-    is summed over its half.
+    is summed over its half.  On the full-rank weyl field this returns the
+    ambient twist winding q.
     """
     F = field.frames
     G = F.shape[1]
     weyl = field.rep.kind == "weyl"
     seam = twist_transport(field.rep.ctx, np.arange(len(F)) / G) if weyl else None
-    return _kernels.plaquette_flux_sum(F, ranks, seam, G)
-
-
-def fhs_chern(field: ProjectorField) -> ChernResult:
-    """Plaquette-flux Chern number of a projector field, periodic or twisted.
-
-    A weyl-kind field is closed by its seam (`_flux_sums`); on the
-    full-rank one this returns the ambient twist winding q.
-    """
-    [(total, min_abs)] = _flux_sums(field, [field.rank])
-    return _rounded(total, min_abs, field.frames.shape[1], field.rep.kind)
+    [(total, min_abs)] = _kernels.plaquette_flux_sum(F, [field.rank], seam, G)
+    return _rounded(total, min_abs, G, field.rep.kind)
 
 
 def ambient_chern_analytic(N: int, q: int) -> int:
@@ -189,44 +177,6 @@ def pullback_field(field: ProjectorField, n1: int, n2: int) -> ProjectorField:
 # -- conductance verification --------------------------------------------------
 
 
-def gap_bands(ctx: WeylContext, G: int = 64):
-    """The gap report of `ctx` and the bands at G its certificates are read from.
-
-    Returns (report, bd_r, bd_w): the exact gap report of the flux
-    operator, read off the four corner characters (`hofstadter_gap_report`:
-    every band edge of h = u + u* + v + v* is an eigenvalue at a character
-    (+-1, +-1), so no grid sampling or refinement is involved), the
-    reference bands at G, and the weyl bands at G (None at theta = r/q).
-    One spectral pass serves both families (`dual_bands`): the weyl bands
-    are diagonalized on a quarter of the grid and filled by the k1 mirror
-    and the flip, and the reference bands are read off them by magnetic
-    translation, except for the columns k2 = j/G with gcd(M0, G) not
-    dividing j, which are diagonalized on their own.  The
-    Fermi levels are the midpoints of the true gaps, so they lie in the
-    sampled gaps of any grid.
-    """
-    report = hofstadter_gap_report(ctx)
-    bd_r, bd_w = dual_bands(ctx, hofstadter_element(ctx.theta), G)
-    return report, bd_r, bd_w
-
-
-def certify_gaps(ctx: WeylContext, report: GapReport, bd_r: BandData,
-                 bd_w: Optional[BandData]) -> List[dict]:
-    """One verified certificate per gap of `report`, inf- and sup-gap included.
-
-    `bd_r` must be plain reference bands, as `gap_bands` returns them:
-    conjugated-form bands carry N times the character, so they fail the
-    identities rather than certify.  Each family's Chern numbers come from
-    one kernel call with every gap's rank (weyl first, closed by its seam);
-    the gaps are then checked in one loop (`_certificates`).
-    """
-    ranks = _kernel_ranks(report, bd_r.energies)
-    t_sums = None if bd_w is None else _flux_sums(bd_w, ranks)
-    cc_sums = _flux_sums(bd_r, ranks)
-    return _certificates(ctx, report, bd_r.frames.shape[1], bd_r.energies, cc_sums,
-                         None if bd_w is None else bd_w.energies, t_sums)
-
-
 def certified_spectrum(ctx: WeylContext, G: int = 64):
     """(report, energies, certificates) of `ctx` at G from one streamed band pass.
 
@@ -243,7 +193,8 @@ def certified_spectrum(ctx: WeylContext, G: int = 64):
     cc = t = None
     for start, (energies, frames), weyl in dual_band_blocks(ctx, hofstadter_element(ctx.theta), G):
         if cc is None:
-            ranks = _kernel_ranks(report, energies)
+            # every gap's rank at the grid point k = 0
+            ranks = [int((energies[0, 0] < gap.fermi).sum()) for gap in report.gaps]
             cc = _kernels.LinkMinors(ranks, G)
             t = None if weyl is None else _kernels.LinkMinors(ranks, G)
         E_r.append(energies)
@@ -262,15 +213,11 @@ def certified_spectrum(ctx: WeylContext, G: int = 64):
 def gap_certificates(ctx: WeylContext, G: int = 64) -> List[dict]:
     """One verified certificate per gap of the exact report, inf- and sup-gap included.
 
-    Read off one streamed band pass (`certified_spectrum`); the same
-    certificates as `certify_gaps(ctx, *gap_bands(ctx, G))`, field for field.
+    Read off one streamed band pass (`certified_spectrum`).  The Fermi
+    levels are the midpoints of the exact gaps, so they lie in the sampled
+    gaps of any grid.
     """
     return certified_spectrum(ctx, G)[2]
-
-
-def _kernel_ranks(report: GapReport, energies: np.ndarray) -> List[int]:
-    """Every gap's rank at the grid point k = 0 of the reference energies."""
-    return [int((energies[0, 0] < gap.fermi).sum()) for gap in report.gaps]
 
 
 def _certificates(ctx: WeylContext, report: GapReport, G: int, E_r: np.ndarray, cc_sums,

@@ -19,7 +19,9 @@ policy, writing every non-finite float as null.  The first format in
 `_WRITES` is each command's default.  Each butterfly worker job formats
 its own theta's CSV rows; the main thread streams them in theta order to
 a `.part` file that is renamed onto the CSV after the last job, so a
-failing job leaves no partial file.
+failing job leaves no partial file.  At most twice as many jobs as
+workers are submitted and not yet written (`_in_order`), so the rows
+held in memory are bounded however slow one theta is.
 Worker threads for parameter sweeps come from NCTORUS_THREADS (positive
 integer; default: available parallelism).
 """
@@ -27,6 +29,7 @@ integer; default: available parallelism).
 from __future__ import annotations
 
 import argparse
+import collections
 import concurrent.futures
 import json
 import math
@@ -263,6 +266,27 @@ def _butterfly_job(theta: RationalTheta, q: int, r: int, cfg: RunConfig):
     return theta, band_rows(energies, f"{theta.M},{theta.N},"), report, certs
 
 
+def _in_order(pool, fn, items, window: int):
+    """fn(item) for each item, in order, run on `pool` at most `window` jobs ahead.
+
+    A job is submitted only when fewer than `window` are submitted and not
+    yet consumed, so a slow job holds back the submissions behind it, not
+    just the writes.  Jobs not yet started are cancelled if the caller
+    stops early or a job raises.
+    """
+    pending = collections.deque()
+    try:
+        for item in items:
+            if len(pending) == window:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def cmd_butterfly(cfg: RunConfig) -> int:
     """Per rep: the spectrum CSV streamed theta by theta, then the SVG in one write.
 
@@ -300,9 +324,10 @@ def cmd_butterfly(cfg: RunConfig) -> int:
                 cfg.out.mkdir(parents=True, exist_ok=True)
                 csv = open(part, "w")
                 csv.write("theta_num,theta_den,k1,k2,band,energy\n")
-            with concurrent.futures.ThreadPoolExecutor(max_workers=worker_count()) as pool:
-                for th, rows, report, certs in pool.map(lambda t: _butterfly_job(t, q, r, cfg),
-                                                         jobs):
+            workers = worker_count()
+            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+                for th, rows, report, certs in _in_order(
+                        pool, lambda t: _butterfly_job(t, q, r, cfg), jobs, 2 * workers):
                     if csv is not None:
                         csv.write(rows)
                     results.append((th, report, certs))

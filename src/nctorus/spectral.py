@@ -6,8 +6,7 @@ feeds the projectors and Chern numbers, and one per (context, element,
 grid) when both families are needed: `dual_band_blocks` diagonalizes the
 weyl family and reads the reference bands off it by magnetic
 translation, a block of stored k1 rows at a time, so that a certificate
-run holds only one block of each family's frames (`chern`);
-`dual_bands` assembles the blocks into both families' BandData.  A
+run holds only one block of each family's frames (`chern`).  A
 Fermi level is checked against a family's per-band [lo, hi], taken once
 (`band_edges`, `fermi_rank`).
 Consumers of energies alone take `band_energies`, the same matrices
@@ -187,33 +186,8 @@ def hofstadter_energies(ctx: WeylContext, G: int) -> np.ndarray:
     return np.linalg.eigvalsh(H[px, py])[index.reshape(G, G)]
 
 
-def dual_bands(ctx: WeylContext, a: AlgebraElement, G: int):
-    """(bd_r, bd_w): reference and weyl bands of `a` at G, `dual_band_blocks` assembled.
-
-    bd_w is None at M0 = 0.
-    """
-    E_r, F_r, E_w, F_w = [], [], [], []
-    for _, (energies, frames), weyl in dual_band_blocks(ctx, a, G):
-        E_r.append(energies)
-        F_r.append(frames)
-        if weyl is not None:
-            E_w.append(weyl[0])
-            F_w.append(weyl[1])
-    bd_r = _assembled(reference_fibered_rep(ctx), E_r, F_r, G)
-    return bd_r, _assembled(weyl_fibered_rep(ctx), E_w, F_w, G) if F_w else None
-
-
-def _assembled(rep: FiberedRep, energies: list, frames: list, G: int) -> BandData:
-    """The BandData of consecutive row blocks; empties both lists as it goes."""
-    E = expand_k1_mirror(np.concatenate(energies), G)
-    energies.clear()
-    F = np.concatenate(frames)
-    frames.clear()
-    return BandData(rep, E, F)
-
-
 def dual_band_blocks(ctx: WeylContext, a: AlgebraElement, G: int):
-    """`dual_bands(ctx, a, G)` in blocks of stored k1 rows, one weyl pass.
+    """Reference and weyl bands of `a` at G in blocks of stored k1 rows, one weyl pass.
 
     Yields (start, (E_r, F_r), (E_w, F_w)) for the stored rows start ..
     start + b - 1: energies (b, G, N) and frames (b, G, N, N) of each

@@ -25,10 +25,8 @@ from .algebra import (
 from .arithmetic import WeylContext, gap_label_d
 from .chern import (
     ambient_chern_analytic,
-    certify_gaps,
     fhs_chern,
-    gap_bands,
-    gap_certificates,  # noqa: F401  (perfbench's tracer checks it is wrapped here)
+    gap_certificates,
     pullback_field,
     symbolic_numeric_crosscheck,
     VerificationError,
@@ -48,6 +46,7 @@ from .spectral import (
     bands_on_grid,
     expand_k1_mirror,
     fermi_projector_field,
+    hofstadter_gap_report,
     identity_field,
     spectral_hausdorff,
 )
@@ -156,18 +155,20 @@ def run_invariant_suite(ctx: WeylContext, G: int = 32) -> List[CheckResult]:
             hom = max(hom, _frob(AB - evaluate_at_k(rep, a, k) @ evaluate_at_k(rep, b, k)))
     check("homomorphism", hom, 1e-11, "pi_k(ab) = pi_k(a) pi_k(b), random degree <= 4")
 
-    # one spectral pass at G: projectors and certificates read these bands; the
-    # gap report is exact (corner characters) and needs no grid
-    report, bd_r, bd_w = gap_bands(ctx, G)
+    # the gap report is exact (corner characters) and needs no grid; one band
+    # pass at G, of the weyl family (the reference one at theta = r/q, where
+    # N = 1), feeds the isospectrality and projector rows
+    report = hofstadter_gap_report(ctx)
+    bd = bands_on_grid(reps["reference" if collapsed else "weyl"], h, G)
 
-    # isospectrality across kinds (vs the conjugated form when no twisted family);
-    # bd_r is read off bd_w, so the weyl bands meet a directly diagonalized reference
+    # isospectrality across kinds (vs the conjugated form when no twisted family),
+    # each family diagonalized on its own
     if collapsed:
         Gi = G
-        pair = (band_energies(reps["reference-conjugated"], h, G), bd_r.energies)
+        pair = (band_energies(reps["reference-conjugated"], h, G), bd.energies)
     else:
         Gi = isospectral_grid(ctx, G)
-        pair = (bd_w.energies if Gi == G else band_energies(reps["weyl"], h, Gi),
+        pair = (bd.energies if Gi == G else band_energies(reps["weyl"], h, Gi),
                 band_energies(reps["reference"], h, Gi))
     check("isospectrality", spectral_hausdorff(*pair), 1e-6, f"Hausdorff at grid {Gi}^2")
 
@@ -187,11 +188,11 @@ def run_invariant_suite(ctx: WeylContext, G: int = 32) -> List[CheckResult]:
     seam = 0.0
     detail = "no internal gap"
     if widest and not collapsed:
-        f_w = fermi_projector_field(bd_w, widest.fermi)
+        f_w = fermi_projector_field(bd, widest.fermi)
         dft = f_w.defects()
         field_defect = max(dft["idempotency"], dft["hermiticity"], dft["trace"])
         # P(k1, 0) from the column-0 frames, and the stacked seam the kernel
-        # closes the field with (`chern._flux_sums`), on every row as the kernel reads it
+        # closes the field with (`chern.fhs_chern`), on every row as the kernel reads it
         F0 = f_w.frames[:, 0]
         P0 = expand_k1_mirror(np.einsum("iar,ibr->iab", F0, F0.conj()), G)
         seam_T = expand_k1_mirror(twist_transport(ctx, np.arange(len(F0)) / G), G)
@@ -202,6 +203,8 @@ def run_invariant_suite(ctx: WeylContext, G: int = 32) -> List[CheckResult]:
             P1 = occ @ occ.conj().T
             seam = max(seam, _frob(P1 - T @ P0[i] @ T.conj().T))
         detail = f"gap d={widest.d}"
+        del f_w, F0             # views of bd's frames
+    del bd                      # not held through the certificate and 2G passes
     check("projector-field", field_defect, 1e-8, detail)
     check("projector-seam-transport", seam, 1e-10, detail)
 
@@ -218,7 +221,7 @@ def run_invariant_suite(ctx: WeylContext, G: int = 32) -> List[CheckResult]:
     worst = 0.0
     detail = ""
     try:
-        certs = certify_gaps(ctx, report, bd_r, bd_w)
+        certs = gap_certificates(ctx, G)
         for c in certs:
             worst = max(worst, c["rhs_residual"])
             rec = c["record"]

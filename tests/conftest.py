@@ -58,8 +58,8 @@ def band_passes(monkeypatch):
     with and without eigenvectors, and record their family's kind; the
     eigenvector passes of one family are counted in `spectral._bands`,
     which `bands_on_grid` calls, and `dual_band_blocks`, the row-block
-    pass of both families (`dual_bands`, `certified_spectrum`), records the
-    family it diagonalizes: weyl, or reference at M0 = 0;
+    pass of both families (`certified_spectrum`), records the family it
+    diagonalizes: weyl, or reference at M0 = 0;
     `hofstadter_energies`, which reads the energies of h off its central
     characters, records the kind "character".
     """

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import bands_of, certs_of, ctx_of, full_grid_bands, report_of
 
-from nctorus import chern
+from nctorus import chern, spectral
 from nctorus.algebra import hofstadter_element, monomial, random_element, unit
 from nctorus.arithmetic import tknn_rhs_value, tknn_solve
 from nctorus.chern import (
@@ -17,10 +17,8 @@ from nctorus.chern import (
     VerificationError,
     ambient_chern_analytic,
     certified_spectrum,
-    certify_gaps,
     connes_chern_via_derivatives,
     fhs_chern,
-    gap_bands,
     gap_certificates,
     pullback_field,
     symbolic_numeric_crosscheck,
@@ -28,7 +26,6 @@ from nctorus.chern import (
 from nctorus.representations import reference_fibered_rep, weyl_fibered_rep
 from nctorus.spectral import (
     GapViolationError,
-    NumericalFailure,
     ProjectorField,
     bands_on_grid,
     constant_projector_field,
@@ -120,7 +117,7 @@ def test_twisted_chern_kernel_input_is_the_field(monkeypatch):
 def test_certificates_make_one_kernel_call_per_family(monkeypatch):
     # every gap's rank reads blocks of one family's shared link overlaps: the
     # streamed pass feeds each family's LinkMinors every stored row once, in
-    # blocks of 3 rows here, and certify_gaps calls the kernel once per family
+    # blocks of 3 rows here, and never calls the whole-array kernel
     made, fed, calls = [], [], []
     minors, kernel = chern._kernels.LinkMinors, chern._kernels.plaquette_flux_sum
 
@@ -150,11 +147,6 @@ def test_certificates_make_one_kernel_call_per_family(monkeypatch):
     assert fed == [(0, (3, 16, 5, 5), None), (1, (3, 16, 5, 5), (3, 5, 5))] * 3
     assert calls == []
     assert {c["cc"].grid for c in certs} == {c["t"].grid for c in certs} == {16}
-    fed.clear()
-    assert certify_gaps(ctx, *gap_bands(ctx, 16)) == certs
-    assert calls == [((9, 16, 5, 5), [0] + ranks, (9, 5, 5), 16),    # weyl, through its seam
-                     ((9, 16, 5, 5), [0] + ranks, None, 16)]         # reference
-    assert fed == [(2, (3, 16, 5, 5), (3, 5, 5))] * 3 + [(3, (3, 16, 5, 5), None)] * 3
     made.clear()
     gap_certificates(ctx_of(0, 1, 1, 0), 12)      # theta = r/q: no twisted family
     assert made == [([0, 1], 12)]
@@ -177,21 +169,32 @@ def test_link_guard_on_the_certificate_path(monkeypatch):
         gap_certificates(ctx_of(1, 3, 2, 1), 16)
 
 
-def _fermi_in_a_band(report, bd_r, bd_w, monkeypatch):
-    gaps = list(report.gaps)
-    gaps[1] = dataclasses.replace(gaps[1], fermi=0.0)
-    return dataclasses.replace(report, gaps=gaps), bd_r, bd_w
+def _fermi_in_a_band(monkeypatch):
+    exact = chern.hofstadter_gap_report
+
+    def spoiled(ctx):
+        report = exact(ctx)
+        gaps = list(report.gaps)
+        gaps[1] = dataclasses.replace(gaps[1], fermi=0.0)
+        return dataclasses.replace(report, gaps=gaps)
+
+    monkeypatch.setattr(chern, "hofstadter_gap_report", spoiled)
 
 
-def _weyl_bands_shifted(report, bd_r, bd_w, monkeypatch):
-    return report, bd_r, dataclasses.replace(bd_w, energies=bd_w.energies + 2.0)
+def _weyl_bands_shifted(monkeypatch):
+    blocks = chern.dual_band_blocks
+
+    def spoiled(ctx, a, G):
+        for start, reference, (E_w, F_w) in blocks(ctx, a, G):
+            yield start, reference, (E_w + 2.0, F_w)
+
+    monkeypatch.setattr(chern, "dual_band_blocks", spoiled)
 
 
-def _no_rounding_slack(report, bd_r, bd_w, monkeypatch):
+def _no_rounding_slack(monkeypatch):
     # on 1/4 (3,1) rank 0's sums are exactly 0 and both rank-1 sums of gap 1
     # are off an integer, so the weyl one, rounded first, fails
     monkeypatch.setattr(chern, "ROUND_TOL", 1e-300)
-    return report, bd_r, bd_w
 
 
 @pytest.mark.parametrize("spec,spoil,error,match", [
@@ -202,11 +205,10 @@ def _no_rounding_slack(report, bd_r, bd_w, monkeypatch):
     pytest.param((1, 4, 3, 1), _no_rounding_slack, ChernResidualError,
                  "weyl: lattice sum", id="no-rounding-slack"),
 ])
-def test_certify_gaps_raises_typed_failures(spec, spoil, error, match, monkeypatch):
-    ctx = ctx_of(*spec)
-    args = spoil(*gap_bands(ctx, 16), monkeypatch)
+def test_gap_certificates_raise_typed_failures(spec, spoil, error, match, monkeypatch):
+    spoil(monkeypatch)
     with pytest.raises(error, match=match):
-        certify_gaps(ctx, *args)
+        gap_certificates(ctx_of(*spec), 16)
 
 
 @pytest.mark.parametrize("kind", ["reference", "weyl"])
@@ -306,13 +308,22 @@ def test_numeric_trace_and_character_of_a_mirrored_field(G):
     assert (res.value, res.grid) == (res_full.value, res_full.grid) == (-3, G)
 
 
-def test_certificates_from_mirrored_bands_match_the_full_grid():
+def test_certificates_from_mirrored_bands_match_the_full_grid(monkeypatch, eigh_matrices):
+    # the streamed pass on the quarter grid, k1 mirror and flip filled, against
+    # the same pass diagonalizing every grid point (M0 = -5: no reference
+    # column is diagonalized on its own)
     ctx = ctx_of(3, 7, 3, 2)
-    report = hofstadter_gap_report(ctx)
-    bd_r, full_r = _mirrored_and_full(reference_fibered_rep(ctx), 16)
-    bd_w, full_w = _mirrored_and_full(weyl_fibered_rep(ctx), 16)
-    certs = certify_gaps(ctx, report, bd_r, bd_w)
-    for c, c_full in zip(certs, certify_gaps(ctx, report, full_r, full_w), strict=True):
+    certs = gap_certificates(ctx, 16)
+    diagonalized = spectral._diagonalized
+
+    def full_grid(a, G):
+        diagonalized(a, G)              # keeps the self-adjointness check
+        return G
+
+    monkeypatch.setattr(spectral, "_diagonalized", full_grid)
+    full = gap_certificates(ctx, 16)
+    assert sum(eigh_matrices) == 9 * 9 + 16 * 16
+    for c, c_full in zip(certs, full, strict=True):
         assert c["record"] == dataclasses.replace(c_full["record"], residual=c["record"].residual)
         assert c["ncint"] == pytest.approx(c_full["ncint"], abs=1e-12)
         for key in ("t", "cc"):
@@ -423,14 +434,6 @@ def test_gap_certificates_one_spectral_pass_per_rep_and_grid(band_passes, eigh_m
     assert eigh_matrices == [7 * 7] + ([7 * own] if own else [])
 
 
-def _outcome(certify):
-    """The certificates, or the type and message of the failure that ends them."""
-    try:
-        return certify()
-    except NumericalFailure as exc:
-        return type(exc), str(exc)
-
-
 @pytest.mark.parametrize("spec, G", [
     pytest.param((0, 1, 1, 0), 9, id="M0=0"),
     pytest.param((2, 5, 3, 2), 12, id="gcd(M0,G)=4"),
@@ -440,18 +443,34 @@ def _outcome(certify):
 ])
 @pytest.mark.parametrize("one_row", [False, True])
 def test_streamed_certificates_equal_the_band_data_ones(spec, G, one_row, monkeypatch):
-    # one band pass in row blocks feeds both kernels; certify_gaps reads the
-    # assembled bands: the same certificates field for field, exact raw and
-    # residual included, or the same failure
+    # one band pass in row blocks feeds both families' multi-rank kernels; each
+    # certificate's Chern numbers equal fhs_chern of its own Fermi field, one
+    # rank at a time, on whole bands of each family diagonalized on their own
     if one_row:
         monkeypatch.setattr(chern._kernels, "BLOCK_BYTES", 1)
     ctx = ctx_of(*spec)
-    streamed = _outcome(lambda: gap_certificates(ctx, G))
-    assert streamed == _outcome(lambda: certify_gaps(ctx, *gap_bands(ctx, G)))
     if spec == (3, 7, 3, 2):
-        assert streamed[0] is VerificationError
-    else:
-        assert len(streamed) == len(report_of(*spec).gaps)
+        # the twisted Chern number is an integer, but a wrong one at G = 6
+        with pytest.raises(VerificationError) as failure:
+            gap_certificates(ctx, G)
+        assert str(failure.value) == "theta=3/7 rep=(3,2) gap d=2: N*t + M0*s = 16 != q*d = 6"
+        return
+    certs = gap_certificates(ctx, G)
+    report = report_of(*spec)
+    assert [c["gap"] for c in certs] == report.gaps
+    h = hofstadter_element(ctx.theta)
+    families = {"cc": bands_on_grid(reference_fibered_rep(ctx), h, G)}
+    if ctx.M0:
+        families["t"] = bands_on_grid(weyl_fibered_rep(ctx), h, G)
+    else:               # no twisted family: t = q d without a lattice sum
+        assert [c["t"].value for c in certs] == [ctx.q * gap.d for gap in report.gaps]
+    for c, gap in zip(certs, report.gaps):
+        for key, bd in families.items():
+            field = fermi_projector_field(bd, gap.fermi)
+            res = fhs_chern(field)
+            assert field.rank == c["record"].d
+            assert (c[key].value, c[key].grid) == (res.value, G), key
+            assert c[key].raw == pytest.approx(res.raw, abs=1e-10), key
 
 
 def test_band_edges_are_taken_once_per_family(monkeypatch):

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nctorus import cli
 from nctorus.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -169,6 +171,44 @@ def test_butterfly_streams_its_csv(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < (out / "spectrum_q1r0.csv").stat().st_size / 2
+
+
+def test_butterfly_pool_runs_at_most_twice_its_workers_ahead(tmp_path, monkeypatch):
+    # the first theta's job is held back until the other worker has started every
+    # job the window allows (2 x 2), and then for as long as none past it starts:
+    # with a bounded window no job past it can start before the first rows are
+    # written, so this holds on any schedule; a pool that submits every job at
+    # once starts the fifth within milliseconds
+    monkeypatch.setenv("NCTORUS_THREADS", "2")
+    window = 4
+    job = cli._butterfly_job
+    started, lock = [], threading.Lock()
+    full, past = threading.Event(), threading.Event()
+    at_release = []
+
+    def held(theta, q, r, cfg):
+        with lock:
+            started.append(theta)
+            n = len(started)
+        if n == window:
+            full.set()
+        elif n > window:
+            past.set()
+        if (theta.M, theta.N) == (0, 1):
+            assert full.wait(timeout=60)
+            past.wait(timeout=0.5)
+            at_release.append(len(started))
+        return job(theta, q, r, cfg)
+
+    monkeypatch.setattr(cli, "_butterfly_job", held)
+    out = tmp_path / "o"
+    assert run("butterfly", "--farey", "5", "--grid", "8", "--format", "csv",
+               "--out", str(out)) == EXIT_OK
+    assert at_release == [window]
+    assert len(started) == len(farey_fractions(5)) == 11
+    rows = (out / "spectrum_q1r0.csv").read_text().splitlines()[1:]
+    thetas = dict.fromkeys(tuple(map(int, row.split(",")[:2])) for row in rows)
+    assert list(thetas) == [(t.M, t.N) for t in farey_fractions(5)]
 
 
 @pytest.mark.parametrize("colored", [(), ("--color-gaps",)], ids=["plain", "color-gaps"])

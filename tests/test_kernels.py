@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bands_of, ctx_of
+from conftest import bands_of, ctx_of, report_of
 
-from nctorus import _kernels, chern
+from nctorus import _kernels
 from nctorus.representations import twist_transport
 from nctorus.spectral import expand_k1_mirror
 
@@ -146,10 +146,10 @@ def test_gap_ranks_of_touching_central_bands(kind):
     # N = 8: the central bands touch, so the gap ranks skip 4 and rows 3 and 4
     # share a group.  Its pivot at rank 4 is never read on its own
     ctx = ctx_of(3, 8, 1, 0)
-    report, bd_r, bd_w = chern.gap_bands(ctx, 16)
-    ranks = [int((bd_r.energies[0, 0] < gap.fermi).sum()) for gap in report.gaps]
+    energies = bands_of(3, 8, 1, 0, "reference", 16).energies
+    ranks = [int((energies[0, 0] < gap.fermi).sum()) for gap in report_of(3, 8, 1, 0).gaps]
     assert ranks == [0, 1, 2, 3, 5, 6, 7, 8]
-    bd = bd_r if kind == "reference" else bd_w
+    bd = bands_of(3, 8, 1, 0, kind, 16)
     seam = None if kind == "reference" else twist_transport(ctx, np.arange(len(bd.frames)) / 16)
     multi = _kernels.plaquette_flux_sum(bd.frames, ranks, seam, 16)
     for R, (total, min_abs), (total_1, min_abs_1) in zip(

@@ -29,7 +29,7 @@ from nctorus.spectral import (
     band_rows,
     bands_on_grid,
     constant_projector_field,
-    dual_bands,
+    dual_band_blocks,
     expand_k1_mirror,
     fermi_projector_field,
     fermi_rank,
@@ -191,18 +191,27 @@ def test_dual_bands_read_the_reference_off_the_weyl_pass(M, N, q, r, G, mirrored
     ctx = ctx_of(M, N, q, r)
     a = hofstadter_element(ctx.theta) if mirrored else AlgebraElement(
         ctx.theta, {(1, 0): 1, (-1, 0): 1, (0, 1): 1 + 1j, (0, -1): 1 - 1j})
-    bd_r, bd_w = dual_bands(ctx, a, G)
+    starts, E_r, F_r, E_w, F_w = [], [], [], [], []
+    for start, (energies, frames), (weyl_energies, weyl_frames) in dual_band_blocks(ctx, a, G):
+        starts.append(start)
+        E_r.append(energies)
+        F_r.append(frames)
+        E_w.append(weyl_energies)
+        F_w.append(weyl_frames)
+    F_r, F_w = np.concatenate(F_r), np.concatenate(F_w)
     g = math.gcd(ctx.M0, G)
     rows = cols = G // 2 + 1 if mirrored else G        # h: the quarter grid, then filled
     own = sum(j % g != 0 for j in range(cols))
     assert sum(eigh_matrices) == rows * (cols + own)
-    assert len(bd_r.frames) == len(bd_w.frames) == rows
-    assert bd_r.rep == reference_fibered_rep(ctx) and bd_w.rep == weyl_fibered_rep(ctx)
+    assert starts == list(range(0, rows, len(E_r[0])))
+    assert len(F_r) == len(F_w) == rows
+    assert np.abs(expand_k1_mirror(np.concatenate(E_w), G)
+                  - full_grid_bands(weyl_fibered_rep(ctx), a, G).energies).max() < 1e-12
     direct = full_grid_bands(reference_fibered_rep(ctx), a, G)
-    assert np.abs(bd_r.energies - direct.energies).max() < 1e-12
+    assert np.abs(expand_k1_mirror(np.concatenate(E_r), G) - direct.energies).max() < 1e-12
     ranks = _gap_ranks(direct.energies)
     assert ranks
-    F = expand_k1_mirror(bd_r.frames, G)
+    F = expand_k1_mirror(F_r, G)
     for R in ranks:
         assert np.abs(_projector(F, R) - _projector(direct.frames, R)).max() < 1e-10
 

@@ -12,13 +12,15 @@ from nctorus.suite import run_invariant_suite
 
 
 def test_suite_one_spectral_pass_per_rep_and_grid(band_passes):
-    # isospectral_grid(1/3 (2,1), 32) == 32, so the certificates' weyl bands serve
-    # every check; their reference bands are read off them, so isospectrality
-    # compares the weyl bands with a reference pass of its own at 32; the
-    # reference pass at 2G is the pullback lemma's own
+    # isospectral_grid(1/3 (2,1), 32) == 32, so one weyl pass at 32 serves the
+    # isospectrality and projector rows, against a reference pass of its own at
+    # 32.  The certificates stream a second weyl pass at 32, in row blocks: they
+    # run gap_certificates, the one certificate path every command runs, which
+    # holds no whole frames to share.  The reference pass at 2G is the pullback
+    # lemma's own
     rows = run_invariant_suite(ctx_of(1, 3, 2, 1), 32)
     assert all(r.ok for r in rows)
-    assert band_passes == [(1, 3, "weyl", 32), (1, 3, "reference", 32),
+    assert band_passes == [(1, 3, "weyl", 32), (1, 3, "reference", 32), (1, 3, "weyl", 32),
                            (1, 3, "reference", 64)]
     iso = next(r for r in rows if r.name == "isospectrality")
     assert 0.0 < iso.value < 1e-12
@@ -52,16 +54,16 @@ def test_projector_rows_on_mirrored_bands_match_the_full_grid(monkeypatch):
 def test_gap_label_row_fails_on_a_wrong_report(spec, labels, monkeypatch):
     # both label lists increase, but neither is gap_label_d's; the band count
     # is left as it is, so only the label row can see it
-    exact = suite.gap_bands
+    exact = suite.hofstadter_gap_report
 
-    def relabeled(ctx, G):
-        report, bd_r, bd_w = exact(ctx, G)
+    def relabeled(ctx):
+        report = exact(ctx)
         by_d = {gap.d: gap for gap in report.gaps}
         gaps = [dataclasses.replace(by_d.get(d, GapInfo(0, 0.0, 0.0, d, 0.0)), g=g)
                 for g, d in enumerate(labels)]
-        return dataclasses.replace(report, gaps=gaps), bd_r, bd_w
+        return dataclasses.replace(report, gaps=gaps)
 
-    monkeypatch.setattr(suite, "gap_bands", relabeled)
+    monkeypatch.setattr(suite, "hofstadter_gap_report", relabeled)
     rows = {r.name: r for r in run_invariant_suite(ctx_of(*spec), 16)}
     assert rows["band-count"].ok
     assert not rows["gap-labels-increasing"].ok
