@@ -49,13 +49,17 @@ so neither a family's whole frames nor a full-size overlap array need be
 held.  Every link but the k1-links leaving a block's last row is local to
 the block; that row's adjoint is carried to the next block, and the
 grid's last k1-link, to row 0 or to conj F(G1//2), closes after the last
-block.  A block's links are eliminated together, and only their minors,
-(len(ranks), rows, G2) per direction, are kept for the whole grid.  The
-elimination works on each link alone and the angle sums run over the
-whole minors as one array, so the sums do not depend on the blocking,
-bit for bit.  A block holds at most BLOCK_BYTES of one family's frames,
-and at least one row; `plaquette_flux_sum` feeds an array's rows through
-the same blocks.
+block.  A block's links are eliminated together, and then every
+plaquette row whose k1-link the block closed is summed over k2: row i
+reads Lx(i), Ly(i) and Ly(i+1), so the k2-links of a block's last row are
+carried to the next block too.  No minor outlives its block.  Per rank,
+only one angle sum per plaquette row (len(ranks), rows), the smallest
+|link| and the k2-links of row 0 (which close a full grid) are kept for
+the whole grid.  The elimination works on each link alone, each row is
+summed in one fixed order, and the flux adds the row sums of the grid as
+one array, so the sums do not depend on the blocking, bit for bit.  A
+block holds at most BLOCK_BYTES of one family's frames, and at least one
+row; `plaquette_flux_sum` feeds an array's rows through the same blocks.
 """
 
 from __future__ import annotations
@@ -99,14 +103,16 @@ def _leading_minors(A: np.ndarray, ranks: list[int]) -> np.ndarray:
 
 
 class LinkMinors:
-    """The link minors of one frame field, fed in blocks of consecutive stored k1 rows.
+    """The plaquette flux of one frame field, fed in blocks of consecutive stored k1 rows.
 
     `add` takes the blocks in row order, each with the seam rows that close
     it in k2 (or None for a periodic field); `flux_sums` closes the grid and
     returns what `plaquette_flux_sum` returns.  ranks as there; rows is the
-    grid's row count G1.  Only the minors (len(ranks), rows, G2) of each
-    direction are kept, plus row 0 (the end of a full grid's last k1-link)
-    and the adjoint of the last row fed (the start of the next k1-link).
+    grid's row count G1.  Per rank, only one angle sum per plaquette row
+    (len(ranks), rows), the smallest |link| so far, the k2-links of row 0
+    (which close a full grid) and of the last row fed are kept, plus row 0's
+    frames (the end of a full grid's last k1-link) and the adjoint of the
+    last row fed (the start of the next k1-link).
     """
 
     def __init__(self, ranks: list[int], rows: int):
@@ -114,7 +120,9 @@ class LinkMinors:
         self.G1 = rows
         self.first = self.last = None
         self.stored = 0
-        self.x_minors, self.y_minors = [], []
+        self.row_sums = np.empty((len(ranks), rows))
+        self.min_abs = np.full(len(ranks), np.inf)
+        self.y_first = self.y_last = None
 
     def add(self, F: np.ndarray, seam: np.ndarray | None = None):
         """Feeds the next stored rows, F (b, G2, N, >= ranks[-1]) and seam (b, N, N) or None.
@@ -122,13 +130,15 @@ class LinkMinors:
         Each row's links fill one batch-last buffer (R, R, links, G2) a row
         at a time, from one conjugate copy of the row, so no full-size
         overlap or adjoint array is formed, and one elimination serves the
-        block.
+        block.  Then every plaquette row whose k1-link the block closed is
+        summed: from the row before the block (its k2-links carried) to the
+        block's last row but one.
         """
         ranks = self.ranks
         if self.first is None:
             if ranks != sorted(ranks) or ranks[0] < 0 or ranks[-1] > F.shape[-1]:
                 raise ValueError(f"ranks must be non-decreasing in [0, {F.shape[-1]}], got {ranks}")
-            self.first = F[0].copy()
+            self.first = F[0, ..., :ranks[-1]].copy()
         F = F[..., :ranks[-1]]
         b, G2, _, R = F.shape
         y_end = F[:, 0] if seam is None else seam @ F[:, 0]
@@ -141,8 +151,15 @@ class LinkMinors:
             A[:, :, nx + i, :-1] = _overlaps(self.last[:-1], F[i, 1:])
             A[:, :, nx + i, -1] = self.last[-1].T @ y_end[i]
         L = self._eliminate(A)
-        self.x_minors.append(L[:, :nx])
-        self.y_minors.append(L[:, nx:])
+        self.min_abs = np.minimum(self.min_abs, np.abs(L).min(axis=(1, 2)))
+        Lx, Ly = L[:, :nx], L[:, nx:]
+        if self.y_first is None:
+            self.y_first = Ly[:, 0].copy()
+        else:
+            Ly = np.concatenate((self.y_last[:, None], Ly), axis=1)
+        start = self.stored - (self.y_last is not None)
+        self.row_sums[:, start:start + nx] = _row_angle_sums(Lx, Ly[:, :-1], Ly[:, 1:])
+        self.y_last = Ly[:, -1].copy()
         self.stored += b
 
     def flux_sums(self):
@@ -151,32 +168,39 @@ class LinkMinors:
         if H not in (G1, G1 // 2 + 1):
             raise ValueError(f"{H} frame rows fit neither a {G1}-row grid nor its k1 mirror")
         mirrored = H < G1
-        x_minors = self.x_minors
+        rows, min_abs = self.row_sums[:, :H - 1], self.min_abs
         if not mirrored or G1 % 2:
             # the last k1-link ends at row 0 of the torus, or at conj F(G1//2) on a mirrored
             # grid: a copy, as numpy takes a product of an array with its own transpose by syrk
-            end = self.last.copy() if mirrored else self.first[..., :self.ranks[-1]]
+            end = self.last.copy() if mirrored else self.first
             R, G2 = self.last.shape[-1], len(self.last)
             A = np.empty((R, R, 1, G2), complex)
             A[:, :, 0] = _overlaps(self.last, end)
-            x_minors = x_minors + [self._eliminate(A)]
-        out = []
-        for Lx, Ly in zip(np.concatenate(x_minors, axis=1), np.concatenate(self.y_minors, axis=1)):
-            min_abs = float(min(np.abs(Lx).min(), np.abs(Ly).min()))
-            Ly_next = np.concatenate((Ly[1:], Ly[-1:].conj() if mirrored else Ly[:1]))[:len(Lx)]
-            pl = Ly[:len(Lx)] * np.roll(Lx, -1, axis=1) * np.conj(Ly_next) * np.conj(Lx)
-            angles = np.angle(pl)
-            if mirrored:
-                total = 2 * angles[:G1 // 2].sum() + angles[G1 // 2:].sum()
-            else:
-                total = angles.sum()
-            out.append((float(total), min_abs))
-        return out
+            Lx = self._eliminate(A)
+            y_next = self.y_last.conj() if mirrored else self.y_first
+            last = _row_angle_sums(Lx, self.y_last[:, None], y_next[:, None])
+            rows = np.concatenate((rows, last), axis=1)
+            min_abs = np.minimum(min_abs, np.abs(Lx).min(axis=(1, 2)))
+        if mirrored:
+            totals = 2 * rows[:, :G1 // 2].sum(axis=1) + rows[:, G1 // 2:].sum(axis=1)
+        else:
+            totals = rows.sum(axis=1)
+        return [(float(total), float(m)) for total, m in zip(totals, min_abs)]
 
     def _eliminate(self, A: np.ndarray) -> np.ndarray:
         """The minors (len(ranks), links, G2) of a filled buffer A (R, R, links, G2)."""
         R, _, links, G2 = A.shape
         return _leading_minors(A.reshape(R, R, links * G2), self.ranks).reshape(-1, links, G2)
+
+
+def _row_angle_sums(Lx: np.ndarray, Ly: np.ndarray, Ly_next: np.ndarray) -> np.ndarray:
+    """Per rank and plaquette row, the sum over k2 of the plaquette angles, (len(ranks), rows).
+
+    Lx, Ly and Ly_next (len(ranks), rows, G2) are the k1-links of the rows,
+    their k2-links and the k2-links of the next rows.
+    """
+    pl = Ly * np.roll(Lx, -1, axis=2) * np.conj(Ly_next) * np.conj(Lx)
+    return np.angle(pl).sum(axis=2)
 
 
 def _overlaps(Fh: np.ndarray, F: np.ndarray) -> np.ndarray:

@@ -16,9 +16,10 @@ kernel forms the link overlaps once, see `_kernels`), and the gaps are
 then checked in one loop (`_certificates`).  `gap_certificates` streams:
 one band pass in blocks of k1 rows (`spectral.dual_band_blocks`) hands
 each block of both families' frames to their kernels and drops it, so
-it holds the energies and the link minors of the grid, never a family's
-whole frames.  It is the one certificate path: `chern`, `labels`, the
-colored butterfly and `verify` all run it.
+it holds the energies of the grid and, per gap, one plaquette angle sum
+per k1 row: never a family's whole frames, nor the grid's link minors.
+It is the one certificate path: `chern`, `labels`, the colored
+butterfly and `verify` all run it.
 
 Orientation of the plaquette loop is pinned by the full-field anchor
 t(identity) = q and by the derivative-formula character oracle; both
@@ -185,8 +186,9 @@ def certified_spectrum(ctx: WeylContext, G: int = 64):
     `dual_band_blocks` yields both families' bands a block of stored k1 rows
     at a time, and each block's frames go to that family's
     `_kernels.LinkMinors` (the weyl one closed by the seam of the block's
-    rows) before the next block is diagonalized.  So only the energies and
-    the link minors of the whole grid are kept, never a family's frames.
+    rows) before the next block is diagonalized.  So only the energies of
+    the whole grid and the kernels' per-row angle sums are kept, never a
+    family's frames or the grid's link minors.
     """
     report = hofstadter_gap_report(ctx)
     E_r, E_w = [], []

@@ -12,15 +12,16 @@ one line per command and then the line count of each tree's
 A JSON file that differs is also parsed on both sides: the line says
 whether every non-float value (integer, bool, string, null, key and list
 length) matches, and gives the largest difference between two floats.
-A CSV file that differs is compared row by row: the line says whether
-the row count and every non-float field match, how many rows differ, and
-the largest difference between two float fields.
+A CSV file, stdout or stderr that differs is compared line by line: the
+line says whether the line count and every non-float token match, how
+many lines differ, and the largest difference between two float tokens.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -62,7 +63,9 @@ def run(src: Path, argv) -> dict:
 
 def differences(old: dict, new: dict) -> list:
     """What differs between two runs, as short descriptions."""
-    diffs = [key for key in ("exit", "stdout", "stderr") if old[key] != new[key]]
+    diffs = ["exit"] if old["exit"] != new["exit"] else []
+    diffs += [key + lines_summary(old[key], new[key])
+              for key in ("stdout", "stderr") if old[key] != new[key]]
     for name in sorted(set(old["files"]) | set(new["files"])):
         if name not in old["files"] or name not in new["files"]:
             diffs.append(f"{name} written by one tree only")
@@ -95,42 +98,45 @@ def json_summary(old: bytes, new: bytes) -> str:
     return f" ({verdict}, largest float difference {max(floats, default=0.0):.3g})"
 
 
-def csv_summary(old: bytes, new: bytes) -> str:
-    """How two CSV files differ: in float fields only or not, rows that differ, largest change.
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
-    Two differing fields differ as floats when both parse as floats and
-    they are not both integer literals (a band index or a theta is one).
+
+def lines_summary(old: bytes, new: bytes) -> str:
+    """How two texts differ: in float tokens only or not, lines that differ, largest change.
+
+    Each line is split into numbers and the text between them.  Two
+    differing numbers differ as floats unless both are integer literals
+    (a band index, a Chern number or a theta is one).
     """
     a, b = old.decode().splitlines(), new.decode().splitlines()
     same = len(a) == len(b)
     floats = []
-    rows = abs(len(a) - len(b))
+    lines = abs(len(a) - len(b))
     for x, y in zip(a, b):
         if x == y:
             continue
-        rows += 1
-        fx, fy = x.split(","), y.split(",")
-        same = same and len(fx) == len(fy)
-        for u, v in zip(fx, fy):
+        lines += 1
+        tx, ty = NUMBER.split(x), NUMBER.split(y)
+        same = same and len(tx) == len(ty)
+        # split() alternates text (even indices) and numbers (odd indices)
+        for k, (u, v) in enumerate(zip(tx, ty)):
             if u == v:
                 continue
-            try:
-                floats.append(abs(float(u) - float(v)))
-            except ValueError:
+            if k % 2 == 0 or (_is_int(u) and _is_int(v)):
                 same = False
-                continue
-            same = same and not (_is_int(u) and _is_int(v))
-    verdict = ("row count and every non-float field match" if same
-               else "row count or non-float fields differ")
-    return (f" ({verdict}, {rows} of {max(len(a), len(b))} rows differ, "
+            else:
+                floats.append(abs(float(u) - float(v)))
+    verdict = ("line count and every non-float token match" if same
+               else "line count or non-float tokens differ")
+    return (f" ({verdict}, {lines} of {max(len(a), len(b))} lines differ, "
             f"largest float difference {max(floats, default=0.0):.3g})")
 
 
 def _is_int(text: str) -> bool:
-    return text.lstrip("-").isdigit()
+    return text.lstrip("-+").isdigit()
 
 
-SUMMARIES = {".json": json_summary, ".csv": csv_summary}
+SUMMARIES = {".json": json_summary, ".csv": lines_summary}
 
 
 def line_count(src: Path) -> int:

@@ -11,6 +11,11 @@ may print a different wrong integer when the last digits of the frames
 move.  `tests/test_sweep.py` compares a fresh sweep with the file.
 Without `--record` the script prints the sweep's summary and writes
 nothing.
+
+The golden ladder at the large-N edge, `tests/data/ladder.json`, is
+recorded the same way by `tests/record_ladder.py`:
+
+    python3 tests/record_ladder.py --record
 """
 
 from __future__ import annotations
@@ -27,13 +32,12 @@ REPS = ((1, 0), (2, 1), (3, 1), (3, 2), (5, 2))
 GRIDS = (4, 6, 8, 16, 32)
 
 
-def contexts():
-    """(key prefix, WeylContext) for every valid (theta, rep) of the sweep."""
+def contexts(thetas, reps):
+    """(key prefix, WeylContext) for every valid pair of thetas x reps."""
     from nctorus.arithmetic import make_weyl_context
-    from nctorus.cli import farey_fractions
 
-    for theta in farey_fractions(FAREY):
-        for q, r in REPS:
+    for theta in thetas:
+        for q, r in reps:
             if math.gcd(theta.N, q) == 1:
                 yield f"{theta.M}/{theta.N} ({q},{r})", make_weyl_context(theta, q, r)
 
@@ -51,9 +55,17 @@ def outcome(ctx, G):
             for c in certs]
 
 
+def runs(thetas, reps, grids) -> dict:
+    """{"M/N (q,r) G=g": outcome} over thetas x reps x grids."""
+    return {f"{prefix} G={G}": outcome(ctx, G)
+            for prefix, ctx in contexts(thetas, reps) for G in grids}
+
+
 def sweep(grids=GRIDS) -> dict:
-    """{"M/N (q,r) G=g": outcome} over the sweep, at the given grids."""
-    return {f"{prefix} G={G}": outcome(ctx, G) for prefix, ctx in contexts() for G in grids}
+    """The golden sweep's runs, at the given grids."""
+    from nctorus.cli import farey_fractions
+
+    return runs(farey_fractions(FAREY), REPS, grids)
 
 
 def dumps(runs: dict) -> str:
@@ -62,15 +74,19 @@ def dumps(runs: dict) -> str:
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
-if __name__ == "__main__":
-    sys.path.insert(0, str(HERE.parent / "src"))
-    runs = sweep()
+def report(runs: dict, path: Path, argv) -> None:
+    """Prints the summary of runs, and writes them to path when argv holds `--record`."""
     failed = {}
     for value in runs.values():
         if isinstance(value, str):
             failed[value] = failed.get(value, 0) + 1
     print(f"{len(runs)} runs: {len(runs) - sum(failed.values())} certify, failures {failed}")
-    if "--record" in sys.argv[1:]:
-        DATA.parent.mkdir(exist_ok=True)
-        DATA.write_text(dumps(runs))
-        print(f"wrote {DATA}")
+    if "--record" in argv:
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(dumps(runs))
+        print(f"wrote {path}")
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(HERE.parent / "src"))
+    report(sweep(), DATA, sys.argv[1:])

@@ -233,3 +233,64 @@ def test_link_minors_refuse_rows_of_no_grid():
     minors.add(random_frames(8, 16, 3, 3, seed=14))
     with pytest.raises(ValueError, match="frame rows"):
         minors.flux_sums()
+
+
+def kept_bytes(obj):
+    """Bytes of the numpy arrays an object keeps, in its attributes and in lists of them."""
+    arrays = [v for value in vars(obj).values()
+              for v in (value if isinstance(value, list) else [value])]
+    return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+
+
+def test_link_minors_keep_row_sums_not_the_grid():
+    # after the last block, a 64-row grid keeps only 48 more row sums per rank
+    # than a 16-row grid: no link minor of a fed block stays behind
+    ranks = [0, 1, 2, 4]
+    kept = []
+    for rows in (16, 64):
+        F = random_frames(rows, 8, 4, 4, seed=15)
+        minors = _kernels.LinkMinors(ranks, rows)
+        for i in range(0, rows, 4):
+            minors.add(F[i:i + 4])
+        kept.append(kept_bytes(minors))
+    assert kept[1] <= kept[0] + len(ranks) * 48 * np.dtype(float).itemsize
+
+
+def naive_flux(F, R, seam=None):
+    """(math.fsum of the plaquette angles, smallest |link|) of rank R, plaquette by plaquette.
+
+    The seam closes the k2-links into column G2 only: the k1-links there
+    are those of column 0, as in the kernel's twisted field.
+    """
+    G1, G2 = F.shape[:2]
+
+    def frame(i, j, k2_link):
+        if j == G2 and k2_link and seam is not None:
+            return seam[i % G1] @ F[i % G1, 0, :, :R]
+        return F[i % G1, j % G2, :, :R]
+
+    def link(a, b):
+        k2_link = a[0] == b[0]
+        return np.linalg.det(frame(*a, k2_link).conj().T @ frame(*b, k2_link))
+
+    angles, links = [], []
+    for i in range(G1):
+        for j in range(G2):
+            corners = [(i, j), (i, j + 1), (i + 1, j + 1), (i + 1, j), (i, j)]
+            loop = [link(a, b) for a, b in zip(corners, corners[1:])]
+            angles.append(np.angle(np.prod(loop)))
+            links += loop[:1] + loop[-1:]      # Ly(i, j) and conj Lx(i, j)
+    return math.fsum(angles), min(abs(u) for u in links)
+
+
+@pytest.mark.parametrize("with_seam", [False, True])
+def test_flux_sum_matches_a_plaquette_loop(with_seam):
+    # an oracle that shares nothing with the kernel: LAPACK determinants of
+    # each plaquette's four links, summed exactly by math.fsum
+    F = random_frames(7, 6, 4, 4, seed=16)
+    seam = random_frames(7, 4, 4, seed=17) if with_seam else None
+    ranks = [0, 1, 2, 3, 4]
+    for R, (total, min_abs) in zip(ranks, _kernels.plaquette_flux_sum(F, ranks, seam)):
+        naive_total, naive_min = naive_flux(F, R, seam)
+        assert total == pytest.approx(naive_total, abs=1e-12), R
+        assert min_abs == pytest.approx(naive_min, abs=1e-12), R
