@@ -16,12 +16,13 @@ ordering, floats at 12 significant digits (`fmt`).  The JSON records are
 the fields of the result dataclasses (`GapReport`, `TKNNRecord`,
 `ChernResult`, `CheckResult`); `_write_json` alone applies the number
 policy, writing every non-finite float as null.  The first format in
-`_WRITES` is each command's default.  Each butterfly worker job formats
-its own theta's CSV rows; the main thread streams them in theta order to
-a `.part` file that is renamed onto the CSV after the last job, so a
-failing job leaves no partial file.  At most twice as many jobs as
-workers are submitted and not yet written (`_in_order`), so the rows
-held in memory are bounded however slow one theta is.
+`_WRITES` is each command's default.  Line ends are LF on every platform.
+Each butterfly job formats its own theta's CSV rows, one string per k1
+row; the main thread streams them in theta order to a `.part` file that
+is renamed onto the CSV after the last job, so a failing job leaves no
+partial file.  At most twice as many jobs as workers are submitted and
+not yet written (`_in_order`), so the rows held in memory are bounded
+however slow one theta is.
 Worker threads for parameter sweeps come from NCTORUS_THREADS (positive
 integer; default: available parallelism).
 """
@@ -204,7 +205,7 @@ def worker_count() -> int:
 
 def _write_text(path: Path, *chunks: str):
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with open(path, "w", newline="\n") as fh:
         fh.writelines(chunks)
 
 
@@ -241,10 +242,10 @@ def farey_fractions(bound: int) -> List[RationalTheta]:
 def _butterfly_job(theta: RationalTheta, q: int, r: int, cfg: RunConfig):
     """(theta, CSV rows, gap report, certificates) of one theta of the sweep.
 
-    The rows are this theta's `band_rows` text, formatted here in the worker
-    so the main thread only writes it; None when no CSV is written.  The
-    report is None when no SVG is drawn, and the certificates are None unless
-    the SVG is colored.
+    The rows are this theta's `band_rows` chunks, one string per k1 row,
+    formatted here in the worker so the main thread only writes them; None
+    when no CSV is written.  The report is None when no SVG is drawn, and the
+    certificates are None unless the SVG is colored.
     """
     ctx = make_weyl_context(theta, q, r)
     energies = report = certs = None
@@ -322,14 +323,14 @@ def cmd_butterfly(cfg: RunConfig) -> int:
         try:
             if "csv" in cfg.formats:
                 cfg.out.mkdir(parents=True, exist_ok=True)
-                csv = open(part, "w")
+                csv = open(part, "w", newline="\n")
                 csv.write("theta_num,theta_den,k1,k2,band,energy\n")
             workers = worker_count()
             with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
                 for th, rows, report, certs in _in_order(
                         pool, lambda t: _butterfly_job(t, q, r, cfg), jobs, 2 * workers):
                     if csv is not None:
-                        csv.write(rows)
+                        csv.writelines(rows)
                     results.append((th, report, certs))
             if csv is not None:
                 csv.close()

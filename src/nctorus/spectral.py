@@ -30,8 +30,8 @@ Rev. 140, A135 (1965); Hofstadter, PRB 14, 2239 (1976)), so each
 eigenvalue branch is monotone in that sum and runs between its values
 at the characters (1, 1) and (-1, -1): every band edge is an eigenvalue
 at one of the four characters (+-1, +-1).  `hofstadter_gap_report`
-reads them off four N x N matrices, and `hofstadter_energies` reads a
-whole grid's energies off its distinct values of that sum.  A slot
+reads them off four N x N matrices; `hofstadter_energies` diagonalizes
+each distinct unordered pair of folded character indices.  A slot
 between consecutive bands is open when it is wider than GAP_TOL.  The
 uncolored butterfly SVG alone still detects gaps on sampled energies:
 a one-step grid refinement rejects fake gaps that only exist because a
@@ -520,23 +520,22 @@ def spectral_hausdorff(e1: np.ndarray, e2: np.ndarray) -> float:
     return float(max(directed(a, b), directed(b, a)))
 
 
-def band_rows(energies: np.ndarray, prefix: str) -> str:
-    """One `{prefix}k1,k2,band,energy` line per eigenvalue of a (G1, G2, N) array.
+def band_rows(energies: np.ndarray, prefix: str) -> List[str]:
+    """`{prefix}k1,k2,band,energy` lines of a (G1, G2, N) array, one string per k1 row.
 
-    k1 = i/G1 and k2 = j/G2; rows run over k1, k2, band.  Every number is
-    printed at 12 significant digits: the k values and row heads are
-    formatted once into one `%s` template, and so is each distinct energy
-    (distinct bit pattern, so -0.0 keeps its sign), which a single `%`
-    fills in.
+    k1 = i/G1, k2 = j/G2; lines run over k1, k2, band, at 12 significant
+    digits.  Each distinct row of N energies (by bit pattern, so -0.0 keeps
+    its sign) is formatted once; `str.replace` puts a point's `{prefix}k1,k2,`
+    in front of each `band,energy` line of its row's block.
     """
     G1, G2, N = energies.shape
-    head = prefix.replace("%", "%%")
-    k1 = [format(i / G1, ".12g") for i in range(G1)]
+    e = np.ascontiguousarray(energies).reshape(G1 * G2, N)
+    keys = e.view(np.dtype((np.void, e.itemsize * N)))[:, 0]   # a row's bytes: -0.0 != 0.0
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    block = "\n".join(f"{b},%.12g" for b in range(N))
+    blocks = [block % tuple(row) for row in e[first].tolist()]
     k2 = [format(j / G2, ".12g") for j in range(G2)]
-    bands = [f"{b},%s\n" for b in range(N)]
-    points = (f"{head}{a},{c}," for a in k1 for c in k2)
-    # p + p.join(bands) is p + bands[0] + p + bands[1] + ...: one row per band
-    template = "".join(p + p.join(bands) for p in points)
-    bits, index = np.unique(energies.ravel().view(np.int64), return_inverse=True)
-    texts = np.array([format(e, ".12g") for e in bits.view(float).tolist()], dtype=object)
-    return template % tuple(texts[index].tolist())
+    rows = index.reshape(G1, G2).tolist()
+    return ["".join([p + blocks[d].replace("\n", "\n" + p) + "\n"
+                     for p, d in zip([f"{prefix}{i / G1:.12g},{c}," for c in k2], rows[i])])
+            for i in range(G1)]

@@ -1,5 +1,6 @@
 """Command-line contract: subcommands, exit codes, deterministic output."""
 
+import hashlib
 import json
 import math
 import os
@@ -222,6 +223,40 @@ def test_butterfly_bytes_do_not_depend_on_the_thread_count(tmp_path, monkeypatch
         written.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert sorted(written[0]) == ["butterfly_q1r0.svg", "spectrum_q1r0.csv"]
     assert written[0] == written[1]
+
+
+# sha256 of spectrum_q1r0.csv from `butterfly --farey 6 --grid 16 --format csv`,
+# and with `--format svg --color-gaps` added; any change to a CSV byte moves them
+@pytest.mark.parametrize("colored, digest", [
+    ((), "c5e4d002932544c7b02c74f23209b1c3654646da358b260bf0100ac42bb65c51"),
+    (("--format", "svg", "--color-gaps"),
+     "75b045431b9f00776b3af053968f1dac6bb092788707dc63e8236c8c83aa58e0"),
+], ids=["plain", "color-gaps"])
+def test_butterfly_csv_bytes_are_pinned(tmp_path, colored, digest):
+    out = tmp_path / "o"
+    assert run("butterfly", "--farey", "6", "--grid", "16", "--format", "csv", *colored,
+               "--out", str(out)) == EXIT_OK
+    assert hashlib.sha256((out / "spectrum_q1r0.csv").read_bytes()).hexdigest() == digest
+
+
+def test_every_written_file_has_lf_line_ends(tmp_path, monkeypatch):
+    # text mode without newline="\n" writes os.linesep, CRLF on Windows
+    opened = []
+
+    def recording_open(path, mode="r", *args, **kwargs):
+        opened.append((Path(path).name, mode, kwargs.get("newline")))
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    out = tmp_path / "o"
+    for argv in (("butterfly", "--farey", "3", "--grid", "8", "--format", "csv", "--format", "svg"),
+                 ("gaps", "--theta", "1/3", "--grid", "8", "--format", "json", "--format", "csv"),
+                 ("chern", "--theta", "1/3", "--grid", "24")):
+        assert run(*argv, "--out", str(out)) == EXIT_OK
+    written = [(name, newline) for name, mode, newline in opened if "w" in mode]
+    assert sorted(written) == [(name, "\n") for name in (
+        "butterfly_q1r0.svg", "chern_1_3_q1r0.json", "gaps_1_3_q1r0.csv",
+        "gaps_1_3_q1r0.json", "spectrum_q1r0.csv.part")]
 
 
 def test_butterfly_svg_gap_colors(tmp_path):

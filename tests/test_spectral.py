@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -512,10 +514,50 @@ def _rows_reference(bd, prefix):
 @pytest.mark.parametrize("prefix", ["", "2,7,", "%d,"])
 def test_band_rows_match_the_per_row_loop(prefix):
     for bd in (_odd_value_bands(), bands_of(1, 3, 1, 0, "weyl", 12)):
-        assert band_rows(bd.energies, prefix) == _rows_reference(bd, prefix)
-    lines = band_rows(_odd_value_bands().energies, prefix).splitlines()
+        assert "".join(band_rows(bd.energies, prefix)) == _rows_reference(bd, prefix)
+    lines = "".join(band_rows(_odd_value_bands().energies, prefix)).splitlines()
     assert lines[:8] == [prefix + row for row in (
         "0,0,0,-0", "0,0,1,1e-17", "0,0,2,-3.5e-05",
         "0,0.0833333333333,0,4", "0,0.0833333333333,1,0.333333333333",
         "0,0.0833333333333,2,-0.285714285714",
         "0,0.166666666667,0,123456.789012", "0,0.166666666667,1,0.3")]
+
+
+@pytest.mark.parametrize("shape", [(12, 12, 3), (5, 7, 2), (3, 4, 1), (1, 1, 1)])
+@pytest.mark.parametrize("prefix", ["", "2,7,", "%d,"])
+def test_band_rows_returns_one_chunk_of_g2_n_lines_per_k1_row(shape, prefix):
+    # repeated rows (the two halves of the grid) share a formatted block
+    G1, G2, N = shape
+    half = np.random.default_rng(3).standard_normal((G1, (G2 + 1) // 2, N))
+    e = np.concatenate([half, half], axis=1)[:, :G2]
+    chunks = band_rows(e, prefix)
+    assert len(chunks) == G1
+    for i, chunk in enumerate(chunks):
+        lines = chunk.splitlines(keepends=True)
+        assert len(lines) == G2 * N and all(ln.endswith("\n") for ln in lines)
+        assert all(ln.startswith(f"{prefix}{format(i / G1, '.12g')},") for ln in lines)
+    assert "".join(chunks) == _rows_reference(types.SimpleNamespace(energies=e), prefix)
+
+
+def test_band_rows_keep_rows_apart_by_bit_pattern():
+    # rows that are equal as floats (-0.0 == 0.0) or one bit apart (the
+    # subnormals 2 and 3 ulps above 0) are formatted apart, each from its bits
+    ulp = np.nextafter(0.0, 1.0)
+    e = np.array([[[0.0, 1.0], [-0.0, 1.0], [2 * ulp, 1.0], [3 * ulp, 1.0]]])
+    assert "".join(band_rows(e, "")).splitlines() == [
+        "0,0,0,0", "0,0,1,1", "0,0.25,0,-0", "0,0.25,1,1",
+        "0,0.5,0,9.88131291682e-324", "0,0.5,1,1",
+        "0,0.75,0,1.48219693752e-323", "0,0.75,1,1"]
+
+
+def test_band_rows_peak_memory_stays_near_its_text():
+    # the 9/10 CSV rows of one butterfly theta at G = 48: a template of every
+    # row, its fill-in tuple and the result lived at once before (2.4x the text)
+    e = hofstadter_energies(ctx_of(9, 10, 1, 0), 48)
+    tracemalloc.start()
+    try:
+        chunks = band_rows(e, "9,10,")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * sum(map(len, chunks))
