@@ -153,7 +153,8 @@ def connes_chern_via_derivatives(field: ProjectorField) -> float:
     """
     if not (field.rep.periodic and field.rep.conjugated):
         raise ValueError("derivative-formula character needs a conjugated reference field")
-    return _fft_character(field.P).real
+    F = expand_k1_mirror(field.frames, field.frames.shape[1])
+    return _fft_character(F @ F.conj().swapaxes(-1, -2)).real
 
 
 def pullback_field(field: ProjectorField, n1: int, n2: int) -> ProjectorField:

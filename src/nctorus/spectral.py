@@ -17,8 +17,8 @@ Isospectrality keeps its direct `band_energies` passes: read off the
 character, it would hold by construction.  The spectral projector below
 a Fermi level in a gap (the finite-dimensional stand-in for the
 resolvent contour integral) is carried as the occupied eigenvector
-columns it came from, a view into the band frames; the dense N x N
-projector is built only on demand.
+columns it came from, a view into the band frames; no dense N x N
+projector is built.
 
 Gap reports of the flux operator h = u + u* + v + v* are exact and need
 no grid.  Every irreducible representation of the rational rotation
@@ -52,8 +52,9 @@ a mirrored `BandData` keeps full energies but only the frames of the
 diagonalized rows i = 0 .. G//2.  A field's grid is square, G =
 frames.shape[1], and mirrored iff it stores G//2 + 1 < G rows.  Its
 consumers keep those rows: the Chern kernel weights them (`_kernels`),
-pullbacks read theirs off them, and `defects` checks them alone; only
-the dense `ProjectorField.P` expands them (`expand_k1_mirror`).
+pullbacks read theirs off them, and `defects` checks them alone; the
+suite's seam row and the derivative-formula oracle expand them
+(`expand_k1_mirror`).
 
 Half of the stored k2 columns need none either when `a` is also
 invariant under the flip u -> u*, v -> v*, i.e. a(n, m) = a(-n, -m), as
@@ -437,28 +438,19 @@ class ProjectorField:
     def rank(self) -> int:
         return self.frames.shape[-1]
 
-    @property
-    def P(self) -> np.ndarray:
-        """Dense projector F F^dagger on every grid point, built on each access: (G, G, N, N)."""
-        return expand_k1_mirror(self._stored_P(), self.frames.shape[1])
-
-    def _stored_P(self) -> np.ndarray:
-        F = self.frames
-        return np.einsum("ijar,ijbr->ijab", F, F.conj())
-
     def defects(self) -> dict:
         """Worst-case residuals of the projector-field invariants, on the stored rows.
 
-        A mirrored row's projector is the exact conjugate of a stored one.
+        Read off the rank x rank Gram matrix g = F^dagger F of each frame F:
+        with P = F F^dagger, ||P^2 - P||_F = ||g^2 - g||_F and tr P = tr g.
+        P is Hermitian by construction.  A mirrored row's projector is the
+        exact conjugate of a stored one.
         """
-        P = self._stored_P()
-        PH = np.conj(np.swapaxes(P, -1, -2))
-        P2 = np.einsum("ijab,ijbc->ijac", P, P)
-        tr = np.trace(P, axis1=-2, axis2=-1)
+        F = self.frames
+        g = F.conj().swapaxes(-1, -2) @ F
         return {
-            "idempotency": float(np.linalg.norm(P2 - P, axis=(-2, -1)).max()),
-            "hermiticity": float(np.linalg.norm(PH - P, axis=(-2, -1)).max()),
-            "trace": float(np.abs(tr - self.rank).max()),
+            "idempotency": float(np.linalg.norm(g @ g - g, axis=(-2, -1)).max()),
+            "trace": float(np.abs(np.trace(g, axis1=-2, axis2=-1) - self.rank).max()),
         }
 
 

@@ -1,4 +1,4 @@
-"""Run sixteen fixed CLI commands under two source trees and diff what they emit.
+"""Run seventeen fixed CLI commands under two source trees and diff what they emit.
 
     python3 tests/compare_cli.py OLD_SRC NEW_SRC
 
@@ -41,6 +41,7 @@ COMMANDS = (
     ("verify", "--theta", "3/7", "--rep", "3,2", "--grid", "6"),
     ("verify", "--theta", "0/1", "--grid", "12"),
     ("verify", "--theta", "13/21", "--grid", "32"),
+    ("verify", "--theta", "13/21", "--grid", "64"),
     ("verify", "--theta", "2/5", "--rep", "3,2", "--grid", "12"),
     ("butterfly", "--farey", "6", "--grid", "32",
      "--format", "csv", "--format", "svg", "--color-gaps"),

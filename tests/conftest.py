@@ -12,7 +12,7 @@ from nctorus.algebra import RationalTheta, hofstadter_element
 from nctorus.arithmetic import make_weyl_context
 from nctorus.chern import gap_certificates
 from nctorus.representations import evaluate_on_grid, reference_fibered_rep, weyl_fibered_rep
-from nctorus.spectral import BandData, bands_on_grid, hofstadter_gap_report
+from nctorus.spectral import BandData, bands_on_grid, expand_k1_mirror, hofstadter_gap_report
 
 _BANDS = {}
 _CERTS = {}
@@ -36,6 +36,12 @@ def full_grid_bands(rep, a, G):
     k = np.arange(G) / G
     H = evaluate_on_grid(rep, a, k, k)
     return BandData(rep, *np.linalg.eigh(0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))))
+
+
+def dense_projector(field):
+    """The dense projector F F^dagger of a field at every grid point: (G, G, N, N)."""
+    F = expand_k1_mirror(field.frames, field.frames.shape[1])
+    return F @ np.conj(np.swapaxes(F, -1, -2))
 
 
 def report_of(M, N, q, r):

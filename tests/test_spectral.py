@@ -9,7 +9,7 @@ import types
 import numpy as np
 import pytest
 
-from conftest import bands_of, ctx_of, full_grid_bands, report_of
+from conftest import bands_of, ctx_of, dense_projector, full_grid_bands, report_of
 
 from nctorus import cli, spectral
 from nctorus.algebra import AlgebraElement, hofstadter_element, monomial, unit
@@ -352,7 +352,7 @@ def test_fermi_projector_is_a_view_of_the_band_frames():
     f = fermi_projector_field(bd, gap.fermi)
     assert np.shares_memory(f.frames, bd.frames)
     F = expand_k1_mirror(bd.frames[..., : f.rank], 16)
-    assert np.allclose(f.P, F @ np.conj(np.swapaxes(F, -1, -2)), atol=1e-14)
+    assert np.allclose(dense_projector(f), F @ np.conj(np.swapaxes(F, -1, -2)), atol=1e-14)
 
 
 def test_fermi_projector_gap_independence():
@@ -360,7 +360,7 @@ def test_fermi_projector_gap_independence():
     gap = report_of(1, 3, 1, 0).internal()[0]
     f1 = fermi_projector_field(bd, gap.fermi)
     f2 = fermi_projector_field(bd, gap.fermi + 0.25 * (gap.upper - gap.lower))
-    assert np.abs(f1.P - f2.P).max() < 1e-10
+    assert np.abs(dense_projector(f1) - dense_projector(f2)).max() < 1e-10
 
 
 def test_fermi_projector_errors():
@@ -413,9 +413,32 @@ def test_projector_field_invariants():
     gap = report_of(1, 3, 2, 1).internal()[0]
     f = fermi_projector_field(bd, gap.fermi)
     d = f.defects()
+    assert set(d) == {"idempotency", "trace"}
     assert d["idempotency"] < 1e-10
-    assert d["hermiticity"] < 1e-12
     assert d["trace"] < 1e-8
+
+
+@pytest.mark.parametrize("spoil", ["scaled", "perturbed"])
+def test_gram_defects_see_non_orthonormal_frames(spoil):
+    # defects() reads F^dagger F; on frames that are not orthonormal it equals
+    # ||P^2 - P|| and |tr P - R| of the dense P = F F^dagger, and fails the
+    # suite's 1e-8 threshold
+    bd = bands_of(2, 5, 3, 1, "weyl", 16)
+    gap = report_of(2, 5, 3, 1).internal()[-1]
+    F = fermi_projector_field(bd, gap.fermi).frames.copy()
+    assert F.shape[-1] >= 2
+    if spoil == "scaled":
+        F *= 1.001
+    else:
+        F[..., 1] += 1e-3 * F[..., 0]
+    f = ProjectorField(bd.rep, F)
+    P = dense_projector(f)[: len(F)]
+    d = f.defects()
+    assert d["idempotency"] == pytest.approx(
+        np.linalg.norm(P @ P - P, axis=(-2, -1)).max(), abs=1e-12)
+    assert d["trace"] == pytest.approx(
+        np.abs(np.trace(P, axis1=-2, axis2=-1) - f.rank).max(), abs=1e-12)
+    assert min(d.values()) > 1e-8
 
 
 @pytest.mark.parametrize("H, G", [(8, 16), (10, 16), (15, 16), (7, 15), (9, 15), (14, 15)])
@@ -455,7 +478,7 @@ def test_projector_seam_transport():
         occ = v[:, : f.rank]
         P_top = occ @ occ.conj().T
         T = twist_transport(ctx, k1, 1)
-        assert np.linalg.norm(P_top - T @ f.P[i, 0] @ T.conj().T) < 1e-10
+        assert np.linalg.norm(P_top - T @ dense_projector(f)[i, 0] @ T.conj().T) < 1e-10
 
 
 def test_constant_fields():

@@ -11,17 +11,25 @@ from nctorus.spectral import GapInfo
 from nctorus.suite import run_invariant_suite
 
 
-def test_suite_one_spectral_pass_per_rep_and_grid(band_passes):
-    # isospectral_grid(1/3 (2,1), 32) == 32, so one weyl pass at 32 serves the
-    # isospectrality and projector rows, against a reference pass of its own at
-    # 32.  The certificates stream a second weyl pass at 32, in row blocks: they
-    # run gap_certificates, the one certificate path every command runs, which
-    # holds no whole frames to share.  The reference pass at 2G is the pullback
-    # lemma's own
+def test_suite_one_spectral_pass_per_rep_and_grid(band_passes, monkeypatch):
+    # isospectral_grid(1/3 (2,1), 32) == 32: isospectrality reads energies alone,
+    # one pass of each family at 32.  The one whole-frame pass is the reference
+    # family's at 2G, whose Fermi field feeds the projector rows and the
+    # pullback lemma.  The certificates stream a weyl pass at 32 in row blocks:
+    # they run gap_certificates, the one certificate path every command runs
+    whole = []
+    bands = spectral._bands
+
+    def recorded(rep, a, G, n):
+        whole.append((rep.kind, G))
+        return bands(rep, a, G, n)
+
+    monkeypatch.setattr(spectral, "_bands", recorded)
     rows = run_invariant_suite(ctx_of(1, 3, 2, 1), 32)
     assert all(r.ok for r in rows)
-    assert band_passes == [(1, 3, "weyl", 32), (1, 3, "reference", 32), (1, 3, "weyl", 32),
-                           (1, 3, "reference", 64)]
+    assert whole == [("reference", 64)]
+    assert band_passes == [(1, 3, "weyl", 32), (1, 3, "reference", 32),
+                           (1, 3, "reference", 64), (1, 3, "weyl", 32)]
     iso = next(r for r in rows if r.name == "isospectrality")
     assert 0.0 < iso.value < 1e-12
 
@@ -36,8 +44,9 @@ def test_suite_records_numerical_failures_as_rows():
 
 
 def test_projector_rows_on_mirrored_bands_match_the_full_grid(monkeypatch):
-    # the dense projectors of the k1-mirrored weyl bands serve the field and
-    # seam-transport checks as the directly diagonalized grid does
+    # the k1-mirrored reference Fermi field at 2G serves the field and
+    # seam-transport checks as the directly diagonalized grid does: the Gram
+    # defects on the stored rows, and P(k1, 0) on the expanded column 0
     ctx = ctx_of(2, 5, 3, 1)
     mirrored = {r.name: r for r in run_invariant_suite(ctx, 16)}
     for mod in (spectral, suite):
