@@ -80,14 +80,11 @@ def make_weyl_context(theta: RationalTheta, q: int, r: int) -> WeylContext:
             f"gcd(N,q) must be 1, got N={N}, q={q}"
         )
 
-    if r == 0:
-        alpha, beta = 0, 1
-        mu, nu = 0, 0
-    else:
-        alpha = -pow(r, -1, q) % q      # beta*q - alpha*r = 1
-        beta = (1 + alpha * r) // q
-        mu = pow(N, -1, q)              # nu*q + mu*(rN) = r, as mu*N = 1 mod q
-        nu = (r - mu * r * N) // q
+    # at (q, r) = (1, 0) every inverse mod 1 is 0: alpha = mu = nu = 0, beta = 1
+    alpha = -pow(r, -1, q) % q      # beta*q - alpha*r = 1
+    beta = (1 + alpha * r) // q
+    mu = pow(N, -1, q)              # nu*q + mu*(rN) = r, as mu*N = 1 mod q
+    nu = (r - mu * r * N) // q
 
     assert beta * q - alpha * r == 1 and 0 <= alpha < q
     assert nu * q + mu * (r * N) == r and 0 <= mu < q

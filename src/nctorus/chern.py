@@ -36,6 +36,7 @@ import numpy as np
 
 from . import _kernels
 from .algebra import (
+    TWO_PI,
     AlgebraElement,
     connes_chern_symbolic,
     hofstadter_element,
@@ -60,7 +61,6 @@ from .spectral import (
     hofstadter_gap_report,
 )
 
-TWO_PI = 2.0 * math.pi
 MIN_LINK_DET = 1e-6
 ROUND_TOL = 1e-2
 RHS_TOL = 1e-3
@@ -189,17 +189,15 @@ def certified_spectrum(ctx: WeylContext, G: int = 64):
     `_kernels.LinkMinors` (the weyl one closed by the seam of the block's
     rows) before the next block is diagonalized.  So only the energies of
     the whole grid and the kernels' per-row angle sums are kept, never a
-    family's frames or the grid's link minors.
+    family's frames or the grid's link minors.  The kernels' ranks are the
+    report's labels d, fixed before the pass.
     """
     report = hofstadter_gap_report(ctx)
+    ranks = [gap.d for gap in report.gaps]
+    cc = _kernels.LinkMinors(ranks, G)
+    t = _kernels.LinkMinors(ranks, G) if ctx.M0 else None
     E_r, E_w = [], []
-    cc = t = None
     for start, (energies, frames), weyl in dual_band_blocks(ctx, hofstadter_element(ctx.theta), G):
-        if cc is None:
-            # every gap's rank at the grid point k = 0
-            ranks = [int((energies[0, 0] < gap.fermi).sum()) for gap in report.gaps]
-            cc = _kernels.LinkMinors(ranks, G)
-            t = None if weyl is None else _kernels.LinkMinors(ranks, G)
         E_r.append(energies)
         cc.add(frames)
         if weyl is not None:
@@ -229,7 +227,8 @@ def _certificates(ctx: WeylContext, report: GapReport, G: int, E_r: np.ndarray, 
 
     Gaps are checked in order, so the first failing gap raises: the
     reference and weyl Fermi ranks (`fermi_rank`, on each family's band
-    edges, taken once), the weyl and then the reference link guard and
+    edges, taken once) against the gap's label d, the rank the kernels
+    summed, then the weyl and then the reference link guard and
     rounding, the diophantine and rhs identities, and `tknn_solve`.  With
     s = -cc the duality N t = M0 cc + q d is the diophantine identity
     itself, so `duality_ok` is recorded, not checked.  E_w and t_sums are
@@ -247,16 +246,17 @@ def _certificates(ctx: WeylContext, report: GapReport, G: int, E_r: np.ndarray, 
     edges_w = None if E_w is None else band_edges(E_w)
     out = []
     for i, gap in enumerate(report.gaps):
-        d = fermi_rank(E_r, edges_r, gap.fermi)
+        d = gap.d
+        rank_r = fermi_rank(E_r, edges_r, gap.fermi)
+        rank_w = rank_r if E_w is None else fermi_rank(E_w, edges_w, gap.fermi)
+        if rank_r != d or rank_w != d:
+            raise VerificationError(
+                f"{ctx.label()} gap d={d}: rank mismatch weyl={rank_w} reference={rank_r}")
         if E_w is None:
             # collapsed twist (theta = r/q, so N = 1): the only subfields of the
             # rank-1 twisted family are 0 and the whole field, of Chern number q*d
             t_res = ChernResult(q * d, float(q * d), 0.0, G)
         else:
-            rank_w = fermi_rank(E_w, edges_w, gap.fermi)
-            if rank_w != d:
-                raise VerificationError(
-                    f"{ctx.label()}: rank mismatch weyl={rank_w} reference={d}")
             t_res = _rounded(*t_sums[i], G, "weyl")
         cc_res = _rounded(*cc_sums[i], G, "reference")
         t, cc = t_res.value, cc_res.value

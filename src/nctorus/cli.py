@@ -9,8 +9,10 @@ Subcommands
 
 Exit codes: 0 success, 1 numerical failure (a check or certificate that
 does not hold on the grid; verify still writes its report), 2
-configuration or validation error, 3 I/O error.  Every explicit --theta
-is validated against every --rep before any context is computed.  All
+configuration or validation error, 3 I/O error.  Every subcommand takes
+its (theta, rep) contexts from `_iter_contexts`: a repeated --theta or
+--rep counts once, and every explicit --theta is validated against every
+--rep before any context is computed.  All
 emitted CSV/JSON is byte-stable for a fixed configuration: fixed
 ordering, floats at 12 significant digits (`fmt`).  The JSON records are
 the fields of the result dataclasses (`GapReport`, `TKNNRecord`,
@@ -159,11 +161,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
     cfg = RunConfig()
     thetas = pick(args.theta, "theta", [])
-    cfg.thetas = [parse_theta(t) for t in thetas]
+    cfg.thetas = list(dict.fromkeys(parse_theta(t) for t in thetas))   # repeats count once
     farey = pick(args.farey, "farey", None)
     cfg.farey = int(farey) if farey is not None else None
     reps = pick(args.rep, "rep", None)
-    cfg.reps = [parse_rep(r) for r in reps] if reps else [(1, 0)]
+    cfg.reps = list(dict.fromkeys(parse_rep(r) for r in reps)) if reps else [(1, 0)]
     cfg.grid = int(pick(args.grid, "grid", 64))
     cfg.out = Path(pick(args.out, "out", "."))
     accepted = _WRITES[args.command]
@@ -236,18 +238,39 @@ def farey_fractions(bound: int) -> List[RationalTheta]:
     return [RationalTheta(f.numerator, f.denominator) for f in sorted(fracs)]
 
 
+def _iter_contexts(cfg: RunConfig):
+    """The contexts of every subcommand: each explicit theta x rep, then the Farey sweep's.
+
+    Every explicit pair is validated before the first context is yielded; a
+    Farey theta given explicitly is not repeated, and one whose N shares a
+    factor with q is skipped with a note on stderr.
+    """
+    if not cfg.thetas and cfg.farey is None:
+        raise ConfigError("need at least one --theta (or --farey)")
+    yield from [make_weyl_context(th, q, r) for th in cfg.thetas for (q, r) in cfg.reps]
+    if cfg.farey is not None:
+        for th in farey_fractions(cfg.farey):
+            if th in cfg.thetas:
+                continue
+            for (q, r) in cfg.reps:
+                if math.gcd(th.N, q) != 1:
+                    print(f"note: skipping theta={th.M}/{th.N} for rep ({q},{r}): "
+                          "gcd(N,q) != 1", file=sys.stderr)
+                    continue
+                yield make_weyl_context(th, q, r)
+
+
 # -- butterfly -----------------------------------------------------------------
 
 
-def _butterfly_job(theta: RationalTheta, q: int, r: int, cfg: RunConfig):
-    """(theta, CSV rows, gap report, certificates) of one theta of the sweep.
+def _butterfly_job(ctx, cfg: RunConfig):
+    """(ctx, CSV rows, gap report, certificates) of one context of the sweep.
 
-    The rows are this theta's `band_rows` chunks, one string per k1 row,
+    The rows are this context's `band_rows` chunks, one string per k1 row,
     formatted here in the worker so the main thread only writes them; None
     when no CSV is written.  The report is None when no SVG is drawn, and the
     certificates are None unless the SVG is colored.
     """
-    ctx = make_weyl_context(theta, q, r)
     energies = report = certs = None
     if "svg" in cfg.formats and cfg.color_gaps:
         # band segments and gap rectangles come from the exact gap report the
@@ -261,10 +284,10 @@ def _butterfly_job(theta: RationalTheta, q: int, r: int, cfg: RunConfig):
         if len(fine) == cfg.grid:
             energies = fine       # refinement's fine grid is the CSV grid
     if "csv" not in cfg.formats:
-        return theta, None, report, certs
+        return ctx, None, report, certs
     if energies is None:
         energies = hofstadter_energies(ctx, cfg.grid)
-    return theta, band_rows(energies, f"{theta.M},{theta.N},"), report, certs
+    return ctx, band_rows(energies, f"{ctx.M},{ctx.N},"), report, certs
 
 
 def _in_order(pool, fn, items, window: int):
@@ -289,33 +312,17 @@ def _in_order(pool, fn, items, window: int):
 
 
 def cmd_butterfly(cfg: RunConfig) -> int:
-    """Per rep: the spectrum CSV streamed theta by theta, then the SVG in one write.
+    """Per rep, its contexts in theta order: the CSV streamed job by job, then the SVG.
 
     Each job's rows are written in theta order as the pool yields them, to
     `spectrum_q{q}r{r}.csv.part`, which is moved onto the CSV after the last
     job.  If anything raises, the `.part` file is removed, so a failing run
     leaves no CSV of its own and keeps the one an earlier run wrote.
     """
-    if cfg.farey is None and not cfg.thetas:
-        raise ConfigError("butterfly needs --farey or at least one --theta")
-    base = farey_fractions(cfg.farey) if cfg.farey is not None else []
-    for th in cfg.thetas:
-        if th not in base:
-            base.append(th)
-    base.sort(key=lambda t: (Fraction(t.M, t.N), t.N))
-
-    for th in cfg.thetas:
-        for (q, r) in cfg.reps:
-            make_weyl_context(th, q, r)   # explicit thetas must validate
-
+    contexts = list(_iter_contexts(cfg))
     for (q, r) in cfg.reps:
-        jobs = []
-        for th in base:
-            if math.gcd(th.N, q) != 1:
-                print(f"note: skipping theta={th.M}/{th.N} for rep ({q},{r}): gcd(N,q) != 1",
-                      file=sys.stderr)
-                continue
-            jobs.append(th)
+        jobs = sorted((ctx for ctx in contexts if (ctx.q, ctx.r) == (q, r)),
+                      key=lambda ctx: ctx.theta.value)
         results = []
         csv_path = cfg.out / f"spectrum_q{q}r{r}.csv"
         part = csv_path.with_name(csv_path.name + ".part")
@@ -327,11 +334,11 @@ def cmd_butterfly(cfg: RunConfig) -> int:
                 csv.write("theta_num,theta_den,k1,k2,band,energy\n")
             workers = worker_count()
             with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                for th, rows, report, certs in _in_order(
-                        pool, lambda t: _butterfly_job(t, q, r, cfg), jobs, 2 * workers):
+                for ctx, rows, report, certs in _in_order(
+                        pool, lambda ctx: _butterfly_job(ctx, cfg), jobs, 2 * workers):
                     if csv is not None:
                         csv.writelines(rows)
-                    results.append((th, report, certs))
+                    results.append((ctx, report, certs))
             if csv is not None:
                 csv.close()
                 os.replace(part, csv_path)
@@ -367,8 +374,8 @@ def _butterfly_svg(results, q: int, r: int) -> str:
         f'<!-- flux butterfly, rep q={q} r={r}; x = 60 + 880*theta, y = 400 - 80*E -->',
         '<rect x="0" y="0" width="1000" height="800" fill="white"/>',
     ]
-    for th, report, certs in results:
-        x = _svg_x(th.M / th.N)
+    for ctx, report, certs in results:
+        x = _svg_x(ctx.M / ctx.N)
         if certs is not None:
             for cert in certs:
                 gap = cert["gap"]
@@ -382,8 +389,8 @@ def _butterfly_svg(results, q: int, r: int) -> str:
                     f'height="{fmt(y1 - y0)}" fill="{color}" data-t="{t_int}">'
                     f'<title>t={t_int}</title></rect>'
                 )
-    for th, report, certs in results:
-        x = _svg_x(th.M / th.N)
+    for ctx, report, certs in results:
+        x = _svg_x(ctx.M / ctx.N)
         for gap, nxt in zip(report.gaps[:-1], report.gaps[1:]):
             parts.append(
                 f'<path d="M {fmt(x)} {fmt(_svg_y(gap.upper))} '
@@ -395,23 +402,6 @@ def _butterfly_svg(results, q: int, r: int) -> str:
 
 
 # -- gaps / labels / chern ------------------------------------------------------
-
-
-def _iter_contexts(cfg: RunConfig):
-    if not cfg.thetas and cfg.farey is None:
-        raise ConfigError("need at least one --theta (or --farey)")
-    # every explicit pair is validated before the first context does any work
-    yield from [make_weyl_context(th, q, r) for th in cfg.thetas for (q, r) in cfg.reps]
-    if cfg.farey is not None:
-        for th in farey_fractions(cfg.farey):
-            if th in cfg.thetas:
-                continue
-            for (q, r) in cfg.reps:
-                if math.gcd(th.N, q) != 1:
-                    print(f"note: skipping theta={th.M}/{th.N} for rep ({q},{r}): "
-                          "gcd(N,q) != 1", file=sys.stderr)
-                    continue
-                yield make_weyl_context(th, q, r)
 
 
 def cmd_gaps(cfg: RunConfig) -> int:

@@ -35,10 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, RationalTheta, ThetaMismatchError
+from .algebra import TWO_PI, AlgebraElement, RationalTheta, ThetaMismatchError
 from .arithmetic import DegenerateRepresentationError, WeylContext
-
-TWO_PI = 2.0 * np.pi
 
 
 # -- elementary matrices -----------------------------------------------------

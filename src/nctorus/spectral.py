@@ -81,10 +81,9 @@ from typing import List
 import numpy as np
 
 from . import _kernels
-from .algebra import AlgebraElement, element_star, hofstadter_element
+from .algebra import TWO_PI, AlgebraElement, element_star, hofstadter_element
 from .arithmetic import WeylContext
 from .representations import (
-    TWO_PI,
     FiberedRep,
     evaluate_on_grid,
     reference_fibered_rep,
@@ -147,7 +146,9 @@ def bands_on_grid(rep: FiberedRep, a: AlgebraElement, G: int) -> BandData:
     not stored: `frames` keeps the G//2 + 1 stored rows, every k2 column.
     Any other self-adjoint element is diagonalized on the full grid.
     """
-    return _bands(rep, a, G, _diagonalized(a, G))
+    k = np.arange(_diagonalized(a, G)) / G
+    energies, frames = _band_rows(rep, a, G, k, 0, len(k))
+    return BandData(rep, expand_k1_mirror(energies, G), frames)
 
 
 def band_energies(rep: FiberedRep, a: AlgebraElement, G: int) -> np.ndarray:
@@ -277,12 +278,6 @@ def _diagonalized(a: AlgebraElement, G: int) -> int:
             and a.approx_equal(_flip(a), SELFADJOINT_TOL)):
         return G // 2 + 1
     return G
-
-
-def _bands(rep: FiberedRep, a: AlgebraElement, G: int, n: int) -> BandData:
-    """`bands_on_grid(rep, a, G)`, given n = `_diagonalized(a, G)`."""
-    energies, frames = _band_rows(rep, a, G, np.arange(n) / G, 0, n)
-    return BandData(rep, expand_k1_mirror(energies, G), frames)
 
 
 def _band_rows(rep: FiberedRep, a: AlgebraElement, G: int, k: np.ndarray,

@@ -1,4 +1,4 @@
-"""Run seventeen fixed CLI commands under two source trees and diff what they emit.
+"""Run nineteen fixed CLI commands under two source trees and diff what they emit.
 
     python3 tests/compare_cli.py OLD_SRC NEW_SRC
 
@@ -46,6 +46,12 @@ COMMANDS = (
     ("butterfly", "--farey", "6", "--grid", "32",
      "--format", "csv", "--format", "svg", "--color-gaps"),
     ("butterfly", "--farey", "10", "--grid", "48", "--format", "csv", "--format", "svg"),
+    # repeated flags and an explicit theta inside the Farey sweep: context order and
+    # deduplication across the subcommands
+    ("butterfly", "--theta", "2/7", "--theta", "2/7", "--farey", "3", "--rep", "2,1",
+     "--grid", "8", "--format", "csv", "--format", "svg"),
+    ("labels", "--theta", "2/7", "--theta", "2/7", "--farey", "3", "--rep", "2,1",
+     "--grid", "8"),
 )
 
 

@@ -61,9 +61,8 @@ def band_passes(monkeypatch):
     """Records (M, N, kind, G) for every spectral pass the package makes.
 
     `bands_on_grid` and `band_energies` are passes over the same matrices,
-    with and without eigenvectors, and record their family's kind; the
-    eigenvector passes of one family are counted in `spectral._bands`,
-    which `bands_on_grid` calls, and `dual_band_blocks`, the row-block
+    with and without eigenvectors, and record their family's kind;
+    `dual_band_blocks`, the row-block
     pass of both families (`certified_spectrum`), records the family it
     diagonalizes: weyl, or reference at M0 = 0;
     `hofstadter_energies`, which reads the energies of h off its central
@@ -72,9 +71,9 @@ def band_passes(monkeypatch):
     calls = []
 
     def counting(fn):
-        def counted(rep, a, G, *n):
+        def counted(rep, a, G):
             calls.append((rep.ctx.M, rep.ctx.N, rep.kind, G))
-            return fn(rep, a, G, *n)
+            return fn(rep, a, G)
         return counted
 
     def counting_dual(fn):
@@ -89,7 +88,7 @@ def band_passes(monkeypatch):
             return fn(ctx, G)
         return counted
 
-    for name, wrap in (("_bands", counting), ("band_energies", counting),
+    for name, wrap in (("bands_on_grid", counting), ("band_energies", counting),
                        ("dual_band_blocks", counting_dual),
                        ("hofstadter_energies", counting_characters)):
         counted = wrap(getattr(spectral, name))

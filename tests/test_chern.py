@@ -23,6 +23,7 @@ from nctorus.chern import (
     pullback_field,
     symbolic_numeric_crosscheck,
 )
+from nctorus.cli import farey_fractions
 from nctorus.representations import reference_fibered_rep, weyl_fibered_rep
 from nctorus.spectral import (
     GapViolationError,
@@ -389,6 +390,15 @@ def test_window_constraint_for_untwisted_contexts():
         for cert in certs_of(*spec, 24):
             rec = cert["record"]
             assert 2 * abs(rec.s) < ctx_of(*spec).N or rec.s == 0
+    # a certificate's (t, s) is tknn_solve's wherever that solves, so at q = 1 it
+    # keeps 2|s| < N on every gap that tknn_solve solves: every gap of the exact
+    # report, as the one residue it excludes, s = N/2, is d = N/2, the even-N
+    # central slot that the report closes
+    for th in farey_fractions(20):
+        ctx = ctx_of(th.M, th.N, 1, 0)
+        for gap in hofstadter_gap_report(ctx).gaps:
+            t, s = tknn_solve(ctx, gap.d)
+            assert 2 * abs(s) < ctx.N
 
 
 def test_crosscheck_trivial_and_monomials():

@@ -187,19 +187,19 @@ def test_butterfly_pool_runs_at_most_twice_its_workers_ahead(tmp_path, monkeypat
     full, past = threading.Event(), threading.Event()
     at_release = []
 
-    def held(theta, q, r, cfg):
+    def held(ctx, cfg):
         with lock:
-            started.append(theta)
+            started.append(ctx)
             n = len(started)
         if n == window:
             full.set()
         elif n > window:
             past.set()
-        if (theta.M, theta.N) == (0, 1):
+        if (ctx.M, ctx.N) == (0, 1):
             assert full.wait(timeout=60)
             past.wait(timeout=0.5)
             at_release.append(len(started))
-        return job(theta, q, r, cfg)
+        return job(ctx, cfg)
 
     monkeypatch.setattr(cli, "_butterfly_job", held)
     out = tmp_path / "o"
@@ -386,12 +386,33 @@ def test_integer_theta_flows(tmp_path):
     assert (out / "gaps_2_3_q1r0.json").exists()
 
 
+@pytest.mark.parametrize("command, work", [
+    ("gaps", "hofstadter_gap_report"), ("labels", "gap_certificates"),
+    ("chern", "gap_certificates"), ("verify", "run_invariant_suite"),
+    ("butterfly", "_butterfly_job"),
+])
+def test_repeated_thetas_and_reps_run_each_context_once(tmp_path, monkeypatch, command, work):
+    ran = []
+    real = getattr(cli, work)
+
+    def recorded(ctx, *args):
+        ran.append(ctx.label())
+        return real(ctx, *args)
+
+    monkeypatch.setattr(cli, work, recorded)
+    assert run(command, "--theta", "2/7", "--theta", "1/5", "--theta", "2/7",
+               "--rep", "2,1", "--rep", "3,1", "--rep", "2,1", "--grid", "8",
+               "--out", str(tmp_path)) in (EXIT_OK, EXIT_VERIFICATION)
+    assert sorted(ran) == [f"theta={th} rep={rep}" for th in ("1/5", "2/7")
+                           for rep in ("(2,1)", "(3,1)")]
+
+
 def test_verify_rejects_degenerate_context(tmp_path):
     assert run("verify", "--theta", "1/2", "--rep", "2,1",
                "--out", str(tmp_path)) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("command", ["chern", "verify"])
+@pytest.mark.parametrize("command", ["chern", "verify", "butterfly"])
 def test_an_invalid_explicit_context_stops_before_any_work(tmp_path, capsys, command):
     # 1/2 with rep (2,1) has gcd(N, q) = 2: the valid 1/3 listed first is not computed
     out = tmp_path / "o"

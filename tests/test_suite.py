@@ -18,13 +18,13 @@ def test_suite_one_spectral_pass_per_rep_and_grid(band_passes, monkeypatch):
     # pullback lemma.  The certificates stream a weyl pass at 32 in row blocks:
     # they run gap_certificates, the one certificate path every command runs
     whole = []
-    bands = spectral._bands
+    bands = suite.bands_on_grid
 
-    def recorded(rep, a, G, n):
+    def recorded(rep, a, G):
         whole.append((rep.kind, G))
-        return bands(rep, a, G, n)
+        return bands(rep, a, G)
 
-    monkeypatch.setattr(spectral, "_bands", recorded)
+    monkeypatch.setattr(suite, "bands_on_grid", recorded)
     rows = run_invariant_suite(ctx_of(1, 3, 2, 1), 32)
     assert all(r.ok for r in rows)
     assert whole == [("reference", 64)]
