@@ -47,19 +47,19 @@ so the half grid has the full grid's smallest link.  Only the link rows
 The frames stream through in blocks of consecutive k1 rows (`LinkMinors`),
 so neither a family's whole frames nor a full-size overlap array need be
 held.  Every link but the k1-links leaving a block's last row is local to
-the block; that row's adjoint is carried to the next block, and the
-grid's last k1-link, to row 0 or to conj F(G1//2), closes after the last
-block.  A block's links are eliminated together, and then every
-plaquette row whose k1-link the block closed is summed over k2: row i
-reads Lx(i), Ly(i) and Ly(i+1), so the k2-links of a block's last row are
-carried to the next block too.  No minor outlives its block.  Per rank,
-only one angle sum per plaquette row (len(ranks), rows), the smallest
-|link| and the k2-links of row 0 (which close a full grid) are kept for
-the whole grid.  The elimination works on each link alone, each row is
-summed in one fixed order, and the flux adds the row sums of the grid as
-one array, so the sums do not depend on the blocking, bit for bit.  A
-block holds at most BLOCK_BYTES of one family's frames, and at least one
-row; `plaquette_flux_sum` feeds an array's rows through the same blocks.
+the block; that row's adjoint is carried to the next block.  A block's
+links are eliminated together, and then every plaquette row whose k1-link
+the block closed is summed over k2: row i reads Lx(i), Ly(i) and Ly(i+1),
+so the k2-links of a block's last row are carried to the next block too.
+No minor outlives its block.  The grid closes as one more block, the row
+that ends its last k1-link: row 0 again, or on an odd mirrored grid
+conj F(G1//2), seamed by conj T(k1_(G1//2)).  Per rank, only one angle sum
+per plaquette row (len(ranks), rows) and the smallest |link| are kept
+for the whole grid.  Each link is eliminated alone, each row is summed
+in one fixed order, and the flux adds the row sums of the grid as one
+array, so the sums do not depend on the blocking, bit for bit.  A block
+holds at most BLOCK_BYTES of one family's frames, and at least one row;
+`plaquette_flux_sum` feeds an array's rows through the same blocks.
 """
 
 from __future__ import annotations
@@ -106,23 +106,24 @@ class LinkMinors:
     """The plaquette flux of one frame field, fed in blocks of consecutive stored k1 rows.
 
     `add` takes the blocks in row order, each with the seam rows that close
-    it in k2 (or None for a periodic field); `flux_sums` closes the grid and
-    returns what `plaquette_flux_sum` returns.  ranks as there; rows is the
-    grid's row count G1.  Per rank, only one angle sum per plaquette row
-    (len(ranks), rows), the smallest |link| so far, the k2-links of row 0
-    (which close a full grid) and of the last row fed are kept, plus row 0's
-    frames (the end of a full grid's last k1-link) and the adjoint of the
-    last row fed (the start of the next k1-link).
+    it in k2 (or None for a periodic field); `flux_sums` closes the grid
+    through `add`, once, and returns what `plaquette_flux_sum` returns.
+    ranks as there; rows is the grid's row count G1.  Per rank, only one
+    angle sum per plaquette row (len(ranks), rows), the smallest |link| so
+    far and the k2-links of the last row fed are kept, plus row 0's frames
+    and seam row (which close a full grid), the adjoint of the last row fed
+    (the start of the next k1-link) and its seam row.
     """
 
     def __init__(self, ranks: list[int], rows: int):
         self.ranks = list(ranks)
         self.G1 = rows
         self.first = self.last = None
+        self.seam_first = self.seam_last = None
         self.stored = 0
         self.row_sums = np.empty((len(ranks), rows))
         self.min_abs = np.full(len(ranks), np.inf)
-        self.y_first = self.y_last = None
+        self.y_last = None
 
     def add(self, F: np.ndarray, seam: np.ndarray | None = None):
         """Feeds the next stored rows, F (b, G2, N, >= ranks[-1]) and seam (b, N, N) or None.
@@ -138,7 +139,9 @@ class LinkMinors:
         if self.first is None:
             if ranks != sorted(ranks) or ranks[0] < 0 or ranks[-1] > F.shape[-1]:
                 raise ValueError(f"ranks must be non-decreasing in [0, {F.shape[-1]}], got {ranks}")
-            self.first = F[0, ..., :ranks[-1]].copy()
+            self.first = F[:1, ..., :ranks[-1]].copy()
+            self.seam_first = None if seam is None else seam[:1].copy()
+        self.seam_last = None if seam is None else seam[-1:].copy()
         F = F[..., :ranks[-1]]
         b, G2, _, R = F.shape
         y_end = F[:, 0] if seam is None else seam @ F[:, 0]
@@ -150,12 +153,10 @@ class LinkMinors:
             self.last = F[i].conj()
             A[:, :, nx + i, :-1] = _overlaps(self.last[:-1], F[i, 1:])
             A[:, :, nx + i, -1] = self.last[-1].T @ y_end[i]
-        L = self._eliminate(A)
+        L = _leading_minors(A.reshape(R, R, (nx + b) * G2), ranks).reshape(-1, nx + b, G2)
         self.min_abs = np.minimum(self.min_abs, np.abs(L).min(axis=(1, 2)))
         Lx, Ly = L[:, :nx], L[:, nx:]
-        if self.y_first is None:
-            self.y_first = Ly[:, 0].copy()
-        else:
+        if self.y_last is not None:
             Ly = np.concatenate((self.y_last[:, None], Ly), axis=1)
         start = self.stored - (self.y_last is not None)
         self.row_sums[:, start:start + nx] = _row_angle_sums(Lx, Ly[:, :-1], Ly[:, 1:])
@@ -166,31 +167,22 @@ class LinkMinors:
         """[(flux_sum, min_abs_link)] per rank of the grid fed so far (module docstring)."""
         H, G1 = self.stored, self.G1
         if H not in (G1, G1 // 2 + 1):
-            raise ValueError(f"{H} frame rows fit neither a {G1}-row grid nor its k1 mirror")
+            raise ValueError(f"{H} frame rows fit neither a {G1}-row grid nor its k1 mirror"
+                             " (a closed grid counts its closing row)")
         mirrored = H < G1
-        rows, min_abs = self.row_sums[:, :H - 1], self.min_abs
-        if not mirrored or G1 % 2:
-            # the last k1-link ends at row 0 of the torus, or at conj F(G1//2) on a mirrored
-            # grid: a copy, as numpy takes a product of an array with its own transpose by syrk
-            end = self.last.copy() if mirrored else self.first
-            R, G2 = self.last.shape[-1], len(self.last)
-            A = np.empty((R, R, 1, G2), complex)
-            A[:, :, 0] = _overlaps(self.last, end)
-            Lx = self._eliminate(A)
-            y_next = self.y_last.conj() if mirrored else self.y_first
-            last = _row_angle_sums(Lx, self.y_last[:, None], y_next[:, None])
-            rows = np.concatenate((rows, last), axis=1)
-            min_abs = np.minimum(min_abs, np.abs(Lx).min(axis=(1, 2)))
+        # the last k1-link ends at row 0 of the torus, or at conj F(G1//2) on an odd mirrored
+        # grid: a copy, as numpy takes a product of an array with its own transpose by syrk
+        if not mirrored:
+            self.add(self.first, self.seam_first)
+        elif G1 % 2:
+            self.add(self.last[None].copy(),
+                     None if self.seam_last is None else self.seam_last.conj())
+        rows = self.row_sums[:, :self.stored - 1]
         if mirrored:
             totals = 2 * rows[:, :G1 // 2].sum(axis=1) + rows[:, G1 // 2:].sum(axis=1)
         else:
             totals = rows.sum(axis=1)
-        return [(float(total), float(m)) for total, m in zip(totals, min_abs)]
-
-    def _eliminate(self, A: np.ndarray) -> np.ndarray:
-        """The minors (len(ranks), links, G2) of a filled buffer A (R, R, links, G2)."""
-        R, _, links, G2 = A.shape
-        return _leading_minors(A.reshape(R, R, links * G2), self.ranks).reshape(-1, links, G2)
+        return [(float(total), float(m)) for total, m in zip(totals, self.min_abs)]
 
 
 def _row_angle_sums(Lx: np.ndarray, Ly: np.ndarray, Ly_next: np.ndarray) -> np.ndarray:

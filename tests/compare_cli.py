@@ -1,4 +1,4 @@
-"""Run nineteen fixed CLI commands under two source trees and diff what they emit.
+"""Run twenty-three fixed CLI commands under two source trees and diff what they emit.
 
     python3 tests/compare_cli.py OLD_SRC NEW_SRC
 
@@ -52,6 +52,11 @@ COMMANDS = (
      "--grid", "8", "--format", "csv", "--format", "svg"),
     ("labels", "--theta", "2/7", "--theta", "2/7", "--farey", "3", "--rep", "2,1",
      "--grid", "8"),
+    # odd grids: the flux kernel closes a k1-mirrored grid through its middle plaquette row
+    ("chern", "--theta", "8/13", "--rep", "2,1", "--grid", "15"),
+    ("chern", "--theta", "5/8", "--rep", "3,-2", "--grid", "33"),
+    ("labels", "--theta", "3/7", "--rep", "3,2", "--grid", "15"),
+    ("verify", "--theta", "2/5", "--rep", "3,1", "--grid", "9"),
 )
 
 

@@ -3,8 +3,8 @@
     python3 tests/record_sweep.py --record
 
 Runs `gap_certificates` over Farey(9) x reps (1,0), (2,1), (3,1), (3,2),
-(5,2) x G in {4, 6, 8, 16, 32}, skipping the (theta, rep) pairs with
-gcd(N, q) > 1: 560 runs.  Each run keeps the certified (g, d, t, s, cc)
+(5,2) x G in {4, 6, 8, 15, 16, 32}, skipping the (theta, rep) pairs with
+gcd(N, q) > 1: 672 runs.  Each run keeps the certified (g, d, t, s, cc)
 of every gap, or the type name of the `NumericalFailure` it raised.
 Failure messages are not kept: a run that fails on a wrong integer
 may print a different wrong integer when the last digits of the frames
@@ -29,7 +29,7 @@ HERE = Path(__file__).resolve().parent
 DATA = HERE / "data" / "sweep.json"
 FAREY = 9
 REPS = ((1, 0), (2, 1), (3, 1), (3, 2), (5, 2))
-GRIDS = (4, 6, 8, 16, 32)
+GRIDS = (4, 6, 8, 15, 16, 32)
 
 
 def contexts(thetas, reps):

@@ -235,6 +235,32 @@ def test_link_minors_refuse_rows_of_no_grid():
         minors.flux_sums()
 
 
+@pytest.mark.parametrize("field", [
+    pytest.param(lambda: (random_frames(9, 6, 3, 3, seed=18), random_frames(9, 3, 3, seed=19)),
+                 id="full"),
+    pytest.param(lambda: mirrored_weyl(9)[:2], id="mirrored-odd"),
+])
+def test_a_closed_grid_refuses_a_second_closing(field):
+    # flux_sums closes a full or odd mirrored grid by feeding its closing row
+    # through add, once: the row count then counts that row, and fits no grid
+    F, seam = field()
+    minors = _kernels.LinkMinors([1, 3], 9)
+    minors.add(F, seam)
+    assert minors.flux_sums() == _kernels.plaquette_flux_sum(F, [1, 3], seam, 9)
+    with pytest.raises(ValueError, match=f"{len(F) + 1} frame rows fit neither a 9-row grid"):
+        minors.flux_sums()
+
+
+def test_an_even_mirrored_grid_closes_without_a_row():
+    # every plaquette row it sums ends at a stored row, so there is no row to feed,
+    # and a second call sums the same rows
+    F, seam, G = mirrored_weyl(8)
+    minors = _kernels.LinkMinors([1, 3], G)
+    minors.add(F, seam)
+    first = minors.flux_sums()
+    assert minors.flux_sums() == first == _kernels.plaquette_flux_sum(F, [1, 3], seam, G)
+
+
 def kept_bytes(obj):
     """Bytes of the numpy arrays an object keeps, in its attributes and in lists of them."""
     arrays = [v for value in vars(obj).values()

@@ -1,6 +1,6 @@
 """The golden certificate sweep: every certified integer and failure type stays put.
 
-`data/sweep.json` holds, for 560 (theta, rep, G) runs of
+`data/sweep.json` holds, for 672 (theta, rep, G) runs of
 `gap_certificates`, the certified (g, d, t, s, cc) of every gap or the
 type of the `NumericalFailure` raised (`record_sweep.py` writes it).
 A certified integer that changes, a certificate that turns into a
@@ -19,7 +19,7 @@ EXPECTED = json.loads(DATA.read_text())
 
 
 def test_the_file_keeps_every_run():
-    assert len(EXPECTED) == 560
+    assert len(EXPECTED) == 672
     assert {key.rsplit(" G=", 1)[1] for key in EXPECTED} == {str(G) for G in GRIDS}
 
 
