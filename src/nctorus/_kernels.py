@@ -121,6 +121,7 @@ class LinkMinors:
         self.first = self.last = None
         self.seam_first = self.seam_last = None
         self.stored = 0
+        self.closed = False
         self.row_sums = np.empty((len(ranks), rows))
         self.min_abs = np.full(len(ranks), np.inf)
         self.y_last = None
@@ -166,7 +167,7 @@ class LinkMinors:
     def flux_sums(self):
         """[(flux_sum, min_abs_link)] per rank of the grid fed so far (module docstring)."""
         H, G1 = self.stored, self.G1
-        if H not in (G1, G1 // 2 + 1):
+        if self.closed or H not in (G1, G1 // 2 + 1):
             raise ValueError(f"{H} frame rows fit neither a {G1}-row grid nor its k1 mirror"
                              " (a closed grid counts its closing row)")
         mirrored = H < G1
@@ -177,6 +178,7 @@ class LinkMinors:
         elif G1 % 2:
             self.add(self.last[None].copy(),
                      None if self.seam_last is None else self.seam_last.conj())
+        self.closed = self.stored > H               # a second closing would add another row
         rows = self.row_sums[:, :self.stored - 1]
         if mirrored:
             totals = 2 * rows[:, :G1 // 2].sum(axis=1) + rows[:, G1 // 2:].sum(axis=1)

@@ -512,17 +512,16 @@ def band_rows(energies: np.ndarray, prefix: str) -> List[str]:
 
     k1 = i/G1, k2 = j/G2; lines run over k1, k2, band, at 12 significant
     digits.  Each distinct row of N energies (by bit pattern, so -0.0 keeps
-    its sign) is formatted once; `str.replace` puts a point's `{prefix}k1,k2,`
-    in front of each `band,energy` line of its row's block.
+    its sign) is formatted once, into its N `band,energy` lines; a point's
+    `{prefix}k1,k2,` (k1 formatted once per row) joins its row's lines.
     """
     G1, G2, N = energies.shape
     e = np.ascontiguousarray(energies).reshape(G1 * G2, N)
     keys = e.view(np.dtype((np.void, e.itemsize * N)))[:, 0]   # a row's bytes: -0.0 != 0.0
     _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-    block = "\n".join(f"{b},%.12g" for b in range(N))
-    blocks = [block % tuple(row) for row in e[first].tolist()]
-    k2 = [format(j / G2, ".12g") for j in range(G2)]
-    rows = index.reshape(G1, G2).tolist()
-    return ["".join([p + blocks[d].replace("\n", "\n" + p) + "\n"
-                     for p, d in zip([f"{prefix}{i / G1:.12g},{c}," for c in k2], rows[i])])
-            for i in range(G1)]
+    block = "".join(f"{b},%.12g\n" for b in range(N))
+    lines = [(block % tuple(row)).splitlines(keepends=True) for row in e[first].tolist()]
+    k2 = [format(j / G2, ".12g") + "," for j in range(G2)]
+    return ["".join([p + p.join(lines[d]) for p, d in zip([k1 + c for c in k2], row)])
+            for k1, row in zip([f"{prefix}{i / G1:.12g}," for i in range(G1)],
+                               index.reshape(G1, G2).tolist())]

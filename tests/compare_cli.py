@@ -1,4 +1,4 @@
-"""Run twenty-three fixed CLI commands under two source trees and diff what they emit.
+"""Run twenty-five fixed CLI commands under two source trees and diff what they emit.
 
     python3 tests/compare_cli.py OLD_SRC NEW_SRC
 
@@ -57,6 +57,11 @@ COMMANDS = (
     ("chern", "--theta", "5/8", "--rep", "3,-2", "--grid", "33"),
     ("labels", "--theta", "3/7", "--rep", "3,2", "--grid", "15"),
     ("verify", "--theta", "2/5", "--rep", "3,1", "--grid", "9"),
+    # odd butterfly grids: the CSV's own pass (its fine grid is 16), and certified weyl
+    # energies of an odd grid
+    ("butterfly", "--farey", "5", "--grid", "15", "--format", "csv", "--format", "svg"),
+    ("butterfly", "--farey", "5", "--grid", "15", "--format", "csv", "--format", "svg",
+     "--color-gaps"),
 )
 
 

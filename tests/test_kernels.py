@@ -236,18 +236,20 @@ def test_link_minors_refuse_rows_of_no_grid():
 
 
 @pytest.mark.parametrize("field", [
-    pytest.param(lambda: (random_frames(9, 6, 3, 3, seed=18), random_frames(9, 3, 3, seed=19)),
+    pytest.param(lambda: (random_frames(9, 6, 3, 3, seed=18), random_frames(9, 3, 3, seed=19), 9),
                  id="full"),
-    pytest.param(lambda: mirrored_weyl(9)[:2], id="mirrored-odd"),
+    pytest.param(lambda: mirrored_weyl(9), id="mirrored-odd"),
+    # 2 stored rows and the closing row read as a full 3-row grid
+    pytest.param(lambda: mirrored_weyl(3), id="mirrored-three"),
 ])
 def test_a_closed_grid_refuses_a_second_closing(field):
     # flux_sums closes a full or odd mirrored grid by feeding its closing row
     # through add, once: the row count then counts that row, and fits no grid
-    F, seam = field()
-    minors = _kernels.LinkMinors([1, 3], 9)
+    F, seam, G = field()
+    minors = _kernels.LinkMinors([1, 3], G)
     minors.add(F, seam)
-    assert minors.flux_sums() == _kernels.plaquette_flux_sum(F, [1, 3], seam, 9)
-    with pytest.raises(ValueError, match=f"{len(F) + 1} frame rows fit neither a 9-row grid"):
+    assert minors.flux_sums() == _kernels.plaquette_flux_sum(F, [1, 3], seam, G)
+    with pytest.raises(ValueError, match=f"{len(F) + 1} frame rows fit neither a {G}-row grid"):
         minors.flux_sums()
 
 

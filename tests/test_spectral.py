@@ -562,6 +562,13 @@ def test_band_rows_returns_one_chunk_of_g2_n_lines_per_k1_row(shape, prefix):
     assert "".join(chunks) == _rows_reference(types.SimpleNamespace(energies=e), prefix)
 
 
+def test_band_rows_match_the_per_row_loop_on_an_odd_grid():
+    # real energies at odd G, read off folded character indices
+    e = hofstadter_energies(ctx_of(9, 10, 1, 0), 15)
+    assert "".join(band_rows(e, "9,10,")) == _rows_reference(types.SimpleNamespace(energies=e),
+                                                             "9,10,")
+
+
 def test_band_rows_keep_rows_apart_by_bit_pattern():
     # rows that are equal as floats (-0.0 == 0.0) or one bit apart (the
     # subnormals 2 and 3 ulps above 0) are formatted apart, each from its bits
