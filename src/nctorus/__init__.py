@@ -36,10 +36,7 @@ from .chern import (
     VerificationError,
     ambient_chern_analytic,
     certified_spectrum,
-    connes_chern_via_derivatives,
-    fhs_chern,
     gap_certificates,
-    pullback_field,
     symbolic_numeric_crosscheck,
 )
 from .representations import (
@@ -55,25 +52,20 @@ from .representations import (
     weyl_fibered_rep,
 )
 from .spectral import (
-    BandData,
     GapInfo,
     GapReport,
     GapViolationError,
     NumericalFailure,
-    ProjectorField,
     SelfAdjointnessError,
+    band_blocks,
     band_edges,
     band_energies,
-    bands_on_grid,
-    constant_projector_field,
     detect_gaps_refined,
     dual_band_blocks,
     expand_k1_mirror,
-    fermi_projector_field,
     fermi_rank,
     hofstadter_energies,
     hofstadter_gap_report,
-    identity_field,
     spectral_hausdorff,
 )
 from .suite import CheckResult, run_invariant_suite

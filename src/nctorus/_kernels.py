@@ -31,7 +31,7 @@ first such rank already fails the link guard.
 
 A k1-mirrored grid is summed over half its plaquette rows.  When frames
 holds only rows i = 0 .. G1//2 of a G1-row grid, row G1 - i stands for
-conj F(i) (`spectral.bands_on_grid`), and the seam obeys
+conj F(i) (`spectral.band_blocks`), and the seam obeys
 T(k1_(G1-i)) = conj T(k1_i), as the weyl seam does.  Then
 Lx(G1-1-i) = Lx(i) and Ly(G1-i) = conj Ly(i), so the plaquette
 (G1-1-i, j) is the product of (i, j) and has its angle.  Plaquettes are
@@ -58,8 +58,11 @@ per plaquette row (len(ranks), rows) and the smallest |link| are kept
 for the whole grid.  Each link is eliminated alone, each row is summed
 in one fixed order, and the flux adds the row sums of the grid as one
 array, so the sums do not depend on the blocking, bit for bit.  A block
-holds at most BLOCK_BYTES of one family's frames, and at least one row;
-`plaquette_flux_sum` feeds an array's rows through the same blocks.
+holds at most BLOCK_BYTES of one family's frames, and at least one row.
+The band passes hand their frames over in such blocks, and the
+certificates and the suite feed them to `LinkMinors` as they come;
+`plaquette_flux_sum` feeds the rows of one array, such as the suite's
+constant identity field, through the same blocks.
 """
 
 from __future__ import annotations

@@ -1,13 +1,15 @@
-"""Lattice Chern numbers, the derivative-formula character, and verifiers.
+"""Lattice Chern numbers, the conductance verifier, and the symbolic cross-check.
 
-`fhs_chern` is the gauge-invariant plaquette discretization of any
-projector field's Chern number, and the field's kind picks the closure
+A Chern number is the gauge-invariant plaquette discretization of a
+projector field's curvature (`_kernels`), summed over the occupied band
+frames as a band pass streams them, and the family picks the closure
 in k2.  Periodic fields (reference kind) close on their own.  Twisted
 fields (weyl kind) run the same kernel on their own G x G grid, closed
 in k2 by one seam link: the field at k2 + 1 is the field at k2
 transported by `twist_transport`, so the last k2-link of each column
 ends at T(k1) F(k1, 0).  Both lattices are closed, so both sums are
-integers by construction.
+integers by construction; `_rounded` reads the integer off a sum, after
+the link guard.
 
 A certificate run needs one Chern number per gap and family.  The Fermi
 frames of the gaps are leading column blocks of the family's band
@@ -22,8 +24,8 @@ It is the one certificate path: `chern`, `labels`, the colored
 butterfly and `verify` all run it.
 
 Orientation of the plaquette loop is pinned by the full-field anchor
-t(identity) = q and by the derivative-formula character oracle; both
-are enforced in the tests.
+t(identity) = q (the suite's ambient-anchor row) and by the tests'
+derivative-formula character oracle.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from .representations import evaluate_on_grid, reference_fibered_rep, twist_tran
 from .spectral import (
     GapReport,
     NumericalFailure,
-    ProjectorField,
     band_edges,
     dual_band_blocks,
     expand_k1_mirror,
@@ -98,22 +99,6 @@ def _rounded(total: float, min_abs: float, G: int, kind: str) -> ChernResult:
     return ChernResult(value, raw, residual, G)
 
 
-def fhs_chern(field: ProjectorField) -> ChernResult:
-    """Plaquette-flux Chern number of a projector field, periodic or twisted.
-
-    A weyl-kind field closes k2 through `twist_transport` stacked over its
-    stored k1 rows i/G, a reference one is periodic; a k1-mirrored field
-    is summed over its half.  On the full-rank weyl field this returns the
-    ambient twist winding q.
-    """
-    F = field.frames
-    G = F.shape[1]
-    weyl = field.rep.kind == "weyl"
-    seam = twist_transport(field.rep.ctx, np.arange(len(F)) / G) if weyl else None
-    [(total, min_abs)] = _kernels.plaquette_flux_sum(F, [field.rank], seam, G)
-    return _rounded(total, min_abs, G, field.rep.kind)
-
-
 def ambient_chern_analytic(N: int, q: int) -> int:
     """Closed-form Chern number q of the rank-N twisted field; the sign anchor."""
     if N < 1 or q < 1 or math.gcd(N, q) != 1:
@@ -142,38 +127,6 @@ def _fft_character(A: np.ndarray) -> complex:
     C = A2 @ A1 - A1 @ A2
     G1, G2, N = A.shape[:3]
     return complex(np.einsum("ijab,ijba->", A, C)) / (G1 * G2 * N * 2j * np.pi)
-
-
-def connes_chern_via_derivatives(field: ProjectorField) -> float:
-    """Character via the derivative formula; independent of the plaquette path.
-
-    Valid on conjugated-form reference fields, where the algebra
-    derivations act as d/dk2 and d/dk1.  Spectrally accurate for gapped
-    projectors; used as the orientation cross-check oracle.
-    """
-    if not (field.rep.periodic and field.rep.conjugated):
-        raise ValueError("derivative-formula character needs a conjugated reference field")
-    F = expand_k1_mirror(field.frames, field.frames.shape[1])
-    return _fft_character(F @ F.conj().swapaxes(-1, -2)).real
-
-
-def pullback_field(field: ProjectorField, n1: int, n2: int) -> ProjectorField:
-    """Sample P(n1 k1 mod 1, n2 k2 mod 1); Chern number scales by n1*n2.
-
-    A k1-mirrored field's pullback is mirrored too (row G - i samples the
-    mirror of row i's source), so it keeps the stored rows and reads a
-    source row past G/2 as the conjugate of its stored mirror.
-    """
-    if n1 == 0 or n2 == 0:
-        raise ValueError("pullback multipliers must be nonzero")
-    if not field.rep.periodic:
-        raise ValueError("pullback_field requires a periodic field")
-    H, G = field.frames.shape[:2]
-    i = n1 * np.arange(H) % G
-    mirrored = i >= H                   # never on a full grid
-    frames = field.frames[np.ix_(np.where(mirrored, G - i, i), n2 * np.arange(G) % G)]
-    frames[mirrored] = frames[mirrored].conj()
-    return ProjectorField(field.rep, frames)
 
 
 # -- conductance verification --------------------------------------------------

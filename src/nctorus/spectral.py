@@ -1,24 +1,24 @@
-"""Band structure over a k-grid, gap reports, and Fermi projector fields.
+"""Band structure over a k-grid, gap reports, and Fermi ranks.
 
-Eigenvectors are computed only where frames are read.  One fiberwise
-Hermitian eigendecomposition per (rep, element, grid), `bands_on_grid`,
-feeds the projectors and Chern numbers, and one per (context, element,
-grid) when both families are needed: `dual_band_blocks` diagonalizes the
-weyl family and reads the reference bands off it by magnetic
-translation, a block of stored k1 rows at a time, so that a certificate
-run holds only one block of each family's frames (`chern`).  A
-Fermi level is checked against a family's per-band [lo, hi], taken once
-(`band_edges`, `fermi_rank`).
+Eigenvectors are computed only where frames are read, and a band pass
+hands them over a block of stored k1 rows at a time, so that no
+consumer holds a family's whole frames.  `band_blocks` diagonalizes one
+family; `dual_band_blocks`, for the certificates (`chern`), which read
+both families, diagonalizes the weyl family and reads the reference
+bands off it by magnetic translation.  A block holds the frames of
+`_kernels.block_rows` rows.  A Fermi level is checked against a family's
+per-band [lo, hi], taken once (`band_edges`, `fermi_rank`).  The
+spectral projector below a Fermi level in a gap (the finite-dimensional
+stand-in for the resolvent contour integral) is carried as the occupied
+eigenvector columns it came from, the leading columns of the band
+frames, which the flux kernel reads as they are; no dense N x N
+projector is built.
 Consumers of energies alone take `band_energies`, the same matrices
 through `eigvalsh`; for the flux operator h, whose spectrum depends on k
 only through its central character (below), the uncolored butterfly
 takes `hofstadter_energies`, one `eigvalsh` per character pair.
 Isospectrality keeps its direct `band_energies` passes: read off the
-character, it would hold by construction.  The spectral projector below
-a Fermi level in a gap (the finite-dimensional stand-in for the
-resolvent contour integral) is carried as the occupied eigenvector
-columns it came from, a view into the band frames; no dense N x N
-projector is built.
+character, it would hold by construction.
 
 Gap reports of the flux operator h = u + u* + v + v* are exact and need
 no grid.  Every irreducible representation of the rational rotation
@@ -48,28 +48,29 @@ V(-k1, k2); and every family is 1-periodic in k1.  Hence
 for every element with a(n, m) = conj(a(-n, m)), such as h.  Row
 k1 = (G - i)/G then has the energies of row i/G, and the complex
 conjugates of its frames are an eigenbasis of the same eigenspaces.  So
-a mirrored `BandData` keeps full energies but only the frames of the
-diagonalized rows i = 0 .. G//2.  A field's grid is square, G =
-frames.shape[1], and mirrored iff it stores G//2 + 1 < G rows.  Its
-consumers keep those rows: the Chern kernel weights them (`_kernels`),
-pullbacks read theirs off them, and `defects` checks them alone; the
-suite's seam row and the derivative-formula oracle expand them
-(`expand_k1_mirror`).
+a mirrored pass yields the frames of the diagonalized rows i = 0 ..
+G//2 alone; the energies of the other rows are those of their mirrors
+(`expand_k1_mirror`).  A grid of frames is mirrored iff it stores
+G//2 + 1 < G of its G rows.  Its consumers keep those rows: the Chern
+kernel weights them (`_kernels`), the suite's pullbacks read theirs off
+them, and its Gram defects check them alone; the suite's seam row
+expands them.
 
 Half of the stored k2 columns need none either when `a` is also
 invariant under the flip u -> u*, v -> v*, i.e. a(n, m) = a(-n, -m), as
-h is.  `bands_on_grid` and `band_energies` check both conditions on the
-coefficients to the self-adjointness tolerance (`_diagonalized`) and
-take the quarter grid only when both hold.  Let Q(k1) be the monomial
-unitary sending row j to row -j mod N, times the shift's corner phase
-lam(k1) = e^{i2pi q k1} for j != 0 (lam = 1 on the conjugated form).
-Then Q C^{-1} Q^dagger = C and Q S(lam)^{-1} Q^dagger = S(conj lam), so
-pi_(-k)(a) = Q pi_k(a) Q^dagger in every family.  With the k1 mirror,
-column k2 = (G - j)/G of a stored row has the energies of column j/G
-and the frames R conj F, R = Q(-k1), transported by `twist_transport`
-on the weyl family, where that column is k2 = -j/G + 1.  So `bands_on_grid` diagonalizes (G//2 + 1)^2 points,
-a quarter of the grid, and fills the other stored columns in place;
-`frames` keeps every k2 column, and no consumer sees the difference.
+h is.  Every pass checks both conditions on the coefficients to the
+self-adjointness tolerance (`_diagonalized`) and takes the quarter grid
+only when both hold.  Let Q(k1) be the monomial unitary sending row j
+to row -j mod N, times the shift's corner phase lam(k1) = e^{i2pi q k1}
+for j != 0 (lam = 1 on the conjugated form).  Then Q C^{-1} Q^dagger = C
+and Q S(lam)^{-1} Q^dagger = S(conj lam), so pi_(-k)(a) = Q pi_k(a)
+Q^dagger in every family.  With the k1 mirror, column k2 = (G - j)/G of
+a stored row has the energies of column j/G and the frames R conj F,
+R = Q(-k1), transported by `twist_transport` on the weyl family, where
+that column is k2 = -j/G + 1.  So a pass diagonalizes (G//2 + 1)^2
+points, a quarter of the grid, and fills the other stored columns in
+place: every block keeps every k2 column, and no consumer sees the
+difference.
 """
 
 from __future__ import annotations
@@ -108,15 +109,6 @@ class GapViolationError(NumericalFailure):
 
 
 @dataclass(frozen=True)
-class BandData:
-    """Eigendecomposition of pi_k(a) on the square grid k = (i/G, j/G), G = frames.shape[1]."""
-
-    rep: FiberedRep
-    energies: np.ndarray   # (G, G, N), ascending in the last axis
-    frames: np.ndarray     # (G or G//2 + 1 when k1-mirrored, G, N, N), orthonormal columns
-
-
-@dataclass(frozen=True)
 class GapInfo:
     g: int
     lower: float     # -inf for the inf-gap
@@ -134,25 +126,28 @@ class GapReport:
         return [g for g in self.gaps if math.isfinite(g.lower) and math.isfinite(g.upper)]
 
 
-def bands_on_grid(rep: FiberedRep, a: AlgebraElement, G: int) -> BandData:
-    """Fiberwise eigendecomposition on a G x G grid.
+def band_blocks(rep: FiberedRep, a: AlgebraElement, G: int):
+    """Bands of `a` on the G x G grid in blocks of stored k1 rows, one fiberwise eigh pass.
 
-    When a(n, m) = conj(a(-n, m)) and a(n, m) = a(-n, -m) within 1e-12
-    (the k1 mirror and the flip; the flux operator h qualifies), only the
-    points k = (i/G, j/G), i, j = 0 .. G//2, are diagonalized (see the
-    module docstring).  Column G - j of a stored row is filled by the flip
-    intertwiner (`_fill_flipped_columns`), and row i > G//2 has the
-    energies of row G - i, filled in, and its conjugated frames, which are
-    not stored: `frames` keeps the G//2 + 1 stored rows, every k2 column.
-    Any other self-adjoint element is diagonalized on the full grid.
+    Yields (start, energies, frames) for the stored rows start ..
+    start + b - 1: energies (b, G, N) and frames (b, G, N, N), every k2
+    column; b comes from `_kernels.block_rows`.  When a(n, m) =
+    conj(a(-n, m)) and a(n, m) = a(-n, -m) within 1e-12 (the k1 mirror
+    and the flip; the flux operator h qualifies), only the points
+    k = (i/G, j/G), i, j = 0 .. G//2, are diagonalized (see the module
+    docstring): the G//2 + 1 stored rows are k1-mirrored, and column
+    G - j of a stored row is filled by the flip intertwiner
+    (`_fill_flipped_columns`).  Any other self-adjoint element is
+    diagonalized on the full grid.
     """
     k = np.arange(_diagonalized(a, G)) / G
-    energies, frames = _band_rows(rep, a, G, k, 0, len(k))
-    return BandData(rep, expand_k1_mirror(energies, G), frames)
+    step = _kernels.block_rows(G * rep.dim * rep.dim * np.dtype(complex).itemsize)
+    for i in range(0, len(k), step):
+        yield (i, *_band_rows(rep, a, G, k, i, i + step))
 
 
 def band_energies(rep: FiberedRep, a: AlgebraElement, G: int) -> np.ndarray:
-    """The (G, G, N) energies of `bands_on_grid(rep, a, G)`, without eigenvectors.
+    """The (G, G, N) energies of `band_blocks(rep, a, G)`, without eigenvectors.
 
     Same checks and the same diagonalized points (a quarter of the grid
     for h), through `eigvalsh`; for consumers that read no frames.
@@ -194,7 +189,7 @@ def dual_band_blocks(ctx: WeylContext, a: AlgebraElement, G: int):
     Yields (start, (E_r, F_r), (E_w, F_w)) for the stored rows start ..
     start + b - 1: energies (b, G, N) and frames (b, G, N, N) of each
     family, every k2 column; the weyl pair is None at M0 = 0, where the
-    reference family is diagonalized itself.  b comes from
+    blocks are the reference family's own (`band_blocks`).  b comes from
     `_kernels.block_rows` on the rows of one family's frames.
 
     The weyl family is the reference family read at a scaled k2,
@@ -209,18 +204,18 @@ def dual_band_blocks(ctx: WeylContext, a: AlgebraElement, G: int):
     g = gcd(M0, G) to divide j; only the other columns are diagonalized,
     on the block's rows.  conj W(k1) = W(-k1), so k1-mirrored weyl
     bands give k1-mirrored reference bands, and when the weyl pass fills
-    its columns by the flip (`bands_on_grid`), so does this one: it
+    its columns by the flip (`band_blocks`), so does this one: it
     builds the reference columns j = 0 .. G//2 and fills the rest.
     """
     rep_r = reference_fibered_rep(ctx)
-    n = _diagonalized(a, G)
     N, M0 = ctx.N, ctx.M0
+    if M0 == 0:
+        for i, energies, frames in band_blocks(rep_r, a, G):
+            yield i, (energies, frames), None
+        return
+    n = _diagonalized(a, G)
     k = np.arange(n) / G
     step = _kernels.block_rows(G * N * N * np.dtype(complex).itemsize)
-    if M0 == 0:
-        for i in range(0, n, step):
-            yield i, _band_rows(rep_r, a, G, k, i, i + step), None
-        return
     rep_w = weyl_fibered_rep(ctx)
     g = math.gcd(M0, G)
     own = np.flatnonzero(np.arange(n) % g)        # columns no weyl column reaches
@@ -410,45 +405,6 @@ def detect_gaps_refined(E2: np.ndarray) -> GapReport:
     return _build_report(lo2, hi2, open_slots)
 
 
-@dataclass(frozen=True)
-class ProjectorField:
-    """Orthogonal projector of constant rank on the square grid k = (i/G, j/G), held as its frames.
-
-    `frames[i, j]` has orthonormal columns spanning the range of
-    P(i/G, j/G), G = frames.shape[1].  Plaquette link variables are
-    gauge-invariant, so any such basis serves: a Fermi field keeps the
-    occupied eigenvector columns of its BandData as they are, k1-mirrored
-    ones included, with row G - i the unstored conjugate of row i.
-    """
-
-    rep: FiberedRep
-    frames: np.ndarray     # (G or G//2 + 1 when k1-mirrored, G, N, rank)
-
-    def __post_init__(self):
-        H, G = self.frames.shape[:2]
-        if H not in (G, G // 2 + 1):
-            raise ValueError(f"{H} frame rows fit neither a {G}-row grid nor its k1 mirror")
-
-    @property
-    def rank(self) -> int:
-        return self.frames.shape[-1]
-
-    def defects(self) -> dict:
-        """Worst-case residuals of the projector-field invariants, on the stored rows.
-
-        Read off the rank x rank Gram matrix g = F^dagger F of each frame F:
-        with P = F F^dagger, ||P^2 - P||_F = ||g^2 - g||_F and tr P = tr g.
-        P is Hermitian by construction.  A mirrored row's projector is the
-        exact conjugate of a stored one.
-        """
-        F = self.frames
-        g = F.conj().swapaxes(-1, -2) @ F
-        return {
-            "idempotency": float(np.linalg.norm(g @ g - g, axis=(-2, -1)).max()),
-            "trace": float(np.abs(np.trace(g, axis1=-2, axis2=-1) - self.rank).max()),
-        }
-
-
 def band_edges(energies: np.ndarray):
     """(lo, hi): each band's least and greatest energy over a (G1, G2, N) grid."""
     return energies.min(axis=(0, 1)), energies.max(axis=(0, 1))
@@ -472,27 +428,6 @@ def fermi_rank(energies: np.ndarray, edges, fermi: float) -> int:
     if held.any():
         raise GapViolationError(f"fermi level {fermi} crosses a band")
     return int((hi < fermi).sum())
-
-
-def fermi_projector_field(bd: BandData, fermi: float) -> ProjectorField:
-    """Sum of eigenprojections below `fermi`, which must sit in a gap, FERMI_TOL clear."""
-    rank = fermi_rank(bd.energies, band_edges(bd.energies), fermi)
-    return ProjectorField(bd.rep, bd.frames[..., :rank])
-
-
-def constant_projector_field(rep: FiberedRep, G: int, P0: np.ndarray) -> ProjectorField:
-    """Field with the same projector at every grid point (P0 idempotent Hermitian)."""
-    P0 = np.asarray(P0, dtype=complex)
-    if np.linalg.norm(P0 @ P0 - P0) > 1e-10 or np.linalg.norm(P0 - P0.conj().T) > 1e-12:
-        raise ValueError("P0 is not an orthogonal projection")
-    rank = int(round(np.trace(P0).real))
-    _, v = np.linalg.eigh(P0)
-    F0 = v[:, len(v) - rank:]     # eigenvalue-1 columns: last in ascending order
-    return ProjectorField(rep, np.broadcast_to(F0, (G, G) + F0.shape))
-
-
-def identity_field(rep: FiberedRep, G: int) -> ProjectorField:
-    return constant_projector_field(rep, G, np.eye(rep.dim))
 
 
 def spectral_hausdorff(e1: np.ndarray, e2: np.ndarray) -> float:

@@ -6,6 +6,11 @@ isospectrality, projector-field health, the conductance identities on
 every detected gap, the full-field anchor, the pullback scaling, and the
 symbolic/numeric consistency of trace and character.  Deterministic
 (fixed RNG seed) so reports are byte-stable across runs.
+
+The suite holds no family's whole frames: the projector, seam-transport
+and pullback rows read the reference Fermi field at 2G off one
+`band_blocks` pass, a block of stored k1 rows at a time, as the
+certificates read theirs (`_fermi_field_rows`).
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from typing import List
 
 import numpy as np
 
+from . import _kernels
 from .algebra import (
     element_mul,
     hofstadter_element,
@@ -24,13 +30,13 @@ from .algebra import (
 )
 from .arithmetic import WeylContext, gap_label_d
 from .chern import (
+    _rounded,
     ambient_chern_analytic,
-    fhs_chern,
     gap_certificates,
-    pullback_field,
     symbolic_numeric_crosscheck,
 )
 from .representations import (
+    FiberedRep,
     check_pseudoperiodicity,
     evaluate_at_k,
     reference_fibered_rep,
@@ -40,13 +46,14 @@ from .representations import (
     weyl_fibered_rep,
 )
 from .spectral import (
+    GapInfo,
     NumericalFailure,
+    band_blocks,
+    band_edges,
     band_energies,
-    bands_on_grid,
     expand_k1_mirror,
-    fermi_projector_field,
+    fermi_rank,
     hofstadter_gap_report,
-    identity_field,
     spectral_hausdorff,
 )
 
@@ -77,6 +84,72 @@ def isospectral_grid(ctx: WeylContext, G: int) -> int:
     while math.gcd(Gp, ctx.N) != 1 or math.gcd(Gp, abs(ctx.M0)) != 1:
         Gp += 1
     return Gp
+
+
+def _fermi_field_rows(ctx: WeylContext, h, weyl: FiberedRep, gap: GapInfo, G: int):
+    """(field, seam, pullback, detail, pullback detail) of the projector and pullback rows.
+
+    All three rows read the reference Fermi field of `gap` on its own 2G
+    bands (on the G bands the pullback lemma fails for N = 8 at G = 8),
+    one `band_blocks` pass whose blocks of stored k1 rows are dropped as
+    they are read.  The rank is the gap's label d, fixed before the pass,
+    and the Fermi level is checked on the 2G energies after it.  Each
+    block's leading d frame columns feed
+      - the Gram defects: with P = F F^dagger and g = F^dagger F,
+        ||P^2 - P||_F = ||g^2 - g||_F and tr P = tr g (a mirrored row's
+        projector is the exact conjugate of a stored one);
+      - column 0, P(k1, 0): both families are the same matrices at
+        k2 = 0, and row 2i of the 2G grid is k1 = i/G;
+      - three flux kernels: the field; its (2, 1) pullback P(2 k1, k2),
+        which on the 2G grid walks the G-row grid of the even rows twice,
+        so the even rows are fed as that grid and its sum is doubled; and
+        its (1, 3) pullback P(k1, 3 k2), the columns 3j mod 2G.
+    The sums are rounded in that order, so the first failure is the
+    field's own.
+    """
+    G2, d = 2 * G, gap.d
+    field, twice, thrice = (_kernels.LinkMinors([d], rows) for rows in (G2, G, G2))
+    cols = 3 * np.arange(G2) % G2
+    energies, column0 = [], []
+    defect = 0.0
+    for start, E, F in band_blocks(reference_fibered_rep(ctx), h, G2):
+        F = F[..., :d]
+        energies.append(E)
+        column0.append(F[:, 0].copy())
+        g = F.conj().swapaxes(-1, -2) @ F
+        defect = max(defect, float(np.linalg.norm(g @ g - g, axis=(-2, -1)).max()),
+                     float(np.abs(np.trace(g, axis1=-2, axis2=-1) - d).max()))
+        field.add(F)
+        even = F[start % 2::2]
+        if len(even):
+            twice.add(even)
+        thrice.add(F[:, cols])
+        del F, even                     # before the next block is diagonalized
+    E = expand_k1_mirror(np.concatenate(energies), G2)
+    try:
+        fermi_rank(E, band_edges(E), gap.fermi)
+    except NumericalFailure as exc:
+        return float("inf"), float("inf"), float("inf"), str(exc), str(exc)
+
+    # the seam is stacked as the kernel reads it (`_kernels`)
+    F0 = expand_k1_mirror(np.concatenate(column0), G2)[::2]
+    seam_T = expand_k1_mirror(twist_transport(ctx, np.arange(G // 2 + 1) / G), G)
+    seam = 0.0
+    for i in range(0, G, max(1, G // 8)):
+        T, P0 = seam_T[i], F0[i] @ F0[i].conj().T
+        w, v = np.linalg.eigh(evaluate_at_k(weyl, h, (i / G, 1.0)))
+        occ = v[:, :d]
+        seam = max(seam, _frob(occ @ occ.conj().T - T @ P0 @ T.conj().T))
+
+    [(t, m)], [(t21, m21)], [(t13, m13)] = (k.flux_sums() for k in (field, twice, thrice))
+    detail = f"gap d={d}"
+    try:
+        c = _rounded(t, m, G2, "reference").value
+        c21 = _rounded(2 * t21, m21, G2, "reference").value
+        c13 = _rounded(t13, m13, G2, "reference").value
+    except NumericalFailure as exc:
+        return defect, seam, float("inf"), detail, str(exc)
+    return defect, seam, max(abs(c21 - 2 * c), abs(c13 - 3 * c)), detail, f"base Chern {c}"
 
 
 def run_invariant_suite(ctx: WeylContext, G: int = 32) -> List[CheckResult]:
@@ -175,53 +248,27 @@ def run_invariant_suite(ctx: WeylContext, G: int = 32) -> List[CheckResult]:
     labels = [gap_label_d(ctx.N, g) for g in range(expected_bands + 1)]
     check("gap-labels-increasing", 0.0 if dd == labels else 1.0, 0.5, str(dd))
 
-    # one whole-frame field, the reference Fermi field of the widest internal
-    # gap on its own 2G bands, feeds the projector rows and the pullback lemma
-    # (on the G bands the lemma fails for N = 8 at G = 8); it is dropped before
-    # the certificate pass.  theta = r/q has N = 1 and no internal gap
+    # the reference Fermi field of the widest internal gap at 2G feeds the
+    # projector rows and the pullback lemma; theta = r/q has N = 1 and no internal gap
     internal = report.internal()
-    widest = max(internal, key=lambda gg: gg.upper - gg.lower) if internal else None
     field_defect = seam = pb = 0.0
     detail = pb_detail = "no internal gap"
-    if widest:
-        try:
-            f_r = fermi_projector_field(bands_on_grid(reps["reference"], h, 2 * G),
-                                        widest.fermi)
-        except NumericalFailure as exc:
-            field_defect = seam = pb = float("inf")
-            detail = pb_detail = str(exc)
-        else:
-            dft = f_r.defects()
-            field_defect = max(dft["idempotency"], dft["trace"])
-            # P(k1, 0): both families are the same matrices at k2 = 0, and row 2i
-            # of the 2G grid is k1 = i/G; the seam is stacked as the kernel reads
-            # it (`chern.fhs_chern`)
-            F0 = expand_k1_mirror(f_r.frames[:, 0], 2 * G)[::2]
-            seam_T = expand_k1_mirror(twist_transport(ctx, np.arange(G // 2 + 1) / G), G)
-            for i in range(0, G, max(1, G // 8)):
-                T, P0 = seam_T[i], F0[i] @ F0[i].conj().T
-                w, v = np.linalg.eigh(evaluate_at_k(reps["weyl"], h, (i / G, 1.0)))
-                occ = v[:, : f_r.rank]
-                seam = max(seam, _frob(occ @ occ.conj().T - T @ P0 @ T.conj().T))
-            detail = f"gap d={widest.d}"
-            # the pulled-back field is sampled n1 (n2) times more coarsely
-            try:
-                base = fhs_chern(f_r).value
-                for (n1, n2) in ((2, 1), (1, 3)):
-                    scaled = fhs_chern(pullback_field(f_r, n1, n2)).value
-                    pb = max(pb, abs(scaled - n1 * n2 * base))
-                pb_detail = f"base Chern {base}"
-            except NumericalFailure as exc:
-                pb, pb_detail = float("inf"), str(exc)
-            del f_r, F0
+    if internal:
+        widest = max(internal, key=lambda gg: gg.upper - gg.lower)
+        field_defect, seam, pb, detail, pb_detail = _fermi_field_rows(
+            ctx, h, reps["weyl"], widest, G)
     check("projector-field", field_defect, 1e-8, detail)
     check("projector-seam-transport", seam, 1e-10, detail)
 
-    # ambient anchor
+    # ambient anchor: the identity field of the weyl family, closed by the seam
     if collapsed:
         check("ambient-anchor", 0.0, 1e-3, "not applicable: theta = r/q")
     else:
-        anchor = fhs_chern(identity_field(reps["weyl"], max(16, G // 2)))
+        Ga = max(16, G // 2)
+        identity = np.broadcast_to(np.eye(ctx.N, dtype=complex), (Ga, Ga, ctx.N, ctx.N))
+        [sums] = _kernels.plaquette_flux_sum(
+            identity, [ctx.N], twist_transport(ctx, np.arange(Ga) / Ga), Ga)
+        anchor = _rounded(*sums, Ga, "weyl")
         ok = anchor.value == ambient_chern_analytic(ctx.N, ctx.q)
         check("ambient-anchor", anchor.residual if ok else 1.0, 1e-3,
               f"t(identity) = {anchor.value}, expected {ctx.q}")

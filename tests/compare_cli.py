@@ -1,4 +1,4 @@
-"""Run twenty-five fixed CLI commands under two source trees and diff what they emit.
+"""Run twenty-six fixed CLI commands under two source trees and diff what they emit.
 
     python3 tests/compare_cli.py OLD_SRC NEW_SRC
 
@@ -57,6 +57,8 @@ COMMANDS = (
     ("chern", "--theta", "5/8", "--rep", "3,-2", "--grid", "33"),
     ("labels", "--theta", "3/7", "--rep", "3,2", "--grid", "15"),
     ("verify", "--theta", "2/5", "--rep", "3,1", "--grid", "9"),
+    # the pullback lemma's wrong-integer FAIL row: 3/8 (3,1) at G = 4 reads 8
+    ("verify", "--theta", "3/8", "--rep", "3,1", "--grid", "4"),
     # odd butterfly grids: the CSV's own pass (its fine grid is 16), and certified weyl
     # energies of an odd grid
     ("butterfly", "--farey", "5", "--grid", "15", "--format", "csv", "--format", "svg"),

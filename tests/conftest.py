@@ -7,12 +7,14 @@ module tests and the acceptance suite can share the expensive spectra.
 import numpy as np
 import pytest
 
+from fields import BandData, bands_on_grid
+
 from nctorus import chern, cli, spectral, suite
 from nctorus.algebra import RationalTheta, hofstadter_element
 from nctorus.arithmetic import make_weyl_context
 from nctorus.chern import gap_certificates
 from nctorus.representations import evaluate_on_grid, reference_fibered_rep, weyl_fibered_rep
-from nctorus.spectral import BandData, bands_on_grid, expand_k1_mirror, hofstadter_gap_report
+from nctorus.spectral import expand_k1_mirror, hofstadter_gap_report
 
 _BANDS = {}
 _CERTS = {}
@@ -60,13 +62,13 @@ def certs_of(M, N, q, r, G):
 def band_passes(monkeypatch):
     """Records (M, N, kind, G) for every spectral pass the package makes.
 
-    `bands_on_grid` and `band_energies` are passes over the same matrices,
+    `band_blocks` and `band_energies` are passes over the same matrices,
     with and without eigenvectors, and record their family's kind;
-    `dual_band_blocks`, the row-block
-    pass of both families (`certified_spectrum`), records the family it
-    diagonalizes: weyl, or reference at M0 = 0;
-    `hofstadter_energies`, which reads the energies of h off its central
-    characters, records the kind "character".
+    `dual_band_blocks`, the row-block pass of both families
+    (`certified_spectrum`), records the weyl family it diagonalizes, and
+    at M0 = 0 hands the reference family to `band_blocks`, which records
+    it; `hofstadter_energies`, which reads the energies of h off its
+    central characters, records the kind "character".
     """
     calls = []
 
@@ -78,7 +80,8 @@ def band_passes(monkeypatch):
 
     def counting_dual(fn):
         def counted(ctx, a, G):
-            calls.append((ctx.M, ctx.N, "weyl" if ctx.M0 else "reference", G))
+            if ctx.M0:
+                calls.append((ctx.M, ctx.N, "weyl", G))
             return fn(ctx, a, G)
         return counted
 
@@ -88,7 +91,7 @@ def band_passes(monkeypatch):
             return fn(ctx, G)
         return counted
 
-    for name, wrap in (("bands_on_grid", counting), ("band_energies", counting),
+    for name, wrap in (("band_blocks", counting), ("band_energies", counting),
                        ("dual_band_blocks", counting_dual),
                        ("hofstadter_energies", counting_characters)):
         counted = wrap(getattr(spectral, name))

@@ -10,25 +10,17 @@ import time
 import numpy as np
 
 from conftest import bands_of, certs_of, ctx_of, report_of
+from fields import fermi_projector_field, fhs_chern, identity_field, pullback_field
 
 from nctorus.algebra import hofstadter_element, random_element
 from nctorus.arithmetic import tknn_rhs_value, tknn_solve
-from nctorus.chern import (
-    ambient_chern_analytic,
-    fhs_chern,
-    pullback_field,
-    symbolic_numeric_crosscheck,
-)
+from nctorus.chern import ambient_chern_analytic, symbolic_numeric_crosscheck
 from nctorus.representations import (
     check_pseudoperiodicity,
     reference_fibered_rep,
     weyl_fibered_rep,
 )
-from nctorus.spectral import (
-    fermi_projector_field,
-    identity_field,
-    spectral_hausdorff,
-)
+from nctorus.spectral import spectral_hausdorff
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 

@@ -7,6 +7,16 @@ import numpy as np
 import pytest
 
 from conftest import bands_of, certs_of, ctx_of, dense_projector, full_grid_bands, report_of
+from fields import (
+    ProjectorField,
+    bands_on_grid,
+    connes_chern_via_derivatives,
+    constant_projector_field,
+    fermi_projector_field,
+    fhs_chern,
+    identity_field,
+    pullback_field,
+)
 
 from nctorus import chern, spectral
 from nctorus.algebra import hofstadter_element, monomial, random_element, unit
@@ -17,23 +27,12 @@ from nctorus.chern import (
     VerificationError,
     ambient_chern_analytic,
     certified_spectrum,
-    connes_chern_via_derivatives,
-    fhs_chern,
     gap_certificates,
-    pullback_field,
     symbolic_numeric_crosscheck,
 )
 from nctorus.cli import farey_fractions
 from nctorus.representations import reference_fibered_rep, weyl_fibered_rep
-from nctorus.spectral import (
-    GapViolationError,
-    ProjectorField,
-    bands_on_grid,
-    constant_projector_field,
-    fermi_projector_field,
-    hofstadter_gap_report,
-    identity_field,
-)
+from nctorus.spectral import GapViolationError, hofstadter_gap_report
 
 
 def ref_gap_field(M, N, q, r, gap_index, G=32, conjugated=False):

@@ -10,6 +10,13 @@ import numpy as np
 import pytest
 
 from conftest import bands_of, ctx_of, dense_projector, full_grid_bands, report_of
+from fields import (
+    ProjectorField,
+    bands_on_grid,
+    constant_projector_field,
+    fermi_projector_field,
+    identity_field,
+)
 
 from nctorus import cli, spectral
 from nctorus.algebra import AlgebraElement, hofstadter_element, monomial, unit
@@ -24,20 +31,16 @@ from nctorus.representations import (
 from nctorus.spectral import (
     FERMI_TOL,
     GapViolationError,
-    ProjectorField,
     SelfAdjointnessError,
+    band_blocks,
     band_edges,
     band_energies,
     band_rows,
-    bands_on_grid,
-    constant_projector_field,
     dual_band_blocks,
     expand_k1_mirror,
-    fermi_projector_field,
     fermi_rank,
     hofstadter_energies,
     hofstadter_gap_report,
-    identity_field,
     spectral_hausdorff,
 )
 
@@ -59,7 +62,7 @@ def test_unit_element_is_flat():
 
 def test_rejects_non_selfadjoint():
     ctx = ctx_of(1, 3, 1, 0)
-    for entry in (bands_on_grid, band_energies):
+    for entry in (lambda *args: next(band_blocks(*args)), band_energies):
         with pytest.raises(SelfAdjointnessError):
             entry(weyl_fibered_rep(ctx), monomial(ctx.theta, 1, 0), 4)
 
@@ -216,6 +219,26 @@ def test_dual_bands_read_the_reference_off_the_weyl_pass(M, N, q, r, G, mirrored
     F = expand_k1_mirror(F_r, G)
     for R in ranks:
         assert np.abs(_projector(F, R) - _projector(direct.frames, R)).max() < 1e-10
+
+
+@pytest.mark.parametrize("mirrored", [True, False], ids=["h", "no-mirror"])
+@pytest.mark.parametrize("G", [7, 16])
+def test_band_blocks_are_one_pass_in_row_blocks(G, mirrored, monkeypatch, eigh_matrices):
+    # blocks of at most 2 stored rows here (one row at G = 16: 16 x 13 x 13 x 16
+    # bytes), in order, that together are the whole pass of `bands_on_grid`
+    monkeypatch.setattr(spectral._kernels, "BLOCK_BYTES", 2 * 7 * 13 * 13 * 16)
+    ctx = ctx_of(8, 13, 2, 1)
+    rep = reference_fibered_rep(ctx)
+    a = hofstadter_element(ctx.theta) if mirrored else AlgebraElement(
+        ctx.theta, {(1, 0): 1, (-1, 0): 1, (0, 1): 1 + 1j, (0, -1): 1 - 1j})
+    starts, E, F = zip(*band_blocks(rep, a, G))
+    rows = G // 2 + 1 if mirrored else G
+    step = 2 if G == 7 else 1
+    assert starts == tuple(range(0, rows, step))
+    assert max(eigh_matrices) == step * (G // 2 + 1 if mirrored else G)
+    bd = bands_on_grid(rep, a, G)
+    assert np.array_equal(np.concatenate(F), bd.frames)
+    assert np.array_equal(expand_k1_mirror(np.concatenate(E), G), bd.energies)
 
 
 def test_gap_structure_theta_third():

@@ -5,33 +5,59 @@ import dataclasses
 import pytest
 
 from conftest import ctx_of, full_grid_bands
+from fields import bands_on_grid, fermi_projector_field, fhs_chern, pullback_field
 
-from nctorus import spectral, suite
-from nctorus.spectral import GapInfo
+from nctorus import _kernels, representations, suite
+from nctorus.algebra import hofstadter_element
+from nctorus.representations import reference_fibered_rep
+from nctorus.spectral import GapInfo, NumericalFailure, hofstadter_gap_report
 from nctorus.suite import run_invariant_suite
+
+
+def _recorded_blocks(monkeypatch, blocks):
+    """Makes the suite's `band_blocks` append (kind, G, start, rows) of every block it yields."""
+    passes = suite.band_blocks
+
+    def recorded(rep, a, G):
+        for start, energies, frames in passes(rep, a, G):
+            blocks.append((rep.kind, G, start, len(frames)))
+            yield start, energies, frames
+
+    monkeypatch.setattr(suite, "band_blocks", recorded)
 
 
 def test_suite_one_spectral_pass_per_rep_and_grid(band_passes, monkeypatch):
     # isospectral_grid(1/3 (2,1), 32) == 32: isospectrality reads energies alone,
-    # one pass of each family at 32.  The one whole-frame pass is the reference
-    # family's at 2G, whose Fermi field feeds the projector rows and the
-    # pullback lemma.  The certificates stream a weyl pass at 32 in row blocks:
-    # they run gap_certificates, the one certificate path every command runs
-    whole = []
-    bands = suite.bands_on_grid
-
-    def recorded(rep, a, G):
-        whole.append((rep.kind, G))
-        return bands(rep, a, G)
-
-    monkeypatch.setattr(suite, "bands_on_grid", recorded)
+    # one pass of each family at 32.  The reference family's block pass at 2G
+    # feeds the projector rows and the pullback lemma: one block of its 33
+    # stored rows at N = 3.  The certificates stream a weyl pass at 32 in row
+    # blocks: they run gap_certificates, the one certificate path every command runs
+    blocks = []
+    _recorded_blocks(monkeypatch, blocks)
     rows = run_invariant_suite(ctx_of(1, 3, 2, 1), 32)
     assert all(r.ok for r in rows)
-    assert whole == [("reference", 64)]
+    assert blocks == [("reference", 64, 0, 33)]
     assert band_passes == [(1, 3, "weyl", 32), (1, 3, "reference", 32),
                            (1, 3, "reference", 64), (1, 3, "weyl", 32)]
     iso = next(r for r in rows if r.name == "isospectrality")
     assert 0.0 < iso.value < 1e-12
+
+
+def test_suite_holds_no_whole_frame_array(eigh_matrices, monkeypatch):
+    # every frame the suite reads comes from a pass in blocks of stored rows,
+    # so no eigh call takes more than one block: at 2G = 64, 3 rows of 33
+    # diagonalized columns; at G = 32, 6 rows of 17.  A whole 2G field hands
+    # all 33 x 33 = 1,089 matrices to one call
+    blocks = []
+    _recorded_blocks(monkeypatch, blocks)
+    rows = {r.name: r for r in run_invariant_suite(ctx_of(8, 13, 2, 1), 32)}
+    for name in ("projector-field", "projector-seam-transport", "pullback-lemma"):
+        assert rows[name].ok, name
+    assert [b[3] for b in blocks] == [3] * 11
+    largest = max(_kernels.block_rows(G * 13 * 13 * 16) * (G // 2 + 1) for G in (32, 64))
+    assert largest == 6 * 17
+    assert max(eigh_matrices) <= largest
+    assert sum(eigh_matrices) >= 33 * 33 + 17 * 17
 
 
 def test_suite_records_numerical_failures_as_rows():
@@ -49,13 +75,103 @@ def test_projector_rows_on_mirrored_bands_match_the_full_grid(monkeypatch):
     # defects on the stored rows, and P(k1, 0) on the expanded column 0
     ctx = ctx_of(2, 5, 3, 1)
     mirrored = {r.name: r for r in run_invariant_suite(ctx, 16)}
-    for mod in (spectral, suite):
-        monkeypatch.setattr(mod, "bands_on_grid", full_grid_bands)
+    full_passes = []
+
+    def full_grid_blocks(rep, a, G):
+        full_passes.append((rep.kind, G))
+        bd = full_grid_bands(rep, a, G)
+        yield 0, bd.energies, bd.frames
+
+    monkeypatch.setattr(suite, "band_blocks", full_grid_blocks)
     full = {r.name: r for r in run_invariant_suite(ctx, 16)}
+    assert full_passes == [("reference", 32)]
     assert {n: r.ok for n, r in mirrored.items()} == {n: r.ok for n, r in full.items()}
     assert all(r.ok for r in mirrored.values())
     for name in ("projector-field", "projector-seam-transport"):
         assert mirrored[name].value == pytest.approx(full[name].value, abs=1e-12), name
+    assert mirrored["pullback-lemma"].detail == full["pullback-lemma"].detail
+
+
+def _whole_field_pullbacks(ctx, G):
+    """fhs_chern (value, raw) of the 2G field and its (2,1), (1,3) pullbacks, to the first failure."""
+    gap = max(hofstadter_gap_report(ctx).internal(), key=lambda g: g.upper - g.lower)
+    bd = bands_on_grid(reference_fibered_rep(ctx), hofstadter_element(ctx.theta), 2 * G)
+    field = fermi_projector_field(bd, gap.fermi)
+    out = []
+    try:
+        for f in (field, pullback_field(field, 2, 1), pullback_field(field, 1, 3)):
+            res = fhs_chern(f)
+            out.append((res.value, res.raw))
+    except NumericalFailure as exc:
+        out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize("spec, G", [
+    pytest.param((2, 5, 3, 2), 12, id="even"),
+    pytest.param((2, 5, 3, 1), 9, id="odd"),
+    pytest.param((1, 3, 2, 1), 15, id="odd-1/3"),
+    pytest.param((1, 3, 1, 0), 3, id="too-coarse"),
+    pytest.param((3, 8, 3, 1), 4, id="lemma-fails"),
+])
+def test_streamed_pullback_rows_match_the_whole_field(spec, G, monkeypatch):
+    # the base field, the even rows fed as a G-row grid and doubled, and the
+    # columns 3j mod 2G: the integers and the first failure message of fhs_chern
+    # on the whole 2G field and its pullbacks, raw to 1e-12
+    seen = []
+    rounded = suite._rounded
+
+    def recorded(total, min_abs, grid, kind):
+        try:
+            res = rounded(total, min_abs, grid, kind)
+        except NumericalFailure as exc:
+            seen.append(str(exc))
+            raise
+        if kind == "reference":
+            seen.append((res.value, res.raw))
+        return res
+
+    monkeypatch.setattr(suite, "_rounded", recorded)
+    ctx = ctx_of(*spec)
+    rows = {r.name: r for r in run_invariant_suite(ctx, G)}
+    oracle = _whole_field_pullbacks(ctx, G)
+    assert len(seen) == len(oracle)
+    for got, want in zip(seen, oracle):
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got[0] == want[0]
+            assert got[1] == pytest.approx(want[1], abs=1e-12)
+    pb = rows["pullback-lemma"]
+    if isinstance(oracle[-1], str):
+        assert (pb.value, pb.detail) == (float("inf"), oracle[-1])
+    else:
+        (c, _), (c21, _), (c13, _) = oracle
+        assert pb.value == max(abs(c21 - 2 * c), abs(c13 - 3 * c))
+        assert pb.detail == f"base Chern {c}"
+    if spec == (1, 3, 1, 0):
+        assert oracle[-1].startswith("link determinant magnitude")
+    if spec == (3, 8, 3, 1):
+        assert pb.value == 8 and not pb.ok
+
+
+@pytest.mark.parametrize("module, row, value, failed", [
+    pytest.param(suite, "projector-seam-transport", 1.56,
+                 {"twist-layout", "projector-seam-transport", "ambient-anchor"}, id="seam"),
+    pytest.param(representations, "pseudo-periodicity", 7.2, {"pseudo-periodicity"},
+                 id="gluing"),
+])
+def test_a_reversed_transport_fails_its_row(module, row, value, failed, monkeypatch):
+    # T(k1, m) -> T(k1, -m): the seam row compares the weyl projector at k2 = 1
+    # with the reversed transport of P(k1, 0), and the gluing row the operator
+    # fields.  The suite's transport also lays out the twist and closes the
+    # ambient anchor's seam, so those rows fail with it
+    transport = module.twist_transport
+    monkeypatch.setattr(module, "twist_transport",
+                        lambda ctx, k1, m=1: transport(ctx, k1, -m))
+    rows = {r.name: r for r in run_invariant_suite(ctx_of(2, 5, 3, 1), 16)}
+    assert {name for name, r in rows.items() if not r.ok} == failed
+    assert rows[row].value == pytest.approx(value, abs=0.01)
 
 
 @pytest.mark.parametrize("spec,labels", [((1, 3, 1, 0), [0, 2, 3]),         # a gap missing
