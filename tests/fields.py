@@ -1,9 +1,9 @@
 """Whole-frame projector fields: the oracles the streamed passes are tested against.
 
-The package reads band frames only as they stream from a band pass, a
-block of stored k1 rows at a time (`spectral.band_blocks`,
-`spectral.dual_band_blocks`).  These helpers hold a family's whole frames
-instead: `bands_on_grid` diagonalizes the grid in one call, a
+The package reads band frames only as they stream from its one band
+pass, a block of stored k1 rows at a time (`spectral.cell_blocks`).
+These helpers hold a family's whole frames instead: `bands_on_grid`
+diagonalizes every point of the grid in one call, a
 `ProjectorField` carries a Fermi field's frames, `fhs_chern` sums them
 through `_kernels.plaquette_flux_sum`, `pullback_field` resamples them,
 and `connes_chern_via_derivatives` evaluates the character by the
@@ -20,14 +20,8 @@ import numpy as np
 from nctorus import _kernels
 from nctorus.algebra import AlgebraElement
 from nctorus.chern import ChernResult, _fft_character, _rounded
-from nctorus.representations import FiberedRep, twist_transport
-from nctorus.spectral import (
-    _band_rows,
-    _diagonalized,
-    band_edges,
-    expand_k1_mirror,
-    fermi_rank,
-)
+from nctorus.representations import FiberedRep, evaluate_on_grid, twist_transport
+from nctorus.spectral import band_edges, expand_k1_mirror, fermi_rank
 
 
 @dataclass(frozen=True)
@@ -40,20 +34,13 @@ class BandData:
 
 
 def bands_on_grid(rep: FiberedRep, a: AlgebraElement, G: int) -> BandData:
-    """Fiberwise eigendecomposition on a G x G grid.
+    """eigh of pi_k(a) at every point of the G x G grid: no mirror, no flip, no cell.
 
-    When a(n, m) = conj(a(-n, m)) and a(n, m) = a(-n, -m) within 1e-12
-    (the k1 mirror and the flip; the flux operator h qualifies), only the
-    points k = (i/G, j/G), i, j = 0 .. G//2, are diagonalized (see the
-    `spectral` docstring).  Column G - j of a stored row is filled by the flip
-    intertwiner (`spectral._fill_flipped_columns`), and row i > G//2 has the
-    energies of row G - i, filled in, and its conjugated frames, which are
-    not stored: `frames` keeps the G//2 + 1 stored rows, every k2 column.
-    Any other self-adjoint element is diagonalized on the full grid.
+    `frames` holds all G rows.  The oracle of the package's band pass.
     """
-    k = np.arange(_diagonalized(a, G)) / G
-    energies, frames = _band_rows(rep, a, G, k, 0, len(k))
-    return BandData(rep, expand_k1_mirror(energies, G), frames)
+    k = np.arange(G) / G
+    H = evaluate_on_grid(rep, a, k, k)
+    return BandData(rep, *np.linalg.eigh(0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))))
 
 
 @dataclass(frozen=True)
