@@ -57,10 +57,11 @@ from .spectral import (
     GapViolationError,
     NumericalFailure,
     SelfAdjointnessError,
+    band_blocks,
     band_edges,
     band_energies,
-    cell_blocks,
     detect_gaps_refined,
+    dual_band_blocks,
     expand_k1_mirror,
     fermi_rank,
     hofstadter_energies,

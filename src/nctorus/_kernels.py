@@ -31,7 +31,7 @@ first such rank already fails the link guard.
 
 A k1-mirrored grid is summed over half its plaquette rows.  When frames
 holds only rows i = 0 .. G1//2 of a G1-row grid, row G1 - i stands for
-conj F(i) (`spectral.cell_blocks`), and the seam obeys
+conj F(i) (`spectral.band_blocks`), and the seam obeys
 T(k1_(G1-i)) = conj T(k1_i), as the weyl seam does.  Then
 Lx(G1-1-i) = Lx(i) and Ly(G1-i) = conj Ly(i), so the plaquette
 (G1-1-i, j) is the product of (i, j) and has its angle.  Plaquettes are

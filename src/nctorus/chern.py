@@ -16,7 +16,7 @@ frames of the gaps are leading column blocks of the family's band
 frames, so one kernel pass per family serves every gap's rank (the
 kernel forms the link overlaps once, see `_kernels`), and the gaps are
 then checked in one loop (`_certificates`).  `gap_certificates` streams:
-one band pass in blocks of k1 rows (`spectral.cell_blocks`) hands
+one band pass in blocks of k1 rows (`spectral.dual_band_blocks`) hands
 each block of both families' frames to their kernels and drops it, so
 it holds the energies of the grid and, per gap, one plaquette angle sum
 per k1 row: never a family's whole frames, nor the grid's link minors.
@@ -56,7 +56,7 @@ from .spectral import (
     GapReport,
     NumericalFailure,
     band_edges,
-    cell_blocks,
+    dual_band_blocks,
     expand_k1_mirror,
     fermi_rank,
     hofstadter_gap_report,
@@ -147,27 +147,26 @@ def certified_spectrum(ctx: WeylContext, G: int = 64):
 
     The exact gap report, the weyl energies at G (the reference ones at
     theta = r/q, where there is no weyl family) and `gap_certificates`.
-    `cell_blocks` yields both families' bands, scales (N, M0), or (N,) at
-    M0 = 0, a block of stored k1 rows at a time, and each block's frames go
-    to that family's `_kernels.LinkMinors` (the weyl one closed by the seam
-    of the block's rows) before the next block is diagonalized.  So only
-    the energies of the whole grid and the kernels' per-row angle sums are
-    kept, never a family's frames or the grid's link minors.  The kernels'
-    ranks are the report's labels d, fixed before the pass.
+    `dual_band_blocks` yields both families' bands a block of stored k1 rows
+    at a time, and each block's frames go to that family's
+    `_kernels.LinkMinors` (the weyl one closed by the seam of the block's
+    rows) before the next block is diagonalized.  So only the energies of
+    the whole grid and the kernels' per-row angle sums are kept, never a
+    family's frames or the grid's link minors.  The kernels' ranks are the
+    report's labels d, fixed before the pass.
     """
     report = hofstadter_gap_report(ctx)
     ranks = [gap.d for gap in report.gaps]
-    scales = (ctx.N, ctx.M0) if ctx.M0 else (ctx.N,)
     cc = _kernels.LinkMinors(ranks, G)
     t = _kernels.LinkMinors(ranks, G) if ctx.M0 else None
     E_r, E_w = [], []
-    for start, [(E, F), *weyl] in cell_blocks(ctx, hofstadter_element(ctx.theta), G, scales):
-        E_r.append(E)
-        cc.add(F)
-        for E, F in weyl:
-            E_w.append(E)
-            t.add(F, twist_transport(ctx, np.arange(start, start + len(F)) / G))
-        del F, weyl                     # before the next block is diagonalized
+    for start, (energies, frames), weyl in dual_band_blocks(ctx, hofstadter_element(ctx.theta), G):
+        E_r.append(energies)
+        cc.add(frames)
+        if weyl is not None:
+            E_w.append(weyl[0])
+            t.add(weyl[1], twist_transport(ctx, np.arange(start, start + len(weyl[1])) / G))
+        del frames, weyl                # before the next block is diagonalized
     E_r = expand_k1_mirror(np.concatenate(E_r), G)
     E_w = expand_k1_mirror(np.concatenate(E_w), G) if E_w else None
     certs = _certificates(ctx, report, G, E_r, cc.flux_sums(), E_w,

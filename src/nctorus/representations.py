@@ -25,9 +25,8 @@ invariant under the magnetic translation k2 -> k2 + 1/N:
 pi^r_(k1, k2 + m/N) = W^m pi^r_k W^-m with W = S(e^{i2pi q k1})^a and
 a = -(qM)^{-1} mod N, because S^a C^{qM} S^-a = e^{i2pi/N} C^{qM} and W
 commutes with V(k); W^p is twist_transport(ctx, k1, -a p).  Together
-they let `spectral.cell_blocks` read both families off one
-diagonalization of the reference family on the cell grid
-k = (i/G, x/(N G)).
+they let `spectral.dual_band_blocks` read the reference bands off the
+weyl ones.
 """
 
 from __future__ import annotations

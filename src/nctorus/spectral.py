@@ -1,24 +1,24 @@
 """Band structure over a k-grid, gap reports, and Fermi ranks.
 
-Eigenvectors are computed only where frames are read, and one band pass,
-`cell_blocks`, hands them over a block of stored k1 rows at a time, so
-that no consumer holds a family's whole frames.  It diagonalizes the
-reference family on the magnetic cell (below) and reads off it every
-family it is asked for: both for the certificates (`chern`), the
-reference family alone for the suite's 2G field.  A block holds the
-frames of `_kernels.block_rows` rows.  A Fermi level is checked against
-a family's per-band [lo, hi], taken once (`band_edges`, `fermi_rank`).
-The spectral projector below a Fermi level in a gap (the
-finite-dimensional stand-in for the resolvent contour integral) is
-carried as the occupied eigenvector columns it came from, the leading
-columns of the band frames, which the flux kernel reads as they are; no
-dense N x N projector is built.
-Consumers of energies alone take `band_energies`, a family's own
-matrices through `eigvalsh`; for the flux operator h, whose spectrum
-depends on k only through its central character (below), the uncolored
-butterfly takes `hofstadter_energies`, one `eigvalsh` per character
-pair.  Isospectrality keeps its direct `band_energies` passes: read off
-the character, or off one cell, it would hold by construction.
+Eigenvectors are computed only where frames are read, and a band pass
+hands them over a block of stored k1 rows at a time, so that no
+consumer holds a family's whole frames.  `band_blocks` diagonalizes one
+family; `dual_band_blocks`, for the certificates (`chern`), which read
+both families, diagonalizes the weyl family and reads the reference
+bands off it by magnetic translation.  A block holds the frames of
+`_kernels.block_rows` rows.  A Fermi level is checked against a family's
+per-band [lo, hi], taken once (`band_edges`, `fermi_rank`).  The
+spectral projector below a Fermi level in a gap (the finite-dimensional
+stand-in for the resolvent contour integral) is carried as the occupied
+eigenvector columns it came from, the leading columns of the band
+frames, which the flux kernel reads as they are; no dense N x N
+projector is built.
+Consumers of energies alone take `band_energies`, the same matrices
+through `eigvalsh`; for the flux operator h, whose spectrum depends on k
+only through its central character (below), the uncolored butterfly
+takes `hofstadter_energies`, one `eigvalsh` per character pair.
+Isospectrality keeps its direct `band_energies` passes: read off the
+character, it would hold by construction.
 
 Gap reports of the flux operator h = u + u* + v + v* are exact and need
 no grid.  Every irreducible representation of the rational rotation
@@ -37,27 +37,11 @@ uncolored butterfly SVG alone still detects gaps on sampled energies:
 a one-step grid refinement rejects fake gaps that only exist because a
 band touching fell between grid points (`detect_gaps_refined`).
 
-One eigendecomposition serves both families.  They share V(k), and
-their U(k) differ only in the rate of the scalar phase in k2, so
-pi^w_(k1, k2) = pi^r_(k1, M0 k2 / N): the family at scale c is the
-reference family read at c k2 / N, c = N for the reference family itself
-and c = M0 for the weyl one.  The reference family is invariant under
-the magnetic translation pi^r_(k1, k2 + m/N) = W^m pi^r_k W^-m,
-W = S(lam)^a, lam = e^{i2pi q k1}, a = -(qM)^-1 mod N (`representations`).
-So every family's matrices on the G x G grid are those of the cell grid
-k = (i/G, x/(N G)), x = 0 .. G - 1, up to W.  Column j of the family at
-scale c is cell x = cj mod G conjugated by W^m, m = (cj - x)/G (the
-gather rule): it has the cell's energies and the frames W^m F(i, x).  Up
-to a scalar phase, which no frame consumer sees, W^m is S^p,
-p = am mod N, a rotation of the rows by p with the phase lam on the rows
-it wraps.  A pass copies a run of columns whose cells step evenly with
-slices and one phase multiply (`_read_cells`).
-
-For h a band pass diagonalizes a quarter of the cell grid.  Half of the
-k1 rows need no diagonalization.  In every family U(k) is diagonal
-unitary and independent of k1, so conj U = U^{-1}; the shift matrix is
-real apart from its corner phase lam, so conj V(k1, k2) = V(-k1, k2);
-and every family is 1-periodic in k1.  Hence
+For h a band pass diagonalizes a quarter of the grid.  Half of the k1
+rows need no diagonalization.  In every family U(k) is diagonal unitary
+and independent of k1, so conj U = U^{-1}; the shift matrix is real
+apart from its corner phase e^{i2pi q k1}, so conj V(k1, k2) =
+V(-k1, k2); and every family is 1-periodic in k1.  Hence
 
     conj pi_k(a) = sum conj(a(n, m)) U^{-n} V(-k1, k2)^m = pi_(-k1, k2)(a)
 
@@ -72,27 +56,21 @@ kernel weights them (`_kernels`), the suite's pullbacks read theirs off
 them, and its Gram defects check them alone; the suite's seam row
 expands them.
 
-Half of the cells need none either when `a` is also invariant under the
-flip u -> u*, v -> v*, i.e. a(n, m) = a(-n, -m), as h is.  Every pass
-checks both conditions on the coefficients to the self-adjointness
-tolerance (`_diagonalized`) and takes the quarter grid only when both
-hold.  Let Q(k1) be the monomial unitary sending row j to row -j mod N,
-times lam(k1) for j != 0 (lam = 1 on the conjugated form).  Then
-Q C^{-1} Q^dagger = C and Q S(lam)^{-1} Q^dagger = S(conj lam), so
-pi_(-k)(a) = Q pi_k(a) Q^dagger in every family, and with the k1 mirror
-pi_(k1, -k2)(a) = conj Q conj(pi_k(a)) Q^T.  Cell x is one magnetic
-translation from k2 = -(G - x)/(N G), so
-
-    pi^r_(k1, x/(NG))(a) = M conj(pi^r_(k1, (G - x)/(NG))(a)) M^dagger,
-    M = W(k1) conj Q(k1)
-
-(the flip rule): cell x > G//2 has the energies of cell G - x and the
-frames M conj F(i, G - x).  Composed with the gather, a column whose
-cell is x > G//2 reads S^p conj Q conj F(i, G - x), p = a(m + 1) mod N:
-the rows of conj F reversed and rotated by p, with the phase conj lam on
-the rows past p.  So a pass diagonalizes (G//2 + 1)^2 points, a quarter
-of the cell grid, whatever gcd(M0, G) is; every block of every family
-keeps every k2 column, and no consumer sees the difference.
+Half of the stored k2 columns need none either when `a` is also
+invariant under the flip u -> u*, v -> v*, i.e. a(n, m) = a(-n, -m), as
+h is.  Every pass checks both conditions on the coefficients to the
+self-adjointness tolerance (`_diagonalized`) and takes the quarter grid
+only when both hold.  Let Q(k1) be the monomial unitary sending row j
+to row -j mod N, times the shift's corner phase lam(k1) = e^{i2pi q k1}
+for j != 0 (lam = 1 on the conjugated form).  Then Q C^{-1} Q^dagger = C
+and Q S(lam)^{-1} Q^dagger = S(conj lam), so pi_(-k)(a) = Q pi_k(a)
+Q^dagger in every family.  With the k1 mirror, column k2 = (G - j)/G of
+a stored row has the energies of column j/G and the frames R conj F,
+R = Q(-k1), transported by `twist_transport` on the weyl family, where
+that column is k2 = -j/G + 1.  So a pass diagonalizes (G//2 + 1)^2
+points, a quarter of the grid, and fills the other stored columns in
+place: every block keeps every k2 column, and no consumer sees the
+difference.
 """
 
 from __future__ import annotations
@@ -110,6 +88,7 @@ from .representations import (
     FiberedRep,
     evaluate_on_grid,
     reference_fibered_rep,
+    weyl_fibered_rep,
 )
 
 SELFADJOINT_TOL = 1e-12
@@ -147,93 +126,31 @@ class GapReport:
         return [g for g in self.gaps if math.isfinite(g.lower) and math.isfinite(g.upper)]
 
 
-def cell_blocks(ctx: WeylContext, a: AlgebraElement, G: int, scales):
-    """Bands of `a` on the G x G grid of each family in `scales`, from one pass over the cell.
+def band_blocks(rep: FiberedRep, a: AlgebraElement, G: int):
+    """Bands of `a` on the G x G grid in blocks of stored k1 rows, one fiberwise eigh pass.
 
-    Yields (start, [(energies, frames) per scale]) for the stored rows
-    start .. start + b - 1: energies (b, G, N) and frames (b, G, N, N),
-    every k2 column, of the family at scale c, c = N for the reference
-    family and c = M0 for the weyl one.  The pass diagonalizes the
-    reference family of `ctx` on the cell grid k = (i/G, x/(N G)): for h
-    the rows and cells 0 .. G//2 (`_diagonalized`), for any other
-    self-adjoint element the full grid.  Each column reads its cell by
-    the gather or the flip rule (`_cell_reads`, see the module docstring).
-    b comes from `_kernels.block_rows` on the rows of one family's frames.
+    Yields (start, energies, frames) for the stored rows start ..
+    start + b - 1: energies (b, G, N) and frames (b, G, N, N), every k2
+    column; b comes from `_kernels.block_rows`.  When a(n, m) =
+    conj(a(-n, m)) and a(n, m) = a(-n, -m) within 1e-12 (the k1 mirror
+    and the flip; the flux operator h qualifies), only the points
+    k = (i/G, j/G), i, j = 0 .. G//2, are diagonalized (see the module
+    docstring): the G//2 + 1 stored rows are k1-mirrored, and column
+    G - j of a stored row is filled by the flip intertwiner
+    (`_fill_flipped_columns`).  Any other self-adjoint element is
+    diagonalized on the full grid.
     """
-    N = ctx.N
-    n = _diagonalized(a, G)
-    k = np.arange(n) / G
-    step = _kernels.block_rows(G * N * N * np.dtype(complex).itemsize)
-    reads = [_cell_reads(ctx, G, n, c) for c in scales]
-    rep = reference_fibered_rep(ctx)
-    for i in range(0, n, step):
-        rows = k[i:i + step]
-        energies, cells = np.linalg.eigh(_hermitian_stack(rep, a, rows, k / N))
-        energies = _expand_columns(energies, G)
-        lam = np.exp(1j * TWO_PI * ctx.q * rows)[:, None, None, None]
-        families = []
-        for c, runs in zip(scales, reads):
-            frames = np.empty((len(rows), G, N, N), complex)
-            for cols, x, p, flip in runs:
-                _read_cells(cells[:, x], frames[:, cols], p, lam, flip)
-            families.append((energies[:, c * np.arange(G) % G], frames))
-        del cells
-        yield i, families
-        del families, frames            # before the next block is diagonalized
-
-
-def _cell_reads(ctx: WeylContext, G: int, n: int, c: int):
-    """Runs (columns, cells, p, flip) of the k2 columns of the family at scale c, as slices.
-
-    Column j is cell x = cj mod G through W^m, m = (cj - x)/G, which is
-    S^p, p = am mod N, up to a scalar phase.  A cell x >= n is not
-    diagonalized: it is M conj(cell G - x), M = W conj Q, so
-    p = a(m + 1) mod N there (see the module docstring).  Consecutive
-    columns with the same p and flip whose cells step evenly, by c or by
-    -c, form one run, read by one `_read_cells`.
-    """
-    N = ctx.N
-    a = -pow(ctx.q * ctx.M, -1, N)
-    runs = []                           # [j0, j1, x0, step, p, flip]
-    for j in range(G):
-        m, x = divmod(c * j, G)
-        read = [x, c, a * m % N, False] if x < n else [G - x, -c, a * (m + 1) % N, True]
-        last = runs[-1] if runs else None
-        if last and last[3:] == read[1:] and read[0] == last[2] + read[1] * (j - last[0]):
-            last[1] = j + 1
-        else:
-            runs.append([j, j + 1, *read])
-    reads = []
-    for j0, j1, x0, step, p, flip in runs:
-        stop = x0 + step * (j1 - j0)    # None: a descending run that ends at cell 0
-        reads.append((slice(j0, j1), slice(x0, stop if stop >= 0 else None, step), p, flip))
-    return reads
-
-
-def _read_cells(src: np.ndarray, dst: np.ndarray, p: int, lam: np.ndarray, flip: bool):
-    """Writes S(lam)^p src, or S(lam)^p conj(Q src) if flip, into dst: slices, one phase multiply.
-
-    src and dst are (b, cols, N, N) frames of b stored rows, lam (b, 1, 1, 1).
-    (S^p F)[r] is F[r - p] for r >= p and lam F[r - p + N] below it.
-    conj Q sends row t to row -t mod N times conj(lam) for t != 0, so
-    (S^p conj(Q F))[r] is conj F[p - r] for r <= p and conj(lam F[N + p - r])
-    above it.
-    """
-    N = src.shape[-2]
-    if flip:
-        np.conjugate(src[..., p::-1, :], out=dst[..., :p + 1, :])
-        np.conjugate(lam * src[..., :p:-1, :], out=dst[..., p + 1:, :])
-    else:
-        dst[..., p:, :] = src[..., :N - p, :]
-        np.multiply(lam, src[..., N - p:, :], out=dst[..., :p, :])
+    k = np.arange(_diagonalized(a, G)) / G
+    step = _kernels.block_rows(G * rep.dim * rep.dim * np.dtype(complex).itemsize)
+    for i in range(0, len(k), step):
+        yield (i, *_band_rows(rep, a, G, k, i, i + step))
 
 
 def band_energies(rep: FiberedRep, a: AlgebraElement, G: int) -> np.ndarray:
-    """The (G, G, N) energies of `a` in the family `rep` on its own G x G grid, no eigenvectors.
+    """The (G, G, N) energies of `band_blocks(rep, a, G)`, without eigenvectors.
 
-    The checks, k1 mirror and flip of `cell_blocks` (a quarter of the grid
-    for h), on the family's own points, through `eigvalsh`; for consumers
-    that read no frames.
+    Same checks and the same diagonalized points (a quarter of the grid
+    for h), through `eigvalsh`; for consumers that read no frames.
     """
     k = np.arange(_diagonalized(a, G)) / G
     energies = np.linalg.eigvalsh(_hermitian_stack(rep, a, k, k))
@@ -266,6 +183,68 @@ def hofstadter_energies(ctx: WeylContext, G: int) -> np.ndarray:
     return np.linalg.eigvalsh(H[px, py])[index.reshape(G, G)]
 
 
+def dual_band_blocks(ctx: WeylContext, a: AlgebraElement, G: int):
+    """Reference and weyl bands of `a` at G in blocks of stored k1 rows, one weyl pass.
+
+    Yields (start, (E_r, F_r), (E_w, F_w)) for the stored rows start ..
+    start + b - 1: energies (b, G, N) and frames (b, G, N, N) of each
+    family, every k2 column; the weyl pair is None at M0 = 0, where the
+    blocks are the reference family's own (`band_blocks`).  b comes from
+    `_kernels.block_rows` on the rows of one family's frames.
+
+    The weyl family is the reference family read at a scaled k2,
+    pi^w_(k1, k2) = pi^r_(k1, M0 k2 / N), and the reference family is
+    invariant under the magnetic translation
+    pi^r_(k1, k2 + m/N) = W^m pi^r_k W^-m, W = S(e^{i2pi q k1})^a,
+    a = -(qM)^-1 mod N.  So reference column j (k2 = j/G) is weyl column
+    j_w conjugated by W^-m whenever M0 j_w = N j + m G: energies
+    E_r(i, j) = E_w(i, j_w) and frames F_r(i, j) = W^-m F_w(i, j_w), a row
+    permutation with phases e^{i2pi q k1} (W^-m = S^p, p = -a m mod N, up to
+    a scalar phase, which no frame consumer sees).  That needs
+    g = gcd(M0, G) to divide j; only the other columns are diagonalized,
+    on the block's rows.  conj W(k1) = W(-k1), so k1-mirrored weyl
+    bands give k1-mirrored reference bands, and when the weyl pass fills
+    its columns by the flip (`band_blocks`), so does this one: it
+    builds the reference columns j = 0 .. G//2 and fills the rest.
+    """
+    rep_r = reference_fibered_rep(ctx)
+    N, M0 = ctx.N, ctx.M0
+    if M0 == 0:
+        for i, energies, frames in band_blocks(rep_r, a, G):
+            yield i, (energies, frames), None
+        return
+    n = _diagonalized(a, G)
+    k = np.arange(n) / G
+    step = _kernels.block_rows(G * N * N * np.dtype(complex).itemsize)
+    rep_w = weyl_fibered_rep(ctx)
+    g = math.gcd(M0, G)
+    own = np.flatnonzero(np.arange(n) % g)        # columns no weyl column reaches
+    inv_qm = pow(ctx.q * ctx.M, -1, N)            # -a
+    inv_m0 = pow(M0 // g, -1, G // g)
+    read = []                                     # (j, j_w, p): F_r(j) = S^p F_w(j_w)
+    for j in range(0, n, g):
+        jw = N * (j // g) * inv_m0 % (G // g)
+        read.append((j, jw, inv_qm * ((M0 * jw - N * j) // G) % N))
+    for i in range(0, n, step):
+        E_w, F_w = _band_rows(rep_w, a, G, k, i, i + step)
+        rows = k[i:i + step]
+        energies = np.empty((len(rows), n, N))
+        frames = np.empty_like(F_w)
+        if len(own):
+            energies[:, own], frames[:, own] = np.linalg.eigh(
+                _hermitian_stack(rep_r, a, rows, k[own]))
+        lam = np.exp(1j * TWO_PI * ctx.q * rows)[:, None, None]
+        for j, jw, p in read:
+            energies[:, j] = E_w[:, jw]
+            src, dst = F_w[:, jw], frames[:, j]
+            dst[:, p:] = src[:, :N - p]                           # (S^p F)[i] = F[i - p]
+            np.multiply(lam, src[:, N - p:], out=dst[:, :p])      # wrapped: lam F[i - p + N]
+        if n < G:
+            _fill_flipped_columns(rep_r, frames, n, i)
+        yield i, (_expand_columns(energies, G), frames), (E_w, F_w)
+        del E_w, F_w, frames            # before the next block is diagonalized
+
+
 def expand_k1_mirror(rows: np.ndarray, G1: int) -> np.ndarray:
     """The (G1, ...) array of a k1-mirrored one: row G1 - i is the conjugate of row i.
 
@@ -296,6 +275,24 @@ def _diagonalized(a: AlgebraElement, G: int) -> int:
     return G
 
 
+def _band_rows(rep: FiberedRep, a: AlgebraElement, G: int, k: np.ndarray,
+               start: int, stop: int):
+    """Energies (b, G, N) and frames (b, G, N, N) of the stored rows start .. stop - 1.
+
+    k = arange(n)/G holds the diagonalized k values, n = `_diagonalized(a, G)`:
+    the points (k[i], k[j]) of these rows are diagonalized, and the columns
+    j >= n are filled by the flip.
+    """
+    n = len(k)
+    energies, frames = np.linalg.eigh(_hermitian_stack(rep, a, k[start:stop], k))
+    if n < G:
+        full = np.empty((len(frames), G) + frames.shape[2:], frames.dtype)
+        full[:, :n] = frames
+        frames = full                   # frees eigh's block before the fill
+        _fill_flipped_columns(rep, frames, n, start)
+    return _expand_columns(energies, G), frames
+
+
 def _expand_columns(e: np.ndarray, G: int) -> np.ndarray:
     """The (rows, G, N) energies of diagonalized (rows, n, N) ones: column G - j has column j's.
 
@@ -308,6 +305,28 @@ def _expand_columns(e: np.ndarray, G: int) -> np.ndarray:
     rows[:, :n] = e
     rows[:, n:] = e[:, G - n:0:-1]
     return rows
+
+
+def _fill_flipped_columns(rep: FiberedRep, frames: np.ndarray, cols: int, start: int):
+    """Writes the frames of columns cols .. G-1 from those of columns G - j, in place.
+
+    `frames` holds the stored k1 rows i = start, start + 1, ...  F(i, G - j) is
+    R conj F(i, j), R = Q(-k1), transported by T = twist_transport(ctx, k1, 1)
+    on the weyl family (see the module docstring).  R sends row j to row
+    -j mod N times conj(lam(k1)) for j != 0, and T R is the row reversal
+    j -> N - 1 - j times conj(lam(k1)): one conjugating copy per row, then
+    one phase multiply.
+    """
+    G, N = frames.shape[1], frames.shape[-2]
+    src, dst = frames[:, G - cols:0:-1], frames[:, cols:]
+    weyl = rep.kind == "weyl"
+    j = np.arange(N)
+    to = N - 1 - j if weyl else -j % N
+    for row in range(N):
+        np.conjugate(src[..., row, :], out=dst[..., to[row], :])
+    if not rep.conjugated:
+        lam = np.exp(-1j * TWO_PI * rep.ctx.q * np.arange(start, start + len(frames)) / G)
+        dst[..., 0 if weyl else 1:, :] *= lam[:, None, None, None]     # T R: every row; R: j != 0
 
 
 def _hermitian_stack(rep: FiberedRep, a: AlgebraElement, k1s: np.ndarray, k2s: np.ndarray):

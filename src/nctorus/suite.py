@@ -9,7 +9,7 @@ symbolic/numeric consistency of trace and character.  Deterministic
 
 The suite holds no family's whole frames: the projector, seam-transport
 and pullback rows read the reference Fermi field at 2G off one
-`cell_blocks` pass, a block of stored k1 rows at a time, as the
+`band_blocks` pass, a block of stored k1 rows at a time, as the
 certificates read theirs (`_fermi_field_rows`).
 """
 
@@ -48,9 +48,9 @@ from .representations import (
 from .spectral import (
     GapInfo,
     NumericalFailure,
+    band_blocks,
     band_edges,
     band_energies,
-    cell_blocks,
     expand_k1_mirror,
     fermi_rank,
     hofstadter_gap_report,
@@ -91,10 +91,10 @@ def _fermi_field_rows(ctx: WeylContext, h, weyl: FiberedRep, gap: GapInfo, G: in
 
     All three rows read the reference Fermi field of `gap` on its own 2G
     bands (on the G bands the pullback lemma fails for N = 8 at G = 8),
-    one `cell_blocks` pass at scale N whose blocks of stored k1 rows are
-    dropped as they are read.  The rank is the gap's label d, fixed before
-    the pass, and the Fermi level is checked on the 2G energies after it.
-    Each block's leading d frame columns feed
+    one `band_blocks` pass whose blocks of stored k1 rows are dropped as
+    they are read.  The rank is the gap's label d, fixed before the pass,
+    and the Fermi level is checked on the 2G energies after it.  Each
+    block's leading d frame columns feed
       - the Gram defects: with P = F F^dagger and g = F^dagger F,
         ||P^2 - P||_F = ||g^2 - g||_F and tr P = tr g (a mirrored row's
         projector is the exact conjugate of a stored one);
@@ -112,7 +112,7 @@ def _fermi_field_rows(ctx: WeylContext, h, weyl: FiberedRep, gap: GapInfo, G: in
     cols = 3 * np.arange(G2) % G2
     energies, column0 = [], []
     defect = 0.0
-    for start, [(E, F)] in cell_blocks(ctx, h, G2, (ctx.N,)):
+    for start, E, F in band_blocks(reference_fibered_rep(ctx), h, G2):
         F = F[..., :d]
         energies.append(E)
         column0.append(F[:, 0].copy())

@@ -59,8 +59,8 @@ COMMANDS = (
     ("verify", "--theta", "2/5", "--rep", "3,1", "--grid", "9"),
     # the pullback lemma's wrong-integer FAIL row: 3/8 (3,1) at G = 4 reads 8
     ("verify", "--theta", "3/8", "--rep", "3,1", "--grid", "4"),
-    # gcd(M0, G) = 4 (M0 = -4): both families read off one cell, the reference
-    # columns that no weyl column reaches included
+    # gcd(M0, G) = 4 (M0 = -4): the reference columns that no weyl column
+    # reaches are diagonalized on their own
     ("chern", "--theta", "2/5", "--rep", "3,2", "--grid", "16"),
     # odd butterfly grids: the CSV's own pass (its fine grid is 16), and certified weyl
     # energies of an odd grid

@@ -24,40 +24,24 @@ def ctx_of(M, N, q, r):
     return make_weyl_context(RationalTheta(M, N), q, r)
 
 
-def cell_bands(rep, a, G):
-    """The bands of `rep`'s family from the package's one cell pass, whole, as BandData.
-
-    The weyl family is the pass at scale M0, the reference family the pass
-    at scale N.  The conjugated reference form is the reference family at
-    N k1 up to a diagonal gauge, pi^c_(k1, k2) = D pi_(N k1, k2) D^dagger
-    with D = diag(e^{i2pi q k1 j}), so its row i reads reference row
-    N i mod G, or the conjugate of that row's k1 mirror when it is not
-    stored.
-    """
-    ctx = rep.ctx
-    scale = ctx.M0 if rep.kind == "weyl" else ctx.N
-    blocks = [bands for _, [bands] in spectral.cell_blocks(ctx, a, G, (scale,))]
-    energies = expand_k1_mirror(np.concatenate([E for E, _ in blocks]), G)
-    frames = np.concatenate([F for _, F in blocks])
-    if rep.conjugated:
-        H = len(frames)
-        i = ctx.N * np.arange(H) % G
-        mirrored = i >= H
-        frames = frames[np.where(mirrored, G - i, i)]
-        frames[mirrored] = frames[mirrored].conj()
-        D = np.exp(2j * np.pi * ctx.q * np.outer(np.arange(H) / G, np.arange(ctx.N)))
-        frames *= D[:, None, :, None]
-        energies = energies[ctx.N * np.arange(G) % G]
-    return BandData(rep, energies, frames)
-
-
 def bands_of(M, N, q, r, kind, G):
     key = (M, N, q, r, kind, G)
     if key not in _BANDS:
         ctx = ctx_of(M, N, q, r)
         rep = weyl_fibered_rep(ctx) if kind == "weyl" else reference_fibered_rep(ctx)
-        _BANDS[key] = cell_bands(rep, hofstadter_element(ctx.theta), G)
+        _BANDS[key] = package_bands(rep, hofstadter_element(ctx.theta), G)
     return _BANDS[key]
+
+
+def package_bands(rep, a, G):
+    """The package's band pass of `rep`'s family (`spectral.band_blocks`), whole, as BandData.
+
+    For h the k1-mirrored frames of the stored rows, the flipped columns
+    filled; `fields.bands_on_grid` is the unmirrored oracle.
+    """
+    blocks = list(spectral.band_blocks(rep, a, G))
+    energies = expand_k1_mirror(np.concatenate([E for _, E, _ in blocks]), G)
+    return BandData(rep, energies, np.concatenate([F for _, _, F in blocks]))
 
 
 def dense_projector(field):
@@ -82,24 +66,39 @@ def certs_of(M, N, q, r, G):
 def band_passes(monkeypatch):
     """Records (M, N, kind, G) for every spectral pass the package makes.
 
-    `band_energies` records its family's kind; `cell_blocks`, the one pass
-    with frames, records the kind "cell", whatever families it reads off
-    its cell; `hofstadter_energies`, which reads the energies of h off its
+    `band_blocks` and `band_energies` are passes over the same matrices,
+    with and without eigenvectors, and record their family's kind;
+    `dual_band_blocks`, the row-block pass of both families
+    (`certified_spectrum`), records the weyl family it diagonalizes, and
+    at M0 = 0 hands the reference family to `band_blocks`, which records
+    it; `hofstadter_energies`, which reads the energies of h off its
     central characters, records the kind "character".
     """
     calls = []
 
-    def counting(fn, key):
-        def counted(*args):
-            calls.append(key(*args))
-            return fn(*args)
+    def counting(fn):
+        def counted(rep, a, G):
+            calls.append((rep.ctx.M, rep.ctx.N, rep.kind, G))
+            return fn(rep, a, G)
         return counted
 
-    for name, key in (
-            ("band_energies", lambda rep, a, G: (rep.ctx.M, rep.ctx.N, rep.kind, G)),
-            ("cell_blocks", lambda ctx, a, G, scales: (ctx.M, ctx.N, "cell", G)),
-            ("hofstadter_energies", lambda ctx, G: (ctx.M, ctx.N, "character", G))):
-        counted = counting(getattr(spectral, name), key)
+    def counting_dual(fn):
+        def counted(ctx, a, G):
+            if ctx.M0:
+                calls.append((ctx.M, ctx.N, "weyl", G))
+            return fn(ctx, a, G)
+        return counted
+
+    def counting_characters(fn):
+        def counted(ctx, G):
+            calls.append((ctx.M, ctx.N, "character", G))
+            return fn(ctx, G)
+        return counted
+
+    for name, wrap in (("band_blocks", counting), ("band_energies", counting),
+                       ("dual_band_blocks", counting_dual),
+                       ("hofstadter_energies", counting_characters)):
+        counted = wrap(getattr(spectral, name))
         for mod in (chern, cli, spectral, suite):
             if name in vars(mod):
                 monkeypatch.setattr(mod, name, counted)

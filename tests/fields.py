@@ -1,9 +1,10 @@
 """Whole-frame projector fields: the oracles the streamed passes are tested against.
 
-The package reads band frames only as they stream from its one band
-pass, a block of stored k1 rows at a time (`spectral.cell_blocks`).
-These helpers hold a family's whole frames instead: `bands_on_grid`
-diagonalizes every point of the grid in one call, a
+The package reads band frames only as they stream from a band pass, a
+block of stored k1 rows at a time (`spectral.band_blocks`,
+`spectral.dual_band_blocks`).  These helpers hold a family's whole
+frames instead: `bands_on_grid` diagonalizes every point of the grid in
+one call, with no k1 mirror and no flip, a
 `ProjectorField` carries a Fermi field's frames, `fhs_chern` sums them
 through `_kernels.plaquette_flux_sum`, `pullback_field` resamples them,
 and `connes_chern_via_derivatives` evaluates the character by the
@@ -34,9 +35,9 @@ class BandData:
 
 
 def bands_on_grid(rep: FiberedRep, a: AlgebraElement, G: int) -> BandData:
-    """eigh of pi_k(a) at every point of the G x G grid: no mirror, no flip, no cell.
+    """eigh of pi_k(a) at every point of the G x G grid: no k1 mirror, no flip.
 
-    `frames` holds all G rows.  The oracle of the package's band pass.
+    `frames` holds all G rows.  The oracle of the package's band passes.
     """
     k = np.arange(G) / G
     H = evaluate_on_grid(rep, a, k, k)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import bands_of, cell_bands, certs_of, ctx_of, dense_projector, report_of
+from conftest import bands_of, certs_of, ctx_of, dense_projector, package_bands, report_of
 from fields import (
     ProjectorField,
     bands_on_grid,
@@ -40,7 +40,7 @@ def ref_gap_field(M, N, q, r, gap_index, G=32, conjugated=False):
     if conjugated:
         ctx = ctx_of(M, N, q, r)
         from nctorus.algebra import hofstadter_element
-        bd = bands_on_grid(reference_fibered_rep(ctx, conjugated=True),
+        bd = package_bands(reference_fibered_rep(ctx, conjugated=True),
                            hofstadter_element(ctx.theta), G)
     else:
         bd = bands_of(M, N, q, r, "reference", G)
@@ -182,13 +182,13 @@ def _fermi_in_a_band(monkeypatch):
 
 
 def _weyl_bands_shifted(monkeypatch):
-    blocks = chern.cell_blocks
+    blocks = chern.dual_band_blocks
 
-    def spoiled(ctx, a, G, scales):
-        for start, [reference, (E_w, F_w)] in blocks(ctx, a, G, scales):
-            yield start, [reference, (E_w + 2.0, F_w)]
+    def spoiled(ctx, a, G):
+        for start, reference, (E_w, F_w) in blocks(ctx, a, G):
+            yield start, reference, (E_w + 2.0, F_w)
 
-    monkeypatch.setattr(chern, "cell_blocks", spoiled)
+    monkeypatch.setattr(chern, "dual_band_blocks", spoiled)
 
 
 def _no_rounding_slack(monkeypatch):
@@ -214,9 +214,9 @@ def test_gap_certificates_raise_typed_failures(spec, spoil, error, match, monkey
 @pytest.mark.parametrize("kind", ["reference", "weyl"])
 def test_fhs_chern_names_the_family_in_a_residual_error(kind, monkeypatch):
     # one function for both kinds; its rounding failure says which family failed
-    # (on 1/4 (3,1) at G = 15 both rank-1 sums are off an integer)
+    # (on 1/4 (3,1) at G = 16 both rank-1 sums are off an integer)
     monkeypatch.setattr(chern, "ROUND_TOL", 1e-300)
-    field = (ref_gap_field if kind == "reference" else weyl_gap_field)(1, 4, 3, 1, 0, G=15)
+    field = (ref_gap_field if kind == "reference" else weyl_gap_field)(1, 4, 3, 1, 0, G=16)
     with pytest.raises(ChernResidualError, match=f"^{kind}: lattice sum"):
         fhs_chern(field)
 
@@ -249,7 +249,7 @@ def test_pullback_scaling():
 def _mirrored_and_full(rep, G):
     """(k1-mirrored bands, directly diagonalized bands) of h on the G x G grid."""
     h = hofstadter_element(rep.ctx.theta)
-    bd, full = cell_bands(rep, h, G), bands_on_grid(rep, h, G)
+    bd, full = package_bands(rep, h, G), bands_on_grid(rep, h, G)
     assert (len(bd.frames), len(full.frames)) == (G // 2 + 1, G)
     return bd, full
 
@@ -310,8 +310,9 @@ def test_numeric_trace_and_character_of_a_mirrored_field(G):
 
 
 def test_certificates_from_mirrored_bands_match_the_full_grid(monkeypatch, eigh_matrices):
-    # the streamed pass on the quarter cell grid, k1 mirror and cell flip read,
-    # against the same pass diagonalizing every cell of the grid (M0 = -5)
+    # the streamed pass on the quarter grid, k1 mirror and flip filled, against
+    # the same pass diagonalizing every grid point (M0 = -5: no reference
+    # column is diagonalized on its own)
     ctx = ctx_of(3, 7, 3, 2)
     certs = gap_certificates(ctx, 16)
     diagonalized = spectral._diagonalized
@@ -431,22 +432,16 @@ def test_grid_stability_24_vs_48():
                                          ((2, 5, 3, 2), 1)])
 def test_gap_certificates_one_spectral_pass_per_rep_and_grid(band_passes, eigh_matrices,
                                                              spec, passes):
-    # one cell pass on the quarter cell grid (k1 rows and cells 0 .. 6), which
-    # both families read, at M0 = -1 and at M0 = -4 (gcd(M0, 12) = 4) alike;
-    # theta = r/q has no weyl family and reads the reference family alone
+    # the weyl pass on the quarter grid (k1 rows and k2 columns 0 .. 6), and
+    # reference eigh only on the columns k2 = j/12, j <= 6, that no weyl column
+    # reaches: none at M0 = -1, the 5 with 4 not dividing j at M0 = -4; theta =
+    # r/q has no weyl family and takes the reference pass
     ctx = ctx_of(*spec)
     gap_certificates(ctx, 12)
-    assert band_passes == [(ctx.M, ctx.N, "cell", 12)] * passes
-    assert eigh_matrices == [7 * 7]
-
-
-def test_certificates_hand_the_quarter_cell_grid_to_eigh(eigh_matrices):
-    # 2/5 (3,2) at G = 64, M0 = -4: 33 x 33 cells, none diagonalized twice; a
-    # pass that diagonalizes the reference columns no weyl column reaches on
-    # their own hands 33 x 57 = 1,881
-    certs = gap_certificates(ctx_of(2, 5, 3, 2), 64)
-    assert len(certs) == 6
-    assert sum(eigh_matrices) == 33 * 33
+    kind = "reference" if ctx.M0 == 0 else "weyl"
+    assert band_passes == [(ctx.M, ctx.N, kind, 12)] * passes
+    own = {0: 0, -1: 0, -4: 5}[ctx.M0]
+    assert eigh_matrices == [7 * 7] + ([7 * own] if own else [])
 
 
 @pytest.mark.parametrize("spec, G", [
@@ -474,9 +469,9 @@ def test_streamed_certificates_equal_the_band_data_ones(spec, G, one_row, monkey
     report = report_of(*spec)
     assert [c["gap"] for c in certs] == report.gaps
     h = hofstadter_element(ctx.theta)
-    families = {"cc": bands_on_grid(reference_fibered_rep(ctx), h, G)}
+    families = {"cc": package_bands(reference_fibered_rep(ctx), h, G)}
     if ctx.M0:
-        families["t"] = bands_on_grid(weyl_fibered_rep(ctx), h, G)
+        families["t"] = package_bands(weyl_fibered_rep(ctx), h, G)
     else:               # no twisted family: t = q d without a lattice sum
         assert [c["t"].value for c in certs] == [ctx.q * gap.d for gap in report.gaps]
     for c, gap in zip(certs, report.gaps):

@@ -230,7 +230,7 @@ def test_butterfly_bytes_do_not_depend_on_the_thread_count(tmp_path, monkeypatch
 @pytest.mark.parametrize("colored, digest", [
     ((), "c5e4d002932544c7b02c74f23209b1c3654646da358b260bf0100ac42bb65c51"),
     (("--format", "svg", "--color-gaps"),
-     "699aaefd80fca5a53a119d7c8c3372f44aa0b020afba49e935c80d2b71a683d8"),
+     "75b045431b9f00776b3af053968f1dac6bb092788707dc63e8236c8c83aa58e0"),
 ], ids=["plain", "color-gaps"])
 def test_butterfly_csv_bytes_are_pinned(tmp_path, colored, digest):
     out = tmp_path / "o"
@@ -608,14 +608,15 @@ def test_butterfly_colored_bands_do_not_cross_certified_gaps(tmp_path):
 
 def test_butterfly_color_gaps_one_spectral_pass_per_theta(tmp_path, band_passes,
                                                          eigh_matrices):
-    # one cell pass per theta at G: the reference family on the quarter cell grid
-    # (k1 rows and cells 0 .. 4), which both families, the CSV's weyl bands
-    # included, read off whatever gcd(M0, G) is (M0 = 1 at 1/3, 2 at 2/5)
+    # the weyl bands at G, which the CSV reuses, diagonalized on the quarter grid
+    # (k1 rows and k2 columns 0 .. 4); the reference bands are read off them, all
+    # columns at 1/3 (M0 = 1), the even ones at 2/5 (M0 = 2), whose odd columns
+    # 1 and 3 are diagonalized on the 5 stored k1 rows; columns 5 .. 7 are filled
     out = tmp_path / "o"
     assert run("butterfly", "--theta", "1/3", "--theta", "2/5", "--grid", "8", "--format", "csv",
                "--format", "svg", "--color-gaps", "--out", str(out)) == EXIT_OK
-    assert sorted(band_passes) == [(1, 3, "cell", 8), (2, 5, "cell", 8)]
-    assert sorted(eigh_matrices) == [5 * 5, 5 * 5]
+    assert sorted(band_passes) == [(1, 3, "weyl", 8), (2, 5, "weyl", 8)]
+    assert sorted(eigh_matrices) == [5 * 2, 5 * 5, 5 * 5]
 
 
 def test_butterfly_svg_only_diagonalizes_no_csv_grid(tmp_path, band_passes):

@@ -15,6 +15,7 @@ from nctorus.algebra import (
     hofstadter_element,
     monomial,
     random_element,
+    random_selfadjoint_element,
     unit,
 )
 from nctorus.representations import (
@@ -234,3 +235,48 @@ def test_isospectrality_weyl_vs_reference():
     haus = spectral_hausdorff(bands_of(1, 3, 2, 1, "weyl", 64).energies,
                               bands_of(1, 3, 2, 1, "reference", 64).energies)
     assert haus < 1e-6
+
+
+@pytest.mark.parametrize("M, N, q, r", [
+    pytest.param(8, 13, 2, 1, id="M0=3"),
+    pytest.param(3, 7, 3, 1, id="M0=2"),
+    pytest.param(2, 5, 3, 2, id="M0=-4"),
+    pytest.param(3, 7, 3, 2, id="M0=-5"),
+    pytest.param(0, 1, 1, 0, id="M0=0"),
+])
+def test_families_are_the_reference_family_on_the_magnetic_cell(M, N, q, r, rng):
+    # gather: column j of the family at scale c (N: reference, M0: weyl) is
+    # cell x = cj mod G of the reference family, k2 = x/(N G), conjugated by
+    # W^m, m = (cj - x)/G, W = S(e^{i2pi q k1})^a, a = -(qM)^-1 mod N: for any
+    # element, since W and the k2 scaling act on the generators.  flip: cell
+    # x is M conj(cell G - x) M^dagger, M = W conj Q, Q sending row t to row
+    # -t mod N times e^{i2pi q k1} for t != 0: for h, which has the k1 mirror
+    # and the flip.  Both at random k1, off the grid rows
+    ctx = ctx_of(M, N, q, r)
+    G = 16
+    a = -pow(q * M, -1, N)
+    h = hofstadter_element(ctx.theta)
+    reference = reference_fibered_rep(ctx)
+    families = {N: reference}
+    if ctx.M0:
+        families[ctx.M0] = weyl_fibered_rep(ctx)
+
+    def pi(rep, elem, k1, k2):
+        return evaluate_at_k(rep, elem, (k1, k2))
+
+    for c, rep in families.items():
+        for j in range(G):
+            k1 = rng.random()
+            m, x = divmod(c * j, G)
+            W = shift_matrix_power(N, np.exp(2j * np.pi * q * k1), a * m)
+            for elem in (h, random_selfadjoint_element(ctx.theta, 3, rng)):
+                cell = pi(reference, elem, k1, x / (N * G))
+                assert frob(pi(rep, elem, k1, j / G) - W @ cell @ W.conj().T) < 1e-12
+    for x in range(G):
+        k1 = rng.random()
+        lam = np.exp(2j * np.pi * q * k1)
+        Q = np.zeros((N, N), complex)
+        Q[-np.arange(N) % N, np.arange(N)] = np.where(np.arange(N) == 0, 1.0, lam)
+        Mx = shift_matrix_power(N, lam, a) @ Q.conj()
+        mirror = pi(reference, h, k1, (G - x) / (N * G))
+        assert frob(pi(reference, h, k1, x / (N * G)) - Mx @ mirror.conj() @ Mx.conj().T) < 1e-12

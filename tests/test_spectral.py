@@ -9,7 +9,7 @@ import types
 import numpy as np
 import pytest
 
-from conftest import bands_of, cell_bands, ctx_of, dense_projector, report_of
+from conftest import bands_of, ctx_of, dense_projector, package_bands, report_of
 from fields import (
     ProjectorField,
     bands_on_grid,
@@ -19,13 +19,7 @@ from fields import (
 )
 
 from nctorus import cli, spectral
-from nctorus.algebra import (
-    AlgebraElement,
-    hofstadter_element,
-    monomial,
-    random_selfadjoint_element,
-    unit,
-)
+from nctorus.algebra import AlgebraElement, hofstadter_element, monomial, unit
 from nctorus.arithmetic import gap_label_d
 from nctorus.representations import (
     evaluate_at_k,
@@ -38,10 +32,11 @@ from nctorus.spectral import (
     FERMI_TOL,
     GapViolationError,
     SelfAdjointnessError,
+    band_blocks,
     band_edges,
     band_energies,
     band_rows,
-    cell_blocks,
+    dual_band_blocks,
     expand_k1_mirror,
     fermi_rank,
     hofstadter_energies,
@@ -54,23 +49,22 @@ SQRT3 = math.sqrt(3.0)
 
 def test_two_band_energies_at_origin():
     ctx = ctx_of(1, 2, 1, 0)
-    bd = cell_bands(weyl_fibered_rep(ctx), hofstadter_element(ctx.theta), 1)
+    bd = package_bands(weyl_fibered_rep(ctx), hofstadter_element(ctx.theta), 1)
     assert bd.energies[0, 0] == pytest.approx(
         [-2 * math.sqrt(2), 2 * math.sqrt(2)], abs=1e-13)
 
 
 def test_unit_element_is_flat():
     ctx = ctx_of(1, 3, 1, 0)
-    bd = cell_bands(weyl_fibered_rep(ctx), unit(ctx.theta), 4)
+    bd = package_bands(weyl_fibered_rep(ctx), unit(ctx.theta), 4)
     assert np.allclose(bd.energies, 1.0, atol=1e-14)
 
 
 def test_rejects_non_selfadjoint():
     ctx = ctx_of(1, 3, 1, 0)
-    with pytest.raises(SelfAdjointnessError):
-        next(cell_blocks(ctx, monomial(ctx.theta, 1, 0), 4, (ctx.M0,)))
-    with pytest.raises(SelfAdjointnessError):
-        band_energies(weyl_fibered_rep(ctx), monomial(ctx.theta, 1, 0), 4)
+    for entry in (lambda *args: next(band_blocks(*args)), band_energies):
+        with pytest.raises(SelfAdjointnessError):
+            entry(weyl_fibered_rep(ctx), monomial(ctx.theta, 1, 0), 4)
 
 
 def test_frames_are_orthonormal():
@@ -104,8 +98,8 @@ def _projector(F, R):
 def test_k1_mirror_matches_full_grid(family, M, N, q, r, G, eigh_matrices, eigvalsh_matrices):
     ctx = ctx_of(M, N, q, r)
     rep, h = family(ctx), hofstadter_element(ctx.theta)
-    bd = cell_bands(rep, h, G)
-    assert eigh_matrices == [(G // 2 + 1) ** 2]      # the flip halves the diagonalized cells
+    bd = package_bands(rep, h, G)
+    assert eigh_matrices == [(G // 2 + 1) ** 2]      # the flip halves the diagonalized k2 columns
     assert bd.frames.shape[:2] == (G // 2 + 1, G)
     assert np.abs(band_energies(rep, h, G) - bd.energies).max() < 1e-12
     assert eigvalsh_matrices == [(G // 2 + 1) ** 2]
@@ -129,7 +123,7 @@ def test_element_without_k1_mirror_takes_full_grid(family, M, N, q, r, G, eigh_m
     ctx = ctx_of(M, N, q, r)
     a = AlgebraElement(ctx.theta, {(1, 0): 1, (-1, 0): 1, (0, 1): 1 + 1j, (0, -1): 1 - 1j})
     rep = family(ctx)
-    bd = cell_bands(rep, a, G)
+    bd = package_bands(rep, a, G)
     assert sum(eigh_matrices) == G * G              # in blocks of stored rows
     assert bd.frames.shape[0] == G
     assert np.abs(band_energies(rep, a, G) - bd.energies).max() < 1e-12
@@ -148,12 +142,12 @@ def test_element_without_k1_mirror_takes_full_grid(family, M, N, q, r, G, eigh_m
 @pytest.mark.parametrize("M, N, q, r", [(1, 2, 1, 0), (3, 7, 3, 2), (3, 8, 3, 1), (8, 13, 2, 1)])
 @pytest.mark.parametrize("G", [6, 7, 15, 16])
 def test_flipped_columns_are_eigenbases(family, M, N, q, r, G):
-    # every column of the stored rows is read off a cell, through the gather
-    # or the flip rule, not diagonalized; each must still solve
-    # pi_k(h) F = F diag(E) at its own k
+    # columns G//2 + 1 .. G - 1 of the stored rows are filled by the flip
+    # intertwiner, not diagonalized; each must still solve pi_k(h) F = F diag(E)
+    # at its own k, the weyl seam k2 = -j/G + 1 included
     ctx = ctx_of(M, N, q, r)
     rep, h = family(ctx), hofstadter_element(ctx.theta)
-    bd = cell_bands(rep, h, G)
+    bd = package_bands(rep, h, G)
     rows = G // 2 + 1
     assert bd.frames.shape == (rows, G, N, N)
     F, E = bd.frames, bd.energies[:rows]
@@ -177,7 +171,7 @@ def test_element_without_the_flip_takes_full_grid(family, G, eigh_matrices,
     ctx = ctx_of(8, 13, 2, 1)
     a = AlgebraElement(ctx.theta, {(1, 0): 1 + 1j, (-1, 0): 1 - 1j, (0, 1): 1, (0, -1): 1})
     rep = family(ctx)
-    bd = cell_bands(rep, a, G)
+    bd = package_bands(rep, a, G)
     assert sum(eigh_matrices) == G * G              # in blocks of stored rows
     assert bd.frames.shape == (G, G, 13, 13)
     assert np.abs(band_energies(rep, a, G) - bd.energies).max() < 1e-12
@@ -198,22 +192,22 @@ def test_element_without_the_flip_takes_full_grid(family, G, eigh_matrices,
 @pytest.mark.parametrize("G", [15, 16])
 def test_dual_bands_read_the_reference_off_the_weyl_pass(M, N, q, r, G, mirrored,
                                                          eigh_matrices):
-    # both families are read off one cell pass, whatever g = gcd(M0, G) is
-    # (M0 = 3, -2, -4: g is 1, 2, 4 at G = 16 and 3, 1, 1 at G = 15)
+    # M0 = 3, -2, -4: g = gcd(M0, G) is 1, 2, 4 at G = 16 and 3, 1, 1 at G = 15
     ctx = ctx_of(M, N, q, r)
     a = hofstadter_element(ctx.theta) if mirrored else AlgebraElement(
         ctx.theta, {(1, 0): 1, (-1, 0): 1, (0, 1): 1 + 1j, (0, -1): 1 - 1j})
     starts, E_r, F_r, E_w, F_w = [], [], [], [], []
-    for start, [(energies, frames), (weyl_energies, weyl_frames)] in cell_blocks(
-            ctx, a, G, (N, ctx.M0)):
+    for start, (energies, frames), (weyl_energies, weyl_frames) in dual_band_blocks(ctx, a, G):
         starts.append(start)
         E_r.append(energies)
         F_r.append(frames)
         E_w.append(weyl_energies)
         F_w.append(weyl_frames)
     F_r, F_w = np.concatenate(F_r), np.concatenate(F_w)
-    rows = cols = G // 2 + 1 if mirrored else G        # h: the quarter cell grid
-    assert sum(eigh_matrices) == rows * cols
+    g = math.gcd(ctx.M0, G)
+    rows = cols = G // 2 + 1 if mirrored else G        # h: the quarter grid, then filled
+    own = sum(j % g != 0 for j in range(cols))
+    assert sum(eigh_matrices) == rows * (cols + own)
     assert starts == list(range(0, rows, len(E_r[0])))
     assert len(F_r) == len(F_w) == rows
     assert np.abs(expand_k1_mirror(np.concatenate(E_w), G)
@@ -225,87 +219,27 @@ def test_dual_bands_read_the_reference_off_the_weyl_pass(M, N, q, r, G, mirrored
     F = expand_k1_mirror(F_r, G)
     for R in ranks:
         assert np.abs(_projector(F, R) - _projector(direct.frames, R)).max() < 1e-10
-    weyl = bands_on_grid(weyl_fibered_rep(ctx), a, G)
-    F = expand_k1_mirror(F_w, G)
-    for R in ranks:
-        assert np.abs(_projector(F, R) - _projector(weyl.frames, R)).max() < 1e-10
 
 
 @pytest.mark.parametrize("mirrored", [True, False], ids=["h", "no-mirror"])
 @pytest.mark.parametrize("G", [7, 16])
 def test_band_blocks_are_one_pass_in_row_blocks(G, mirrored, monkeypatch, eigh_matrices):
     # blocks of at most 2 stored rows here (one row at G = 16: 16 x 13 x 13 x 16
-    # bytes), in order, that together are the whole pass of `cell_bands`
+    # bytes), in order, that together are the whole pass in one block
     monkeypatch.setattr(spectral._kernels, "BLOCK_BYTES", 2 * 7 * 13 * 13 * 16)
     ctx = ctx_of(8, 13, 2, 1)
     rep = reference_fibered_rep(ctx)
     a = hofstadter_element(ctx.theta) if mirrored else AlgebraElement(
         ctx.theta, {(1, 0): 1, (-1, 0): 1, (0, 1): 1 + 1j, (0, -1): 1 - 1j})
-    starts, families = zip(*cell_blocks(ctx, a, G, (ctx.N,)))
-    E, F = zip(*(bands for [bands] in families))
+    starts, E, F = zip(*band_blocks(rep, a, G))
     rows = G // 2 + 1 if mirrored else G
     step = 2 if G == 7 else 1
     assert starts == tuple(range(0, rows, step))
     assert max(eigh_matrices) == step * (G // 2 + 1 if mirrored else G)
     monkeypatch.setattr(spectral._kernels, "BLOCK_BYTES", 1 << 30)
-    bd = cell_bands(rep, a, G)
+    bd = package_bands(rep, a, G)
     assert np.array_equal(np.concatenate(F), bd.frames)
     assert np.array_equal(expand_k1_mirror(np.concatenate(E), G), bd.energies)
-
-
-@pytest.mark.parametrize("M, N, q, r", [
-    pytest.param(8, 13, 2, 1, id="M0=3"),
-    pytest.param(3, 7, 3, 1, id="M0=2"),
-    pytest.param(2, 5, 3, 2, id="M0=-4"),
-    pytest.param(3, 7, 3, 2, id="M0=-5"),
-    pytest.param(0, 1, 1, 0, id="M0=0"),
-])
-def test_cell_gather_and_flip_rules_hold_on_the_matrices(M, N, q, r):
-    # column j of the family at scale c is cell x = cj mod G through W^m, for
-    # any self-adjoint element; for h a cell x > G//2 is M conj(cell G - x),
-    # M = W conj Q.  Each read's monomial T is `_read_cell` applied to the
-    # identity, and the rules hold at random k1, off the grid rows too
-    ctx = ctx_of(M, N, q, r)
-    G, rng = 16, np.random.default_rng(7)
-    h = hofstadter_element(ctx.theta)
-    elements = [h, random_selfadjoint_element(ctx.theta, 3, rng)]
-    reference = reference_fibered_rep(ctx)
-    families = {N: reference, ctx.M0: weyl_fibered_rep(ctx)} if ctx.M0 else {N: reference}
-    eye = np.eye(N, dtype=complex)[None]
-
-    def pi(rep, a, k1, k2):
-        return evaluate_on_grid(rep, a, np.array([k1]), np.array([k2]))[0, 0]
-
-    def monomial_of(p, k1, flip):
-        T = np.empty_like(eye)
-        spectral._read_cells(eye, T, p, np.exp(2j * np.pi * q * k1).reshape(1, 1, 1), flip)
-        return T[0]
-
-    def columns(c, n):
-        """(j, cell, p, flip) per column, from the runs of `_cell_reads`."""
-        reads = spectral._cell_reads(ctx, G, n, c)
-        out = [(j, x, p, flip) for cols, cells, p, flip in reads
-               for j, x in zip(range(G)[cols], range(n)[cells], strict=True)]
-        assert [j for j, *_ in out] == list(range(G))
-        return out
-
-    flips = 0
-    for c, rep in families.items():
-        for j, x, p, flip in columns(c, G):
-            assert not flip
-            k1 = rng.random()
-            T = monomial_of(p, k1, False)
-            for a in elements:
-                cell = pi(reference, a, k1, x / (N * G))
-                assert np.abs(pi(rep, a, k1, j / G) - T @ cell @ T.conj().T).max() < 1e-13
-        for j, x, p, flip in columns(c, G // 2 + 1):
-            k1 = rng.random()
-            T = monomial_of(p, k1, flip)
-            cell = pi(reference, h, k1, x / (N * G))
-            read = T @ (cell.conj() if flip else cell) @ T.conj().T
-            assert np.abs(pi(rep, h, k1, j / G) - read).max() < 1e-13
-            flips += flip
-    assert flips == sum(G // 2 < c * j % G for c in families for j in range(G))
 
 
 def test_gap_structure_theta_third():

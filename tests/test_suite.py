@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from conftest import cell_bands, ctx_of
+from conftest import ctx_of
 from fields import bands_on_grid, fermi_projector_field, fhs_chern, pullback_field
 
 from nctorus import _kernels, representations, suite
@@ -15,30 +15,30 @@ from nctorus.suite import run_invariant_suite
 
 
 def _recorded_blocks(monkeypatch, blocks):
-    """Makes the suite's `cell_blocks` append (scales, G, start, rows) of every block it yields."""
-    passes = suite.cell_blocks
+    """Makes the suite's `band_blocks` append (kind, G, start, rows) of every block it yields."""
+    passes = suite.band_blocks
 
-    def recorded(ctx, a, G, scales):
-        for start, families in passes(ctx, a, G, scales):
-            blocks.append((scales, G, start, len(families[0][1])))
-            yield start, families
+    def recorded(rep, a, G):
+        for start, energies, frames in passes(rep, a, G):
+            blocks.append((rep.kind, G, start, len(frames)))
+            yield start, energies, frames
 
-    monkeypatch.setattr(suite, "cell_blocks", recorded)
+    monkeypatch.setattr(suite, "band_blocks", recorded)
 
 
 def test_suite_one_spectral_pass_per_rep_and_grid(band_passes, monkeypatch):
     # isospectral_grid(1/3 (2,1), 32) == 32: isospectrality reads energies alone,
-    # one pass of each family at 32.  The cell pass at 2G, scale N, feeds the
-    # projector rows and the pullback lemma: one block of its 33 stored rows at
-    # N = 3.  The certificates stream a cell pass at 32 in row blocks: they run
-    # gap_certificates, the one certificate path every command runs
+    # one pass of each family at 32.  The reference family's block pass at 2G
+    # feeds the projector rows and the pullback lemma: one block of its 33
+    # stored rows at N = 3.  The certificates stream a weyl pass at 32 in row
+    # blocks: they run gap_certificates, the one certificate path every command runs
     blocks = []
     _recorded_blocks(monkeypatch, blocks)
     rows = run_invariant_suite(ctx_of(1, 3, 2, 1), 32)
     assert all(r.ok for r in rows)
-    assert blocks == [((3,), 64, 0, 33)]
+    assert blocks == [("reference", 64, 0, 33)]
     assert band_passes == [(1, 3, "weyl", 32), (1, 3, "reference", 32),
-                           (1, 3, "cell", 64), (1, 3, "cell", 32)]
+                           (1, 3, "reference", 64), (1, 3, "weyl", 32)]
     iso = next(r for r in rows if r.name == "isospectrality")
     assert 0.0 < iso.value < 1e-12
 
@@ -77,14 +77,14 @@ def test_projector_rows_on_mirrored_bands_match_the_full_grid(monkeypatch):
     mirrored = {r.name: r for r in run_invariant_suite(ctx, 16)}
     full_passes = []
 
-    def full_grid_blocks(ctx, a, G, scales):
-        full_passes.append((scales, G))
-        bd = bands_on_grid(reference_fibered_rep(ctx), a, G)
-        yield 0, [(bd.energies, bd.frames)]
+    def full_grid_blocks(rep, a, G):
+        full_passes.append((rep.kind, G))
+        bd = bands_on_grid(rep, a, G)
+        yield 0, bd.energies, bd.frames
 
-    monkeypatch.setattr(suite, "cell_blocks", full_grid_blocks)
+    monkeypatch.setattr(suite, "band_blocks", full_grid_blocks)
     full = {r.name: r for r in run_invariant_suite(ctx, 16)}
-    assert full_passes == [((5,), 32)]
+    assert full_passes == [("reference", 32)]
     assert {n: r.ok for n, r in mirrored.items()} == {n: r.ok for n, r in full.items()}
     assert all(r.ok for r in mirrored.values())
     for name in ("projector-field", "projector-seam-transport"):
@@ -95,7 +95,7 @@ def test_projector_rows_on_mirrored_bands_match_the_full_grid(monkeypatch):
 def _whole_field_pullbacks(ctx, G):
     """fhs_chern (value, raw) of the 2G field and its (2,1), (1,3) pullbacks, to the first failure."""
     gap = max(hofstadter_gap_report(ctx).internal(), key=lambda g: g.upper - g.lower)
-    bd = cell_bands(reference_fibered_rep(ctx), hofstadter_element(ctx.theta), 2 * G)
+    bd = bands_on_grid(reference_fibered_rep(ctx), hofstadter_element(ctx.theta), 2 * G)
     field = fermi_projector_field(bd, gap.fermi)
     out = []
     try:
