@@ -18,7 +18,7 @@ kernel forms the link overlaps once, see `_kernels`), and the gaps are
 then checked in one loop (`_certificates`).  `gap_certificates` streams:
 one band pass in blocks of k1 rows (`spectral.dual_band_blocks`) hands
 each block of both families' frames to their kernels and drops it, so
-it holds the energies of the grid and, per gap, one plaquette angle sum
+it holds the diagonalized energies and, per gap, one plaquette angle sum
 per k1 row: never a family's whole frames, nor the grid's link minors.
 It is the one certificate path: `chern`, `labels`, the colored
 butterfly and `verify` all run it.
@@ -57,8 +57,8 @@ from .spectral import (
     NumericalFailure,
     band_edges,
     dual_band_blocks,
-    expand_k1_mirror,
     fermi_rank,
+    grid_index,
     hofstadter_gap_report,
 )
 
@@ -143,7 +143,7 @@ def _fft_character(A: np.ndarray) -> complex:
 
 
 def certified_spectrum(ctx: WeylContext, G: int = 64):
-    """(report, energies, certificates) of `ctx` at G from one streamed band pass.
+    """(report, (rows, index), certificates) of `ctx` at G from one streamed band pass.
 
     The exact gap report, the weyl energies at G (the reference ones at
     theta = r/q, where there is no weyl family) and `gap_certificates`.
@@ -151,9 +151,9 @@ def certified_spectrum(ctx: WeylContext, G: int = 64):
     at a time, and each block's frames go to that family's
     `_kernels.LinkMinors` (the weyl one closed by the seam of the block's
     rows) before the next block is diagonalized.  So only the energies of
-    the whole grid and the kernels' per-row angle sums are kept, never a
-    family's frames or the grid's link minors.  The kernels' ranks are the
-    report's labels d, fixed before the pass.
+    the diagonalized points and the kernels' per-row angle sums are kept,
+    never a family's frames or the grid's link minors.  The kernels' ranks
+    are the report's labels d, fixed before the pass.
     """
     report = hofstadter_gap_report(ctx)
     ranks = [gap.d for gap in report.gaps]
@@ -167,11 +167,12 @@ def certified_spectrum(ctx: WeylContext, G: int = 64):
             E_w.append(weyl[0])
             t.add(weyl[1], twist_transport(ctx, np.arange(start, start + len(weyl[1])) / G))
         del frames, weyl                # before the next block is diagonalized
-    E_r = expand_k1_mirror(np.concatenate(E_r), G)
-    E_w = expand_k1_mirror(np.concatenate(E_w), G) if E_w else None
+    E_r = np.concatenate(E_r)
+    E_w = np.concatenate(E_w) if E_w else None
     certs = _certificates(ctx, report, G, E_r, cc.flux_sums(), E_w,
                           None if t is None else t.flux_sums())
-    return report, E_r if E_w is None else E_w, certs
+    E = E_r if E_w is None else E_w
+    return report, (E.reshape(-1, ctx.N), grid_index(E.shape[1], G)), certs
 
 
 def gap_certificates(ctx: WeylContext, G: int = 64) -> List[dict]:
@@ -194,8 +195,9 @@ def _certificates(ctx: WeylContext, report: GapReport, G: int, E_r: np.ndarray, 
     summed, then the weyl and then the reference link guard and
     rounding, the diophantine and rhs identities, and `tknn_solve`.  With
     s = -cc the duality N t = M0 cc + q d is the diophantine identity
-    itself, so `duality_ok` is recorded, not checked.  E_w and t_sums are
-    None at theta = r/q.
+    itself, so `duality_ok` is recorded, not checked.  E_r and E_w hold
+    each family's energies at its diagonalized points; E_w and t_sums
+    are None at theta = r/q.
 
     `ncint` is exact: the normalized trace of a rank-d projector is d/N.
     At rational theta the rhs q (d/N + eps cc) then equals

@@ -142,6 +142,11 @@ def parse_config_file(path: str) -> dict:
             values.setdefault(key, []).extend(v.strip() for v in val.split(",") if v.strip())
         elif key in ("theta", "rep"):
             values.setdefault(key, []).append(val)   # repeat the line to repeat the flag
+        elif key in ("farey", "grid"):
+            try:
+                values[key] = int(val)
+            except ValueError:
+                raise ConfigError(f"bad {key} {val!r}: expected an integer") from None
         else:
             values[key] = val
     return values
@@ -162,11 +167,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     thetas = pick(args.theta, "theta", [])
     cfg.thetas = list(dict.fromkeys(parse_theta(t) for t in thetas))   # repeats count once
-    farey = pick(args.farey, "farey", None)
-    cfg.farey = int(farey) if farey is not None else None
+    cfg.farey = pick(args.farey, "farey", None)
     reps = pick(args.rep, "rep", None)
     cfg.reps = list(dict.fromkeys(parse_rep(r) for r in reps)) if reps else [(1, 0)]
-    cfg.grid = int(pick(args.grid, "grid", 64))
+    cfg.grid = pick(args.grid, "grid", 64)
     cfg.out = Path(pick(args.out, "out", "."))
     accepted = _WRITES[args.command]
     cfg.formats = list(pick(args.format, "format", None) or accepted[:1])
@@ -280,14 +284,14 @@ def _butterfly_job(ctx, cfg: RunConfig):
         # the uncolored SVG keeps sampled grid detection on the weyl energies,
         # read off the central character
         fine = hofstadter_energies(ctx, 2 * max(8, cfg.grid // 2))
-        report = detect_gaps_refined(fine)
-        if len(fine) == cfg.grid:
+        report = detect_gaps_refined(*fine)
+        if len(fine[1]) == cfg.grid:
             energies = fine       # refinement's fine grid is the CSV grid
     if "csv" not in cfg.formats:
         return ctx, None, report, certs
     if energies is None:
         energies = hofstadter_energies(ctx, cfg.grid)
-    return ctx, band_rows(energies, f"{ctx.M},{ctx.N},"), report, certs
+    return ctx, band_rows(*energies, f"{ctx.M},{ctx.N},"), report, certs
 
 
 def _in_order(pool, fn, items, window: int):

@@ -24,9 +24,9 @@ pi^w_(k1, k2) = pi^r_(k1, M0 k2 / N) exactly.  The reference family is
 invariant under the magnetic translation k2 -> k2 + 1/N:
 pi^r_(k1, k2 + m/N) = W^m pi^r_k W^-m with W = S(e^{i2pi q k1})^a and
 a = -(qM)^{-1} mod N, because S^a C^{qM} S^-a = e^{i2pi/N} C^{qM} and W
-commutes with V(k); W^p is twist_transport(ctx, k1, -a p).  Together
-they let `spectral.dual_band_blocks` read the reference bands off the
-weyl ones.
+commutes with V(k); W^p is shift_matrix_power(N, e^{i2pi q k1}, a p).
+Together they let `spectral.dual_band_blocks` read the reference bands
+off the weyl ones.
 """
 
 from __future__ import annotations
@@ -78,16 +78,16 @@ def twist_matrix(ctx: WeylContext, k1: float) -> np.ndarray:
     return shift_matrix(ctx.N, np.exp(1j * TWO_PI * ctx.q * k1)).T.copy()
 
 
-def twist_transport(ctx: WeylContext, k1, m: int = 1) -> np.ndarray:
-    """Unitary T with pi_{(k1, k2+m)}(a) = T pi_{(k1, k2)}(a) T^dagger.
+def twist_transport(ctx: WeylContext, k1) -> np.ndarray:
+    """Unitary T with pi_{(k1, k2+1)}(a) = T pi_{(k1, k2)}(a) T^dagger.
 
-    T = conj(G(k1))^m = S(e^{i2pi q k1})^{-m}; T^N is the scalar
-    e^{-i2pi q k1 m} I, which is why weyl projector fields are exactly
+    T = conj(G(k1)) = S(e^{i2pi q k1})^{-1}; T^N is the scalar
+    e^{-i2pi q k1} I, which is why weyl projector fields are exactly
     periodic over k2 in [0, N).  An array of k1 gives the stacked
     transports, k1.shape + (N, N): the seam of a twisted Chern lattice.
     """
     lam = np.exp(1j * TWO_PI * ctx.q * k1)
-    return shift_matrix_power(ctx.N, lam, -m)
+    return shift_matrix_power(ctx.N, lam, -1)
 
 
 def unitary_power(A: np.ndarray, p: int) -> np.ndarray:
@@ -250,7 +250,7 @@ def check_pseudoperiodicity(rep: FiberedRep, a: AlgebraElement, k) -> float:
     A01 = evaluate_at_k(rep, a, (k1, k2 + 1.0))
     res = np.linalg.norm(A10 - A)
     if rep.kind == "weyl":
-        T = twist_transport(rep.ctx, k1, 1)
+        T = twist_transport(rep.ctx, k1)
         res = max(res, np.linalg.norm(A01 - T @ A @ T.conj().T))
     else:
         res = max(res, np.linalg.norm(A01 - A))

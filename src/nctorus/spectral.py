@@ -18,7 +18,9 @@ through `eigvalsh`; for the flux operator h, whose spectrum depends on k
 only through its central character (below), the uncolored butterfly
 takes `hofstadter_energies`, one `eigvalsh` per character pair.
 Isospectrality keeps its direct `band_energies` passes: read off the
-character, it would hold by construction.
+character, it would hold by construction.  Energies come as each
+diagonalized spectrum once, never copied to the grid points that share
+it: rows (K, N), and index (G, G) naming the row of every grid point.
 
 Gap reports of the flux operator h = u + u* + v + v* are exact and need
 no grid.  Every irreducible representation of the rational rotation
@@ -49,8 +51,8 @@ for every element with a(n, m) = conj(a(-n, m)), such as h.  Row
 k1 = (G - i)/G then has the energies of row i/G, and the complex
 conjugates of its frames are an eigenbasis of the same eigenspaces.  So
 a mirrored pass yields the frames of the diagonalized rows i = 0 ..
-G//2 alone; the energies of the other rows are those of their mirrors
-(`expand_k1_mirror`).  A grid of frames is mirrored iff it stores
+G//2 alone; the other rows read the energies of their mirrors
+(`grid_index`).  A grid of frames is mirrored iff it stores
 G//2 + 1 < G of its G rows.  Its consumers keep those rows: the Chern
 kernel weights them (`_kernels`), the suite's pullbacks read theirs off
 them, and its Gram defects check them alone; the suite's seam row
@@ -68,9 +70,9 @@ Q^dagger in every family.  With the k1 mirror, column k2 = (G - j)/G of
 a stored row has the energies of column j/G and the frames R conj F,
 R = Q(-k1), transported by `twist_transport` on the weyl family, where
 that column is k2 = -j/G + 1.  So a pass diagonalizes (G//2 + 1)^2
-points, a quarter of the grid, and fills the other stored columns in
-place: every block keeps every k2 column, and no consumer sees the
-difference.
+points, a quarter of the grid, and fills the frames of the other stored
+columns in place: every block keeps every k2 column of frames, and its
+energies are those of the diagonalized columns.
 """
 
 from __future__ import annotations
@@ -130,10 +132,11 @@ def band_blocks(rep: FiberedRep, a: AlgebraElement, G: int):
     """Bands of `a` on the G x G grid in blocks of stored k1 rows, one fiberwise eigh pass.
 
     Yields (start, energies, frames) for the stored rows start ..
-    start + b - 1: energies (b, G, N) and frames (b, G, N, N), every k2
-    column; b comes from `_kernels.block_rows`.  When a(n, m) =
-    conj(a(-n, m)) and a(n, m) = a(-n, -m) within 1e-12 (the k1 mirror
-    and the flip; the flux operator h qualifies), only the points
+    start + b - 1: energies (b, n, N) of the n diagonalized k2 columns
+    and frames (b, G, N, N), every k2 column; b comes from
+    `_kernels.block_rows`.  When a(n, m) = conj(a(-n, m)) and a(n, m) =
+    a(-n, -m) within 1e-12 (the k1 mirror and the flip; the flux
+    operator h qualifies), only the points
     k = (i/G, j/G), i, j = 0 .. G//2, are diagonalized (see the module
     docstring): the G//2 + 1 stored rows are k1-mirrored, and column
     G - j of a stored row is filled by the flip intertwiner
@@ -146,19 +149,31 @@ def band_blocks(rep: FiberedRep, a: AlgebraElement, G: int):
         yield (i, *_band_rows(rep, a, G, k, i, i + step))
 
 
-def band_energies(rep: FiberedRep, a: AlgebraElement, G: int) -> np.ndarray:
-    """The (G, G, N) energies of `band_blocks(rep, a, G)`, without eigenvectors.
+def band_energies(rep: FiberedRep, a: AlgebraElement, G: int):
+    """(rows, index): the energies of `band_blocks(rep, a, G)`, without eigenvectors.
 
     Same checks and the same diagonalized points (a quarter of the grid
     for h), through `eigvalsh`; for consumers that read no frames.
     """
-    k = np.arange(_diagonalized(a, G)) / G
+    n = _diagonalized(a, G)
+    k = np.arange(n) / G
     energies = np.linalg.eigvalsh(_hermitian_stack(rep, a, k, k))
-    return expand_k1_mirror(_expand_columns(energies, G), G)
+    return energies.reshape(n * n, -1), grid_index(n, G)
 
 
-def hofstadter_energies(ctx: WeylContext, G: int) -> np.ndarray:
-    """The (G, G, N) energies of h = u + u* + v + v* on the weyl family's G x G grid.
+def grid_index(n: int, G: int) -> np.ndarray:
+    """(G, G): each grid point's row among the n x n points a pass diagonalizes, row-major.
+
+    On the quarter grid, n < G, point (i, j) reads point (r(i), r(j)),
+    r(x) = min(x, G - x).
+    """
+    r = np.arange(G)
+    r = np.minimum(r, G - r) if n < G else r
+    return r[:, None] * n + r
+
+
+def hofstadter_energies(ctx: WeylContext, G: int):
+    """(rows, index): the energies of h = u + u* + v + v* on the weyl family's G x G grid.
 
     The reference family's grid at M0 = 0, like `band_energies(rep, h, G)`.
     The spectrum of pi_k(h) depends on k only through Re U^N + Re V^N (see
@@ -168,28 +183,27 @@ def hofstadter_energies(ctx: WeylContext, G: int) -> np.ndarray:
     indices x = min(i, G - i) and y = min(cj mod G, G - cj mod G), in either
     order.  Each unordered pair is diagonalized once, as the reference
     family at (k1, k2) = (x/G, y/(N G)), whose characters are e^{i2pi x/G}
-    and e^{i2pi y/G}, and an index map expands the results to the grid.
+    and e^{i2pi y/G}; index names the pair of every grid point.
     """
     h = hofstadter_element(ctx.theta)
     i = np.arange(G)
     x = np.minimum(i, G - i)
-    cj = (ctx.M0 or ctx.N) * i % G
-    y = np.minimum(cj, G - cj)
+    y = x[(ctx.M0 or ctx.N) * i % G]
     lo, hi = np.minimum.outer(x, y), np.maximum.outer(x, y)
     pairs, index = np.unique(lo * G + hi, return_inverse=True)
     px, py = np.divmod(pairs, G)
     k = np.arange(G // 2 + 1)
     H = _hermitian_stack(reference_fibered_rep(ctx), h, k / G, k / (ctx.N * G))
-    return np.linalg.eigvalsh(H[px, py])[index.reshape(G, G)]
+    return np.linalg.eigvalsh(H[px, py]), index.reshape(G, G)
 
 
 def dual_band_blocks(ctx: WeylContext, a: AlgebraElement, G: int):
     """Reference and weyl bands of `a` at G in blocks of stored k1 rows, one weyl pass.
 
     Yields (start, (E_r, F_r), (E_w, F_w)) for the stored rows start ..
-    start + b - 1: energies (b, G, N) and frames (b, G, N, N) of each
-    family, every k2 column; the weyl pair is None at M0 = 0, where the
-    blocks are the reference family's own (`band_blocks`).  b comes from
+    start + b - 1: each family's energies and frames as `band_blocks`
+    yields them; the weyl pair is None at M0 = 0, where the blocks are
+    the reference family's own (`band_blocks`).  b comes from
     `_kernels.block_rows` on the rows of one family's frames.
 
     The weyl family is the reference family read at a scaled k2,
@@ -225,6 +239,7 @@ def dual_band_blocks(ctx: WeylContext, a: AlgebraElement, G: int):
     for j in range(0, n, g):
         jw = N * (j // g) * inv_m0 % (G // g)
         read.append((j, jw, inv_qm * ((M0 * jw - N * j) // G) % N))
+    fold = grid_index(n, G)[0]                    # E_w's column of weyl column j_w
     for i in range(0, n, step):
         E_w, F_w = _band_rows(rep_w, a, G, k, i, i + step)
         rows = k[i:i + step]
@@ -235,13 +250,13 @@ def dual_band_blocks(ctx: WeylContext, a: AlgebraElement, G: int):
                 _hermitian_stack(rep_r, a, rows, k[own]))
         lam = np.exp(1j * TWO_PI * ctx.q * rows)[:, None, None]
         for j, jw, p in read:
-            energies[:, j] = E_w[:, jw]
+            energies[:, j] = E_w[:, fold[jw]]
             src, dst = F_w[:, jw], frames[:, j]
             dst[:, p:] = src[:, :N - p]                           # (S^p F)[i] = F[i - p]
             np.multiply(lam, src[:, N - p:], out=dst[:, :p])      # wrapped: lam F[i - p + N]
         if n < G:
             _fill_flipped_columns(rep_r, frames, n, i)
-        yield i, (_expand_columns(energies, G), frames), (E_w, F_w)
+        yield i, (energies, frames), (E_w, F_w)
         del E_w, F_w, frames            # before the next block is diagonalized
 
 
@@ -269,15 +284,16 @@ def _diagonalized(a: AlgebraElement, G: int) -> int:
     """
     if not a.approx_equal(element_star(a), SELFADJOINT_TOL):
         raise SelfAdjointnessError("element is not self-adjoint within 1e-12")
-    if (a.approx_equal(_k1_mirror(a), SELFADJOINT_TOL)
-            and a.approx_equal(_flip(a), SELFADJOINT_TOL)):
+    mirror = {(-n, m): c.conjugate() for (n, m), c in a.coeffs.items()}
+    flip = {(-n, -m): c for (n, m), c in a.coeffs.items()}      # u -> u*, v -> v*
+    if all(a.approx_equal(AlgebraElement(a.theta, b), SELFADJOINT_TOL) for b in (mirror, flip)):
         return G // 2 + 1
     return G
 
 
 def _band_rows(rep: FiberedRep, a: AlgebraElement, G: int, k: np.ndarray,
                start: int, stop: int):
-    """Energies (b, G, N) and frames (b, G, N, N) of the stored rows start .. stop - 1.
+    """Energies (b, n, N) and frames (b, G, N, N) of the stored rows start .. stop - 1.
 
     k = arange(n)/G holds the diagonalized k values, n = `_diagonalized(a, G)`:
     the points (k[i], k[j]) of these rows are diagonalized, and the columns
@@ -290,28 +306,14 @@ def _band_rows(rep: FiberedRep, a: AlgebraElement, G: int, k: np.ndarray,
         full[:, :n] = frames
         frames = full                   # frees eigh's block before the fill
         _fill_flipped_columns(rep, frames, n, start)
-    return _expand_columns(energies, G), frames
-
-
-def _expand_columns(e: np.ndarray, G: int) -> np.ndarray:
-    """The (rows, G, N) energies of diagonalized (rows, n, N) ones: column G - j has column j's.
-
-    Row G - i of the grid has the energies of row i (`expand_k1_mirror`).
-    """
-    n = e.shape[1]
-    if n == G:
-        return e
-    rows = np.empty((len(e), G) + e.shape[2:], e.dtype)
-    rows[:, :n] = e
-    rows[:, n:] = e[:, G - n:0:-1]
-    return rows
+    return energies, frames
 
 
 def _fill_flipped_columns(rep: FiberedRep, frames: np.ndarray, cols: int, start: int):
     """Writes the frames of columns cols .. G-1 from those of columns G - j, in place.
 
     `frames` holds the stored k1 rows i = start, start + 1, ...  F(i, G - j) is
-    R conj F(i, j), R = Q(-k1), transported by T = twist_transport(ctx, k1, 1)
+    R conj F(i, j), R = Q(-k1), transported by T = twist_transport(ctx, k1)
     on the weyl family (see the module docstring).  R sends row j to row
     -j mod N times conj(lam(k1)) for j != 0, and T R is the row reversal
     j -> N - 1 - j times conj(lam(k1)): one conjugating copy per row, then
@@ -335,16 +337,6 @@ def _hermitian_stack(rep: FiberedRep, a: AlgebraElement, k1s: np.ndarray, k2s: n
     H += H.conj().swapaxes(-1, -2)      # scrub fp asymmetry, one temporary
     H *= 0.5
     return H
-
-
-def _k1_mirror(a: AlgebraElement) -> AlgebraElement:
-    """b with b(n, m) = conj(a(-n, m)), so that conj(pi_k(a)) = pi_(-k1, k2)(b)."""
-    return AlgebraElement(a.theta, {(-n, m): c.conjugate() for (n, m), c in a.coeffs.items()})
-
-
-def _flip(a: AlgebraElement) -> AlgebraElement:
-    """b with b(n, m) = a(-n, -m): the image of a under u -> u*, v -> v*."""
-    return AlgebraElement(a.theta, {(-n, -m): c for (n, m), c in a.coeffs.items()})
 
 
 def _build_report(lo: np.ndarray, hi: np.ndarray, open_slots: np.ndarray) -> GapReport:
@@ -385,20 +377,22 @@ def hofstadter_gap_report(ctx: WeylContext) -> GapReport:
     return _build_report(lo, hi, open_slots)
 
 
-def detect_gaps_refined(E2: np.ndarray) -> GapReport:
-    """Sampled gap report of the uncolored butterfly SVG, from (2G, 2G, N) energies.
+def detect_gaps_refined(rows: np.ndarray, index: np.ndarray) -> GapReport:
+    """Sampled gap report of the uncolored butterfly SVG, from the 2G grid's (rows, index).
 
-    The candidate gaps of the G grid, read as E2[::2, ::2] (the point i/G
-    is exactly 2i/(2G)), are rechecked on the 2G grid.  A genuine gap
+    Every row is named by `index`.  The candidate gaps of the G grid, the
+    rows that index[::2, ::2] names (the point i/G is exactly 2i/(2G)),
+    are rechecked on the 2G grid.  A genuine gap
     keeps (nearly) its width under refinement while a fake gap from
     undersampling a band touching shrinks by ~2x (conical) or ~4x
     (quadratic); the 0.7 ratio separates the two regimes, and can also
     close a genuine gap whose sampled width is still converging.  Edges
     are taken from the finer grid.
     """
-    E1 = E2[::2, ::2]
-    lo1, hi1 = E1.min(axis=(0, 1)), E1.max(axis=(0, 1))
-    lo2, hi2 = E2.min(axis=(0, 1)), E2.max(axis=(0, 1))
+    coarse = np.zeros(len(rows), bool)
+    coarse[index[::2, ::2]] = True      # the rows the G grid reads
+    lo1, hi1 = band_edges(rows[coarse])
+    lo2, hi2 = band_edges(rows)
     w1 = lo1[1:] - hi1[:-1]
     w2 = lo2[1:] - hi2[:-1]
     open_slots = (w2 > GAP_TOL) & (w2 >= 0.7 * w1)
@@ -406,8 +400,9 @@ def detect_gaps_refined(E2: np.ndarray) -> GapReport:
 
 
 def band_edges(energies: np.ndarray):
-    """(lo, hi): each band's least and greatest energy over a (G1, G2, N) grid."""
-    return energies.min(axis=(0, 1)), energies.max(axis=(0, 1))
+    """(lo, hi): each band's least and greatest energy over every leading axis, (..., N)."""
+    axes = tuple(range(energies.ndim - 1))
+    return energies.min(axis=axes), energies.max(axis=axes)
 
 
 def fermi_rank(energies: np.ndarray, edges, fermi: float) -> int:
@@ -422,7 +417,7 @@ def fermi_rank(energies: np.ndarray, edges, fermi: float) -> int:
     lo, hi = edges
     held = (lo <= fermi) & (fermi <= hi)
     near = np.where(fermi < lo, lo - fermi, fermi - hi)
-    near[held] = np.abs(energies[..., held] - fermi).min(axis=(0, 1))
+    near[held] = np.abs(energies[..., held] - fermi).min(axis=tuple(range(energies.ndim - 1)))
     if near.min() <= FERMI_TOL:
         raise GapViolationError(f"fermi level {fermi} is within {FERMI_TOL} of the spectrum")
     if held.any():
@@ -442,21 +437,18 @@ def spectral_hausdorff(e1: np.ndarray, e2: np.ndarray) -> float:
     return float(max(directed(a, b), directed(b, a)))
 
 
-def band_rows(energies: np.ndarray, prefix: str) -> List[str]:
-    """`{prefix}k1,k2,band,energy` lines of a (G1, G2, N) array, one string per k1 row.
+def band_rows(rows: np.ndarray, index: np.ndarray, prefix: str) -> List[str]:
+    """`{prefix}k1,k2,band,energy` lines of a G1 x G2 grid's energies, one string per k1 row.
 
-    k1 = i/G1, k2 = j/G2; lines run over k1, k2, band, at 12 significant
-    digits.  Each distinct row of N energies (by bit pattern, so -0.0 keeps
-    its sign) is formatted once, into its N `band,energy` lines; a point's
-    `{prefix}k1,k2,` (k1 formatted once per row) joins its row's lines.
+    Point (i, j), at k1 = i/G1 and k2 = j/G2, has the N energies
+    rows[index[i, j]]; lines run over k1, k2, band, at 12 significant
+    digits.  Each row is formatted once, into its N `band,energy` lines; a
+    point's `{prefix}k1,k2,` (k1 formatted once per row) joins its row's lines.
     """
-    G1, G2, N = energies.shape
-    e = np.ascontiguousarray(energies).reshape(G1 * G2, N)
-    keys = e.view(np.dtype((np.void, e.itemsize * N)))[:, 0]   # a row's bytes: -0.0 != 0.0
-    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-    block = "".join(f"{b},%.12g\n" for b in range(N))
-    lines = [(block % tuple(row)).splitlines(keepends=True) for row in e[first].tolist()]
+    G1, G2 = index.shape
+    block = "".join(f"{b},%.12g\n" for b in range(rows.shape[1]))
+    lines = [(block % tuple(row)).splitlines(keepends=True) for row in rows.tolist()]
     k2 = [format(j / G2, ".12g") + "," for j in range(G2)]
     return ["".join([p + p.join(lines[d]) for p, d in zip([k1 + c for c in k2], row)])
             for k1, row in zip([f"{prefix}{i / G1:.12g}," for i in range(G1)],
-                               index.reshape(G1, G2).tolist())]
+                               index.tolist())]

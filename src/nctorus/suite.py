@@ -125,7 +125,7 @@ def _fermi_field_rows(ctx: WeylContext, h, weyl: FiberedRep, gap: GapInfo, G: in
             twice.add(even)
         thrice.add(F[:, cols])
         del F, even                     # before the next block is diagonalized
-    E = expand_k1_mirror(np.concatenate(energies), G2)
+    E = np.concatenate(energies)        # the diagonalized points' energies
     try:
         fermi_rank(E, band_edges(E), gap.fermi)
     except NumericalFailure as exc:
@@ -202,7 +202,7 @@ def run_invariant_suite(ctx: WeylContext, G: int = 32) -> List[CheckResult]:
     tw = twist_matrix(ctx, k1)
     layout = _frob(tw - shift_matrix(ctx.N, lam).T)
     layout = max(layout, _frob(np.linalg.matrix_power(tw, ctx.N) - lam * eye))
-    layout = max(layout, _frob(twist_transport(ctx, k1, 1) - tw.conj()))
+    layout = max(layout, _frob(twist_transport(ctx, k1) - tw.conj()))
     check("twist-layout", layout, 1e-13, "G = shift^T, G^N = e^{i2pi q k1} I, transport = conj(G)")
 
     # pseudo-periodic gluing of operator fields
@@ -231,12 +231,12 @@ def run_invariant_suite(ctx: WeylContext, G: int = 32) -> List[CheckResult]:
     report = hofstadter_gap_report(ctx)
 
     # isospectrality across kinds (vs the conjugated form when no twisted family),
-    # each family diagonalized on its own, energies only
+    # each family diagonalized on its own, energies only: the spectra, not the grid index
     if collapsed:
         Gi, kinds = G, ("reference-conjugated", "reference")
     else:
         Gi, kinds = isospectral_grid(ctx, G), ("weyl", "reference")
-    pair = [band_energies(reps[kind], h, Gi) for kind in kinds]
+    pair = [band_energies(reps[kind], h, Gi)[0] for kind in kinds]
     check("isospectrality", spectral_hausdorff(*pair), 1e-6, f"Hausdorff at grid {Gi}^2")
 
     # gap structure

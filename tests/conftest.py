@@ -37,11 +37,15 @@ def package_bands(rep, a, G):
     """The package's band pass of `rep`'s family (`spectral.band_blocks`), whole, as BandData.
 
     For h the k1-mirrored frames of the stored rows, the flipped columns
-    filled; `fields.bands_on_grid` is the unmirrored oracle.
+    filled; the energies are rows[index] of the diagonalized points'
+    spectra and their `spectral.grid_index`.  `fields.bands_on_grid` is
+    the unmirrored oracle.
     """
     blocks = list(spectral.band_blocks(rep, a, G))
-    energies = expand_k1_mirror(np.concatenate([E for _, E, _ in blocks]), G)
-    return BandData(rep, energies, np.concatenate([F for _, _, F in blocks]))
+    E = np.concatenate([energies for _, energies, _ in blocks])
+    rows = E.reshape(-1, rep.dim)
+    return BandData(rep, rows[spectral.grid_index(E.shape[1], G)],
+                    np.concatenate([F for _, _, F in blocks]))
 
 
 def dense_projector(field):

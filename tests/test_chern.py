@@ -19,7 +19,7 @@ from fields import (
 )
 
 from nctorus import chern, spectral
-from nctorus.algebra import hofstadter_element, monomial, random_element, unit
+from nctorus.algebra import TWO_PI, hofstadter_element, monomial, random_element, unit
 from nctorus.arithmetic import tknn_rhs_value, tknn_solve
 from nctorus.chern import (
     ChernResidualError,
@@ -191,6 +191,21 @@ def _weyl_bands_shifted(monkeypatch):
     monkeypatch.setattr(chern, "dual_band_blocks", spoiled)
 
 
+def _gap_one_sum_offset(family, turns):
+    """A spoil that adds `turns` to gap 1's kernel sum of one family before it is checked."""
+    def spoil(monkeypatch):
+        certificates = chern._certificates
+
+        def offset(ctx, report, G, E_r, cc_sums, E_w, t_sums):
+            sums = {"reference": list(cc_sums), "weyl": list(t_sums)}
+            total, min_abs = sums[family][1]
+            sums[family][1] = (total + turns * TWO_PI, min_abs)
+            return certificates(ctx, report, G, E_r, sums["reference"], E_w, sums["weyl"])
+
+        monkeypatch.setattr(chern, "_certificates", offset)
+    return spoil
+
+
 def _no_rounding_slack(monkeypatch):
     # on 1/4 (3,1) rank 0's sums are exactly 0 and both rank-1 sums of gap 1
     # are off an integer, so the weyl one, rounded first, fails
@@ -204,6 +219,11 @@ def _no_rounding_slack(monkeypatch):
                  "rank mismatch weyl=0 reference=1", id="weyl-bands-shifted"),
     pytest.param((1, 4, 3, 1), _no_rounding_slack, ChernResidualError,
                  "weyl: lattice sum", id="no-rounding-slack"),
+    # planted defects for the rounding guard (ROUND_TOL) and the rhs guard (RHS_TOL)
+    pytest.param((1, 3, 2, 1), _gap_one_sum_offset("reference", 0.05), ChernResidualError,
+                 r"^reference: lattice sum .* is 0\.05 from an integer$", id="reference-off-0.05"),
+    pytest.param((1, 3, 2, 1), _gap_one_sum_offset("weyl", 0.005), VerificationError,
+                 r"\|t_raw - q\[integral \+ eps\*cc\]\| = 0\.005$", id="weyl-off-0.005"),
 ])
 def test_gap_certificates_raise_typed_failures(spec, spoil, error, match, monkeypatch):
     spoil(monkeypatch)
@@ -489,18 +509,18 @@ def test_band_edges_are_taken_once_per_family(monkeypatch):
     edges = chern.band_edges
     monkeypatch.setattr(chern, "band_edges", lambda E: calls.append(E.shape) or edges(E))
     assert len(gap_certificates(ctx_of(2, 5, 3, 1), 16)) == 6
-    assert calls == [(16, 16, 5)] * 2
+    assert calls == [(9, 9, 5)] * 2                # the diagonalized quarter grid
     calls.clear()
     gap_certificates(ctx_of(0, 1, 1, 0), 8)
-    assert calls == [(8, 8, 1)]
+    assert calls == [(5, 5, 1)]
 
 
 def test_streamed_spectrum_is_the_weyl_energies():
     # the butterfly's CSV energies: the weyl bands, or the reference ones at M0 = 0
     for spec, kind in (((2, 5, 3, 2), "weyl"), ((0, 1, 1, 0), "reference")):
-        report, energies, certs = certified_spectrum(ctx_of(*spec), 12)
+        report, (rows, index), certs = certified_spectrum(ctx_of(*spec), 12)
         assert report == report_of(*spec)
-        assert np.array_equal(energies, bands_of(*spec, kind, 12).energies)
+        assert np.array_equal(rows[index], bands_of(*spec, kind, 12).energies)
         assert certs == gap_certificates(ctx_of(*spec), 12)
 
 

@@ -226,15 +226,19 @@ def test_butterfly_bytes_do_not_depend_on_the_thread_count(tmp_path, monkeypatch
 
 
 # sha256 of spectrum_q1r0.csv from `butterfly --farey 6 --grid 16 --format csv`,
-# and with `--format svg --color-gaps` added; any change to a CSV byte moves them
-@pytest.mark.parametrize("colored, digest", [
-    ((), "c5e4d002932544c7b02c74f23209b1c3654646da358b260bf0100ac42bb65c51"),
-    (("--format", "svg", "--color-gaps"),
+# and with `--format svg --color-gaps` added, and from `butterfly --farey 5 --grid 15
+# --format csv --format svg --color-gaps`, whose certified weyl energies read the
+# quarter index of an odd grid; any change to a CSV byte moves them
+@pytest.mark.parametrize("farey, grid, colored, digest", [
+    ("6", "16", (), "c5e4d002932544c7b02c74f23209b1c3654646da358b260bf0100ac42bb65c51"),
+    ("6", "16", ("--format", "svg", "--color-gaps"),
      "75b045431b9f00776b3af053968f1dac6bb092788707dc63e8236c8c83aa58e0"),
-], ids=["plain", "color-gaps"])
-def test_butterfly_csv_bytes_are_pinned(tmp_path, colored, digest):
+    ("5", "15", ("--format", "svg", "--color-gaps"),
+     "0d27fb4600cc23b3398592b3247617caacbe4e99cb21075035521dedf70997a4"),
+], ids=["plain", "color-gaps", "color-gaps-odd-grid"])
+def test_butterfly_csv_bytes_are_pinned(tmp_path, farey, grid, colored, digest):
     out = tmp_path / "o"
-    assert run("butterfly", "--farey", "6", "--grid", "16", "--format", "csv", *colored,
+    assert run("butterfly", "--farey", farey, "--grid", grid, "--format", "csv", *colored,
                "--out", str(out)) == EXIT_OK
     assert hashlib.sha256((out / "spectrum_q1r0.csv").read_bytes()).hexdigest() == digest
 
@@ -498,6 +502,16 @@ def test_config_file_color_gaps_rejects_other_words(tmp_path, word):
     cfgfile.write_text(f"theta = 1/3\nformat = svg\ncolor_gaps = {word}\n"
                        f"out = {tmp_path / 'o'}\n")
     assert run("butterfly", "--config", str(cfgfile)) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("key, value", [("grid", "abc"), ("grid", "16.0"), ("farey", "five"),
+                                        ("farey", "")])
+def test_config_file_integers_name_their_key(tmp_path, capsys, key, value):
+    # like theta, rep and color_gaps, a value that is not an integer names its key
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"theta = 1/3\n{key} = {value}\n")
+    assert run("gaps", "--config", str(cfgfile), "--out", str(tmp_path)) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: bad {key} {value!r}: expected an integer\n"
 
 
 def test_unwritable_output_is_io_error(tmp_path):

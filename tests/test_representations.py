@@ -75,8 +75,8 @@ def test_shift_matrix_power_closed_form(p, rng):
 
 @pytest.mark.parametrize("p", [-6, -1, 0, 1, 7])
 def test_stacked_powers_and_transports_equal_the_scalar_calls(p, rng):
-    # the weyl seam is twist_transport over an array of k1.  The stacked call
-    # repeats the scalar arithmetic bit for bit, except where S^q = lam I is
+    # the weyl seam is twist_transport, S^-1, over an array of k1.  The stacked
+    # call repeats the scalar arithmetic bit for bit, except where S^q = lam I is
     # applied -1 or 2 times: numpy raises an array to those powers through
     # reciprocal and square, which can round the last bit unlike its scalar power
     ctx = ctx_of(2, 5, 3, 1)
@@ -84,7 +84,9 @@ def test_stacked_powers_and_transports_equal_the_scalar_calls(p, rng):
     k1s = rng.random(6)
     for stacked, scalar, power in (
             (shift_matrix_power(5, lams, p), [shift_matrix_power(5, lam, p) for lam in lams], p),
-            (twist_transport(ctx, k1s, p), [twist_transport(ctx, k1, p) for k1 in k1s], -p)):
+            (shift_matrix_power(5, lams, -p), [shift_matrix_power(5, lam, -p) for lam in lams],
+             -p),
+            (twist_transport(ctx, k1s), [twist_transport(ctx, k1) for k1 in k1s], -1)):
         assert stacked.shape == (6, 5, 5)
         if power // 5 in (-1, 2):
             assert np.abs(stacked - scalar).max() <= 2 ** -52
@@ -102,7 +104,7 @@ def test_twist_matrix_layout():
     assert frob(G - shift_matrix(5, lam).T) < 1e-15
     assert frob(np.linalg.matrix_power(G, 5) - lam * np.eye(5)) < 1e-13
     assert frob(np.linalg.matrix_power(twist_matrix(ctx, 0.0), 5) - np.eye(5)) < 1e-13
-    assert frob(twist_transport(ctx, k1, 1) - G.conj()) < 1e-15
+    assert frob(twist_transport(ctx, k1) - G.conj()) < 1e-15
 
 
 def test_weyl_rep_at_origin_is_clock_shift():

@@ -21,6 +21,7 @@ from fields import (
 from nctorus import cli, spectral
 from nctorus.algebra import AlgebraElement, hofstadter_element, monomial, unit
 from nctorus.arithmetic import gap_label_d
+from nctorus.chern import certified_spectrum
 from nctorus.representations import (
     evaluate_at_k,
     evaluate_on_grid,
@@ -39,12 +40,24 @@ from nctorus.spectral import (
     dual_band_blocks,
     expand_k1_mirror,
     fermi_rank,
+    grid_index,
     hofstadter_energies,
     hofstadter_gap_report,
     spectral_hausdorff,
 )
 
 SQRT3 = math.sqrt(3.0)
+
+
+def _on_grid(rows, index):
+    """The (G, G, N) energies of a grid handed over as (rows, index)."""
+    return rows[index]
+
+
+def _pass_rows(blocks, G):
+    """(rows, index) of a band pass's blocks of (b, n, N) energies."""
+    E = np.concatenate(blocks)
+    return E.reshape(-1, E.shape[-1]), grid_index(E.shape[1], G)
 
 
 def test_two_band_energies_at_origin():
@@ -101,7 +114,7 @@ def test_k1_mirror_matches_full_grid(family, M, N, q, r, G, eigh_matrices, eigva
     bd = package_bands(rep, h, G)
     assert eigh_matrices == [(G // 2 + 1) ** 2]      # the flip halves the diagonalized k2 columns
     assert bd.frames.shape[:2] == (G // 2 + 1, G)
-    assert np.abs(band_energies(rep, h, G) - bd.energies).max() < 1e-12
+    assert np.abs(_on_grid(*band_energies(rep, h, G)) - bd.energies).max() < 1e-12
     assert eigvalsh_matrices == [(G // 2 + 1) ** 2]
     direct = bands_on_grid(rep, h, G)
     E, F = direct.energies, direct.frames
@@ -126,7 +139,7 @@ def test_element_without_k1_mirror_takes_full_grid(family, M, N, q, r, G, eigh_m
     bd = package_bands(rep, a, G)
     assert sum(eigh_matrices) == G * G              # in blocks of stored rows
     assert bd.frames.shape[0] == G
-    assert np.abs(band_energies(rep, a, G) - bd.energies).max() < 1e-12
+    assert np.abs(_on_grid(*band_energies(rep, a, G)) - bd.energies).max() < 1e-12
     assert eigvalsh_matrices == [G * G]
     direct = bands_on_grid(rep, a, G)
     E, F = direct.energies, direct.frames
@@ -174,7 +187,7 @@ def test_element_without_the_flip_takes_full_grid(family, G, eigh_matrices,
     bd = package_bands(rep, a, G)
     assert sum(eigh_matrices) == G * G              # in blocks of stored rows
     assert bd.frames.shape == (G, G, 13, 13)
-    assert np.abs(band_energies(rep, a, G) - bd.energies).max() < 1e-12
+    assert np.abs(_on_grid(*band_energies(rep, a, G)) - bd.energies).max() < 1e-12
     assert eigvalsh_matrices == [G * G]
     direct = bands_on_grid(rep, a, G)
     assert np.abs(bd.energies - direct.energies).max() < 1e-12
@@ -210,10 +223,10 @@ def test_dual_bands_read_the_reference_off_the_weyl_pass(M, N, q, r, G, mirrored
     assert sum(eigh_matrices) == rows * (cols + own)
     assert starts == list(range(0, rows, len(E_r[0])))
     assert len(F_r) == len(F_w) == rows
-    assert np.abs(expand_k1_mirror(np.concatenate(E_w), G)
+    assert np.abs(_on_grid(*_pass_rows(E_w, G))
                   - bands_on_grid(weyl_fibered_rep(ctx), a, G).energies).max() < 1e-12
     direct = bands_on_grid(reference_fibered_rep(ctx), a, G)
-    assert np.abs(expand_k1_mirror(np.concatenate(E_r), G) - direct.energies).max() < 1e-12
+    assert np.abs(_on_grid(*_pass_rows(E_r, G)) - direct.energies).max() < 1e-12
     ranks = _gap_ranks(direct.energies)
     assert ranks
     F = expand_k1_mirror(F_r, G)
@@ -239,7 +252,7 @@ def test_band_blocks_are_one_pass_in_row_blocks(G, mirrored, monkeypatch, eigh_m
     monkeypatch.setattr(spectral._kernels, "BLOCK_BYTES", 1 << 30)
     bd = package_bands(rep, a, G)
     assert np.array_equal(np.concatenate(F), bd.frames)
-    assert np.array_equal(expand_k1_mirror(np.concatenate(E), G), bd.energies)
+    assert np.array_equal(_on_grid(*_pass_rows(E, G)), bd.energies)
 
 
 def test_gap_structure_theta_third():
@@ -311,7 +324,7 @@ def test_corner_edges_match_the_grid(M, N, q, r):
     ds = np.array([g.d for g in report.gaps])          # band j spans ds[j] .. ds[j+1] - 1
     lo = np.array([g.upper for g in report.gaps[:-1]])
     hi = np.array([g.lower for g in report.gaps[1:]])
-    E = band_energies(reference_fibered_rep(ctx), h, 96)
+    E = _on_grid(*band_energies(reference_fibered_rep(ctx), h, 96))
     grid_lo, grid_hi = E.min(axis=(0, 1)), E.max(axis=(0, 1))
     assert np.array_equal(np.flatnonzero(grid_lo[1:] - grid_hi[:-1] > 1e-8) + 1, ds[1:-1])
     assert np.abs(lo - grid_lo[ds[:-1]]).max() <= 1e-12
@@ -340,9 +353,29 @@ def test_character_energies_match_the_grid(q, r):
     for ctx in _farey10_contexts(q, r):
         h = hofstadter_element(ctx.theta)
         for G in (7, 8, 15, 24, 48):
-            E = hofstadter_energies(ctx, G)
+            E = _on_grid(*hofstadter_energies(ctx, G))
             assert E.shape == (G, G, ctx.N)
-            assert np.abs(E - band_energies(_grid_family(ctx), h, G)).max() <= 1e-12
+            assert np.abs(E - _on_grid(*band_energies(_grid_family(ctx), h, G))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("M, N, q, r", [(0, 1, 1, 0), (1, 3, 1, 0), (2, 5, 1, 0), (2, 5, 3, 2)],
+                         ids=["M0=0", "M0=1", "M0=2", "M0=-4"])
+@pytest.mark.parametrize("G", [15, 16])
+def test_energies_are_each_spectrum_once_and_a_grid_index(M, N, q, r, G):
+    # every producer hands over (rows, index): rows[index] is the grid pass of
+    # the family it samples, and no more rows than the quarter grid's points
+    ctx = ctx_of(M, N, q, r)
+    h = hofstadter_element(ctx.theta)
+    families = [weyl_fibered_rep(ctx), reference_fibered_rep(ctx)] if ctx.M0 else [
+        reference_fibered_rep(ctx)]
+    oracle = {rep.kind: bands_on_grid(rep, h, G).energies for rep in families}
+    produced = [(families[0].kind, hofstadter_energies(ctx, G)),
+                (families[0].kind, certified_spectrum(ctx, G)[1])]
+    produced += [(rep.kind, band_energies(rep, h, G)) for rep in families]
+    for kind, (rows, index) in produced:
+        assert index.shape == (G, G) and rows.shape[1] == N
+        assert len(rows) <= (G // 2 + 1) ** 2
+        assert np.abs(rows[index] - oracle[kind]).max() <= 1e-12
 
 
 def test_character_energies_diagonalize_each_pair_once(eigvalsh_matrices):
@@ -353,13 +386,15 @@ def test_character_energies_diagonalize_each_pair_once(eigvalsh_matrices):
 
 @pytest.mark.parametrize("q,r", FAREY10_REPS)
 def test_refinement_coarse_grid_is_the_grid_pass(q, r):
-    # detect_gaps_refined reads the G grid as E2[::2, ::2]: i/G is exactly 2i/(2G)
+    # detect_gaps_refined reads the G grid as the rows that index[::2, ::2] of the
+    # 2G grid names: i/G is exactly 2i/(2G)
     for ctx in _farey10_contexts(q, r):
         rep, h = _grid_family(ctx), hofstadter_element(ctx.theta)
         for G in (8, 12, 24):
-            assert np.array_equal(band_energies(rep, h, 2 * G)[::2, ::2], band_energies(rep, h, G))
-            assert np.array_equal(hofstadter_energies(ctx, 2 * G)[::2, ::2],
-                                  hofstadter_energies(ctx, G))
+            for energies in (lambda G: band_energies(rep, h, G),
+                             lambda G: hofstadter_energies(ctx, G)):
+                assert np.array_equal(_on_grid(*energies(2 * G))[::2, ::2],
+                                      _on_grid(*energies(G)))
 
 
 def test_fermi_projector_ranks():
@@ -501,7 +536,7 @@ def test_projector_seam_transport():
         w, v = np.linalg.eigh(evaluate_at_k(rep, h, (k1, 1.0)))
         occ = v[:, : f.rank]
         P_top = occ @ occ.conj().T
-        T = twist_transport(ctx, k1, 1)
+        T = twist_transport(ctx, k1)
         assert np.linalg.norm(P_top - T @ dense_projector(f)[i, 0] @ T.conj().T) < 1e-10
 
 
@@ -544,6 +579,12 @@ def _odd_value_bands():
     return dataclasses.replace(bd, energies=e.reshape(bd.energies.shape))
 
 
+def _as_rows(e):
+    """(rows, index) of a (G1, G2, N) array: every point its own row."""
+    G1, G2, N = e.shape
+    return e.reshape(G1 * G2, N), np.arange(G1 * G2).reshape(G1, G2)
+
+
 def _rows_reference(bd, prefix):
     """The per-row f-string loop that `band_rows` replaces, kept as its reference."""
     def fmt(x):
@@ -560,9 +601,14 @@ def _rows_reference(bd, prefix):
 
 @pytest.mark.parametrize("prefix", ["", "2,7,", "%d,"])
 def test_band_rows_match_the_per_row_loop(prefix):
-    for bd in (_odd_value_bands(), bands_of(1, 3, 1, 0, "weyl", 12)):
-        assert "".join(band_rows(bd.energies, prefix)) == _rows_reference(bd, prefix)
-    lines = "".join(band_rows(_odd_value_bands().energies, prefix)).splitlines()
+    bd = _odd_value_bands()
+    assert "".join(band_rows(*_as_rows(bd.energies), prefix)) == _rows_reference(bd, prefix)
+    ctx = ctx_of(1, 3, 1, 0)
+    blocks = band_blocks(weyl_fibered_rep(ctx), hofstadter_element(ctx.theta), 12)
+    quarter = _pass_rows([E for _, E, _ in blocks], 12)
+    assert "".join(band_rows(*quarter, prefix)) == _rows_reference(
+        bands_of(1, 3, 1, 0, "weyl", 12), prefix)
+    lines = "".join(band_rows(*_as_rows(bd.energies), prefix)).splitlines()
     assert lines[:8] == [prefix + row for row in (
         "0,0,0,-0", "0,0,1,1e-17", "0,0,2,-3.5e-05",
         "0,0.0833333333333,0,4", "0,0.0833333333333,1,0.333333333333",
@@ -573,11 +619,13 @@ def test_band_rows_match_the_per_row_loop(prefix):
 @pytest.mark.parametrize("shape", [(12, 12, 3), (5, 7, 2), (3, 4, 1), (1, 1, 1)])
 @pytest.mark.parametrize("prefix", ["", "2,7,", "%d,"])
 def test_band_rows_returns_one_chunk_of_g2_n_lines_per_k1_row(shape, prefix):
-    # repeated rows (the two halves of the grid) share a formatted block
+    # points that name one row (the two halves of the grid) share its formatted block
     G1, G2, N = shape
-    half = np.random.default_rng(3).standard_normal((G1, (G2 + 1) // 2, N))
-    e = np.concatenate([half, half], axis=1)[:, :G2]
-    chunks = band_rows(e, prefix)
+    H = (G2 + 1) // 2
+    rows = np.random.default_rng(3).standard_normal((G1 * H, N))
+    index = np.arange(G1)[:, None] * H + np.arange(G2) % H
+    e = rows[index]
+    chunks = band_rows(rows, index, prefix)
     assert len(chunks) == G1
     for i, chunk in enumerate(chunks):
         lines = chunk.splitlines(keepends=True)
@@ -588,9 +636,9 @@ def test_band_rows_returns_one_chunk_of_g2_n_lines_per_k1_row(shape, prefix):
 
 def test_band_rows_match_the_per_row_loop_on_an_odd_grid():
     # real energies at odd G, read off folded character indices
-    e = hofstadter_energies(ctx_of(9, 10, 1, 0), 15)
-    assert "".join(band_rows(e, "9,10,")) == _rows_reference(types.SimpleNamespace(energies=e),
-                                                             "9,10,")
+    rows, index = hofstadter_energies(ctx_of(9, 10, 1, 0), 15)
+    assert "".join(band_rows(rows, index, "9,10,")) == _rows_reference(
+        types.SimpleNamespace(energies=rows[index]), "9,10,")
 
 
 def test_band_rows_keep_rows_apart_by_bit_pattern():
@@ -598,7 +646,7 @@ def test_band_rows_keep_rows_apart_by_bit_pattern():
     # subnormals 2 and 3 ulps above 0) are formatted apart, each from its bits
     ulp = np.nextafter(0.0, 1.0)
     e = np.array([[[0.0, 1.0], [-0.0, 1.0], [2 * ulp, 1.0], [3 * ulp, 1.0]]])
-    assert "".join(band_rows(e, "")).splitlines() == [
+    assert "".join(band_rows(*_as_rows(e), "")).splitlines() == [
         "0,0,0,0", "0,0,1,1", "0,0.25,0,-0", "0,0.25,1,1",
         "0,0.5,0,9.88131291682e-324", "0,0.5,1,1",
         "0,0.75,0,1.48219693752e-323", "0,0.75,1,1"]
@@ -610,7 +658,7 @@ def test_band_rows_peak_memory_stays_near_its_text():
     e = hofstadter_energies(ctx_of(9, 10, 1, 0), 48)
     tracemalloc.start()
     try:
-        chunks = band_rows(e, "9,10,")
+        chunks = band_rows(*e, "9,10,")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

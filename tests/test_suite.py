@@ -162,13 +162,13 @@ def test_streamed_pullback_rows_match_the_whole_field(spec, G, monkeypatch):
                  id="gluing"),
 ])
 def test_a_reversed_transport_fails_its_row(module, row, value, failed, monkeypatch):
-    # T(k1, m) -> T(k1, -m): the seam row compares the weyl projector at k2 = 1
-    # with the reversed transport of P(k1, 0), and the gluing row the operator
-    # fields.  The suite's transport also lays out the twist and closes the
-    # ambient anchor's seam, so those rows fail with it
+    # T(k1) -> T(k1)^-1 = T(k1)^dagger: the seam row compares the weyl projector
+    # at k2 = 1 with the reversed transport of P(k1, 0), and the gluing row the
+    # operator fields.  The suite's transport also lays out the twist and closes
+    # the ambient anchor's seam, so those rows fail with it
     transport = module.twist_transport
     monkeypatch.setattr(module, "twist_transport",
-                        lambda ctx, k1, m=1: transport(ctx, k1, -m))
+                        lambda ctx, k1: transport(ctx, k1).conj().swapaxes(-1, -2))
     rows = {r.name: r for r in run_invariant_suite(ctx_of(2, 5, 3, 1), 16)}
     assert {name for name, r in rows.items() if not r.ok} == failed
     assert rows[row].value == pytest.approx(value, abs=0.01)
