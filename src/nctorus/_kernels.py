@@ -54,10 +54,12 @@ so the k2-links of a block's last row are carried to the next block too.
 No minor outlives its block.  The grid closes as one more block, the row
 that ends its last k1-link: row 0 again, or on an odd mirrored grid
 conj F(G1//2), seamed by conj T(k1_(G1//2)).  Per rank, only one angle sum
-per plaquette row (len(ranks), rows) and the smallest |link| are kept
-for the whole grid.  Each link is eliminated alone, each row is summed
-in one fixed order, and the flux adds the row sums of the grid as one
-array, so the sums do not depend on the blocking, bit for bit.  A block
+per plaquette row (len(ranks), rows), the smallest |link| and the
+largest |plaquette angle| are kept for the whole grid; a mirrored
+plaquette has the angle of its mirror, so the half grid has the full
+grid's largest.  Each link is eliminated alone, each row is summed in one
+fixed order, and the flux adds the row sums of the grid as one array, so
+the sums do not depend on the blocking, bit for bit.  A block
 holds at most BLOCK_BYTES of one family's frames, and at least one row.
 The band passes hand their frames over in such blocks, and the
 certificates and the suite feed them to `LinkMinors` as they come;
@@ -112,10 +114,11 @@ class LinkMinors:
     it in k2 (or None for a periodic field); `flux_sums` closes the grid
     through `add`, once, and returns what `plaquette_flux_sum` returns.
     ranks as there; rows is the grid's row count G1.  Per rank, only one
-    angle sum per plaquette row (len(ranks), rows), the smallest |link| so
-    far and the k2-links of the last row fed are kept, plus row 0's frames
-    and seam row (which close a full grid), the adjoint of the last row fed
-    (the start of the next k1-link) and its seam row.
+    angle sum per plaquette row (len(ranks), rows), the smallest |link| and
+    the largest |plaquette angle| so far and the k2-links of the last row
+    fed are kept, plus row 0's frames and seam row (which close a full
+    grid), the adjoint of the last row fed (the start of the next k1-link)
+    and its seam row.
     """
 
     def __init__(self, ranks: list[int], rows: int):
@@ -127,6 +130,7 @@ class LinkMinors:
         self.closed = False
         self.row_sums = np.empty((len(ranks), rows))
         self.min_abs = np.full(len(ranks), np.inf)
+        self.max_angle = np.zeros(len(ranks))
         self.y_last = None
 
     def add(self, F: np.ndarray, seam: np.ndarray | None = None):
@@ -163,12 +167,14 @@ class LinkMinors:
         if self.y_last is not None:
             Ly = np.concatenate((self.y_last[:, None], Ly), axis=1)
         start = self.stored - (self.y_last is not None)
-        self.row_sums[:, start:start + nx] = _row_angle_sums(Lx, Ly[:, :-1], Ly[:, 1:])
+        angles = _plaquette_angles(Lx, Ly[:, :-1], Ly[:, 1:])
+        self.row_sums[:, start:start + nx] = angles.sum(axis=2)
+        self.max_angle = np.maximum(self.max_angle, np.abs(angles).max(axis=(1, 2), initial=0.0))
         self.y_last = Ly[:, -1].copy()
         self.stored += b
 
     def flux_sums(self):
-        """[(flux_sum, min_abs_link)] per rank of the grid fed so far (module docstring)."""
+        """[(flux_sum, min_abs_link, max_abs_angle)] per rank of the grid fed so far."""
         H, G1 = self.stored, self.G1
         if self.closed or H not in (G1, G1 // 2 + 1):
             raise ValueError(f"{H} frame rows fit neither a {G1}-row grid nor its k1 mirror"
@@ -187,17 +193,18 @@ class LinkMinors:
             totals = 2 * rows[:, :G1 // 2].sum(axis=1) + rows[:, G1 // 2:].sum(axis=1)
         else:
             totals = rows.sum(axis=1)
-        return [(float(total), float(m)) for total, m in zip(totals, self.min_abs)]
+        return [(float(total), float(m), float(angle))
+                for total, m, angle in zip(totals, self.min_abs, self.max_angle)]
 
 
-def _row_angle_sums(Lx: np.ndarray, Ly: np.ndarray, Ly_next: np.ndarray) -> np.ndarray:
-    """Per rank and plaquette row, the sum over k2 of the plaquette angles, (len(ranks), rows).
+def _plaquette_angles(Lx: np.ndarray, Ly: np.ndarray, Ly_next: np.ndarray) -> np.ndarray:
+    """Per rank, the angles in (-pi, pi] of the plaquettes of the rows, (len(ranks), rows, G2).
 
     Lx, Ly and Ly_next (len(ranks), rows, G2) are the k1-links of the rows,
     their k2-links and the k2-links of the next rows.
     """
     pl = Ly * np.roll(Lx, -1, axis=2) * np.conj(Ly_next) * np.conj(Lx)
-    return np.angle(pl).sum(axis=2)
+    return np.angle(pl)
 
 
 def _overlaps(Fh: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -207,9 +214,9 @@ def _overlaps(Fh: np.ndarray, F: np.ndarray) -> np.ndarray:
 
 def plaquette_flux_sum(frames: np.ndarray, ranks: list[int], seam: np.ndarray | None = None,
                        rows: int | None = None):
-    """[(flux_sum, min_abs_link)] of the leading `ranks` columns of frames (H, G2, N, R).
+    """[(flux_sum, min_abs_link, max_abs_angle)] of the leading `ranks` columns of frames.
 
-    ranks must be non-decreasing and at most R.
+    frames is (H, G2, N, R); ranks must be non-decreasing and at most R.
     seam: (H, N, N) transport closing k2, or None for a periodic field.
     rows: the grid's row count G1 (default H); H = G1//2 + 1 < G1 marks
     frames of a k1-mirrored grid, summed over its half (module docstring).

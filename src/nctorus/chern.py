@@ -9,7 +9,7 @@ in k2 by one seam link: the field at k2 + 1 is the field at k2
 transported by `twist_transport`, so the last k2-link of each column
 ends at T(k1) F(k1, 0).  Both lattices are closed, so both sums are
 integers by construction; `_rounded` reads the integer off a sum, after
-the link guard.
+the link guard and the branch-cut guard.
 
 A certificate run needs one Chern number per gap and family.  The Fermi
 frames of the gaps are leading column blocks of the family's band
@@ -63,12 +63,18 @@ from .spectral import (
 )
 
 MIN_LINK_DET = 1e-6
+# A plaquette angle is read in (-pi, pi]; one within this of +-pi sits on the
+# branch cut, where the last digits of the frames pick its side and so move the
+# integer by one.  At q/G = 1/2 the weyl seam plaquettes are exactly -1 in exact
+# arithmetic (angle pi to 12 digits); elsewhere the sweeps read angles below
+# pi - 2.5e-4.
+BRANCH_CUT_TOL = 1e-6
 ROUND_TOL = 1e-2
 RHS_TOL = 1e-3
 
 
 class GridTooCoarseError(NumericalFailure):
-    """A link overlap determinant fell below the admissibility threshold."""
+    """A link overlap determinant or a plaquette angle left the admissible range."""
 
 
 class ChernResidualError(NumericalFailure):
@@ -87,10 +93,17 @@ class ChernResult:
     grid: int
 
 
-def _rounded(total: float, min_abs: float, G: int, kind: str) -> ChernResult:
-    """The Chern number of a `kind` family's kernel sum on a G-row grid, after the link guard."""
+def _rounded(total: float, min_abs: float, max_angle: float, G: int, kind: str) -> ChernResult:
+    """The Chern number of a `kind` family's kernel sum on a G-row grid, after the guards.
+
+    The link guard (MIN_LINK_DET) and the branch-cut guard (BRANCH_CUT_TOL)
+    raise GridTooCoarseError.
+    """
     if min_abs < MIN_LINK_DET:
         raise GridTooCoarseError(f"link determinant magnitude {min_abs:.3g} < {MIN_LINK_DET}")
+    if max_angle > math.pi - BRANCH_CUT_TOL:
+        raise GridTooCoarseError(f"{kind}: plaquette angle {max_angle} is within "
+                                 f"{BRANCH_CUT_TOL} of the +-pi branch cut")
     raw = total / TWO_PI
     value = int(round(raw))
     residual = abs(raw - value)

@@ -19,12 +19,14 @@ the fields of the result dataclasses (`GapReport`, `TKNNRecord`,
 `ChernResult`, `CheckResult`); `_write_json` alone applies the number
 policy, writing every non-finite float as null.  The first format in
 `_WRITES` is each command's default.  Line ends are LF on every platform.
-Each butterfly job formats its own theta's CSV rows, one string per k1
-row; the main thread streams them in theta order to a `.part` file that
-is renamed onto the CSV after the last job, so a failing job leaves no
-partial file.  At most twice as many jobs as workers are submitted and
-not yet written (`_in_order`), so the rows held in memory are bounded
-however slow one theta is.
+Each butterfly job hands back its theta's spectrum, each distinct
+spectrum once plus a grid index; the main thread formats it in theta
+order, one k1 row at a time as it writes it (`band_rows`), to a `.part`
+file that is renamed onto the CSV after the last job, so a failing job
+leaves no partial file.  At most twice as many jobs as workers are
+submitted and not yet written (`_in_order`), so the spectra held in
+memory are bounded however slow one theta is, and one k1 row of text is
+held at a time.
 Worker threads for parameter sweeps come from NCTORUS_THREADS (positive
 integer; default: available parallelism).
 """
@@ -268,12 +270,12 @@ def _iter_contexts(cfg: RunConfig):
 
 
 def _butterfly_job(ctx, cfg: RunConfig):
-    """(ctx, CSV rows, gap report, certificates) of one context of the sweep.
+    """(ctx, energies, gap report, certificates) of one context of the sweep.
 
-    The rows are this context's `band_rows` chunks, one string per k1 row,
-    formatted here in the worker so the main thread only writes them; None
-    when no CSV is written.  The report is None when no SVG is drawn, and the
-    certificates are None unless the SVG is colored.
+    The energies are the (rows, index) spectrum of the CSV grid, which the
+    main thread formats as it writes it (`band_rows`); None when no CSV is
+    written.  The report is None when no SVG is drawn, and the certificates
+    are None unless the SVG is colored.
     """
     energies = report = certs = None
     if "svg" in cfg.formats and cfg.color_gaps:
@@ -291,7 +293,7 @@ def _butterfly_job(ctx, cfg: RunConfig):
         return ctx, None, report, certs
     if energies is None:
         energies = hofstadter_energies(ctx, cfg.grid)
-    return ctx, band_rows(*energies, f"{ctx.M},{ctx.N},"), report, certs
+    return ctx, energies, report, certs
 
 
 def _in_order(pool, fn, items, window: int):
@@ -318,10 +320,11 @@ def _in_order(pool, fn, items, window: int):
 def cmd_butterfly(cfg: RunConfig) -> int:
     """Per rep, its contexts in theta order: the CSV streamed job by job, then the SVG.
 
-    Each job's rows are written in theta order as the pool yields them, to
-    `spectrum_q{q}r{r}.csv.part`, which is moved onto the CSV after the last
-    job.  If anything raises, the `.part` file is removed, so a failing run
-    leaves no CSV of its own and keeps the one an earlier run wrote.
+    Each job's spectrum is formatted and written in theta order as the pool
+    yields it, one k1 row at a time, to `spectrum_q{q}r{r}.csv.part`, which
+    is moved onto the CSV after the last job.  If anything raises, the
+    `.part` file is removed, so a failing run leaves no CSV of its own and
+    keeps the one an earlier run wrote.
     """
     contexts = list(_iter_contexts(cfg))
     for (q, r) in cfg.reps:
@@ -338,10 +341,10 @@ def cmd_butterfly(cfg: RunConfig) -> int:
                 csv.write("theta_num,theta_den,k1,k2,band,energy\n")
             workers = worker_count()
             with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                for ctx, rows, report, certs in _in_order(
+                for ctx, energies, report, certs in _in_order(
                         pool, lambda ctx: _butterfly_job(ctx, cfg), jobs, 2 * workers):
                     if csv is not None:
-                        csv.writelines(rows)
+                        csv.writelines(band_rows(*energies, f"{ctx.M},{ctx.N},"))
                     results.append((ctx, report, certs))
             if csv is not None:
                 csv.close()

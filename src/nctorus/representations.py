@@ -207,18 +207,30 @@ def evaluate_on_grid(rep: FiberedRep, a: AlgebraElement,
                      k1s: np.ndarray, k2s: np.ndarray) -> np.ndarray:
     """Vectorized evaluation over a k1 x k2 grid: (G1, G2, N, N) array.
 
+    Every entry of `evaluate_at_points`' grid.
+    """
+    return evaluate_at_points(rep, a, k1s, k2s, np.arange(len(k1s))[:, None], np.arange(len(k2s)))
+
+
+def evaluate_at_points(rep: FiberedRep, a: AlgebraElement, k1s: np.ndarray, k2s: np.ndarray,
+                       i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The entries [i, j] of the k1s x k2s grid, i and j broadcast: (..., N, N) array.
+
     Uses the closed forms U(k)^n = phase * C^{qMn} (constant matrix) and
     V(k)^m = phase * S(lam(k1))^{d_r m} so no per-point matrix powers are
-    taken; agrees with evaluate_at_k to machine precision.
+    taken; agrees with evaluate_at_k to machine precision.  The k1 factor
+    of a term is formed once per k1 of k1s and its k2 phase once per k2 of
+    k2s; each point multiplies the two it reads, so an entry equals the
+    grid's bit for bit, and no entry outside [i, j] is formed.
     """
     _check_element(rep, a)
     ctx = rep.ctx
     N = ctx.N
-    G1, G2 = len(k1s), len(k2s)
-    out = np.zeros((G1, G2, N, N), dtype=complex)
+    out = np.zeros(np.broadcast_shapes(np.shape(i), np.shape(j)) + (N, N), dtype=complex)
     if not a.coeffs:
         return out
 
+    k1s, k2s = np.asarray(k1s), np.asarray(k2s)
     lam = np.exp(1j * TWO_PI * ctx.q * k1s)
     urate = rep._u_rate()
 
@@ -234,7 +246,7 @@ def evaluate_on_grid(rep: FiberedRep, a: AlgebraElement,
             vcache[m] = vm
         term = rep._u_const_diag(n)[None, :, None] * vcache[m]   # diag(C^{qMn}) @ V^m
         uphase = c * np.exp(1j * TWO_PI * urate * n * k2s)
-        out += term[:, None, :, :] * uphase[None, :, None, None]
+        out += term[i] * uphase[j][..., None, None]
     return out
 
 

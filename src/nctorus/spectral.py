@@ -32,9 +32,9 @@ Rev. 140, A135 (1965); Hofstadter, PRB 14, 2239 (1976)), so each
 eigenvalue branch is monotone in that sum and runs between its values
 at the characters (1, 1) and (-1, -1): every band edge is an eigenvalue
 at one of the four characters (+-1, +-1).  `hofstadter_gap_report`
-reads them off four N x N matrices; `hofstadter_energies` diagonalizes
-each distinct unordered pair of folded character indices.  A slot
-between consecutive bands is open when it is wider than GAP_TOL.  The
+reads them off four N x N matrices; `hofstadter_energies` builds and
+diagonalizes each distinct unordered pair of folded character indices.
+A slot between consecutive bands is open when it is wider than GAP_TOL.  The
 uncolored butterfly SVG alone still detects gaps on sampled energies:
 a one-step grid refinement rejects fake gaps that only exist because a
 band touching fell between grid points (`detect_gaps_refined`).
@@ -79,7 +79,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import Iterator, List
 
 import numpy as np
 
@@ -88,6 +88,7 @@ from .algebra import TWO_PI, AlgebraElement, element_star, hofstadter_element
 from .arithmetic import WeylContext
 from .representations import (
     FiberedRep,
+    evaluate_at_points,
     evaluate_on_grid,
     reference_fibered_rep,
     weyl_fibered_rep,
@@ -157,7 +158,7 @@ def band_energies(rep: FiberedRep, a: AlgebraElement, G: int):
     """
     n = _diagonalized(a, G)
     k = np.arange(n) / G
-    energies = np.linalg.eigvalsh(_hermitian_stack(rep, a, k, k))
+    energies = np.linalg.eigvalsh(_hermitian(evaluate_on_grid(rep, a, k, k)))
     return energies.reshape(n * n, -1), grid_index(n, G)
 
 
@@ -181,9 +182,11 @@ def hofstadter_energies(ctx: WeylContext, G: int):
     and U^N = e^{i2pi c k2}, with c = M0 on the weyl family and c = N on
     the reference one, so the point has the spectrum of the folded character
     indices x = min(i, G - i) and y = min(cj mod G, G - cj mod G), in either
-    order.  Each unordered pair is diagonalized once, as the reference
-    family at (k1, k2) = (x/G, y/(N G)), whose characters are e^{i2pi x/G}
-    and e^{i2pi y/G}; index names the pair of every grid point.
+    order.  Each unordered pair that occurs is built and diagonalized once,
+    as the reference family at (k1, k2) = (x/G, y/(N G)), whose characters
+    are e^{i2pi x/G} and e^{i2pi y/G}: the entry [x, y] of the grid
+    k/G x k/(N G), k = 0 .. G//2, and no other entry is built
+    (`evaluate_at_points`); index names the pair of every grid point.
     """
     h = hofstadter_element(ctx.theta)
     i = np.arange(G)
@@ -193,8 +196,8 @@ def hofstadter_energies(ctx: WeylContext, G: int):
     pairs, index = np.unique(lo * G + hi, return_inverse=True)
     px, py = np.divmod(pairs, G)
     k = np.arange(G // 2 + 1)
-    H = _hermitian_stack(reference_fibered_rep(ctx), h, k / G, k / (ctx.N * G))
-    return np.linalg.eigvalsh(H[px, py]), index.reshape(G, G)
+    H = evaluate_at_points(reference_fibered_rep(ctx), h, k / G, k / (ctx.N * G), px, py)
+    return np.linalg.eigvalsh(_hermitian(H)), index.reshape(G, G)
 
 
 def dual_band_blocks(ctx: WeylContext, a: AlgebraElement, G: int):
@@ -247,7 +250,7 @@ def dual_band_blocks(ctx: WeylContext, a: AlgebraElement, G: int):
         frames = np.empty_like(F_w)
         if len(own):
             energies[:, own], frames[:, own] = np.linalg.eigh(
-                _hermitian_stack(rep_r, a, rows, k[own]))
+                _hermitian(evaluate_on_grid(rep_r, a, rows, k[own])))
         lam = np.exp(1j * TWO_PI * ctx.q * rows)[:, None, None]
         for j, jw, p in read:
             energies[:, j] = E_w[:, fold[jw]]
@@ -300,7 +303,7 @@ def _band_rows(rep: FiberedRep, a: AlgebraElement, G: int, k: np.ndarray,
     j >= n are filled by the flip.
     """
     n = len(k)
-    energies, frames = np.linalg.eigh(_hermitian_stack(rep, a, k[start:stop], k))
+    energies, frames = np.linalg.eigh(_hermitian(evaluate_on_grid(rep, a, k[start:stop], k)))
     if n < G:
         full = np.empty((len(frames), G) + frames.shape[2:], frames.dtype)
         full[:, :n] = frames
@@ -331,9 +334,8 @@ def _fill_flipped_columns(rep: FiberedRep, frames: np.ndarray, cols: int, start:
         dst[..., 0 if weyl else 1:, :] *= lam[:, None, None, None]     # T R: every row; R: j != 0
 
 
-def _hermitian_stack(rep: FiberedRep, a: AlgebraElement, k1s: np.ndarray, k2s: np.ndarray):
-    """pi_k(a) over the k1s x k2s grid, made exactly Hermitian."""
-    H = evaluate_on_grid(rep, a, k1s, k2s)
+def _hermitian(H: np.ndarray) -> np.ndarray:
+    """The stack of matrices pi_k(a), (..., N, N), made exactly Hermitian in place."""
     H += H.conj().swapaxes(-1, -2)      # scrub fp asymmetry, one temporary
     H *= 0.5
     return H
@@ -437,18 +439,20 @@ def spectral_hausdorff(e1: np.ndarray, e2: np.ndarray) -> float:
     return float(max(directed(a, b), directed(b, a)))
 
 
-def band_rows(rows: np.ndarray, index: np.ndarray, prefix: str) -> List[str]:
+def band_rows(rows: np.ndarray, index: np.ndarray, prefix: str) -> Iterator[str]:
     """`{prefix}k1,k2,band,energy` lines of a G1 x G2 grid's energies, one string per k1 row.
 
     Point (i, j), at k1 = i/G1 and k2 = j/G2, has the N energies
     rows[index[i, j]]; lines run over k1, k2, band, at 12 significant
     digits.  Each row is formatted once, into its N `band,energy` lines; a
     point's `{prefix}k1,k2,` (k1 formatted once per row) joins its row's lines.
+    A generator: each k1 row's string is formed as it is asked for, so a
+    caller that writes them as they come holds one of them at a time.
     """
     G1, G2 = index.shape
     block = "".join(f"{b},%.12g\n" for b in range(rows.shape[1]))
     lines = [(block % tuple(row)).splitlines(keepends=True) for row in rows.tolist()]
     k2 = [format(j / G2, ".12g") + "," for j in range(G2)]
-    return ["".join([p + p.join(lines[d]) for p, d in zip([k1 + c for c in k2], row)])
-            for k1, row in zip([f"{prefix}{i / G1:.12g}," for i in range(G1)],
-                               index.tolist())]
+    for i, row in enumerate(index.tolist()):
+        k1 = f"{prefix}{i / G1:.12g},"
+        yield "".join([p + p.join(lines[d]) for p, d in zip([k1 + c for c in k2], row)])

@@ -141,12 +141,13 @@ def _fermi_field_rows(ctx: WeylContext, h, weyl: FiberedRep, gap: GapInfo, G: in
         occ = v[:, :d]
         seam = max(seam, _frob(occ @ occ.conj().T - T @ P0 @ T.conj().T))
 
-    [(t, m)], [(t21, m21)], [(t13, m13)] = (k.flux_sums() for k in (field, twice, thrice))
+    [(t, m, ang)], [(t21, m21, ang21)], [(t13, m13, ang13)] = (
+        k.flux_sums() for k in (field, twice, thrice))
     detail = f"gap d={d}"
     try:
-        c = _rounded(t, m, G2, "reference").value
-        c21 = _rounded(2 * t21, m21, G2, "reference").value
-        c13 = _rounded(t13, m13, G2, "reference").value
+        c = _rounded(t, m, ang, G2, "reference").value
+        c21 = _rounded(2 * t21, m21, ang21, G2, "reference").value
+        c13 = _rounded(t13, m13, ang13, G2, "reference").value
     except NumericalFailure as exc:
         return defect, seam, float("inf"), detail, str(exc)
     return defect, seam, max(abs(c21 - 2 * c), abs(c13 - 3 * c)), detail, f"base Chern {c}"

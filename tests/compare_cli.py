@@ -1,4 +1,4 @@
-"""Run twenty-seven fixed CLI commands under two source trees and diff what they emit.
+"""Run twenty-eight fixed CLI commands under two source trees and diff what they emit.
 
     python3 tests/compare_cli.py OLD_SRC NEW_SRC
 
@@ -67,6 +67,8 @@ COMMANDS = (
     ("butterfly", "--farey", "5", "--grid", "15", "--format", "csv", "--format", "svg"),
     ("butterfly", "--farey", "5", "--grid", "15", "--format", "csv", "--format", "svg",
      "--color-gaps"),
+    # q/G = 1/2: weyl seam plaquettes on the +-pi branch cut, a typed failure
+    ("chern", "--theta", "1/5", "--rep", "3,1", "--grid", "6"),
 )
 
 

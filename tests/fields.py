@@ -116,8 +116,8 @@ def fhs_chern(field: ProjectorField) -> ChernResult:
     G = F.shape[1]
     weyl = field.rep.kind == "weyl"
     seam = twist_transport(field.rep.ctx, np.arange(len(F)) / G) if weyl else None
-    [(total, min_abs)] = _kernels.plaquette_flux_sum(F, [field.rank], seam, G)
-    return _rounded(total, min_abs, G, field.rep.kind)
+    [sums] = _kernels.plaquette_flux_sum(F, [field.rank], seam, G)
+    return _rounded(*sums, G, field.rep.kind)
 
 
 def connes_chern_via_derivatives(field: ProjectorField) -> float:

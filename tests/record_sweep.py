@@ -8,7 +8,10 @@ gcd(N, q) > 1: 672 runs.  Each run keeps the certified (g, d, t, s, cc)
 of every gap, or the type name of the `NumericalFailure` it raised.
 Failure messages are not kept: a run that fails on a wrong integer
 may print a different wrong integer when the last digits of the frames
-move.  `tests/test_sweep.py` compares a fresh sweep with the file.
+move.  The 58 runs with q/G = 1/2 are typed failures: their weyl seam
+plaquettes sit on the +-pi branch cut, so 28 raise GridTooCoarseError
+(`chern.BRANCH_CUT_TOL`) and 30 fail an identity on an earlier gap.
+`tests/test_sweep.py` compares a fresh sweep with the file.
 Without `--record` the script prints the sweep's summary and writes
 nothing.
 

@@ -169,6 +169,14 @@ def test_link_guard_on_the_certificate_path(monkeypatch):
         gap_certificates(ctx_of(1, 3, 2, 1), 16)
 
 
+def test_branch_cut_guard_reads_the_largest_angle():
+    # pi - 2.5e-4 is the largest angle off the cut in the golden sweep (6/7 (5,2), G = 6);
+    # the q/G = 1/2 seam plaquettes read pi to 12 digits
+    assert chern._rounded(TWO_PI, 1.0, np.pi - 2.5e-4, 6, "weyl").value == 1
+    with pytest.raises(GridTooCoarseError, match="of the \\+-pi branch cut"):
+        chern._rounded(TWO_PI, 1.0, np.pi - 1e-7, 6, "weyl")
+
+
 def _fermi_in_a_band(monkeypatch):
     exact = chern.hofstadter_gap_report
 
@@ -198,8 +206,8 @@ def _gap_one_sum_offset(family, turns):
 
         def offset(ctx, report, G, E_r, cc_sums, E_w, t_sums):
             sums = {"reference": list(cc_sums), "weyl": list(t_sums)}
-            total, min_abs = sums[family][1]
-            sums[family][1] = (total + turns * TWO_PI, min_abs)
+            total, *guards = sums[family][1]
+            sums[family][1] = (total + turns * TWO_PI, *guards)
             return certificates(ctx, report, G, E_r, sums["reference"], E_w, sums["weyl"])
 
         monkeypatch.setattr(chern, "_certificates", offset)

@@ -160,7 +160,7 @@ def test_butterfly_into_a_regular_file_is_io_error_before_any_job(tmp_path, band
 
 
 def test_butterfly_streams_its_csv(tmp_path, monkeypatch):
-    # the main thread holds one theta's rows at a time, not the file: the traced
+    # the main thread holds one k1 row of text at a time, not the file: the traced
     # peak was 1.13x the CSV size when the whole text was kept until the last job
     monkeypatch.setenv("NCTORUS_THREADS", "2")
     out = tmp_path / "o"
@@ -172,6 +172,29 @@ def test_butterfly_streams_its_csv(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < (out / "spectrum_q1r0.csv").stat().st_size / 2
+
+
+def test_butterfly_formats_its_csv_on_the_main_thread(tmp_path, monkeypatch):
+    # jobs hand back spectra: band_rows is called, and each row of text formed, on
+    # the thread that writes the CSV
+    monkeypatch.setenv("NCTORUS_THREADS", "2")
+    threads = []
+    format_rows = cli.band_rows
+
+    def recorded(*args):
+        threads.append(threading.current_thread())
+
+        def rows():
+            for row in format_rows(*args):
+                threads.append(threading.current_thread())
+                yield row
+        return rows()
+
+    monkeypatch.setattr(cli, "band_rows", recorded)
+    assert run("butterfly", "--farey", "4", "--grid", "8", "--format", "csv", "--format", "svg",
+               "--out", str(tmp_path / "o")) == EXIT_OK
+    assert len(threads) == len(farey_fractions(4)) * (1 + 8)
+    assert set(threads) == {threading.main_thread()}
 
 
 def test_butterfly_pool_runs_at_most_twice_its_workers_ahead(tmp_path, monkeypatch):
@@ -338,6 +361,18 @@ def test_chern_too_coarse_grid_is_caught_by_the_identity(tmp_path, capsys):
     assert run(*args, "--grid", "32") == EXIT_OK
     d = json.loads((out / "chern_5_8_q3r-2.json").read_text())
     assert [c["d"] for c in d["certificates"]] == [0, 1, 2, 3, 5, 6, 7, 8]
+
+
+def test_a_plaquette_on_the_branch_cut_is_a_typed_failure(tmp_path, capsys):
+    # at q/G = 1/2 the weyl seam plaquettes are -1 up to round-off, so np.angle reads
+    # +-pi by the frames' last digits: without the guard this run certifies t = 3
+    out = tmp_path / "o"
+    assert run("chern", "--theta", "1/5", "--rep", "3,1", "--grid", "6",
+               "--out", str(out)) == EXIT_VERIFICATION
+    assert capsys.readouterr().out == (
+        "FAIL theta=1/5 rep=(3,1): weyl: plaquette angle 3.141592653589793 is within "
+        "1e-06 of the +-pi branch cut\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["chern", "labels"])

@@ -23,9 +23,10 @@ def test_numpy_flux_constant_frames_is_zero():
     F = np.zeros((6, 6, 3, 2), complex)
     F[..., 0, 0] = 1.0
     F[..., 1, 1] = 1.0
-    [(total, min_abs)] = _kernels.plaquette_flux_sum(F, [2])
+    [(total, min_abs, max_angle)] = _kernels.plaquette_flux_sum(F, [2])
     assert total == pytest.approx(0.0, abs=1e-14)
     assert min_abs == pytest.approx(1.0, abs=1e-14)
+    assert max_angle == pytest.approx(0.0, abs=1e-14)
 
 
 def test_flux_is_gauge_invariant():
@@ -34,10 +35,11 @@ def test_flux_is_gauge_invariant():
     F = random_frames(6, 7, 4, 2, seed=1)
     U = random_frames(6, 7, 2, 2, seed=2)
     for seam in (None, random_frames(6, 4, 4, seed=3)):
-        [(total, min_abs)] = _kernels.plaquette_flux_sum(F, [2], seam)
-        [(total_u, min_abs_u)] = _kernels.plaquette_flux_sum(F @ U, [2], seam)
+        [(total, min_abs, max_angle)] = _kernels.plaquette_flux_sum(F, [2], seam)
+        [(total_u, min_abs_u, max_angle_u)] = _kernels.plaquette_flux_sum(F @ U, [2], seam)
         assert total_u == pytest.approx(total, abs=1e-12)
         assert min_abs_u == pytest.approx(min_abs, abs=1e-12)
+        assert max_angle_u == pytest.approx(max_angle, abs=1e-12)
 
 
 @pytest.mark.parametrize("N,q", [(1, 1), (3, 2), (5, 3)])
@@ -47,9 +49,12 @@ def test_identity_frames_through_the_weyl_seam_carry_flux_2pi_q(N, q):
     G = 8
     F = np.broadcast_to(np.eye(N, dtype=complex), (G, G, N, N))
     seam = twist_transport(ctx_of(1 % N, N, q, q - 1), np.arange(G) / G)
-    [(total, min_abs)] = _kernels.plaquette_flux_sum(F, [N], seam)
+    [(total, min_abs, max_angle)] = _kernels.plaquette_flux_sum(F, [N], seam)
     assert total == pytest.approx(2 * math.pi * q, abs=1e-12)
     assert min_abs == pytest.approx(1.0, abs=1e-14)
+    # the seam plaquettes carry 2pi q/G, and the row that closes k1 carries -2pi q (G-1)/G
+    # wrapped into (-pi, pi]; every other plaquette is 1
+    assert max_angle == pytest.approx(2 * math.pi * q / G, abs=1e-12)
 
 
 @pytest.mark.parametrize("frames", [
@@ -68,12 +73,14 @@ def test_multi_rank_call_matches_one_rank_at_a_time(frames, with_seam):
     ranks = list(range(0, N + 1))
     multi = _kernels.plaquette_flux_sum(F, ranks, seam)
     assert len(multi) == N + 1
-    assert multi[0] == (0.0, 1.0)
-    for R, (total, min_abs) in zip(ranks, multi):
-        [(total_1, min_abs_1)] = _kernels.plaquette_flux_sum(F[..., :R], [R], seam)
+    assert multi[0] == (0.0, 1.0, 0.0)
+    for R, (total, min_abs, max_angle) in zip(ranks, multi):
+        [(total_1, min_abs_1, max_angle_1)] = _kernels.plaquette_flux_sum(F[..., :R], [R], seam)
         assert total == pytest.approx(total_1, abs=1e-10), R
         assert min_abs == pytest.approx(min_abs_1, abs=1e-12), R
-        assert (total, min_abs) == pytest.approx(lapack_flux(F, R, seam), abs=1e-10), R
+        assert max_angle == pytest.approx(max_angle_1, abs=1e-10), R
+        assert (total, min_abs, max_angle) == pytest.approx(lapack_flux(F, R, seam),
+                                                            abs=1e-10), R
 
 
 def one_rank_at_a_time(F, ranks, seam=None, rows=None):
@@ -81,7 +88,7 @@ def one_rank_at_a_time(F, ranks, seam=None, rows=None):
 
 
 def lapack_flux(F, R, seam=None):
-    """(flux_sum, min_abs_link) of rank R from LAPACK determinants of the link overlaps."""
+    """(flux_sum, min_abs_link, max_abs_angle) of rank R from LAPACK link determinants."""
     F = F[..., :R]
     Fy = np.roll(F, -1, axis=1)
     if seam is not None:
@@ -89,7 +96,8 @@ def lapack_flux(F, R, seam=None):
     Fh = F.conj().swapaxes(-1, -2)
     Lx, Ly = np.linalg.det(Fh @ np.roll(F, -1, axis=0)), np.linalg.det(Fh @ Fy)
     pl = Ly * np.roll(Lx, -1, axis=1) * np.conj(np.roll(Ly, -1, axis=0)) * np.conj(Lx)
-    return float(np.angle(pl).sum()), float(min(np.abs(Lx).min(), np.abs(Ly).min()))
+    return (float(np.angle(pl).sum()), float(min(np.abs(Lx).min(), np.abs(Ly).min())),
+            float(np.abs(np.angle(pl)).max()))
 
 
 def swapped_frames(G, N, odd, seed):
@@ -118,12 +126,14 @@ def test_pivoting_within_a_band_group():
     seam = random_frames(6, 3, 3, seed=8)
     ranks = [0, 2, 3]
     multi = _kernels.plaquette_flux_sum(F, ranks, seam)
-    for R, (total, min_abs), (total_1, min_abs_1) in zip(
+    for R, (total, min_abs, max_angle), (total_1, min_abs_1, max_angle_1) in zip(
             ranks, multi, one_rank_at_a_time(F, ranks, seam)):
         assert total == pytest.approx(total_1, abs=1e-12), R
         assert min_abs == pytest.approx(min_abs_1, abs=1e-14), R
-        assert (total, min_abs) == pytest.approx(lapack_flux(F, R, seam), abs=1e-12), R
-    [(_, min_abs_2), (_, min_abs_3)] = _kernels.plaquette_flux_sum(F, [2, 3])
+        assert max_angle == pytest.approx(max_angle_1, abs=1e-12), R
+        assert (total, min_abs, max_angle) == pytest.approx(lapack_flux(F, R, seam),
+                                                            abs=1e-12), R
+    [(_, min_abs_2, _), (_, min_abs_3, _)] = _kernels.plaquette_flux_sum(F, [2, 3])
     assert min_abs_2 == pytest.approx(1.0, abs=1e-14)
     assert min_abs_3 == pytest.approx(1.0, abs=1e-14)
 
@@ -133,7 +143,7 @@ def test_a_vanishing_minor_reads_zero_and_leaves_earlier_ranks():
     # reads exactly 0 (the pivot is divided as 1, no warning); rank 1 is unchanged
     F = swapped_frames(6, 3, [0, 2, 1], seed=9)
     [first, second] = _kernels.plaquette_flux_sum(F, [1, 2])
-    [(total_1, min_abs_1)] = one_rank_at_a_time(F, [1])
+    [(total_1, min_abs_1, _)] = one_rank_at_a_time(F, [1])
     assert first[0] == pytest.approx(total_1, abs=1e-12)
     assert first[1] == pytest.approx(min_abs_1, abs=1e-14)
     assert second[1] == 0.0
@@ -152,10 +162,11 @@ def test_gap_ranks_of_touching_central_bands(kind):
     bd = bands_of(3, 8, 1, 0, kind, 16)
     seam = None if kind == "reference" else twist_transport(ctx, np.arange(len(bd.frames)) / 16)
     multi = _kernels.plaquette_flux_sum(bd.frames, ranks, seam, 16)
-    for R, (total, min_abs), (total_1, min_abs_1) in zip(
+    for R, (total, min_abs, max_angle), (total_1, min_abs_1, max_angle_1) in zip(
             ranks, multi, one_rank_at_a_time(bd.frames, ranks, seam, 16)):
         assert total == pytest.approx(total_1, abs=1e-10), R
         assert min_abs == pytest.approx(min_abs_1, abs=1e-12), R
+        assert max_angle == pytest.approx(max_angle_1, abs=1e-10), R
 
 
 @pytest.mark.parametrize("kind", ["reference", "weyl"])
@@ -163,7 +174,7 @@ def test_gap_ranks_of_touching_central_bands(kind):
 @pytest.mark.parametrize("G", [2, 3, 7, 15, 16])
 def test_k1_mirrored_half_grid_matches_the_full_grid(kind, M, N, q, r, G):
     # frames of rows 0 .. G//2 (G = 2: both rows diagonalized, nothing mirrored)
-    # give every rank the flux and smallest link of the expanded full grid
+    # give every rank the flux, smallest link and largest angle of the expanded full grid
     ctx = ctx_of(M, N, q, r)
     bd = bands_of(M, N, q, r, kind, G)
     assert bd.frames.shape[:2] == (G // 2 + 1, G)
@@ -173,9 +184,11 @@ def test_k1_mirrored_half_grid_matches_the_full_grid(kind, M, N, q, r, G):
     ranks = list(range(N + 1))
     half = _kernels.plaquette_flux_sum(bd.frames, ranks, half_seam, G)
     full = _kernels.plaquette_flux_sum(F, ranks, seam)
-    for R, (total, min_abs), (total_f, min_abs_f) in zip(ranks, half, full):
+    for R, (total, min_abs, max_angle), (total_f, min_abs_f, max_angle_f) in zip(
+            ranks, half, full):
         assert total == pytest.approx(total_f, abs=1e-12), R
         assert min_abs == pytest.approx(min_abs_f, abs=1e-12), R
+        assert max_angle == pytest.approx(max_angle_f, abs=1e-12), R
 
 
 def test_frames_with_every_row_take_the_full_grid():
@@ -186,8 +199,8 @@ def test_frames_with_every_row_take_the_full_grid():
     ranks = [0, 1, 3, 4]
     full = _kernels.plaquette_flux_sum(F, ranks, seam, 7)
     assert full == _kernels.plaquette_flux_sum(F, ranks, seam)
-    for R, (total, min_abs) in zip(ranks, full):
-        assert (total, min_abs) == pytest.approx(lapack_flux(F, R, seam), abs=1e-10), R
+    for R, sums in zip(ranks, full):
+        assert sums == pytest.approx(lapack_flux(F, R, seam), abs=1e-10), R
     for rows in (8, 14, 15):
         with pytest.raises(ValueError, match="frame rows"):
             _kernels.plaquette_flux_sum(F, ranks, seam, rows)
@@ -285,7 +298,9 @@ def test_link_minors_keep_row_sums_not_the_grid():
 
 
 def naive_flux(F, R, seam=None):
-    """(math.fsum of the plaquette angles, smallest |link|) of rank R, plaquette by plaquette.
+    """(math.fsum of the plaquette angles, smallest |link|, largest |angle|) of rank R.
+
+    Plaquette by plaquette.
 
     The seam closes the k2-links into column G2 only: the k1-links there
     are those of column 0, as in the kernel's twisted field.
@@ -308,7 +323,7 @@ def naive_flux(F, R, seam=None):
             loop = [link(a, b) for a, b in zip(corners, corners[1:])]
             angles.append(np.angle(np.prod(loop)))
             links += loop[:1] + loop[-1:]      # Ly(i, j) and conj Lx(i, j)
-    return math.fsum(angles), min(abs(u) for u in links)
+    return math.fsum(angles), min(abs(u) for u in links), max(abs(a) for a in angles)
 
 
 @pytest.mark.parametrize("with_seam", [False, True])
@@ -318,7 +333,8 @@ def test_flux_sum_matches_a_plaquette_loop(with_seam):
     F = random_frames(7, 6, 4, 4, seed=16)
     seam = random_frames(7, 4, 4, seed=17) if with_seam else None
     ranks = [0, 1, 2, 3, 4]
-    for R, (total, min_abs) in zip(ranks, _kernels.plaquette_flux_sum(F, ranks, seam)):
-        naive_total, naive_min = naive_flux(F, R, seam)
+    for R, (total, min_abs, max_angle) in zip(ranks, _kernels.plaquette_flux_sum(F, ranks, seam)):
+        naive_total, naive_min, naive_max = naive_flux(F, R, seam)
         assert total == pytest.approx(naive_total, abs=1e-12), R
         assert min_abs == pytest.approx(naive_min, abs=1e-12), R
+        assert max_angle == pytest.approx(naive_max, abs=1e-12), R

@@ -21,6 +21,7 @@ from nctorus.algebra import (
 from nctorus.representations import (
     check_pseudoperiodicity,
     evaluate_at_k,
+    evaluate_at_points,
     evaluate_on_grid,
     reference_fibered_rep,
     shift_matrix,
@@ -219,6 +220,9 @@ def test_evaluate_on_grid_matches_single_point(rng):
             for j in range(4):
                 single = evaluate_at_k(rep, a, (k1s[i], k2s[j]))
                 assert frob(grid[i, j] - single) < 1e-12
+        # listed entries alone, from the same coefficient loop: the grid's, bit for bit
+        i, j = np.divmod(np.arange(5 * 4)[::-3], 4)
+        assert np.array_equal(evaluate_at_points(rep, a, k1s, k2s, i, j), grid[i, j])
 
 
 def test_collapsed_twist_rejected():

@@ -378,6 +378,32 @@ def test_energies_are_each_spectrum_once_and_a_grid_index(M, N, q, r, G):
         assert np.abs(rows[index] - oracle[kind]).max() <= 1e-12
 
 
+@pytest.mark.parametrize("M, N, q, r", [(1, 3, 1, 0), (3, 8, 1, 0), (2, 7, 2, 1), (3, 8, 3, 2),
+                                        (2, 5, 3, 2)])
+@pytest.mark.parametrize("G", [15, 16])
+def test_character_pairs_are_built_as_the_grid_matrices(M, N, q, r, G, monkeypatch):
+    # hofstadter_energies builds only the pairs it diagonalizes, each equal bit for
+    # bit to its entry of the reference grid k/G x k/(N G), k = 0 .. G//2, and its
+    # energies are the eigvalsh of those entries (gcd(M0, G) = 4 at 2/5 (3,2), G = 16)
+    ctx = ctx_of(M, N, q, r)
+    built = []
+    evaluate = spectral.evaluate_at_points
+
+    def recorded(rep, a, k1s, k2s, i, j):
+        built.append((k1s, k2s, i, j, evaluate(rep, a, k1s, k2s, i, j)))
+        return built[-1][-1].copy()     # the caller makes it Hermitian in place
+
+    monkeypatch.setattr(spectral, "evaluate_at_points", recorded)
+    rows, index = hofstadter_energies(ctx, G)
+    [(k1s, k2s, i, j, H)] = built
+    k = np.arange(G // 2 + 1)
+    assert np.array_equal(k1s, k / G) and np.array_equal(k2s, k / (N * G))
+    grid = evaluate_on_grid(reference_fibered_rep(ctx), hofstadter_element(ctx.theta), k1s, k2s)
+    assert len(H) == len(rows) < len(k) ** 2
+    assert np.array_equal(H, grid[i, j])
+    assert np.array_equal(rows, np.linalg.eigvalsh(spectral._hermitian(grid)[i, j]))
+
+
 def test_character_energies_diagonalize_each_pair_once(eigvalsh_matrices):
     # at 1/3 (M0 = 1) the folded indices take all 25 values 0 .. 24 at G = 48
     hofstadter_energies(ctx_of(1, 3, 1, 0), 48)
@@ -625,7 +651,7 @@ def test_band_rows_returns_one_chunk_of_g2_n_lines_per_k1_row(shape, prefix):
     rows = np.random.default_rng(3).standard_normal((G1 * H, N))
     index = np.arange(G1)[:, None] * H + np.arange(G2) % H
     e = rows[index]
-    chunks = band_rows(rows, index, prefix)
+    chunks = list(band_rows(rows, index, prefix))
     assert len(chunks) == G1
     for i, chunk in enumerate(chunks):
         lines = chunk.splitlines(keepends=True)
@@ -658,7 +684,7 @@ def test_band_rows_peak_memory_stays_near_its_text():
     e = hofstadter_energies(ctx_of(9, 10, 1, 0), 48)
     tracemalloc.start()
     try:
-        chunks = band_rows(*e, "9,10,")
+        chunks = list(band_rows(*e, "9,10,"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

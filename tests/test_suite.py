@@ -121,9 +121,9 @@ def test_streamed_pullback_rows_match_the_whole_field(spec, G, monkeypatch):
     seen = []
     rounded = suite._rounded
 
-    def recorded(total, min_abs, grid, kind):
+    def recorded(total, min_abs, max_angle, grid, kind):
         try:
-            res = rounded(total, min_abs, grid, kind)
+            res = rounded(total, min_abs, max_angle, grid, kind)
         except NumericalFailure as exc:
             seen.append(str(exc))
             raise
