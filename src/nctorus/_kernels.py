@@ -47,24 +47,28 @@ so the half grid has the full grid's smallest link.  Only the link rows
 The frames stream through in blocks of consecutive k1 rows (`LinkMinors`),
 so neither a family's whole frames nor a full-size overlap array need be
 held.  Every link but the k1-links leaving a block's last row is local to
-the block; that row's adjoint is carried to the next block.  A block's
-links are eliminated together, and then every plaquette row whose k1-link
-the block closed is summed over k2: row i reads Lx(i), Ly(i) and Ly(i+1),
-so the k2-links of a block's last row are carried to the next block too.
-No minor outlives its block.  The grid closes as one more block, the row
-that ends its last k1-link: row 0 again, or on an odd mirrored grid
-conj F(G1//2), seamed by conj T(k1_(G1//2)).  Per rank, only one angle sum
-per plaquette row (len(ranks), rows), the smallest |link| and the
-largest |plaquette angle| are kept for the whole grid; a mirrored
-plaquette has the angle of its mirror, so the half grid has the full
-grid's largest.  Each link is eliminated alone, each row is summed in one
-fixed order, and the flux adds the row sums of the grid as one array, so
-the sums do not depend on the blocking, bit for bit.  A block
-holds at most BLOCK_BYTES of one family's frames, and at least one row.
-The band passes hand their frames over in such blocks, and the
-certificates and the suite feed them to `LinkMinors` as they come;
-`plaquette_flux_sum` feeds the rows of one array, such as the suite's
-constant identity field, through the same blocks.
+the block; that row's adjoint is carried to the next block, written into
+one buffer that the whole feed reuses.  A block's links are eliminated
+together, and then every plaquette row whose k1-link the block closed is
+summed over k2: row i reads Lx(i), Ly(i) and Ly(i+1), so the k2-links of
+a block's last row are carried to the next block too.  No minor outlives
+its block.  The grid closes as one more block, the row that ends its last
+k1-link: row 0 again, or on an odd mirrored grid conj F(G1//2), seamed by
+conj T(k1_(G1//2)).  Only a full grid reads row 0 again, so a kernel
+copies it at the first block unless its caller says that the feed is
+k1-mirrored, as every band pass of h is, on a grid of G1 > 2 rows (at
+G1 <= 2 the mirror is the whole grid).  Per rank, only one angle sum per
+plaquette row (len(ranks), rows), the smallest |link| and the largest
+|plaquette angle| are kept for the whole grid; a mirrored plaquette has
+the angle of its mirror, so the half grid has the full grid's largest.
+Each link is eliminated alone, each row is summed in one fixed order,
+and the flux adds the row sums of the grid as one array, so the sums do
+not depend on the blocking, bit for bit.  A block holds at most
+BLOCK_BYTES of one family's frames, and at least one row.  The band
+passes hand their frames over in such blocks, one family's block at a
+time, and the certificates and the suite feed them to `LinkMinors` as
+they come; `plaquette_flux_sum` feeds the rows of one array, such as the
+suite's constant identity field, through the same blocks.
 """
 
 from __future__ import annotations
@@ -113,17 +117,21 @@ class LinkMinors:
     `add` takes the blocks in row order, each with the seam rows that close
     it in k2 (or None for a periodic field); `flux_sums` closes the grid
     through `add`, once, and returns what `plaquette_flux_sum` returns.
-    ranks as there; rows is the grid's row count G1.  Per rank, only one
-    angle sum per plaquette row (len(ranks), rows), the smallest |link| and
-    the largest |plaquette angle| so far and the k2-links of the last row
-    fed are kept, plus row 0's frames and seam row (which close a full
-    grid), the adjoint of the last row fed (the start of the next k1-link)
-    and its seam row.
+    ranks as there; rows is the grid's row count G1.  mirrored says that
+    the feed is the stored rows 0 .. G1//2 of a k1-mirrored grid; a kernel
+    told so refuses a full grid.  Per rank, only one angle sum per
+    plaquette row (len(ranks), rows), the smallest |link| and the largest
+    |plaquette angle| so far and the k2-links of the last row fed are
+    kept, plus the adjoint of the last row fed (the start of the next
+    k1-link, one buffer for the whole feed) and its seam row.  Row 0's
+    frames and seam row, which close a full grid, are copied at the first
+    block unless the feed is mirrored and G1 > 2.
     """
 
-    def __init__(self, ranks: list[int], rows: int):
+    def __init__(self, ranks: list[int], rows: int, mirrored: bool = False):
         self.ranks = list(ranks)
         self.G1 = rows
+        self.mirrored = mirrored
         self.first = self.last = None
         self.seam_first = self.seam_last = None
         self.stored = 0
@@ -137,28 +145,30 @@ class LinkMinors:
         """Feeds the next stored rows, F (b, G2, N, >= ranks[-1]) and seam (b, N, N) or None.
 
         Each row's links fill one batch-last buffer (R, R, links, G2) a row
-        at a time, from one conjugate copy of the row, so no full-size
-        overlap or adjoint array is formed, and one elimination serves the
-        block.  Then every plaquette row whose k1-link the block closed is
+        at a time, from the row's conjugate, written into the carried
+        buffer, so no full-size overlap or adjoint array is formed, and one
+        elimination serves the block.  Then every plaquette row whose k1-link the block closed is
         summed: from the row before the block (its k2-links carried) to the
         block's last row but one.
         """
         ranks = self.ranks
-        if self.first is None:
+        if self.last is None:
             if ranks != sorted(ranks) or ranks[0] < 0 or ranks[-1] > F.shape[-1]:
                 raise ValueError(f"ranks must be non-decreasing in [0, {F.shape[-1]}], got {ranks}")
-            self.first = F[:1, ..., :ranks[-1]].copy()
-            self.seam_first = None if seam is None else seam[:1].copy()
+            if not self.mirrored or self.G1 <= 2:       # the feed may be a full grid
+                self.first = F[:1, ..., :ranks[-1]].copy()
+                self.seam_first = None if seam is None else seam[:1].copy()
+            self.last = np.empty(F.shape[1:-1] + (ranks[-1],), F.dtype)
         self.seam_last = None if seam is None else seam[-1:].copy()
         F = F[..., :ranks[-1]]
         b, G2, _, R = F.shape
         y_end = F[:, 0] if seam is None else seam @ F[:, 0]
-        nx = b - (self.last is None)                # the k1-links that start at a fed row
+        nx = b - (self.stored == 0)                 # the k1-links that start at a fed row
         A = np.empty((R, R, nx + b, G2), complex)
         for i in range(b):
-            if self.last is not None:
+            if self.stored or i:
                 A[:, :, nx - b + i] = _overlaps(self.last, F[i])
-            self.last = F[i].conj()
+            np.conjugate(F[i], out=self.last)
             A[:, :, nx + i, :-1] = _overlaps(self.last[:-1], F[i, 1:])
             A[:, :, nx + i, -1] = self.last[-1].T @ y_end[i]
         L = _leading_minors(A.reshape(R, R, (nx + b) * G2), ranks).reshape(-1, nx + b, G2)
@@ -176,9 +186,10 @@ class LinkMinors:
     def flux_sums(self):
         """[(flux_sum, min_abs_link, max_abs_angle)] per rank of the grid fed so far."""
         H, G1 = self.stored, self.G1
-        if self.closed or H not in (G1, G1 // 2 + 1):
-            raise ValueError(f"{H} frame rows fit neither a {G1}-row grid nor its k1 mirror"
-                             " (a closed grid counts its closing row)")
+        if self.closed or H not in (G1 // 2 + 1, G1 if self.first is not None else None):
+            fit = (f"do not fit the k1 mirror of a {G1}-row grid" if self.mirrored
+                   else f"fit neither a {G1}-row grid nor its k1 mirror")
+            raise ValueError(f"{H} frame rows {fit} (a closed grid counts its closing row)")
         mirrored = H < G1
         # the last k1-link ends at row 0 of the torus, or at conj F(G1//2) on an odd mirrored
         # grid: a copy, as numpy takes a product of an array with its own transpose by syrk

@@ -17,8 +17,10 @@ frames, so one kernel pass per family serves every gap's rank (the
 kernel forms the link overlaps once, see `_kernels`), and the gaps are
 then checked in one loop (`_certificates`).  `gap_certificates` streams:
 one band pass in blocks of k1 rows (`spectral.dual_band_blocks`) hands
-each block of both families' frames to their kernels and drops it, so
-it holds the diagonalized energies and, per gap, one plaquette angle sum
+over each block of weyl frames, which their kernel sums and drops, and
+then the reference block read off it, which the other kernel sums and
+drops.  So one family's block of frames is in flight at a time, and the
+run holds the diagonalized energies and, per gap, one plaquette angle sum
 per k1 row: never a family's whole frames, nor the grid's link minors.
 It is the one certificate path: `chern`, `labels`, the colored
 butterfly and `verify` all run it.
@@ -160,30 +162,32 @@ def certified_spectrum(ctx: WeylContext, G: int = 64):
 
     The exact gap report, the weyl energies at G (the reference ones at
     theta = r/q, where there is no weyl family) and `gap_certificates`.
-    `dual_band_blocks` yields both families' bands a block of stored k1 rows
-    at a time, and each block's frames go to that family's
-    `_kernels.LinkMinors` (the weyl one closed by the seam of the block's
-    rows) before the next block is diagonalized.  So only the energies of
-    the diagonalized points and the kernels' per-row angle sums are kept,
+    `dual_band_blocks` yields each block of stored k1 rows of the weyl
+    bands, then the reference block read off it, and each block's frames
+    go to that family's `_kernels.LinkMinors` (the weyl one closed by the
+    seam of the block's rows) and are dropped before the pass reads the
+    next block: the weyl block before the reference block is built, so
+    one family's frames are in flight.  So only the energies of the
+    diagonalized points and the kernels' per-row angle sums are kept,
     never a family's frames or the grid's link minors.  The kernels' ranks
-    are the report's labels d, fixed before the pass.
+    are the report's labels d, fixed before the pass.  A pass that
+    diagonalizes n < G columns stores n rows of a k1-mirrored grid, and
+    a kernel told so keeps no copy of row 0.
     """
     report = hofstadter_gap_report(ctx)
     ranks = [gap.d for gap in report.gaps]
-    cc = _kernels.LinkMinors(ranks, G)
-    t = _kernels.LinkMinors(ranks, G) if ctx.M0 else None
-    E_r, E_w = [], []
-    for start, (energies, frames), weyl in dual_band_blocks(ctx, hofstadter_element(ctx.theta), G):
-        E_r.append(energies)
-        cc.add(frames)
-        if weyl is not None:
-            E_w.append(weyl[0])
-            t.add(weyl[1], twist_transport(ctx, np.arange(start, start + len(weyl[1])) / G))
-        del frames, weyl                # before the next block is diagonalized
-    E_r = np.concatenate(E_r)
-    E_w = np.concatenate(E_w) if E_w else None
-    certs = _certificates(ctx, report, G, E_r, cc.flux_sums(), E_w,
-                          None if t is None else t.flux_sums())
+    kernels, energies = {}, {}
+    for kind, start, E, F in dual_band_blocks(ctx, hofstadter_element(ctx.theta), G):
+        if kind not in kernels:         # E.shape[1] stored rows: fewer than G on a k1 mirror
+            kernels[kind] = _kernels.LinkMinors(ranks, G, mirrored=E.shape[1] < G)
+        energies.setdefault(kind, []).append(E)
+        k1 = np.arange(start, start + len(F)) / G
+        kernels[kind].add(F, twist_transport(ctx, k1) if kind == "weyl" else None)
+        del F                           # before the pass reads the next block
+    E_r = np.concatenate(energies["reference"])
+    E_w = np.concatenate(energies["weyl"]) if ctx.M0 else None
+    certs = _certificates(ctx, report, G, E_r, kernels["reference"].flux_sums(), E_w,
+                          kernels["weyl"].flux_sums() if ctx.M0 else None)
     E = E_r if E_w is None else E_w
     return report, (E.reshape(-1, ctx.N), grid_index(E.shape[1], G)), certs
 

@@ -5,9 +5,11 @@ hands them over a block of stored k1 rows at a time, so that no
 consumer holds a family's whole frames.  `band_blocks` diagonalizes one
 family; `dual_band_blocks`, for the certificates (`chern`), which read
 both families, diagonalizes the weyl family and reads the reference
-bands off it by magnetic translation.  A block holds the frames of
-`_kernels.block_rows` rows.  A Fermi level is checked against a family's
-per-band [lo, hi], taken once (`band_edges`, `fermi_rank`).  The
+bands off it by magnetic translation, handing over each block's weyl
+frames and then, once it has dropped them, the reference frames read off
+them.  A block holds the frames of `_kernels.block_rows` rows.  A Fermi
+level is checked against a family's per-band [lo, hi], taken once
+(`band_edges`, `fermi_rank`).  The
 spectral projector below a Fermi level in a gap (the finite-dimensional
 stand-in for the resolvent contour integral) is carried as the occupied
 eigenvector columns it came from, the leading columns of the band
@@ -201,13 +203,18 @@ def hofstadter_energies(ctx: WeylContext, G: int):
 
 
 def dual_band_blocks(ctx: WeylContext, a: AlgebraElement, G: int):
-    """Reference and weyl bands of `a` at G in blocks of stored k1 rows, one weyl pass.
+    """Weyl and reference bands of `a` at G in blocks of stored k1 rows, one weyl pass.
 
-    Yields (start, (E_r, F_r), (E_w, F_w)) for the stored rows start ..
-    start + b - 1: each family's energies and frames as `band_blocks`
-    yields them; the weyl pair is None at M0 = 0, where the blocks are
-    the reference family's own (`band_blocks`).  b comes from
-    `_kernels.block_rows` on the rows of one family's frames.
+    Yields (kind, start, energies, frames) for the stored rows start ..
+    start + b - 1, each family's energies and frames as `band_blocks`
+    yields them: the weyl block first, then the reference block read off
+    it, kind "weyl" and "reference".  At M0 = 0 the reference blocks are
+    the reference family's own (`band_blocks`) and there are no weyl
+    ones.  b comes from `_kernels.block_rows` on the rows of one family's
+    frames.  Only one family's frames are in flight: the pass drops the
+    weyl block before it yields the reference one, so a consumer that
+    drops each block before it asks for the next (`certified_spectrum`)
+    never holds both.
 
     The weyl family is the reference family read at a scaled k2,
     pi^w_(k1, k2) = pi^r_(k1, M0 k2 / N), and the reference family is
@@ -228,7 +235,7 @@ def dual_band_blocks(ctx: WeylContext, a: AlgebraElement, G: int):
     N, M0 = ctx.N, ctx.M0
     if M0 == 0:
         for i, energies, frames in band_blocks(rep_r, a, G):
-            yield i, (energies, frames), None
+            yield "reference", i, energies, frames
         return
     n = _diagonalized(a, G)
     k = np.arange(n) / G
@@ -245,6 +252,7 @@ def dual_band_blocks(ctx: WeylContext, a: AlgebraElement, G: int):
     fold = grid_index(n, G)[0]                    # E_w's column of weyl column j_w
     for i in range(0, n, step):
         E_w, F_w = _band_rows(rep_w, a, G, k, i, i + step)
+        yield "weyl", i, E_w, F_w
         rows = k[i:i + step]
         energies = np.empty((len(rows), n, N))
         frames = np.empty_like(F_w)
@@ -257,10 +265,11 @@ def dual_band_blocks(ctx: WeylContext, a: AlgebraElement, G: int):
             src, dst = F_w[:, jw], frames[:, j]
             dst[:, p:] = src[:, :N - p]                           # (S^p F)[i] = F[i - p]
             np.multiply(lam, src[:, N - p:], out=dst[:, :p])      # wrapped: lam F[i - p + N]
+        del E_w, F_w, src, dst          # the weyl block goes before the reference one is read
         if n < G:
             _fill_flipped_columns(rep_r, frames, n, i)
-        yield i, (energies, frames), (E_w, F_w)
-        del E_w, F_w, frames            # before the next block is diagonalized
+        yield "reference", i, energies, frames
+        del frames                      # before the next block is diagonalized
 
 
 def expand_k1_mirror(rows: np.ndarray, G1: int) -> np.ndarray:

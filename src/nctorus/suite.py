@@ -108,11 +108,13 @@ def _fermi_field_rows(ctx: WeylContext, h, weyl: FiberedRep, gap: GapInfo, G: in
     field's own.
     """
     G2, d = 2 * G, gap.d
-    field, twice, thrice = (_kernels.LinkMinors([d], rows) for rows in (G2, G, G2))
     cols = 3 * np.arange(G2) % G2
     energies, column0 = [], []
     defect = 0.0
     for start, E, F in band_blocks(reference_fibered_rep(ctx), h, G2):
+        if not start:                   # E.shape[1] stored rows: fewer than G2 on a k1 mirror
+            field, twice, thrice = (_kernels.LinkMinors([d], rows, mirrored=E.shape[1] < G2)
+                                    for rows in (G2, G, G2))
         F = F[..., :d]
         energies.append(E)
         column0.append(F[:, 0].copy())

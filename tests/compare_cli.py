@@ -9,6 +9,12 @@ working directory, writing its files under `out/`.  The script compares
 the exit code, stdout, stderr and the bytes of every written file, prints
 one line per command and then the line count of each tree's
 `nctorus/*.py`, and exits 1 when any command's output differs, 0 otherwise.
+Each command's line ends with the child's peak RSS on both trees
+(`ru_maxrss` from `os.wait4`, in MB of 1024 KB): for information only, it
+does not enter the exit status.  Linux carries a process's peak RSS over
+`exec`, so a child's reads at least the script's own peak when it was
+started: the script keeps the written files on disk and compares them
+there, and reads a file whole only when it differs.
 A JSON file that differs is also parsed on both sides: the line says
 whether every non-float value (integer, bool, string, null, key and list
 length) matches, and gives the largest difference between two floats.
@@ -19,6 +25,7 @@ many lines differ, and the largest difference between two float tokens.
 
 from __future__ import annotations
 
+import filecmp
 import json
 import os
 import re
@@ -72,30 +79,42 @@ COMMANDS = (
 )
 
 
-def run(src: Path, argv) -> dict:
-    """{"exit", "stdout", "stderr", "files"} of one command under the package tree `src`."""
+def run(src: Path, argv, cwd: Path) -> dict:
+    """{"exit", "stdout", "stderr", "files", "rss_mb"} of one command under the tree `src`.
+
+    The command runs in `cwd`; files maps each written file's name to its
+    path there.  stdout and stderr go to files, so that the child can be
+    reaped by `os.wait4`, which also reports its peak RSS.
+    """
     env = dict(os.environ, PYTHONPATH=str(src), NCTORUS_THREADS="2")
-    with tempfile.TemporaryDirectory() as cwd:
-        proc = subprocess.run([sys.executable, "-m", "nctorus", *argv, "--out", "out"],
-                              cwd=cwd, env=env, capture_output=True)
-        out = Path(cwd) / "out"
-        files = {str(p.relative_to(out)): p.read_bytes()
-                 for p in sorted(out.rglob("*")) if p.is_file()}
-    return {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,
-            "files": files}
+    streams = cwd / "stdout", cwd / "stderr"
+    with open(streams[0], "wb") as stdout, open(streams[1], "wb") as stderr:
+        proc = subprocess.Popen([sys.executable, "-m", "nctorus", *argv, "--out", "out"],
+                                cwd=cwd, env=env, stdout=stdout, stderr=stderr)
+        _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    out = cwd / "out"
+    return {"exit": proc.returncode, "stdout": streams[0].read_bytes(),
+            "stderr": streams[1].read_bytes(),
+            "files": {str(p.relative_to(out)): p for p in sorted(out.rglob("*")) if p.is_file()},
+            "rss_mb": usage.ru_maxrss / 1024.0}
 
 
 def differences(old: dict, new: dict) -> list:
-    """What differs between two runs, as short descriptions."""
+    """What differs between two runs, as short descriptions.
+
+    Written files are compared on disk and read whole only when they differ.
+    """
     diffs = ["exit"] if old["exit"] != new["exit"] else []
     diffs += [key + lines_summary(old[key], new[key])
               for key in ("stdout", "stderr") if old[key] != new[key]]
     for name in sorted(set(old["files"]) | set(new["files"])):
         if name not in old["files"] or name not in new["files"]:
             diffs.append(f"{name} written by one tree only")
-        elif old["files"][name] != new["files"][name]:
+        elif not filecmp.cmp(old["files"][name], new["files"][name], shallow=False):
             summary = SUMMARIES.get(Path(name).suffix, lambda a, b: "")
-            diffs.append(f"{name} differs" + summary(old["files"][name], new["files"][name]))
+            diffs.append(f"{name} differs" + summary(old["files"][name].read_bytes(),
+                                                     new["files"][name].read_bytes()))
     return diffs
 
 
@@ -175,12 +194,15 @@ def main(argv) -> int:
     old_src, new_src = (Path(a).resolve() for a in argv)
     failed = 0
     for command in COMMANDS:
-        old, new = run(old_src, command), run(new_src, command)
-        diffs = differences(old, new)
+        with tempfile.TemporaryDirectory() as old_cwd, tempfile.TemporaryDirectory() as new_cwd:
+            old = run(old_src, command, Path(old_cwd))
+            new = run(new_src, command, Path(new_cwd))
+            diffs = differences(old, new)
         failed += bool(diffs)
         status = "DIFFERS: " + "; ".join(diffs) if diffs else (
             f"identical (exit {new['exit']}, {len(new['files'])} files)")
-        print(f"{' '.join(command)}: {status}", flush=True)
+        rss = f"peak RSS {old['rss_mb']:.1f} -> {new['rss_mb']:.1f} MB"
+        print(f"{' '.join(command)}: {status}; {rss}", flush=True)
     print(f"{len(COMMANDS) - failed} of {len(COMMANDS)} runs byte-identical")
     print(f"nctorus/*.py: {line_count(old_src)} lines -> {line_count(new_src)} lines")
     return 1 if failed else 0

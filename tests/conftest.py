@@ -73,9 +73,10 @@ def band_passes(monkeypatch):
     `band_blocks` and `band_energies` are passes over the same matrices,
     with and without eigenvectors, and record their family's kind;
     `dual_band_blocks`, the row-block pass of both families
-    (`certified_spectrum`), records the weyl family it diagonalizes, and
-    at M0 = 0 hands the reference family to `band_blocks`, which records
-    it; `hofstadter_energies`, which reads the energies of h off its
+    (`certified_spectrum`), which yields each block's weyl frames and then
+    the reference frames read off them, records the weyl family it
+    diagonalizes, and at M0 = 0 hands the reference family to
+    `band_blocks`, which records it; `hofstadter_energies`, which reads the energies of h off its
     central characters, records the kind "character".
     """
     calls = []

@@ -18,7 +18,7 @@ from fields import (
     pullback_field,
 )
 
-from nctorus import chern, spectral
+from nctorus import _kernels, chern, spectral
 from nctorus.algebra import TWO_PI, hofstadter_element, monomial, random_element, unit
 from nctorus.arithmetic import tknn_rhs_value, tknn_solve
 from nctorus.chern import (
@@ -117,15 +117,17 @@ def test_twisted_chern_kernel_input_is_the_field(monkeypatch):
 def test_certificates_make_one_kernel_call_per_family(monkeypatch):
     # every gap's rank reads blocks of one family's shared link overlaps: the
     # streamed pass feeds each family's LinkMinors every stored row once, in
-    # blocks of 3 rows here, and never calls the whole-array kernel
+    # blocks of 3 rows here, the weyl block before the reference block read
+    # off it, tells both kernels that the grid is k1-mirrored, and never calls
+    # the whole-array kernel
     made, fed, calls = [], [], []
     minors, kernel = chern._kernels.LinkMinors, chern._kernels.plaquette_flux_sum
 
     class Recorded(minors):
-        def __init__(self, ranks, rows):
-            made.append((list(ranks), rows))
+        def __init__(self, ranks, rows, mirrored=False):
+            made.append((list(ranks), rows, mirrored))
             self.family = len(made) - 1
-            super().__init__(ranks, rows)
+            super().__init__(ranks, rows, mirrored)
 
         def add(self, F, seam=None):
             fed.append((self.family, F.shape, None if seam is None else seam.shape))
@@ -143,13 +145,13 @@ def test_certificates_make_one_kernel_call_per_family(monkeypatch):
     ranks = [c["record"].d for c in certs[1:]]
     assert ranks == [1, 2, 3, 4, 5]
     # the k1-mirrored bands hand over their diagonalized rows 0 .. G/2 in blocks
-    assert made == [([0] + ranks, 16)] * 2                      # reference, weyl
-    assert fed == [(0, (3, 16, 5, 5), None), (1, (3, 16, 5, 5), (3, 5, 5))] * 3
+    assert made == [([0] + ranks, 16, True)] * 2                # weyl, reference
+    assert fed == [(0, (3, 16, 5, 5), (3, 5, 5)), (1, (3, 16, 5, 5), None)] * 3
     assert calls == []
     assert {c["cc"].grid for c in certs} == {c["t"].grid for c in certs} == {16}
     made.clear()
     gap_certificates(ctx_of(0, 1, 1, 0), 12)      # theta = r/q: no twisted family
-    assert made == [([0, 1], 12)]
+    assert made == [([0, 1], 12, True)]
 
 
 def test_orthogonal_neighbour_frames_are_too_coarse():
@@ -193,8 +195,8 @@ def _weyl_bands_shifted(monkeypatch):
     blocks = chern.dual_band_blocks
 
     def spoiled(ctx, a, G):
-        for start, reference, (E_w, F_w) in blocks(ctx, a, G):
-            yield start, reference, (E_w + 2.0, F_w)
+        for kind, start, E, F in blocks(ctx, a, G):
+            yield kind, start, E + 2.0 if kind == "weyl" else E, F
 
     monkeypatch.setattr(chern, "dual_band_blocks", spoiled)
 
@@ -533,10 +535,15 @@ def test_streamed_spectrum_is_the_weyl_energies():
 
 
 def test_streamed_certificates_hold_no_whole_frames():
-    # the traced peak stays below both families' stored frames of 8/13 at G = 64
-    # (2 x 33 x 64 x 13 x 13 complex: 11.4 MB); holding them peaked at 20.4 MB
+    # one family's block of frames is in flight at a time: 8/13 at G = 64 takes
+    # blocks of 3 rows, and its traced peak stays within 6 of them (3.1 MB), the
+    # block a kernel sums, that kernel's link buffer of two blocks, and room for
+    # the carried rows, the energies and the elimination's temporaries.  Both
+    # families' stored frames are 11.4 MB; holding both families' blocks and a
+    # row-0 copy per kernel peaked at 3.3 MB
     ctx = ctx_of(8, 13, 2, 1)
-    frames = 2 * (64 // 2 + 1) * 64 * 13 * 13 * 16
+    row = 64 * 13 * 13 * 16
+    block = _kernels.block_rows(row) * row
     tracemalloc.start()
     try:
         certs = gap_certificates(ctx, 64)
@@ -544,4 +551,4 @@ def test_streamed_certificates_hold_no_whole_frames():
     finally:
         tracemalloc.stop()
     assert len(certs) == 14
-    assert peak < frames
+    assert peak < 6 * block

@@ -297,6 +297,36 @@ def test_link_minors_keep_row_sums_not_the_grid():
     assert kept[1] <= kept[0] + len(ranks) * 48 * np.dtype(float).itemsize
 
 
+@pytest.mark.parametrize("G", [15, 16])
+def test_a_mirrored_feed_keeps_no_row_but_the_last(G):
+    # told that the feed is k1-mirrored, the kernel keeps no row-0 copy: beyond the
+    # carried adjoint of the last row fed, it keeps less than one frames row, and
+    # exactly that row and its seam row less than a kernel that may close a full grid
+    F, seam, G = mirrored_weyl(G)
+    ranks = [1, 3]
+    told, untold = _kernels.LinkMinors(ranks, G, mirrored=True), _kernels.LinkMinors(ranks, G)
+    for minors in (told, untold):
+        for i in range(0, len(F), 4):
+            minors.add(F[i:i + 4], seam[i:i + 4])
+    row = F[0, ..., :ranks[-1]].nbytes
+    assert told.last.nbytes == row
+    assert kept_bytes(told) - told.last.nbytes < row
+    assert kept_bytes(untold) - kept_bytes(told) == row + seam[0].nbytes
+    assert told.flux_sums() == untold.flux_sums() == _kernels.plaquette_flux_sum(F, ranks, seam, G)
+
+
+def test_a_mirrored_kernel_refuses_a_full_grid():
+    # it kept no row 0 to close one with; at G1 = 2 the mirror is the whole grid
+    F = random_frames(6, 5, 3, 3, seed=20)
+    minors = _kernels.LinkMinors([1], 6, mirrored=True)
+    minors.add(F)
+    with pytest.raises(ValueError, match="6 frame rows do not fit the k1 mirror of a 6-row grid"):
+        minors.flux_sums()
+    minors = _kernels.LinkMinors([1], 2, mirrored=True)
+    minors.add(F[:2])
+    assert minors.flux_sums() == _kernels.plaquette_flux_sum(F[:2], [1])
+
+
 def naive_flux(F, R, seam=None):
     """(math.fsum of the plaquette angles, smallest |link|, largest |angle|) of rank R.
 

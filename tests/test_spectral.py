@@ -209,19 +209,23 @@ def test_dual_bands_read_the_reference_off_the_weyl_pass(M, N, q, r, G, mirrored
     ctx = ctx_of(M, N, q, r)
     a = hofstadter_element(ctx.theta) if mirrored else AlgebraElement(
         ctx.theta, {(1, 0): 1, (-1, 0): 1, (0, 1): 1 + 1j, (0, -1): 1 - 1j})
-    starts, E_r, F_r, E_w, F_w = [], [], [], [], []
-    for start, (energies, frames), (weyl_energies, weyl_frames) in dual_band_blocks(ctx, a, G):
+    kinds, starts = [], []
+    E = {"weyl": [], "reference": []}
+    F = {"weyl": [], "reference": []}
+    for kind, start, energies, frames in dual_band_blocks(ctx, a, G):
+        kinds.append(kind)
         starts.append(start)
-        E_r.append(energies)
-        F_r.append(frames)
-        E_w.append(weyl_energies)
-        F_w.append(weyl_frames)
-    F_r, F_w = np.concatenate(F_r), np.concatenate(F_w)
+        E[kind].append(energies)
+        F[kind].append(frames)
+    E_r, E_w = E["reference"], E["weyl"]
+    F_r, F_w = np.concatenate(F["reference"]), np.concatenate(F["weyl"])
     g = math.gcd(ctx.M0, G)
     rows = cols = G // 2 + 1 if mirrored else G        # h: the quarter grid, then filled
     own = sum(j % g != 0 for j in range(cols))
     assert sum(eigh_matrices) == rows * (cols + own)
-    assert starts == list(range(0, rows, len(E_r[0])))
+    # each block's weyl frames first, then the reference frames read off them
+    assert kinds == ["weyl", "reference"] * len(E_r)
+    assert starts[::2] == starts[1::2] == list(range(0, rows, len(E_r[0])))
     assert len(F_r) == len(F_w) == rows
     assert np.abs(_on_grid(*_pass_rows(E_w, G))
                   - bands_on_grid(weyl_fibered_rep(ctx), a, G).energies).max() < 1e-12
