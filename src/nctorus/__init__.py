@@ -34,7 +34,6 @@ from .chern import (
     ChernResult,
     GridTooCoarseError,
     VerificationError,
-    ambient_chern_analytic,
     certified_spectrum,
     gap_certificates,
     symbolic_numeric_crosscheck,
@@ -47,7 +46,6 @@ from .representations import (
     reference_fibered_rep,
     shift_matrix,
     shift_matrix_power,
-    twist_matrix,
     twist_transport,
     weyl_fibered_rep,
 )

@@ -114,13 +114,6 @@ def _rounded(total: float, min_abs: float, max_angle: float, G: int, kind: str) 
     return ChernResult(value, raw, residual, G)
 
 
-def ambient_chern_analytic(N: int, q: int) -> int:
-    """Closed-form Chern number q of the rank-N twisted field; the sign anchor."""
-    if N < 1 or q < 1 or math.gcd(N, q) != 1:
-        raise ValueError(f"need coprime N >= 1, q >= 1, got (N,q)=({N},{q})")
-    return q
-
-
 def _fft_derivative(A: np.ndarray, axis: int) -> np.ndarray:
     """Spectral d/dk along a periodic axis sampled at j/G."""
     G = A.shape[axis]

@@ -14,9 +14,11 @@ quasi-momentum k:
 with C, S the N x N clock and shift matrices.  The weyl family is
 k1-periodic and pseudo-periodic in k2: translating k2 by one conjugates
 every operator by the transport unitary conj(G(k1)) = S(e^{i2pi q k1})^{-1}
-(see `twist_transport`; `twist_matrix` returns G itself, whose N-th power
-is e^{i2pi q k1} I).  Both reference forms are fully periodic; only the
-conjugated form intertwines the algebra derivations with d/dk2, d/dk1.
+(see `twist_transport`).  The gluing unitary G(k1) = shift^T, the
+transpose of shift_matrix(N, e^{i2pi q k1}), has superdiagonal ones and
+e^{i2pi q k1} lower-left, and G(k1)^N = e^{i2pi q k1} I.  Both reference
+forms are fully periodic; only the conjugated form intertwines the
+algebra derivations with d/dk2, d/dk1.
 
 The weyl and the (plain) reference family share V(k), and their U(k)
 differ only in the rate of the scalar phase in k2, so
@@ -68,16 +70,6 @@ def shift_matrix_power(q: int, lam, p: int) -> np.ndarray:
     return out
 
 
-def twist_matrix(ctx: WeylContext, k1: float) -> np.ndarray:
-    """Gluing unitary G(k1): superdiagonal ones, e^{i2pi q k1} lower-left.
-
-    G(k1)^N = e^{i2pi q k1} I, and G(k1) is the transpose of
-    shift_matrix(N, e^{i2pi q k1}).  Operator fields transport across the
-    k2 seam by conj(G) (see `twist_transport`), not by G itself.
-    """
-    return shift_matrix(ctx.N, np.exp(1j * TWO_PI * ctx.q * k1)).T.copy()
-
-
 def twist_transport(ctx: WeylContext, k1) -> np.ndarray:
     """Unitary T with pi_{(k1, k2+1)}(a) = T pi_{(k1, k2)}(a) T^dagger.
 
@@ -124,11 +116,6 @@ class FiberedRep:
     @property
     def dim(self) -> int:
         return self.ctx.N
-
-    @property
-    def periodic(self) -> bool:
-        """True when the family is honestly periodic in both directions."""
-        return self.kind == "reference"
 
     def _u_const_diag(self, n: int = 1) -> np.ndarray:
         """Diagonal of C^{qM n} with exact residue reduction."""

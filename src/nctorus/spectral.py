@@ -1,28 +1,28 @@
 """Band structure over a k-grid, gap reports, and Fermi ranks.
 
-Eigenvectors are computed only where frames are read, and a band pass
-hands them over a block of stored k1 rows at a time, so that no
-consumer holds a family's whole frames.  `band_blocks` diagonalizes one
-family; `dual_band_blocks`, for the certificates (`chern`), which read
-both families, diagonalizes the weyl family and reads the reference
-bands off it by magnetic translation, handing over each block's weyl
-frames and then, once it has dropped them, the reference frames read off
-them.  A block holds the frames of `_kernels.block_rows` rows.  A Fermi
-level is checked against a family's per-band [lo, hi], taken once
-(`band_edges`, `fermi_rank`).  The
-spectral projector below a Fermi level in a gap (the finite-dimensional
-stand-in for the resolvent contour integral) is carried as the occupied
-eigenvector columns it came from, the leading columns of the band
-frames, which the flux kernel reads as they are; no dense N x N
-projector is built.
-Consumers of energies alone take `band_energies`, the same matrices
-through `eigvalsh`; for the flux operator h, whose spectrum depends on k
-only through its central character (below), the uncolored butterfly
-takes `hofstadter_energies`, one `eigvalsh` per character pair.
-Isospectrality keeps its direct `band_energies` passes: read off the
-character, it would hold by construction.  Energies come as each
-diagonalized spectrum once, never copied to the grid points that share
-it: rows (K, N), and index (G, G) naming the row of every grid point.
+Every band pass walks the grid in the same blocks of stored k1 rows,
+`_kernels.block_rows` rows of one family's frames, so that no consumer
+holds a family's whole frames and no pass builds the whole grid's
+matrices.  `band_blocks` diagonalizes one family; `dual_band_blocks`,
+for the certificates (`chern`), which read both families, takes the
+weyl blocks from `band_blocks` and reads the reference bands off each
+by magnetic translation, handing over each block's weyl frames and
+then, once it has dropped them, the reference frames read off them.
+A Fermi level is checked against a family's per-band [lo, hi], taken
+once (`band_edges`, `fermi_rank`).  The spectral projector below a
+Fermi level in a gap (the finite-dimensional stand-in for the resolvent
+contour integral) is carried as the occupied eigenvector columns it
+came from, the leading columns of the band frames, which the flux
+kernel reads as they are; no dense N x N projector is built.
+Consumers of energies alone take `band_energies`, the same matrices in
+the same row blocks through `eigvalsh`; for the flux operator h, whose
+spectrum depends on k only through its central character (below), the
+uncolored butterfly takes `hofstadter_energies`, one `eigvalsh` per
+character pair.  Isospectrality keeps its direct `band_energies`
+passes: read off the character, it would hold by construction.
+Energies come as each diagonalized spectrum once, never copied to the
+grid points that share it: rows (K, N), and index (G, G) naming the
+row of every grid point.
 
 Gap reports of the flux operator h = u + u* + v + v* are exact and need
 no grid.  Every irreducible representation of the rational rotation
@@ -98,7 +98,9 @@ from .representations import (
 
 SELFADJOINT_TOL = 1e-12
 GAP_TOL = 1e-8            # least width of an open slot between consecutive bands
-FERMI_TOL = 1e-8          # least distance of a Fermi level from the sampled spectrum
+# least distance of a Fermi level from the sampled spectrum: below GAP_TOL / 2,
+# so the midpoint of every open slot clears it
+FERMI_TOL = GAP_TOL / 4
 
 
 class SelfAdjointnessError(ValueError):
@@ -155,12 +157,16 @@ def band_blocks(rep: FiberedRep, a: AlgebraElement, G: int):
 def band_energies(rep: FiberedRep, a: AlgebraElement, G: int):
     """(rows, index): the energies of `band_blocks(rep, a, G)`, without eigenvectors.
 
-    Same checks and the same diagonalized points (a quarter of the grid
-    for h), through `eigvalsh`; for consumers that read no frames.
+    Same checks, the same diagonalized points (a quarter of the grid for
+    h) and the same blocks of k1 rows, through `eigvalsh`; for consumers
+    that read no frames.  Each matrix is diagonalized on its own, so the
+    blocks' energies are those of one whole-grid call, bit for bit.
     """
     n = _diagonalized(a, G)
     k = np.arange(n) / G
-    energies = np.linalg.eigvalsh(_hermitian(evaluate_on_grid(rep, a, k, k)))
+    step = _kernels.block_rows(G * rep.dim * rep.dim * np.dtype(complex).itemsize)
+    energies = np.concatenate([np.linalg.eigvalsh(_hermitian(evaluate_on_grid(
+        rep, a, k[i:i + step], k))) for i in range(0, n, step)])
     return energies.reshape(n * n, -1), grid_index(n, G)
 
 
@@ -207,11 +213,11 @@ def dual_band_blocks(ctx: WeylContext, a: AlgebraElement, G: int):
 
     Yields (kind, start, energies, frames) for the stored rows start ..
     start + b - 1, each family's energies and frames as `band_blocks`
-    yields them: the weyl block first, then the reference block read off
-    it, kind "weyl" and "reference".  At M0 = 0 the reference blocks are
-    the reference family's own (`band_blocks`) and there are no weyl
-    ones.  b comes from `_kernels.block_rows` on the rows of one family's
-    frames.  Only one family's frames are in flight: the pass drops the
+    yields them: the weyl block, `band_blocks` of the weyl family,
+    first, then the reference block read off it, kind "weyl" and
+    "reference".  At M0 = 0 the reference blocks are the reference
+    family's own (`band_blocks`) and there are no weyl ones.  Only one
+    family's frames are in flight: the pass drops the
     weyl block before it yields the reference one, so a consumer that
     drops each block before it asks for the next (`certified_spectrum`)
     never holds both.
@@ -239,8 +245,6 @@ def dual_band_blocks(ctx: WeylContext, a: AlgebraElement, G: int):
         return
     n = _diagonalized(a, G)
     k = np.arange(n) / G
-    step = _kernels.block_rows(G * N * N * np.dtype(complex).itemsize)
-    rep_w = weyl_fibered_rep(ctx)
     g = math.gcd(M0, G)
     own = np.flatnonzero(np.arange(n) % g)        # columns no weyl column reaches
     inv_qm = pow(ctx.q * ctx.M, -1, N)            # -a
@@ -250,10 +254,9 @@ def dual_band_blocks(ctx: WeylContext, a: AlgebraElement, G: int):
         jw = N * (j // g) * inv_m0 % (G // g)
         read.append((j, jw, inv_qm * ((M0 * jw - N * j) // G) % N))
     fold = grid_index(n, G)[0]                    # E_w's column of weyl column j_w
-    for i in range(0, n, step):
-        E_w, F_w = _band_rows(rep_w, a, G, k, i, i + step)
+    for i, E_w, F_w in band_blocks(weyl_fibered_rep(ctx), a, G):
         yield "weyl", i, E_w, F_w
-        rows = k[i:i + step]
+        rows = k[i:i + len(F_w)]
         energies = np.empty((len(rows), n, N))
         frames = np.empty_like(F_w)
         if len(own):

@@ -29,19 +29,13 @@ from .algebra import (
     random_selfadjoint_element,
 )
 from .arithmetic import WeylContext, gap_label_d
-from .chern import (
-    _rounded,
-    ambient_chern_analytic,
-    gap_certificates,
-    symbolic_numeric_crosscheck,
-)
+from .chern import _rounded, gap_certificates, symbolic_numeric_crosscheck
 from .representations import (
     FiberedRep,
     check_pseudoperiodicity,
     evaluate_at_k,
     reference_fibered_rep,
     shift_matrix,
-    twist_matrix,
     twist_transport,
     weyl_fibered_rep,
 )
@@ -202,9 +196,8 @@ def run_invariant_suite(ctx: WeylContext, G: int = 32) -> List[CheckResult]:
     # twist layout and transport
     k1 = float(rng.random())
     lam = np.exp(2j * np.pi * ctx.q * k1)
-    tw = twist_matrix(ctx, k1)
-    layout = _frob(tw - shift_matrix(ctx.N, lam).T)
-    layout = max(layout, _frob(np.linalg.matrix_power(tw, ctx.N) - lam * eye))
+    tw = shift_matrix(ctx.N, lam).T.copy()       # the gluing unitary G
+    layout = _frob(np.linalg.matrix_power(tw, ctx.N) - lam * eye)
     layout = max(layout, _frob(twist_transport(ctx, k1) - tw.conj()))
     check("twist-layout", layout, 1e-13, "G = shift^T, G^N = e^{i2pi q k1} I, transport = conj(G)")
 
@@ -272,7 +265,7 @@ def run_invariant_suite(ctx: WeylContext, G: int = 32) -> List[CheckResult]:
         [sums] = _kernels.plaquette_flux_sum(
             identity, [ctx.N], twist_transport(ctx, np.arange(Ga) / Ga), Ga)
         anchor = _rounded(*sums, Ga, "weyl")
-        ok = anchor.value == ambient_chern_analytic(ctx.N, ctx.q)
+        ok = anchor.value == ctx.q      # the rank-N twisted field has t = q
         check("ambient-anchor", anchor.residual if ok else 1.0, 1e-3,
               f"t(identity) = {anchor.value}, expected {ctx.q}")
 

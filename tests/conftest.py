@@ -73,11 +73,11 @@ def band_passes(monkeypatch):
     `band_blocks` and `band_energies` are passes over the same matrices,
     with and without eigenvectors, and record their family's kind;
     `dual_band_blocks`, the row-block pass of both families
-    (`certified_spectrum`), which yields each block's weyl frames and then
-    the reference frames read off them, records the weyl family it
-    diagonalizes, and at M0 = 0 hands the reference family to
-    `band_blocks`, which records it; `hofstadter_energies`, which reads the energies of h off its
-    central characters, records the kind "character".
+    (`certified_spectrum`), takes its weyl blocks from `band_blocks`,
+    which records the weyl family, and reads the reference frames off
+    them; at M0 = 0 it hands the reference family to `band_blocks`,
+    which records it.  `hofstadter_energies`, which reads the energies of
+    h off its central characters, records the kind "character".
     """
     calls = []
 
@@ -87,13 +87,6 @@ def band_passes(monkeypatch):
             return fn(rep, a, G)
         return counted
 
-    def counting_dual(fn):
-        def counted(ctx, a, G):
-            if ctx.M0:
-                calls.append((ctx.M, ctx.N, "weyl", G))
-            return fn(ctx, a, G)
-        return counted
-
     def counting_characters(fn):
         def counted(ctx, G):
             calls.append((ctx.M, ctx.N, "character", G))
@@ -101,7 +94,6 @@ def band_passes(monkeypatch):
         return counted
 
     for name, wrap in (("band_blocks", counting), ("band_energies", counting),
-                       ("dual_band_blocks", counting_dual),
                        ("hofstadter_energies", counting_characters)):
         counted = wrap(getattr(spectral, name))
         for mod in (chern, cli, spectral, suite):

@@ -127,7 +127,7 @@ def connes_chern_via_derivatives(field: ProjectorField) -> float:
     derivations act as d/dk2 and d/dk1.  Spectrally accurate for gapped
     projectors; used as the orientation cross-check oracle.
     """
-    if not (field.rep.periodic and field.rep.conjugated):
+    if not (field.rep.kind == "reference" and field.rep.conjugated):
         raise ValueError("derivative-formula character needs a conjugated reference field")
     F = expand_k1_mirror(field.frames, field.frames.shape[1])
     return _fft_character(F @ F.conj().swapaxes(-1, -2)).real
@@ -142,7 +142,7 @@ def pullback_field(field: ProjectorField, n1: int, n2: int) -> ProjectorField:
     """
     if n1 == 0 or n2 == 0:
         raise ValueError("pullback multipliers must be nonzero")
-    if not field.rep.periodic:
+    if field.rep.kind != "reference":
         raise ValueError("pullback_field requires a periodic field")
     H, G = field.frames.shape[:2]
     i = n1 * np.arange(H) % G

@@ -25,7 +25,6 @@ from nctorus.chern import (
     ChernResidualError,
     GridTooCoarseError,
     VerificationError,
-    ambient_chern_analytic,
     certified_spectrum,
     gap_certificates,
     symbolic_numeric_crosscheck,
@@ -50,16 +49,6 @@ def ref_gap_field(M, N, q, r, gap_index, G=32, conjugated=False):
 def weyl_gap_field(M, N, q, r, gap_index, G=32):
     gap = report_of(M, N, q, r).internal()[gap_index]
     return fermi_projector_field(bands_of(M, N, q, r, "weyl", G), gap.fermi)
-
-
-def test_ambient_chern_analytic():
-    assert ambient_chern_analytic(3, 1) == 1
-    assert ambient_chern_analytic(5, 3) == 3
-    assert ambient_chern_analytic(1, 1) == 1
-    with pytest.raises(ValueError):
-        ambient_chern_analytic(6, 3)
-    with pytest.raises(ValueError):
-        ambient_chern_analytic(5, 0)
 
 
 def test_fhs_chern_trivial_fields():
@@ -94,7 +83,7 @@ def test_twisted_identity_anchor(spec):
     M, N, q, r = spec
     ctx = ctx_of(M, N, q, r)
     res = fhs_chern(identity_field(weyl_fibered_rep(ctx), 24))
-    assert res.value == ambient_chern_analytic(N, q) == q
+    assert res.value == q
     assert res.residual < 1e-10
 
 
@@ -224,7 +213,7 @@ def _no_rounding_slack(monkeypatch):
 
 @pytest.mark.parametrize("spec,spoil,error,match", [
     pytest.param((1, 3, 2, 1), _fermi_in_a_band, GapViolationError,
-                 "fermi level 0.0 is within 1e-08 of the spectrum", id="fermi-in-a-band"),
+                 "fermi level 0.0 is within 2.5e-09 of the spectrum", id="fermi-in-a-band"),
     pytest.param((1, 3, 2, 1), _weyl_bands_shifted, VerificationError,
                  "rank mismatch weyl=0 reference=1", id="weyl-bands-shifted"),
     pytest.param((1, 4, 3, 1), _no_rounding_slack, ChernResidualError,
@@ -239,6 +228,18 @@ def test_gap_certificates_raise_typed_failures(spec, spoil, error, match, monkey
     spoil(monkeypatch)
     with pytest.raises(error, match=match):
         gap_certificates(ctx_of(*spec), 16)
+
+
+@pytest.mark.parametrize("M", [2, 23])
+@pytest.mark.parametrize("G", [32, 64])
+def test_gap_certificates_at_the_narrowest_open_slots(M, G):
+    # gaps 2 and 21 of 2/25 and 23/25 are 1.86e-8 wide, open under GAP_TOL; their
+    # midpoints lie 9.3e-9 from the spectrum, which FERMI_TOL < GAP_TOL / 2 clears
+    assert spectral.FERMI_TOL < spectral.GAP_TOL / 2
+    report = report_of(M, 25, 1, 0)
+    assert min(g.upper - g.lower for g in report.internal()) < 2 * spectral.GAP_TOL
+    certs = gap_certificates(ctx_of(M, 25, 1, 0), G)
+    assert [c["gap"] for c in certs] == report.gaps and len(certs) == 24
 
 
 @pytest.mark.parametrize("kind", ["reference", "weyl"])

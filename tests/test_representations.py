@@ -26,7 +26,6 @@ from nctorus.representations import (
     reference_fibered_rep,
     shift_matrix,
     shift_matrix_power,
-    twist_matrix,
     twist_transport,
     unitary_power,
     weyl_fibered_rep,
@@ -96,15 +95,16 @@ def test_stacked_powers_and_transports_equal_the_scalar_calls(p, rng):
 
 
 def test_twist_matrix_layout():
+    # the gluing unitary G(k1) is shift_matrix(N, e^{i2pi q k1})^T
     ctx = ctx_of(1, 2, 1, 0)
-    assert np.allclose(twist_matrix(ctx, 0.0), [[0, 1], [1, 0]])
+    assert np.allclose(shift_matrix(ctx.N).T, [[0, 1], [1, 0]])
     ctx = ctx_of(1, 5, 2, 1)
     k1 = 0.37
-    G = twist_matrix(ctx, k1)
     lam = cmath.exp(2j * cmath.pi * ctx.q * k1)
-    assert frob(G - shift_matrix(5, lam).T) < 1e-15
+    G = shift_matrix(5, lam).T
+    assert np.array_equal(np.diag(G, 1), np.ones(4)) and G[4, 0] == lam
     assert frob(np.linalg.matrix_power(G, 5) - lam * np.eye(5)) < 1e-13
-    assert frob(np.linalg.matrix_power(twist_matrix(ctx, 0.0), 5) - np.eye(5)) < 1e-13
+    assert frob(np.linalg.matrix_power(shift_matrix(5).T, 5) - np.eye(5)) < 1e-13
     assert frob(twist_transport(ctx, k1) - G.conj()) < 1e-15
 
 
