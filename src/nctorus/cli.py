@@ -40,7 +40,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -83,13 +83,13 @@ def fmt(x) -> str:
 
 @dataclass
 class RunConfig:
-    thetas: List[RationalTheta] = field(default_factory=list)
-    farey: Optional[int] = None
-    reps: List[Tuple[int, int]] = field(default_factory=lambda: [(1, 0)])
-    grid: int = 64
-    out: Path = Path(".")
-    formats: List[str] = field(default_factory=list)
-    color_gaps: bool = False
+    thetas: List[RationalTheta]
+    farey: Optional[int]
+    reps: List[Tuple[int, int]]
+    grid: int
+    out: Path
+    formats: List[str]
+    color_gaps: bool
 
 
 def parse_theta(text: str) -> RationalTheta:
@@ -166,18 +166,18 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     def pick(flag, key, default):
         return flag if flag is not None else filed.get(key, default)
 
-    cfg = RunConfig()
-    thetas = pick(args.theta, "theta", [])
-    cfg.thetas = list(dict.fromkeys(parse_theta(t) for t in thetas))   # repeats count once
-    cfg.farey = pick(args.farey, "farey", None)
-    reps = pick(args.rep, "rep", None)
-    cfg.reps = list(dict.fromkeys(parse_rep(r) for r in reps)) if reps else [(1, 0)]
-    cfg.grid = pick(args.grid, "grid", 64)
-    cfg.out = Path(pick(args.out, "out", "."))
     accepted = _WRITES[args.command]
-    cfg.formats = list(pick(args.format, "format", None) or accepted[:1])
+    thetas, reps = pick(args.theta, "theta", []), pick(args.rep, "rep", None)
     raw_cg = pick(getattr(args, "color_gaps", None) or None, "color_gaps", False)
-    cfg.color_gaps = raw_cg if isinstance(raw_cg, bool) else parse_bool("color_gaps", raw_cg)
+    cfg = RunConfig(
+        thetas=list(dict.fromkeys(parse_theta(t) for t in thetas)),   # repeats count once
+        farey=pick(args.farey, "farey", None),
+        reps=list(dict.fromkeys(parse_rep(r) for r in reps)) if reps else [(1, 0)],
+        grid=pick(args.grid, "grid", 64),
+        out=Path(pick(args.out, "out", ".")),
+        formats=list(pick(args.format, "format", None) or accepted[:1]),
+        color_gaps=raw_cg if isinstance(raw_cg, bool) else parse_bool("color_gaps", raw_cg),
+    )
 
     if cfg.grid < 2:
         raise ConfigError(f"grid must be >= 2, got {cfg.grid}")

@@ -29,6 +29,10 @@ a = -(qM)^{-1} mod N, because S^a C^{qM} S^-a = e^{i2pi/N} C^{qM} and W
 commutes with V(k); W^p is shift_matrix_power(N, e^{i2pi q k1}, a p).
 Together they let `spectral.dual_band_blocks` read the reference bands
 off the weyl ones.
+
+One evaluator forms every pi_k(a): `evaluate_at_points`, from closed forms of
+the powers, which `V_at` shares (`FiberedRep._v_power`); `evaluate_at_k` and
+`evaluate_on_grid` are its one-point and whole-grid forms.
 """
 
 from __future__ import annotations
@@ -82,13 +86,6 @@ def twist_transport(ctx: WeylContext, k1) -> np.ndarray:
     return shift_matrix_power(ctx.N, lam, -1)
 
 
-def unitary_power(A: np.ndarray, p: int) -> np.ndarray:
-    """A^p for unitary A, negative powers through the adjoint."""
-    if p >= 0:
-        return np.linalg.matrix_power(A, p)
-    return np.linalg.matrix_power(A.conj().T, -p)
-
-
 # -- fibered representations -------------------------------------------------
 
 
@@ -135,11 +132,17 @@ class FiberedRep:
 
     def V_at(self, k) -> np.ndarray:
         k1, k2 = k
+        return self._v_power(k1, np.exp(1j * TWO_PI * self.ctx.q * k1), 1)
+
+    def _v_power(self, k1s, lam, m: int) -> np.ndarray:
+        """V(k1)^m in closed form over k1s, lam = e^{i2pi q k1s}: k1s.shape + (N, N)."""
         ctx = self.ctx
         if self.conjugated:
-            return np.exp(1j * TWO_PI * k1) * shift_matrix_power(ctx.N, 1.0 + 0j, ctx.d_r)
-        lam = np.exp(1j * TWO_PI * ctx.q * k1)
-        return np.exp(1j * TWO_PI * ctx.n_r * k1) * shift_matrix_power(ctx.N, lam, ctx.d_r)
+            base = shift_matrix_power(ctx.N, 1.0 + 0j, ctx.d_r * m)
+            return np.exp(1j * TWO_PI * m * k1s)[..., None, None] * base
+        vm = shift_matrix_power(ctx.N, lam, ctx.d_r * m)
+        vm *= np.exp(1j * TWO_PI * ctx.n_r * m * k1s)[..., None, None]
+        return vm
 
     # expected scalars of the N-th powers, used by the invariant checks
     def u_power_scalar(self, k) -> complex:
@@ -176,18 +179,9 @@ def _check_element(rep: FiberedRep, a: AlgebraElement):
 
 
 def evaluate_at_k(rep: FiberedRep, a: AlgebraElement, k) -> np.ndarray:
-    """sum a_{n,m} U(k)^n V(k)^m, u-powers to the left of v-powers."""
-    _check_element(rep, a)
-    U, V = rep.U_at(k), rep.V_at(k)
-    upow, vpow = {}, {}
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for (n, m), c in a.coeffs.items():
-        if n not in upow:
-            upow[n] = unitary_power(U, n)
-        if m not in vpow:
-            vpow[m] = unitary_power(V, m)
-        out += c * (upow[n] @ vpow[m])
-    return out
+    """pi_k(a) = sum a_{n,m} U(k)^n V(k)^m: `evaluate_at_points` at the one point k."""
+    k1, k2 = k
+    return evaluate_at_points(rep, a, [k1], [k2], 0, 0)
 
 
 def evaluate_on_grid(rep: FiberedRep, a: AlgebraElement,
@@ -203,12 +197,12 @@ def evaluate_at_points(rep: FiberedRep, a: AlgebraElement, k1s: np.ndarray, k2s:
                        i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """The entries [i, j] of the k1s x k2s grid, i and j broadcast: (..., N, N) array.
 
-    Uses the closed forms U(k)^n = phase * C^{qMn} (constant matrix) and
-    V(k)^m = phase * S(lam(k1))^{d_r m} so no per-point matrix powers are
-    taken; agrees with evaluate_at_k to machine precision.  The k1 factor
-    of a term is formed once per k1 of k1s and its k2 phase once per k2 of
-    k2s; each point multiplies the two it reads, so an entry equals the
-    grid's bit for bit, and no entry outside [i, j] is formed.
+    The package's one evaluator of pi_k(a), from the closed forms U(k)^n =
+    phase * C^{qMn} (one diagonal per n) and V(k)^m = phase * S(lam(k1))^{d_r m}
+    (once per m): no matrix power is taken.  The k1 factor of a term is
+    formed once per k1 of k1s and its k2 phase once per k2 of k2s; each
+    point multiplies the two it reads, so an entry equals the grid's bit
+    for bit, and no entry outside [i, j] is formed.
     """
     _check_element(rep, a)
     ctx = rep.ctx
@@ -221,17 +215,13 @@ def evaluate_at_points(rep: FiberedRep, a: AlgebraElement, k1s: np.ndarray, k2s:
     lam = np.exp(1j * TWO_PI * ctx.q * k1s)
     urate = rep._u_rate()
 
-    vcache = {}
+    ucache, vcache = {}, {}
     for (n, m), c in a.coeffs.items():
+        if n not in ucache:
+            ucache[n] = rep._u_const_diag(n)[:, None]
         if m not in vcache:
-            if rep.conjugated:
-                base = shift_matrix_power(N, 1.0 + 0j, ctx.d_r * m)
-                vm = np.exp(1j * TWO_PI * m * k1s)[:, None, None] * base[None, :, :]
-            else:
-                vm = shift_matrix_power(N, lam, ctx.d_r * m)
-                vm *= np.exp(1j * TWO_PI * ctx.n_r * m * k1s)[:, None, None]
-            vcache[m] = vm
-        term = rep._u_const_diag(n)[None, :, None] * vcache[m]   # diag(C^{qMn}) @ V^m
+            vcache[m] = rep._v_power(k1s, lam, m)
+        term = ucache[n] * vcache[m]    # diag(C^{qMn}) @ V^m
         uphase = c * np.exp(1j * TWO_PI * urate * n * k2s)
         out += term[i] * uphase[j][..., None, None]
     return out
@@ -241,16 +231,10 @@ def check_pseudoperiodicity(rep: FiberedRep, a: AlgebraElement, k) -> float:
     """Frobenius residual of the gluing rules at k for n = (1,0) and (0,1).
 
     weyl kind: pi_{k+(0,1)}(a) = T pi_k(a) T^dagger with T = twist_transport;
-    reference kind: plain periodicity in both directions.
+    reference kind: plain periodicity in both directions (T = I).
     """
     k1, k2 = k
-    A = evaluate_at_k(rep, a, (k1, k2))
-    A10 = evaluate_at_k(rep, a, (k1 + 1.0, k2))
-    A01 = evaluate_at_k(rep, a, (k1, k2 + 1.0))
-    res = np.linalg.norm(A10 - A)
-    if rep.kind == "weyl":
-        T = twist_transport(rep.ctx, k1)
-        res = max(res, np.linalg.norm(A01 - T @ A @ T.conj().T))
-    else:
-        res = max(res, np.linalg.norm(A01 - A))
-    return float(res)
+    A, A10, A01 = evaluate_at_points(rep, a, [k1, k1 + 1.0], [k2, k2 + 1.0],
+                                     np.array([0, 1, 0]), np.array([0, 0, 1]))
+    T = twist_transport(rep.ctx, k1) if rep.kind == "weyl" else np.eye(rep.dim)
+    return float(max(np.linalg.norm(A10 - A), np.linalg.norm(A01 - T @ A @ T.conj().T)))

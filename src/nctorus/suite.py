@@ -29,7 +29,7 @@ from .algebra import (
     random_selfadjoint_element,
 )
 from .arithmetic import WeylContext, gap_label_d
-from .chern import _rounded, gap_certificates, symbolic_numeric_crosscheck
+from .chern import RHS_TOL, _rounded, gap_certificates, symbolic_numeric_crosscheck
 from .representations import (
     FiberedRep,
     check_pseudoperiodicity,
@@ -276,7 +276,7 @@ def run_invariant_suite(ctx: WeylContext, G: int = 32) -> List[CheckResult]:
         worst, detail = float("inf"), str(exc)
     else:
         worst, detail = max(c["rhs_residual"] for c in certs), f"{len(certs)} gaps verified"
-    check("tknn-gaps", worst, 1e-3, detail)
+    check("tknn-gaps", worst, RHS_TOL, detail)
 
     # pullback lemma on the widest internal gap, read off the 2G field above
     check("pullback-lemma", pb, 0.5, pb_detail)

@@ -17,7 +17,10 @@ started: the script keeps the written files on disk and compares them
 there, and reads a file whole only when it differs.
 A JSON file that differs is also parsed on both sides: the line says
 whether every non-float value (integer, bool, string, null, key and list
-length) matches, and gives the largest difference between two floats.
+length) matches, gives the largest difference between two floats, and
+names the records that hold a float that moved: the `name` of the nearest
+enclosing object that has one (a verify row), or else the float's JSON
+path, such as `$[0].gaps[3].t_raw`.
 A CSV file, stdout or stderr that differs is compared line by line: the
 line says whether the line count and every non-float token match, how
 many lines differ, and the largest difference between two float tokens.
@@ -123,26 +126,36 @@ def differences(old: dict, new: dict) -> list:
 
 
 def json_summary(old: bytes, new: bytes) -> str:
-    """How two JSON documents differ: in floats only or not, and the largest float change."""
+    """How two JSON documents differ: in floats only or not, the largest float change, and where.
+
+    A moved float is named by its record: the `name` of the nearest
+    enclosing object that has a string one, or else its JSON path.
+    """
     try:
         a, b = json.loads(old), json.loads(new)
     except ValueError:
         return ""
-    floats = []
+    floats, moved = [], {}      # moved: an ordered set of record names
 
     # lists, not generators, inside all(): every float is visited after a mismatch too
-    def same(x, y) -> bool:
+    def same(x, y, path, record=None) -> bool:
         if isinstance(x, float) and isinstance(y, float):
             floats.append(abs(x - y))
+            if x != y:
+                moved[record or path] = None
             return True
         if isinstance(x, dict) and isinstance(y, dict):
-            return x.keys() == y.keys() and all([same(x[k], y[k]) for k in x])
+            record = x["name"] if isinstance(x.get("name"), str) else record
+            return x.keys() == y.keys() and all([same(x[k], y[k], f"{path}.{k}", record)
+                                                 for k in x])
         if isinstance(x, list) and isinstance(y, list):
-            return len(x) == len(y) and all([same(u, v) for u, v in zip(x, y)])
+            return len(x) == len(y) and all([same(u, v, f"{path}[{i}]", record)
+                                             for i, (u, v) in enumerate(zip(x, y))])
         return type(x) is type(y) and x == y
 
-    verdict = "every non-float value matches" if same(a, b) else "non-float values differ"
-    return f" ({verdict}, largest float difference {max(floats, default=0.0):.3g})"
+    verdict = "every non-float value matches" if same(a, b, "$") else "non-float values differ"
+    where = f", floats moved in {', '.join(moved)}" if moved else ""
+    return f" ({verdict}, largest float difference {max(floats, default=0.0):.3g}{where})"
 
 
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")

@@ -9,7 +9,9 @@ one call, with no k1 mirror and no flip, a
 through `_kernels.plaquette_flux_sum`, `pullback_field` resamples them,
 and `connes_chern_via_derivatives` evaluates the character by the
 derivative formula, independently of the plaquette path.  Tests compare
-the streamed certificates and suite rows with them.
+the streamed certificates and suite rows with them.  `evaluate_by_powers`
+sums matrix powers of the generators, the oracle of the package's one
+evaluator `representations.evaluate_at_points`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,23 @@ from nctorus.algebra import AlgebraElement
 from nctorus.chern import ChernResult, _fft_character, _rounded
 from nctorus.representations import FiberedRep, evaluate_on_grid, twist_transport
 from nctorus.spectral import band_edges, expand_k1_mirror, fermi_rank
+
+
+def evaluate_by_powers(rep: FiberedRep, a: AlgebraElement, k) -> np.ndarray:
+    """sum a_{n,m} U(k)^n V(k)^m from matrix powers of `rep.U_at(k)` and `rep.V_at(k)`.
+
+    u-powers to the left of v-powers, negative powers through the adjoint.
+    """
+    U, V = rep.U_at(k), rep.V_at(k)
+    out = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for (n, m), c in a.coeffs.items():
+        out += c * (_unitary_power(U, n) @ _unitary_power(V, m))
+    return out
+
+
+def _unitary_power(A: np.ndarray, p: int) -> np.ndarray:
+    """A^p for unitary A, negative powers through the adjoint."""
+    return np.linalg.matrix_power(A if p >= 0 else A.conj().T, abs(p))
 
 
 @dataclass(frozen=True)

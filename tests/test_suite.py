@@ -2,14 +2,15 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from conftest import ctx_of
 from fields import bands_on_grid, fermi_projector_field, fhs_chern, pullback_field
 
 from nctorus import _kernels, representations, suite
-from nctorus.algebra import hofstadter_element
-from nctorus.representations import reference_fibered_rep
+from nctorus.algebra import hofstadter_element, monomial
+from nctorus.representations import evaluate_at_k, reference_fibered_rep, weyl_fibered_rep
 from nctorus.spectral import GapInfo, NumericalFailure, hofstadter_gap_report
 from nctorus.suite import run_invariant_suite
 
@@ -172,6 +173,27 @@ def test_a_reversed_transport_fails_its_row(module, row, value, failed, monkeypa
     rows = {r.name: r for r in run_invariant_suite(ctx_of(2, 5, 3, 1), 16)}
     assert {name for name, r in rows.items() if not r.ok} == failed
     assert rows[row].value == pytest.approx(value, abs=0.01)
+
+
+def test_a_wrong_high_v_power_fails_only_the_homomorphism_row(rng, monkeypatch):
+    # S^p -> S^(p+1) for |p| >= 2.  At 1/3 (1,0), d_r = 1 and h holds v^{+-1}
+    # only, so the band passes, certificates and seam never raise S past
+    # |p| = 1; the homomorphism row evaluates random degree-4 elements through
+    # the certificates' own evaluator.  V_at is that evaluator's closed form
+    # of v, bit for bit (at d_r = 7 too, where S^q = lam I wraps)
+    for spec in ((1, 3, 1, 0), (2, 5, 3, 1)):
+        ctx = ctx_of(*spec)
+        v = monomial(ctx.theta, 0, 1)
+        for rep in (weyl_fibered_rep(ctx), reference_fibered_rep(ctx),
+                    reference_fibered_rep(ctx, conjugated=True)):
+            for k in rng.random((5, 2)):
+                assert np.array_equal(rep.V_at(k), evaluate_at_k(rep, v, k))
+    power = representations.shift_matrix_power
+    monkeypatch.setattr(representations, "shift_matrix_power",
+                        lambda q, lam, p: power(q, lam, p + 1 if abs(p) >= 2 else p))
+    rows = {r.name: r for r in run_invariant_suite(ctx_of(1, 3, 1, 0), 16)}
+    assert {name for name, r in rows.items() if not r.ok} == {"homomorphism"}
+    assert rows["homomorphism"].value == pytest.approx(13.8, abs=0.01)
 
 
 @pytest.mark.parametrize("spec,labels", [((1, 3, 1, 0), [0, 2, 3]),         # a gap missing
