@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -154,18 +154,18 @@ def certified_spectrum(ctx: WeylContext, G: int = 64):
     """(report, (rows, index), certificates) of `ctx` at G from one streamed band pass.
 
     The exact gap report, the weyl energies at G (the reference ones at
-    theta = r/q, where there is no weyl family) and `gap_certificates`.
-    `dual_band_blocks` yields each block of stored k1 rows of the weyl
-    bands, then the reference block read off it, and each block's frames
-    go to that family's `_kernels.LinkMinors` (the weyl one closed by the
-    seam of the block's rows) and are dropped before the pass reads the
-    next block: the weyl block before the reference block is built, so
-    one family's frames are in flight.  So only the energies of the
-    diagonalized points and the kernels' per-row angle sums are kept,
-    never a family's frames or the grid's link minors.  The kernels' ranks
-    are the report's labels d, fixed before the pass.  A pass that
-    diagonalizes n < G columns stores n rows of a k1-mirrored grid, and
-    a kernel told so keeps no copy of row 0.
+    theta = r/q, where the weyl family is constant in k2) and
+    `gap_certificates`.  `dual_band_blocks` yields each block of stored k1
+    rows of the weyl bands, then the reference block read off it, and each
+    block's frames go to that family's `_kernels.LinkMinors` (the weyl one
+    closed by the seam of the block's rows) and are dropped before the pass
+    reads the next block: the weyl block before the reference block is
+    built, so one family's frames are in flight.  So only the energies of the
+    diagonalized points and the kernels' per-row angle sums are kept, never
+    a family's frames or the grid's link minors.  The kernels' ranks are the
+    report's labels d, fixed before the pass.  A pass that diagonalizes n < G
+    columns stores n rows of a k1-mirrored grid, and a kernel told so keeps
+    no copy of row 0.
     """
     report = hofstadter_gap_report(ctx)
     ranks = [gap.d for gap in report.gaps]
@@ -177,11 +177,10 @@ def certified_spectrum(ctx: WeylContext, G: int = 64):
         k1 = np.arange(start, start + len(F)) / G
         kernels[kind].add(F, twist_transport(ctx, k1) if kind == "weyl" else None)
         del F                           # before the pass reads the next block
-    E_r = np.concatenate(energies["reference"])
-    E_w = np.concatenate(energies["weyl"]) if ctx.M0 else None
+    E_r, E_w = (np.concatenate(energies[kind]) for kind in ("reference", "weyl"))
     certs = _certificates(ctx, report, G, E_r, kernels["reference"].flux_sums(), E_w,
-                          kernels["weyl"].flux_sums() if ctx.M0 else None)
-    E = E_r if E_w is None else E_w
+                          kernels["weyl"].flux_sums())
+    E = E_w if ctx.M0 else E_r
     return report, (E.reshape(-1, ctx.N), grid_index(E.shape[1], G)), certs
 
 
@@ -196,7 +195,7 @@ def gap_certificates(ctx: WeylContext, G: int = 64) -> List[dict]:
 
 
 def _certificates(ctx: WeylContext, report: GapReport, G: int, E_r: np.ndarray, cc_sums,
-                  E_w: Optional[np.ndarray], t_sums) -> List[dict]:
+                  E_w: np.ndarray, t_sums) -> List[dict]:
     """The certificates of the gaps of `report`, from both families' energies and kernel sums.
 
     Gaps are checked in order, so the first failing gap raises: the
@@ -206,8 +205,8 @@ def _certificates(ctx: WeylContext, report: GapReport, G: int, E_r: np.ndarray, 
     rounding, the diophantine and rhs identities, and `tknn_solve`.  With
     s = -cc the duality N t = M0 cc + q d is the diophantine identity
     itself, so `duality_ok` is recorded, not checked.  E_r and E_w hold
-    each family's energies at its diagonalized points; E_w and t_sums
-    are None at theta = r/q.
+    each family's energies at its diagonalized points; at theta = r/q the
+    weyl family is constant in k2, and its t is measured all the same.
 
     `ncint` is exact: the normalized trace of a rank-d projector is d/N.
     At rational theta the rhs q (d/N + eps cc) then equals
@@ -218,21 +217,16 @@ def _certificates(ctx: WeylContext, report: GapReport, G: int, E_r: np.ndarray, 
     """
     N, M0, q = ctx.N, ctx.M0, ctx.q
     edges_r = band_edges(E_r)
-    edges_w = None if E_w is None else band_edges(E_w)
+    edges_w = band_edges(E_w)
     out = []
     for i, gap in enumerate(report.gaps):
         d = gap.d
         rank_r = fermi_rank(E_r, edges_r, gap.fermi)
-        rank_w = rank_r if E_w is None else fermi_rank(E_w, edges_w, gap.fermi)
+        rank_w = fermi_rank(E_w, edges_w, gap.fermi)
         if rank_r != d or rank_w != d:
             raise VerificationError(
                 f"{ctx.label()} gap d={d}: rank mismatch weyl={rank_w} reference={rank_r}")
-        if E_w is None:
-            # collapsed twist (theta = r/q, so N = 1): the only subfields of the
-            # rank-1 twisted family are 0 and the whole field, of Chern number q*d
-            t_res = ChernResult(q * d, float(q * d), 0.0, G)
-        else:
-            t_res = _rounded(*t_sums[i], G, "weyl")
+        t_res = _rounded(*t_sums[i], G, "weyl")
         cc_res = _rounded(*cc_sums[i], G, "reference")
         t, cc = t_res.value, cc_res.value
         s = -cc

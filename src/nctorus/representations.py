@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import TWO_PI, AlgebraElement, RationalTheta, ThetaMismatchError
-from .arithmetic import DegenerateRepresentationError, WeylContext
+from .arithmetic import WeylContext
 
 
 # -- elementary matrices -----------------------------------------------------
@@ -91,7 +91,10 @@ def twist_transport(ctx: WeylContext, k1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FiberedRep:
-    """Rule k -> (U(k), V(k)) with periodicity/twist metadata."""
+    """Rule k -> (U(k), V(k)) with periodicity/twist metadata.
+
+    At theta = r/q (M0 = 0, so N = 1) the weyl family is constant in k2.
+    """
 
     ctx: WeylContext
     kind: str                 # "weyl" | "reference"
@@ -102,13 +105,6 @@ class FiberedRep:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.conjugated and self.kind != "reference":
             raise ValueError("conjugated form exists only for the reference kind")
-        if self.kind == "weyl" and self.ctx.M0 == 0:
-            # theta = r/q: the symmetry lattice constant M0/(Nq) vanishes and the
-            # twisted family stops being faithful (only possible when N = 1)
-            raise DegenerateRepresentationError(
-                f"theta = {self.ctx.M}/{self.ctx.N} equals r/q = {self.ctx.r}/{self.ctx.q}: "
-                "the twisted family collapses; use the reference family"
-            )
 
     @property
     def dim(self) -> int:

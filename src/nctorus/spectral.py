@@ -215,10 +215,8 @@ def dual_band_blocks(ctx: WeylContext, a: AlgebraElement, G: int):
     start + b - 1, each family's energies and frames as `band_blocks`
     yields them: the weyl block, `band_blocks` of the weyl family,
     first, then the reference block read off it, kind "weyl" and
-    "reference".  At M0 = 0 the reference blocks are the reference
-    family's own (`band_blocks`) and there are no weyl ones.  Only one
-    family's frames are in flight: the pass drops the
-    weyl block before it yields the reference one, so a consumer that
+    "reference".  Only one family's frames are in flight: the pass drops
+    the weyl block before it yields the reference one, so a consumer that
     drops each block before it asks for the next (`certified_spectrum`)
     never holds both.
 
@@ -235,14 +233,12 @@ def dual_band_blocks(ctx: WeylContext, a: AlgebraElement, G: int):
     on the block's rows.  conj W(k1) = W(-k1), so k1-mirrored weyl
     bands give k1-mirrored reference bands, and when the weyl pass fills
     its columns by the flip (`band_blocks`), so does this one: it
-    builds the reference columns j = 0 .. G//2 and fills the rest.
+    builds the reference columns j = 0 .. G//2 and fills the rest.  At
+    theta = r/q (M0 = 0, N = 1) the weyl family is constant in k2: g = G,
+    so only column 0 is read off it, and the others are diagonalized.
     """
     rep_r = reference_fibered_rep(ctx)
     N, M0 = ctx.N, ctx.M0
-    if M0 == 0:
-        for i, energies, frames in band_blocks(rep_r, a, G):
-            yield "reference", i, energies, frames
-        return
     n = _diagonalized(a, G)
     k = np.arange(n) / G
     g = math.gcd(M0, G)

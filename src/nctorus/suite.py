@@ -72,8 +72,12 @@ def isospectral_grid(ctx: WeylContext, G: int) -> int:
 
     The k-grid sweeps the characters (e^{i2pi M0 j/G}, e^{i2pi j/G}) for
     the weyl family and (e^{i2pi N j/G}, e^{i2pi j/G}) for the reference
-    one; the two sets coincide exactly iff gcd(G, N) = gcd(G, |M0|) = 1.
+    one; the two sets coincide exactly iff gcd(G, N) = gcd(G, |M0|) = 1,
+    which no G >= 2 meets at theta = r/q (M0 = 0).
     """
+    if ctx.M0 == 0:
+        raise ValueError(f"{ctx.label()}: theta = r/q, so the weyl family is constant in k2 "
+                         "and no grid makes it isospectral to the reference one")
     Gp = G
     while math.gcd(Gp, ctx.N) != 1 or math.gcd(Gp, abs(ctx.M0)) != 1:
         Gp += 1
@@ -159,13 +163,11 @@ def run_invariant_suite(ctx: WeylContext, G: int = 32) -> List[CheckResult]:
 
     theta = ctx.theta
     h = hofstadter_element(theta)
-    collapsed = ctx.M0 == 0     # theta = r/q: no faithful twisted family
     reps = {
         "reference": reference_fibered_rep(ctx),
         "reference-conjugated": reference_fibered_rep(ctx, conjugated=True),
+        "weyl": weyl_fibered_rep(ctx),
     }
-    if not collapsed:
-        reps["weyl"] = weyl_fibered_rep(ctx)
 
     # exact integer identities of the context
     exact_ok = (
@@ -226,9 +228,10 @@ def run_invariant_suite(ctx: WeylContext, G: int = 32) -> List[CheckResult]:
     # the gap report is exact (corner characters) and needs no grid
     report = hofstadter_gap_report(ctx)
 
-    # isospectrality across kinds (vs the conjugated form when no twisted family),
-    # each family diagonalized on its own, energies only: the spectra, not the grid index
-    if collapsed:
+    # isospectrality across kinds (vs the conjugated form at theta = r/q, where the weyl
+    # family is constant in k2), each family diagonalized on its own, energies only:
+    # the spectra, not the grid index
+    if ctx.M0 == 0:
         Gi, kinds = G, ("reference-conjugated", "reference")
     else:
         Gi, kinds = isospectral_grid(ctx, G), ("weyl", "reference")
@@ -257,17 +260,14 @@ def run_invariant_suite(ctx: WeylContext, G: int = 32) -> List[CheckResult]:
     check("projector-seam-transport", seam, 1e-10, detail)
 
     # ambient anchor: the identity field of the weyl family, closed by the seam
-    if collapsed:
-        check("ambient-anchor", 0.0, 1e-3, "not applicable: theta = r/q")
-    else:
-        Ga = max(16, G // 2)
-        identity = np.broadcast_to(np.eye(ctx.N, dtype=complex), (Ga, Ga, ctx.N, ctx.N))
-        [sums] = _kernels.plaquette_flux_sum(
-            identity, [ctx.N], twist_transport(ctx, np.arange(Ga) / Ga), Ga)
-        anchor = _rounded(*sums, Ga, "weyl")
-        ok = anchor.value == ctx.q      # the rank-N twisted field has t = q
-        check("ambient-anchor", anchor.residual if ok else 1.0, 1e-3,
-              f"t(identity) = {anchor.value}, expected {ctx.q}")
+    Ga = max(16, G // 2)
+    identity = np.broadcast_to(np.eye(ctx.N, dtype=complex), (Ga, Ga, ctx.N, ctx.N))
+    [sums] = _kernels.plaquette_flux_sum(
+        identity, [ctx.N], twist_transport(ctx, np.arange(Ga) / Ga), Ga)
+    anchor = _rounded(*sums, Ga, "weyl")
+    ok = anchor.value == ctx.q      # the rank-N twisted field has t = q
+    check("ambient-anchor", anchor.residual if ok else 1.0, 1e-3,
+          f"t(identity) = {anchor.value}, expected {ctx.q}")
 
     # conductance identities on every gap
     try:

@@ -1,4 +1,4 @@
-"""Run thirty fixed CLI commands under two source trees and diff what they emit.
+"""Run thirty-one fixed CLI commands under two source trees and diff what they emit.
 
     python3 tests/compare_cli.py OLD_SRC NEW_SRC
 
@@ -79,6 +79,8 @@ COMMANDS = (
      "--color-gaps"),
     # q/G = 1/2: weyl seam plaquettes on the +-pi branch cut, a typed failure
     ("chern", "--theta", "1/5", "--rep", "3,1", "--grid", "6"),
+    # and at theta = r/q, where t is read off the same weyl seam
+    ("chern", "--theta", "0/1", "--grid", "2"),
     # gaps 2 and 21 are 1.86e-8 wide: their midpoints must clear FERMI_TOL
     ("chern", "--theta", "2/25", "--grid", "32"),
     # verify's largest isospectrality pass, in blocks of k1 rows: the RSS column

@@ -75,9 +75,8 @@ def band_passes(monkeypatch):
     `dual_band_blocks`, the row-block pass of both families
     (`certified_spectrum`), takes its weyl blocks from `band_blocks`,
     which records the weyl family, and reads the reference frames off
-    them; at M0 = 0 it hands the reference family to `band_blocks`,
-    which records it.  `hofstadter_energies`, which reads the energies of
-    h off its central characters, records the kind "character".
+    them.  `hofstadter_energies`, which reads the energies of h off its
+    central characters, records the kind "character".
     """
     calls = []
 

@@ -30,7 +30,7 @@ from nctorus.chern import (
     symbolic_numeric_crosscheck,
 )
 from nctorus.cli import farey_fractions
-from nctorus.representations import reference_fibered_rep, weyl_fibered_rep
+from nctorus.representations import reference_fibered_rep, shift_matrix_power, weyl_fibered_rep
 from nctorus.spectral import GapViolationError, hofstadter_gap_report
 
 
@@ -139,8 +139,8 @@ def test_certificates_make_one_kernel_call_per_family(monkeypatch):
     assert calls == []
     assert {c["cc"].grid for c in certs} == {c["t"].grid for c in certs} == {16}
     made.clear()
-    gap_certificates(ctx_of(0, 1, 1, 0), 12)      # theta = r/q: no twisted family
-    assert made == [([0, 1], 12, True)]
+    gap_certificates(ctx_of(0, 1, 1, 0), 12)      # theta = r/q: the weyl family is constant in k2
+    assert made == [([0, 1], 12, True)] * 2                     # weyl, reference
 
 
 def test_orthogonal_neighbour_frames_are_too_coarse():
@@ -465,13 +465,12 @@ def test_gap_certificates_one_spectral_pass_per_rep_and_grid(band_passes, eigh_m
                                                              spec, passes):
     # the weyl pass on the quarter grid (k1 rows and k2 columns 0 .. 6), and
     # reference eigh only on the columns k2 = j/12, j <= 6, that no weyl column
-    # reaches: none at M0 = -1, the 5 with 4 not dividing j at M0 = -4; theta =
-    # r/q has no weyl family and takes the reference pass
+    # reaches: none at M0 = -1, the 5 with 4 not dividing j at M0 = -4, and all
+    # but column 0 at theta = r/q, where the weyl family is constant in k2
     ctx = ctx_of(*spec)
     gap_certificates(ctx, 12)
-    kind = "reference" if ctx.M0 == 0 else "weyl"
-    assert band_passes == [(ctx.M, ctx.N, kind, 12)] * passes
-    own = {0: 0, -1: 0, -4: 5}[ctx.M0]
+    assert band_passes == [(ctx.M, ctx.N, "weyl", 12)] * passes
+    own = {0: 6, -1: 0, -4: 5}[ctx.M0]
     assert eigh_matrices == [7 * 7] + ([7 * own] if own else [])
 
 
@@ -500,11 +499,8 @@ def test_streamed_certificates_equal_the_band_data_ones(spec, G, one_row, monkey
     report = report_of(*spec)
     assert [c["gap"] for c in certs] == report.gaps
     h = hofstadter_element(ctx.theta)
-    families = {"cc": package_bands(reference_fibered_rep(ctx), h, G)}
-    if ctx.M0:
-        families["t"] = package_bands(weyl_fibered_rep(ctx), h, G)
-    else:               # no twisted family: t = q d without a lattice sum
-        assert [c["t"].value for c in certs] == [ctx.q * gap.d for gap in report.gaps]
+    families = {"cc": package_bands(reference_fibered_rep(ctx), h, G),
+                "t": package_bands(weyl_fibered_rep(ctx), h, G)}
     for c, gap in zip(certs, report.gaps):
         for key, bd in families.items():
             field = fermi_projector_field(bd, gap.fermi)
@@ -523,7 +519,17 @@ def test_band_edges_are_taken_once_per_family(monkeypatch):
     assert calls == [(9, 9, 5)] * 2                # the diagonalized quarter grid
     calls.clear()
     gap_certificates(ctx_of(0, 1, 1, 0), 8)
-    assert calls == [(5, 5, 1)]
+    assert calls == [(5, 5, 1)] * 2
+
+
+def test_the_certificate_at_r_over_q_reads_the_seam(monkeypatch):
+    # theta = r/q: t is the weyl kernel's seam-closed sum, not q d asserted, so a
+    # transport that winds twice makes the certificate fail
+    monkeypatch.setattr(chern, "twist_transport", lambda ctx, k1: shift_matrix_power(
+        ctx.N, np.exp(2j * np.pi * ctx.q * np.asarray(k1)), -2))
+    with pytest.raises(VerificationError) as failure:
+        gap_certificates(ctx_of(0, 1, 1, 0), 8)
+    assert str(failure.value) == "theta=0/1 rep=(1,0) gap d=1: N*t + M0*s = 2 != q*d = 1"
 
 
 def test_streamed_spectrum_is_the_weyl_energies():

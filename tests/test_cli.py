@@ -375,6 +375,17 @@ def test_a_plaquette_on_the_branch_cut_is_a_typed_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_the_branch_cut_at_r_over_q_is_a_typed_failure(tmp_path, capsys):
+    # theta = 0/1 measures t on the weyl seam as every context does, so at q/G = 1/2
+    # its seam plaquette sits on the branch cut, like every q/G = 1/2 run
+    out = tmp_path / "o"
+    assert run("chern", "--theta", "0/1", "--grid", "2", "--out", str(out)) == EXIT_VERIFICATION
+    assert capsys.readouterr().out == (
+        "FAIL theta=0/1 rep=(1,0): weyl: plaquette angle 3.141592653589793 is within "
+        "1e-06 of the +-pi branch cut\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["chern", "labels"])
 def test_solver_mismatch_exits_1(tmp_path, shifted_solver, command):
     code = run(command, "--theta", "1/3", "--grid", "16", "--out", str(tmp_path))
@@ -413,7 +424,7 @@ def test_verify_counts_the_bands_of_an_even_denominator(tmp_path):
 
 
 def test_integer_theta_flows(tmp_path):
-    # theta = 0/1 collapses the twisted family; labels and verify still work
+    # theta = 0/1: the weyl family is constant in k2; labels and verify still work
     out = tmp_path / "o"
     assert run("labels", "--theta", "0/1", "--grid", "12", "--out", str(out)) == EXIT_OK
     rows = json.loads((out / "labels_0_1_q1r0.json").read_text())

@@ -226,15 +226,19 @@ def test_evaluate_on_grid_matches_single_point(rng):
         assert np.array_equal(evaluate_at_points(rep, a, k1s, k2s, i, j), grid[i, j])
 
 
-def test_collapsed_twist_rejected():
-    from nctorus.arithmetic import DegenerateRepresentationError
-
+def test_weyl_family_at_r_over_q_is_a_representation(rng):
+    # theta = r/q (M0 = 0, N = 1): the weyl family is constant in k2, U(k) = I,
+    # and it glues across k2 by the scalar transport e^{-i2pi q k1}
     ctx = ctx_of(0, 1, 1, 0)        # integer theta, untwisted rep: M0 = 0
     assert ctx.M0 == 0
-    with pytest.raises(DegenerateRepresentationError):
-        weyl_fibered_rep(ctx)
-    rep = reference_fibered_rep(ctx)   # the reference family stays faithful
-    assert rep.dim == 1
+    weyl, rep = weyl_fibered_rep(ctx), reference_fibered_rep(ctx)
+    assert rep.dim == weyl.dim == 1
+    h = hofstadter_element(ctx.theta)
+    for k in rng.random((20, 2)):
+        assert np.array_equal(weyl.U_at(k), np.eye(1))
+        assert np.array_equal(weyl.V_at(k), rep.V_at(k))
+        for a in (h, random_selfadjoint_element(ctx.theta, 3, rng)):
+            assert check_pseudoperiodicity(weyl, a, k) < 1e-12
     assert rep.V_at((0.25, 0.0))[0, 0] == pytest.approx(cmath.exp(0.5j * cmath.pi))
 
 
@@ -264,9 +268,7 @@ def test_families_are_the_reference_family_on_the_magnetic_cell(M, N, q, r, rng)
     a = -pow(q * M, -1, N)
     h = hofstadter_element(ctx.theta)
     reference = reference_fibered_rep(ctx)
-    families = {N: reference}
-    if ctx.M0:
-        families[ctx.M0] = weyl_fibered_rep(ctx)
+    families = {N: reference, ctx.M0: weyl_fibered_rep(ctx)}
 
     def pi(rep, elem, k1, k2):
         return evaluate_at_k(rep, elem, (k1, k2))

@@ -61,6 +61,26 @@ def test_suite_holds_no_whole_frame_array(eigh_matrices, monkeypatch):
     assert sum(eigh_matrices) >= 33 * 33 + 17 * 17
 
 
+def test_the_suite_at_r_over_q_runs_the_weyl_rows(band_passes, monkeypatch):
+    # theta = r/q: the weyl family is constant in k2, a representation all the
+    # same, so its gluing row and the ambient anchor run as at any context.  No
+    # grid makes it isospectral to the reference family, so isospectral_grid
+    # refuses, and the pair is the reference family and its conjugated form at G
+    ctx = ctx_of(0, 1, 1, 0)
+    with pytest.raises(ValueError, match=r"theta=0/1 rep=\(1,0\): theta = r/q"):
+        suite.isospectral_grid(ctx, 12)
+    glued = set()
+    pp = suite.check_pseudoperiodicity
+    monkeypatch.setattr(suite, "check_pseudoperiodicity",
+                        lambda rep, a, k: glued.add(rep.kind) or pp(rep, a, k))
+    rows = {r.name: r for r in run_invariant_suite(ctx, 12)}
+    assert all(r.ok for r in rows.values())
+    assert glued == {"weyl", "reference"}
+    assert rows["ambient-anchor"].detail == "t(identity) = 1, expected 1"
+    assert rows["isospectrality"].detail == "Hausdorff at grid 12^2"
+    assert band_passes == [(0, 1, "reference", 12)] * 2 + [(0, 1, "weyl", 12)]
+
+
 def test_suite_records_numerical_failures_as_rows():
     rows = {r.name: r for r in run_invariant_suite(ctx_of(3, 7, 3, 2), 6)}
     # the twisted Chern number is an integer, but a wrong one at G = 6:
