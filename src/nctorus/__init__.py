@@ -34,7 +34,6 @@ from .chern import (
     ChernResult,
     GridTooCoarseError,
     VerificationError,
-    certified_spectrum,
     gap_certificates,
     symbolic_numeric_crosscheck,
 )

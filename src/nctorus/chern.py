@@ -23,7 +23,8 @@ drops.  So one family's block of frames is in flight at a time, and the
 run holds the diagonalized energies and, per gap, one plaquette angle sum
 per k1 row: never a family's whole frames, nor the grid's link minors.
 It is the one certificate path: `chern`, `labels`, the colored
-butterfly and `verify` all run it.
+butterfly and `verify` all run it, and the colored butterfly draws its
+bands and gaps from the certificates' own exact gaps.
 
 Orientation of the plaquette loop is pinned by the full-field anchor
 t(identity) = q (the suite's ambient-anchor row) and by the tests'
@@ -60,7 +61,6 @@ from .spectral import (
     band_edges,
     dual_band_blocks,
     fermi_rank,
-    grid_index,
     hofstadter_gap_report,
 )
 
@@ -150,22 +150,19 @@ def _fft_character(A: np.ndarray) -> complex:
 # -- conductance verification --------------------------------------------------
 
 
-def certified_spectrum(ctx: WeylContext, G: int = 64):
-    """(report, (rows, index), certificates) of `ctx` at G from one streamed band pass.
+def gap_certificates(ctx: WeylContext, G: int = 64) -> List[dict]:
+    """One verified certificate per gap of the exact report, inf- and sup-gap included.
 
-    The exact gap report, the weyl energies at G (the reference ones at
-    theta = r/q, where the weyl family is constant in k2) and
-    `gap_certificates`.  `dual_band_blocks` yields each block of stored k1
-    rows of the weyl bands, then the reference block read off it, and each
-    block's frames go to that family's `_kernels.LinkMinors` (the weyl one
-    closed by the seam of the block's rows) and are dropped before the pass
-    reads the next block: the weyl block before the reference block is
-    built, so one family's frames are in flight.  So only the energies of the
-    diagonalized points and the kernels' per-row angle sums are kept, never
-    a family's frames or the grid's link minors.  The kernels' ranks are the
-    report's labels d, fixed before the pass.  A pass that diagonalizes n < G
-    columns stores n rows of a k1-mirrored grid, and a kernel told so keeps
-    no copy of row 0.
+    Each certificate carries its `gap` of `hofstadter_gap_report(ctx)`, the
+    report it was checked against; the Fermi levels are the midpoints of
+    those exact gaps, so they lie in the sampled gaps of any grid.  The pass
+    streams (see the module docstring): each block's frames go to its
+    family's `_kernels.LinkMinors` (the weyl one closed by the seam of the
+    block's rows) and are dropped before the pass reads the next block, and
+    only the energies of the diagonalized points are kept, for the Fermi
+    ranks.  The kernels' ranks are the report's labels d, fixed before the
+    pass.  A pass that diagonalizes n < G columns stores n rows of a
+    k1-mirrored grid, and a kernel told so keeps no copy of row 0.
     """
     report = hofstadter_gap_report(ctx)
     ranks = [gap.d for gap in report.gaps]
@@ -178,20 +175,8 @@ def certified_spectrum(ctx: WeylContext, G: int = 64):
         kernels[kind].add(F, twist_transport(ctx, k1) if kind == "weyl" else None)
         del F                           # before the pass reads the next block
     E_r, E_w = (np.concatenate(energies[kind]) for kind in ("reference", "weyl"))
-    certs = _certificates(ctx, report, G, E_r, kernels["reference"].flux_sums(), E_w,
-                          kernels["weyl"].flux_sums())
-    E = E_w if ctx.M0 else E_r
-    return report, (E.reshape(-1, ctx.N), grid_index(E.shape[1], G)), certs
-
-
-def gap_certificates(ctx: WeylContext, G: int = 64) -> List[dict]:
-    """One verified certificate per gap of the exact report, inf- and sup-gap included.
-
-    Read off one streamed band pass (`certified_spectrum`).  The Fermi
-    levels are the midpoints of the exact gaps, so they lie in the sampled
-    gaps of any grid.
-    """
-    return certified_spectrum(ctx, G)[2]
+    return _certificates(ctx, report, G, E_r, kernels["reference"].flux_sums(), E_w,
+                         kernels["weyl"].flux_sums())
 
 
 def _certificates(ctx: WeylContext, report: GapReport, G: int, E_r: np.ndarray, cc_sums,

@@ -47,7 +47,7 @@ from typing import List, Optional, Tuple
 
 from .algebra import RationalTheta
 from .arithmetic import DegenerateRepresentationError, InvalidTwistError, make_weyl_context
-from .chern import certified_spectrum, gap_certificates
+from .chern import gap_certificates
 from .spectral import (
     GAP_TOL,
     NumericalFailure,
@@ -270,30 +270,32 @@ def _iter_contexts(cfg: RunConfig):
 
 
 def _butterfly_job(ctx, cfg: RunConfig):
-    """(ctx, energies, gap report, certificates) of one context of the sweep.
+    """(ctx, energies, gaps, certificates) of one context of the sweep.
 
-    The energies are the (rows, index) spectrum of the CSV grid, which the
-    main thread formats as it writes it (`band_rows`); None when no CSV is
-    written.  The report is None when no SVG is drawn, and the certificates
+    The energies are the (rows, index) spectrum of the CSV grid,
+    `hofstadter_energies` whether or not the SVG is colored, which the main
+    thread formats as it writes it (`band_rows`); None when no CSV is
+    written.  The gaps are None when no SVG is drawn, and the certificates
     are None unless the SVG is colored.
     """
-    energies = report = certs = None
+    energies = gaps = certs = None
     if "svg" in cfg.formats and cfg.color_gaps:
-        # band segments and gap rectangles come from the exact gap report the
-        # certificates are read from, the CSV energies from their weyl bands at G
-        report, energies, certs = certified_spectrum(ctx, cfg.grid)
+        # band segments and gap rectangles come from the exact gaps the
+        # certificates were checked against
+        certs = gap_certificates(ctx, cfg.grid)
+        gaps = [cert["gap"] for cert in certs]
     elif "svg" in cfg.formats:
         # the uncolored SVG keeps sampled grid detection on the weyl energies,
         # read off the central character
         fine = hofstadter_energies(ctx, 2 * max(8, cfg.grid // 2))
-        report = detect_gaps_refined(*fine)
+        gaps = detect_gaps_refined(*fine).gaps
         if len(fine[1]) == cfg.grid:
             energies = fine       # refinement's fine grid is the CSV grid
     if "csv" not in cfg.formats:
-        return ctx, None, report, certs
+        return ctx, None, gaps, certs
     if energies is None:
         energies = hofstadter_energies(ctx, cfg.grid)
-    return ctx, energies, report, certs
+    return ctx, energies, gaps, certs
 
 
 def _in_order(pool, fn, items, window: int):
@@ -341,11 +343,11 @@ def cmd_butterfly(cfg: RunConfig) -> int:
                 csv.write("theta_num,theta_den,k1,k2,band,energy\n")
             workers = worker_count()
             with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                for ctx, energies, report, certs in _in_order(
+                for ctx, energies, gaps, certs in _in_order(
                         pool, lambda ctx: _butterfly_job(ctx, cfg), jobs, 2 * workers):
                     if csv is not None:
                         csv.writelines(band_rows(*energies, f"{ctx.M},{ctx.N},"))
-                    results.append((ctx, report, certs))
+                    results.append((ctx, gaps, certs))
             if csv is not None:
                 csv.close()
                 os.replace(part, csv_path)
@@ -381,7 +383,7 @@ def _butterfly_svg(results, q: int, r: int) -> str:
         f'<!-- flux butterfly, rep q={q} r={r}; x = 60 + 880*theta, y = 400 - 80*E -->',
         '<rect x="0" y="0" width="1000" height="800" fill="white"/>',
     ]
-    for ctx, report, certs in results:
+    for ctx, gaps, certs in results:
         x = _svg_x(ctx.M / ctx.N)
         if certs is not None:
             for cert in certs:
@@ -396,9 +398,9 @@ def _butterfly_svg(results, q: int, r: int) -> str:
                     f'height="{fmt(y1 - y0)}" fill="{color}" data-t="{t_int}">'
                     f'<title>t={t_int}</title></rect>'
                 )
-    for ctx, report, certs in results:
+    for ctx, gaps, certs in results:
         x = _svg_x(ctx.M / ctx.N)
-        for gap, nxt in zip(report.gaps[:-1], report.gaps[1:]):
+        for gap, nxt in zip(gaps[:-1], gaps[1:]):
             parts.append(
                 f'<path d="M {fmt(x)} {fmt(_svg_y(gap.upper))} '
                 f'L {fmt(x)} {fmt(_svg_y(nxt.lower))}" '

@@ -17,9 +17,11 @@ kernel reads as they are; no dense N x N projector is built.
 Consumers of energies alone take `band_energies`, the same matrices in
 the same row blocks through `eigvalsh`; for the flux operator h, whose
 spectrum depends on k only through its central character (below), the
-uncolored butterfly takes `hofstadter_energies`, one `eigvalsh` per
-character pair.  Isospectrality keeps its direct `band_energies`
-passes: read off the character, it would hold by construction.
+butterfly takes `hofstadter_energies`, one `eigvalsh` per character
+pair: the one source of its CSV energies, whether or not the SVG is
+colored, and of the uncolored SVG's sampled gaps.  Isospectrality keeps
+its direct `band_energies` passes: read off the character, it would
+hold by construction.
 Energies come as each diagonalized spectrum once, never copied to the
 grid points that share it: rows (K, N), and index (G, G) naming the
 row of every grid point.
@@ -217,7 +219,7 @@ def dual_band_blocks(ctx: WeylContext, a: AlgebraElement, G: int):
     first, then the reference block read off it, kind "weyl" and
     "reference".  Only one family's frames are in flight: the pass drops
     the weyl block before it yields the reference one, so a consumer that
-    drops each block before it asks for the next (`certified_spectrum`)
+    drops each block before it asks for the next (`chern.gap_certificates`)
     never holds both.
 
     The weyl family is the reference family read at a scaled k2,

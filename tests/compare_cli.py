@@ -1,4 +1,4 @@
-"""Run thirty-one fixed CLI commands under two source trees and diff what they emit.
+"""Run thirty-two fixed CLI commands under two source trees and diff what they emit.
 
     python3 tests/compare_cli.py OLD_SRC NEW_SRC
 
@@ -72,8 +72,8 @@ COMMANDS = (
     # gcd(M0, G) = 4 (M0 = -4): the reference columns that no weyl column
     # reaches are diagonalized on their own
     ("chern", "--theta", "2/5", "--rep", "3,2", "--grid", "16"),
-    # odd butterfly grids: the CSV's own pass (its fine grid is 16), and certified weyl
-    # energies of an odd grid
+    # odd butterfly grids: the CSV's own pass (its fine grid is 16), and the
+    # certificates of an odd grid beside the same CSV
     ("butterfly", "--farey", "5", "--grid", "15", "--format", "csv", "--format", "svg"),
     ("butterfly", "--farey", "5", "--grid", "15", "--format", "csv", "--format", "svg",
      "--color-gaps"),
@@ -85,6 +85,9 @@ COMMANDS = (
     ("chern", "--theta", "2/25", "--grid", "32"),
     # verify's largest isospectrality pass, in blocks of k1 rows: the RSS column
     ("verify", "--theta", "21/34", "--grid", "64"),
+    # a colored sweep away from rep (1,0): its CSV is the uncolored one
+    ("butterfly", "--farey", "4", "--grid", "12", "--rep", "2,1", "--format", "csv",
+     "--format", "svg", "--color-gaps"),
 )
 
 

@@ -73,7 +73,7 @@ def band_passes(monkeypatch):
     `band_blocks` and `band_energies` are passes over the same matrices,
     with and without eigenvectors, and record their family's kind;
     `dual_band_blocks`, the row-block pass of both families
-    (`certified_spectrum`), takes its weyl blocks from `band_blocks`,
+    (`chern.gap_certificates`), takes its weyl blocks from `band_blocks`,
     which records the weyl family, and reads the reference frames off
     them.  `hofstadter_energies`, which reads the energies of h off its
     central characters, records the kind "character".

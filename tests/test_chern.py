@@ -25,7 +25,6 @@ from nctorus.chern import (
     ChernResidualError,
     GridTooCoarseError,
     VerificationError,
-    certified_spectrum,
     gap_certificates,
     symbolic_numeric_crosscheck,
 )
@@ -532,13 +531,11 @@ def test_the_certificate_at_r_over_q_reads_the_seam(monkeypatch):
     assert str(failure.value) == "theta=0/1 rep=(1,0) gap d=1: N*t + M0*s = 2 != q*d = 1"
 
 
-def test_streamed_spectrum_is_the_weyl_energies():
-    # the butterfly's CSV energies: the weyl bands, or the reference ones at M0 = 0
-    for spec, kind in (((2, 5, 3, 2), "weyl"), ((0, 1, 1, 0), "reference")):
-        report, (rows, index), certs = certified_spectrum(ctx_of(*spec), 12)
-        assert report == report_of(*spec)
-        assert np.array_equal(rows[index], bands_of(*spec, kind, 12).energies)
-        assert certs == gap_certificates(ctx_of(*spec), 12)
+def test_certificates_carry_the_exact_report_gaps():
+    # the colored butterfly draws its bands and gap rectangles from these gaps
+    for spec in ((2, 5, 3, 2), (0, 1, 1, 0)):
+        certs = gap_certificates(ctx_of(*spec), 12)
+        assert [c["gap"] for c in certs] == report_of(*spec).gaps
 
 
 def test_streamed_certificates_hold_no_whole_frames():

@@ -248,22 +248,34 @@ def test_butterfly_bytes_do_not_depend_on_the_thread_count(tmp_path, monkeypatch
     assert written[0] == written[1]
 
 
-# sha256 of spectrum_q1r0.csv from `butterfly --farey 6 --grid 16 --format csv`,
-# and with `--format svg --color-gaps` added, and from `butterfly --farey 5 --grid 15
-# --format csv --format svg --color-gaps`, whose certified weyl energies read the
-# quarter index of an odd grid; any change to a CSV byte moves them
-@pytest.mark.parametrize("farey, grid, colored, digest", [
-    ("6", "16", (), "c5e4d002932544c7b02c74f23209b1c3654646da358b260bf0100ac42bb65c51"),
-    ("6", "16", ("--format", "svg", "--color-gaps"),
-     "75b045431b9f00776b3af053968f1dac6bb092788707dc63e8236c8c83aa58e0"),
-    ("5", "15", ("--format", "svg", "--color-gaps"),
-     "0d27fb4600cc23b3398592b3247617caacbe4e99cb21075035521dedf70997a4"),
-], ids=["plain", "color-gaps", "color-gaps-odd-grid"])
-def test_butterfly_csv_bytes_are_pinned(tmp_path, farey, grid, colored, digest):
+# sha256 of spectrum_q1r0.csv from `butterfly --farey 6 --grid 16 --format csv`;
+# any change to a CSV byte moves it.  The colored sweep writes the same bytes
+# (test_butterfly_csv_does_not_depend_on_color_gaps)
+@pytest.mark.parametrize("farey, grid, digest", [
+    ("6", "16", "c5e4d002932544c7b02c74f23209b1c3654646da358b260bf0100ac42bb65c51"),
+], ids=["plain"])
+def test_butterfly_csv_bytes_are_pinned(tmp_path, farey, grid, digest):
     out = tmp_path / "o"
-    assert run("butterfly", "--farey", farey, "--grid", grid, "--format", "csv", *colored,
+    assert run("butterfly", "--farey", farey, "--grid", grid, "--format", "csv",
                "--out", str(out)) == EXIT_OK
     assert hashlib.sha256((out / "spectrum_q1r0.csv").read_bytes()).hexdigest() == digest
+
+
+# an odd grid, and two reps away from (1, 0); every Farey sweep holds theta = 0/1
+# and 1/1, where M0 = 0 at rep (1, 0)
+@pytest.mark.parametrize("sweep", [("--farey", "6", "--grid", "16"),
+                                   ("--farey", "5", "--grid", "15"),
+                                   ("--farey", "4", "--grid", "12", "--rep", "2,1"),
+                                   ("--farey", "5", "--grid", "10", "--rep", "3,2")],
+                         ids=["6-16", "5-15-odd-grid", "4-12-rep-2,1", "5-10-rep-3,2"])
+def test_butterfly_csv_does_not_depend_on_color_gaps(tmp_path, sweep):
+    written = []
+    for colored in ((), ("--format", "svg", "--color-gaps")):
+        out = tmp_path / str(len(colored))
+        assert run("butterfly", *sweep, "--format", "csv", *colored,
+                   "--out", str(out)) == EXIT_OK
+        written.append([p.read_bytes() for p in out.glob("spectrum_*.csv")])
+    assert len(written[0]) == 1 and written[0] == written[1]
 
 
 def test_every_written_file_has_lf_line_ends(tmp_path, monkeypatch):
@@ -668,14 +680,17 @@ def test_butterfly_colored_bands_do_not_cross_certified_gaps(tmp_path):
 
 def test_butterfly_color_gaps_one_spectral_pass_per_theta(tmp_path, band_passes,
                                                          eigh_matrices):
-    # the weyl bands at G, which the CSV reuses, diagonalized on the quarter grid
-    # (k1 rows and k2 columns 0 .. 4); the reference bands are read off them, all
-    # columns at 1/3 (M0 = 1), the even ones at 2/5 (M0 = 2), whose odd columns
-    # 1 and 3 are diagonalized on the 5 stored k1 rows; columns 5 .. 7 are filled
+    # one band pass per theta for the certificates: the weyl bands at G,
+    # diagonalized on the quarter grid (k1 rows and k2 columns 0 .. 4); the
+    # reference bands are read off them, all columns at 1/3 (M0 = 1), the even
+    # ones at 2/5 (M0 = 2), whose odd columns 1 and 3 are diagonalized on the 5
+    # stored k1 rows; columns 5 .. 7 are filled.  The CSV reads its energies off
+    # the central characters, as without --color-gaps, with no eigenvectors
     out = tmp_path / "o"
     assert run("butterfly", "--theta", "1/3", "--theta", "2/5", "--grid", "8", "--format", "csv",
                "--format", "svg", "--color-gaps", "--out", str(out)) == EXIT_OK
-    assert sorted(band_passes) == [(1, 3, "weyl", 8), (2, 5, "weyl", 8)]
+    assert sorted(band_passes) == [(1, 3, "character", 8), (1, 3, "weyl", 8),
+                                   (2, 5, "character", 8), (2, 5, "weyl", 8)]
     assert sorted(eigh_matrices) == [5 * 2, 5 * 5, 5 * 5]
 
 

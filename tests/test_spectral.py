@@ -21,7 +21,6 @@ from fields import (
 from nctorus import cli, spectral
 from nctorus.algebra import AlgebraElement, hofstadter_element, monomial, unit
 from nctorus.arithmetic import gap_label_d
-from nctorus.chern import certified_spectrum
 from nctorus.representations import (
     evaluate_at_k,
     evaluate_on_grid,
@@ -373,8 +372,7 @@ def test_energies_are_each_spectrum_once_and_a_grid_index(M, N, q, r, G):
     families = [weyl_fibered_rep(ctx), reference_fibered_rep(ctx)] if ctx.M0 else [
         reference_fibered_rep(ctx)]
     oracle = {rep.kind: bands_on_grid(rep, h, G).energies for rep in families}
-    produced = [(families[0].kind, hofstadter_energies(ctx, G)),
-                (families[0].kind, certified_spectrum(ctx, G)[1])]
+    produced = [(families[0].kind, hofstadter_energies(ctx, G))]
     produced += [(rep.kind, band_energies(rep, h, G)) for rep in families]
     for kind, (rows, index) in produced:
         assert index.shape == (G, G) and rows.shape[1] == N

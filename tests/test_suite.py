@@ -8,8 +8,15 @@ import pytest
 from conftest import ctx_of
 from fields import bands_on_grid, fermi_projector_field, fhs_chern, pullback_field
 
-from nctorus import _kernels, representations, suite
-from nctorus.algebra import hofstadter_element, monomial
+from nctorus import _kernels, chern, representations, suite
+from nctorus.algebra import (
+    TWO_PI,
+    derivation,
+    element_mul,
+    hofstadter_element,
+    monomial,
+    nc_integral_symbolic,
+)
 from nctorus.representations import evaluate_at_k, reference_fibered_rep, weyl_fibered_rep
 from nctorus.spectral import GapInfo, NumericalFailure, hofstadter_gap_report
 from nctorus.suite import run_invariant_suite
@@ -214,6 +221,38 @@ def test_a_wrong_high_v_power_fails_only_the_homomorphism_row(rng, monkeypatch):
     rows = {r.name: r for r in run_invariant_suite(ctx_of(1, 3, 1, 0), 16)}
     assert {name for name, r in rows.items() if not r.ok} == {"homomorphism"}
     assert rows["homomorphism"].value == pytest.approx(13.8, abs=0.01)
+
+
+def test_a_symmetrized_cocycle_fails_only_the_symbolic_numeric_row(monkeypatch):
+    # the cocycle with d1 p d2 p + d2 p d1 p for its commutator.  At 1/3 every
+    # character of the row's five elements is 0: each triple of their monomials
+    # that sums to 0 spans an area A divisible by 3, and its two orders carry
+    # e^{+-i pi theta A}, which cancel in the commutator and add up in the mutant.
+    # No other row reads the symbolic character
+    def symmetrized(p):
+        d1, d2 = derivation(p, 1), derivation(p, 2)
+        anti = element_mul(d1, d2) + element_mul(d2, d1)
+        return nc_integral_symbolic(element_mul(p, anti)) / (1j * TWO_PI)
+
+    monkeypatch.setattr(chern, "connes_chern_symbolic", symmetrized)
+    rows = {r.name: r for r in run_invariant_suite(ctx_of(1, 3, 1, 0), 16)}
+    assert {name for name, r in rows.items() if not r.ok} == {"symbolic-numeric"}
+    assert rows["symbolic-numeric"].value == pytest.approx(16.43, abs=0.01)
+
+
+def test_a_seamless_anchor_fails_only_the_ambient_anchor_row(monkeypatch):
+    # plaquette_flux_sum drops its seam: the identity field of the weyl family
+    # then closes periodically and reads t = 0, not q.  The anchor is that
+    # function's one caller in the package; the certificates feed LinkMinors
+    kernel = _kernels.plaquette_flux_sum
+
+    def seamless(frames, ranks, seam=None, rows=None):
+        return kernel(frames, ranks, None, rows)
+
+    monkeypatch.setattr(_kernels, "plaquette_flux_sum", seamless)
+    rows = {r.name: r for r in run_invariant_suite(ctx_of(1, 3, 1, 0), 16)}
+    assert {name for name, r in rows.items() if not r.ok} == {"ambient-anchor"}
+    assert rows["ambient-anchor"].detail == "t(identity) = 0, expected 1"
 
 
 @pytest.mark.parametrize("spec,labels", [((1, 3, 1, 0), [0, 2, 3]),         # a gap missing
