@@ -18,10 +18,11 @@ kernel forms the link overlaps once, see `_kernels`), and the gaps are
 then checked in one loop (`_certificates`).  `gap_certificates` streams:
 one band pass in blocks of k1 rows (`spectral.dual_band_blocks`) hands
 over each block of weyl frames, which their kernel sums and drops, and
-then the reference block read off it, which the other kernel sums and
-drops.  So one family's block of frames is in flight at a time, and the
-run holds the diagonalized energies and, per gap, one plaquette angle sum
-per k1 row: never a family's whole frames, nor the grid's link minors.
+then the reference block of the same rows, which the other kernel sums
+and drops, both read off one orbit table.  So one family's block of
+frames is in flight at a time, and the run holds the table, the stored
+points' energies and, per gap, one plaquette angle sum per k1 row: never
+a family's whole frames, nor the grid's link minors.
 It is the one certificate path: `chern`, `labels`, the colored
 butterfly and `verify` all run it, and the colored butterfly draws its
 bands and gaps from the certificates' own exact gaps.
@@ -159,9 +160,9 @@ def gap_certificates(ctx: WeylContext, G: int = 64) -> List[dict]:
     streams (see the module docstring): each block's frames go to its
     family's `_kernels.LinkMinors` (the weyl one closed by the seam of the
     block's rows) and are dropped before the pass reads the next block, and
-    only the energies of the diagonalized points are kept, for the Fermi
-    ranks.  The kernels' ranks are the report's labels d, fixed before the
-    pass.  A pass that diagonalizes n < G columns stores n rows of a
+    only the energies of the stored points are kept, for the Fermi ranks.
+    The kernels' ranks are the report's labels d, fixed before the pass.
+    A pass whose energies have n < G columns stores n rows of a
     k1-mirrored grid, and a kernel told so keeps no copy of row 0.
     """
     report = hofstadter_gap_report(ctx)
@@ -190,7 +191,7 @@ def _certificates(ctx: WeylContext, report: GapReport, G: int, E_r: np.ndarray, 
     rounding, the diophantine and rhs identities, and `tknn_solve`.  With
     s = -cc the duality N t = M0 cc + q d is the diophantine identity
     itself, so `duality_ok` is recorded, not checked.  E_r and E_w hold
-    each family's energies at its diagonalized points; at theta = r/q the
+    each family's energies at its stored points; at theta = r/q the
     weyl family is constant in k2, and its t is measured all the same.
 
     `ncint` is exact: the normalized trace of a rank-d projector is d/N.

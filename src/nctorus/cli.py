@@ -430,9 +430,20 @@ def cmd_gaps(cfg: RunConfig) -> int:
 
 
 def _each_certified(cfg: RunConfig, write) -> int:
-    """`write(ctx, certs)` for each context whose certificates hold, a FAIL line for the rest."""
+    """`write(ctx, certs)` for each context whose certificates hold, a FAIL line for the rest.
+
+    A slot narrower than GAP_TOL merges its bands in the exact report, so
+    its label gets no certificate: a note on stderr names every such d in
+    1 .. N-1 (the central slot of even N is closed by theorem).
+    """
     status = EXIT_OK
     for ctx in _iter_contexts(cfg):
+        found = {gap.d for gap in hofstadter_gap_report(ctx).gaps}
+        merged = [str(d) for d in range(1, ctx.N) if d not in found and 2 * d != ctx.N]
+        if merged:
+            print(f"note: {ctx.label()}: no certificate for d={', '.join(merged)}: "
+                  f"slots narrower than GAP_TOL={fmt(GAP_TOL)} merge their bands",
+                  file=sys.stderr)
         try:
             certs = gap_certificates(ctx, cfg.grid)
         except NumericalFailure as exc:

@@ -27,8 +27,13 @@ invariant under the magnetic translation k2 -> k2 + 1/N:
 pi^r_(k1, k2 + m/N) = W^m pi^r_k W^-m with W = S(e^{i2pi q k1})^a and
 a = -(qM)^{-1} mod N, because S^a C^{qM} S^-a = e^{i2pi/N} C^{qM} and W
 commutes with V(k); W^p is shift_matrix_power(N, e^{i2pi q k1}, a p).
-Together they let `spectral.dual_band_blocks` read the reference bands
-off the weyl ones.
+Together they put every point of both families at a cell of the grid of
+central characters (`spectral`).  Two more maps carry the plain reference
+family between cells: sigma (u -> v, v -> u*), through the twisted DFT
+Phi of `rotate`, and for odd N chi (u, v -> -u, -v), through a monomial
+Psi with Psi pi_k(a) Psi^dagger = -pi_k'(a), k' = k + (1/2, 1/(2N)), when
+chi(a) = -a.  Every monomial intertwiner, W^m, the flip, Psi and that of
+the conjugated form, is one row map with phases (`intertwiner_rows`).
 
 One evaluator forms every pi_k(a): `evaluate_at_points`, from closed forms of
 the powers, which `V_at` shares (`FiberedRep._v_power`); `evaluate_at_k` and
@@ -153,6 +158,16 @@ class FiberedRep:
             return np.exp(1j * TWO_PI * self.ctx.N * k1)
         return np.exp(1j * TWO_PI * k1)
 
+    def turns(self, i, j, G: int) -> tuple:
+        """(u, mu, lam): U(k) = e^{i2pi u/L} C^{qM}, V(k) = e^{i2pi mu/L} S(e^{i2pi lam/L})^d_r.
+
+        At k = (i/G, j/G), as integer numerators over L = 2 N G.
+        """
+        i, j, N = 2 * self.ctx.N * np.asarray(i), np.asarray(j), self.ctx.N
+        if self.conjugated:
+            return 2 * N * j, i, 0 * i
+        return 2 * (self.ctx.M0 if self.kind == "weyl" else N) * j, self.ctx.n_r * i, self.ctx.q * i
+
 
 def weyl_fibered_rep(ctx: WeylContext) -> FiberedRep:
     return FiberedRep(ctx, "weyl")
@@ -221,6 +236,55 @@ def evaluate_at_points(rep: FiberedRep, a: AlgebraElement, k1s: np.ndarray, k2s:
         uphase = c * np.exp(1j * TWO_PI * urate * n * k2s)
         out += term[i] * uphase[j][..., None, None]
     return out
+
+
+def _shift_rows(N: int, d: int):
+    """(m, wraps), (N, 1) each: row t of S^{d m} e_0 is reached with d m = t + N wraps."""
+    m = np.arange(N) * pow(d, -1, N) % N
+    return m[:, None], (d * m // N)[:, None]
+
+
+def intertwiner_rows(ctx: WeylContext, src, dst, eps, s, cis: np.ndarray):
+    """(rows, phase), (P, N): X F = phase[..., None] * F[rows] for the monomial X of P points.
+
+    X pi_src(alpha(x)) X^dagger = pi_dst(x), alpha(u) = eps u^s and
+    alpha(v) = eps v^s, eps, s = +-1 per point; src and dst are turns
+    (`FiberedRep.turns`) over L = len(cis), cis[k] = e^{i2pi k/L}, whose
+    central characters alpha must match.  Row d_r m of X F is row
+    l0 + s d_r m of F, l0 the row of C^{qM} that brings alpha(U) at src onto
+    U at dst's row 0.  Frames up to one scalar phase.
+    """
+    N, L = ctx.N, len(cis)
+    (us, ms, ls), (ut, mt, lt) = src, dst
+    half = (np.asarray(eps) < 0) * (L // 2)
+    l0 = N * (ut - s * us - half) // L * s * pow(ctx.q * ctx.M, -1, N) % N   # exact division
+    m, wraps = _shift_rows(N, ctx.d_r)
+    row = l0 + s * np.arange(N)[:, None]                # (N, P), in -N+1 .. 2N-2
+    carry = (row >= N).astype(int) - (row < 0)
+    phase = (m * ((mt - half - s * ms) % L) + wraps * ((lt - s * ls) % L) - carry * ls) % L
+    return (row - N * carry).T, cis[phase].T
+
+
+def rotate(ctx: WeylContext, F: np.ndarray, k1, k2, cis: np.ndarray) -> np.ndarray:
+    """Phi F for P frames F, row d_r m of Phi F at row m: Phi pi_k(sigma(x)) Phi^dagger = pi_k'(x).
+
+    k = (k1, k2), k' = (-N k2, k1/N) on the plain reference family, as
+    numerators over L = len(cis) with N dividing k1; sigma(u) = v,
+    sigma(v) = u*.  Row l of Phi is a left eigenvector of V(k), every entry
+    1/sqrt(N) in modulus, so Phi F is the N x N DFT matrix times the rows of
+    F, between two row maps with phases.  Frames up to one scalar phase.
+    """
+    N, L = ctx.N, len(cis)
+    m, wraps = _shift_rows(N, ctx.d_r)                  # row t = d_r m of the V(k) eigenvector
+    w = cis[-(m * ((ctx.n_r * k1 - k1 // N) % L) + wraps * (ctx.q * k1 % L)) % L]
+    perm = pow(ctx.q * ctx.M, -1, N) * np.arange(N) % N
+    z = F.swapaxes(-1, -2)[..., perm]                   # columns of F, contiguous in the rows
+    z *= w[perm].T[:, None, :]
+    m = np.arange(N)[:, None]
+    z = (z.reshape(-1, N) @ (cis[m * m.T * (L // N) % L] / np.sqrt(N))).reshape(z.shape)
+    z *= cis[(m * ((k2 - N * ctx.n_r * k2) % L) - (m * ctx.d_r // N) * (N * ctx.q * k2 % L))
+             % L].T[:, None, :]
+    return z.swapaxes(-1, -2)
 
 
 def check_pseudoperiodicity(rep: FiberedRep, a: AlgebraElement, k) -> float:

@@ -3,19 +3,19 @@
 Every band pass walks the grid in the same blocks of stored k1 rows,
 `_kernels.block_rows` rows of one family's frames, so that no consumer
 holds a family's whole frames and no pass builds the whole grid's
-matrices.  `band_blocks` diagonalizes one family; `dual_band_blocks`,
-for the certificates (`chern`), which read both families, takes the
-weyl blocks from `band_blocks` and reads the reference bands off each
-by magnetic translation, handing over each block's weyl frames and
-then, once it has dropped them, the reference frames read off them.
+matrices.  `band_blocks` reads one family's blocks off an orbit table
+(below); `dual_band_blocks`, for the certificates (`chern`), which read
+both families, reads each block of weyl frames and then, once it has
+dropped them, the reference frames of the same rows, off one table.
 A Fermi level is checked against a family's per-band [lo, hi], taken
 once (`band_edges`, `fermi_rank`).  The spectral projector below a
 Fermi level in a gap (the finite-dimensional stand-in for the resolvent
 contour integral) is carried as the occupied eigenvector columns it
 came from, the leading columns of the band frames, which the flux
 kernel reads as they are; no dense N x N projector is built.
-Consumers of energies alone take `band_energies`, the same matrices in
-the same row blocks through `eigvalsh`; for the flux operator h, whose
+Consumers of energies alone take `band_energies`, the stored points'
+matrices in the same row blocks, each through its own `eigvalsh`; for
+the flux operator h, whose
 spectrum depends on k only through its central character (below), the
 butterfly takes `hofstadter_energies`, one `eigvalsh` per character
 pair: the one source of its CSV energies, whether or not the SVG is
@@ -43,44 +43,51 @@ uncolored butterfly SVG alone still detects gaps on sampled energies:
 a one-step grid refinement rejects fake gaps that only exist because a
 band touching fell between grid points (`detect_gaps_refined`).
 
-For h a band pass diagonalizes a quarter of the grid.  Half of the k1
-rows need no diagonalization.  In every family U(k) is diagonal unitary
-and independent of k1, so conj U = U^{-1}; the shift matrix is real
-apart from its corner phase e^{i2pi q k1}, so conj V(k1, k2) =
-V(-k1, k2); and every family is 1-periodic in k1.  Hence
+A band pass diagonalizes one point per orbit of a group of maps of the
+grid of central characters, and reads every stored point off that orbit
+table (`_OrbitTable`).  Cell (x, y), with V^N = e^{i2pi x/G} and
+U^N = e^{i2pi y/G}, is the plain reference family at k = (x/G, y/(N G)).
+Weyl point (i, j) is cell (i, M0 j mod G) and reference point (i, j) is
+cell (i, N j mod G), each moved by the magnetic translation W^m, and the
+conjugated form's point (i, j) is cell (N i mod G, N j mod G) up to a
+monomial (`representations`).  Four maps carry pi(a) onto a unitary
+image of itself when the coefficients of a admit them, each within 1e-12
+(`_symmetries`): the k1 mirror (x, y) -> (-x, y), a(n, m) = conj(a(-n, m)),
+by complex conjugation (U is diagonal and independent of k1, the shift
+real apart from its corner phase); the flip (x, y) -> (-x, -y),
+a(n, m) = a(-n, -m), by the monomial Q sending row j to row -j mod N;
+sigma (x, y) -> (-y, x), sigma(a) = a for u -> v, v -> u*, by the twisted
+DFT Phi, |Phi_ij| = 1/sqrt(N) (`representations.rotate`), sigma^2 being
+the flip; and, for odd N on an even grid, chi (x, y) -> (x + G/2, y + G/2)
+when every monomial has n + m odd, so that u, v -> -u, -v sends a to -a,
+by a monomial Psi, with frames Psi F[:, ::-1] and energies -E[::-1].  h
+admits all four: 289 orbits of the 64 x 64 grid for odd N, 561 for even
+N.  The table diagonalizes the least cell of each orbit; the word of a
+cell (`_orbits`) reads it off its representative: Phi once per
+representative a block needs, the conjugate, one row map with phases
+for the flip, Psi and W^m together (`representations.intertwiner_rows`),
+and the column reversal.  Plaquettes are gauge-invariant (`_kernels`),
+so these frames certify what eigh's would.  An element without some map
+gets the subgroup it admits; the trivial group diagonalizes every cell.
+The table holds R N^2 x 16 bytes for R orbits, about G^2 N^2 bytes:
+289 N^2 x 16 at G = 64 for odd N (0.23 MB at N = 7, 0.78 MB at N = 13,
+14 MB at N = 55), beside one family's block in flight.
 
-    conj pi_k(a) = sum conj(a(n, m)) U^{-n} V(-k1, k2)^m = pi_(-k1, k2)(a)
-
-for every element with a(n, m) = conj(a(-n, m)), such as h.  Row
-k1 = (G - i)/G then has the energies of row i/G, and the complex
-conjugates of its frames are an eigenbasis of the same eigenspaces.  So
-a mirrored pass yields the frames of the diagonalized rows i = 0 ..
-G//2 alone; the other rows read the energies of their mirrors
-(`grid_index`).  A grid of frames is mirrored iff it stores
+When a admits the k1 mirror and the flip (h does), a pass stores the
+rows i = 0 .. G//2 alone: row G - i stands for the conjugate of row i,
+another eigenbasis of its eigenspaces, and its energies are those of
+row i (`grid_index`).  A grid of frames is mirrored iff it stores
 G//2 + 1 < G of its G rows.  Its consumers keep those rows: the Chern
 kernel weights them (`_kernels`), the suite's pullbacks read theirs off
 them, and its Gram defects check them alone; the suite's seam row
-expands them.
-
-Half of the stored k2 columns need none either when `a` is also
-invariant under the flip u -> u*, v -> v*, i.e. a(n, m) = a(-n, -m), as
-h is.  Every pass checks both conditions on the coefficients to the
-self-adjointness tolerance (`_diagonalized`) and takes the quarter grid
-only when both hold.  Let Q(k1) be the monomial unitary sending row j
-to row -j mod N, times the shift's corner phase lam(k1) = e^{i2pi q k1}
-for j != 0 (lam = 1 on the conjugated form).  Then Q C^{-1} Q^dagger = C
-and Q S(lam)^{-1} Q^dagger = S(conj lam), so pi_(-k)(a) = Q pi_k(a)
-Q^dagger in every family.  With the k1 mirror, column k2 = (G - j)/G of
-a stored row has the energies of column j/G and the frames R conj F,
-R = Q(-k1), transported by `twist_transport` on the weyl family, where
-that column is k2 = -j/G + 1.  So a pass diagonalizes (G//2 + 1)^2
-points, a quarter of the grid, and fills the frames of the other stored
-columns in place: every block keeps every k2 column of frames, and its
-energies are those of the diagonalized columns.
+expands them.  The energies of such a pass are those of the columns
+j = 0 .. G//2, each standing for column G - j too, so a pass hands over
+(G//2 + 1)^2 spectra.  Otherwise it stores all G rows and columns.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, List
@@ -94,7 +101,9 @@ from .representations import (
     FiberedRep,
     evaluate_at_points,
     evaluate_on_grid,
+    intertwiner_rows,
     reference_fibered_rep,
+    rotate,
     weyl_fibered_rep,
 )
 
@@ -136,35 +145,31 @@ class GapReport:
 
 
 def band_blocks(rep: FiberedRep, a: AlgebraElement, G: int):
-    """Bands of `a` on the G x G grid in blocks of stored k1 rows, one fiberwise eigh pass.
+    """Bands of `a` on the G x G grid of `rep`'s family in blocks of stored k1 rows.
 
     Yields (start, energies, frames) for the stored rows start ..
-    start + b - 1: energies (b, n, N) of the n diagonalized k2 columns
-    and frames (b, G, N, N), every k2 column; b comes from
-    `_kernels.block_rows`.  When a(n, m) = conj(a(-n, m)) and a(n, m) =
-    a(-n, -m) within 1e-12 (the k1 mirror and the flip; the flux
-    operator h qualifies), only the points
-    k = (i/G, j/G), i, j = 0 .. G//2, are diagonalized (see the module
-    docstring): the G//2 + 1 stored rows are k1-mirrored, and column
-    G - j of a stored row is filled by the flip intertwiner
-    (`_fill_flipped_columns`).  Any other self-adjoint element is
-    diagonalized on the full grid.
+    start + b - 1: energies (b, n, N) of the k2 columns 0 .. n - 1 and
+    frames (b, G, N, N), every k2 column; b comes from
+    `_kernels.block_rows`.  Every block is read off one orbit table (see
+    the module docstring).  When `a` admits the k1 mirror and the flip (h
+    does), n = G//2 + 1 rows are stored, k1-mirrored, each column j
+    standing for G - j too; otherwise n = G.
     """
-    k = np.arange(_diagonalized(a, G)) / G
-    step = _kernels.block_rows(G * rep.dim * rep.dim * np.dtype(complex).itemsize)
-    for i in range(0, len(k), step):
-        yield (i, *_band_rows(rep, a, G, k, i, i + step))
+    table = _OrbitTable(rep.ctx, a, G)
+    for i in range(0, table.rows, table.step):
+        yield (i, *table.read(rep, i))
 
 
 def band_energies(rep: FiberedRep, a: AlgebraElement, G: int):
-    """(rows, index): the energies of `band_blocks(rep, a, G)`, without eigenvectors.
+    """(rows, index): the energies of `band_blocks(rep, a, G)`, diagonalized directly.
 
-    Same checks, the same diagonalized points (a quarter of the grid for
-    h) and the same blocks of k1 rows, through `eigvalsh`; for consumers
-    that read no frames.  Each matrix is diagonalized on its own, so the
-    blocks' energies are those of one whole-grid call, bit for bit.
+    The same checks, the same n x n points (a quarter of the grid for h)
+    and the same blocks of k1 rows, each point through its own `eigvalsh`,
+    not read off an orbit table: isospectrality compares two spectra
+    diagonalized independently.  Each matrix is diagonalized on its own, so
+    the blocks' energies are those of one whole-grid call, bit for bit.
     """
-    n = _diagonalized(a, G)
+    n = _symmetries(rep.ctx, a, G)[0]
     k = np.arange(n) / G
     step = _kernels.block_rows(G * rep.dim * rep.dim * np.dtype(complex).itemsize)
     energies = np.concatenate([np.linalg.eigvalsh(_hermitian(evaluate_on_grid(
@@ -211,66 +216,23 @@ def hofstadter_energies(ctx: WeylContext, G: int):
 
 
 def dual_band_blocks(ctx: WeylContext, a: AlgebraElement, G: int):
-    """Weyl and reference bands of `a` at G in blocks of stored k1 rows, one weyl pass.
+    """Weyl and reference bands of `a` at G in blocks of stored k1 rows, one orbit table.
 
     Yields (kind, start, energies, frames) for the stored rows start ..
     start + b - 1, each family's energies and frames as `band_blocks`
-    yields them: the weyl block, `band_blocks` of the weyl family,
-    first, then the reference block read off it, kind "weyl" and
-    "reference".  Only one family's frames are in flight: the pass drops
-    the weyl block before it yields the reference one, so a consumer that
-    drops each block before it asks for the next (`chern.gap_certificates`)
-    never holds both.
-
-    The weyl family is the reference family read at a scaled k2,
-    pi^w_(k1, k2) = pi^r_(k1, M0 k2 / N), and the reference family is
-    invariant under the magnetic translation
-    pi^r_(k1, k2 + m/N) = W^m pi^r_k W^-m, W = S(e^{i2pi q k1})^a,
-    a = -(qM)^-1 mod N.  So reference column j (k2 = j/G) is weyl column
-    j_w conjugated by W^-m whenever M0 j_w = N j + m G: energies
-    E_r(i, j) = E_w(i, j_w) and frames F_r(i, j) = W^-m F_w(i, j_w), a row
-    permutation with phases e^{i2pi q k1} (W^-m = S^p, p = -a m mod N, up to
-    a scalar phase, which no frame consumer sees).  That needs
-    g = gcd(M0, G) to divide j; only the other columns are diagonalized,
-    on the block's rows.  conj W(k1) = W(-k1), so k1-mirrored weyl
-    bands give k1-mirrored reference bands, and when the weyl pass fills
-    its columns by the flip (`band_blocks`), so does this one: it
-    builds the reference columns j = 0 .. G//2 and fills the rest.  At
-    theta = r/q (M0 = 0, N = 1) the weyl family is constant in k2: g = G,
-    so only column 0 is read off it, and the others are diagonalized.
+    yields them: the weyl block first, then the reference block of the same
+    rows, kind "weyl" and "reference", both read off one `_OrbitTable`.
+    Only one family's frames are in flight: the pass drops each block
+    before it reads the next, so a consumer that drops each block before
+    it asks for the next (`chern.gap_certificates`) never holds both.
     """
-    rep_r = reference_fibered_rep(ctx)
-    N, M0 = ctx.N, ctx.M0
-    n = _diagonalized(a, G)
-    k = np.arange(n) / G
-    g = math.gcd(M0, G)
-    own = np.flatnonzero(np.arange(n) % g)        # columns no weyl column reaches
-    inv_qm = pow(ctx.q * ctx.M, -1, N)            # -a
-    inv_m0 = pow(M0 // g, -1, G // g)
-    read = []                                     # (j, j_w, p): F_r(j) = S^p F_w(j_w)
-    for j in range(0, n, g):
-        jw = N * (j // g) * inv_m0 % (G // g)
-        read.append((j, jw, inv_qm * ((M0 * jw - N * j) // G) % N))
-    fold = grid_index(n, G)[0]                    # E_w's column of weyl column j_w
-    for i, E_w, F_w in band_blocks(weyl_fibered_rep(ctx), a, G):
-        yield "weyl", i, E_w, F_w
-        rows = k[i:i + len(F_w)]
-        energies = np.empty((len(rows), n, N))
-        frames = np.empty_like(F_w)
-        if len(own):
-            energies[:, own], frames[:, own] = np.linalg.eigh(
-                _hermitian(evaluate_on_grid(rep_r, a, rows, k[own])))
-        lam = np.exp(1j * TWO_PI * ctx.q * rows)[:, None, None]
-        for j, jw, p in read:
-            energies[:, j] = E_w[:, fold[jw]]
-            src, dst = F_w[:, jw], frames[:, j]
-            dst[:, p:] = src[:, :N - p]                           # (S^p F)[i] = F[i - p]
-            np.multiply(lam, src[:, N - p:], out=dst[:, :p])      # wrapped: lam F[i - p + N]
-        del E_w, F_w, src, dst          # the weyl block goes before the reference one is read
-        if n < G:
-            _fill_flipped_columns(rep_r, frames, n, i)
-        yield "reference", i, energies, frames
-        del frames                      # before the next block is diagonalized
+    table = _OrbitTable(ctx, a, G)
+    families = (("weyl", weyl_fibered_rep(ctx)), ("reference", reference_fibered_rep(ctx)))
+    for i in range(0, table.rows, table.step):
+        for kind, rep in families:
+            energies, frames = table.read(rep, i)
+            yield kind, i, energies, frames
+            del frames                  # before the next block is read
 
 
 def expand_k1_mirror(rows: np.ndarray, G1: int) -> np.ndarray:
@@ -288,60 +250,103 @@ def expand_k1_mirror(rows: np.ndarray, G1: int) -> np.ndarray:
     return out
 
 
-def _diagonalized(a: AlgebraElement, G: int) -> int:
-    """n: a pass diagonalizes the k1 rows and the k2 columns 0 .. n-1 of the G x G grid.
+def _symmetries(ctx: WeylContext, a: AlgebraElement, G: int):
+    """(n, (mirror, flip, sigma, chi)): the maps of the k-grid that the coefficients of `a` admit.
 
-    n = G//2 + 1 when a(n, m) = conj(a(-n, m)) (the k1 mirror) and
-    a(n, m) = a(-n, -m) (the flip), both within 1e-12; n = G otherwise.
-    Raises SelfAdjointnessError unless a = a* within 1e-12.
+    mirror: a(n, m) = conj(a(-n, m)); flip: a(n, m) = a(-n, -m); sigma:
+    sigma(a) = a, with sigma(u^n v^m) = e^{i2pi theta nm} u^-m v^n; each
+    within 1e-12.  chi: every monomial has n + m odd, so chi(a) = -a, for
+    odd N on an even grid.  n = G//2 + 1 when mirror and flip hold (the
+    stored rows and energy columns of a band pass), G otherwise.  Raises
+    SelfAdjointnessError unless a = a* within 1e-12.
     """
     if not a.approx_equal(element_star(a), SELFADJOINT_TOL):
         raise SelfAdjointnessError("element is not self-adjoint within 1e-12")
-    mirror = {(-n, m): c.conjugate() for (n, m), c in a.coeffs.items()}
-    flip = {(-n, -m): c for (n, m), c in a.coeffs.items()}      # u -> u*, v -> v*
-    if all(a.approx_equal(AlgebraElement(a.theta, b), SELFADJOINT_TOL) for b in (mirror, flip)):
-        return G // 2 + 1
-    return G
+    images = ({(-n, m): c.conjugate() for (n, m), c in a.coeffs.items()},
+              {(-n, -m): c for (n, m), c in a.coeffs.items()},
+              {(-m, n): c * a.theta.phase(n * m) for (n, m), c in a.coeffs.items()})
+    mirror, flip, sigma = (a.approx_equal(AlgebraElement(a.theta, b), SELFADJOINT_TOL)
+                           for b in images)
+    chi = ctx.N % 2 == 1 and G % 2 == 0 and all((n + m) % 2 for n, m in a.coeffs)
+    return (G // 2 + 1 if mirror and flip else G), (mirror, flip, sigma, chi)
 
 
-def _band_rows(rep: FiberedRep, a: AlgebraElement, G: int, k: np.ndarray,
-               start: int, stop: int):
-    """Energies (b, n, N) and frames (b, G, N, N) of the stored rows start .. stop - 1.
+@functools.lru_cache(maxsize=None)
+def _orbits(G: int, mirror: bool, flip: bool, sigma: bool, chi: bool):
+    """(reps, row, word): the orbits of the G x G character grid under the maps admitted.
 
-    k = arange(n)/G holds the diagonalized k values, n = `_diagonalized(a, G)`:
-    the points (k[i], k[j]) of these rows are diagonalized, and the columns
-    j >= n are filled by the flip.
+    reps are the least cells x G + y of the orbits, ascending; cell c is
+    the image of cell reps[row[c]] under word[c] = (turn, mirror, chi):
+    sigma (x, y) -> (-y, x) `turn` times, then the k1 mirror
+    (x, y) -> (-x, y), then chi (x, y) -> (x + G/2, y + G/2).
     """
-    n = len(k)
-    energies, frames = np.linalg.eigh(_hermitian(evaluate_on_grid(rep, a, k[start:stop], k)))
-    if n < G:
-        full = np.empty((len(frames), G) + frames.shape[2:], frames.dtype)
-        full[:, :n] = frames
-        frames = full                   # frees eigh's block before the fill
-        _fill_flipped_columns(rep, frames, n, start)
-    return energies, frames
+    x, y = np.divmod(np.arange(G * G), G)
+    coords = [x, y, -x % G, -y % G]                         # x, y, -x, -y
+    turned = [(0, 1), (3, 0), (2, 3), (1, 2)]               # sigma^turn (x, y)
+    words = [(s, m, e) for s in ((0, 1, 2, 3) if sigma else (0, 2) if flip else (0,))
+             for m in range(1 + mirror) for e in range(1 + chi)]
+    images = np.array([(coords[turned[s][0] ^ 2 * m] + e * G // 2) % G * G
+                       + (coords[turned[s][1]] + e * G // 2) % G for s, m, e in words])
+    least = images.min(axis=0)
+    reps = np.flatnonzero(least == x * G + y)
+    word = np.array(words, np.int8)[(images[:, least] == x * G + y).argmax(axis=0)]
+    return reps, np.searchsorted(reps, least), word
 
 
-def _fill_flipped_columns(rep: FiberedRep, frames: np.ndarray, cols: int, start: int):
-    """Writes the frames of columns cols .. G-1 from those of columns G - j, in place.
+class _OrbitTable:
+    """eigh of the plain reference family at one cell of each orbit, read at any family's points.
 
-    `frames` holds the stored k1 rows i = start, start + 1, ...  F(i, G - j) is
-    R conj F(i, j), R = Q(-k1), transported by T = twist_transport(ctx, k1)
-    on the weyl family (see the module docstring).  R sends row j to row
-    -j mod N times conj(lam(k1)) for j != 0, and T R is the row reversal
-    j -> N - 1 - j times conj(lam(k1)): one conjugating copy per row, then
-    one phase multiply.
+    Cell (x, y) of the G x G character grid is the point (x/G, y/(N G)),
+    with characters V^N = e^{i2pi x/G} and U^N = e^{i2pi y/G}; its word
+    (`_orbits`) carries its orbit's representative onto it.  Turns are
+    integer numerators over L = 2 N G, whose roots of unity `cis` holds.
     """
-    G, N = frames.shape[1], frames.shape[-2]
-    src, dst = frames[:, G - cols:0:-1], frames[:, cols:]
-    weyl = rep.kind == "weyl"
-    j = np.arange(N)
-    to = N - 1 - j if weyl else -j % N
-    for row in range(N):
-        np.conjugate(src[..., row, :], out=dst[..., to[row], :])
-    if not rep.conjugated:
-        lam = np.exp(-1j * TWO_PI * rep.ctx.q * np.arange(start, start + len(frames)) / G)
-        dst[..., 0 if weyl else 1:, :] *= lam[:, None, None, None]     # T R: every row; R: j != 0
+
+    def __init__(self, ctx: WeylContext, a: AlgebraElement, G: int):
+        self.rows, maps = _symmetries(ctx, a, G)
+        reps, self.row, self.word = _orbits(G, *maps)
+        self.ctx, self.G = ctx, G
+        self.step = _kernels.block_rows(G * ctx.N * ctx.N * np.dtype(complex).itemsize)
+        self.x, self.y = x, y = np.divmod(reps, G)
+        N, R = ctx.N, len(reps)
+        k1 = 2 * N * np.array([[x, -x], [-y, y]])       # [b, mirror]: sigma^b(rep), mirrored
+        k2 = 2 * np.array([[y, y], [x, x]])
+        self.src = np.moveaxis([k2, ctx.n_r * k1, ctx.q * k1], -1, 0)   # [rep, (u, mu, lam), b, m]
+        self.cis = np.exp(1j * TWO_PI * np.arange(2 * N * G) / (2 * N * G))
+        self.energies, self.frames = np.empty((R, N)), np.empty((R, N, N), complex)
+        ref, k2 = reference_fibered_rep(ctx), np.arange(G) / (N * G)
+        step = _kernels.block_rows(4 * N * N * np.dtype(complex).itemsize)   # a quarter block
+        for i in range(0, R, step):
+            x, j = np.unique(self.x[i:i + step], return_inverse=True)      # reps sorted by x
+            self.energies[i:i + step], self.frames[i:i + step] = np.linalg.eigh(_hermitian(
+                evaluate_at_points(ref, a, x / G, k2, j, self.y[i:i + step])))
+
+    def read(self, rep: FiberedRep, start: int):
+        """Energies (b, n, N) and frames (b, G, N, N) of `rep`'s stored rows from `start`."""
+        ctx, G, N, L = self.ctx, self.G, self.ctx.N, len(self.cis)
+        i, j = np.divmod(np.arange(start * G, min(start + self.step, self.rows) * G), G)
+        u, mu, lam = dst = rep.turns(i, j, G)
+        cell = (N * mu + ctx.d_r * lam) // (2 * N) % G * G + u // 2 % G   # of (V^N, U^N)
+        r = self.row[cell]
+        turn, mirror, chi = self.word[cell].T
+        odd, neg = turn % 2 == 1, chi == 1
+        rows, phase = intertwiner_rows(ctx, self.src[r, :, turn % 2, mirror].T, dst, 1 - 2 * chi,
+                                       np.where(turn >= 2, -1, 1), self.cis)
+        F = self.frames.reshape(-1, N)[r[:, None] * N + rows]   # row r N + l: row l of rep r
+        if odd.any():                   # Phi F of each representative once
+            seen = np.zeros(len(self.x), int)
+            seen[r[odd]] = 1
+            reps = np.flatnonzero(seen)
+            seen[reps] = np.arange(len(reps))
+            Fs = rotate(ctx, self.frames[reps], 2 * N * self.x[reps], 2 * self.y[reps], self.cis)
+            F[odd] = Fs[seen[r[odd], None], rows[odd] * pow(ctx.d_r, -1, N) % N]
+            del Fs
+        np.conjugate(F, out=F, where=mirror[:, None, None] == 1)
+        F *= phase[..., None]
+        F[neg] = F[neg, :, ::-1]        # chi(a) = -a: energies -E reversed, columns reversed
+        E = self.energies[r]
+        E[neg] = -E[neg, ::-1]
+        return E.reshape(-1, G, N)[:, :self.rows].copy(), F.reshape(-1, G, N, N)
 
 
 def _hermitian(H: np.ndarray) -> np.ndarray:

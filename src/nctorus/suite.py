@@ -124,8 +124,8 @@ def _fermi_field_rows(ctx: WeylContext, h, weyl: FiberedRep, gap: GapInfo, G: in
         if len(even):
             twice.add(even)
         thrice.add(F[:, cols])
-        del F, even                     # before the next block is diagonalized
-    E = np.concatenate(energies)        # the diagonalized points' energies
+        del F, even                     # before the next block is read
+    E = np.concatenate(energies)        # the stored points' energies
     try:
         fermi_rank(E, band_edges(E), gap.fermi)
     except NumericalFailure as exc:

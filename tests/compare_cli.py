@@ -1,4 +1,4 @@
-"""Run thirty-two fixed CLI commands under two source trees and diff what they emit.
+"""Run thirty-three fixed CLI commands under two source trees and diff what they emit.
 
     python3 tests/compare_cli.py OLD_SRC NEW_SRC
 
@@ -69,8 +69,7 @@ COMMANDS = (
     ("verify", "--theta", "2/5", "--rep", "3,1", "--grid", "9"),
     # the pullback lemma's wrong-integer FAIL row: 3/8 (3,1) at G = 4 reads 8
     ("verify", "--theta", "3/8", "--rep", "3,1", "--grid", "4"),
-    # gcd(M0, G) = 4 (M0 = -4): the reference columns that no weyl column
-    # reaches are diagonalized on their own
+    # gcd(M0, G) = 4 (M0 = -4): every weyl point reads a cell of every fourth column
     ("chern", "--theta", "2/5", "--rep", "3,2", "--grid", "16"),
     # odd butterfly grids: the CSV's own pass (its fine grid is 16), and the
     # certificates of an odd grid beside the same CSV
@@ -85,6 +84,8 @@ COMMANDS = (
     ("chern", "--theta", "2/25", "--grid", "32"),
     # verify's largest isospectrality pass, in blocks of k1 rows: the RSS column
     ("verify", "--theta", "21/34", "--grid", "64"),
+    # the largest orbit table of the list, 289 frames of 55 x 55: the RSS column
+    ("chern", "--theta", "34/55", "--grid", "64"),
     # a colored sweep away from rep (1,0): its CSV is the uncolored one
     ("butterfly", "--farey", "4", "--grid", "12", "--rep", "2,1", "--format", "csv",
      "--format", "svg", "--color-gaps"),

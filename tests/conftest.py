@@ -73,10 +73,9 @@ def band_passes(monkeypatch):
     `band_blocks` and `band_energies` are passes over the same matrices,
     with and without eigenvectors, and record their family's kind;
     `dual_band_blocks`, the row-block pass of both families
-    (`chern.gap_certificates`), takes its weyl blocks from `band_blocks`,
-    which records the weyl family, and reads the reference frames off
-    them.  `hofstadter_energies`, which reads the energies of h off its
-    central characters, records the kind "character".
+    (`chern.gap_certificates`), reads both off one orbit table and records
+    the kind "dual".  `hofstadter_energies`, which reads the energies of h
+    off its central characters, records the kind "character".
     """
     calls = []
 
@@ -86,14 +85,17 @@ def band_passes(monkeypatch):
             return fn(rep, a, G)
         return counted
 
-    def counting_characters(fn):
-        def counted(ctx, G):
-            calls.append((ctx.M, ctx.N, "character", G))
-            return fn(ctx, G)
-        return counted
+    def counting_contexts(kind):
+        def wrap(fn):
+            def counted(ctx, *args):
+                calls.append((ctx.M, ctx.N, kind, args[-1]))
+                return fn(ctx, *args)
+            return counted
+        return wrap
 
     for name, wrap in (("band_blocks", counting), ("band_energies", counting),
-                       ("hofstadter_energies", counting_characters)):
+                       ("dual_band_blocks", counting_contexts("dual")),
+                       ("hofstadter_energies", counting_contexts("character"))):
         counted = wrap(getattr(spectral, name))
         for mod in (chern, cli, spectral, suite):
             if name in vars(mod):

@@ -11,11 +11,14 @@ and `connes_chern_via_derivatives` evaluates the character by the
 derivative formula, independently of the plaquette path.  Tests compare
 the streamed certificates and suite rows with them.  `evaluate_by_powers`
 sums matrix powers of the generators, the oracle of the package's one
-evaluator `representations.evaluate_at_points`.
+evaluator `representations.evaluate_at_points`.  `orbit_count` counts the
+orbits of the character grid by a walk of its own: the matrices one
+orbit table (`spectral._OrbitTable`) diagonalizes.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,3 +172,29 @@ def pullback_field(field: ProjectorField, n1: int, n2: int) -> ProjectorField:
     frames = field.frames[np.ix_(np.where(mirrored, G - i, i), n2 * np.arange(G) % G)]
     frames[mirrored] = frames[mirrored].conj()
     return ProjectorField(field.rep, frames)
+
+
+def orbit_count(G: int, mirror=True, flip=True, sigma=True, chi=True) -> int:
+    """Orbits of the G x G character grid under the maps named, found by a walk over each orbit.
+
+    The k1 mirror (x, y) -> (-x, y), the flip (x, y) -> (-x, -y), sigma
+    (x, y) -> (-y, x), and chi (x, y) -> (x + G/2, y + G/2) on an even grid.
+    """
+    maps = [f for f, on in [(lambda x, y: (-x % G, y), mirror),
+                            (lambda x, y: (-x % G, -y % G), flip),
+                            (lambda x, y: (-y % G, x), sigma),
+                            (lambda x, y: ((x + G // 2) % G, (y + G // 2) % G), chi and G % 2 == 0)]
+            if on]
+    seen, count = set(), 0
+    for cell in itertools.product(range(G), repeat=2):
+        if cell not in seen:
+            count += 1
+            seen.add(cell)
+            todo = [cell]
+            while todo:
+                x, y = todo.pop()
+                for image in (f(x, y) for f in maps):
+                    if image not in seen:
+                        seen.add(image)
+                        todo.append(image)
+    return count

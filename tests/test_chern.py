@@ -1,6 +1,7 @@
 """Topological layer: lattice Chern numbers, duality, conductance triples."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from fields import (
     fermi_projector_field,
     fhs_chern,
     identity_field,
+    orbit_count,
     pullback_field,
 )
 
@@ -340,20 +342,21 @@ def test_numeric_trace_and_character_of_a_mirrored_field(G):
 
 
 def test_certificates_from_mirrored_bands_match_the_full_grid(monkeypatch, eigh_matrices):
-    # the streamed pass on the quarter grid, k1 mirror and flip filled, against
-    # the same pass diagonalizing every grid point (M0 = -5: no reference
-    # column is diagonalized on its own)
+    # the streamed pass read off the orbit table of the mirror, the flip, sigma
+    # and chi, against the same pass with the trivial group, which diagonalizes
+    # every cell of the character grid
     ctx = ctx_of(3, 7, 3, 2)
     certs = gap_certificates(ctx, 16)
-    diagonalized = spectral._diagonalized
+    symmetries = spectral._symmetries
 
-    def full_grid(a, G):
-        diagonalized(a, G)              # keeps the self-adjointness check
-        return G
+    def trivial(ctx, a, G):
+        symmetries(ctx, a, G)           # keeps the self-adjointness check
+        return G, (False,) * 4
 
-    monkeypatch.setattr(spectral, "_diagonalized", full_grid)
+    monkeypatch.setattr(spectral, "_symmetries", trivial)
     full = gap_certificates(ctx, 16)
-    assert sum(eigh_matrices) == 9 * 9 + 16 * 16
+    assert sum(eigh_matrices) == orbit_count(16) + orbit_count(16, False, False, False, False)
+    assert orbit_count(16, False, False, False, False) == 16 * 16
     for c, c_full in zip(certs, full, strict=True):
         assert c["record"] == dataclasses.replace(c_full["record"], residual=c["record"].residual)
         assert c["ncint"] == pytest.approx(c_full["ncint"], abs=1e-12)
@@ -462,15 +465,34 @@ def test_grid_stability_24_vs_48():
                                          ((2, 5, 3, 2), 1)])
 def test_gap_certificates_one_spectral_pass_per_rep_and_grid(band_passes, eigh_matrices,
                                                              spec, passes):
-    # the weyl pass on the quarter grid (k1 rows and k2 columns 0 .. 6), and
-    # reference eigh only on the columns k2 = j/12, j <= 6, that no weyl column
-    # reaches: none at M0 = -1, the 5 with 4 not dividing j at M0 = -4, and all
-    # but column 0 at theta = r/q, where the weyl family is constant in k2
+    # one orbit table per (context, grid) feeds both families: 16 cells of the
+    # 12 x 12 character grid at M0 = -1, 0 and -4 alike, where the reference
+    # family's own columns and the constant weyl family at theta = r/q once
+    # took eigh passes of their own
     ctx = ctx_of(*spec)
     gap_certificates(ctx, 12)
-    assert band_passes == [(ctx.M, ctx.N, "weyl", 12)] * passes
-    own = {0: 6, -1: 0, -4: 5}[ctx.M0]
-    assert eigh_matrices == [7 * 7] + ([7 * own] if own else [])
+    assert band_passes == [(ctx.M, ctx.N, "dual", 12)] * passes
+    assert eigh_matrices == [orbit_count(12)] == [16]
+
+
+CERTIFY_SMALL = [(M, N, q, r) for M, N in [(1, 3), (1, 5), (2, 5), (3, 7)]
+                 for q, r in [(1, 0), (2, 1), (3, 1), (3, 2)] if math.gcd(N, q) == 1]
+
+
+def test_orbit_tables_take_289_matrices_per_context_at_64(eigh_matrices):
+    # the D4 x chi orbits of the 64 x 64 character grid: 289 for odd N, and
+    # 561 for even N, where chi is no symmetry; a pass diagonalized 1,089
+    # points per context before, and more where gcd(M0, 64) > 1
+    counts = []
+    for spec in CERTIFY_SMALL + [(8, 13, 2, 1), (5, 8, 3, -2)]:
+        ctx = ctx_of(*spec)
+        done = sum(eigh_matrices)
+        next(spectral.dual_band_blocks(ctx, hofstadter_element(ctx.theta), 64))
+        counts.append(sum(eigh_matrices) - done)
+    assert len(CERTIFY_SMALL) == 14
+    assert counts == [289] * 15 + [561]
+    assert sum(counts[:14]) == 4046
+    assert (orbit_count(64), orbit_count(64, chi=False)) == (289, 561)
 
 
 @pytest.mark.parametrize("spec, G", [
@@ -542,12 +564,14 @@ def test_streamed_certificates_hold_no_whole_frames():
     # one family's block of frames is in flight at a time: 8/13 at G = 64 takes
     # blocks of 3 rows, and its traced peak stays within 6 of them (3.1 MB), the
     # block a kernel sums, that kernel's link buffer of two blocks, and room for
-    # the carried rows, the energies and the elimination's temporaries.  Both
-    # families' stored frames are 11.4 MB; holding both families' blocks and a
-    # row-0 copy per kernel peaked at 3.3 MB
+    # the carried rows, the energies and the elimination's temporaries, beside
+    # the orbit table's 289 frames (0.78 MB).  Both families' stored frames are
+    # 11.4 MB; holding both families' blocks and a row-0 copy per kernel peaked
+    # at 3.3 MB
     ctx = ctx_of(8, 13, 2, 1)
     row = 64 * 13 * 13 * 16
     block = _kernels.block_rows(row) * row
+    table = orbit_count(64) * 13 * 13 * 16
     tracemalloc.start()
     try:
         certs = gap_certificates(ctx, 64)
@@ -555,4 +579,4 @@ def test_streamed_certificates_hold_no_whole_frames():
     finally:
         tracemalloc.stop()
     assert len(certs) == 14
-    assert peak < 6 * block
+    assert peak < 6 * block + table

@@ -14,6 +14,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from fields import orbit_count
 from hypothesis import given, settings, strategies as st
 
 from nctorus import cli
@@ -44,6 +45,22 @@ def test_labels_classical_table(tmp_path):
     rows = json.loads((out / "labels_1_3_q1r0.json").read_text())
     assert [(r["g"], r["d"], r["t"], r["s"]) for r in rows] == [
         (0, 0, 0, 0), (1, 1, 0, 1), (2, 2, 1, -1), (3, 3, 1, 0)]
+
+
+@pytest.mark.parametrize("command", ["labels", "chern"])
+def test_labels_merged_below_gap_tol_are_named_on_stderr(tmp_path, capsys, command):
+    # two slots of 2/21 are 2.5e-9 wide, below GAP_TOL: the exact report merges
+    # their bands, so d = 1 and d = 20 get no certificate; files, stdout and the
+    # exit code are those of the other gaps
+    status = run(command, "--theta", "2/21", "--grid", "32", "--out", str(tmp_path))
+    out, err = capsys.readouterr()
+    assert err == ("note: theta=2/21 rep=(1,0): no certificate for d=1, 20: "
+                   "slots narrower than GAP_TOL=1e-08 merge their bands\n")
+    assert status == EXIT_OK
+    assert out.count(" g=") == 20                       # one line per certificate
+    assert run(command, "--theta", "1/3", "--theta", "1/4", "--grid", "16",
+               "--out", str(tmp_path)) == EXIT_OK
+    assert capsys.readouterr().err == ""     # 1/4: the closed central slot is no note
 
 
 def test_labels_even_denominator_has_no_internal_gaps(tmp_path):
@@ -680,18 +697,16 @@ def test_butterfly_colored_bands_do_not_cross_certified_gaps(tmp_path):
 
 def test_butterfly_color_gaps_one_spectral_pass_per_theta(tmp_path, band_passes,
                                                          eigh_matrices):
-    # one band pass per theta for the certificates: the weyl bands at G,
-    # diagonalized on the quarter grid (k1 rows and k2 columns 0 .. 4); the
-    # reference bands are read off them, all columns at 1/3 (M0 = 1), the even
-    # ones at 2/5 (M0 = 2), whose odd columns 1 and 3 are diagonalized on the 5
-    # stored k1 rows; columns 5 .. 7 are filled.  The CSV reads its energies off
-    # the central characters, as without --color-gaps, with no eigenvectors
+    # one band pass per theta for the certificates: both families read off one
+    # orbit table, the 9 orbits of the 8 x 8 character grid, at 1/3 (M0 = 1)
+    # and at 2/5 (M0 = 2) alike.  The CSV reads its energies off the central
+    # characters, as without --color-gaps, with no eigenvectors
     out = tmp_path / "o"
     assert run("butterfly", "--theta", "1/3", "--theta", "2/5", "--grid", "8", "--format", "csv",
                "--format", "svg", "--color-gaps", "--out", str(out)) == EXIT_OK
-    assert sorted(band_passes) == [(1, 3, "character", 8), (1, 3, "weyl", 8),
-                                   (2, 5, "character", 8), (2, 5, "weyl", 8)]
-    assert sorted(eigh_matrices) == [5 * 2, 5 * 5, 5 * 5]
+    assert sorted(band_passes) == [(1, 3, "character", 8), (1, 3, "dual", 8),
+                                   (2, 5, "character", 8), (2, 5, "dual", 8)]
+    assert eigh_matrices == [orbit_count(8)] * 2 == [9, 9]
 
 
 def test_butterfly_svg_only_diagonalizes_no_csv_grid(tmp_path, band_passes):

@@ -16,9 +16,10 @@ from fields import (
     constant_projector_field,
     fermi_projector_field,
     identity_field,
+    orbit_count,
 )
 
-from nctorus import cli, spectral
+from nctorus import _kernels, chern, cli, spectral
 from nctorus.algebra import AlgebraElement, hofstadter_element, monomial, unit
 from nctorus.arithmetic import gap_label_d
 from nctorus.representations import (
@@ -111,7 +112,7 @@ def test_k1_mirror_matches_full_grid(family, M, N, q, r, G, eigh_matrices, eigva
     ctx = ctx_of(M, N, q, r)
     rep, h = family(ctx), hofstadter_element(ctx.theta)
     bd = package_bands(rep, h, G)
-    assert eigh_matrices == [(G // 2 + 1) ** 2]      # the flip halves the diagonalized k2 columns
+    assert eigh_matrices == [orbit_count(G)]        # one point per orbit: mirror, flip, sigma, chi
     assert bd.frames.shape[:2] == (G // 2 + 1, G)
     assert np.abs(_on_grid(*band_energies(rep, h, G)) - bd.energies).max() < 1e-12
     assert sum(eigvalsh_matrices) == (G // 2 + 1) ** 2   # in blocks of stored rows
@@ -136,7 +137,8 @@ def test_element_without_k1_mirror_takes_full_grid(family, M, N, q, r, G, eigh_m
     a = AlgebraElement(ctx.theta, {(1, 0): 1, (-1, 0): 1, (0, 1): 1 + 1j, (0, -1): 1 - 1j})
     rep = family(ctx)
     bd = package_bands(rep, a, G)
-    assert sum(eigh_matrices) == G * G              # in blocks of stored rows
+    # chi alone: every monomial has n + m odd, so chi(a) = -a on an even grid
+    assert sum(eigh_matrices) == orbit_count(G, mirror=False, flip=False, sigma=False)
     assert bd.frames.shape[0] == G
     assert np.abs(_on_grid(*band_energies(rep, a, G)) - bd.energies).max() < 1e-12
     assert sum(eigvalsh_matrices) == G * G
@@ -184,7 +186,7 @@ def test_element_without_the_flip_takes_full_grid(family, G, eigh_matrices,
     a = AlgebraElement(ctx.theta, {(1, 0): 1 + 1j, (-1, 0): 1 - 1j, (0, 1): 1, (0, -1): 1})
     rep = family(ctx)
     bd = package_bands(rep, a, G)
-    assert sum(eigh_matrices) == G * G              # in blocks of stored rows
+    assert sum(eigh_matrices) == orbit_count(G, flip=False, sigma=False)    # the mirror and chi
     assert bd.frames.shape == (G, G, 13, 13)
     assert np.abs(_on_grid(*band_energies(rep, a, G)) - bd.energies).max() < 1e-12
     assert sum(eigvalsh_matrices) == G * G
@@ -199,15 +201,44 @@ def test_element_without_the_flip_takes_full_grid(family, G, eigh_matrices,
     assert np.abs(np.linalg.eigvalsh(flipped) - direct.energies).max() > 0.1
 
 
+NO_MIRROR = {(1, 0): 1, (-1, 0): 1, (0, 1): 1 + 1j, (0, -1): 1 - 1j}   # h + i(v - v*)
+
+def _element(ctx, mirrored):
+    return hofstadter_element(ctx.theta) if mirrored else AlgebraElement(
+        ctx.theta, {(1, 0): 1, (-1, 0): 1, (0, 1): 1 + 1j, (0, -1): 1 - 1j})   # h + i(v - v*)
+
+
+def _table_matrices(N, G, mirrored):
+    """The eigh matrices of an orbit table: h admits all four maps, the no-mirror element chi."""
+    return orbit_count(G, mirror=mirrored, flip=mirrored, sigma=mirrored, chi=N % 2 == 1)
+
+
+def _assert_direct(rep, a, E, F, G):
+    """Every stored point's energies within 1e-12 of eigh, and each gap rank's projector within 1e-10."""
+    direct = bands_on_grid(rep, a, G)
+    assert np.abs(_on_grid(*_pass_rows(E, G)) - direct.energies).max() < 1e-12
+    ranks = _gap_ranks(direct.energies)
+    assert ranks or rep.dim <= 2        # one band, or the two touching bands of N = 2
+    F = expand_k1_mirror(np.concatenate(F), G)
+    for R in ranks:
+        assert np.abs(_projector(F, R) - _projector(direct.frames, R)).max() < 1e-10
+
+
+# M0 = 3, -2, -4, -5, 1 (even N: no chi), 0 (N = 1), 1 (N = 2); gcd(M0, G) = 4 at
+# 2/5 (3,2), G = 12 and 16; an odd grid has no chi
+DUAL_CONTEXTS = [(8, 13, 2, 1), (1, 5, 3, 1), (2, 5, 3, 2), (3, 7, 3, 2), (5, 8, 3, -2),
+                 (0, 1, 1, 0), (1, 2, 1, 0)]
+
+
 @pytest.mark.parametrize("mirrored", [True, False], ids=["h", "no-mirror"])
-@pytest.mark.parametrize("M, N, q, r", [(8, 13, 2, 1), (1, 5, 3, 1), (2, 5, 3, 2)])
-@pytest.mark.parametrize("G", [15, 16])
+@pytest.mark.parametrize("M, N, q, r", DUAL_CONTEXTS)
+@pytest.mark.parametrize("G", [15, 16, 12, 24])
 def test_dual_bands_read_the_reference_off_the_weyl_pass(M, N, q, r, G, mirrored,
                                                          eigh_matrices):
-    # M0 = 3, -2, -4: g = gcd(M0, G) is 1, 2, 4 at G = 16 and 3, 1, 1 at G = 15
+    # both families read off one orbit table: weyl point (i, j) is cell
+    # (i, M0 j mod G), reference point (i, j) is cell (i, N j mod G)
     ctx = ctx_of(M, N, q, r)
-    a = hofstadter_element(ctx.theta) if mirrored else AlgebraElement(
-        ctx.theta, {(1, 0): 1, (-1, 0): 1, (0, 1): 1 + 1j, (0, -1): 1 - 1j})
+    a = _element(ctx, mirrored)
     kinds, starts = [], []
     E = {"weyl": [], "reference": []}
     F = {"weyl": [], "reference": []}
@@ -216,46 +247,71 @@ def test_dual_bands_read_the_reference_off_the_weyl_pass(M, N, q, r, G, mirrored
         starts.append(start)
         E[kind].append(energies)
         F[kind].append(frames)
-    E_r, E_w = E["reference"], E["weyl"]
-    F_r, F_w = np.concatenate(F["reference"]), np.concatenate(F["weyl"])
-    g = math.gcd(ctx.M0, G)
-    rows = cols = G // 2 + 1 if mirrored else G        # h: the quarter grid, then filled
-    own = sum(j % g != 0 for j in range(cols))
-    assert sum(eigh_matrices) == rows * (cols + own)
-    # each block's weyl frames first, then the reference frames read off them
-    assert kinds == ["weyl", "reference"] * len(E_r)
-    assert starts[::2] == starts[1::2] == list(range(0, rows, len(E_r[0])))
-    assert len(F_r) == len(F_w) == rows
-    assert np.abs(_on_grid(*_pass_rows(E_w, G))
-                  - bands_on_grid(weyl_fibered_rep(ctx), a, G).energies).max() < 1e-12
-    direct = bands_on_grid(reference_fibered_rep(ctx), a, G)
-    assert np.abs(_on_grid(*_pass_rows(E_r, G)) - direct.energies).max() < 1e-12
-    ranks = _gap_ranks(direct.energies)
-    assert ranks
-    F = expand_k1_mirror(F_r, G)
-    for R in ranks:
-        assert np.abs(_projector(F, R) - _projector(direct.frames, R)).max() < 1e-10
+    rows = G // 2 + 1 if mirrored else G
+    assert sum(eigh_matrices) == _table_matrices(N, G, mirrored)
+    # each block's weyl frames first, then the reference frames of the same rows
+    assert kinds == ["weyl", "reference"] * len(E["reference"])
+    assert starts[::2] == starts[1::2] == list(range(0, rows, len(E["reference"][0])))
+    for kind, rep in (("weyl", weyl_fibered_rep(ctx)), ("reference", reference_fibered_rep(ctx))):
+        assert sum(map(len, F[kind])) == rows
+        _assert_direct(rep, a, E[kind], F[kind], G)
 
 
 @pytest.mark.parametrize("mirrored", [True, False], ids=["h", "no-mirror"])
 @pytest.mark.parametrize("G", [7, 16])
 def test_band_blocks_are_one_pass_in_row_blocks(G, mirrored, monkeypatch, eigh_matrices):
     # blocks of at most 2 stored rows here (one row at G = 16: 16 x 13 x 13 x 16
-    # bytes), in order, that together are the whole pass in one block
+    # bytes), in order, that together are the whole pass in one block; the
+    # table diagonalizes its representatives a quarter block at a time
     monkeypatch.setattr(spectral._kernels, "BLOCK_BYTES", 2 * 7 * 13 * 13 * 16)
     ctx = ctx_of(8, 13, 2, 1)
     rep = reference_fibered_rep(ctx)
-    a = hofstadter_element(ctx.theta) if mirrored else AlgebraElement(
-        ctx.theta, {(1, 0): 1, (-1, 0): 1, (0, 1): 1 + 1j, (0, -1): 1 - 1j})
+    a = _element(ctx, mirrored)
     starts, E, F = zip(*band_blocks(rep, a, G))
     rows = G // 2 + 1 if mirrored else G
     step = 2 if G == 7 else 1
     assert starts == tuple(range(0, rows, step))
-    assert max(eigh_matrices) == step * (G // 2 + 1 if mirrored else G)
+    assert sum(eigh_matrices) == _table_matrices(13, G, mirrored)
+    assert max(eigh_matrices) == _kernels.block_rows(4 * 13 * 13 * 16) == 3
+    _assert_direct(rep, a, E, F, G)
     monkeypatch.setattr(spectral._kernels, "BLOCK_BYTES", 1 << 30)
     bd = package_bands(rep, a, G)
     assert np.array_equal(np.concatenate(F), bd.frames)
     assert np.array_equal(_on_grid(*_pass_rows(E, G)), bd.energies)
+
+
+@pytest.mark.parametrize("family", MIRROR_FAMILIES)
+@pytest.mark.parametrize("mirrored", [True, False], ids=["h", "no-mirror"])
+@pytest.mark.parametrize("spec, G", [
+    ((3, 7, 3, 2), 16), ((2, 5, 3, 2), 12), ((2, 5, 3, 2), 16), ((5, 8, 3, -2), 24),
+    ((8, 13, 2, 1), 15), ((0, 1, 1, 0), 8), ((1, 2, 1, 0), 8)])
+def test_band_blocks_read_every_family_off_the_table(family, mirrored, spec, G, monkeypatch,
+                                                     eigh_matrices):
+    # one row per block: the conjugated reference family too reads its cells,
+    # (N i mod G, N j mod G), off the plain reference family's orbit table
+    ctx = ctx_of(*spec)
+    monkeypatch.setattr(spectral._kernels, "BLOCK_BYTES", 1)
+    rep, a = family(ctx), _element(ctx, mirrored)
+    starts, E, F = zip(*band_blocks(rep, a, G))
+    assert starts == tuple(range(G // 2 + 1 if mirrored else G))
+    assert sum(eigh_matrices) == _table_matrices(ctx.N, G, mirrored)
+    _assert_direct(rep, a, E, F, G)
+
+
+def test_a_wrong_phase_in_phi_fails_the_oracle_and_the_certificates(monkeypatch):
+    # a planted defect: sigma's DFT intertwiner Phi built on conjugated roots of
+    # unity, so the frames of every cell that sigma reaches are wrong
+    ctx = ctx_of(3, 7, 3, 2)
+    h = hofstadter_element(ctx.theta)
+    rotate = spectral.rotate
+    monkeypatch.setattr(spectral, "rotate",
+                        lambda ctx, F, k1, k2, cis: rotate(ctx, F, k1, k2, cis.conj()))
+    F = [frames for kind, _, _, frames in dual_band_blocks(ctx, h, 16) if kind == "weyl"]
+    direct = bands_on_grid(weyl_fibered_rep(ctx), h, 16)
+    F = expand_k1_mirror(np.concatenate(F), 16)
+    assert np.abs(_projector(F, 3) - _projector(direct.frames, 3)).max() > 0.1
+    with pytest.raises(chern.VerificationError):
+        chern.gap_certificates(ctx, 16)
 
 
 def test_gap_structure_theta_third():

@@ -1,12 +1,13 @@
 """Invariant suite: one spectral pass per context, failures as FAIL rows."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from conftest import ctx_of
-from fields import bands_on_grid, fermi_projector_field, fhs_chern, pullback_field
+from fields import bands_on_grid, fermi_projector_field, fhs_chern, orbit_count, pullback_field
 
 from nctorus import _kernels, chern, representations, suite
 from nctorus.algebra import (
@@ -38,34 +39,34 @@ def test_suite_one_spectral_pass_per_rep_and_grid(band_passes, monkeypatch):
     # isospectral_grid(1/3 (2,1), 32) == 32: isospectrality reads energies alone,
     # one pass of each family at 32.  The reference family's block pass at 2G
     # feeds the projector rows and the pullback lemma: one block of its 33
-    # stored rows at N = 3.  The certificates stream a weyl pass at 32 in row
-    # blocks: they run gap_certificates, the one certificate path every command runs
+    # stored rows at N = 3.  The certificates stream both families at 32 in row
+    # blocks off one orbit table: they run gap_certificates, the one
+    # certificate path every command runs
     blocks = []
     _recorded_blocks(monkeypatch, blocks)
     rows = run_invariant_suite(ctx_of(1, 3, 2, 1), 32)
     assert all(r.ok for r in rows)
     assert blocks == [("reference", 64, 0, 33)]
     assert band_passes == [(1, 3, "weyl", 32), (1, 3, "reference", 32),
-                           (1, 3, "reference", 64), (1, 3, "weyl", 32)]
+                           (1, 3, "reference", 64), (1, 3, "dual", 32)]
     iso = next(r for r in rows if r.name == "isospectrality")
     assert 0.0 < iso.value < 1e-12
 
 
 def test_suite_holds_no_whole_frame_array(eigh_matrices, monkeypatch):
     # every frame the suite reads comes from a pass in blocks of stored rows,
-    # so no eigh call takes more than one block: at 2G = 64, 3 rows of 33
-    # diagonalized columns; at G = 32, 6 rows of 17.  A whole 2G field hands
-    # all 33 x 33 = 1,089 matrices to one call
+    # read off an orbit table that diagonalizes its representatives a quarter
+    # block at a time: no eigh call takes more than 48 matrices at N = 13.
+    # The tables take 289 matrices at 2G = 64 and 81 at G = 32, and the seam
+    # row 8 more.  A whole 2G field hands all 33 x 33 = 1,089 matrices to one call
     blocks = []
     _recorded_blocks(monkeypatch, blocks)
     rows = {r.name: r for r in run_invariant_suite(ctx_of(8, 13, 2, 1), 32)}
     for name in ("projector-field", "projector-seam-transport", "pullback-lemma"):
         assert rows[name].ok, name
     assert [b[3] for b in blocks] == [3] * 11
-    largest = max(_kernels.block_rows(G * 13 * 13 * 16) * (G // 2 + 1) for G in (32, 64))
-    assert largest == 6 * 17
-    assert max(eigh_matrices) <= largest
-    assert sum(eigh_matrices) >= 33 * 33 + 17 * 17
+    assert max(eigh_matrices) == _kernels.block_rows(4 * 13 * 13 * 16) == 48
+    assert sum(eigh_matrices) == orbit_count(64) + orbit_count(32) + 8 == 289 + 81 + 8
 
 
 def test_the_suite_at_r_over_q_runs_the_weyl_rows(band_passes, monkeypatch):
@@ -85,7 +86,7 @@ def test_the_suite_at_r_over_q_runs_the_weyl_rows(band_passes, monkeypatch):
     assert glued == {"weyl", "reference"}
     assert rows["ambient-anchor"].detail == "t(identity) = 1, expected 1"
     assert rows["isospectrality"].detail == "Hausdorff at grid 12^2"
-    assert band_passes == [(0, 1, "reference", 12)] * 2 + [(0, 1, "weyl", 12)]
+    assert band_passes == [(0, 1, "reference", 12)] * 2 + [(0, 1, "dual", 12)]
 
 
 def test_suite_records_numerical_failures_as_rows():
@@ -135,6 +136,18 @@ def _whole_field_pullbacks(ctx, G):
     return out
 
 
+def _vanishing_links_alike(message: str) -> str:
+    """A failure message with a link determinant below 1e-12, rounding noise of an exact zero, masked.
+
+    Frames read off the orbit table and frames from eigh differ by a gauge,
+    so such a determinant's digits differ between them.
+    """
+    match = re.fullmatch(r"link determinant magnitude (\S+) < (.*)", message)
+    if match and float(match[1]) < 1e-12:
+        return f"link determinant magnitude ~0 < {match[2]}"
+    return message
+
+
 @pytest.mark.parametrize("spec, G", [
     pytest.param((2, 5, 3, 2), 12, id="even"),
     pytest.param((2, 5, 3, 1), 9, id="odd"),
@@ -166,13 +179,14 @@ def test_streamed_pullback_rows_match_the_whole_field(spec, G, monkeypatch):
     assert len(seen) == len(oracle)
     for got, want in zip(seen, oracle):
         if isinstance(want, str):
-            assert got == want
+            assert _vanishing_links_alike(got) == _vanishing_links_alike(want)
         else:
             assert got[0] == want[0]
             assert got[1] == pytest.approx(want[1], abs=1e-12)
     pb = rows["pullback-lemma"]
     if isinstance(oracle[-1], str):
-        assert (pb.value, pb.detail) == (float("inf"), oracle[-1])
+        assert pb.value == float("inf")
+        assert _vanishing_links_alike(pb.detail) == _vanishing_links_alike(oracle[-1])
     else:
         (c, _), (c21, _), (c13, _) = oracle
         assert pb.value == max(abs(c21 - 2 * c), abs(c13 - 3 * c))
