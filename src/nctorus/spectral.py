@@ -63,10 +63,11 @@ when every monomial has n + m odd, so that u, v -> -u, -v sends a to -a,
 by a monomial Psi, with frames Psi F[:, ::-1] and energies -E[::-1].  h
 admits all four: 289 orbits of the 64 x 64 grid for odd N, 561 for even
 N.  The table diagonalizes the least cell of each orbit; the word of a
-cell (`_orbits`) reads it off its representative: Phi once per
-representative a block needs, the conjugate, one row map with phases
-for the flip, Psi and W^m together (`representations.intertwiner_rows`),
-and the column reversal.  Plaquettes are gauge-invariant (`_kernels`),
+cell (`_orbits`) reads it off its representative: Phi (held for every
+representative when the table fits in one block twice over, else made
+per block for the representatives the block reads), the conjugate, one
+row map with phases for the flip, Psi and W^m together
+(`representations.intertwiner_rows`), and the column reversal.  Plaquettes are gauge-invariant (`_kernels`),
 so these frames certify what eigh's would.  An element without some map
 gets the subgroup it admits; the trivial group diagonalizes every cell.
 The table holds R N^2 x 16 bytes for R orbits, about G^2 N^2 bytes:
@@ -280,16 +281,23 @@ def _orbits(G: int, mirror: bool, flip: bool, sigma: bool, chi: bool):
     sigma (x, y) -> (-y, x) `turn` times, then the k1 mirror
     (x, y) -> (-x, y), then chi (x, y) -> (x + G/2, y + G/2).
     """
-    x, y = np.divmod(np.arange(G * G), G)
+    cells = np.arange(G * G)
+    x, y = np.divmod(cells, G)
     coords = [x, y, -x % G, -y % G]                         # x, y, -x, -y
     turned = [(0, 1), (3, 0), (2, 3), (1, 2)]               # sigma^turn (x, y)
     words = [(s, m, e) for s in ((0, 1, 2, 3) if sigma else (0, 2) if flip else (0,))
              for m in range(1 + mirror) for e in range(1 + chi)]
-    images = np.array([(coords[turned[s][0] ^ 2 * m] + e * G // 2) % G * G
-                       + (coords[turned[s][1]] + e * G // 2) % G for s, m, e in words])
-    least = images.min(axis=0)
-    reps = np.flatnonzero(least == x * G + y)
-    word = np.array(words, np.int8)[(images[:, least] == x * G + y).argmax(axis=0)]
+
+    def image(s, m, e):
+        return ((coords[turned[s][0] ^ 2 * m] + e * G // 2) % G * G
+                + (coords[turned[s][1]] + e * G // 2) % G)
+
+    least = functools.reduce(np.minimum, map(image, *zip(*words)))
+    reps = np.flatnonzero(least == cells)
+    word = np.full(G * G, -1)
+    for k, w in enumerate(words):                   # the first word that reaches each cell
+        word[(word < 0) & (image(*w)[least] == cells)] = k
+    word = np.array(words, np.int8)[word]
     return reps, np.searchsorted(reps, least), word
 
 
@@ -313,13 +321,19 @@ class _OrbitTable:
         k2 = 2 * np.array([[y, y], [x, x]])
         self.src = np.moveaxis([k2, ctx.n_r * k1, ctx.q * k1], -1, 0)   # [rep, (u, mu, lam), b, m]
         self.cis = np.exp(1j * TWO_PI * np.arange(2 * N * G) / (2 * N * G))
-        self.energies, self.frames = np.empty((R, N)), np.empty((R, N, N), complex)
+        # the sigma images of the representatives are held beside them when both fit
+        # in one block; a larger table rotates, per block, the ones the block reads
+        held = 2 * R * N * N * np.dtype(complex).itemsize <= _kernels.BLOCK_BYTES
+        self.energies, self.frames = np.empty((R, N)), np.empty((R, 1 + held, N, N), complex)
         ref, k2 = reference_fibered_rep(ctx), np.arange(G) / (N * G)
         step = _kernels.block_rows(4 * N * N * np.dtype(complex).itemsize)   # a quarter block
         for i in range(0, R, step):
             x, j = np.unique(self.x[i:i + step], return_inverse=True)      # reps sorted by x
-            self.energies[i:i + step], self.frames[i:i + step] = np.linalg.eigh(_hermitian(
+            self.energies[i:i + step], self.frames[i:i + step, 0] = np.linalg.eigh(_hermitian(
                 evaluate_at_points(ref, a, x / G, k2, j, self.y[i:i + step])))
+        if held:
+            z = rotate(ctx, self.frames[:, 0], 2 * N * self.x, 2 * self.y, self.cis)
+            self.frames[:, 1] = z[:, np.arange(N) * pow(ctx.d_r, -1, N) % N]
 
     def read(self, rep: FiberedRep, start: int):
         """Energies (b, n, N) and frames (b, G, N, N) of `rep`'s stored rows from `start`."""
@@ -332,13 +346,15 @@ class _OrbitTable:
         odd, neg = turn % 2 == 1, chi == 1
         rows, phase = intertwiner_rows(ctx, self.src[r, :, turn % 2, mirror].T, dst, 1 - 2 * chi,
                                        np.where(turn >= 2, -1, 1), self.cis)
-        F = self.frames.reshape(-1, N)[r[:, None] * N + rows]   # row r N + l: row l of rep r
-        if odd.any():                   # Phi F of each representative once
+        v = self.frames.shape[1]        # row (v r + b) N + l: row l of sigma^b(rep r)
+        F = self.frames.reshape(-1, N)[(v * r + (v - 1) * odd)[:, None] * N + rows]
+        if v == 1 and odd.any():        # Phi F of each representative the block reads, once
             seen = np.zeros(len(self.x), int)
             seen[r[odd]] = 1
             reps = np.flatnonzero(seen)
             seen[reps] = np.arange(len(reps))
-            Fs = rotate(ctx, self.frames[reps], 2 * N * self.x[reps], 2 * self.y[reps], self.cis)
+            Fs = rotate(ctx, self.frames[reps, 0], 2 * N * self.x[reps], 2 * self.y[reps],
+                        self.cis)
             F[odd] = Fs[seen[r[odd], None], rows[odd] * pow(ctx.d_r, -1, N) % N]
             del Fs
         np.conjugate(F, out=F, where=mirror[:, None, None] == 1)
