@@ -163,7 +163,8 @@ class FiberedRep:
 
         At k = (i/G, j/G), as integer numerators over L = 2 N G.
         """
-        i, j, N = 2 * self.ctx.N * np.asarray(i), np.asarray(j), self.ctx.N
+        N = self.ctx.N
+        i, j = 2 * N * np.asarray(i), np.asarray(j)
         if self.conjugated:
             return 2 * N * j, i, 0 * i
         return 2 * (self.ctx.M0 if self.kind == "weyl" else N) * j, self.ctx.n_r * i, self.ctx.q * i
@@ -266,7 +267,7 @@ def intertwiner_rows(ctx: WeylContext, src, dst, eps, s, cis: np.ndarray):
 
 
 def rotate(ctx: WeylContext, F: np.ndarray, k1, k2, cis: np.ndarray) -> np.ndarray:
-    """Phi F for P frames F, row d_r m of Phi F at row m: Phi pi_k(sigma(x)) Phi^dagger = pi_k'(x).
+    """Phi F for P frames F, (P, N, N): Phi pi_k(sigma(x)) Phi^dagger = pi_k'(x).
 
     k = (k1, k2), k' = (-N k2, k1/N) on the plain reference family, as
     numerators over L = len(cis) with N dividing k1; sigma(u) = v,
@@ -275,8 +276,8 @@ def rotate(ctx: WeylContext, F: np.ndarray, k1, k2, cis: np.ndarray) -> np.ndarr
     F, between two row maps with phases.  Frames up to one scalar phase.
     """
     N, L = ctx.N, len(cis)
-    m, wraps = _shift_rows(N, ctx.d_r)                  # row t = d_r m of the V(k) eigenvector
-    w = cis[-(m * ((ctx.n_r * k1 - k1 // N) % L) + wraps * (ctx.q * k1 % L)) % L]
+    shift, wraps = _shift_rows(N, ctx.d_r)              # row t = d_r shift of V(k)'s eigenvector
+    w = cis[-(shift * ((ctx.n_r * k1 - k1 // N) % L) + wraps * (ctx.q * k1 % L)) % L]
     perm = pow(ctx.q * ctx.M, -1, N) * np.arange(N) % N
     z = F.swapaxes(-1, -2)[..., perm]                   # columns of F, contiguous in the rows
     z *= w[perm].T[:, None, :]
@@ -284,7 +285,7 @@ def rotate(ctx: WeylContext, F: np.ndarray, k1, k2, cis: np.ndarray) -> np.ndarr
     z = (z.reshape(-1, N) @ (cis[m * m.T * (L // N) % L] / np.sqrt(N))).reshape(z.shape)
     z *= cis[(m * ((k2 - N * ctx.n_r * k2) % L) - (m * ctx.d_r // N) * (N * ctx.q * k2 % L))
              % L].T[:, None, :]
-    return z.swapaxes(-1, -2)
+    return z[..., shift[:, 0]].swapaxes(-1, -2)         # row d_r m of Phi F is row m of z
 
 
 def check_pseudoperiodicity(rep: FiberedRep, a: AlgebraElement, k) -> float:

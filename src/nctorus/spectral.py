@@ -67,12 +67,13 @@ cell (`_orbits`) reads it off its representative: Phi (held for every
 representative when the table fits in one block twice over, else made
 per block for the representatives the block reads), the conjugate, one
 row map with phases for the flip, Psi and W^m together
-(`representations.intertwiner_rows`), and the column reversal.  Plaquettes are gauge-invariant (`_kernels`),
-so these frames certify what eigh's would.  An element without some map
-gets the subgroup it admits; the trivial group diagonalizes every cell.
-The table holds R N^2 x 16 bytes for R orbits, about G^2 N^2 bytes:
-289 N^2 x 16 at G = 64 for odd N (0.23 MB at N = 7, 0.78 MB at N = 13,
-14 MB at N = 55), beside one family's block in flight.
+(`representations.intertwiner_rows`), and the column reversal.
+Plaquettes are gauge-invariant (`_kernels`), so these frames certify
+what eigh's would.  An element without some map gets the subgroup it
+admits; the trivial group diagonalizes every cell.  The table holds
+R N^2 x 16 bytes for R orbits, about G^2 N^2 bytes: 289 N^2 x 16 at
+G = 64 for odd N (0.23 MB at N = 7, 0.78 MB at N = 13, 14 MB at N = 55),
+beside one family's block in flight.
 
 When a admits the k1 mirror and the flip (h does), a pass stores the
 rows i = 0 .. G//2 alone: row G - i stands for the conjugate of row i,
@@ -328,12 +329,11 @@ class _OrbitTable:
         ref, k2 = reference_fibered_rep(ctx), np.arange(G) / (N * G)
         step = _kernels.block_rows(4 * N * N * np.dtype(complex).itemsize)   # a quarter block
         for i in range(0, R, step):
-            x, j = np.unique(self.x[i:i + step], return_inverse=True)      # reps sorted by x
+            k1, j = np.unique(x[i:i + step], return_inverse=True)       # reps sorted by x
             self.energies[i:i + step], self.frames[i:i + step, 0] = np.linalg.eigh(_hermitian(
-                evaluate_at_points(ref, a, x / G, k2, j, self.y[i:i + step])))
+                evaluate_at_points(ref, a, k1 / G, k2, j, y[i:i + step])))
         if held:
-            z = rotate(ctx, self.frames[:, 0], 2 * N * self.x, 2 * self.y, self.cis)
-            self.frames[:, 1] = z[:, np.arange(N) * pow(ctx.d_r, -1, N) % N]
+            self.frames[:, 1] = rotate(ctx, self.frames[:, 0], 2 * N * x, 2 * y, self.cis)
 
     def read(self, rep: FiberedRep, start: int):
         """Energies (b, n, N) and frames (b, G, N, N) of `rep`'s stored rows from `start`."""
@@ -355,7 +355,7 @@ class _OrbitTable:
             seen[reps] = np.arange(len(reps))
             Fs = rotate(ctx, self.frames[reps, 0], 2 * N * self.x[reps], 2 * self.y[reps],
                         self.cis)
-            F[odd] = Fs[seen[r[odd], None], rows[odd] * pow(ctx.d_r, -1, N) % N]
+            F[odd] = Fs[seen[r[odd], None], rows[odd]]
             del Fs
         np.conjugate(F, out=F, where=mirror[:, None, None] == 1)
         F *= phase[..., None]
