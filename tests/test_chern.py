@@ -466,9 +466,8 @@ def test_grid_stability_24_vs_48():
 def test_gap_certificates_one_spectral_pass_per_rep_and_grid(band_passes, eigh_matrices,
                                                              spec, passes):
     # one orbit table per (context, grid) feeds both families: 16 cells of the
-    # 12 x 12 character grid at M0 = -1, 0 and -4 alike, where the reference
-    # family's own columns and the constant weyl family at theta = r/q once
-    # took eigh passes of their own
+    # 12 x 12 character grid at M0 = -1, 0 and -4 alike, whatever gcd(M0, 12)
+    # and at theta = r/q, where the weyl family is constant in k2
     ctx = ctx_of(*spec)
     gap_certificates(ctx, 12)
     assert band_passes == [(ctx.M, ctx.N, "dual", 12)] * passes
