@@ -36,8 +36,9 @@ chi(a) = -a.  Every monomial intertwiner, W^m, the flip, Psi and that of
 the conjugated form, is one row map with phases (`intertwiner_rows`).
 
 One evaluator forms every pi_k(a): `evaluate_at_points`, from closed forms of
-the powers, which `V_at` shares (`FiberedRep._v_power`); `evaluate_at_k` and
-`evaluate_on_grid` are its one-point and whole-grid forms.
+the powers (`FiberedRep._v_power`); `evaluate_at_k` and `evaluate_on_grid`
+are its one-point and whole-grid forms.  `central_character` reads the
+scalars U(k)^N and V(k)^N off a point's `FiberedRep.turns`.
 """
 
 from __future__ import annotations
@@ -121,20 +122,6 @@ class FiberedRep:
         j = np.arange(N)
         return np.exp(1j * TWO_PI * ((self.ctx.q * self.ctx.M * n % N) * j % N) / N)
 
-    def _u_rate(self) -> float:
-        # scalar phase rate: U(k) = e^{i 2 pi rate k2} * C^{qM}
-        if self.kind == "weyl":
-            return self.ctx.M0 / self.ctx.N
-        return 1.0
-
-    def U_at(self, k) -> np.ndarray:
-        k1, k2 = k
-        return np.exp(1j * TWO_PI * self._u_rate() * k2) * np.diag(self._u_const_diag())
-
-    def V_at(self, k) -> np.ndarray:
-        k1, k2 = k
-        return self._v_power(k1, np.exp(1j * TWO_PI * self.ctx.q * k1), 1)
-
     def _v_power(self, k1s, lam, m: int) -> np.ndarray:
         """V(k1)^m in closed form over k1s, lam = e^{i2pi q k1s}: k1s.shape + (N, N)."""
         ctx = self.ctx
@@ -144,19 +131,6 @@ class FiberedRep:
         vm = shift_matrix_power(ctx.N, lam, ctx.d_r * m)
         vm *= np.exp(1j * TWO_PI * ctx.n_r * m * k1s)[..., None, None]
         return vm
-
-    # expected scalars of the N-th powers, used by the invariant checks
-    def u_power_scalar(self, k) -> complex:
-        k1, k2 = k
-        if self.kind == "weyl":
-            return np.exp(1j * TWO_PI * self.ctx.M0 * k2)
-        return np.exp(1j * TWO_PI * self.ctx.N * k2)
-
-    def v_power_scalar(self, k) -> complex:
-        k1, k2 = k
-        if self.conjugated:
-            return np.exp(1j * TWO_PI * self.ctx.N * k1)
-        return np.exp(1j * TWO_PI * k1)
 
     def turns(self, i, j, G: int) -> tuple:
         """(u, mu, lam): U(k) = e^{i2pi u/L} C^{qM}, V(k) = e^{i2pi mu/L} S(e^{i2pi lam/L})^d_r.
@@ -168,6 +142,15 @@ class FiberedRep:
         if self.conjugated:
             return 2 * N * j, i, 0 * i
         return 2 * (self.ctx.M0 if self.kind == "weyl" else N) * j, self.ctx.n_r * i, self.ctx.q * i
+
+
+def central_character(ctx: WeylContext, turns, G: int) -> tuple:
+    """(x, y), 0 <= x, y < G: V(k)^N = e^{i2pi x/G} I and U(k)^N = e^{i2pi y/G} I.
+
+    At the points of `FiberedRep.turns` on the G grid: their cells (`spectral`).
+    """
+    u, mu, lam = turns
+    return (ctx.N * mu + ctx.d_r * lam) // (2 * ctx.N) % G, u // 2 % G
 
 
 def weyl_fibered_rep(ctx: WeylContext) -> FiberedRep:
@@ -225,7 +208,7 @@ def evaluate_at_points(rep: FiberedRep, a: AlgebraElement, k1s: np.ndarray, k2s:
 
     k1s, k2s = np.asarray(k1s), np.asarray(k2s)
     lam = np.exp(1j * TWO_PI * ctx.q * k1s)
-    urate = rep._u_rate()
+    urate = ctx.M0 / N if rep.kind == "weyl" else 1.0     # U(k) = e^{i2pi urate k2} C^{qM}
 
     ucache, vcache = {}, {}
     for (n, m), c in a.coeffs.items():

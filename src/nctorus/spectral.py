@@ -101,6 +101,7 @@ from .algebra import TWO_PI, AlgebraElement, element_star, hofstadter_element
 from .arithmetic import WeylContext
 from .representations import (
     FiberedRep,
+    central_character,
     evaluate_at_points,
     evaluate_on_grid,
     intertwiner_rows,
@@ -337,10 +338,11 @@ class _OrbitTable:
 
     def read(self, rep: FiberedRep, start: int):
         """Energies (b, n, N) and frames (b, G, N, N) of `rep`'s stored rows from `start`."""
-        ctx, G, N, L = self.ctx, self.G, self.ctx.N, len(self.cis)
+        ctx, G, N = self.ctx, self.G, self.ctx.N
         i, j = np.divmod(np.arange(start * G, min(start + self.step, self.rows) * G), G)
-        u, mu, lam = dst = rep.turns(i, j, G)
-        cell = (N * mu + ctx.d_r * lam) // (2 * N) % G * G + u // 2 % G   # of (V^N, U^N)
+        dst = rep.turns(i, j, G)
+        x, y = central_character(ctx, dst, G)
+        cell = x * G + y                # of (V^N, U^N)
         r = self.row[cell]
         turn, mirror, chi = self.word[cell].T
         odd, neg = turn % 2 == 1, chi == 1

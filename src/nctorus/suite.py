@@ -25,6 +25,7 @@ from . import _kernels
 from .algebra import (
     element_mul,
     hofstadter_element,
+    monomial,
     random_element,
     random_selfadjoint_element,
 )
@@ -32,8 +33,10 @@ from .arithmetic import WeylContext, gap_label_d
 from .chern import RHS_TOL, _rounded, gap_certificates, symbolic_numeric_crosscheck
 from .representations import (
     FiberedRep,
+    central_character,
     check_pseudoperiodicity,
     evaluate_at_k,
+    evaluate_at_points,
     reference_fibered_rep,
     shift_matrix,
     twist_transport,
@@ -52,6 +55,7 @@ from .spectral import (
 )
 
 SEED = 20240601
+FINE = 2 ** 20          # the generator rows' points k = (i, j) / FINE, exact in binary
 
 
 @dataclass(frozen=True)
@@ -65,6 +69,11 @@ class CheckResult:
 
 def _frob(A) -> float:
     return float(np.linalg.norm(A))
+
+
+def _worst(A) -> float:
+    """The largest Frobenius norm in a stack of matrices."""
+    return float(np.linalg.norm(A, axis=(-2, -1)).max())
 
 
 def isospectral_grid(ctx: WeylContext, G: int) -> int:
@@ -178,18 +187,23 @@ def run_invariant_suite(ctx: WeylContext, G: int = 32) -> List[CheckResult]:
     )
     check("context-constants", 0.0 if exact_ok else 1.0, 0.5, ctx.label())
 
-    # matrix-family identities at random k
-    ks = rng.random((100, 2))
+    # pi_k(u), pi_k(v) from the certificates' evaluator at random k snapped to the FINE
+    # grid; their N-th powers against the central characters of the points' turns
+    i, j = (rng.random((100, 2)) * FINE).astype(int).T
+    points = np.arange(100)
     comm = unit = powu = powv = 0.0
     phase = np.exp(2j * np.pi * ctx.M / ctx.N)
     eye = np.eye(ctx.N)
-    for name, rep in reps.items():
-        for k in ks:
-            U, V = rep.U_at(k), rep.V_at(k)
-            comm = max(comm, _frob(U @ V - phase * V @ U))
-            unit = max(unit, _frob(U @ U.conj().T - eye), _frob(V @ V.conj().T - eye))
-            powu = max(powu, _frob(np.linalg.matrix_power(U, ctx.N) - rep.u_power_scalar(k) * eye))
-            powv = max(powv, _frob(np.linalg.matrix_power(V, ctx.N) - rep.v_power_scalar(k) * eye))
+    for rep in reps.values():
+        U, V = (evaluate_at_points(rep, monomial(theta, n, m), i / FINE, j / FINE, points, points)
+                for n, m in ((1, 0), (0, 1)))
+        vn, un = np.exp(2j * np.pi / FINE * np.array(
+            central_character(ctx, rep.turns(i, j, FINE), FINE)))[..., None, None]
+        comm = max(comm, _worst(U @ V - phase * V @ U))
+        unit = max(unit, *(_worst(A @ A.conj().swapaxes(-1, -2) - eye) for A in (U, V)))
+        powu = max(powu, _worst(np.linalg.matrix_power(U, ctx.N) - un * eye))
+        powv = max(powv, _worst(np.linalg.matrix_power(V, ctx.N) - vn * eye))
+    del U, V                            # 100 matrices each, before the band passes
     check("commutation", comm, 1e-12, "UV = e^{i2pi M/N} VU, 100 random k, all kinds")
     check("unitarity", unit, 1e-13)
     check("power-identity-u", powu, 1e-12)

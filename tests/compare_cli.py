@@ -1,4 +1,4 @@
-"""Run thirty-three fixed CLI commands under two source trees and diff what they emit.
+"""Run thirty-four fixed CLI commands under two source trees and diff what they emit.
 
     python3 tests/compare_cli.py OLD_SRC NEW_SRC
 
@@ -86,6 +86,9 @@ COMMANDS = (
     ("verify", "--theta", "21/34", "--grid", "64"),
     # the largest orbit table of the list, 289 frames of 55 x 55: the RSS column
     ("chern", "--theta", "34/55", "--grid", "64"),
+    # r < 0, even N and M0 = 31: the thinnest margin of the generator rows,
+    # power-identity-v near 1.6e-13 against 1e-12
+    ("verify", "--theta", "5/8", "--rep", "3,-2", "--grid", "32"),
     # a colored sweep away from rep (1,0): its CSV is the uncolored one
     ("butterfly", "--farey", "4", "--grid", "12", "--rep", "2,1", "--format", "csv",
      "--format", "svg", "--color-gaps"),

@@ -9,9 +9,11 @@ one call, with no k1 mirror and no flip, a
 through `_kernels.plaquette_flux_sum`, `pullback_field` resamples them,
 and `connes_chern_via_derivatives` evaluates the character by the
 derivative formula, independently of the plaquette path.  Tests compare
-the streamed certificates and suite rows with them.  `evaluate_by_powers`
-sums matrix powers of the generators, the oracle of the package's one
-evaluator `representations.evaluate_at_points`.  `orbit_count` counts the
+the streamed certificates and suite rows with them.  `generators` builds
+U(k) and V(k) from the clock and shift matrices, `power_scalars` states
+their N-th powers, and `evaluate_by_powers` sums matrix powers of the
+generators: the oracles of the package's one evaluator
+`representations.evaluate_at_points`.  `orbit_count` counts the
 orbits of the character grid by a walk of its own: the matrices one
 orbit table (`spectral._OrbitTable`) diagonalizes.
 """
@@ -26,16 +28,49 @@ import numpy as np
 from nctorus import _kernels
 from nctorus.algebra import AlgebraElement
 from nctorus.chern import ChernResult, _fft_character, _rounded
-from nctorus.representations import FiberedRep, evaluate_on_grid, twist_transport
+from nctorus.representations import FiberedRep, evaluate_on_grid, shift_matrix, twist_transport
 from nctorus.spectral import band_edges, expand_k1_mirror, fermi_rank
 
 
+def generators(rep: FiberedRep, k) -> tuple:
+    """(U(k), V(k)) of `rep` from the clock diagonal and `shift_matrix`.
+
+    As the `representations` docstring states them, with C the clock and
+    S(lam) the shift:
+      U(k) = e^{i2pi rate k2} C^{qM}, rate M0/N (weyl) or 1 (reference);
+      V(k) = e^{i2pi n_r k1} S(e^{i2pi q k1})^{d_r},
+             or e^{i2pi k1} S(1)^{d_r} in the conjugated form.
+    """
+    ctx, (k1, k2) = rep.ctx, k
+    N = ctx.N
+    rate = ctx.M0 / N if rep.kind == "weyl" else 1.0
+    clock = np.diag(np.exp(2j * np.pi * np.arange(N) / N))
+    U = np.exp(2j * np.pi * rate * k2) * np.linalg.matrix_power(clock, ctx.q * ctx.M)
+    if rep.conjugated:
+        V = np.exp(2j * np.pi * k1) * _unitary_power(shift_matrix(N), ctx.d_r)
+    else:
+        S = shift_matrix(N, np.exp(2j * np.pi * ctx.q * k1))
+        V = np.exp(2j * np.pi * ctx.n_r * k1) * _unitary_power(S, ctx.d_r)
+    return U, V
+
+
+def power_scalars(rep: FiberedRep, k) -> tuple:
+    """(U(k)^N, V(k)^N) of `generators` as scalars: C^N = I and S(lam)^N = lam I.
+
+    U^N = e^{i2pi N rate k2}; V^N = e^{i2pi (n_r N + q d_r) k1} = e^{i2pi k1},
+    or e^{i2pi N k1} in the conjugated form.
+    """
+    ctx, (k1, k2) = rep.ctx, k
+    un = np.exp(2j * np.pi * (ctx.M0 if rep.kind == "weyl" else ctx.N) * k2)
+    return un, np.exp(2j * np.pi * (ctx.N if rep.conjugated else 1) * k1)
+
+
 def evaluate_by_powers(rep: FiberedRep, a: AlgebraElement, k) -> np.ndarray:
-    """sum a_{n,m} U(k)^n V(k)^m from matrix powers of `rep.U_at(k)` and `rep.V_at(k)`.
+    """sum a_{n,m} U(k)^n V(k)^m from matrix powers of the `generators` at k.
 
     u-powers to the left of v-powers, negative powers through the adjoint.
     """
-    U, V = rep.U_at(k), rep.V_at(k)
+    U, V = generators(rep, k)
     out = np.zeros((rep.dim, rep.dim), dtype=complex)
     for (n, m), c in a.coeffs.items():
         out += c * (_unitary_power(U, n) @ _unitary_power(V, m))

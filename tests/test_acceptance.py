@@ -10,13 +10,21 @@ import time
 import numpy as np
 
 from conftest import bands_of, certs_of, ctx_of, report_of
-from fields import fermi_projector_field, fhs_chern, identity_field, pullback_field
+from fields import (
+    fermi_projector_field,
+    fhs_chern,
+    generators,
+    identity_field,
+    power_scalars,
+    pullback_field,
+)
 
-from nctorus.algebra import hofstadter_element, random_element
+from nctorus.algebra import hofstadter_element, monomial, random_element
 from nctorus.arithmetic import tknn_rhs_value, tknn_solve
 from nctorus.chern import symbolic_numeric_crosscheck
 from nctorus.representations import (
     check_pseudoperiodicity,
+    evaluate_at_k,
     reference_fibered_rep,
     weyl_fibered_rep,
 )
@@ -141,16 +149,21 @@ def test_criterion_08_algebraic_invariants():
         phase = np.exp(2j * np.pi * M / N)
         eye = np.eye(N)
         h = hofstadter_element(ctx.theta)
+        u, v = monomial(ctx.theta, 1, 0), monomial(ctx.theta, 0, 1)
         reps = (weyl_fibered_rep(ctx), reference_fibered_rep(ctx))
         for k in rng.random((100, 2)):
             for rep in reps:
-                U, V = rep.U_at(k), rep.V_at(k)
+                # the generators' closed forms, and the evaluator's pi_k(u), pi_k(v) against them
+                U, V = generators(rep, k)
+                un, vn = power_scalars(rep, k)
                 worst = max(
                     worst,
+                    np.linalg.norm(evaluate_at_k(rep, u, k) - U),
+                    np.linalg.norm(evaluate_at_k(rep, v, k) - V),
                     np.linalg.norm(U @ V - phase * V @ U),
                     np.linalg.norm(U @ U.conj().T - eye),
-                    np.linalg.norm(np.linalg.matrix_power(U, N) - rep.u_power_scalar(k) * eye),
-                    np.linalg.norm(np.linalg.matrix_power(V, N) - rep.v_power_scalar(k) * eye),
+                    np.linalg.norm(np.linalg.matrix_power(U, N) - un * eye),
+                    np.linalg.norm(np.linalg.matrix_power(V, N) - vn * eye),
                 )
         for k in rng.random((100, 2)):
             for rep in reps:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import bands_of, ctx_of
-from fields import evaluate_by_powers
+from fields import evaluate_by_powers, generators, power_scalars
 
 from nctorus.algebra import (
     RationalTheta,
@@ -20,6 +20,7 @@ from nctorus.algebra import (
     unit,
 )
 from nctorus.representations import (
+    central_character,
     check_pseudoperiodicity,
     evaluate_at_k,
     evaluate_at_points,
@@ -109,24 +110,36 @@ def test_twist_matrix_layout():
     assert frob(twist_transport(ctx, k1) - G.conj()) < 1e-15
 
 
+def _generators_of(rep, k):
+    """pi_k(u) and pi_k(v) from the package's evaluator."""
+    theta = rep.ctx.theta
+    return (evaluate_at_k(rep, monomial(theta, 1, 0), k),
+            evaluate_at_k(rep, monomial(theta, 0, 1), k))
+
+
 def test_weyl_rep_at_origin_is_clock_shift():
+    # the evaluator's generators and their closed forms alike
     rep = weyl_fibered_rep(ctx_of(1, 3, 1, 0))
-    assert frob(rep.U_at((0.0, 0.0)) - clock(3)) < 1e-15
-    assert frob(rep.V_at((0.0, 0.0)) - shift_matrix(3)) < 1e-15
+    for U, V in (_generators_of(rep, (0.0, 0.0)), generators(rep, (0.0, 0.0))):
+        assert frob(U - clock(3)) < 1e-15
+        assert frob(V - shift_matrix(3)) < 1e-15
 
 
 def test_reference_rep_at_origin_and_periodicity():
     rep = reference_fibered_rep(ctx_of(1, 3, 1, 0))
-    assert frob(rep.U_at((0.0, 0.0)) - clock(3)) < 1e-15
-    assert frob(rep.V_at((0.0, 0.0)) - shift_matrix(3)) < 1e-15
-    k = (0.21, 0.73)
-    k_shift = (k[0] + 1.0, k[1] + 1.0)
-    assert frob(rep.U_at(k) - rep.U_at(k_shift)) < 1e-12
-    assert frob(rep.V_at(k) - rep.V_at(k_shift)) < 1e-12
+    for generators_at in (_generators_of, generators):
+        U, V = generators_at(rep, (0.0, 0.0))
+        assert frob(U - clock(3)) < 1e-15
+        assert frob(V - shift_matrix(3)) < 1e-15
+        k = (0.21, 0.73)
+        for A, B in zip(generators_at(rep, k), generators_at(rep, (k[0] + 1.0, k[1] + 1.0))):
+            assert frob(A - B) < 1e-12
 
 
 @pytest.mark.parametrize("spec", CONTEXTS)
 def test_family_identities_random_k(spec, rng):
+    # pi_k(u) and pi_k(v) from the evaluator are the closed forms of the
+    # generators, and satisfy the family identities
     M, N, q, r = spec
     ctx = ctx_of(M, N, q, r)
     phase = cmath.exp(2j * cmath.pi * M / N)
@@ -135,25 +148,35 @@ def test_family_identities_random_k(spec, rng):
             reference_fibered_rep(ctx, conjugated=True)]
     for rep in reps:
         for k in rng.random((25, 2)):
-            U, V = rep.U_at(k), rep.V_at(k)
+            U, V = _generators_of(rep, k)
+            for A, B in zip((U, V), generators(rep, k)):
+                assert frob(A - B) < 1e-13
+            un, vn = power_scalars(rep, k)
             assert frob(U @ V - phase * V @ U) < 1e-12
             assert frob(U @ U.conj().T - eye) < 1e-13
             assert frob(V @ V.conj().T - eye) < 1e-13
-            assert frob(np.linalg.matrix_power(U, N) - rep.u_power_scalar(k) * eye) < 1e-12
-            assert frob(np.linalg.matrix_power(V, N) - rep.v_power_scalar(k) * eye) < 1e-12
+            assert frob(np.linalg.matrix_power(U, N) - un * eye) < 1e-12
+            assert frob(np.linalg.matrix_power(V, N) - vn * eye) < 1e-12
 
 
 def test_power_scalars_by_kind():
-    ctx = ctx_of(1, 3, 2, 1)
-    k = (0.3, 0.6)
-    wy = weyl_fibered_rep(ctx)
-    rf = reference_fibered_rep(ctx)
-    rc = reference_fibered_rep(ctx, conjugated=True)
-    assert wy.u_power_scalar(k) == pytest.approx(cmath.exp(2j * cmath.pi * ctx.M0 * k[1]))
-    assert wy.v_power_scalar(k) == pytest.approx(cmath.exp(2j * cmath.pi * k[0]))
-    assert rf.u_power_scalar(k) == pytest.approx(cmath.exp(2j * cmath.pi * 3 * k[1]))
-    assert rf.v_power_scalar(k) == pytest.approx(cmath.exp(2j * cmath.pi * k[0]))
-    assert rc.v_power_scalar(k) == pytest.approx(cmath.exp(2j * cmath.pi * 3 * k[0]))
+    # central_character on the G grid: V^N = e^{i2pi x/G} and U^N = e^{i2pi y/G}
+    # with (x, y) = (i, M0 j) (weyl), (i, N j) (reference), (N i, N j)
+    # (conjugated), and so are the N-th powers of the generators' closed forms
+    G = 12
+    i, j = np.divmod(np.arange(G * G), G)
+    for ctx in (ctx_of(*spec) for spec in CONTEXTS):
+        N = ctx.N
+        for rep, (a, b) in ((weyl_fibered_rep(ctx), (1, ctx.M0)),
+                            (reference_fibered_rep(ctx), (1, N)),
+                            (reference_fibered_rep(ctx, conjugated=True), (N, N))):
+            x, y = central_character(ctx, rep.turns(i, j, G), G)
+            assert np.array_equal(x, a * i % G) and np.array_equal(y, b * j % G)
+            for p in range(0, G * G, 7):
+                U, V = generators(rep, (i[p] / G, j[p] / G))
+                for A, c in ((U, y[p]), (V, x[p])):
+                    assert frob(np.linalg.matrix_power(A, N)
+                                - cmath.exp(2j * cmath.pi * c / G) * np.eye(N)) < 1e-12
 
 
 def test_evaluate_hofstadter_two_band_at_origin():
@@ -235,11 +258,12 @@ def test_weyl_family_at_r_over_q_is_a_representation(rng):
     assert rep.dim == weyl.dim == 1
     h = hofstadter_element(ctx.theta)
     for k in rng.random((20, 2)):
-        assert np.array_equal(weyl.U_at(k), np.eye(1))
-        assert np.array_equal(weyl.V_at(k), rep.V_at(k))
+        U, V = _generators_of(weyl, k)
+        assert np.array_equal(U, np.eye(1))
+        assert np.array_equal(V, _generators_of(rep, k)[1])
         for a in (h, random_selfadjoint_element(ctx.theta, 3, rng)):
             assert check_pseudoperiodicity(weyl, a, k) < 1e-12
-    assert rep.V_at((0.25, 0.0))[0, 0] == pytest.approx(cmath.exp(0.5j * cmath.pi))
+    assert _generators_of(rep, (0.25, 0.0))[1][0, 0] == pytest.approx(cmath.exp(0.5j * cmath.pi))
 
 
 def test_isospectrality_weyl_vs_reference():

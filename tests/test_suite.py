@@ -9,16 +9,15 @@ import pytest
 from conftest import ctx_of
 from fields import bands_on_grid, fermi_projector_field, fhs_chern, orbit_count, pullback_field
 
-from nctorus import _kernels, chern, representations, suite
+from nctorus import _kernels, chern, representations, spectral, suite
 from nctorus.algebra import (
     TWO_PI,
     derivation,
     element_mul,
     hofstadter_element,
-    monomial,
     nc_integral_symbolic,
 )
-from nctorus.representations import evaluate_at_k, reference_fibered_rep, weyl_fibered_rep
+from nctorus.representations import reference_fibered_rep
 from nctorus.spectral import GapInfo, NumericalFailure, hofstadter_gap_report
 from nctorus.suite import run_invariant_suite
 
@@ -216,25 +215,141 @@ def test_a_reversed_transport_fails_its_row(module, row, value, failed, monkeypa
     assert rows[row].value == pytest.approx(value, abs=0.01)
 
 
-def test_a_wrong_high_v_power_fails_only_the_homomorphism_row(rng, monkeypatch):
+def test_a_wrong_high_v_power_fails_only_the_homomorphism_row(monkeypatch):
     # S^p -> S^(p+1) for |p| >= 2.  At 1/3 (1,0), d_r = 1 and h holds v^{+-1}
-    # only, so the band passes, certificates and seam never raise S past
-    # |p| = 1; the homomorphism row evaluates random degree-4 elements through
-    # the certificates' own evaluator.  V_at is that evaluator's closed form
-    # of v, bit for bit (at d_r = 7 too, where S^q = lam I wraps)
-    for spec in ((1, 3, 1, 0), (2, 5, 3, 1)):
-        ctx = ctx_of(*spec)
-        v = monomial(ctx.theta, 0, 1)
-        for rep in (weyl_fibered_rep(ctx), reference_fibered_rep(ctx),
-                    reference_fibered_rep(ctx, conjugated=True)):
-            for k in rng.random((5, 2)):
-                assert np.array_equal(rep.V_at(k), evaluate_at_k(rep, v, k))
+    # only, so the band passes, certificates, seam and generator rows never
+    # raise S past |p| = 1; the homomorphism row evaluates random degree-4
+    # elements through the certificates' own evaluator
     power = representations.shift_matrix_power
     monkeypatch.setattr(representations, "shift_matrix_power",
                         lambda q, lam, p: power(q, lam, p + 1 if abs(p) >= 2 else p))
     rows = {r.name: r for r in run_invariant_suite(ctx_of(1, 3, 1, 0), 16)}
     assert {name for name, r in rows.items() if not r.ok} == {"homomorphism"}
     assert rows["homomorphism"].value == pytest.approx(13.8, abs=0.01)
+
+
+def _failed(spec, G=16):
+    """{row name: value} of the suite's FAIL rows at `spec`, a context or (M, N, q, r)."""
+    ctx = ctx_of(*spec) if isinstance(spec, tuple) else spec
+    return {r.name: r.value for r in run_invariant_suite(ctx, G) if not r.ok}
+
+
+def test_a_clock_on_the_wrong_residue_fails_the_commutation_row(monkeypatch):
+    # C^{(qM + 1) n} for C^{qM n}: U V = e^{i2pi (M + d_r)/N} V U, so at 1/3 (1,0),
+    # d_r = 1, the commutator is off by sqrt(3) |e^{i2pi/3} - 1| = 3.  The
+    # generators stay unitary and C^N = I still.  Every row that evaluates u
+    # past the generators' own identities reads the wrong clock too
+    def wrong_residue(rep, n=1):
+        N, j = rep.ctx.N, np.arange(rep.ctx.N)
+        return np.exp(1j * TWO_PI * (((rep.ctx.q * rep.ctx.M + 1) * n % N) * j % N) / N)
+
+    monkeypatch.setattr(representations.FiberedRep, "_u_const_diag", wrong_residue)
+    failed = _failed((1, 3, 1, 0))
+    assert set(failed) == {"commutation", "pseudo-periodicity", "homomorphism",
+                           "projector-seam-transport", "tknn-gaps"}
+    assert failed["commutation"] == pytest.approx(3.0, abs=1e-12)
+
+
+def test_a_conjugated_phase_without_i_fails_the_unitarity_row(monkeypatch):
+    # the conjugated form's e^{i2pi m k1} formed as e^{2pi m k1}: V grows by a
+    # real factor, so V V^dagger - I reads sqrt(N) (e^{4pi k1} - 1) and V^N the
+    # factor's N-th power.  It is a grading of v, so pi_k stays multiplicative,
+    # but the homomorphism row's degree-8 products reach magnitudes near
+    # e^{16pi k1}, whose rounding exceeds its bound, and the symbolic-numeric
+    # row averages the conjugated form over k1, where the factor breaks the
+    # period
+    v_power = representations.FiberedRep._v_power
+
+    def real_phase(rep, k1s, lam, m):
+        if not rep.conjugated:
+            return v_power(rep, k1s, lam, m)
+        base = representations.shift_matrix_power(rep.ctx.N, 1.0 + 0j, rep.ctx.d_r * m)
+        return np.exp(TWO_PI * m * np.asarray(k1s))[..., None, None] * base
+
+    monkeypatch.setattr(representations.FiberedRep, "_v_power", real_phase)
+    failed = _failed((1, 3, 1, 0))
+    assert set(failed) == {"unitarity", "power-identity-v", "homomorphism", "symbolic-numeric"}
+    assert failed["unitarity"] == pytest.approx(4.568e5, rel=1e-3)
+
+
+@pytest.mark.parametrize("axis, row, failed", [
+    pytest.param(0, "power-identity-v", {"power-identity-v", "projector-seam-transport",
+                                          "tknn-gaps", "pullback-lemma"}, id="v"),
+    pytest.param(1, "power-identity-u", {"power-identity-u", "projector-seam-transport"},
+                 id="u"),
+])
+def test_a_character_one_cell_off_fails_its_power_identity_row(axis, row, failed, monkeypatch):
+    # central_character one cell off on one axis, in the suite and in the orbit
+    # table's read.  On the suite's grid of 2^20 cells the power row reads
+    # sqrt(3) |e^{i2pi/2^20} - 1| = 1.04e-5 at N = 3.  The table reads every
+    # point off the neighbouring cell: the seam row compares the weyl projector
+    # at k2 = 1 with the moved field.  The certificates still hold when every
+    # U^N character moves by one cell, and fail when V^N's does
+    exact = representations.central_character
+
+    def one_off(ctx, turns, G):
+        cells = list(exact(ctx, turns, G))
+        cells[axis] = (cells[axis] + 1) % G
+        return tuple(cells)
+
+    for module in (spectral, suite):
+        monkeypatch.setattr(module, "central_character", one_off)
+    rows = _failed((1, 3, 1, 0))
+    assert set(rows) == failed
+    assert rows[row] == pytest.approx(np.sqrt(3) * abs(np.exp(2j * np.pi / 2 ** 20) - 1),
+                                      rel=1e-6)
+
+
+def test_a_gap_tolerance_wider_than_the_gaps_fails_the_band_count_row(monkeypatch):
+    # GAP_TOL = 10 closes every slot of the exact report: one band of three at
+    # 1/3, and only the two outer gaps, so the label row fails with it.  With no
+    # internal gap the projector rows read nothing, and the certificates
+    # certify the outer gaps alone
+    monkeypatch.setattr(spectral, "GAP_TOL", 10.0)
+    failed = _failed((1, 3, 1, 0))
+    assert set(failed) == {"band-count", "gap-labels-increasing"}
+    assert failed["band-count"] == 2
+
+
+def test_frames_off_orthonormality_fail_only_the_projector_field_row(monkeypatch):
+    # the 2G pass's frames scaled by 1 + 1e-7 off k2 = 0: the Gram defects read
+    # |(1 + 1e-7)^2 - 1| ~ 2e-7 per frame column, 4e-7 at 1/3 (1,0), against 1e-8.
+    # Column k2 = 0, which the seam row reads, and the flux sums, which read
+    # only phases of link determinants, are unmoved
+    passes = suite.band_blocks
+
+    def scaled(rep, a, G):
+        for start, energies, frames in passes(rep, a, G):
+            frames = frames.copy()
+            frames[:, 1:] *= 1 + 1e-7
+            yield start, energies, frames
+
+    monkeypatch.setattr(suite, "band_blocks", scaled)
+    failed = _failed((1, 3, 1, 0))
+    assert set(failed) == {"projector-field"}
+    assert failed["projector-field"] == pytest.approx(4e-7, rel=1e-3)
+
+
+def test_a_gluing_unitary_on_conjugate_lambda_fails_only_the_twist_layout_row(monkeypatch):
+    # shift_matrix(N, conj lam)^T: G^N = conj(lam) I, not lam I, and the
+    # transport is no longer conj(G).  The suite's shift_matrix lays out the
+    # twist and nothing else; the seam rows read twist_transport
+    shift = suite.shift_matrix
+    monkeypatch.setattr(suite, "shift_matrix", lambda N, lam: shift(N, np.conj(lam)))
+    failed = _failed((1, 3, 1, 0))
+    assert set(failed) == {"twist-layout"}
+    assert failed["twist-layout"] == pytest.approx(2.936, abs=1e-3)
+
+
+def test_a_context_off_its_diophantine_identity_fails_the_context_constants_row():
+    # d_r + 1 breaks q d_r + n_r N = 1, which make_weyl_context asserts but
+    # python -O strips: then this row alone states the identity.  The families
+    # are built on V = S^{d_r + 1}, which no longer commutes with C^{qM} as
+    # e^{i2pi M/N}, so the rows that multiply u and v fail with it
+    ctx = ctx_of(1, 3, 1, 0)
+    failed = _failed(dataclasses.replace(ctx, d_r=ctx.d_r + 1))
+    assert set(failed) == {"context-constants", "commutation", "homomorphism", "tknn-gaps"}
+    assert failed["context-constants"] == 1.0
 
 
 def test_a_symmetrized_cocycle_fails_only_the_symbolic_numeric_row(monkeypatch):
